@@ -355,10 +355,8 @@ def run_shootout(
     for workers in workers_list:
         pool = TraversalPool(graph, workers=workers)
         try:
-            pool.eccentricities(sources[: min(16, len(sources))])  # warm-up
-            proc_s, proc_ok = time_config(
-                lambda: pool.eccentricities(sources)
-            )
+            pool.ecc_batch(sources[: min(16, len(sources))])  # warm-up
+            proc_s, proc_ok = time_config(lambda: pool.ecc_batch(sources))
         finally:
             pool.close()
         configs.append(

@@ -3,7 +3,7 @@
 One BFS per vertex — the quadratic straw man every other algorithm is
 measured against, and the simplest possible correctness oracle.  Being
 embarrassingly parallel over sources, it is also the first customer of
-the process backend: ``backend="process"`` fans the full-ED sweep
+the batch backends: ``backend="process"`` fans the full-ED sweep
 across a worker pool (:mod:`repro.parallel`) with bit-identical output.
 """
 
@@ -13,10 +13,11 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.oracles import BFSOracle
 from repro.core.result import EccentricityResult
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
-from repro.graph.traversal import TraversalCounter, eccentricity_and_distances
+from repro.graph.traversal import TraversalCounter
 from repro.obs.trace import Stopwatch
 
 __all__ = ["naive_eccentricities"]
@@ -31,15 +32,13 @@ def naive_eccentricities(
 ) -> EccentricityResult:
     """Exact ED with one BFS per vertex (eccentricity within components).
 
-    ``backend="numpy"`` (default) runs the sweep in-process;
-    ``backend="process"`` dispatches source chunks to ``workers``
-    worker processes over the shared-memory CSR.  ``traversal`` picks
-    the in-process sweep flavour: ``"batch"`` (default) shares
-    bit-parallel MS-BFS lane sweeps via :meth:`repro.graph.engine.
-    BFSEngine.ecc_batch`, ``"loop"`` keeps the historical one-BFS-per-
-    vertex loop (the honest quadratic straw man for ablations).  All
-    paths produce the same eccentricities bit for bit; the algorithm
-    tag records which backend (and how many workers) actually ran.
+    ``traversal="batch"`` (default) is one :meth:`BFSOracle.ecc_all`
+    call, on the batch backend ``backend``/``workers`` choose: the
+    in-process bit-parallel MS-BFS lane sweeps (``"numpy"``) or a
+    shared-memory worker pool (``"process"``).  ``"loop"`` keeps the
+    historical one-BFS-per-vertex loop on the in-process engine (the
+    honest quadratic straw man for ablations).  All paths produce the
+    same eccentricities bit for bit.
 
     :dtype ecc: int32
     """
@@ -49,34 +48,21 @@ def naive_eccentricities(
         )
     counter = counter if counter is not None else TraversalCounter()
     watch = Stopwatch()
-    n = graph.num_vertices
-    if backend == "process":
-        from repro.parallel.pool import pool_for
-
-        pool = pool_for(graph, workers=workers)
-        ecc = pool.eccentricities(counter=counter)
-        algorithm = f"Naive(process x{pool.workers})"
-    elif traversal == "batch":
-        from repro.graph.engine import engine_for
-
-        ecc = engine_for(graph).ecc_batch(
-            np.arange(n, dtype=np.int64), counter=counter
-        )
-        algorithm = "Naive"
+    oracle = BFSOracle(graph, backend=backend, workers=workers)
+    if traversal == "batch":
+        ecc = oracle.ecc_all(counter=counter)
     else:
+        n = graph.num_vertices
         ecc = np.zeros(n, dtype=np.int32)
         for v in range(n):
-            ecc[v], _dist = eccentricity_and_distances(
-                graph, v, counter=counter
-            )
-        algorithm = "Naive"
+            ecc[v] = oracle.sweep_probe(v, counter=counter)[0]
     elapsed = watch.elapsed()
     return EccentricityResult(
         eccentricities=ecc,
         lower=ecc.copy(),
         upper=ecc.copy(),
         exact=True,
-        algorithm=algorithm,
+        algorithm="Naive",
         num_bfs=counter.bfs_runs,
         elapsed_seconds=elapsed,
         counter=counter,

@@ -161,11 +161,6 @@ def _run_traced(
     return result
 
 
-def _backend_config(args: argparse.Namespace) -> Dict[str, Any]:
-    """The ``backend``/``workers`` pair for run-record config headers."""
-    return {"backend": args.backend, "workers": args.workers}
-
-
 def _cmd_ecc(args: argparse.Namespace) -> int:
     graph, meta = _load_graph(args.graph, args.lcc)
     result = _run_traced(
@@ -174,14 +169,10 @@ def _cmd_ecc(args: argparse.Namespace) -> int:
         {
             "command": "ecc",
             "references": args.references,
-            **_backend_config(args),
             **meta,
         },
         lambda: compute_eccentricities(
-            graph,
-            num_references=args.references,
-            backend=args.backend,
-            workers=args.workers,
+            graph, num_references=args.references
         ),
     )
     dist = distribution_from_eccentricities(result.eccentricities)
@@ -208,15 +199,10 @@ def _cmd_approx(args: argparse.Namespace) -> int:
             "command": "approx",
             "k": args.k,
             "estimator": args.estimator,
-            **_backend_config(args),
             **meta,
         },
         lambda: approximate_eccentricities(
-            graph,
-            k=args.k,
-            estimator=args.estimator,
-            backend=args.backend,
-            workers=args.workers,
+            graph, k=args.k, estimator=args.estimator
         ),
     )
     resolved = int(np.count_nonzero(result.lower == result.upper))
@@ -241,10 +227,8 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
     result = _run_traced(
         args,
         graph,
-        {"command": "diameter", **_backend_config(args), **meta},
-        lambda: compute_eccentricities(
-            graph, backend=args.backend, workers=args.workers
-        ),
+        {"command": "diameter", **meta},
+        lambda: compute_eccentricities(graph),
     )
     print(f"graph: n={graph.num_vertices} m={graph.num_edges}")
     print(
@@ -465,24 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the solver runs; composes with --trace",
         )
 
-    def add_backend_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=("numpy", "process"),
-            default="numpy",
-            help="traversal backend for batched probes: in-process numpy "
-            "(default) or a shared-memory worker pool; results are "
-            "identical either way",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="worker-process count for --backend process "
-            "(default: all usable cores)",
-        )
-
     p_ecc = sub.add_parser("ecc", help="exact eccentricity distribution")
     add_graph_arg(p_ecc)
     p_ecc.add_argument(
@@ -491,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ecc.add_argument("-o", "--output", help="write eccentricities to file")
     add_trace_arg(p_ecc)
-    add_backend_args(p_ecc)
     p_ecc.set_defaults(func=_cmd_ecc)
 
     p_approx = sub.add_parser("approx", help="anytime kIFECC estimate")
@@ -507,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_approx.add_argument("-o", "--output", help="write estimates to file")
     add_trace_arg(p_approx)
-    add_backend_args(p_approx)
     p_approx.set_defaults(func=_cmd_approx)
 
     p_dia = sub.add_parser("diameter", help="exact radius and diameter")
@@ -518,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dia.add_argument("--seed", type=int, default=0)
     add_trace_arg(p_dia)
-    add_backend_args(p_dia)
     p_dia.set_defaults(func=_cmd_diameter)
 
     p_stats = sub.add_parser("stats", help="F1/F2 stratification statistics")

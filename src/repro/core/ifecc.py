@@ -76,13 +76,6 @@ class IFECC(EccentricitySolver):
         they are stored anyway.
     counter:
         Optional shared :class:`TraversalCounter` for cost accounting.
-    backend, workers:
-        Traversal backend for the oracle's *batched* entry points
-        (``"numpy"`` default, ``"process"`` fans out across ``workers``
-        processes — see :mod:`repro.parallel`).  The sequential
-        bound-tightening probes always run in-process, so IFECC results
-        are identical under every backend; the flag matters to the
-        batched reference scans and to callers sharing the oracle.
     """
 
     def __init__(
@@ -93,15 +86,13 @@ class IFECC(EccentricitySolver):
         seed: int = 0,
         memoize_distances: bool = False,
         counter: Optional[TraversalCounter] = None,
-        backend: str = "numpy",
-        workers: Optional[int] = None,
     ) -> None:
         if num_references < 1:
             raise InvalidParameterError("num_references must be >= 1")
         if graph.num_vertices == 0:
             raise InvalidParameterError("graph must have at least one vertex")
         self.graph = graph
-        oracle = BFSOracle(graph, backend=backend, workers=workers)
+        oracle = BFSOracle(graph)
         super().__init__(
             oracle,
             num_references=num_references,
@@ -121,15 +112,12 @@ def compute_eccentricities(
     strategy: str = "degree",
     seed: int = 0,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> EccentricityResult:
     """Compute the exact eccentricity distribution with IFECC.
 
     This is the library's headline entry point — the index-free, exact,
     ``O(m + n)``-space algorithm of the paper with its recommended
-    ``r = 1`` default.  ``backend``/``workers`` select the traversal
-    backend for batched probes (results are backend-independent).
+    ``r = 1`` default.
 
     Examples
     --------
@@ -144,8 +132,6 @@ def compute_eccentricities(
         strategy=strategy,
         seed=seed,
         counter=counter,
-        backend=backend,
-        workers=workers,
     )
     return engine.run()
 

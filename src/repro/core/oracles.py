@@ -42,23 +42,18 @@ established.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.counters import TraversalCounter
 from repro.core.reference import get_strategy
-from repro.errors import DisconnectedGraphError, InvalidParameterError
+from repro.errors import DisconnectedGraphError
+from repro.graph.batch import make_backend
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
 
-if TYPE_CHECKING:  # runtime import is lazy (multiprocessing is heavy)
-    from repro.parallel.pool import TraversalPool
-
-__all__ = ["DistanceOracle", "BFSOracle", "BACKENDS"]
-
-#: The traversal backends a :class:`BFSOracle` can select.
-BACKENDS = ("numpy", "process")
+__all__ = ["DistanceOracle", "BFSOracle"]
 
 
 @runtime_checkable
@@ -144,10 +139,11 @@ class BFSOracle:
     dominate at scale), while ``source_probe`` copies — its vector is
     retained by FFOs and territories.
 
-    ``backend`` selects how the *batched* entry points
-    (:meth:`ecc_all`, :meth:`distance_rows`) execute: ``"numpy"`` (the
-    default) loops the in-process engine, ``"process"`` fans the batch
-    across a :class:`repro.parallel.pool.TraversalPool` of ``workers``
+    ``backend``/``workers`` choose, once, the batch backend behind
+    :meth:`ecc_all` and :meth:`distance_rows`
+    (:func:`repro.graph.batch.make_backend`): ``"numpy"`` (the
+    default) runs batches in this process, ``"process"`` on a
+    :class:`repro.parallel.pool.TraversalPool` of ``workers``
     processes.  Single probes (``source_probe``/``sweep_probe``) always
     stay on the in-process engine — one BFS is cheaper than its IPC
     round-trip — so the solver's sequential bound-tightening loop is
@@ -166,31 +162,11 @@ class BFSOracle:
         engine: Optional[BFSEngine] = None,
         backend: str = "numpy",
         workers: Optional[int] = None,
-        pool: Optional["TraversalPool"] = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.graph = graph
         self.num_vertices = graph.num_vertices
         self.engine = engine if engine is not None else engine_for(graph)
-        self.backend = backend
-        self.workers = workers
-        self._pool = pool
-
-    @property
-    def pool(self) -> "TraversalPool":
-        """The worker pool backing batched dispatch (process backend only)."""
-        if self.backend != "process":
-            raise InvalidParameterError(
-                "pool is only available with backend='process'"
-            )
-        if self._pool is None or self._pool.closed:
-            from repro.parallel.pool import pool_for
-
-            self._pool = pool_for(self.graph, workers=self.workers)
-        return self._pool
+        self.backend = make_backend(graph, backend, workers)
 
     # -- batched entry points ------------------------------------------
     def ecc_all(
@@ -200,20 +176,13 @@ class BFSOracle:
     ) -> np.ndarray:
         """Eccentricity of every source (default: all vertices).
 
-        The naive full-ED sweep behind one call: the numpy backend
-        loops :meth:`BFSEngine.ecc_batch` in-process, the process
-        backend fans chunks across the pool.  Bit-identical either way.
+        The naive full-ED sweep behind one call, on the batch backend.
 
         :dtype ecc: int32
         """
-        if self.backend == "process":
-            return self.pool.eccentricities(sources, counter=counter)
-        src = (
-            np.arange(self.num_vertices, dtype=np.int64)
-            if sources is None
-            else np.ascontiguousarray(sources, dtype=np.int64)
-        )
-        return self.engine.ecc_batch(src, counter=counter)
+        if sources is None:
+            sources = np.arange(self.num_vertices, dtype=np.int64)
+        return self.backend.ecc_batch(sources, counter=counter)
 
     def distance_rows(
         self,
@@ -223,19 +192,13 @@ class BFSOracle:
         """Full distance vectors, one caller-owned row per source.
 
         Used by reference scans that need every ``dist(z, .)`` — the
-        batched sibling of calling :meth:`source_probe` in a loop.  The
-        numpy backend runs the bit-parallel lane sweeps of
-        :func:`repro.graph.msengine.batch_distance_rows` (identical
+        batched sibling of calling :meth:`source_probe` in a loop, run
+        as bit-parallel lane sweeps on the batch backend (identical
         rows, one sweep per lane group instead of one BFS per source).
 
         :dtype rows: int32
         """
-        if self.backend == "process":
-            return self.pool.distance_rows(sources, counter=counter)
-        from repro.graph.msengine import batch_distance_rows
-
-        src = np.ascontiguousarray(sources, dtype=np.int64)
-        return batch_distance_rows(self.graph, src, counter=counter)
+        return self.backend.distance_rows(sources, counter=counter)
 
     def select_references(
         self, strategy: str, count: int, seed: int

@@ -55,9 +55,9 @@ def naive_directed_eccentricities(
 ) -> np.ndarray:
     """One forward BFS per vertex — the directed oracle.
 
-    Requires strong connectivity (raises otherwise).
-    ``backend="process"`` fans the per-vertex forward sweeps across a
-    shared-memory worker pool with bit-identical output.
+    Requires strong connectivity (raises otherwise).  One
+    :meth:`DirectedBFSOracle.ecc_all` call: ``backend``/``workers``
+    choose its batch backend, with bit-identical output.
     """
     oracle = DirectedBFSOracle(graph, backend=backend, workers=workers)
     return oracle.ecc_all(counter=counter)
@@ -66,8 +66,6 @@ def naive_directed_eccentricities(
 def directed_eccentricities(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> EccentricityResult:
     """Exact forward eccentricities with bound propagation.
 
@@ -75,17 +73,14 @@ def directed_eccentricities(
     (periphery probe) with the smallest-lower-bound vertex (center
     probe), each costing a forward + backward BFS pair.  Bound
     maintenance runs on :class:`BoundState` with the directed Lemma 3.1
-    (the ``dist_from_t`` hook).  With ``backend="process"`` each probe
-    pair is dispatched to the worker pool (forward and backward BFS run
-    concurrently on separate workers); the algorithm tag records which
-    backend actually ran.
+    (the ``dist_from_t`` hook).
     """
     n = graph.num_vertices
     if n == 0:
         raise InvalidParameterError("graph must have at least one vertex")
     counter = counter if counter is not None else TraversalCounter()
     watch = Stopwatch()
-    oracle = DirectedBFSOracle(graph, backend=backend, workers=workers)
+    oracle = DirectedBFSOracle(graph)
 
     bounds = BoundState(n)
     pick_upper = True
@@ -112,15 +107,12 @@ def directed_eccentricities(
 
     elapsed = watch.elapsed()
     ecc = bounds.lower.astype(np.int32)
-    algorithm = "DirectedECC"
-    if backend == "process":
-        algorithm = f"DirectedECC(process x{oracle.pool.workers})"
     return EccentricityResult(
         eccentricities=ecc,
         lower=ecc.copy(),
         upper=ecc.copy(),
         exact=True,
-        algorithm=algorithm,
+        algorithm="DirectedECC",
         num_bfs=counter.bfs_runs,
         elapsed_seconds=elapsed,
         counter=counter,
@@ -131,18 +123,15 @@ def directed_solver(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
     memoize_distances: bool = False,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> EccentricitySolver:
     """An :class:`EccentricitySolver` over the directed BFS oracle.
 
     The solver's :meth:`~EccentricitySolver.steps` iterator is the
     directed anytime mode: each snapshot leaves valid forward-ecc
-    bounds in ``solver.bounds``.  ``backend``/``workers`` configure the
-    oracle's traversal backend (:class:`DirectedBFSOracle`).
+    bounds in ``solver.bounds``.
     """
     return EccentricitySolver(
-        DirectedBFSOracle(graph, backend=backend, workers=workers),
+        DirectedBFSOracle(graph),
         num_references=1,
         memoize_distances=memoize_distances,
         counter=counter,
@@ -152,8 +141,6 @@ def directed_solver(
 def directed_ifecc_eccentricities(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> EccentricityResult:
     """Exact forward eccentricities with the IFECC scheme carried over
     to digraphs.
@@ -175,20 +162,14 @@ def directed_ifecc_eccentricities(
     cap closes the parity-stuck vertices wholesale — the same reason
     IFECC beats BoundECC on undirected graphs.
     """
-    solver = directed_solver(
-        graph, counter=counter, backend=backend, workers=workers
+    return directed_solver(graph, counter=counter).run(
+        algorithm="DirectedIFECC"
     )
-    algorithm = "DirectedIFECC"
-    if backend == "process":
-        algorithm = f"DirectedIFECC(process x{solver.oracle.pool.workers})"
-    return solver.run(algorithm=algorithm)
 
 
 def directed_radius_and_diameter(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> ExtremesResult:
     """Certified directed radius and diameter with early termination.
 
@@ -198,6 +179,5 @@ def directed_radius_and_diameter(
     eccentricity computation.
     """
     return oracle_radius_and_diameter(
-        DirectedBFSOracle(graph, backend=backend, workers=workers),
-        counter=counter,
+        DirectedBFSOracle(graph), counter=counter
     )

@@ -9,7 +9,7 @@ single *backward* BFS that yields no forward eccentricity.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,20 +20,15 @@ from repro.errors import (
     InvalidParameterError,
     InvalidVertexError,
 )
-from repro.graph.traversal import TraversalCounter
+from repro.graph.batch import make_backend
 from repro.sentinels import UNREACHED
 from repro.directed.graph import DirectedGraph
-
-if TYPE_CHECKING:  # runtime import is lazy (multiprocessing is heavy)
-    from repro.parallel.pool import TraversalPool
-
-#: The traversal backends a :class:`DirectedBFSOracle` can select
-#: (mirrors :data:`repro.core.oracles.BACKENDS`).
-_BACKENDS = ("numpy", "process")
 
 __all__ = [
     "forward_bfs",
     "backward_bfs",
+    "forward_eccentricities",
+    "forward_distance_rows",
     "is_strongly_connected",
     "DirectedBFSOracle",
 ]
@@ -106,6 +101,48 @@ def backward_bfs(
     return _bfs(indptr, indices, n, source, counter, f"bwd:{source}")
 
 
+def forward_eccentricities(
+    graph: DirectedGraph,
+    sources: np.ndarray,
+    out: np.ndarray,
+    counter: Optional[TraversalCounter] = None,
+    width: int = 0,
+) -> None:
+    """Forward eccentricities, one forward BFS per source.
+
+    The directed ``ecc_batch`` kernel of both batch backends
+    (:mod:`repro.graph.batch`); directed sweeps have no lanes, so
+    ``width`` is ignored.  ``out[i] = -1`` marks a source that does not
+    reach every vertex — the caller decides whether that is a
+    :class:`DisconnectedGraphError`.
+
+    :mutates out: ``out[i]`` is overwritten with ``ecc(sources[i])``.
+    """
+    n = graph.num_vertices
+    for i in range(len(sources)):
+        dist = forward_bfs(graph, int(sources[i]), counter=counter)
+        missed = n > 1 and bool(np.any(dist == UNREACHED))
+        out[i] = -1 if missed else (int(dist.max()) if n else 0)
+
+
+def forward_distance_rows(
+    graph: DirectedGraph,
+    sources: np.ndarray,
+    out: np.ndarray,
+    counter: Optional[TraversalCounter] = None,
+    width: int = 0,
+) -> None:
+    """Forward distance rows ``dist(sources[i], .)``, one BFS each.
+
+    The directed ``distance_rows`` kernel of both batch backends;
+    ``width`` is ignored as in :func:`forward_eccentricities`.
+
+    :mutates out: row ``i`` is overwritten with ``dist(sources[i], .)``.
+    """
+    for i in range(len(sources)):
+        out[i] = forward_bfs(graph, int(sources[i]), counter=counter)
+
+
 def is_strongly_connected(graph: DirectedGraph) -> bool:
     """True when every ordered pair is connected (finite directed ecc).
 
@@ -132,6 +169,10 @@ class DirectedBFSOracle:
       for the eccentricity: ``max_v dist(v, t)`` is the *backward*
       eccentricity, not the forward one being computed, so the solver
       skips the ``set_exact`` step for probed sweep sources.
+
+    ``backend``/``workers`` choose the batch backend behind
+    :meth:`ecc_all` (:func:`repro.graph.batch.make_backend`); probes
+    always run in-process, as on :class:`repro.core.oracles.BFSOracle`.
     """
 
     dtype = np.dtype(np.int32)
@@ -145,26 +186,10 @@ class DirectedBFSOracle:
         graph: DirectedGraph,
         backend: str = "numpy",
         workers: Optional[int] = None,
-        pool: Optional["TraversalPool"] = None,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
         self.graph = graph
         self.num_vertices = graph.num_vertices
-        self.backend = backend
-        self.workers = workers
-        self._pool = pool
-
-    @property
-    def pool(self) -> "TraversalPool":
-        """The lazily-created worker pool (``backend="process"`` only)."""
-        if self._pool is None or self._pool.closed:
-            from repro.parallel.pool import pool_for
-
-            self._pool = pool_for(self.graph, workers=self.workers)
-        return self._pool
+        self.backend = make_backend(graph, backend, workers)
 
     def ecc_all(
         self,
@@ -173,31 +198,18 @@ class DirectedBFSOracle:
     ) -> np.ndarray:
         """Forward eccentricities for ``sources`` (default: all vertices).
 
-        Raises :class:`DisconnectedGraphError` when any source fails to
-        reach the whole graph — directed eccentricities are only finite
-        on strongly connected digraphs.
+        Runs on the batch backend.  Raises
+        :class:`DisconnectedGraphError` when any source fails to reach
+        the whole graph — directed eccentricities are only finite on
+        strongly connected digraphs.
 
         :dtype: int32
         """
-        n = self.num_vertices
         if sources is None:
-            src = np.arange(n, dtype=np.int64)
-        else:
-            src = np.asarray(sources, dtype=np.int64)
-            bad = (src < 0) | (src >= n)
-            if np.any(bad):
-                raise InvalidVertexError(int(src[bad][0]), n)
-        if self.backend == "process":
-            ecc = self.pool.directed_eccentricities(src, counter=counter)
-            if n > 1 and np.any(ecc < 0):
-                raise self.disconnected_error()
-            return ecc
-        ecc = np.zeros(len(src), dtype=np.int32)
-        for i, s in enumerate(src):
-            dist = forward_bfs(self.graph, int(s), counter=counter)
-            if n > 1 and np.any(dist == UNREACHED):
-                raise self.disconnected_error()
-            ecc[i] = int(dist.max()) if n else 0
+            sources = np.arange(self.num_vertices, dtype=np.int64)
+        ecc = self.backend.ecc_batch(sources, counter=counter)
+        if np.any(ecc < 0):
+            raise self.disconnected_error()
         return ecc
 
     def select_references(
@@ -218,19 +230,12 @@ class DirectedBFSOracle:
         source: int,
         counter: Optional[TraversalCounter] = None,
     ) -> Tuple[float, np.ndarray, np.ndarray]:
-        if self.backend == "process":
-            # One round trip ships the forward + backward pair: the two
-            # traversals land on separate workers and run concurrently.
-            rows = self.pool.directed_probe_pair(source, counter=counter)
-            fwd = sanitize.assert_owned(rows[0].copy())
-            bwd = sanitize.assert_owned(rows[1].copy())
-        else:
-            fwd = sanitize.assert_owned(
-                forward_bfs(self.graph, source, counter=counter)
-            )
-            bwd = sanitize.assert_owned(
-                backward_bfs(self.graph, source, counter=counter)
-            )
+        fwd = sanitize.assert_owned(
+            forward_bfs(self.graph, source, counter=counter)
+        )
+        bwd = sanitize.assert_owned(
+            backward_bfs(self.graph, source, counter=counter)
+        )
         ecc = int(fwd.max()) if self.num_vertices else 0
         return ecc, fwd, bwd
 

@@ -405,20 +405,21 @@ bfs_distances` wrapper) must copy.
         sources: Sequence[int],
         out: Optional[np.ndarray] = None,
         counter: Optional["TraversalCounter"] = None,
+        width: Optional[int] = None,
     ) -> np.ndarray:
         """Eccentricity of every source, batched through the MS engine.
 
         ``out[i]`` receives ``ecc(sources[i])`` (within the source's
         component — the max level reached, matching :attr:`last_ecc`).
-        Large batches run the bit-parallel multi-source sweeps of
-        :class:`repro.graph.msengine.MSBFSEngine` in the lane width
-        :func:`~repro.graph.msengine.plan_lane_width` picks; small
-        batches loop this engine.  Either way the per-source distances
-        — and therefore the eccentricities — are bit-identical, and the
-        counter is credited one traversal per source.  This is the unit
-        of work the process backend (:mod:`repro.parallel.pool`) ships
-        to each worker, which is what puts the lane kernel under the
-        64-lane chunk dispatch.
+        Sources are swept in lane groups of ``width`` on
+        :class:`repro.graph.msengine.MSBFSEngine`; ``width=0`` loops
+        this engine, and ``None`` lets
+        :func:`~repro.graph.msengine.plan_lane_width` plan it from the
+        batch size.  Either way the per-source distances — and
+        therefore the eccentricities — are bit-identical, and the
+        counter is credited one traversal per source.  This is the
+        undirected ``ecc_batch`` kernel of both batch backends
+        (:mod:`repro.graph.batch`).
 
         :mutates out: ``out[i]`` is overwritten with ``ecc(sources[i])``.
         :dtype out: int32
@@ -428,7 +429,8 @@ bfs_distances` wrapper) must copy.
         src = np.ascontiguousarray(sources, dtype=np.int64)
         if out is None:
             out = np.empty(len(src), dtype=np.int32)
-        width = plan_lane_width(self._n, self._arcs, len(src))
+        if width is None:
+            width = plan_lane_width(self._n, self._arcs, len(src))
         if width == 0:
             for i in range(len(src)):
                 self.run(int(src[i]), counter=counter)

@@ -16,18 +16,11 @@ direction-optimizing rewrite: :class:`~repro.graph.msengine.MSBFSEngine`
 runs the lane kernel top-down *or* bottom-up per level (Beamer-style
 switching over the lanes' aggregate frontier arc mass) and supports
 64/128/256-lane words.  This module keeps the historical entry points —
-:func:`lane_batch_distances` (one ≤64-source sweep, the process-worker
-task unit), :func:`multi_source_distances`, and
-:func:`msbfs_eccentricities` — as thin routers over the engine, with
-identical results: lane packing and direction choice never change the
-level-synchronous distances.
-
-Like the single-source engine (:mod:`repro.graph.engine`), the lane
-bitmaps follow the pooled-workspace discipline: the ``uint64`` ``seen``
-/ ``frontier`` / ``next`` buffers are allocated once per graph (weakly
-cached, safe because the CSR is immutable) and zeroed in place between
-batches — :class:`_LaneWorkspace` is now an alias of the engine's
-pooled :class:`~repro.graph.msengine._MSWorkspace`.
+:func:`multi_source_distances` and :func:`msbfs_eccentricities` — as
+thin routers over the engine, with identical results: lane packing and
+direction choice never change the level-synchronous distances.  Batches
+that should run on a worker pool go through a backend object instead
+(:mod:`repro.graph.batch`).
 """
 
 from __future__ import annotations
@@ -36,125 +29,56 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.csr import Graph
 from repro.graph.msengine import (
     LANE_WORD_BITS,
-    _MSWorkspace,
     batch_distance_rows,
     msengine_for,
     plan_lane_width,
 )
 from repro.graph.traversal import TraversalCounter
-from repro.sentinels import UNREACHED
 
 __all__ = [
     "multi_source_distances",
     "msbfs_eccentricities",
-    "lane_batch_distances",
 ]
 
 _LANES = LANE_WORD_BITS
-
-#: Historical name for the pooled lane bitmaps; the buffers (and their
-#: loan semantics) now belong to the MS engine's workspaces.
-_LaneWorkspace = _MSWorkspace
-
-
-def _workspace_for(graph: Graph) -> _LaneWorkspace:
-    """The graph's pooled single-word lane workspace (created on use).
-
-    Kept for callers of the historical seam; it is the MS engine's
-    one-word workspace, so sweeps through either API share bitmaps.
-    """
-    return msengine_for(graph)._workspace(1)
-
-
-def lane_batch_distances(
-    graph: Graph,
-    sources: Sequence[int],
-    counter: Optional[TraversalCounter] = None,
-) -> np.ndarray:
-    """One bit-parallel sweep for up to 64 sources — a freshly-owned matrix.
-
-    The public unit of MS-BFS work: exactly one lane group, using the
-    graph's pooled workspace.  This is what each process-backend worker
-    (:mod:`repro.parallel.pool`) runs per ``msbfs_*`` task — workers own
-    their process-local workspace cache, so lane groups parallelise
-    without sharing bitmaps.  Since the direction-optimizing rewrite
-    the sweep switches top-down/bottom-up per level; distances are
-    bit-identical to the historical top-down-only kernel.
-
-    :dtype src: int64
-    :dtype dist: int32
-    """
-    src = np.ascontiguousarray(sources, dtype=np.int64)
-    if len(src) > _LANES:
-        raise InvalidParameterError(
-            f"a lane batch holds at most {_LANES} sources, got {len(src)}"
-        )
-    return msengine_for(graph).run_batch(src, counter=counter)
 
 
 def multi_source_distances(
     graph: Graph,
     sources: Sequence[int],
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> np.ndarray:
     """Full distance vectors for many sources via MS-BFS.
 
     Returns an ``(len(sources), n)`` matrix; row ``i`` equals
-    ``bfs_distances(graph, sources[i])``.  In process sources are cut
-    into lane groups as planned by
+    ``bfs_distances(graph, sources[i])``.  Sources are cut into lane
+    groups as planned by
     :func:`repro.graph.msengine.plan_lane_width`; duplicate sources
     share one pooled lane and are expanded afterwards (each still
-    credited as one traversal).  With ``backend="process"`` each lane
-    group is one worker task on the graph's
-    :func:`repro.parallel.pool.pool_for` pool (bit-identical — lane
-    packing does not depend on which process sweeps).
+    credited as one traversal).
 
     :dtype src: int64
     """
-    n = graph.num_vertices
     src = np.asarray(list(sources), dtype=np.int64)
-    if src.size and (src.min() < 0 or src.max() >= n):
-        bad = src[(src < 0) | (src >= n)][0]
-        raise InvalidVertexError(int(bad), n)
-    if backend == "process":
-        from repro.parallel.pool import pool_for
-
-        return pool_for(graph, workers=workers).msbfs_distance_rows(
-            src, counter=counter
-        )
     return batch_distance_rows(graph, src, counter=counter)
 
 
 def msbfs_eccentricities(
     graph: Graph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> np.ndarray:
     """The naive exact ED computed with MS-BFS batches.
 
     Same quadratic work as :func:`repro.baselines.naive`, but each sweep
     serves a full lane group — the fair "fast naive" baseline of [35].
-    Eccentricities are taken within components.  ``backend="process"``
-    ships each lane group to a worker, which reduces its 64 rows to
-    eccentricities before replying — ``O(k)`` ints cross the boundary
-    instead of ``O(k * n)``.
+    Eccentricities are taken within components.
 
     :dtype ecc: int32
     """
     n = graph.num_vertices
-    if backend == "process":
-        from repro.parallel.pool import pool_for
-
-        return pool_for(graph, workers=workers).msbfs_eccentricities(
-            counter=counter
-        )
     ecc = np.zeros(n, dtype=np.int32)
     width = plan_lane_width(n, int(len(graph.indices)), n) or _LANES
     engine = msengine_for(graph)

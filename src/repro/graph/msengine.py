@@ -77,6 +77,7 @@ __all__ = [
     "MSBFSEngine",
     "MSBFSRunStats",
     "batch_distance_rows",
+    "fill_distance_rows",
     "msengine_for",
     "plan_lane_width",
 ]
@@ -628,55 +629,40 @@ def batch_distance_rows(
 ) -> np.ndarray:
     """Full distance vectors for many sources — the planned batch path.
 
-    The one entry point every in-process batch consumer shares:
-    duplicates are deduplicated onto a single lane (each still credited
-    as one traversal run, matching the per-source loop), then
-    :func:`plan_lane_width` picks lane sweeps or the serial
+    The in-process :meth:`repro.graph.batch.BatchBackend.distance_rows`:
+    duplicates share one lane (each still credited as one traversal
+    run), then :func:`plan_lane_width` picks lane sweeps or the serial
     single-source hybrid engine.  Row ``i`` of the returned (or filled)
     ``(len(sources), n)`` ``int32`` matrix equals
     ``bfs_distances(graph, sources[i])`` bit for bit under every plan.
 
     :mutates out: overwritten with the distance rows when provided.
-    :dtype src: int64
     :dtype rows: int32
     """
-    n = graph.num_vertices
-    src = np.ascontiguousarray(sources, dtype=np.int64)
-    if src.size and (src.min() < 0 or src.max() >= n):
-        bad = src[(src < 0) | (src >= n)][0]
-        raise InvalidVertexError(int(bad), n)
-    k = len(src)
+    from repro.graph.batch import InProcessBackend
+
+    rows = InProcessBackend(graph).distance_rows(sources, counter=counter)
     if out is None:
-        out = np.empty((k, n), dtype=np.int32)
-    if k == 0:
-        return out
-    uniq, inverse = np.unique(src, return_inverse=True)
-    if len(uniq) == k:
-        _fill_rows(graph, src, out, counter)
-    else:
-        # Duplicate sources share one pooled lane; their rows are
-        # expanded afterwards and each duplicate still counts as a run.
-        rows = np.empty((len(uniq), n), dtype=np.int32)
-        _fill_rows(graph, uniq, rows, counter)
-        np.take(rows, inverse, axis=0, out=out)
-        if counter is not None:
-            counter.bfs_runs += k - len(uniq)
+        return rows
+    out[...] = rows
     return out
 
 
-def _fill_rows(
+def fill_distance_rows(
     graph: Graph,
     src: np.ndarray,
     out: np.ndarray,
-    counter: Optional["TraversalCounter"],
+    counter: Optional["TraversalCounter"] = None,
+    width: int = 0,
 ) -> None:
-    """Fill ``out`` with one distance row per (distinct) source.
+    """Fill ``out`` with one distance row per source, in lane groups.
+
+    ``width`` is the lane width planned over the whole batch (see
+    :func:`plan_lane_width`); ``0`` loops the single-source engine.
+    Both batch backends run this kernel (:mod:`repro.graph.batch`).
 
     :mutates out: row ``i`` is overwritten with ``dist(src[i], .)``.
     """
-    width = plan_lane_width(
-        graph.num_vertices, int(len(graph.indices)), len(src)
-    )
     if width == 0:
         engine = engine_for(graph)
         for i in range(len(src)):

@@ -1,19 +1,21 @@
-"""Multiprocessing traversal backend behind the oracle seam.
+"""Multiprocessing batch backend behind the oracle seam.
 
-``repro.parallel`` is the ``backend="process"`` implementation selected
-on :class:`repro.core.oracles.BFSOracle`, the solver constructors and
-the CLI: the graph's CSR is published once into shared memory
-(:mod:`repro.parallel.shm`), a persistent per-graph worker pool maps it
-zero-copy (:mod:`repro.parallel.pool`), and batched traversal entry
-points fan out across workers while single probes stay in-process
-(:mod:`repro.parallel.oracle`).  Results are bit-identical to the numpy
+``repro.parallel`` is the ``backend="process"`` implementation that
+:func:`repro.graph.batch.make_backend` selects for
+:class:`repro.core.oracles.BFSOracle`,
+:class:`repro.directed.traversal.DirectedBFSOracle` and the naive
+baselines: the graph's CSR is published once into shared memory
+(:mod:`repro.parallel.shm`), and a persistent per-graph worker pool
+maps it zero-copy (:mod:`repro.parallel.pool`) and runs the two batch
+primitives on the same kernels as the in-process backend.  Single
+probes stay in-process.  Results are bit-identical to the in-process
 backend — parallelism changes speed, never answers.
 """
 
 from __future__ import annotations
 
-from repro.parallel.oracle import ParallelBFSOracle
 from repro.parallel.pool import (
+    ProcessBackend,
     TraversalPool,
     pool_for,
     resolve_workers,
@@ -22,7 +24,7 @@ from repro.parallel.pool import (
 from repro.parallel.shm import SharedGraph, shared_memory_available
 
 __all__ = [
-    "ParallelBFSOracle",
+    "ProcessBackend",
     "TraversalPool",
     "pool_for",
     "shutdown_pools",

@@ -1,20 +1,23 @@
 """Persistent per-graph worker pool for batched traversal dispatch.
 
-This is the engine room of the ``backend="process"`` seam: a
-:class:`TraversalPool` owns ``W`` long-lived worker processes that each
-attach the shared-memory CSR published by :mod:`repro.parallel.shm` and
-build one pooled :class:`repro.graph.engine.BFSEngine` at startup (the
+This is the engine room of the ``backend="process"`` batch backend
+(:mod:`repro.graph.batch`): a :class:`TraversalPool` owns ``W``
+long-lived worker processes that each attach the shared-memory CSR
+published by :mod:`repro.parallel.shm` and resolve the graph's batch
+kernels (:func:`repro.graph.batch.batch_kernels`) at startup (the
 warm-up), so every subsequent batch pays only task pickling — never
 graph transfer, never workspace allocation.
 
 Dispatch protocol
 -----------------
-Batched entry points (:meth:`TraversalPool.eccentricities`,
-:meth:`~TraversalPool.distance_rows`, the MS-BFS lane-group variants)
-split their sources into contiguous chunks, write-target them into one
-shared *result* segment, and enqueue ``(kind, task_id, sources, out,
-start, width, traced)`` tuples.  Workers fill their slice of the
-result segment directly — gathering is by construction ordered, the
+The two batch primitives (:meth:`~repro.graph.batch.BatchBackend.
+ecc_batch` and :meth:`~repro.graph.batch.BatchBackend.distance_rows`)
+validate, de-duplicate and plan the lane width in the parent, as they
+do for the in-process backend.  The pool then splits the sources into
+contiguous chunks aligned to that width, write-targets them into one
+shared *result* segment, and enqueues ``(kind, task_id, sources, out,
+start, width, traced)`` tuples, where ``kind`` is ``"ecc"`` or
+``"dist"``.  Workers fill their slice of the result segment directly — gathering is by construction ordered, the
 parent never reassembles out-of-order pickles — and reply with their
 :class:`repro.counters.TraversalCounter` totals plus wall-clock
 seconds.  The parent merges the totals into the caller's counter and
@@ -35,9 +38,10 @@ folds the metric deltas in with
 correct causal nesting; only task→worker assignment (the ``worker=``
 tag) is scheduling-dependent.
 
-Results are bit-identical to the in-process numpy engine: workers run
-the very same :class:`BFSEngine` kernel on the very same frozen CSR
-bytes, and chunking never reorders the per-source outputs.
+Results and counter totals are identical to the in-process backend:
+workers run the very same kernel function on the very same frozen CSR
+bytes with the same lane groups, and chunking never reorders the
+per-source outputs.
 
 Lifecycle
 ---------
@@ -51,9 +55,8 @@ Segment names created here are additionally covered by the stdlib
 resource tracker, so even a hard-killed parent leaks no shared memory.
 
 Single probes never cross the process boundary — one BFS is far
-cheaper than its IPC round-trip — which is why the solver's sequential
-sweep path stays on the in-process engine (see
-:class:`repro.parallel.oracle.ParallelBFSOracle`).
+cheaper than its IPC round-trip — which is why the oracles' probes
+stay on the in-process engine under every backend.
 """
 
 from __future__ import annotations
@@ -65,35 +68,28 @@ import signal
 import threading
 import weakref
 from types import FrameType
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.counters import TraversalCounter
-from repro.errors import (
-    InvalidParameterError,
-    InvalidVertexError,
-    ParallelBackendError,
-)
+from repro.errors import InvalidParameterError, ParallelBackendError
+from repro.graph.batch import BatchBackend, batch_kernels
 from repro.obs.trace import Stopwatch, get_tracer
 from repro.parallel import shm as shm_mod
 
 __all__ = [
+    "ProcessBackend",
     "TraversalPool",
     "pool_for",
     "shutdown_pools",
     "resolve_workers",
-    "DEFAULT_CHUNKS_PER_WORKER",
 ]
 
 #: Load-balancing granularity: each dispatch is split into about this
 #: many chunks per worker, so a straggler chunk idles at most ~1/4 of
 #: one worker's share instead of half the batch.
-DEFAULT_CHUNKS_PER_WORKER = 4
-
-#: MS-BFS lane width — lane-group tasks are cut to this size so each
-#: task is exactly one bit-parallel sweep.
-_LANES = 64
+_CHUNKS_PER_WORKER = 4
 
 #: Seconds between liveness checks while waiting on worker results.
 _POLL_SECONDS = 0.25
@@ -139,70 +135,6 @@ def _sigterm_to_exit(signum: int, frame: Optional[FrameType]) -> None:
     raise SystemExit(0)
 
 
-def _fill_distance_rows(
-    graph: Any,
-    engine: Any,
-    sources: np.ndarray,
-    rows: np.ndarray,
-    counter: TraversalCounter,
-    width: int,
-) -> None:
-    """Distance rows for a chunk, grouped exactly as the serial path.
-
-    ``width`` is the lane width the *parent* planned for the whole
-    batch; grouping by it (instead of re-planning on the chunk size)
-    keeps worker-side sweep boundaries — and therefore counter totals —
-    identical to the in-process :func:`repro.graph.msengine.
-    batch_distance_rows` over the same sources.  ``width == 0`` means
-    the serial plan chose the single-source loop.
-
-    :mutates rows: row ``i`` is overwritten with ``dist(sources[i], .)``.
-    """
-    if width == 0:
-        for i in range(len(sources)):
-            rows[i, :] = engine.run(int(sources[i]), counter=counter)
-        return
-    from repro.graph.msengine import msengine_for
-
-    ms = msengine_for(graph)
-    for start in range(0, len(sources), width):
-        group = sources[start: start + width]
-        rows[start: start + len(group)] = ms.run_batch(
-            group, counter=counter
-        )
-
-
-def _fill_eccentricities(
-    graph: Any,
-    engine: Any,
-    sources: np.ndarray,
-    out: np.ndarray,
-    counter: TraversalCounter,
-    width: int,
-) -> None:
-    """Eccentricities for a chunk, grouped exactly as the serial path.
-
-    Same parent-planned-``width`` contract as :func:`_fill_distance_rows`
-    (see there); the MS engine reduces each sweep straight to
-    eccentricities without materialising the distance matrix.
-
-    :mutates out: ``out[i]`` is overwritten with ``ecc(sources[i])``.
-    """
-    if width == 0:
-        for i in range(len(sources)):
-            engine.run(int(sources[i]), counter=counter)
-            out[i] = engine.last_ecc
-        return
-    from repro.graph.msengine import msengine_for
-
-    ms = msengine_for(graph)
-    for start in range(0, len(sources), width):
-        group = sources[start: start + width]
-        out[start: start + len(group)] = ms.ecc_batch(
-            group, counter=counter
-        )
-
-
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -212,7 +144,7 @@ def _worker_main(
     result_queue: Any,
     worker_id: int,
 ) -> None:
-    """One worker: attach the shared graph, warm an engine, serve tasks.
+    """One worker: attach the shared graph, warm its kernels, serve tasks.
 
     All state is function-local on purpose — a worker is a loop over
     its queues, not a module with shared globals.
@@ -225,23 +157,11 @@ def _worker_main(
     # private buffering tracer instead, and its events/metrics ride
     # back on the result channel for the parent to re-emit (see
     # TraversalPool._emit_task_telemetry).
-    from repro.graph.msbfs import lane_batch_distances
     from repro.obs.trace import MemorySink, Tracer, set_tracer
-    from repro.sentinels import UNREACHED
 
     set_tracer(Tracer())
     graph, graph_segment = shm_mod.attach(spec)
-    directed = hasattr(graph, "forward_view")
-    if directed:
-        # Directed tasks run the dual-CSR BFS kernels; the undirected
-        # engine would choke on the DirectedGraph's missing attributes.
-        from repro.directed.traversal import backward_bfs, forward_bfs
-
-        engine: Any = None
-    else:
-        from repro.graph.engine import BFSEngine
-
-        engine = BFSEngine(graph)
+    kernels = batch_kernels(graph)
     out_segment: Optional[Any] = None
     out_name = ""
     try:
@@ -290,73 +210,17 @@ def _worker_main(
                         )
                         out_name = name
                     out = shm_mod.attach_array(out_segment, array_spec)
-                    if kind == "ecc":
-                        _fill_eccentricities(
-                            graph,
-                            engine,
-                            sources,
-                            out[start: start + len(sources)],
-                            counter,
-                            width,
-                        )
-                    elif kind == "dist":
-                        _fill_distance_rows(
-                            graph,
-                            engine,
-                            sources,
-                            out[start: start + len(sources)],
-                            counter,
-                            width,
-                        )
-                    elif kind == "msbfs_dist":
-                        out[start: start + len(sources)] = (
-                            lane_batch_distances(
-                                graph, sources, counter=counter
-                            )
-                        )
-                    elif kind == "msbfs_ecc":
-                        dist = lane_batch_distances(
-                            graph, sources, counter=counter
-                        )
-                        np.max(
-                            np.where(dist >= 0, dist, -1),
-                            axis=1,
-                            out=out[start: start + len(sources)],
-                        )
-                    elif kind == "dfwd":
-                        # reprolint: disable=R4 (one full vectorised BFS per step)
-                        for i in range(len(sources)):
-                            out[start + i, :] = forward_bfs(
-                                graph, int(sources[i]), counter=counter
-                            )
-                    elif kind == "dbwd":
-                        # reprolint: disable=R4 (one full vectorised BFS per step)
-                        for i in range(len(sources)):
-                            out[start + i, :] = backward_bfs(
-                                graph, int(sources[i]), counter=counter
-                            )
-                    elif kind == "decc":
-                        # Forward eccentricities; -1 flags an unreached
-                        # vertex so the parent can raise the directed
-                        # DisconnectedGraphError without shipping rows
-                        # back.
-                        # reprolint: disable=R4 (one full vectorised BFS per step)
-                        for i in range(len(sources)):
-                            dist = forward_bfs(
-                                graph, int(sources[i]), counter=counter
-                            )
-                            if len(dist) > 1 and bool(
-                                np.any(dist == UNREACHED)
-                            ):
-                                out[start + i] = -1
-                            else:
-                                out[start + i] = (
-                                    int(dist.max()) if len(dist) else 0
-                                )
-                    else:
+                    kernel = kernels.get(kind)
+                    if kernel is None:
                         raise ParallelBackendError(
                             f"unknown task kind {kind!r}"
                         )
+                    kernel(
+                        sources,
+                        out[start: start + len(sources)],
+                        counter,
+                        width,
+                    )
                 finally:
                     if task_span is not None:
                         task_span.finish()
@@ -457,8 +321,11 @@ def _release_resources(resources: _PoolResources) -> None:
     resources.release()
 
 
-class TraversalPool:
+class TraversalPool(BatchBackend):
     """``W`` warm worker processes bound to one shared-memory graph.
+
+    A batch backend: :meth:`ecc_batch` and :meth:`distance_rows` run on
+    the workers.
 
     Parameters
     ----------
@@ -468,34 +335,16 @@ class TraversalPool:
         pool in the weak registry never pins its graph alive.
     workers:
         Process count; ``None`` uses every usable core.
-    chunks_per_worker:
-        Dispatch granularity (see :data:`DEFAULT_CHUNKS_PER_WORKER`).
     """
 
-    def __init__(
-        self,
-        graph: Any,
-        workers: Optional[int] = None,
-        chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
-    ) -> None:
+    def __init__(self, graph: Any, workers: Optional[int] = None) -> None:
         if not shm_mod.shared_memory_available():  # pragma: no cover
             raise ParallelBackendError(
                 "multiprocessing.shared_memory is unavailable; "
                 "use backend='numpy'"
             )
-        if chunks_per_worker < 1:
-            raise InvalidParameterError("chunks_per_worker must be >= 1")
+        super().__init__(graph)
         self.workers = resolve_workers(workers)
-        self.chunks_per_worker = int(chunks_per_worker)
-        self.num_vertices = graph.num_vertices
-        # Arc count feeds the parent-side lane-width plan (the pool
-        # must not retain the graph itself — see the class docstring).
-        if hasattr(graph, "num_arcs"):
-            self.num_arcs = int(graph.num_arcs)
-        else:
-            self.num_arcs = int(len(graph.indices))
-        self.directed = hasattr(graph, "forward_view")
-        self._task_counter = 0
         self._resources = _PoolResources()
         self._finalizer = weakref.finalize(
             self, _release_resources, self._resources
@@ -585,48 +434,16 @@ class TraversalPool:
                     ) from None
 
     # -- dispatch -------------------------------------------------------
-    def _check_sources(self, sources: Sequence[int]) -> np.ndarray:
-        """Validated int64 source array.
-
-        :dtype src: int64
-        """
-        src = np.ascontiguousarray(sources, dtype=np.int64)
-        if src.ndim != 1:
-            raise InvalidParameterError("sources must be one-dimensional")
-        if src.size and (src.min() < 0 or src.max() >= self.num_vertices):
-            bad = src[(src < 0) | (src >= self.num_vertices)][0]
-            raise InvalidVertexError(int(bad), self.num_vertices)
-        return src
-
-    def _plan_width(self, src: np.ndarray) -> int:
-        """The lane width the serial path would plan for this batch.
-
-        Planned parent-side over the *whole* batch (workers would see
-        only their chunk and could plan differently), then shipped in
-        every task so the sweep partition is backend-invariant.
-        """
-        from repro.graph.msengine import plan_lane_width
-
-        return plan_lane_width(self.num_vertices, self.num_arcs, len(src))
-
-    def _chunk_bounds(
-        self, total: int, lane_groups: bool, align: int = 1
-    ) -> List[int]:
+    def _chunk_bounds(self, total: int, align: int) -> List[int]:
         """Chunk start offsets for ``total`` sources (ascending, from 0).
 
-        ``align > 1`` rounds the balanced chunk size up to a multiple of
-        the planned lane width, so chunk boundaries never split a sweep
-        group — workers grouping by the same width then reproduce the
-        serial sweep partition (and its counter totals) exactly.
+        The balanced chunk size is rounded up to a multiple of the
+        planned lane width ``align``, so chunk boundaries never split a
+        sweep group — workers grouping by the same width then reproduce
+        the in-process sweep partition (and its counter totals) exactly.
         """
-        if lane_groups:
-            size = _LANES
-        else:
-            size = max(
-                1, -(-total // (self.workers * self.chunks_per_worker))
-            )
-            if align > 1:
-                size = -(-size // align) * align
+        size = max(1, -(-total // (self.workers * _CHUNKS_PER_WORKER)))
+        size = -(-size // align) * align
         return list(range(0, total, size))
 
     def _ensure_out(self, nbytes: int) -> Any:
@@ -715,38 +532,34 @@ class TraversalPool:
             if deltas:
                 tracer.metrics.merge_snapshot(deltas)
 
-    def _dispatch(
+    def _run(
         self,
         kind: str,
         src: np.ndarray,
         row_shape: Tuple[int, ...],
-        dtype: str,
+        width: int,
         counter: Optional[TraversalCounter],
-        lane_groups: bool = False,
-        width: int = 0,
     ) -> np.ndarray:
         """Fan one batch out; return a caller-owned result array.
 
         ``row_shape`` is the per-source result shape: ``()`` for one
         eccentricity per source, ``(n,)`` for a distance row.  ``width``
-        is the parent-planned lane width for "ecc"/"dist" tasks (0 =
-        single-source loop); it both aligns the chunking and rides along
-        in each task so workers group sweeps exactly as the serial path.
+        is the parent-planned lane width (0 = single-source loop); it
+        both aligns the chunking and rides along in each task so workers
+        group sweeps exactly as the in-process backend.
         """
         if self.closed:
             raise ParallelBackendError("pool is closed")
         shape = (len(src),) + row_shape
-        result = np.empty(shape, dtype=np.dtype(dtype))
+        result = np.empty(shape, dtype=np.int32)
         if len(src) == 0:
             return result
         out_spec = shm_mod.ArraySpec(
-            key="out", offset=0, shape=shape, dtype=dtype
+            key="out", offset=0, shape=shape, dtype="int32"
         )
         segment = self._ensure_out(result.nbytes)
         out_ref = (segment.name, out_spec)
-        starts = self._chunk_bounds(
-            len(src), lane_groups, align=max(1, width)
-        )
+        starts = self._chunk_bounds(len(src), max(1, width))
         chunk = starts[1] if len(starts) > 1 else len(src)
         task_queue = self._resources.task_queue
         assert task_queue is not None
@@ -786,207 +599,36 @@ class TraversalPool:
             )
         return result
 
-    # -- batched entry points ------------------------------------------
-    def eccentricities(
+
+class ProcessBackend(BatchBackend):
+    """What ``make_backend(graph, "process")`` returns: batches run on
+    the graph's cached pool.
+
+    The pool is looked up (:func:`pool_for`) on every batch, so it is
+    created on the first one and rebuilt after a worker death or
+    :func:`shutdown_pools` closed it.
+    """
+
+    def __init__(self, graph: Any, workers: Optional[int] = None) -> None:
+        super().__init__(graph)
+        resolve_workers(workers)  # reject a bad count before any batch
+        self._graph = graph
+        self._workers = workers
+
+    def _run(
         self,
-        sources: Optional[Sequence[int]] = None,
-        counter: Optional[TraversalCounter] = None,
+        kind: str,
+        src: np.ndarray,
+        row_shape: Tuple[int, ...],
+        width: int,
+        counter: Optional[TraversalCounter],
     ) -> np.ndarray:
-        """Per-source eccentricities (within components), fanned out.
-
-        ``sources=None`` means every vertex — the naive full-ED sweep.
-        Bit-identical to running the in-process engine per source.
-
-        :dtype ecc: int32
-        """
-        src = self._check_sources(
-            np.arange(self.num_vertices, dtype=np.int64)
-            if sources is None
-            else sources
-        )
-        return self._dispatch(
-            "ecc", src, (), "int32", counter, width=self._plan_width(src)
-        )
-
-    def distance_rows(
-        self,
-        sources: Sequence[int],
-        counter: Optional[TraversalCounter] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Full distance vectors, one row per source.
-
-        With ``out`` given (a preallocated ``(len(sources), n)`` int32
-        array) the rows are copied into it and it is returned.
-
-        :mutates out: overwritten with the gathered distance rows.
-        :dtype rows: int32
-        """
-        src = self._check_sources(sources)
-        rows = self._dispatch(
-            "dist",
-            src,
-            (self.num_vertices,),
-            "int32",
-            counter,
-            width=self._plan_width(src),
-        )
-        if out is not None:
-            out[...] = rows
-            return out
-        return rows
-
-    def msbfs_distance_rows(
-        self,
-        sources: Sequence[int],
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """MS-BFS distance matrix; each 64-lane group is one task.
-
-        :dtype rows: int32
-        """
-        src = self._check_sources(sources)
-        return self._dispatch(
-            "msbfs_dist",
-            src,
-            (self.num_vertices,),
-            "int32",
-            counter,
-            lane_groups=True,
-        )
-
-    def msbfs_eccentricities(
-        self,
-        sources: Optional[Sequence[int]] = None,
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """Per-source eccentricities via worker-side MS-BFS reduction.
-
-        :dtype ecc: int32
-        """
-        src = self._check_sources(
-            np.arange(self.num_vertices, dtype=np.int64)
-            if sources is None
-            else sources
-        )
-        return self._dispatch(
-            "msbfs_ecc", src, (), "int32", counter, lane_groups=True
-        )
-
-    # -- directed entry points -----------------------------------------
-    def _require_directed(self) -> None:
-        if not self.directed:
-            raise ParallelBackendError(
-                "this pool serves an undirected graph; directed "
-                "dispatch needs a DirectedGraph pool"
-            )
-
-    def directed_eccentricities(
-        self,
-        sources: Optional[Sequence[int]] = None,
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """Forward eccentricities, one forward BFS per source.
-
-        An entry of ``-1`` marks a source that does not reach every
-        vertex — the caller decides whether that is a
-        ``DisconnectedGraphError`` (exact ED) or fine (per-SCC use).
-
-        :dtype ecc: int32
-        """
-        self._require_directed()
-        src = self._check_sources(
-            np.arange(self.num_vertices, dtype=np.int64)
-            if sources is None
-            else sources
-        )
-        return self._dispatch("decc", src, (), "int32", counter)
-
-    def directed_distance_rows(
-        self,
-        sources: Sequence[int],
-        direction: str = "forward",
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """Distance rows along (``"forward"``) or against
-        (``"backward"``) arc directions.
-
-        Row ``i`` is ``dist(sources[i], .)`` forward, ``dist(.,
-        sources[i])`` backward — exactly :func:`repro.directed.
-        traversal.forward_bfs` / ``backward_bfs`` per source.
-
-        :dtype rows: int32
-        """
-        self._require_directed()
-        if direction not in ("forward", "backward"):
-            raise InvalidParameterError(
-                f"direction must be 'forward' or 'backward', "
-                f"got {direction!r}"
-            )
-        src = self._check_sources(sources)
-        kind = "dfwd" if direction == "forward" else "dbwd"
-        return self._dispatch(
-            kind, src, (self.num_vertices,), "int32", counter
-        )
-
-    def directed_probe_pair(
-        self,
-        source: int,
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """One probe pair — forward and backward BFS from ``source`` —
-        as two tasks that run concurrently on two workers.
-
-        Returns a ``(2, n)`` matrix: row 0 is ``dist(source, .)``
-        (forward), row 1 ``dist(., source)`` (backward).  This is the
-        :class:`repro.directed.traversal.DirectedBFSOracle` source-probe
-        unit; pairing the two traversals in one dispatch halves the
-        probe's wall-clock instead of paying two IPC round-trips.
-
-        :dtype rows: int32
-        """
-        self._require_directed()
-        if self.closed:
-            raise ParallelBackendError("pool is closed")
-        src = self._check_sources([source])
-        n = self.num_vertices
-        shape = (2, n)
-        result = np.empty(shape, dtype=np.int32)
-        out_spec = shm_mod.ArraySpec(
-            key="out", offset=0, shape=shape, dtype="int32"
-        )
-        segment = self._ensure_out(result.nbytes)
-        out_ref = (segment.name, out_spec)
-        task_queue = self._resources.task_queue
-        assert task_queue is not None
-        traced = get_tracer().enabled
-        with get_tracer().span(
-            "parallel.batch",
-            kind="dprobe",
-            backend="process",
-            workers=self.workers,
-            num_sources=2,
-            chunks=[1, 1],
-        ) as span:
-            task_queue.put(("dfwd", 0, src, out_ref, 0, 0, traced))
-            task_queue.put(("dbwd", 1, src, out_ref, 1, 0, traced))
-            merged, worker_seconds, telemetry = self._gather(2)
-            if counter is not None:
-                counter.merge(merged)
-            result[...] = shm_mod.attach_array(segment, out_spec)
-            self._emit_task_telemetry(span, telemetry)
-            span.set(
-                tasks=2,
-                traversals=merged.bfs_runs,
-                edges_scanned=merged.edges_scanned,
-                edges_inspected=merged.edges_inspected,
-                worker_seconds=worker_seconds,
-            )
-        return result
+        pool = pool_for(self._graph, workers=self._workers)
+        return pool._run(kind, src, row_shape, width, counter)
 
 
 # ---------------------------------------------------------------------------
-# Per-graph registry (mirrors engine_for / _workspace_for)
+# Per-graph registry (mirrors engine_for)
 # ---------------------------------------------------------------------------
 _POOLS: "weakref.WeakKeyDictionary[Any, TraversalPool]" = (
     weakref.WeakKeyDictionary()

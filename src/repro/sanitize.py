@@ -30,7 +30,7 @@ Design constraints, in priority order:
 The enforcement points:
 
 * :class:`WorkspaceGuard` — one per pooled workspace owner
-  (``BFSEngine``, ``_LaneWorkspace``).  ``begin_run`` bumps a
+  (``BFSEngine``, ``_MSWorkspace``).  ``begin_run`` bumps a
   generation counter (invalidating every outstanding loan) and rejects
   re-entry mid-run; ``loan`` wraps a pooled buffer as a
   :class:`GuardedArray` stamped with the current generation.

@@ -1,10 +1,10 @@
 """Directed process backend ≡ numpy backend, bit for bit.
 
-PR 2's contract extended to digraphs: the worker pool publishes both
-CSR directions over shared memory, so forward/backward traversals,
-probe pairs, and full directed-eccentricity sweeps must agree exactly
-with the in-process oracle — including counter totals, which pin the
-width-shipped chunk grouping.
+The engine's contract extended to digraphs: the worker pool publishes
+both CSR directions over shared memory, so the two batch primitives —
+forward eccentricities and forward distance rows — must agree exactly
+with the in-process backend, including counter totals.  Probes stay
+in-process under every backend.
 """
 
 from __future__ import annotations
@@ -13,18 +13,10 @@ import numpy as np
 import pytest
 
 from repro.counters import TraversalCounter
-from repro.directed.eccentricity import (
-    directed_eccentricities,
-    directed_ifecc_eccentricities,
-    naive_directed_eccentricities,
-)
+from repro.directed.eccentricity import naive_directed_eccentricities
 from repro.directed.graph import DirectedGraph
-from repro.directed.traversal import DirectedBFSOracle, backward_bfs, forward_bfs
-from repro.errors import (
-    DisconnectedGraphError,
-    InvalidParameterError,
-    ParallelBackendError,
-)
+from repro.directed.traversal import DirectedBFSOracle, forward_bfs
+from repro.errors import DisconnectedGraphError
 from repro.parallel.pool import TraversalPool, shutdown_pools
 from repro.parallel.shm import shared_memory_available
 
@@ -72,73 +64,39 @@ class TestPoolDirectedEntryPoints:
             [int(forward_bfs(graph, v).max()) for v in range(_N)],
             dtype=np.int32,
         )
-        assert np.array_equal(pool.directed_eccentricities(), serial)
+        assert np.array_equal(pool.ecc_batch(np.arange(_N)), serial)
 
-    def test_distance_rows_both_directions(self, graph, pool):
+    def test_forward_distance_rows_match_serial(self, graph, pool):
         src = [3, 77, 0, 149, 77]
-        fwd = pool.directed_distance_rows(src, direction="forward")
-        bwd = pool.directed_distance_rows(src, direction="backward")
+        rows = pool.distance_rows(src)
         for i, s in enumerate(src):
-            assert np.array_equal(fwd[i], forward_bfs(graph, s))
-            assert np.array_equal(bwd[i], backward_bfs(graph, s))
-
-    def test_bad_direction_rejected(self, pool):
-        with pytest.raises(InvalidParameterError):
-            pool.directed_distance_rows([0], direction="sideways")
-
-    def test_probe_pair(self, graph, pool):
-        rows = pool.directed_probe_pair(42)
-        assert rows.shape == (2, _N)
-        assert np.array_equal(rows[0], forward_bfs(graph, 42))
-        assert np.array_equal(rows[1], backward_bfs(graph, 42))
+            assert np.array_equal(rows[i], forward_bfs(graph, s))
 
     def test_counter_totals_match_serial(self, graph, pool):
         serial = TraversalCounter()
         for v in range(_N):
             forward_bfs(graph, v, counter=serial)
         pooled = TraversalCounter()
-        pool.directed_eccentricities(counter=pooled)
+        pool.ecc_batch(np.arange(_N), counter=pooled)
         assert pooled.bfs_runs == serial.bfs_runs
         assert pooled.edges_scanned == serial.edges_scanned
 
-    def test_undirected_pool_rejects_directed_entry_points(self):
-        from helpers import random_connected_graph
-
-        undirected = TraversalPool(
-            random_connected_graph(30, extra_edges=10, seed=1), workers=1
-        )
-        try:
-            with pytest.raises(ParallelBackendError):
-                undirected.directed_eccentricities()
-        finally:
-            undirected.close()
-
 
 class TestOracleBackend:
-    def test_backend_validated(self, graph):
-        with pytest.raises(InvalidParameterError):
-            DirectedBFSOracle(graph, backend="quantum")
-
     def test_ecc_all_matches_numpy(self, graph):
         numpy_ecc = DirectedBFSOracle(graph).ecc_all()
         oracle = DirectedBFSOracle(graph, backend="process", workers=2)
-        try:
-            assert np.array_equal(oracle.ecc_all(), numpy_ecc)
-        finally:
-            oracle.pool.close()
+        assert np.array_equal(oracle.ecc_all(), numpy_ecc)
 
     def test_source_probe_matches_numpy(self, graph):
         base = DirectedBFSOracle(graph)
         oracle = DirectedBFSOracle(graph, backend="process", workers=2)
-        try:
-            for source in (0, 9, 148):
-                ecc_n, fwd_n, bwd_n = base.source_probe(source)
-                ecc_p, fwd_p, bwd_p = oracle.source_probe(source)
-                assert ecc_n == ecc_p
-                assert np.array_equal(fwd_n, fwd_p)
-                assert np.array_equal(bwd_n, bwd_p)
-        finally:
-            oracle.pool.close()
+        for source in (0, 9, 148):
+            ecc_n, fwd_n, bwd_n = base.source_probe(source)
+            ecc_p, fwd_p, bwd_p = oracle.source_probe(source)
+            assert ecc_n == ecc_p
+            assert np.array_equal(fwd_n, fwd_p)
+            assert np.array_equal(bwd_n, bwd_p)
 
     def test_ecc_all_raises_on_weakly_connected(self):
         # A one-way path is weakly but not strongly connected: the
@@ -148,11 +106,8 @@ class TestOracleBackend:
         with pytest.raises(DisconnectedGraphError):
             DirectedBFSOracle(graph).ecc_all()
         oracle = DirectedBFSOracle(graph, backend="process", workers=1)
-        try:
-            with pytest.raises(DisconnectedGraphError):
-                oracle.ecc_all()
-        finally:
-            oracle.pool.close()
+        with pytest.raises(DisconnectedGraphError):
+            oracle.ecc_all()
 
 
 class TestAlgorithmsAcrossBackends:
@@ -163,24 +118,3 @@ class TestAlgorithmsAcrossBackends:
                 graph, backend="process", workers=2
             ),
         )
-
-    def test_bound_propagation_matches_and_tags(self, graph):
-        serial = directed_eccentricities(graph)
-        pooled = directed_eccentricities(graph, backend="process", workers=2)
-        assert np.array_equal(
-            serial.eccentricities, pooled.eccentricities
-        )
-        assert serial.algorithm == "DirectedECC"
-        assert pooled.algorithm == "DirectedECC(process x2)"
-        assert serial.num_bfs == pooled.num_bfs
-
-    def test_ifecc_matches_and_tags(self, graph):
-        serial = directed_ifecc_eccentricities(graph)
-        pooled = directed_ifecc_eccentricities(
-            graph, backend="process", workers=2
-        )
-        assert np.array_equal(
-            serial.eccentricities, pooled.eccentricities
-        )
-        assert pooled.algorithm == "DirectedIFECC(process x2)"
-        assert serial.num_bfs == pooled.num_bfs

@@ -1,25 +1,32 @@
-"""ParallelBFSOracle: golden-corpus equivalence and backend plumbing.
+"""Process backend behind the oracles: golden equivalence and plumbing.
 
 The golden file captured from the seed implementation
 (``tests/data/golden_ifecc.json``) pins IFECC's observable behaviour;
-running the same corpus with ``backend="process"`` must reproduce it
-bit for bit — the backend changes where batches execute, never answers.
+running the same corpus on an oracle with ``backend="process"`` must
+reproduce it bit for bit — the backend changes where batches execute,
+never answers.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from core.test_solver_equivalence import GOLDEN_PATH, build_corpus
-from repro.core.ifecc import IFECC
-from repro.core.kifecc import approximate_eccentricities
+from repro.baselines.naive import naive_eccentricities
 from repro.core.oracles import BFSOracle
+from repro.core.solver import EccentricitySolver
 from repro.counters import TraversalCounter
+from repro.directed.eccentricity import naive_directed_eccentricities
+from repro.directed.graph import DirectedGraph
+from repro.directed.traversal import DirectedBFSOracle
 from repro.errors import InvalidParameterError
-from repro.parallel import ParallelBFSOracle, shutdown_pools
+from repro.graph.batch import InProcessBackend, make_backend
+from repro.graph.generators import barabasi_albert
+from repro.parallel import shutdown_pools
 from repro.parallel.shm import shared_memory_available
 
 pytestmark = pytest.mark.skipif(
@@ -40,30 +47,34 @@ def _teardown_pools():
     shutdown_pools()
 
 
+def _process_solver(graph, counter=None):
+    return EccentricitySolver(
+        BFSOracle(graph, backend="process", workers=2),
+        num_references=1,
+        counter=counter,
+    )
+
+
 @pytest.mark.parametrize("name", sorted(build_corpus()))
 def test_ifecc_golden_with_process_backend(name, golden):
     graph = build_corpus()[name]
     counter = TraversalCounter()
-    engine = IFECC(
-        graph, num_references=1, counter=counter,
-        backend="process", workers=2,
-    )
-    for _ in engine.steps():
+    solver = _process_solver(graph, counter)
+    for _ in solver.steps():
         pass
     want = golden[name]["r1_memo0"]
-    assert engine.bounds.eccentricities().tolist() == want["ecc"]
+    assert solver.bounds.eccentricities().tolist() == want["ecc"]
     assert counter.bfs_runs == want["num_bfs"]
     assert counter.edges_scanned == want["edges_scanned"]
 
 
 @pytest.mark.parametrize("name", sorted(build_corpus()))
 def test_kifecc_golden_with_process_backend(name, golden):
+    # kIFECC(k=5) is the solver stopped after 1 + 5 traversals.
     graph = build_corpus()[name]
-    result = approximate_eccentricities(
-        graph, k=5, backend="process", workers=2
-    )
+    result = _process_solver(graph).run_budgeted(max_bfs=6)
     want = golden[name]["kifecc_k5"]
-    assert result.eccentricities.tolist() == want["est"]
+    assert result.lower.tolist() == want["est"]
     assert result.num_bfs == want["num_bfs"]
     assert bool(result.exact) == want["exact"]
 
@@ -72,7 +83,7 @@ class TestBatchedEntryPoints:
     def test_ecc_all_matches_numpy_backend(self):
         graph = build_corpus()["ba150"]
         numpy_oracle = BFSOracle(graph)
-        process_oracle = ParallelBFSOracle(graph, workers=2)
+        process_oracle = BFSOracle(graph, backend="process", workers=2)
         assert np.array_equal(
             process_oracle.ecc_all(), numpy_oracle.ecc_all()
         )
@@ -80,7 +91,7 @@ class TestBatchedEntryPoints:
     def test_distance_rows_match_numpy_backend(self):
         graph = build_corpus()["ws120"]
         numpy_oracle = BFSOracle(graph)
-        process_oracle = ParallelBFSOracle(graph, workers=2)
+        process_oracle = BFSOracle(graph, backend="process", workers=2)
         sources = [0, 7, 101]
         assert np.array_equal(
             process_oracle.distance_rows(sources),
@@ -88,39 +99,109 @@ class TestBatchedEntryPoints:
         )
 
     def test_single_probes_stay_sequential(self):
-        # source/sweep probes must not touch the pool at all.
+        # source/sweep probes must not start a pool at all.
         graph = build_corpus()["paper"]
-        oracle = ParallelBFSOracle(graph, workers=2)
+        before = set(multiprocessing.active_children())
+        oracle = BFSOracle(graph, backend="process", workers=2)
         ecc, dist, rdist = oracle.source_probe(0)
         sweep_ecc, _sweep = oracle.sweep_probe(0)
         assert ecc == sweep_ecc
         assert dist is rdist
-        assert oracle._pool is None  # never built
+        assert set(multiprocessing.active_children()) == before
 
     def test_close_then_reuse_rebuilds_pool(self):
         graph = build_corpus()["paper"]
-        oracle = ParallelBFSOracle(graph, workers=1)
+        oracle = BFSOracle(graph, backend="process", workers=1)
         first = oracle.ecc_all()
-        oracle.close()
+        shutdown_pools()
         assert np.array_equal(oracle.ecc_all(), first)
-        oracle.close()
+        shutdown_pools()
+
+
+@pytest.fixture(scope="module", params=["undirected", "directed"])
+def lane_graph(request):
+    # n >= 4,096 so a 300-source batch plans 256-lane sweeps.
+    graph = barabasi_albert(4096, 3, seed=5)
+    if request.param == "directed":
+        return DirectedGraph.from_undirected(graph)
+    return graph
+
+
+def _distinct_sources(graph):
+    rng = np.random.default_rng(11)
+    return rng.choice(graph.num_vertices, size=300, replace=False)
+
+
+def _repeated_sources(graph):
+    rng = np.random.default_rng(12)
+    distinct = rng.choice(graph.num_vertices, size=100, replace=False)
+    return rng.permutation(np.concatenate([distinct, distinct]))
+
+
+@pytest.mark.parametrize(
+    "sources", [_distinct_sources, _repeated_sources],
+    ids=["distinct", "repeated"],
+)
+@pytest.mark.parametrize("primitive", ["ecc_batch", "distance_rows"])
+def test_counters_independent_of_backend(lane_graph, primitive, sources):
+    src = sources(lane_graph)
+    results = {}
+    for backend in ("numpy", "process"):
+        counter = TraversalCounter()
+        batch = make_backend(lane_graph, backend, workers=2)
+        values = getattr(batch, primitive)(src, counter=counter)
+        results[backend] = (
+            values,
+            (
+                counter.bfs_runs,
+                counter.edges_scanned,
+                counter.edges_inspected,
+                counter.vertices_visited,
+            ),
+        )
+    assert np.array_equal(results["numpy"][0], results["process"][0])
+    assert results["numpy"][1] == results["process"][1]
+    assert results["numpy"][1][0] == len(src)
+
+
+def _directed_triangle():
+    return DirectedGraph.from_arcs([(0, 1), (1, 2), (2, 0)], num_vertices=3)
+
+
+#: Every entry point that still takes ``backend=``.
+_BACKEND_ENTRY_POINTS = {
+    "BFSOracle": lambda: BFSOracle(
+        build_corpus()["paper"], backend="proces"
+    ),
+    "DirectedBFSOracle": lambda: DirectedBFSOracle(
+        _directed_triangle(), backend="proces"
+    ),
+    "make_backend": lambda: make_backend(
+        build_corpus()["paper"], backend="proces"
+    ),
+    "naive_eccentricities": lambda: naive_eccentricities(
+        build_corpus()["paper"], backend="proces"
+    ),
+    "naive_directed_eccentricities": lambda: naive_directed_eccentricities(
+        _directed_triangle(), backend="proces"
+    ),
+}
 
 
 class TestBackendFlag:
-    def test_unknown_backend_rejected(self):
-        graph = build_corpus()["paper"]
+    @pytest.mark.parametrize("entry", sorted(_BACKEND_ENTRY_POINTS))
+    def test_unknown_backend_rejected(self, entry):
         with pytest.raises(InvalidParameterError, match="backend"):
-            BFSOracle(graph, backend="gpu")
+            _BACKEND_ENTRY_POINTS[entry]()
 
-    def test_pool_property_requires_process_backend(self):
-        graph = build_corpus()["paper"]
-        with pytest.raises(InvalidParameterError):
-            BFSOracle(graph).pool
+    def test_bad_worker_count_rejected_before_any_batch(self):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            BFSOracle(build_corpus()["paper"], backend="process", workers=0)
 
     def test_numpy_backend_never_imports_parallel_pool(self):
         graph = build_corpus()["paper"]
         oracle = BFSOracle(graph)
-        assert oracle.backend == "numpy"
+        assert isinstance(oracle.backend, InProcessBackend)
         assert np.array_equal(
             oracle.ecc_all([0, 1]),
             oracle.engine.ecc_batch(np.asarray([0, 1], dtype=np.int64)),

@@ -38,6 +38,10 @@ def graph():
     return barabasi_albert(300, 3, seed=21)
 
 
+def _all(graph):
+    return np.arange(graph.num_vertices, dtype=np.int64)
+
+
 @pytest.fixture(scope="module")
 def pool(graph):
     pool = TraversalPool(graph, workers=2)
@@ -50,7 +54,7 @@ class TestEquivalence:
         want = engine_for(graph).ecc_batch(
             np.arange(graph.num_vertices, dtype=np.int64)
         )
-        got = pool.eccentricities()
+        got = pool.ecc_batch(_all(graph))
         assert np.array_equal(got, want)
         assert got.dtype == np.int32
 
@@ -58,7 +62,7 @@ class TestEquivalence:
         sources = np.asarray([17, 3, 250, 3, 0], dtype=np.int64)
         engine = engine_for(graph)
         want = engine.ecc_batch(sources)
-        assert np.array_equal(pool.eccentricities(sources), want)
+        assert np.array_equal(pool.ecc_batch(sources), want)
 
     def test_distance_rows_match_engine(self, graph, pool):
         sources = [5, 99, 0]
@@ -68,21 +72,15 @@ class TestEquivalence:
         )
         assert np.array_equal(pool.distance_rows(sources), want)
 
-    def test_distance_rows_into_preallocated_out(self, graph, pool):
-        sources = [1, 2]
-        out = np.zeros((2, graph.num_vertices), dtype=np.int32)
-        returned = pool.distance_rows(sources, out=out)
-        assert returned is out
-        assert np.array_equal(out[0], engine_for(graph).run(1).copy())
-
     def test_msbfs_rows_match_inprocess(self, graph, pool):
+        # 150 sources plan lane sweeps on both sides.
         sources = np.arange(150, dtype=np.int64)
         want = multi_source_distances(graph, sources)
-        assert np.array_equal(pool.msbfs_distance_rows(sources), want)
+        assert np.array_equal(pool.distance_rows(sources), want)
 
     def test_msbfs_eccentricities_match_inprocess(self, graph, pool):
         want = msbfs_eccentricities(graph)
-        assert np.array_equal(pool.msbfs_eccentricities(), want)
+        assert np.array_equal(pool.ecc_batch(_all(graph)), want)
 
     def test_counter_totals_match_serial(self, graph, pool):
         serial = TraversalCounter()
@@ -90,35 +88,31 @@ class TestEquivalence:
             np.arange(graph.num_vertices, dtype=np.int64), counter=serial
         )
         merged = TraversalCounter()
-        pool.eccentricities(counter=merged)
+        pool.ecc_batch(_all(graph), counter=merged)
         assert merged.bfs_runs == serial.bfs_runs
         assert merged.edges_scanned == serial.edges_scanned
         assert merged.edges_inspected == serial.edges_inspected
 
     def test_empty_sources(self, pool):
-        assert pool.eccentricities([]).shape == (0,)
+        assert pool.ecc_batch([]).shape == (0,)
         assert pool.distance_rows([]).shape == (0, pool.num_vertices)
 
 
 class TestValidation:
     def test_invalid_vertex_raises_in_parent(self, pool):
         with pytest.raises(InvalidVertexError):
-            pool.eccentricities([0, pool.num_vertices])
+            pool.ecc_batch([0, pool.num_vertices])
 
     def test_unknown_kind_propagates_worker_error(self, pool):
         with pytest.raises(ParallelBackendError, match="bogus"):
-            pool._dispatch(
-                "bogus", np.arange(3, dtype=np.int64), (), "int32", None
-            )
+            pool._run("bogus", np.arange(3, dtype=np.int64), (), 0, None)
 
     def test_pool_survives_worker_error(self, graph, pool):
         # After a failed dispatch the workers are still serving.
         with pytest.raises(ParallelBackendError):
-            pool._dispatch(
-                "bogus", np.arange(3, dtype=np.int64), (), "int32", None
-            )
+            pool._run("bogus", np.arange(3, dtype=np.int64), (), 0, None)
         want = engine_for(graph).ecc_batch(np.asarray([1, 2], dtype=np.int64))
-        assert np.array_equal(pool.eccentricities([1, 2]), want)
+        assert np.array_equal(pool.ecc_batch([1, 2]), want)
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -131,7 +125,7 @@ class TestObservability:
     def test_batch_span_emitted(self, graph, pool):
         sink = MemorySink()
         with tracing(sink):
-            pool.eccentricities([0, 1, 2, 3, 4])
+            pool.ecc_batch([0, 1, 2, 3, 4])
         spans = [
             e for e in sink.events if e.get("name") == "parallel.batch"
         ]
@@ -151,7 +145,7 @@ class TestObservability:
     ):
         sink = MemorySink()
         with tracing(sink):
-            pool.eccentricities([0, 1])
+            pool.ecc_batch([0, 1])
         view = deterministic_view(sink.events)
         for event in view:
             assert "worker_seconds" not in event
@@ -169,13 +163,13 @@ class TestLifecycle:
         pool = TraversalPool(graph, workers=1)
         pool.close()
         with pytest.raises(ParallelBackendError, match="closed"):
-            pool.eccentricities([0])
+            pool.ecc_batch([0])
 
     def test_no_leaked_segments_or_workers_after_gc(self, graph):
         from multiprocessing import shared_memory
 
         pool = TraversalPool(graph, workers=2)
-        pool.eccentricities([0, 1, 2])  # materialise the out segment too
+        pool.ecc_batch([0, 1, 2])  # materialise the out segment too
         resources = pool._resources
         graph_segment = resources.graph_share.name
         out_segment = resources.out_segment.name
@@ -210,7 +204,7 @@ class TestLifecycle:
 
     def test_context_manager(self, graph):
         with TraversalPool(graph, workers=1) as pool:
-            assert pool.eccentricities([0]).shape == (1,)
+            assert pool.ecc_batch([0]).shape == (1,)
         assert pool.closed
 
 

@@ -52,7 +52,7 @@ def test_eccentricities_independent_of_worker_count(pools, sources):
     solo, quad = pools
     src = np.asarray(sources, dtype=np.int64)
     assert np.array_equal(
-        solo.eccentricities(src), quad.eccentricities(src)
+        solo.ecc_batch(src), quad.ecc_batch(src)
     )
 
 
@@ -72,8 +72,9 @@ def test_distance_rows_independent_of_worker_count(pools, sources):
     st.integers(min_value=0, max_value=_N - 1), min_size=0, max_size=100
 ))
 def test_msbfs_independent_of_worker_count(pools, sources):
+    # Batches past 8 sources run as MS-BFS lane sweeps.
     solo, quad = pools
     src = np.asarray(sources, dtype=np.int64)
     assert np.array_equal(
-        solo.msbfs_eccentricities(src), quad.msbfs_eccentricities(src)
+        solo.ecc_batch(src), quad.ecc_batch(src)
     )

@@ -66,8 +66,6 @@ class TestTrace:
         assert record.config == {
             "command": "ecc",
             "references": 1,
-            "backend": "numpy",
-            "workers": None,
             "source": example_file,
         }
         assert len(record.probe_events()) == record.result["num_traversals"]
@@ -282,68 +280,6 @@ class TestStore:
     def test_store_info_missing_target(self, tmp_path, capsys):
         assert main(["store", "info", str(tmp_path / "absent.rcsr")]) == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestBackendFlags:
-    def test_backend_defaults_to_numpy_in_config(self, example_file, tmp_path):
-        import json
-
-        trace_path = tmp_path / "rec.jsonl"
-        assert main(["ecc", example_file, "--trace", str(trace_path)]) == 0
-        with trace_path.open() as handle:
-            header = json.loads(handle.readline())
-        assert header["config"]["backend"] == "numpy"
-        assert header["config"]["workers"] is None
-
-    def test_process_backend_matches_numpy(self, example_file, tmp_path, capsys):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.parallel import shutdown_pools
-
-        numpy_out = tmp_path / "numpy.txt"
-        process_out = tmp_path / "process.txt"
-        assert main(["ecc", example_file, "-o", str(numpy_out)]) == 0
-        assert main(
-            [
-                "ecc", example_file, "-o", str(process_out),
-                "--backend", "process", "--workers", "2",
-            ]
-        ) == 0
-        shutdown_pools()
-        assert np.loadtxt(numpy_out).tolist() == np.loadtxt(process_out).tolist()
-
-    def test_backend_recorded_in_run_record(self, example_file, tmp_path):
-        import json
-
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.parallel import shutdown_pools
-
-        trace_path = tmp_path / "rec.jsonl"
-        assert main(
-            [
-                "approx", example_file, "-k", "2",
-                "--backend", "process", "--workers", "2",
-                "--trace", str(trace_path),
-            ]
-        ) == 0
-        shutdown_pools()
-        with trace_path.open() as handle:
-            header = json.loads(handle.readline())
-        assert header["config"]["backend"] == "process"
-        assert header["config"]["workers"] == 2
-
-    def test_diameter_accepts_backend(self, example_file, capsys):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.parallel import shutdown_pools
-
-        assert main(
-            ["diameter", example_file, "--backend", "process", "--workers", "1"]
-        ) == 0
-        shutdown_pools()
-        assert "radius=3 diameter=5" in capsys.readouterr().out
-
-    def test_bad_backend_rejected(self, example_file):
-        with pytest.raises(SystemExit):
-            main(["ecc", example_file, "--backend", "cuda"])
 
 
 class TestProgress:

@@ -17,8 +17,7 @@ from repro import sanitize
 from repro.errors import ReproError, SanitizerError
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine
-from repro.graph.msbfs import _LaneWorkspace
-from repro.graph.msengine import MSBFSEngine
+from repro.graph.msengine import MSBFSEngine, _MSWorkspace
 from repro.obs.trace import MemorySink, tracing
 
 
@@ -326,9 +325,9 @@ class TestEngineWiring:
 
 class TestMsbfsWiring:
     def test_lane_workspace_alias_constructs_guarded(self, sanitizer):
-        # The historical single-word workspace name still builds the
-        # pooled bitmaps (now the MS engine's) and arms their guard.
-        work = _LaneWorkspace(chordal_square().num_vertices)
+        # The single-word lane workspace builds the MS engine's pooled
+        # bitmaps and arms their guard.
+        work = _MSWorkspace(chordal_square().num_vertices)
         assert work.guard is not None
         assert work.seen.shape == (4, 1)
 

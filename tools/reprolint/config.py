@@ -123,9 +123,6 @@ POOLED_BUFFER_ATTRS = {
     "repro.graph.engine.BFSEngine": frozenset(
         {"_dist", "_frontier_mask", "_dedupe_mask", "_owner", "_priority"}
     ),
-    "repro.graph.msbfs._LaneWorkspace": frozenset(
-        {"seen", "frontier", "next_mask"}
-    ),
     "repro.graph.msengine._MSWorkspace": frozenset(
         {"seen", "frontier", "next_mask"}
     ),
@@ -162,7 +159,7 @@ WORKSPACE_RULE_EXEMPT = frozenset({"src/repro/sanitize.py"})
 #: ``:mutates name:`` docstring contract: ndarrays plus the registered
 #: pooled-workspace owner types.
 MUTATION_CONTRACT_TYPES = frozenset(
-    {"ndarray", "BFSEngine", "_LaneWorkspace", "MSBFSEngine", "_MSWorkspace"}
+    {"ndarray", "BFSEngine", "MSBFSEngine", "_MSWorkspace"}
 )
 
 #: Registered module-level mutable state (R10): every mutable module

@@ -1,6 +1,6 @@
 """Buffer-provenance dataflow analysis over the intra-package call graph.
 
-The pooled-workspace architecture (``BFSEngine``, ``_LaneWorkspace``)
+The pooled-workspace architecture (``BFSEngine``, ``_MSWorkspace``)
 trades allocation cost for aliasing risk: a pooled buffer that *escapes*
 its engine — returned as a view, stashed on an object, read after the
 next run overwrites it — is a silent-wrong-answer bug today and a data

@@ -1,6 +1,6 @@
 """R9 — pooled workspace buffers must not escape their owner.
 
-``BFSEngine`` and ``_LaneWorkspace`` own reusable buffers that are
+``BFSEngine`` and ``_MSWorkspace`` own reusable buffers that are
 overwritten by every run; any view of them that is *returned*, *yielded*
 or *stored* outside the owner outlives its validity window and becomes a
 silent-wrong-answer bug (and a data race under the planned parallel
@@ -51,7 +51,7 @@ class WorkspaceEscapeRule(Rule):
     rule_id = "R9"
     rule_name = "workspace-escape"
     summary = (
-        "Pooled workspace buffers (BFSEngine/_LaneWorkspace) may not be "
+        "Pooled workspace buffers (BFSEngine/_MSWorkspace) may not be "
         "returned, yielded, or stored without an explicit .copy()."
     )
     protects = (
