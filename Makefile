@@ -1,6 +1,6 @@
 # Convenience targets for the IFECC reproduction.
 
-.PHONY: install test test-sanitized tier-guard bench bench-smoke bench-parallel bench-msbfs bench-store bench-guard obs-overhead examples results clean lint typecheck check
+.PHONY: install test test-sanitized tier-guard bench bench-smoke bench-e2e-smoke bench-parallel bench-msbfs bench-store bench-guard obs-overhead examples results clean lint typecheck check
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -56,6 +56,11 @@ bench:
 # BENCH_trace_ifecc.jsonl at the repo root.
 bench-smoke:
 	python benchmarks/bench_bfs_engine.py --smoke --workers 1,2
+
+# End-to-end benchmark smoke tests (CI's e2e-smoke job): every workload
+# at smoke size, traced and untraced, with the seed-0 digests checked.
+bench-e2e-smoke:
+	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 
 # Backend shootout only, at full scale (powerlaw-50k, sampled sources).
 # Honest on constrained hosts: the JSON records effective_cpus.

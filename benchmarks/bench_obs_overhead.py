@@ -128,8 +128,11 @@ def run_overhead(
             null_cpu.append(cpu)
             null_wall.append(wall)
         events = len(capture.events)
+        # One solver.probe span per traversal the solver consumed,
+        # whether it ran alone (a bfs.run event) or as one lane of a
+        # batched sweep (part of an msbfs.run event).
         traversals = sum(
-            1 for event in capture.events if event["name"] == "bfs.run"
+            1 for event in capture.events if event["name"] == "solver.probe"
         )
     null_best = min(null_cpu)
     traced_best = min(traced_cpu)

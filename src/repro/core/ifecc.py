@@ -19,7 +19,9 @@ unweighted instantiation over :class:`repro.core.oracles.BFSOracle` —
 ``int32`` hop counts, exact (zero-tolerance) bound comparison, one
 pooled-workspace BFS per probe.  The class is bit-identical to the
 pre-unification implementation: same BFS sequence, counters, snapshots
-and results.
+and results.  :meth:`IFECC.run` may sweep later probes of a territory
+as MS-BFS lanes; it consumes their rows in the same order, so its
+results, BFS counts and snapshots are the same too.
 
 The engine is *anytime*: :meth:`IFECC.steps` yields a snapshot after each
 BFS, which is exactly how Algorithm 3 (kIFECC, :mod:`repro.core.kifecc`)

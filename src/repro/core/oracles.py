@@ -38,6 +38,14 @@ Distance vectors returned by ``sweep_probe`` may alias a pooled
 workspace; the solver consumes them before the next traversal and
 copies only when memoising — the same discipline the BFS engine
 established.
+
+An oracle may also offer ``sweep_batch(sources, counter) -> (eccs,
+rows)``: the sweep probes of many sources at once, as one MS-BFS lane
+sweep (:class:`BFSOracle` does; the weighted and directed oracles do
+not).  :meth:`repro.core.solver.EccentricitySolver.run` then takes its
+next FFO probes from lane batches, planned by
+:func:`repro.graph.msengine.plan_sweep_width` over ``num_arcs``, and
+applies the rows one by one, in FFO order.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from repro.errors import DisconnectedGraphError
 from repro.graph.batch import make_backend
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
+from repro.graph.msengine import msengine_for
+from repro.sentinels import UNREACHED
 
 __all__ = ["DistanceOracle", "BFSOracle"]
 
@@ -146,7 +156,8 @@ class BFSOracle:
     :class:`repro.parallel.pool.TraversalPool` of ``workers``
     processes.  Single probes (``source_probe``/``sweep_probe``) always
     stay on the in-process engine — one BFS is cheaper than its IPC
-    round-trip — so the solver's sequential bound-tightening loop is
+    round-trip — and so do the solver's lane batches
+    (:meth:`sweep_batch`), so the sequential bound-tightening loop is
     bit-identical under every backend by construction.
     """
 
@@ -165,6 +176,7 @@ class BFSOracle:
     ) -> None:
         self.graph = graph
         self.num_vertices = graph.num_vertices
+        self.num_arcs = int(len(graph.indices))
         self.engine = engine if engine is not None else engine_for(graph)
         self.backend = make_backend(graph, backend, workers)
 
@@ -220,6 +232,37 @@ class BFSOracle:
     ) -> Tuple[Optional[float], np.ndarray]:
         dist = self.engine.run(source, counter=counter)
         return self.engine.last_ecc, dist
+
+    def sweep_batch(
+        self,
+        sources: Sequence[int],
+        counter: Optional[TraversalCounter] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(eccs, rows)``: the sweep probes of ``sources``, one lane sweep.
+
+        ``rows[i]`` is the freshly owned ``dist(., sources[i])`` and
+        ``eccs[i]`` its eccentricity, equal to what
+        :meth:`sweep_probe` returns for that source.  The counter is
+        credited with the sweep's work and one pending lane per
+        source; the caller consumes or discards them
+        (:meth:`repro.counters.TraversalCounter.consume_lane`).
+
+        :dtype eccs: int32
+        :dtype rows: int32
+        """
+        lanes = msengine_for(self.graph)
+        rows = lanes.run_batch(sources)
+        if counter is not None:
+            stats = lanes.last_stats
+            counter.record_sweep(
+                stats.edges_scanned,
+                int(np.count_nonzero(rows != UNREACHED)),
+                stats.edges_inspected,
+                [f"bfs:{int(s)}" for s in sources],
+            )
+        # Unreached cells hold -1 and the source's own cell 0, so the
+        # row maximum is the eccentricity within the source's component.
+        return rows.max(axis=1), rows
 
     def disconnected_error(self) -> DisconnectedGraphError:
         from repro.graph.components import split_components

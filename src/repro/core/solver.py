@@ -17,7 +17,11 @@ it once, parameterised over a :class:`repro.core.oracles.DistanceOracle`:
 4. for each ``z``, *sweep probes* walk ``L^z`` front-to-back; each
    probe yields exact reverse distances, so Lemma 3.1 raises lower
    bounds and Lemma 3.3 caps upper bounds for the territory, until
-   every territory member's bounds meet (lines 10-18).
+   every territory member's bounds meet (lines 10-18).  :meth:`run`
+   may sweep a territory's later probes together as MS-BFS lanes
+   (see :meth:`EccentricitySolver._sweep_territory`); it applies their
+   rows in the same order, so results, traversal counts and snapshots
+   are unchanged.
 
 Because the loop is shared, every capability built on it — the anytime
 :meth:`EccentricitySolver.steps` protocol, kIFECC-style budgeting
@@ -28,12 +32,14 @@ works identically for unweighted, weighted, and directed inputs.
 
 The unweighted instantiation (:class:`repro.core.ifecc.IFECC`) is
 bit-identical to the historical implementation: same traversal
-sequence, same counters, same snapshots, same results.  Weighted and
+sequence, same counters, same snapshots, same results (for ``run()``,
+the work counters also include the lanes it discarded).  Weighted and
 directed instantiations are value-identical to their pre-unification
 ancestors within the oracle's documented tolerance.
 
 Space stays ``O(m + n)`` (Theorem 4.5): the graph, the bound arrays,
-and the ``r`` reference distance vectors.
+the ``r`` reference distance vectors, and at most one lane batch of
+64 distance rows.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from repro.core.oracles import DistanceOracle
 from repro.core.result import EccentricityResult, ProgressSnapshot
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError
+from repro.graph.msengine import plan_sweep_width
 from repro.obs.trace import Stopwatch, Tracer, get_tracer
 from repro.sentinels import unreached_mask
 
@@ -229,13 +236,27 @@ class EccentricitySolver:
         :attr:`bounds` — that is the anytime mode kIFECC builds on, now
         available for every metric.
         """
+        yield from self._steps(batched=False)
+
+    def _steps(self, batched: bool) -> Iterator[ProgressSnapshot]:
         yield from self._initialise()
         for territory in self._territories:
-            yield from self._sweep_territory(territory)
+            yield from self._sweep_territory(territory, batched)
 
     def _sweep_territory(
-        self, territory: Territory
+        self, territory: Territory, batched: bool
     ) -> Iterator[ProgressSnapshot]:
+        """Probe ``L^z`` front to back until the territory resolves.
+
+        With ``batched`` set and an oracle that offers ``sweep_batch``,
+        the next fresh probes are swept together as MS-BFS lanes
+        (:func:`repro.graph.msengine.plan_sweep_width` picks how many).
+        Lemmas 3.1 and 3.3 only need each probe's exact distance row,
+        and the probes of the FFO prefix are known before they run, so
+        applying the lane rows one by one, in FFO order, yields the
+        bounds, counts and snapshots of one traversal per probe; only
+        the rows past the stopping rank go unused.
+        """
         bounds = self.bounds
         tracer = self._active_tracer()
         ffo = territory.ffo
@@ -243,6 +264,14 @@ class EccentricitySolver:
         unresolved = bounds.unresolved_subset(territory.members)
         if len(unresolved) == 0:
             return
+        sweep_batch = (
+            getattr(self.oracle, "sweep_batch", None) if batched else None
+        )
+        # The current lane batch: rows [lane, len) serve the next fresh
+        # probes, in FFO order.
+        lane_eccs = lane_rows = np.empty(0, dtype=np.int32)
+        lane = 0
+        consumed = 0
         for rank, source in enumerate(ffo.order):
             source = int(source)
             if source == territory.reference:
@@ -279,12 +308,28 @@ class EccentricitySolver:
                     if tracer.enabled
                     else None
                 )
-                # The vector may alias the oracle's pooled workspace; it
-                # is consumed before the next traversal and only the
-                # memoised copy outlives this iteration.
-                ecc_s, dist_s = self.oracle.sweep_probe(
-                    source, counter=self.counter
-                )
+                if lane == len(lane_rows) and sweep_batch is not None:
+                    width = plan_sweep_width(self.oracle.num_arcs, consumed)
+                    if width:
+                        # The sweep runs inside this probe's span.
+                        lane_eccs, lane_rows = sweep_batch(
+                            self._next_probes(territory, rank, width),
+                            counter=self.counter,
+                        )
+                        lane = 0
+                if lane < len(lane_rows):
+                    ecc_s, dist_s = int(lane_eccs[lane]), lane_rows[lane]
+                    lane += 1
+                    self.counter.consume_lane()
+                else:
+                    # The vector may alias the oracle's pooled
+                    # workspace; it is consumed before the next
+                    # traversal and only the memoised copy outlives
+                    # this iteration.
+                    ecc_s, dist_s = self.oracle.sweep_probe(
+                        source, counter=self.counter
+                    )
+                consumed += 1
                 if ecc_s is not None:
                     # The probe determined ecc(source) exactly, even if
                     # `source` belongs to another territory.  (The
@@ -311,6 +356,23 @@ class EccentricitySolver:
             unresolved = bounds.unresolved_subset(unresolved)
             if len(unresolved) == 0:
                 break
+        self.counter.discard_lanes()
+
+    def _next_probes(
+        self, territory: Territory, rank: int, width: int
+    ) -> List[int]:
+        """Up to ``width`` sources the sweep would probe next, from
+        ``rank`` on: it skips only the reference and the sources whose
+        rows it replays.
+        """
+        probes: List[int] = []
+        for source in territory.ffo.order[rank:]:
+            source = int(source)
+            if source != territory.reference and source not in self._known:
+                probes.append(source)
+                if len(probes) == width:
+                    break
+        return probes
 
     def _active_tracer(self) -> Tracer:
         return self._tracer if self._tracer is not None else get_tracer()
@@ -378,7 +440,14 @@ class EccentricitySolver:
         return f"{self.oracle.metric_name}-{self.num_references}"
 
     def run(self, algorithm: Optional[str] = None) -> EccentricityResult:
-        """Run to completion and return the exact ED (Algorithm 2)."""
+        """Run to completion and return the exact ED (Algorithm 2).
+
+        Sweep probes may run as MS-BFS lane batches (see
+        :meth:`_sweep_territory`); the result, the counter's runs and
+        history, and the probe spans equal those of exhausting
+        :meth:`steps`.  The counter's work totals also include the
+        unused lanes, which ``lanes_discarded`` counts.
+        """
         tracer = self._active_tracer()
         watch = Stopwatch()
         with tracer.span(
@@ -388,9 +457,11 @@ class EccentricitySolver:
             ),
             metric=self.oracle.metric_name,
         ) as run_span:
-            for _ in self.steps():
+            for _ in self._steps(batched=True):
                 pass
             run_span.set(traversals=self.counter.bfs_runs)
+            if self.counter.lanes_discarded:
+                run_span.set(lanes_discarded=self.counter.lanes_discarded)
         elapsed = watch.elapsed()
         if tracer.enabled:
             tracer.metrics.ingest_traversal_counter(self.counter)

@@ -9,19 +9,22 @@ like one BFS, and each back-end additionally reports its own fine-
 grained work (arcs expanded, arcs inspected bottom-up, Dijkstra edge
 relaxations) so cross-metric comparisons stay honest.
 
-:class:`TraversalCounter` is the meter; :data:`BFSCounter` is the
-original name, kept as a deprecated alias because call sites and
-benchmark reports throughout the repository (and downstream users)
-still spell it that way.
+Batched FFO probing (:meth:`repro.core.solver.EccentricitySolver.run`)
+sweeps a territory's next probes as MS-BFS lanes before Algorithm 2
+knows how many of them it needs.  The counter keeps the algorithm's
+accounting regardless: a swept lane becomes a run only when the solver
+consumes its row (:meth:`TraversalCounter.consume_lane`), while the
+work counters credit the whole sweep and ``lanes_discarded`` counts
+the lanes that were swept but never consumed.
 """
 
 from __future__ import annotations
 
-import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Deque, Optional, Sequence
 
-__all__ = ["TraversalCounter", "BFSCounter"]
+__all__ = ["TraversalCounter"]
 
 
 @dataclass
@@ -30,8 +33,9 @@ class TraversalCounter:
 
     ``bfs_runs`` counts *traversals* of any kind — BFS, Dijkstra,
     forward or backward directed BFS — and keeps its historical name so
-    every existing report and result field stays meaningful
-    (:attr:`traversal_runs` is the modern alias).
+    every existing report and result field stays meaningful.  For the
+    solver it counts the probes Algorithm 2 consumed, whether a probe
+    ran alone or as one lane of a batched sweep.
 
     ``edges_scanned`` counts arcs expanded by the classic frontier
     metric; ``edges_inspected`` additionally includes the arcs that
@@ -40,6 +44,11 @@ class TraversalCounter:
     never "scanned".  For a purely top-down traversal the two are
     equal.  ``relaxations`` counts successful Dijkstra edge relaxations
     (distance improvements); it stays 0 for unweighted traversals.
+    These work counters, and ``vertices_visited``, credit every lane a
+    sweep ran, consumed or not.
+
+    ``lanes_discarded`` counts lanes of batched probe sweeps whose rows
+    the solver never consumed (their territory resolved first).
 
     ``history`` records one label per traversal (``bfs:4``,
     ``dijkstra:7``, ``bwd:12``, ...) so tests and benchmarks can audit
@@ -51,12 +60,12 @@ class TraversalCounter:
     edges_inspected: int = 0
     vertices_visited: int = 0
     relaxations: int = 0
+    lanes_discarded: int = 0
     history: list[str] = field(default_factory=list)
-
-    @property
-    def traversal_runs(self) -> int:
-        """Metric-neutral alias for :attr:`bfs_runs`."""
-        return self.bfs_runs
+    # History labels of swept lanes not yet consumed, in sweep order.
+    _pending: Deque[str] = field(
+        default_factory=deque, init=False, repr=False, compare=False
+    )
 
     def record(
         self,
@@ -80,6 +89,30 @@ class TraversalCounter:
         if label:
             self.history.append(label)
 
+    def record_sweep(
+        self, edges: int, vertices: int, inspected: int, labels: Sequence[str]
+    ) -> None:
+        """Record the work of one batched probe sweep, one label per lane.
+
+        No run is counted yet: each lane becomes one when its row is
+        consumed (:meth:`consume_lane`, in ``labels`` order) or is
+        counted in ``lanes_discarded`` (:meth:`discard_lanes`).
+        """
+        self.edges_scanned += edges
+        self.edges_inspected += inspected
+        self.vertices_visited += vertices
+        self._pending.extend(labels)
+
+    def consume_lane(self) -> None:
+        """Count the oldest pending swept lane as one traversal run."""
+        self.bfs_runs += 1
+        self.history.append(self._pending.popleft())
+
+    def discard_lanes(self) -> None:
+        """Count every pending swept lane as discarded."""
+        self.lanes_discarded += len(self._pending)
+        self._pending.clear()
+
     def merge(self, other: "TraversalCounter") -> None:
         """Fold another counter's totals into this one."""
         self.bfs_runs += other.bfs_runs
@@ -87,21 +120,5 @@ class TraversalCounter:
         self.edges_inspected += other.edges_inspected
         self.vertices_visited += other.vertices_visited
         self.relaxations += other.relaxations
+        self.lanes_discarded += other.lanes_discarded
         self.history.extend(other.history)
-
-
-# Deprecated alias — the meter predates the weighted/directed oracles,
-# when every traversal really was a BFS.  The module-level __getattr__
-# keeps ``repro.counters.BFSCounter`` importable for existing call
-# sites, benchmarks, and pickled results, but every access now emits a
-# DeprecationWarning; new code constructs :class:`TraversalCounter`.
-def __getattr__(name: str) -> Any:
-    if name == "BFSCounter":
-        warnings.warn(
-            "repro.counters.BFSCounter is a deprecated alias; "
-            "use repro.counters.TraversalCounter",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TraversalCounter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

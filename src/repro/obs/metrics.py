@@ -210,6 +210,9 @@ class MetricsRegistry:
             counter.vertices_visited
         )
         self.counter(f"{prefix}.relaxations").inc(counter.relaxations)
+        self.counter(f"{prefix}.lanes_discarded").inc(
+            counter.lanes_discarded
+        )
 
     def ingest_run_stats(
         self, stats: "BFSRunStats", prefix: str = "bfs"

@@ -103,6 +103,7 @@ def _counter_dict(counter: Any) -> Dict[str, int]:
         "edges_inspected": int(counter.edges_inspected),
         "vertices_visited": int(counter.vertices_visited),
         "relaxations": int(counter.relaxations),
+        "lanes_discarded": int(counter.lanes_discarded),
     }
 
 
@@ -288,10 +289,22 @@ class RunRecord:
                 )
         batches = self.batch_events()
         sweeps = self.msbfs_events()
+        if probes:
+            # Batched FFO probing sweeps lanes inside solver.probe spans;
+            # lanes swept = probes consumed from lanes + lanes discarded.
+            lines.append(
+                "probes: consumed={consumed} lanes_swept={swept} "
+                "lanes_discarded={discarded}".format(
+                    consumed=len(probes),
+                    swept=sum(int(e.get("num_sources", 0)) for e in sweeps),
+                    discarded=self.counters.get("lanes_discarded", "?"),
+                )
+            )
         if batches or sweeps:
             # Batch algorithms (naive ED, MS-BFS, the process pool) do
             # their traversal work outside solver.probe spans; account
-            # for it here so a summarized record never undercounts.
+            # for it here so a summarized record never undercounts.  A
+            # batched solver run's lane sweeps are listed here too.
             lines.append("batch work:")
             if batches:
                 tasks = sum(int(e.get("tasks", 0)) for e in batches)

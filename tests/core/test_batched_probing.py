@@ -1,0 +1,252 @@
+"""Batched FFO probing: ``run()`` equals one traversal per probe.
+
+:meth:`EccentricitySolver.run` takes a territory's later sweep probes
+from MS-BFS lane batches, while :meth:`EccentricitySolver.steps` runs one
+traversal per probe.  Both apply the same rows in the same FFO order, so
+the eccentricities, bounds, traversal counts, counter history and the
+per-probe snapshots (the ``solver.probe`` spans) must be identical; only
+the work counters differ, by the lanes swept past the stopping rank.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List, Tuple
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.oracles import BFSOracle
+from repro.core.solver import EccentricitySolver
+from repro.counters import TraversalCounter
+from repro.directed.eccentricity import directed_solver
+from repro.directed.graph import DirectedGraph
+from repro.graph import msengine
+from repro.graph.csr import Graph
+from repro.graph.generators import barabasi_albert
+from repro.obs.trace import MemorySink, deterministic_view, tracing
+from repro.weighted.eccentricity import weighted_solver
+from repro.weighted.graph import WeightedGraph
+
+from core.test_solver_equivalence import build_corpus
+from helpers import random_connected_graph
+
+#: The snapshot fields a ``solver.probe`` span carries.
+_PROBE_KEYS = (
+    "probe",
+    "source",
+    "territory",
+    "ffo_rank",
+    "ecc",
+    "traversals",
+    "resolved",
+    "remaining",
+    "gap",
+)
+
+
+class ForwardingOracle:
+    """Forwards every attribute, like the e2e benchmark's probe timer."""
+
+    def __init__(self, oracle: Any) -> None:
+        self._oracle = oracle
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._oracle, name)
+
+
+def _observe(solver: EccentricitySolver, batched: bool) -> Dict[str, Any]:
+    """Run ``solver`` traced, through ``run()`` or by exhausting ``steps()``."""
+    sink = MemorySink()
+    with tracing(sink):
+        if batched:
+            solver.run()
+        else:
+            snapshots = [(s.bfs_runs, s.source, s.resolved) for s in solver.steps()]
+    events = deterministic_view(sink.events)
+    probes = [e for e in events if e["name"] == "solver.probe"]
+    observed = {
+        "ecc": solver.bounds.eccentricities().tolist(),
+        "lower": solver.bounds.lower.tolist(),
+        "upper": solver.bounds.upper.tolist(),
+        "num_bfs": solver.counter.bfs_runs,
+        "history": list(solver.counter.history),
+        "probes": [{k: e.get(k) for k in _PROBE_KEYS} for e in probes],
+        "events": events,
+    }
+    if not batched:
+        assert snapshots == [
+            (p["traversals"], p["source"], p["resolved"]) for p in probes
+        ]
+    return observed
+
+
+def _compare(make_oracle: Any, graph: Any, refs: int, memo: bool) -> Dict[str, Any]:
+    """Assert ``run()`` == ``steps()`` on ``graph``; return the run's view."""
+    views = [
+        _observe(
+            EccentricitySolver(
+                make_oracle(graph),
+                num_references=refs,
+                memoize_distances=memo,
+                counter=TraversalCounter(),
+            ),
+            batched,
+        )
+        for batched in (False, True)
+    ]
+    serial, batched = views
+    for key in ("ecc", "lower", "upper", "num_bfs", "history", "probes"):
+        assert batched[key] == serial[key], key
+    return batched
+
+
+def _lanes(events: List[Dict[str, Any]]) -> Tuple[int, int]:
+    """``(lanes swept, probes consumed from lanes)`` of a traced run."""
+    swept = sum(e["num_sources"] for e in events if e["name"] == "msbfs.run")
+    singles = sum(1 for e in events if e["name"] == "bfs.run")
+    runs = [e for e in events if e["name"] == "solver.run"]
+    return swept, runs[0]["traversals"] - singles
+
+
+@pytest.fixture(scope="module")
+def ba2k() -> Graph:
+    return barabasi_albert(2000, 4, seed=7)
+
+
+@pytest.mark.parametrize("refs", [1, 3])
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("name", sorted(build_corpus()))
+def test_corpus_run_equals_steps(name: str, refs: int, memo: bool) -> None:
+    _compare(BFSOracle, build_corpus()[name], refs, memo)
+
+
+@pytest.mark.parametrize("refs", [1, 3])
+@pytest.mark.parametrize("memo", [False, True])
+def test_ba2k_run_equals_steps_and_batches(ba2k: Graph, refs: int, memo: bool) -> None:
+    view = _compare(BFSOracle, ba2k, refs, memo)
+    swept, from_lanes = _lanes(view["events"])
+    assert swept > from_lanes > 0
+
+
+@pytest.mark.parametrize(
+    "make_oracle",
+    [
+        lambda g: ForwardingOracle(BFSOracle(g)),
+        lambda g: BFSOracle(g, backend="process", workers=1),
+    ],
+    ids=["forwarding", "process"],
+)
+def test_wrapped_and_process_oracles_batch_identically(
+    ba2k: Graph, make_oracle: Any
+) -> None:
+    view = _compare(make_oracle, ba2k, 1, False)
+    assert _lanes(view["events"])[0] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=160),
+    extra=st.integers(min_value=0, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    refs=st.sampled_from([1, 3]),
+    memo=st.booleans(),
+)
+def test_random_graphs_run_equals_steps(
+    n: int, extra: int, seed: int, refs: int, memo: bool
+) -> None:
+    graph = random_connected_graph(n, extra, seed)
+    # Batch from the first probe, so small graphs exercise the lanes.
+    with mock.patch.object(msengine, "_SERIAL_BATCH_LIMIT", 1):
+        _compare(BFSOracle, graph, refs, memo)
+
+
+def test_lanes_discarded_is_swept_minus_consumed(ba2k: Graph) -> None:
+    counter = TraversalCounter()
+    sink = MemorySink()
+    with tracing(sink):
+        EccentricitySolver(BFSOracle(ba2k), counter=counter).run()
+    events = deterministic_view(sink.events)
+    swept, from_lanes = _lanes(events)
+    assert counter.lanes_discarded == swept - from_lanes > 0
+    (run_span,) = [e for e in events if e["name"] == "solver.run"]
+    assert run_span["lanes_discarded"] == counter.lanes_discarded
+    # Each lane sweep runs inside the probe span of the row that
+    # triggered it, so the trace's layer split still adds up.
+    probe_seqs = {e["seq"] for e in events if e["name"] == "solver.probe"}
+    sweeps = [e for e in events if e["name"] == "msbfs.run"]
+    assert sweeps and all(e["parent"] in probe_seqs for e in sweeps)
+
+
+def _work(counter: TraversalCounter) -> Tuple[int, ...]:
+    return (
+        counter.bfs_runs,
+        counter.edges_scanned,
+        counter.edges_inspected,
+        counter.vertices_visited,
+        counter.relaxations,
+        counter.lanes_discarded,
+    )
+
+
+def _steps_and_run(make_solver: Any) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    stepped = make_solver(TraversalCounter())
+    for _ in stepped.steps():
+        pass
+    ran = make_solver(TraversalCounter())
+    ran.run()
+    return _work(stepped.counter), _work(ran.counter)
+
+
+def test_graph_above_arc_floor_never_batches(ba2k: Graph) -> None:
+    with mock.patch.object(msengine, "_SWEEP_MAX_ARCS", len(ba2k.indices) - 1):
+        stepped, ran = _steps_and_run(
+            lambda c: EccentricitySolver(BFSOracle(ba2k), counter=c)
+        )
+    assert ran == stepped and ran[-1] == 0
+
+
+def test_weighted_and_directed_runs_never_batch() -> None:
+    base = random_connected_graph(300, 150, seed=3)
+    rng = np.random.default_rng(4)
+    weighted = WeightedGraph.from_edges(
+        [(u, v, float(rng.integers(1, 8))) for u, v in base.edges()],
+        num_vertices=base.num_vertices,
+    )
+    directed = DirectedGraph.from_undirected(base)
+    for make_solver in (
+        lambda c: weighted_solver(weighted, counter=c),
+        lambda c: directed_solver(directed, counter=c),
+    ):
+        stepped, ran = _steps_and_run(make_solver)
+        assert ran == stepped and ran[-1] == 0
+        assert ran[0] > msengine._SERIAL_BATCH_LIMIT
+
+
+class TestPlanSweepWidth:
+    def test_serial_prefix_then_doubling_to_one_word(self) -> None:
+        widths = [msengine.plan_sweep_width(10_000, c) for c in (0, 7, 8, 16, 32, 64, 500)]
+        assert widths == [0, 0, 8, 16, 32, 64, 64]
+
+    def test_arc_floor(self) -> None:
+        floor = msengine._SWEEP_MAX_ARCS
+        assert msengine.plan_sweep_width(floor, 8) == 8
+        assert msengine.plan_sweep_width(floor + 1, 8) == 0
+
+
+def test_sweep_batch_matches_sweep_probe(ba2k: Graph) -> None:
+    oracle = BFSOracle(ba2k)
+    sources = [5, 17, 1999, 0]
+    counter = TraversalCounter()
+    eccs, rows = oracle.sweep_batch(sources, counter=counter)
+    for ecc, row, source in zip(eccs, rows, sources):
+        want_ecc, want_row = oracle.sweep_probe(source)
+        assert ecc == want_ecc and np.array_equal(row, want_row)
+    # Lanes turn into runs only once consumed.
+    assert counter.bfs_runs == 0 and counter.vertices_visited == 4 * 2000
+    counter.consume_lane()
+    counter.discard_lanes()
+    assert counter.history == ["bfs:5"]
+    assert (counter.bfs_runs, counter.lanes_discarded) == (1, 3)

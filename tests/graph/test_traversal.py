@@ -186,52 +186,15 @@ class TestTraversalCounter:
         a, b = TraversalCounter(), TraversalCounter()
         bfs_distances(path_graph(3), 0, counter=a)
         bfs_distances(path_graph(3), 0, counter=b)
+        b.lanes_discarded = 3
         a.merge(b)
         assert a.bfs_runs == 2
+        assert a.lanes_discarded == 3
 
     def test_history_labels(self):
         counter = TraversalCounter()
         bfs_distances(path_graph(3), 2, counter=counter)
         assert counter.history == ["bfs:2"]
-
-
-class TestBFSCounterDeprecation:
-    """The old meter name survives as a warning-emitting alias."""
-
-    def test_counters_alias_warns_and_resolves(self):
-        import repro.counters as counters
-
-        with pytest.warns(DeprecationWarning, match="TraversalCounter"):
-            alias = counters.BFSCounter
-        assert alias is TraversalCounter
-
-    def test_graph_traversal_forwarder_warns(self):
-        import repro.graph.traversal as traversal
-
-        with pytest.warns(DeprecationWarning):
-            alias = traversal.BFSCounter
-        assert alias is TraversalCounter
-
-    def test_graph_package_forwarder_warns(self):
-        import repro.graph as graph_pkg
-
-        with pytest.warns(DeprecationWarning):
-            alias = graph_pkg.BFSCounter
-        assert alias is TraversalCounter
-
-    def test_new_name_is_silent(self, recwarn):
-        counter = TraversalCounter()
-        counter.record(edges=1, vertices=1)
-        deprecations = [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-        assert deprecations == []
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.counters as counters
-
-        with pytest.raises(AttributeError):
-            counters.NoSuchMeter
 
 
 class TestAllPairs:

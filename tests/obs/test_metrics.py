@@ -71,6 +71,7 @@ class TestRegistry:
         counter = TraversalCounter()
         counter.record(edges=10, vertices=5, inspected=25)
         counter.record(edges=2, vertices=3, relaxations=7)
+        counter.lanes_discarded = 4
         registry.ingest_traversal_counter(counter)
         snap = registry.snapshot()
         assert snap["traversal.runs"]["value"] == 2
@@ -78,6 +79,7 @@ class TestRegistry:
         assert snap["traversal.edges_inspected"]["value"] == 27
         assert snap["traversal.vertices_visited"]["value"] == 8
         assert snap["traversal.relaxations"]["value"] == 7
+        assert snap["traversal.lanes_discarded"]["value"] == 4
 
     def test_ingest_run_stats(self):
         registry = MetricsRegistry()

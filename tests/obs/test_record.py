@@ -177,3 +177,17 @@ class TestSummarize:
             if line.startswith("  ") and "source" not in line
         ]
         assert len(rows) == result.num_bfs
+
+    def test_summary_accounts_for_batched_probes(self):
+        graph = barabasi_albert(400, 3, seed=5)
+        sink = MemorySink()
+        with tracing(sink):
+            result = IFECC(graph).run()
+        record = RunRecord.from_run(result, graph, sink.events)
+        swept = sum(e["num_sources"] for e in record.msbfs_events())
+        discarded = result.counter.lanes_discarded
+        assert record.counters["lanes_discarded"] == discarded > 0
+        assert (
+            f"probes: consumed={result.num_bfs} lanes_swept={swept} "
+            f"lanes_discarded={discarded}"
+        ) in record.summarize().split("\n")

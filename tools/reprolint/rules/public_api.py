@@ -69,8 +69,8 @@ def _pep562_names(tree: ast.Module) -> Set[str]:
     """Names a module-level ``__getattr__`` (PEP 562) can serve.
 
     Approximated as the string literals mentioned inside the function —
-    exactly how the repo's deprecation aliases spell the names they
-    forward (``if name == "BFSCounter": ...``).
+    how a deprecation alias spells the name it forwards
+    (``if name == "OldName": ...``).
     """
     names: Set[str] = set()
     for stmt in tree.body:
