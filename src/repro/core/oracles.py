@@ -39,12 +39,14 @@ workspace; the solver consumes them before the next traversal and
 copies only when memoising — the same discipline the BFS engine
 established.
 
-An oracle may also offer ``sweep_batch(sources, counter) -> (eccs,
-rows)``: the sweep probes of many sources at once, as one MS-BFS lane
-sweep (:class:`BFSOracle` does; the weighted and directed oracles do
-not).  :meth:`repro.core.solver.EccentricitySolver.run` then takes its
-next FFO probes from lane batches, planned by
-:func:`repro.graph.msengine.plan_sweep_width` over ``num_arcs``, and
+An oracle may also offer ``sweep_batch(sources, targets, counter) ->
+(eccs, cols)``: the sweep probes of many sources at once, as one MS-BFS
+lane sweep that records each probe's distances to ``targets`` only
+(:class:`BFSOracle` does; the weighted and directed oracles do not).
+:meth:`repro.core.solver.EccentricitySolver.run` then takes its next FFO
+probes from lane batches, planned by
+:func:`repro.graph.msengine.plan_sweep_width`, with the territory's
+unresolved members as targets (Lemma 3.1 reads nothing else), and
 applies the rows one by one, in FFO order.
 """
 
@@ -61,7 +63,6 @@ from repro.graph.batch import make_backend
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.msengine import msengine_for
-from repro.sentinels import UNREACHED
 
 __all__ = ["DistanceOracle", "BFSOracle"]
 
@@ -176,7 +177,6 @@ class BFSOracle:
     ) -> None:
         self.graph = graph
         self.num_vertices = graph.num_vertices
-        self.num_arcs = int(len(graph.indices))
         self.engine = engine if engine is not None else engine_for(graph)
         self.backend = make_backend(graph, backend, workers)
 
@@ -236,33 +236,34 @@ class BFSOracle:
     def sweep_batch(
         self,
         sources: Sequence[int],
+        targets: Sequence[int],
         counter: Optional[TraversalCounter] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(eccs, rows)``: the sweep probes of ``sources``, one lane sweep.
+        """``(eccs, cols)``: the sweep probes of ``sources``, one lane sweep.
 
-        ``rows[i]`` is the freshly owned ``dist(., sources[i])`` and
-        ``eccs[i]`` its eccentricity, equal to what
-        :meth:`sweep_probe` returns for that source.  The counter is
-        credited with the sweep's work and one pending lane per
-        source; the caller consumes or discards them
+        ``targets`` are strictly increasing vertex ids.  ``cols[i, j]``
+        is ``dist(targets[j], sources[i])`` and ``eccs[i]`` the
+        eccentricity of ``sources[i]``: what :meth:`sweep_probe` returns
+        for that source, restricted to ``targets`` (a freshly owned
+        ``(len(sources), len(targets))`` matrix).  The counter is
+        credited with the sweep's work and one pending lane per source;
+        the caller consumes or discards them
         (:meth:`repro.counters.TraversalCounter.consume_lane`).
 
         :dtype eccs: int32
-        :dtype rows: int32
+        :dtype cols: int32
         """
         lanes = msengine_for(self.graph)
-        rows = lanes.run_batch(sources)
+        eccs, cols = lanes.column_batch(sources, targets)
         if counter is not None:
             stats = lanes.last_stats
             counter.record_sweep(
                 stats.edges_scanned,
-                int(np.count_nonzero(rows != UNREACHED)),
+                stats.vertices_visited,
                 stats.edges_inspected,
                 [f"bfs:{int(s)}" for s in sources],
             )
-        # Unreached cells hold -1 and the source's own cell 0, so the
-        # row maximum is the eccentricity within the source's component.
-        return rows.max(axis=1), rows
+        return eccs, cols
 
     def disconnected_error(self) -> DisconnectedGraphError:
         from repro.graph.components import split_components

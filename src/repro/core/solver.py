@@ -39,7 +39,9 @@ ancestors within the oracle's documented tolerance.
 
 Space stays ``O(m + n)`` (Theorem 4.5): the graph, the bound arrays,
 the ``r`` reference distance vectors, and at most one lane batch of
-64 distance rows.
+``64 * |unresolved|`` distance cells — a batch records only the
+territory's unresolved members (whole rows when ``memoize_distances``
+is on, since memoised rows must be complete).
 """
 
 from __future__ import annotations
@@ -255,7 +257,10 @@ class EccentricitySolver:
         and the probes of the FFO prefix are known before they run, so
         applying the lane rows one by one, in FFO order, yields the
         bounds, counts and snapshots of one traversal per probe; only
-        the rows past the stopping rank go unused.
+        the rows past the stopping rank go unused.  A probe's row is
+        read only on the still-unresolved members (Lemma 3.3 reads the
+        reference's vector), and those only shrink, so a batch records
+        just the members unresolved when it starts.
         """
         bounds = self.bounds
         tracer = self._active_tracer()
@@ -268,8 +273,9 @@ class EccentricitySolver:
             getattr(self.oracle, "sweep_batch", None) if batched else None
         )
         # The current lane batch: rows [lane, len) serve the next fresh
-        # probes, in FFO order.
-        lane_eccs = lane_rows = np.empty(0, dtype=np.int32)
+        # probes, in FFO order; their columns are the vertices
+        # `lane_targets`, a sorted superset of `unresolved`.
+        lane_eccs = lane_rows = lane_targets = np.empty(0, dtype=np.int32)
         lane = 0
         consumed = 0
         for rank, source in enumerate(ffo.order):
@@ -277,6 +283,8 @@ class EccentricitySolver:
             if source == territory.reference:
                 continue
             tail_radius = ffo.distance_of_rank(rank + 1)
+            # Column of each unresolved member in `dist_s`.
+            columns = unresolved
             if source in self._known:
                 # Replay the retained distance vector instead of
                 # re-running the traversal.  Lemma 3.3 stays sound
@@ -309,16 +317,24 @@ class EccentricitySolver:
                     else None
                 )
                 if lane == len(lane_rows) and sweep_batch is not None:
-                    width = plan_sweep_width(self.oracle.num_arcs, consumed)
+                    width = plan_sweep_width(consumed)
                     if width:
+                        # Memoised rows must be whole.
+                        lane_targets = (
+                            np.arange(self.oracle.num_vertices)
+                            if self.memoize_distances
+                            else unresolved
+                        )
                         # The sweep runs inside this probe's span.
                         lane_eccs, lane_rows = sweep_batch(
                             self._next_probes(territory, rank, width),
+                            lane_targets,
                             counter=self.counter,
                         )
                         lane = 0
                 if lane < len(lane_rows):
                     ecc_s, dist_s = int(lane_eccs[lane]), lane_rows[lane]
+                    columns = np.searchsorted(lane_targets, unresolved)
                     lane += 1
                     self.counter.consume_lane()
                 else:
@@ -343,7 +359,7 @@ class EccentricitySolver:
                     )
                 fresh_probe = True
             # Lemma 3.1 (lower) for the territory...
-            bounds.raise_lower_subset(unresolved, dist_s[unresolved])
+            bounds.raise_lower_subset(unresolved, dist_s[columns])
             # ... and Lemma 3.3's shrinking tail cap (upper).
             bounds.apply_lemma33_tail(
                 dist_into_z, tail_radius, subset=unresolved

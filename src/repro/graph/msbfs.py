@@ -7,9 +7,9 @@ Traversal* (VLDB 2014) — the paper's reference [35] — showed that up to
 
 This is the substrate of choice when *many* full BFS runs are needed —
 the naive ED oracle, closeness centrality, and kBFS-style sampling all
-benefit.  It does not help IFECC itself (whose whole point is to need
-very few traversals), which is why the paper's algorithm does not use
-it; we provide it as the honest fast path for the baselines.
+benefit.  IFECC itself needs few traversals, so the paper's algorithm
+does not use it; here its exact run sweeps only a territory's later FFO
+probes as lanes (:meth:`repro.graph.msengine.MSBFSEngine.column_batch`).
 
 The sweeps themselves live in :mod:`repro.graph.msengine` since the
 direction-optimizing rewrite: :class:`~repro.graph.msengine.MSBFSEngine`
@@ -17,10 +17,10 @@ runs the lane kernel top-down *or* bottom-up per level (Beamer-style
 switching over the lanes' aggregate frontier arc mass) and supports
 64/128/256-lane words.  This module keeps the historical entry points —
 :func:`multi_source_distances` and :func:`msbfs_eccentricities` — as
-thin routers over the engine, with identical results: lane packing and
-direction choice never change the level-synchronous distances.  Batches
-that should run on a worker pool go through a backend object instead
-(:mod:`repro.graph.batch`).
+one-line delegates to the batch kernels, with identical results: lane
+packing and direction choice never change the level-synchronous
+distances.  Batches that should run on a worker pool go through a
+backend object instead (:mod:`repro.graph.batch`).
 """
 
 from __future__ import annotations
@@ -30,20 +30,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.msengine import (
-    LANE_WORD_BITS,
-    batch_distance_rows,
-    msengine_for,
-    plan_lane_width,
-)
+from repro.graph.engine import engine_for
+from repro.graph.msengine import batch_distance_rows
 from repro.graph.traversal import TraversalCounter
 
 __all__ = [
     "multi_source_distances",
     "msbfs_eccentricities",
 ]
-
-_LANES = LANE_WORD_BITS
 
 
 def multi_source_distances(
@@ -78,13 +72,6 @@ def msbfs_eccentricities(
 
     :dtype ecc: int32
     """
-    n = graph.num_vertices
-    ecc = np.zeros(n, dtype=np.int32)
-    width = plan_lane_width(n, int(len(graph.indices)), n) or _LANES
-    engine = msengine_for(graph)
-    for start in range(0, n, width):
-        batch = np.arange(start, min(start + width, n), dtype=np.int64)
-        # The engine reduces each sweep straight to eccentricities —
-        # the source's own 0 keeps the within-component max correct.
-        ecc[batch] = engine.ecc_batch(batch, counter=counter)
-    return ecc
+    return engine_for(graph).ecc_batch(
+        np.arange(graph.num_vertices), counter=counter
+    )

@@ -38,6 +38,17 @@ source, so results are bit-identical to the seed MS-BFS kernel and to
 looping :meth:`BFSEngine.run` — the property the golden corpus and the
 equivalence suite pin.
 
+One sweep serves three consumers, which differ only in the columns it
+records.  :meth:`MSBFSEngine.run_batch` records every vertex (whole
+distance rows), :meth:`MSBFSEngine.ecc_batch` none, and
+:meth:`MSBFSEngine.column_batch` a given sorted list of targets — the
+solver's unresolved vertices.  Eccentricities come for free: a lane's
+is the last level at which it gained fresh bits, and the visited count
+is the popcount of the ``seen`` bitmap.  Each level gathers its arcs
+``2^16`` at a time, so its arc scratch does not grow with the graph's
+arcs, and a column sweep records ``k * len(targets)`` cells, not
+``k * n``.
+
 Workspaces follow the pooled discipline of the rest of the repository:
 ``(n, W)`` ``uint64`` bitmaps are allocated once per ``(graph, W)``
 (weakly cached; safe because the CSR is immutable, reprolint R1) and
@@ -58,14 +69,22 @@ import sys
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.csr import Graph
-from repro.graph.engine import ALPHA, BETA, engine_for, gather_csr_arcs
+from repro.graph.engine import ALPHA, BETA, engine_for
 from repro.obs.trace import get_tracer
 from repro.sentinels import UNREACHED
 
@@ -109,14 +128,17 @@ _MIN_VERTICES_256 = 4_096
 #: Widest lane batch of a batched FFO sweep (see :func:`plan_sweep_width`).
 _SWEEP_MAX_LANES = LANE_WORD_BITS
 
-#: Graphs with more arcs than this never batch FFO probes.  A lane
-#: sweep's per-level scratch grows with arcs x lanes: on the 171k/282k-arc
-#: web stand-ins, batches of 8/16/32 lanes cut the exact-ED pass time
-#: from about 0.9 s to 0.71/0.62/0.57 s but raised peak RSS from 68.7 MB
-#: to 78.2/86.5/96.4 MB.
-_SWEEP_MAX_ARCS = 1 << 16
+#: Arcs gathered at once by one level of a sweep.  A level's arc
+#: scratch (positions, endpoints, repeated lane words) is bounded by
+#: this many arcs instead of growing with the frontier's arc mass, so
+#: large graphs can batch without their peak memory growing with arcs.
+_GATHER_CHUNK_ARCS = 1 << 16
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
+
+#: Set bits of every byte value: a portable popcount (``np.bitwise_count``
+#: needs numpy 2.0).
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def plan_lane_width(
@@ -142,18 +164,18 @@ def plan_lane_width(
     return LANE_WORD_BITS
 
 
-def plan_sweep_width(num_arcs: int, consumed: int) -> int:
+def plan_sweep_width(consumed: int) -> int:
     """Lanes for the next batch of a territory's FFO probe sweep.
 
     ``consumed`` is how many sweep probes the territory has consumed so
     far.  Returns ``0`` for one single-source probe: the first
     ``_SERIAL_BATCH_LIMIT`` probes of every territory run alone, so a
-    sweep that ends within them pays no unused lanes, and graphs above
-    ``_SWEEP_MAX_ARCS`` never batch.  After that each batch holds as many
-    lanes as the territory has consumed (8, 16, 32, then 64 at most),
-    so a territory's unused lanes are fewer than the probes it used.
+    sweep that ends within them pays no unused lanes.  After that each
+    batch holds as many lanes as the territory has consumed (8, 16, 32,
+    then 64 at most), so a territory's unused lanes are fewer than the
+    probes it used.
     """
-    if num_arcs > _SWEEP_MAX_ARCS or consumed < _SERIAL_BATCH_LIMIT:
+    if consumed < _SERIAL_BATCH_LIMIT:
         return 0
     return min(consumed, _SWEEP_MAX_LANES)
 
@@ -170,7 +192,8 @@ class MSBFSRunStats:
     (the seed kernel's metric), ``edges_inspected`` additionally counts
     bottom-up probe arcs, and ``words_touched`` totals the ``uint64``
     bitmap words read or written — the bandwidth term lane width trades
-    against sweep count.
+    against sweep count.  ``vertices_visited`` counts the (vertex, lane)
+    pairs reached, sources included.
     """
 
     num_sources: int = 0
@@ -178,6 +201,7 @@ class MSBFSRunStats:
     levels: int = 0
     edges_scanned: int = 0
     edges_inspected: int = 0
+    vertices_visited: int = 0
     words_touched: int = 0
     directions: List[str] = field(default_factory=list)
     live_lanes: List[int] = field(default_factory=list)
@@ -210,11 +234,32 @@ class _MSWorkspace:
 
 
 def _popcount(words: np.ndarray) -> int:
-    """Total set bits across a small ``uint64`` word vector.
+    """Total set bits of a C-contiguous ``uint64`` word array.
 
     :dtype words: uint64
     """
-    return sum(bin(int(w)).count("1") for w in words)
+    return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum())
+
+
+def _column_positions(
+    targets: Optional[np.ndarray], vertices: np.ndarray
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """``(hit, pos)``: which ``vertices`` are recorded, and where.
+
+    ``targets`` lists the recorded vertices in increasing order, or is
+    ``None`` when every vertex is recorded at its own id (then ``hit``
+    is ``None`` and ``pos`` is ``vertices`` itself).  Otherwise
+    ``vertices[hit]`` are the targets among ``vertices`` and ``pos``
+    their rows in the recording.
+
+    :dtype pos: int64
+    """
+    if targets is None:
+        return None, vertices
+    pos = np.searchsorted(targets, vertices)
+    hit = pos < len(targets)
+    hit[hit] = targets[pos[hit]] == vertices[hit]
+    return hit, pos[hit]
 
 
 def _unpack_lane_bits(word_rows: np.ndarray, num_lanes: int) -> np.ndarray:
@@ -323,13 +368,9 @@ class MSBFSEngine:
         actual arc work, so budget accounting matches the per-source
         loop it replaces.
 
-        :dtype src: int64
         :dtype dist: int32
         """
-        dist_t = self._sweep(sources, limit, counter, mode)
-        # The sweep records vertex-major (lanes contiguous per vertex);
-        # consumers get the source-major convention of the seed kernel.
-        return np.ascontiguousarray(dist_t.T)
+        return self._sweep(sources, None, limit, counter, mode)[1]
 
     def ecc_batch(
         self,
@@ -340,29 +381,64 @@ class MSBFSEngine:
         """Eccentricity of every source (within its component), one sweep.
 
         Equal to ``run_batch(sources).max(axis=1)`` with ``UNREACHED``
-        treated as 0, but reduced straight off the sweep's vertex-major
-        buffer — no ``(k, n)`` matrix is materialised, which makes this
-        the cheapest full-batch consumer (the naive ED path).
+        treated as 0, but no distance is recorded at all: a lane's
+        eccentricity is the last level at which it gained fresh bits.
+        This is the cheapest full-batch consumer (the naive ED path).
 
         :dtype ecc: int32
         """
-        dist_t = self._sweep(sources, None, counter, mode)
-        return np.where(dist_t != UNREACHED, dist_t, 0).max(
-            axis=0, initial=0
-        ).astype(np.int32)
+        no_targets = np.empty(0, dtype=np.int64)
+        return self._sweep(sources, no_targets, None, counter, mode)[0]
+
+    def column_batch(
+        self,
+        sources: Sequence[int],
+        targets: Sequence[int],
+        counter: Optional["TraversalCounter"] = None,
+        mode: str = "hybrid",
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(eccs, cols)``: eccentricities and the distances to ``targets``.
+
+        ``targets`` must be strictly increasing vertex ids.  ``eccs``
+        equals :meth:`ecc_batch` and the freshly-owned
+        ``(len(sources), len(targets))`` matrix ``cols`` equals
+        ``run_batch(sources)[:, targets]``, but only those columns are
+        ever recorded, so the sweep's scratch grows with
+        ``len(sources) * len(targets)`` instead of ``len(sources) * n``.
+        The solver's FFO lane batches read nothing else (see
+        :meth:`repro.core.oracles.BFSOracle.sweep_batch`).
+
+        :dtype tgt: int64
+        :dtype eccs: int32
+        :dtype cols: int32
+        """
+        n = self._n
+        tgt = np.ascontiguousarray(targets, dtype=np.int64)
+        if tgt.ndim != 1:
+            raise InvalidParameterError("targets must be one-dimensional")
+        if tgt.size and (tgt[0] < 0 or tgt[-1] >= n):
+            bad = tgt[(tgt < 0) | (tgt >= n)][0]
+            raise InvalidVertexError(int(bad), n)
+        if np.any(tgt[1:] <= tgt[:-1]):
+            raise InvalidParameterError("targets must be strictly increasing")
+        if len(tgt) == n:
+            # Every vertex, in order: record whole rows directly.
+            return self._sweep(sources, None, None, counter, mode)
+        return self._sweep(sources, tgt, None, counter, mode)
 
     def _sweep(
         self,
         sources: Sequence[int],
+        targets: Optional[np.ndarray],
         limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Validate, pick a workspace, guard-bracket the sweep.
 
-        Returns the freshly-owned vertex-major ``(n, len(sources))``
-        ``int32`` distance matrix (lane ``j`` of row ``v`` is
-        ``d(sources[j], v)``).
+        ``targets`` lists the recorded columns (``None``: all of them).
+        Returns ``(eccs, cols)``, both freshly owned; ``cols`` is
+        ``(len(sources), len(targets))``.
 
         :dtype src: int64
         """
@@ -379,7 +455,11 @@ class MSBFSEngine:
             raise InvalidVertexError(int(bad), n)
         k = len(src)
         if k == 0:
-            return np.empty((n, 0), dtype=np.int32)
+            num_cols = n if targets is None else len(targets)
+            return (
+                np.empty(0, dtype=np.int32),
+                np.empty((0, num_cols), dtype=np.int32),
+            )
         words = -(-k // LANE_WORD_BITS)
         if words > MAX_LANE_WORDS:
             raise InvalidParameterError(
@@ -389,33 +469,37 @@ class MSBFSEngine:
         work = self._workspace(words)
         guard = work.guard
         if guard is None:
-            return self._sweep_impl(src, limit, counter, mode, work)
+            return self._sweep_impl(src, targets, limit, counter, mode, work)
         guard.begin_run()
         try:
-            return self._sweep_impl(src, limit, counter, mode, work)
+            return self._sweep_impl(src, targets, limit, counter, mode, work)
         finally:
             guard.end_run()
 
     def _sweep_impl(
         self,
         src: np.ndarray,
+        targets: Optional[np.ndarray],
         limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
         work: _MSWorkspace,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """The sweep itself (guard bookkeeping handled by the caller).
 
         :mutates work: the lane bitmaps are zeroed and rewritten level
             by level; the sweep owns them for its duration.
-        :dtype dist_t: int32
+        :dtype cols_t: int32
+        :dtype eccs: int32
         """
         n = self._n
         k = len(src)
         words = work.words
-        # Vertex-major so per-level recording is contiguous row writes;
-        # run_batch transposes once at the end.
-        dist_t = np.full((n, k), UNREACHED, dtype=np.int32)
+        # Target-major so per-level recording is contiguous row writes;
+        # transposed once at the end.
+        num_cols = n if targets is None else len(targets)
+        cols_t = np.full((num_cols, k), UNREACHED, dtype=np.int32)
+        eccs = np.zeros(k, dtype=np.int32)
         work.reset()
         seen = work.seen
         frontier = work.frontier
@@ -427,7 +511,8 @@ class MSBFSEngine:
         ).astype(np.uint64)
         np.bitwise_or.at(frontier, (src, word_idx), lane_bits)
         np.bitwise_or.at(seen, (src, word_idx), lane_bits)
-        dist_t[src, lane_ids] = 0
+        hit, pos = _column_positions(targets, src)
+        cols_t[pos, lane_ids if hit is None else lane_ids[hit]] = 0
 
         degrees = self._degrees
         active = np.unique(src)
@@ -445,6 +530,7 @@ class MSBFSEngine:
         # so the live-lane word is maintained incrementally instead of
         # re-gathering frontier[active] every level.
         live = np.bitwise_or.reduce(frontier[active], axis=0)
+        num_live = k
         while active.size:
             if limit is not None and level >= limit:
                 break
@@ -498,7 +584,7 @@ class MSBFSEngine:
                 break
             level += 1
             stats.directions.append(direction)
-            stats.live_lanes.append(_popcount(live))
+            stats.live_lanes.append(num_live)
             stats.frontier_sizes.append(len(newly))
             # First-touch accounting must precede the seen update: a
             # vertex leaves the "unvisited" arc mass the first time any
@@ -508,28 +594,38 @@ class MSBFSEngine:
             m_unvisited -= int(degrees[newly[untouched]].sum())
             np.bitwise_or(seen_rows, new_bits, out=seen_rows)
             seen[newly] = seen_rows
-            # Record the level: unpack the fresh words into a boolean
-            # (|newly|, k) lane matrix and overwrite exactly those
-            # cells.  Fresh bits are & ~seen by construction, so no
-            # cell is ever written twice.
-            bits = _unpack_lane_bits(new_bits, k)
-            fresh_rows = dist_t[newly]
-            np.copyto(fresh_rows, np.int32(level), where=bits)
-            dist_t[newly] = fresh_rows
+            # Record the level on the target rows only: unpack their
+            # fresh words into a boolean (rows, k) lane matrix and
+            # overwrite exactly those cells.  Fresh bits are & ~seen by
+            # construction, so no cell is ever written twice.
+            hit, pos = _column_positions(targets, newly)
+            if len(pos):
+                bits = _unpack_lane_bits(
+                    new_bits if hit is None else new_bits[hit], k
+                )
+                fresh_rows = cols_t[pos]
+                np.copyto(fresh_rows, np.int32(level), where=bits)
+                cols_t[pos] = fresh_rows
             # The frontier is exactly the fresh bits of this level:
             # clear the old active rows, write the new ones.
             frontier[active] = 0
             frontier[newly] = new_bits
             live = np.bitwise_or.reduce(new_bits, axis=0)
+            # A lane's eccentricity is the last level it gained bits at.
+            fresh_lanes = _unpack_lane_bits(live[None, :], k)[0]
+            eccs[fresh_lanes] = level
+            num_live = int(np.count_nonzero(fresh_lanes))
             prev_m_frontier = m_frontier
             m_frontier = int(degrees[newly].sum())
             active = newly
         stats.levels = level
+        # Every (vertex, lane) pair reached holds one bit of `seen`.
+        stats.vertices_visited = _popcount(seen)
         self.last_stats = stats
         if counter is not None:
             counter.record(
                 stats.edges_scanned,
-                int(np.count_nonzero(dist_t != UNREACHED)),
+                stats.vertices_visited,
                 inspected=stats.edges_inspected,
             )
             counter.bfs_runs += k - 1  # the sweep stands in for k runs
@@ -551,7 +647,44 @@ class MSBFSEngine:
                 frontier_sizes=[int(f) for f in stats.frontier_sizes],
             )
             tracer.metrics.ingest_msbfs_stats(stats)
-        return dist_t
+        # Consumers get the source-major convention of the seed kernel.
+        return eccs, np.ascontiguousarray(cols_t.T)
+
+    def _arc_chunks(
+        self, vertices: np.ndarray, counts: np.ndarray
+    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The arcs of ``vertices``, ``_GATHER_CHUNK_ARCS`` at a time.
+
+        Yields ``(lo, hi, arc_dst, seg_starts, seg_counts)`` per chunk:
+        the chunk covers slices of ``vertices[lo:hi]`` (the first and
+        last possibly cut short, every other one whole), ``arc_dst`` lists
+        their arc endpoints and vertex ``lo + i``'s slice starts at
+        ``seg_starts[i]`` and holds ``seg_counts[i]`` arcs.  The two end
+        slices are never empty.  ``counts`` must be the degrees of
+        ``vertices``.
+
+        :dtype csum: int64
+        :dtype positions: int64
+        """
+        csum = np.cumsum(counts)
+        total = int(csum[-1]) if len(csum) else 0
+        for a in range(0, total, _GATHER_CHUNK_ARCS):
+            b = min(a + _GATHER_CHUNK_ARCS, total)
+            # Vertex lo holds arc a; vertex hi - 1 holds arc b - 1.
+            lo = int(np.searchsorted(csum, a, side="right"))
+            hi = int(np.searchsorted(csum, b, side="left")) + 1
+            # Owned copies: both are trimmed below, and a gather of the
+            # frozen CSR arrays may still be flagged read-only.
+            seg_counts = counts[lo:hi].copy()
+            starts = self._row_ptr[vertices[lo:hi]].copy()
+            head = a - int(csum[lo] - counts[lo])
+            starts[0] += head
+            seg_counts[0] -= head
+            seg_counts[-1] -= int(csum[hi - 1]) - b
+            seg_starts = np.cumsum(seg_counts) - seg_counts
+            positions = np.repeat(starts - seg_starts, seg_counts)
+            positions += np.arange(b - a, dtype=np.int64)
+            yield lo, hi, self._col_idx[positions], seg_starts, seg_counts
 
     def _top_down_level(
         self,
@@ -563,7 +696,7 @@ class MSBFSEngine:
         Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
     ]:
         """Expand every active vertex's arcs, OR-ing lane words onto
-        the targets.
+        the targets, one arc chunk at a time.
 
         Returns ``(newly, new_bits, seen_rows, arcs scanned)`` where
         ``new_bits`` row ``i`` holds the lanes that first reached
@@ -573,20 +706,20 @@ class MSBFSEngine:
         :mutates next_mask: zeroed, then accumulates the OR'd words.
         """
         next_mask.fill(0)
-        counts = self._degrees[active]
-        arc_dst, _seg = gather_csr_arcs(
-            self._row_ptr, self._col_idx, active, counts
-        )
-        arcs = len(arc_dst)
+        arcs = 0
+        for lo, hi, arc_dst, _seg, seg_counts in self._arc_chunks(
+            active, self._degrees[active]
+        ):
+            arc_masks = np.repeat(frontier[active[lo:hi]], seg_counts, axis=0)
+            np.bitwise_or.at(next_mask, arc_dst, arc_masks)
+            arcs += len(arc_dst)
         if arcs == 0:
             return None, None, None, 0
-        arc_masks = np.repeat(frontier[active], counts, axis=0)
-        np.bitwise_or.at(next_mask, arc_dst, arc_masks)
         np.bitwise_and(next_mask, ~seen, out=next_mask)
         newly = np.flatnonzero(next_mask.any(axis=1))
         if len(newly) == 0:
             return None, None, None, arcs
-        return newly, next_mask[newly].copy(), seen[newly], arcs
+        return newly, next_mask[newly], seen[newly], arcs
 
     def _bottom_up_level(
         self,
@@ -600,30 +733,34 @@ class MSBFSEngine:
 
         A candidate is any vertex with arcs that is still missing a
         *live* lane — vertices unseen only by retired lanes are never
-        probed again.  Returns ``(newly, new_bits, seen_rows, arcs
-        inspected)``, mirroring :meth:`_top_down_level`.
+        probed again.  A candidate whose arcs straddle two chunks ORs
+        both partial reductions.  Returns ``(newly, new_bits, seen_rows,
+        arcs inspected)``, mirroring :meth:`_top_down_level`.
         """
-        missing = (~seen & live).any(axis=1)
-        cand = np.flatnonzero(missing)
-        cand = cand[self._degrees[cand] > 0]
+        cand = np.flatnonzero((~seen & live).any(axis=1))
+        counts = self._degrees[cand]
+        has_arcs = counts > 0
+        cand, counts = cand[has_arcs], counts[has_arcs]
         if len(cand) == 0:
             return None, None, None, 0
-        counts = self._degrees[cand]
-        arc_dst, seg_starts = gather_csr_arcs(
-            self._row_ptr, self._col_idx, cand, counts
-        )
-        # counts > 0 for every candidate, so reduceat segments are
-        # non-empty and aligned with `cand`.
-        reduced = np.bitwise_or.reduceat(
-            frontier[arc_dst], seg_starts, axis=0
-        )
+        reduced = np.zeros((len(cand), seen.shape[1]), dtype=np.uint64)
+        arcs = 0
+        for lo, hi, arc_dst, seg_starts, _counts in self._arc_chunks(
+            cand, counts
+        ):
+            # Candidates have arcs, so every segment is non-empty.
+            part = np.bitwise_or.reduceat(
+                frontier[arc_dst], seg_starts, axis=0
+            )
+            np.bitwise_or(reduced[lo:hi], part, out=reduced[lo:hi])
+            arcs += len(arc_dst)
         seen_cand = seen[cand]
         fresh_bits = reduced & ~seen_cand
         rows = fresh_bits.any(axis=1)
         newly = cand[rows]
         if len(newly) == 0:
-            return None, None, None, len(arc_dst)
-        return newly, fresh_bits[rows], seen_cand[rows], len(arc_dst)
+            return None, None, None, arcs
+        return newly, fresh_bits[rows], seen_cand[rows], arcs
 
 
 # One engine per live graph (mirrors engine_for); the weak key means

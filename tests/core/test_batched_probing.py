@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.oracles import BFSOracle
 from repro.core.solver import EccentricitySolver
 from repro.counters import TraversalCounter
+from repro.datasets.loader import load_dataset
 from repro.directed.eccentricity import directed_solver
 from repro.directed.graph import DirectedGraph
 from repro.graph import msengine
@@ -200,12 +201,20 @@ def _steps_and_run(make_solver: Any) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return _work(stepped.counter), _work(ran.counter)
 
 
-def test_graph_above_arc_floor_never_batches(ba2k: Graph) -> None:
-    with mock.patch.object(msengine, "_SWEEP_MAX_ARCS", len(ba2k.indices) - 1):
-        stepped, ran = _steps_and_run(
-            lambda c: EccentricitySolver(BFSOracle(ba2k), counter=c)
-        )
-    assert ran == stepped and ran[-1] == 0
+@pytest.fixture(scope="module")
+def web() -> Graph:
+    """A web stand-in with more arcs than one gather chunk holds."""
+    graph = load_dataset("ABRA", scale=0.5)
+    assert len(graph.indices) > 1 << 16
+    return graph
+
+
+@pytest.mark.parametrize("refs", [1, 3])
+@pytest.mark.parametrize("memo", [False, True])
+def test_graph_above_2_16_arcs_batches(web: Graph, refs: int, memo: bool) -> None:
+    view = _compare(BFSOracle, web, refs, memo)
+    swept, from_lanes = _lanes(view["events"])
+    assert swept > from_lanes > 0
 
 
 def test_weighted_and_directed_runs_never_batch() -> None:
@@ -227,25 +236,24 @@ def test_weighted_and_directed_runs_never_batch() -> None:
 
 class TestPlanSweepWidth:
     def test_serial_prefix_then_doubling_to_one_word(self) -> None:
-        widths = [msengine.plan_sweep_width(10_000, c) for c in (0, 7, 8, 16, 32, 64, 500)]
+        widths = [msengine.plan_sweep_width(c) for c in (0, 7, 8, 16, 32, 64, 500)]
         assert widths == [0, 0, 8, 16, 32, 64, 64]
-
-    def test_arc_floor(self) -> None:
-        floor = msengine._SWEEP_MAX_ARCS
-        assert msengine.plan_sweep_width(floor, 8) == 8
-        assert msengine.plan_sweep_width(floor + 1, 8) == 0
 
 
 def test_sweep_batch_matches_sweep_probe(ba2k: Graph) -> None:
     oracle = BFSOracle(ba2k)
     sources = [5, 17, 1999, 0]
-    counter = TraversalCounter()
-    eccs, rows = oracle.sweep_batch(sources, counter=counter)
-    for ecc, row, source in zip(eccs, rows, sources):
-        want_ecc, want_row = oracle.sweep_probe(source)
-        assert ecc == want_ecc and np.array_equal(row, want_row)
-    # Lanes turn into runs only once consumed.
-    assert counter.bfs_runs == 0 and counter.vertices_visited == 4 * 2000
+    for targets in ([], [17], [0, 5, 17, 600, 1999], list(range(2000))):
+        counter = TraversalCounter()
+        eccs, cols = oracle.sweep_batch(sources, targets, counter=counter)
+        assert cols.shape == (len(sources), len(targets))
+        for ecc, col, source in zip(eccs, cols, sources):
+            want_ecc, want_row = oracle.sweep_probe(source)
+            assert ecc == want_ecc
+            assert np.array_equal(col, want_row[targets])
+        # Lanes turn into runs only once consumed; the work counters
+        # credit the whole sweep, whatever it recorded.
+        assert counter.bfs_runs == 0 and counter.vertices_visited == 4 * 2000
     counter.consume_lane()
     counter.discard_lanes()
     assert counter.history == ["bfs:5"]

@@ -8,6 +8,8 @@ kernel in test_engine.py) or the plain traversal reference.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.builder import GraphBuilder
 from repro.graph.engine import BFSEngine
-from repro.graph.generators import paper_example_graph, star_graph
+from repro.graph import msengine
+from repro.graph.generators import (
+    barabasi_albert,
+    paper_example_graph,
+    star_graph,
+)
 from repro.graph.msengine import (
     LANE_WORD_BITS,
     MAX_LANE_WORDS,
@@ -113,6 +120,177 @@ class TestEccBatch:
         for v in range(graph.num_vertices):
             loop.run(v)
             assert ecc[v] == loop.last_ecc
+
+
+@pytest.fixture(scope="module")
+def chunked():
+    """More arcs than one gather chunk: every full level splits."""
+    graph = barabasi_albert(4096, 10, seed=3)
+    assert len(graph.indices) > msengine._GATHER_CHUNK_ARCS
+    return graph
+
+
+def _work(counter):
+    return (
+        counter.bfs_runs,
+        counter.edges_scanned,
+        counter.edges_inspected,
+        counter.vertices_visited,
+    )
+
+
+class TestColumnBatch:
+    @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
+    @pytest.mark.parametrize("count", [1, 8, 63, 64, 65, 200, 256])
+    def test_columns_and_eccs_match_run_batch(
+        self, graph, reference_rows, mode, count
+    ):
+        src = _sources(graph, count, seed=count)
+        rng = np.random.default_rng(count)
+        some = np.sort(rng.choice(graph.num_vertices, 37, replace=False))
+        engine = MSBFSEngine(graph)
+        ecc = engine.ecc_batch(src, mode=mode)
+        assert np.array_equal(ecc, reference_rows[src].max(axis=1))
+        n = graph.num_vertices
+        for targets in (
+            [],
+            [int(src[0])],
+            [n - 1],
+            some,
+            np.union1d(some, src[:3]),
+            np.arange(n),
+        ):
+            eccs, cols = engine.column_batch(src, targets, mode=mode)
+            assert cols.dtype == np.int32 and cols.flags.c_contiguous
+            assert cols.shape == (count, len(targets))
+            assert np.array_equal(eccs, ecc)
+            assert np.array_equal(
+                cols, reference_rows[src][:, np.asarray(targets, dtype=int)]
+            )
+
+    def test_disconnected_columns_stay_unreached(self):
+        builder = GraphBuilder(num_vertices=6)
+        builder.add_edge(0, 1)
+        builder.add_edge(1, 2)
+        builder.add_edge(3, 4)
+        graph = builder.build()
+        eccs, cols = MSBFSEngine(graph).column_batch(
+            np.arange(6), [2, 4, 5]
+        )
+        assert eccs.tolist() == [2, 1, 2, 1, 1, 0]
+        assert cols[:, 2].tolist() == [UNREACHED] * 5 + [0]
+        assert cols[0].tolist() == [2, UNREACHED, UNREACHED]
+
+    @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
+    def test_chunked_levels_match_the_serial_engine(self, chunked, mode):
+        src = np.arange(0, 4096, 41)[:100]
+        targets = np.arange(5, 4096, 97)
+        rows = MSBFSEngine(chunked).run_batch(src, mode=mode)
+        loop = BFSEngine(chunked)
+        for i, s in enumerate(src):
+            assert np.array_equal(rows[i], loop.run(int(s)))
+        eccs, cols = MSBFSEngine(chunked).column_batch(src, targets, mode=mode)
+        assert np.array_equal(cols, rows[:, targets])
+        assert np.array_equal(eccs, rows.max(axis=1))
+
+    @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
+    def test_hub_slice_split_across_chunks(self, mode):
+        # The hub's arcs alone span several chunks, in both directions.
+        graph = star_graph(3 * msengine._GATHER_CHUNK_ARCS)
+        src = np.array([0, 1, 2, 5000, graph.num_vertices - 1])
+        rows = MSBFSEngine(graph).run_batch(src, mode=mode)
+        loop = BFSEngine(graph)
+        for i, s in enumerate(src):
+            assert np.array_equal(rows[i], loop.run(int(s)))
+
+    @pytest.mark.parametrize(
+        "mode, work",
+        [
+            ("hybrid", (100, 2230, 201588, 409600)),
+            ("top-down", (100, 244140, 244140, 409600)),
+            ("bottom-up", (100, 0, 281168, 409600)),
+        ],
+    )
+    def test_counter_credits_are_pinned(self, chunked, mode, work):
+        # The credits of the recording sweep these replaced; recording
+        # fewer columns and chunking the gathers change none of them.
+        src = np.arange(0, 4096, 41)[:100]
+        credited = []
+        for call in (
+            lambda c: MSBFSEngine(chunked).run_batch(src, counter=c, mode=mode),
+            lambda c: MSBFSEngine(chunked).ecc_batch(src, counter=c, mode=mode),
+            lambda c: MSBFSEngine(chunked).column_batch(
+                src, [3, 7], counter=c, mode=mode
+            ),
+        ):
+            counter = TraversalCounter()
+            call(counter)
+            credited.append(_work(counter))
+        assert credited == [work] * 3
+
+    def test_visited_is_reached_cells(self, graph):
+        src = _sources(graph, 70, seed=4)
+        engine = MSBFSEngine(graph)
+        rows = engine.run_batch(src)
+        assert engine.last_stats.vertices_visited == np.count_nonzero(
+            rows != UNREACHED
+        )
+
+    def test_empty_batch(self, graph):
+        eccs, cols = MSBFSEngine(graph).column_batch([], [1, 2])
+        assert eccs.shape == (0,) and cols.shape == (0, 2)
+
+    def test_targets_validated(self, graph):
+        engine = MSBFSEngine(graph)
+        with pytest.raises(InvalidParameterError, match="increasing"):
+            engine.column_batch([0], [5, 3])
+        with pytest.raises(InvalidParameterError, match="increasing"):
+            engine.column_batch([0], [3, 3])
+        with pytest.raises(InvalidParameterError, match="dimensional"):
+            engine.column_batch([0], [[1]])
+        with pytest.raises(InvalidVertexError):
+            engine.column_batch([0], [0, graph.num_vertices])
+        with pytest.raises(InvalidVertexError):
+            engine.column_batch([0], [-1, 2])
+
+
+class TestScratchBound:
+    """A lane sweep's scratch is bounded by the gather chunk, not by
+    ``n * k`` or by the graph's arcs; this is what lets graphs of any
+    size batch their FFO probes."""
+
+    @staticmethod
+    def _peak_bytes(call):
+        call()  # pooled bitmaps are built on the first sweep
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_column_sweep_peak_independent_of_lanes_and_arcs(self):
+        graph = barabasi_albert(8192, 32, seed=2)
+        n = graph.num_vertices
+        assert len(graph.indices) >= 1 << 18
+        rng = np.random.default_rng(0)
+        targets = np.sort(rng.choice(n, 256, replace=False))
+        engine = MSBFSEngine(graph)
+        # One chunk's arc scratch is at most six 8-byte arrays (gather
+        # positions and their offsets, endpoints, repeated lane words,
+        # the reduction), plus a few length-n level arrays.
+        bound = 48 * msengine._GATHER_CHUNK_ARCS + 32 * n
+        peaks = {}
+        for lanes in (8, 64):
+            src = rng.choice(n, lanes, replace=False)
+            for mode in ("hybrid", "top-down", "bottom-up"):
+                peaks[lanes, mode] = self._peak_bytes(
+                    lambda: engine.column_batch(src, targets, mode=mode)
+                )
+        assert max(peaks.values()) < bound, peaks
+        for mode in ("hybrid", "top-down", "bottom-up"):
+            assert peaks[64, mode] - peaks[8, mode] < 1 << 20, peaks
 
 
 class TestValidation:

@@ -117,3 +117,48 @@ def test_disconnected_graphs_unreached_lanes(n, num_edges, seed):
     src = np.arange(n, dtype=np.int64)
     rows = MSBFSEngine(graph).run_batch(src)
     assert np.array_equal(rows, looped_reference(graph, src))
+
+
+@st.composite
+def graph_sources_targets(draw):
+    """A possibly-disconnected graph, distinct sources (up to 200, so
+    batches cross word boundaries) and a sorted target subset that may
+    include or miss any source."""
+    n = draw(st.integers(min_value=1, max_value=220))
+    num_edges = draw(st.integers(min_value=0, max_value=3 * n))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    builder = GraphBuilder(num_vertices=n)
+    for _ in range(num_edges):
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u != v:
+            builder.add_edge(u, v)
+    k = draw(st.integers(min_value=1, max_value=min(n, 200)))
+    sources = rng.permutation(n)[:k]
+    kind = draw(st.sampled_from(["empty", "single", "all", "random"]))
+    if kind == "empty":
+        targets = np.empty(0, dtype=np.int64)
+    elif kind == "single":
+        targets = np.array([int(rng.integers(0, n))])
+    elif kind == "all":
+        targets = np.arange(n)
+    else:
+        targets = np.flatnonzero(rng.random(n) < rng.random())
+    return builder.build(), sources, targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gst=graph_sources_targets(),
+    mode=st.sampled_from(["hybrid", "top-down", "bottom-up"]),
+)
+def test_column_batch_equals_restricted_rows(gst, mode):
+    graph, sources, targets = gst
+    engine = MSBFSEngine(graph)
+    eccs, cols = engine.column_batch(sources, targets, mode=mode)
+    rows = looped_reference(graph, sources)
+    assert np.array_equal(cols, rows[:, targets])
+    # Unreached cells hold -1 and the source's own 0: the row max is
+    # the eccentricity within the source's component.
+    assert np.array_equal(eccs, rows.max(axis=1))
+    assert np.array_equal(engine.ecc_batch(sources, mode=mode), eccs)
