@@ -35,7 +35,7 @@ Subcommands
     committed ``BENCH_*.json`` artifact's recorded claims, ``bench
     compare FRESH BASELINE`` gates a fresh ``--smoke`` artifact against
     a recorded baseline with a configurable tolerance.  Also available
-    uninstalled as ``python tools/benchguard``.
+    uninstalled as ``PYTHONPATH=src python -m repro.obs.benchguard``.
 ``store``
     Manage the binary graph store: ``store build NAME`` materializes a
     dataset stand-in as a mmap-openable ``.rcsr`` container,

@@ -153,6 +153,12 @@ class DirectedGraph:
         """(indptr, indices) of the in-adjacency."""
         return self._rev_indptr, self._rev_indices
 
+    def csr_pair(
+        self,
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+        """(out-CSR, in-CSR): the pair a forward BFS engine reads."""
+        return self.forward_view(), self.backward_view()
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.num_vertices:
             raise InvalidVertexError(v, self.num_vertices)

@@ -1,5 +1,11 @@
 """Forward and backward BFS on directed graphs.
 
+Both are copying wrappers over the shared kernels:
+:func:`repro.graph.engine.engine_for` gives a digraph a forward engine
+(out-arcs top-down, in-arcs bottom-up) and a backward one (the reverse
+pair), direction-optimizing like the undirected engine; its batches
+ride the same MS-BFS lanes (:mod:`repro.graph.batch`).
+
 Also home of :class:`DirectedBFSOracle`, the asymmetric-metric back-end
 of the generic solver: its reverse-distance hook is what lets
 :class:`repro.core.solver.EccentricitySolver` run the paper's Algorithm
@@ -15,62 +21,40 @@ import numpy as np
 
 from repro import sanitize
 from repro.counters import TraversalCounter
-from repro.errors import (
-    DisconnectedGraphError,
-    InvalidParameterError,
-    InvalidVertexError,
-)
+from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.batch import make_backend
+from repro.graph.engine import engine_for
 from repro.sentinels import UNREACHED
 from repro.directed.graph import DirectedGraph
 
 __all__ = [
     "forward_bfs",
     "backward_bfs",
-    "forward_eccentricities",
-    "forward_distance_rows",
     "is_strongly_connected",
     "DirectedBFSOracle",
 ]
 
 
-def _bfs(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n: int,
+def _owned_run(
+    graph: DirectedGraph,
     source: int,
     counter: Optional[TraversalCounter],
-    label: str,
+    backward: bool,
 ) -> np.ndarray:
-    """Level-synchronous BFS over one arc direction.
+    """One engine run, copied out of the pooled buffer and credited to
+    ``counter`` under a ``fwd:``/``bwd:`` history label.
 
     :dtype dist: int32
-    :dtype frontier: int64
     """
-    dist = np.full(n, UNREACHED, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.asarray([source], dtype=np.int64)
-    level = 0
-    edges = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        csum = np.cumsum(counts)
-        offsets = np.repeat(starts - (csum - counts), counts)
-        neighbors = indices[np.arange(total, dtype=np.int64) + offsets]
-        edges += total
-        fresh = neighbors[dist[neighbors] == UNREACHED]
-        if len(fresh) == 0:
-            break
-        level += 1
-        dist[fresh] = level
-        frontier = np.unique(fresh).astype(np.int64)
+    engine = engine_for(graph, backward)
+    dist = np.array(engine.run(source))
     if counter is not None:
+        stats = engine.last_stats
         counter.record(
-            edges, int(np.count_nonzero(dist != UNREACHED)), label=label
+            stats.edges_scanned,
+            1 + sum(stats.frontier_sizes),
+            label=f"{'bwd' if backward else 'fwd'}:{source}",
+            inspected=stats.edges_inspected,
         )
     return dist
 
@@ -81,11 +65,7 @@ def forward_bfs(
     counter: Optional[TraversalCounter] = None,
 ) -> np.ndarray:
     """Distances ``dist(source, v)`` along arc directions."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise InvalidVertexError(source, n)
-    indptr, indices = graph.forward_view()
-    return _bfs(indptr, indices, n, source, counter, f"fwd:{source}")
+    return _owned_run(graph, source, counter, backward=False)
 
 
 def backward_bfs(
@@ -94,53 +74,7 @@ def backward_bfs(
     counter: Optional[TraversalCounter] = None,
 ) -> np.ndarray:
     """Distances ``dist(v, source)`` — i.e. along *reversed* arcs."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise InvalidVertexError(source, n)
-    indptr, indices = graph.backward_view()
-    return _bfs(indptr, indices, n, source, counter, f"bwd:{source}")
-
-
-def forward_eccentricities(
-    graph: DirectedGraph,
-    sources: np.ndarray,
-    out: np.ndarray,
-    counter: Optional[TraversalCounter] = None,
-    width: int = 0,
-) -> None:
-    """Forward eccentricities, one forward BFS per source.
-
-    The directed ``ecc_batch`` kernel of both batch backends
-    (:mod:`repro.graph.batch`); directed sweeps have no lanes, so
-    ``width`` is ignored.  ``out[i] = -1`` marks a source that does not
-    reach every vertex — the caller decides whether that is a
-    :class:`DisconnectedGraphError`.
-
-    :mutates out: ``out[i]`` is overwritten with ``ecc(sources[i])``.
-    """
-    n = graph.num_vertices
-    for i in range(len(sources)):
-        dist = forward_bfs(graph, int(sources[i]), counter=counter)
-        missed = n > 1 and bool(np.any(dist == UNREACHED))
-        out[i] = -1 if missed else (int(dist.max()) if n else 0)
-
-
-def forward_distance_rows(
-    graph: DirectedGraph,
-    sources: np.ndarray,
-    out: np.ndarray,
-    counter: Optional[TraversalCounter] = None,
-    width: int = 0,
-) -> None:
-    """Forward distance rows ``dist(sources[i], .)``, one BFS each.
-
-    The directed ``distance_rows`` kernel of both batch backends;
-    ``width`` is ignored as in :func:`forward_eccentricities`.
-
-    :mutates out: row ``i`` is overwritten with ``dist(sources[i], .)``.
-    """
-    for i in range(len(sources)):
-        out[i] = forward_bfs(graph, int(sources[i]), counter=counter)
+    return _owned_run(graph, source, counter, backward=True)
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:
@@ -199,18 +133,17 @@ class DirectedBFSOracle:
         """Forward eccentricities for ``sources`` (default: all vertices).
 
         Runs on the batch backend.  Raises
-        :class:`DisconnectedGraphError` when any source fails to reach
-        the whole graph — directed eccentricities are only finite on
-        strongly connected digraphs.
+        :class:`DisconnectedGraphError` unless the graph is strongly
+        connected — directed eccentricities are only finite there.  The
+        check's two traversals are not credited to ``counter``.
 
         :dtype: int32
         """
+        if not is_strongly_connected(self.graph):
+            raise self.disconnected_error()
         if sources is None:
             sources = np.arange(self.num_vertices, dtype=np.int64)
-        ecc = self.backend.ecc_batch(sources, counter=counter)
-        if np.any(ecc < 0):
-            raise self.disconnected_error()
-        return ecc
+        return self.backend.ecc_batch(sources, counter=counter)
 
     def select_references(
         self, strategy: str, count: int, seed: int

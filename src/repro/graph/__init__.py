@@ -14,7 +14,6 @@ from repro.graph.components import (
     split_components,
 )
 from repro.graph.csr import Graph
-from repro.graph.msbfs import msbfs_eccentricities, multi_source_distances
 from repro.graph.msengine import (
     MSBFSEngine,
     MSBFSRunStats,
@@ -49,8 +48,6 @@ __all__ = [
     "eccentricity",
     "eccentricity_and_distances",
     "multi_source_bfs",
-    "multi_source_distances",
-    "msbfs_eccentricities",
     "bfs_parents",
     "shortest_path",
     "diameter_path",

@@ -7,8 +7,7 @@ paper's reference [35].  A backend object exposes exactly two batch
 primitives:
 
 ``ecc_batch(sources, counter)``
-    the eccentricity of every source (within its component; the
-    directed kernel marks a source that misses a vertex with ``-1``);
+    the eccentricity of every source (within its component);
 ``distance_rows(sources, counter)``
     one caller-owned distance row per source.
 
@@ -55,20 +54,10 @@ def batch_kernels(graph: Any) -> Dict[str, Kernel]:
     """The graph's kernel for each primitive, keyed by task kind.
 
     ``"ecc"`` backs :meth:`BatchBackend.ecc_batch` and ``"dist"``
-    :meth:`BatchBackend.distance_rows`.  Undirected graphs run the
-    planned lane sweeps of :mod:`repro.graph.msengine`; directed graphs
-    loop forward BFS (no lanes, so they ignore ``width``).
+    :meth:`BatchBackend.distance_rows`.  Both run the planned lane
+    sweeps of :mod:`repro.graph.msengine` (forward, on a directed
+    graph).
     """
-    if hasattr(graph, "forward_view"):
-        from repro.directed.traversal import (
-            forward_distance_rows,
-            forward_eccentricities,
-        )
-
-        return {
-            "ecc": partial(forward_eccentricities, graph),
-            "dist": partial(forward_distance_rows, graph),
-        }
     return {
         "ecc": engine_for(graph).ecc_batch,
         "dist": partial(fill_distance_rows, graph),
@@ -84,12 +73,7 @@ class BatchBackend:
 
     def __init__(self, graph: Any) -> None:
         self.num_vertices = graph.num_vertices
-        # Directed graphs count arcs; the undirected CSR stores each
-        # edge twice, once per direction.
-        if hasattr(graph, "num_arcs"):
-            self.num_arcs = int(graph.num_arcs)
-        else:
-            self.num_arcs = int(len(graph.indices))
+        self.num_arcs = engine_for(graph).num_arcs
 
     def ecc_batch(
         self,

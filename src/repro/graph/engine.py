@@ -31,10 +31,19 @@ Compared to the original level-synchronous kernel in
    every frontier arc.  The classic heuristic of Beamer et al. (and of
    Then et al.'s MS-BFS, the paper's reference [35]) decides per level:
    switch top-down → bottom-up when ``m_frontier > m_unvisited / α``,
-   and back when the frontier shrinks below ``n / β``.  The out-degree
-   prefix sums the heuristic needs are exactly the immutable CSR
-   ``indptr`` array, so ``m_frontier`` and ``m_unvisited`` cost one
-   vectorised gather per level.
+   and back when the frontier shrinks below ``n / β``.  Each term is
+   the arc mass of the CSR its level would read: ``m_frontier`` sums
+   out-degrees (a top-down level expands out-arcs), ``m_unvisited``
+   in-degrees (a bottom-up level probes the in-arcs of unvisited
+   vertices).  Both cost one vectorised gather per level.
+
+An engine reads an **(out-CSR, in-CSR) pair** (:func:`engine_for`).
+An undirected :class:`Graph` passes its one CSR twice, as the same
+arrays, so in- and out-degree coincide; a
+:class:`~repro.directed.graph.DirectedGraph` gets a forward engine
+(out-arcs, in-arcs) for ``dist(s, .)`` and a backward engine (in-arcs,
+out-arcs) for ``dist(., s)``.  One kernel therefore serves both graph
+kinds, bottom-up levels and lanes included.
 
 Direction choice changes *speed only, never answers*: a vertex first
 reached at level ``d`` is assigned distance ``d`` in either direction,
@@ -55,7 +64,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +83,7 @@ __all__ = [
     "UNREACHED",
     "BFSEngine",
     "BFSRunStats",
+    "csr_pair",
     "engine_for",
     "gather_csr_arcs",
 ]
@@ -87,6 +97,9 @@ ALPHA = 4.0
 
 #: Direction heuristic: return top-down when ``|frontier| < n / BETA``.
 BETA = 24.0
+
+#: ``(indptr, indices, degrees)`` of one arc direction.
+CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Mask-based dedupe pays an ``O(n)`` bitmap scan; use it only once the
 #: candidate set is at least ``n / _MASK_DEDUPE_DIVISOR`` entries, else
@@ -141,6 +154,24 @@ def gather_csr_arcs(
     return indices[positions], seg_starts
 
 
+def csr_pair(graph: Any, backward: bool = False) -> Tuple[CSR, CSR]:
+    """The ``(out, in)`` CSR pair an engine over ``graph`` reads.
+
+    The only code that knows a graph's kind.  An undirected
+    :class:`Graph` returns its one CSR twice, as the same arrays
+    (``backward`` changes nothing).  A directed graph's forward pair is
+    (out-arcs, in-arcs); ``backward`` swaps them, so the engine
+    computes ``dist(., s)``.
+    """
+    if isinstance(graph, Graph):
+        csr = (graph.indptr, graph.indices, graph.degrees)
+        return csr, csr
+    (fwd_ptr, fwd_idx), (rev_ptr, rev_idx) = graph.csr_pair()
+    fwd = (fwd_ptr, fwd_idx, np.diff(fwd_ptr))
+    rev = (rev_ptr, rev_idx, np.diff(rev_ptr))
+    return (rev, fwd) if backward else (fwd, rev)
+
+
 class BFSEngine:
     """Reusable direction-optimizing BFS kernel for one graph.
 
@@ -153,22 +184,24 @@ bfs_distances` wrapper) must copy.
     Parameters
     ----------
     graph:
-        The immutable CSR graph this engine traverses.
+        The immutable graph this engine traverses (see :func:`csr_pair`).
     alpha, beta:
         Direction-switching thresholds (see module docstring).
+    backward:
+        Traverse a directed graph's arcs in reverse (``dist(., s)``).
     """
 
     __slots__ = (
         "graph",
+        "backward",
         "alpha",
         "beta",
         "last_ecc",
         "last_stats",
+        "num_arcs",
         "_n",
-        "_arcs",
-        "_row_ptr",
-        "_col_idx",
-        "_degrees",
+        "_out",
+        "_in",
         "_dist",
         "_frontier_mask",
         "_dedupe_mask",
@@ -179,19 +212,23 @@ bfs_distances` wrapper) must copy.
     )
 
     def __init__(
-        self, graph: Graph, alpha: float = ALPHA, beta: float = BETA
+        self,
+        graph: Any,
+        alpha: float = ALPHA,
+        beta: float = BETA,
+        backward: bool = False,
     ) -> None:
         if alpha <= 0 or beta <= 0:
             raise InvalidParameterError("alpha and beta must be positive")
         self.graph = graph
+        self.backward = backward
         self.alpha = float(alpha)
         self.beta = float(beta)
         n = graph.num_vertices
         self._n = n
-        self._row_ptr = graph.indptr  # the out-degree prefix sums
-        self._col_idx = graph.indices
-        self._degrees = graph.degrees
-        self._arcs = int(len(graph.indices))
+        self._out, self._in = csr_pair(graph, backward)
+        #: Arcs of the graph (an undirected edge is two).
+        self.num_arcs = int(len(self._out[1]))
         # Pooled workspaces, sized once per graph (reprolint R1 makes the
         # CSR immutable, so these can never go stale).
         #
@@ -263,9 +300,10 @@ bfs_distances` wrapper) must copy.
         dist[source] = 0
         stats = BFSRunStats(source=source)
         frontier = np.asarray([source], dtype=np.int64)
-        degrees = self._degrees
-        m_frontier = int(degrees[source])
-        m_unvisited = self._arcs - m_frontier
+        out_deg, in_deg = self._out[2], self._in[2]
+        symmetric = out_deg is in_deg
+        m_frontier = int(out_deg[source])
+        m_unvisited = self.num_arcs - int(in_deg[source])
         visited = 1
         level = 0
         hybrid = mode == "hybrid"
@@ -273,7 +311,7 @@ bfs_distances` wrapper) must copy.
         alpha = self.alpha
         n_over_beta = self._n / self.beta
         prev_m_frontier = 0
-        # Unvisited candidates (degree > 0), maintained only while
+        # Unvisited candidates (in-degree > 0), maintained only while
         # running bottom-up; None means "not materialised".
         cand: Optional[np.ndarray] = None
         while frontier.size:
@@ -297,7 +335,7 @@ bfs_distances` wrapper) must copy.
                     cand = None
             if direction == "bu" and cand is None:
                 unvisited = np.flatnonzero(self._dist == UNREACHED)
-                cand = unvisited[degrees[unvisited] > 0]
+                cand = unvisited[in_deg[unvisited] > 0]
             if direction == "td":
                 fresh, arcs = self._top_down_level(frontier)
                 stats.edges_scanned += arcs
@@ -312,8 +350,10 @@ bfs_distances` wrapper) must copy.
             dist[fresh] = level
             visited += len(fresh)
             prev_m_frontier = m_frontier
-            m_frontier = int(degrees[fresh].sum())
-            m_unvisited -= m_frontier
+            m_frontier = int(out_deg[fresh].sum())
+            m_unvisited -= (
+                m_frontier if symmetric else int(in_deg[fresh].sum())
+            )
             stats.directions.append(direction)
             stats.frontier_sizes.append(len(fresh))
             frontier = fresh.astype(np.int64, copy=False)
@@ -350,11 +390,11 @@ bfs_distances` wrapper) must copy.
     def _top_down_level(
         self, frontier: np.ndarray
     ) -> Tuple[Optional[np.ndarray], int]:
-        """Expand ``frontier``; return (new frontier, arcs scanned)."""
+        """Expand the frontier's out-arcs; return (new frontier, arcs)."""
         dist = self._dist
-        counts = self._degrees[frontier]
+        indptr, indices, degrees = self._out
         neighbors, _seg = gather_csr_arcs(
-            self._row_ptr, self._col_idx, frontier, counts
+            indptr, indices, frontier, degrees[frontier]
         )
         arcs = len(neighbors)
         if arcs == 0:
@@ -375,7 +415,7 @@ bfs_distances` wrapper) must copy.
     def _bottom_up_level(
         self, frontier: np.ndarray, cand: np.ndarray
     ) -> Tuple[Optional[np.ndarray], int, np.ndarray]:
-        """Unvisited vertices probe the frontier bitmap.
+        """Unvisited vertices probe the frontier bitmap over their in-arcs.
 
         Returns ``(fresh, arcs inspected, surviving candidates)``.
         """
@@ -383,9 +423,9 @@ bfs_distances` wrapper) must copy.
             return None, 0, cand
         mask = self._frontier_mask
         mask[frontier] = True
-        counts = self._degrees[cand]
+        indptr, indices, degrees = self._in
         arc_dst, seg_starts = gather_csr_arcs(
-            self._row_ptr, self._col_idx, cand, counts
+            indptr, indices, cand, degrees[cand]
         )
         hits = mask[arc_dst]
         # counts > 0 for every candidate, so reduceat segments are
@@ -418,7 +458,7 @@ bfs_distances` wrapper) must copy.
         batch size.  Either way the per-source distances — and
         therefore the eccentricities — are bit-identical, and the
         counter is credited one traversal per source.  This is the
-        undirected ``ecc_batch`` kernel of both batch backends
+        ``ecc_batch`` kernel of both batch backends
         (:mod:`repro.graph.batch`).
 
         :mutates out: ``out[i]`` is overwritten with ``ecc(sources[i])``.
@@ -430,13 +470,13 @@ bfs_distances` wrapper) must copy.
         if out is None:
             out = np.empty(len(src), dtype=np.int32)
         if width is None:
-            width = plan_lane_width(self._n, self._arcs, len(src))
+            width = plan_lane_width(self._n, self.num_arcs, len(src))
         if width == 0:
             for i in range(len(src)):
                 self.run(int(src[i]), counter=counter)
                 out[i] = self.last_ecc
             return out
-        ms = msengine_for(self.graph)
+        ms = msengine_for(self.graph, self.backward)
         for start in range(0, len(src), width):
             batch = src[start: start + width]
             # The engine reduces eccentricities straight off its sweep
@@ -454,36 +494,25 @@ bfs_distances` wrapper) must copy.
         self,
         sources: Sequence[int],
         counter: Optional["TraversalCounter"] = None,
-        strategy: str = "union",
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Nearest-source distances and winning source per vertex.
 
         Matches :func:`repro.graph.traversal.multi_source_bfs` exactly
-        (ties go to the source earliest in ``sources``).  The default
-        ``strategy="union"`` grows all regions in one shared traversal
-        — O(m) total, since every arc is expanded at most once — and
-        runs the ``np.lexsort`` + ``np.unique`` tie-break pair only on
+        (ties go to the source earliest in ``sources``).  All regions
+        grow in one shared traversal over the out-arcs — O(m) total,
+        since every arc is expanded at most once — and the
+        ``np.lexsort`` + ``np.unique`` tie-break pair runs only on
         levels where a vertex was actually discovered twice.
-        ``strategy="lanes"`` instead computes every source's full
-        distance vector on the bit-parallel MS engine and reduces to
-        the per-vertex winner; that costs O(m · levels) like any
-        per-source batch (which is why it is *not* the default — see
-        DESIGN.md) and accordingly credits the counter one traversal
-        per distinct source, but the returned arrays are identical.
 
         Returns pooled buffers, valid until the next engine call.
         Under ``REPRO_SANITIZE=1`` both are read-only guarded loans.
         """
-        if strategy not in ("union", "lanes"):
-            raise InvalidParameterError(
-                f"unknown run_multi strategy: {strategy!r}"
-            )
         guard = self._guard
         if guard is None:
-            return self._run_multi_impl(sources, counter, strategy)
+            return self._run_multi_impl(sources, counter)
         guard.begin_run()
         try:
-            dist, owner = self._run_multi_impl(sources, counter, strategy)
+            dist, owner = self._run_multi_impl(sources, counter)
         finally:
             guard.end_run()
         return (
@@ -495,7 +524,6 @@ bfs_distances` wrapper) must copy.
         self,
         sources: Sequence[int],
         counter: Optional["TraversalCounter"],
-        strategy: str = "union",
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The multi-source traversal; returns the raw pooled buffers.
 
@@ -520,13 +548,11 @@ bfs_distances` wrapper) must copy.
         # priority[s] = first position of s in `sources` (earlier wins).
         priority.fill(n)
         np.minimum.at(priority, src, np.arange(len(src), dtype=np.int64))
-        if strategy == "lanes":
-            return self._run_multi_lanes(src, dist, owner, priority, counter)
         frontier = np.unique(src)
         dist[frontier] = 0
         owner[frontier] = frontier
         single = len(frontier) == 1
-        indptr, indices, degrees = self._row_ptr, self._col_idx, self._degrees
+        indptr, indices, degrees = self._out
         level = 0
         edges = 0
         while frontier.size:
@@ -577,70 +603,29 @@ bfs_distances` wrapper) must copy.
             )
         return dist, owner
 
-    def _run_multi_lanes(
-        self,
-        src: np.ndarray,
-        dist: np.ndarray,
-        owner: np.ndarray,
-        priority: np.ndarray,
-        counter: Optional["TraversalCounter"],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-source lane rows reduced to the nearest-source winner.
 
-        For each vertex the winner is the minimum-distance source, ties
-        broken by the smallest priority (first position in ``sources``)
-        — provably the same assignment the union traversal's owner
-        propagation produces, because a claimed vertex's owner always
-        achieves the minimum distance with the best priority among
-        co-minimal sources.
-
-        :mutates dist: overwritten with the nearest-source distances.
-        :mutates owner: overwritten with the winning source per vertex.
-        :dtype rows: int32
-        """
-        from repro.graph.msengine import batch_distance_rows
-
-        uniq = np.unique(src)
-        # Rows ordered best-priority-first so argmin's first-hit rule
-        # *is* the tie-break.
-        ordered = uniq[np.argsort(priority[uniq], kind="stable")]
-        rows = batch_distance_rows(self.graph, ordered, counter=counter)
-        key = np.where(rows == UNREACHED, np.iinfo(np.int32).max, rows)
-        best = np.argmin(key, axis=0)
-        nearest = rows[best, np.arange(self._n, dtype=np.int64)]
-        dist[:] = nearest
-        owner[:] = np.where(nearest == UNREACHED, -1, ordered[best]).astype(
-            np.int32
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "bfs.run_multi",
-                num_sources=int(len(src)),
-                strategy="lanes",
-            )
-        return dist, owner
-
-
-# One engine per live graph; the weak key means dropping the graph also
-# frees its pooled buffers.  Safe because Graph arrays are immutable (R1).
-_ENGINES: "weakref.WeakKeyDictionary[Graph, BFSEngine]" = (
+# The engines of each live graph, by direction; the weak key means
+# dropping the graph also frees its pooled buffers.  Safe because graph
+# arrays are immutable (R1).
+_ENGINES: "weakref.WeakKeyDictionary[Any, Dict[bool, BFSEngine]]" = (
     weakref.WeakKeyDictionary()
 )
 _ENGINES_LOCK = threading.Lock()
 
 
-def engine_for(graph: Graph) -> BFSEngine:
+def engine_for(graph: Any, backward: bool = False) -> BFSEngine:
     """The cached :class:`BFSEngine` of ``graph`` (created on first use).
 
-    The get-or-create is serialized so two threads racing on a fresh
-    graph share one engine instead of silently pooling two sets of
-    buffers.  (The engine itself stays single-threaded per graph — the
+    ``backward`` selects a directed graph's reverse engine
+    (``dist(., s)``).  The get-or-create is serialized so two threads
+    racing on a fresh graph share one engine instead of silently
+    pooling two sets of buffers.  (The engine itself stays single-threaded per graph — the
     sanitizer's reentrancy check enforces exactly that.)
     """
     with _ENGINES_LOCK:
-        engine = _ENGINES.get(graph)
+        engines = _ENGINES.setdefault(graph, {})
+        engine = engines.get(backward)
         if engine is None:
-            engine = BFSEngine(graph)
-            _ENGINES[graph] = engine
+            engine = BFSEngine(graph, backward=backward)
+            engines[backward] = engine
     return engine

@@ -18,17 +18,22 @@ scans): a 64-source batch costs one hybrid sweep instead of 64.
 Level update, generalised to ``W`` lane words per vertex
 (``W * 64`` concurrent sources):
 
-* **top-down** — gather the arcs of every active vertex and OR the
-  packed frontier words onto the targets
+* **top-down** — gather the out-arcs of every active vertex and OR
+  the packed frontier words onto the targets
   (``next[v] |= frontier[u]`` for every arc ``u -> v``), then mask
   with ``~seen``;
 * **bottom-up** — every vertex still missing a live lane OR-reduces
-  its neighbors' frontier words over its CSR slice
+  its in-neighbors' frontier words over its in-CSR slice
   (``np.bitwise_or.reduceat``); fresh bits are ``reduced & ~seen[v]``.
 
+The engine reads the same (out-CSR, in-CSR) pair as
+:class:`~repro.graph.engine.BFSEngine` (see
+:func:`~repro.graph.engine.csr_pair`), so an undirected graph reads
+one CSR twice and a directed graph gets forward and backward lanes.
 The per-level direction decision reuses the single-source engine's
 ``alpha``/``beta`` thresholds, driven by the *aggregate* frontier arc
-mass across all live lanes; a lane retires early the moment its
+mass (out-degrees) across all live lanes against the in-degree mass
+bottom-up would probe; a lane retires early the moment its
 frontier empties (its reachable set saturated), dropping out of the
 ``live`` word so bottom-up levels stop probing on its behalf.
 
@@ -58,7 +63,7 @@ always freshly owned — their shape depends on the batch.
 :func:`plan_lane_width` is the router's policy: given ``n``, ``m`` and
 the batch size it picks a lane width (64/128/256) or serial
 single-source traversal, so every seam (``ecc_batch``,
-``distance_rows``, the msbfs module, the baselines) can delegate the
+``distance_rows``, the baselines) can delegate the
 "how" without owning the heuristics.  :func:`plan_sweep_width` is the
 same kind of policy for the solver's batched FFO probes.
 """
@@ -71,6 +76,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     Iterator,
     List,
@@ -84,7 +90,7 @@ import numpy as np
 from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.csr import Graph
-from repro.graph.engine import ALPHA, BETA, engine_for
+from repro.graph.engine import ALPHA, BETA, CSR, csr_pair, engine_for
 from repro.obs.trace import get_tracer
 from repro.sentinels import UNREACHED
 
@@ -297,10 +303,13 @@ class MSBFSEngine:
     Parameters
     ----------
     graph:
-        The immutable CSR graph this engine traverses.
+        The immutable graph this engine traverses (see
+        :func:`~repro.graph.engine.csr_pair`).
     alpha, beta:
         Direction-switching thresholds, defaulting to the single-source
         engine's tuned values (see :mod:`repro.graph.engine`).
+    backward:
+        Traverse a directed graph's arcs in reverse (``dist(., s)``).
     """
 
     __slots__ = (
@@ -310,15 +319,18 @@ class MSBFSEngine:
         "last_stats",
         "_n",
         "_arcs",
-        "_row_ptr",
-        "_col_idx",
-        "_degrees",
+        "_out",
+        "_in",
         "_workspaces",
         "__weakref__",
     )
 
     def __init__(
-        self, graph: Graph, alpha: float = ALPHA, beta: float = BETA
+        self,
+        graph: Any,
+        alpha: float = ALPHA,
+        beta: float = BETA,
+        backward: bool = False,
     ) -> None:
         if alpha <= 0 or beta <= 0:
             raise InvalidParameterError("alpha and beta must be positive")
@@ -326,10 +338,8 @@ class MSBFSEngine:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._n = graph.num_vertices
-        self._row_ptr = graph.indptr
-        self._col_idx = graph.indices
-        self._degrees = graph.degrees
-        self._arcs = int(len(graph.indices))
+        self._out, self._in = csr_pair(graph, backward)
+        self._arcs = int(len(self._out[1]))
         # One pooled workspace per lane-word count actually used.
         self._workspaces: Dict[int, _MSWorkspace] = {}
         #: Per-level audit of the last :meth:`run_batch`.
@@ -514,11 +524,11 @@ class MSBFSEngine:
         hit, pos = _column_positions(targets, src)
         cols_t[pos, lane_ids if hit is None else lane_ids[hit]] = 0
 
-        degrees = self._degrees
+        out_deg, in_deg = self._out[2], self._in[2]
         active = np.unique(src)
         stats = MSBFSRunStats(num_sources=k, lane_words=words)
-        m_frontier = int(degrees[active].sum())
-        m_unvisited = self._arcs - m_frontier
+        m_frontier = int(out_deg[active].sum())
+        m_unvisited = self._arcs - int(in_deg[active].sum())
         prev_m_frontier = 0
         m_checked = 0
         hybrid = mode == "hybrid"
@@ -541,7 +551,7 @@ class MSBFSEngine:
                 # dominate bottom-up's actual per-level cost; return
                 # top-down once the active set thins out.  A bottom-up
                 # level scans every vertex still missing a *live lane*,
-                # so its cost is the arc mass of the unsaturated set —
+                # so its cost is the in-arc mass of the unsaturated set —
                 # on high-diameter graphs (grids) that stays near the
                 # whole graph long after the union-untouched mass has
                 # collapsed, which is why the cheap ``m_unvisited``
@@ -561,7 +571,7 @@ class MSBFSEngine:
                         and m_frontier > 2 * m_checked
                     ):
                         unsaturated = (~seen & live).any(axis=1)
-                        m_unsaturated = int(degrees[unsaturated].sum())
+                        m_unsaturated = int(in_deg[unsaturated].sum())
                         if m_frontier * alpha > m_unsaturated:
                             direction = "bu"
                         else:
@@ -591,7 +601,7 @@ class MSBFSEngine:
             # lane reaches it.
             assert seen_rows is not None
             untouched = ~seen_rows.any(axis=1)
-            m_unvisited -= int(degrees[newly[untouched]].sum())
+            m_unvisited -= int(in_deg[newly[untouched]].sum())
             np.bitwise_or(seen_rows, new_bits, out=seen_rows)
             seen[newly] = seen_rows
             # Record the level on the target rows only: unpack their
@@ -616,7 +626,7 @@ class MSBFSEngine:
             eccs[fresh_lanes] = level
             num_live = int(np.count_nonzero(fresh_lanes))
             prev_m_frontier = m_frontier
-            m_frontier = int(degrees[newly].sum())
+            m_frontier = int(out_deg[newly].sum())
             active = newly
         stats.levels = level
         # Every (vertex, lane) pair reached holds one bit of `seen`.
@@ -650,22 +660,24 @@ class MSBFSEngine:
         # Consumers get the source-major convention of the seed kernel.
         return eccs, np.ascontiguousarray(cols_t.T)
 
+    @staticmethod
     def _arc_chunks(
-        self, vertices: np.ndarray, counts: np.ndarray
+        csr: CSR, vertices: np.ndarray
     ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        """The arcs of ``vertices``, ``_GATHER_CHUNK_ARCS`` at a time.
+        """The ``csr`` arcs of ``vertices``, ``_GATHER_CHUNK_ARCS`` at once.
 
         Yields ``(lo, hi, arc_dst, seg_starts, seg_counts)`` per chunk:
         the chunk covers slices of ``vertices[lo:hi]`` (the first and
         last possibly cut short, every other one whole), ``arc_dst`` lists
         their arc endpoints and vertex ``lo + i``'s slice starts at
         ``seg_starts[i]`` and holds ``seg_counts[i]`` arcs.  The two end
-        slices are never empty.  ``counts`` must be the degrees of
-        ``vertices``.
+        slices are never empty.
 
         :dtype csum: int64
         :dtype positions: int64
         """
+        indptr, indices, degrees = csr
+        counts = degrees[vertices]
         csum = np.cumsum(counts)
         total = int(csum[-1]) if len(csum) else 0
         for a in range(0, total, _GATHER_CHUNK_ARCS):
@@ -676,7 +688,7 @@ class MSBFSEngine:
             # Owned copies: both are trimmed below, and a gather of the
             # frozen CSR arrays may still be flagged read-only.
             seg_counts = counts[lo:hi].copy()
-            starts = self._row_ptr[vertices[lo:hi]].copy()
+            starts = indptr[vertices[lo:hi]].copy()
             head = a - int(csum[lo] - counts[lo])
             starts[0] += head
             seg_counts[0] -= head
@@ -684,7 +696,7 @@ class MSBFSEngine:
             seg_starts = np.cumsum(seg_counts) - seg_counts
             positions = np.repeat(starts - seg_starts, seg_counts)
             positions += np.arange(b - a, dtype=np.int64)
-            yield lo, hi, self._col_idx[positions], seg_starts, seg_counts
+            yield lo, hi, indices[positions], seg_starts, seg_counts
 
     def _top_down_level(
         self,
@@ -695,7 +707,7 @@ class MSBFSEngine:
     ) -> Tuple[
         Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
     ]:
-        """Expand every active vertex's arcs, OR-ing lane words onto
+        """Expand every active vertex's out-arcs, OR-ing lane words onto
         the targets, one arc chunk at a time.
 
         Returns ``(newly, new_bits, seen_rows, arcs scanned)`` where
@@ -708,7 +720,7 @@ class MSBFSEngine:
         next_mask.fill(0)
         arcs = 0
         for lo, hi, arc_dst, _seg, seg_counts in self._arc_chunks(
-            active, self._degrees[active]
+            self._out, active
         ):
             arc_masks = np.repeat(frontier[active[lo:hi]], seg_counts, axis=0)
             np.bitwise_or.at(next_mask, arc_dst, arc_masks)
@@ -729,24 +741,22 @@ class MSBFSEngine:
     ) -> Tuple[
         Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
     ]:
-        """Unvisited vertices OR-reduce their neighbors' frontier words.
+        """Unvisited vertices OR-reduce their in-neighbors' frontier words.
 
-        A candidate is any vertex with arcs that is still missing a
+        A candidate is any vertex with in-arcs that is still missing a
         *live* lane — vertices unseen only by retired lanes are never
         probed again.  A candidate whose arcs straddle two chunks ORs
         both partial reductions.  Returns ``(newly, new_bits, seen_rows,
         arcs inspected)``, mirroring :meth:`_top_down_level`.
         """
         cand = np.flatnonzero((~seen & live).any(axis=1))
-        counts = self._degrees[cand]
-        has_arcs = counts > 0
-        cand, counts = cand[has_arcs], counts[has_arcs]
+        cand = cand[self._in[2][cand] > 0]
         if len(cand) == 0:
             return None, None, None, 0
         reduced = np.zeros((len(cand), seen.shape[1]), dtype=np.uint64)
         arcs = 0
         for lo, hi, arc_dst, seg_starts, _counts in self._arc_chunks(
-            cand, counts
+            self._in, cand
         ):
             # Candidates have arcs, so every segment is non-empty.
             part = np.bitwise_or.reduceat(
@@ -763,26 +773,29 @@ class MSBFSEngine:
         return newly, fresh_bits[rows], seen_cand[rows], arcs
 
 
-# One engine per live graph (mirrors engine_for); the weak key means
-# dropping the graph also frees every lane workspace.
-_ENGINES: "weakref.WeakKeyDictionary[Graph, MSBFSEngine]" = (
+# The lane engines of each live graph, by direction (mirrors
+# engine_for); the weak key means dropping the graph also frees every
+# lane workspace.
+_ENGINES: "weakref.WeakKeyDictionary[Any, Dict[bool, MSBFSEngine]]" = (
     weakref.WeakKeyDictionary()
 )
 _ENGINES_LOCK = threading.Lock()
 
 
-def msengine_for(graph: Graph) -> MSBFSEngine:
+def msengine_for(graph: Any, backward: bool = False) -> MSBFSEngine:
     """The cached :class:`MSBFSEngine` of ``graph`` (created on first use).
 
-    Serialized like :func:`repro.graph.engine.engine_for`: threads
-    racing the first sweep share one engine and one set of pooled
-    bitmaps per lane width.
+    ``backward`` selects a directed graph's reverse lanes, as in
+    :func:`repro.graph.engine.engine_for`.  Serialized like it too:
+    threads racing the first sweep share one engine and one set of
+    pooled bitmaps per lane width.
     """
     with _ENGINES_LOCK:
-        engine = _ENGINES.get(graph)
+        engines = _ENGINES.setdefault(graph, {})
+        engine = engines.get(backward)
         if engine is None:
-            engine = MSBFSEngine(graph)
-            _ENGINES[graph] = engine
+            engine = MSBFSEngine(graph, backward=backward)
+            engines[backward] = engine
     return engine
 
 
@@ -814,7 +827,7 @@ def batch_distance_rows(
 
 
 def fill_distance_rows(
-    graph: Graph,
+    graph: Any,
     src: np.ndarray,
     out: np.ndarray,
     counter: Optional["TraversalCounter"] = None,
@@ -824,7 +837,8 @@ def fill_distance_rows(
 
     ``width`` is the lane width planned over the whole batch (see
     :func:`plan_lane_width`); ``0`` loops the single-source engine.
-    Both batch backends run this kernel (:mod:`repro.graph.batch`).
+    Both batch backends run this kernel (:mod:`repro.graph.batch`),
+    forward on a directed graph.
 
     :mutates out: row ``i`` is overwritten with ``dist(src[i], .)``.
     """

@@ -20,7 +20,7 @@ The observability layer of the solver stack, in three pieces:
     mass, traversal rate, and an ETA from the event stream.
 :mod:`repro.obs.benchguard`
     The benchmark regression gate (``repro bench check`` /
-    ``python tools/benchguard``): parses every committed
+    ``python -m repro.obs.benchguard check``): parses every committed
     ``BENCH_*.json`` artifact, checks its recorded claims, and
     compares fresh smoke runs against baselines with a tolerance.
 """

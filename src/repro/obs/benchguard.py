@@ -22,8 +22,9 @@ invariant, in two modes:
     one side are reported, not silently dropped.
 
 Exposed three ways: ``repro bench check|compare`` on the CLI,
-``python tools/benchguard`` for checkouts without an installed
-package, and these functions for CI scripting.  ``--format github``
+``PYTHONPATH=src python -m repro.obs.benchguard check|compare`` for
+checkouts without an installed package, and these functions for CI
+scripting.  ``--format github``
 emits workflow-command annotations so failures land on the PR diff.
 """
 
@@ -439,7 +440,7 @@ def run_compare(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python tools/benchguard`` / ``python -m`` entry point."""
+    """``python -m repro.obs.benchguard`` entry point."""
     parser = argparse.ArgumentParser(
         prog="benchguard",
         description="Benchmark regression gate over BENCH_*.json artifacts.",
@@ -479,3 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         tolerance=args.tolerance,
         fmt=args.format,
     )
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

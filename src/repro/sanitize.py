@@ -80,9 +80,7 @@ _ENABLED = [os.environ.get("REPRO_SANITIZE", "") not in ("", "0")]
 
 #: Modules whose frames are bookkeeping, not borrowers: the capture
 #: walk skips them so a borrow site names the consumer of the loan.
-_INTERNAL_MODULES = frozenset(
-    {__name__, "repro.graph.engine", "repro.graph.msbfs"}
-)
+_INTERNAL_MODULES = frozenset({__name__, "repro.graph.engine"})
 
 #: ``np.*`` functions that write into their first argument; they bypass
 #: ``__setitem__`` so the dispatch hook checks them explicitly.

@@ -214,6 +214,36 @@ class TestDirectedIFECC:
         assert directed_ifecc_eccentricities(g).eccentricities.tolist() == [0]
 
 
+class TestDirectedTelemetry:
+    def test_traced_run_counts_each_traversal_once(self):
+        import io
+
+        from repro.directed.eccentricity import directed_ifecc_eccentricities
+        from repro.obs.progress import ProgressMonitor
+        from repro.obs.record import RunRecord
+        from repro.obs.trace import MemorySink, tracing
+
+        g = random_strongly_connected(120, 200, seed=4)
+        sink = MemorySink()
+        states = []
+        monitor = ProgressMonitor(
+            stream=io.StringIO(), callback=states.append, forward=sink
+        )
+        with tracing(monitor):
+            result = directed_ifecc_eccentricities(g)
+        # Every forward and backward probe runs on the shared engine,
+        # which emits one bfs.run event per traversal.
+        runs = [e for e in sink.events if e["name"] == "bfs.run"]
+        assert len(runs) == result.num_bfs
+        assert states[-1].finished
+        assert states[-1].traversals == result.num_bfs
+        text = RunRecord.from_run(result, g, sink.events).summarize()
+        rows = text.split("convergence:")[1].split("\n")[2:]
+        table = [line for line in rows if line.startswith("  ")]
+        assert int(table[-1].split()[0]) == result.num_bfs
+        assert "batch work:" not in text
+
+
 class TestDirectedAnytime:
     def test_steps_snapshots_sandwich_truth(self):
         g = random_strongly_connected(60, 90, seed=2)

@@ -1,4 +1,5 @@
-"""Unit tests for bit-parallel multi-source BFS (MS-BFS)."""
+"""Unit tests for the batch entry points of bit-parallel multi-source BFS
+(MS-BFS): ``batch_distance_rows`` and ``BFSEngine.ecc_batch``."""
 
 import numpy as np
 import pytest
@@ -11,17 +12,22 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.msbfs import msbfs_eccentricities, multi_source_distances
+from repro.graph.engine import engine_for
+from repro.graph.msengine import batch_distance_rows
 from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import TraversalCounter, bfs_distances
 from helpers import random_connected_graph
+
+
+def _eccentricities(g):
+    return engine_for(g).ecc_batch(np.arange(g.num_vertices))
 
 
 class TestMultiSourceDistances:
     def test_matches_single_bfs_rows(self):
         g = grid_graph(5, 5)
         sources = [0, 7, 24, 12]
-        matrix = multi_source_distances(g, sources)
+        matrix = batch_distance_rows(g, sources)
         for row, s in enumerate(sources):
             np.testing.assert_array_equal(
                 matrix[row], bfs_distances(g, s)
@@ -31,7 +37,7 @@ class TestMultiSourceDistances:
         for seed in range(4):
             g = random_connected_graph(70, 60, seed)
             sources = list(range(0, 70, 7))
-            matrix = multi_source_distances(g, sources)
+            matrix = batch_distance_rows(g, sources)
             for row, s in enumerate(sources):
                 np.testing.assert_array_equal(
                     matrix[row], bfs_distances(g, s)
@@ -40,7 +46,7 @@ class TestMultiSourceDistances:
     def test_more_than_64_sources_batches(self):
         g = random_connected_graph(100, 80, seed=1)
         sources = list(range(100))
-        matrix = multi_source_distances(g, sources)
+        matrix = batch_distance_rows(g, sources)
         assert matrix.shape == (100, 100)
         for s in (0, 63, 64, 99):
             np.testing.assert_array_equal(
@@ -49,27 +55,27 @@ class TestMultiSourceDistances:
 
     def test_disconnected_unreached(self):
         g = Graph.from_edges([(0, 1)], num_vertices=4)
-        matrix = multi_source_distances(g, [0, 2])
+        matrix = batch_distance_rows(g, [0, 2])
         assert matrix[0].tolist() == [0, 1, -1, -1]
         assert matrix[1].tolist() == [-1, -1, 0, -1]
 
     def test_duplicate_sources_allowed(self):
         g = path_graph(5)
-        matrix = multi_source_distances(g, [2, 2])
+        matrix = batch_distance_rows(g, [2, 2])
         np.testing.assert_array_equal(matrix[0], matrix[1])
 
     def test_empty_sources(self):
         g = path_graph(3)
-        assert multi_source_distances(g, []).shape == (0, 3)
+        assert batch_distance_rows(g, []).shape == (0, 3)
 
     def test_invalid_source(self):
         with pytest.raises(InvalidVertexError):
-            multi_source_distances(path_graph(3), [0, 9])
+            batch_distance_rows(path_graph(3), [0, 9])
 
     def test_counter_credits_all_lanes(self):
         g = cycle_graph(10)
         counter = TraversalCounter()
-        multi_source_distances(g, [0, 1, 2], counter=counter)
+        batch_distance_rows(g, [0, 1, 2], counter=counter)
         assert counter.bfs_runs == 3
 
 
@@ -87,21 +93,21 @@ class TestMSBFSEccentricities:
     def test_structured(self, factory):
         g = factory()
         np.testing.assert_array_equal(
-            msbfs_eccentricities(g), exact_eccentricities(g)
+            _eccentricities(g), exact_eccentricities(g)
         )
 
     def test_random(self):
         for seed in range(3):
             g = random_connected_graph(90, 70, seed)
             np.testing.assert_array_equal(
-                msbfs_eccentricities(g), exact_eccentricities(g)
+                _eccentricities(g), exact_eccentricities(g)
             )
 
     def test_matches_ifecc_on_fixture(self, social_graph, social_truth):
         np.testing.assert_array_equal(
-            msbfs_eccentricities(social_graph), social_truth
+            _eccentricities(social_graph), social_truth
         )
 
     def test_disconnected_within_component(self):
         g = Graph.from_edges([(0, 1), (2, 3), (3, 4)])
-        assert msbfs_eccentricities(g).tolist() == [1, 1, 2, 1, 2]
+        assert _eccentricities(g).tolist() == [1, 1, 2, 1, 2]

@@ -16,13 +16,13 @@ from repro.core.extremes import radius_and_diameter
 from repro.core.ifecc import compute_eccentricities
 from repro.core.stratify import exact_via_f1
 from repro.graph.csr import Graph
+from repro.graph.engine import engine_for
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
 )
-from repro.graph.msbfs import msbfs_eccentricities
 
 TINY_GRAPHS = {
     "single": Graph.from_edges([], num_vertices=1),
@@ -89,7 +89,9 @@ class TestTinyMatrix:
 
     def test_msbfs(self, tiny):
         graph, truth = tiny
-        np.testing.assert_array_equal(msbfs_eccentricities(graph), truth)
+        np.testing.assert_array_equal(
+            engine_for(graph).ecc_batch(np.arange(graph.num_vertices)), truth
+        )
 
     def test_extremes(self, tiny):
         graph, truth = tiny

@@ -73,13 +73,12 @@ class TestPoolDirectedEntryPoints:
             assert np.array_equal(rows[i], forward_bfs(graph, s))
 
     def test_counter_totals_match_serial(self, graph, pool):
-        serial = TraversalCounter()
-        for v in range(_N):
-            forward_bfs(graph, v, counter=serial)
+        # Lane sweeps scan other arcs than a per-source loop, as on
+        # undirected graphs; test_counters_independent_of_backend pins
+        # all four counters across backends.
         pooled = TraversalCounter()
         pool.ecc_batch(np.arange(_N), counter=pooled)
-        assert pooled.bfs_runs == serial.bfs_runs
-        assert pooled.edges_scanned == serial.edges_scanned
+        assert pooled.bfs_runs == _N
 
 
 class TestOracleBackend:

@@ -17,7 +17,7 @@ from repro.errors import (
 )
 from repro.graph.engine import engine_for
 from repro.graph.generators import barabasi_albert
-from repro.graph.msbfs import msbfs_eccentricities, multi_source_distances
+from repro.graph.msengine import batch_distance_rows
 from repro.obs.trace import deterministic_view, tracing, MemorySink
 from repro.parallel.pool import (
     TraversalPool,
@@ -75,11 +75,11 @@ class TestEquivalence:
     def test_msbfs_rows_match_inprocess(self, graph, pool):
         # 150 sources plan lane sweeps on both sides.
         sources = np.arange(150, dtype=np.int64)
-        want = multi_source_distances(graph, sources)
+        want = batch_distance_rows(graph, sources)
         assert np.array_equal(pool.distance_rows(sources), want)
 
     def test_msbfs_eccentricities_match_inprocess(self, graph, pool):
-        want = msbfs_eccentricities(graph)
+        want = engine_for(graph).ecc_batch(_all(graph))
         assert np.array_equal(pool.ecc_batch(_all(graph)), want)
 
     def test_counter_totals_match_serial(self, graph, pool):

@@ -126,10 +126,10 @@ class TestMSBFSProperties:
     @given(small_connected_graphs())
     @settings(max_examples=20, deadline=None)
     def test_msbfs_rows_equal_bfs(self, g):
-        from repro.graph.msbfs import multi_source_distances
+        from repro.graph.msengine import batch_distance_rows
 
         sources = list(range(0, g.num_vertices, 3))
-        matrix = multi_source_distances(g, sources)
+        matrix = batch_distance_rows(g, sources)
         for row, s in enumerate(sources):
             np.testing.assert_array_equal(
                 matrix[row], bfs_distances(g, s)
@@ -138,10 +138,11 @@ class TestMSBFSProperties:
     @given(small_connected_graphs())
     @settings(max_examples=20, deadline=None)
     def test_msbfs_eccentricities_match_oracle(self, g):
-        from repro.graph.msbfs import msbfs_eccentricities
+        from repro.graph.engine import engine_for
 
         np.testing.assert_array_equal(
-            msbfs_eccentricities(g), exact_eccentricities(g)
+            engine_for(g).ecc_batch(np.arange(g.num_vertices)),
+            exact_eccentricities(g),
         )
 
 

@@ -27,6 +27,7 @@ from repro.directed.eccentricity import (
     naive_directed_eccentricities,
 )
 from repro.directed.graph import DirectedGraph
+from repro.graph.engine import engine_for
 from repro.graph.generators import (
     cycle_graph,
     grid_graph,
@@ -34,7 +35,6 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.msbfs import msbfs_eccentricities
 from repro.graph.properties import exact_eccentricities
 from repro.weighted.eccentricity import (
     naive_weighted_eccentricities,
@@ -74,7 +74,9 @@ class TestArmedCorpus:
     def test_msbfs_armed(self, sanitizer):
         graph = random_connected_graph(90, 70, seed=3)
         truth = exact_eccentricities(graph)
-        np.testing.assert_array_equal(msbfs_eccentricities(graph), truth)
+        np.testing.assert_array_equal(
+            engine_for(graph).ecc_batch(np.arange(graph.num_vertices)), truth
+        )
 
     def test_weighted_armed(self, sanitizer):
         base = random_connected_graph(40, 30, seed=5)

@@ -1,8 +1,11 @@
-"""Benchmark regression gate (repro.obs.benchguard / tools/benchguard)."""
+"""Benchmark regression gate (repro.obs.benchguard)."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,9 +193,17 @@ class TestFormatting:
         assert "::error title=benchguard BENCH_b.json::regressed" in text
 
 
-class TestToolShim:
-    def test_tools_package_reexports_gate(self):
-        import benchguard as tool  # resolved via tests/tools conftest
-
-        assert tool.main is main
-        assert tool.Headline is Headline
+class TestModuleEntryPoint:
+    def test_dash_m_exits_nonzero_on_failing_artifact(self, tmp_path):
+        doc = _msbfs_doc(ecc_speedup=1.2)  # below the recorded 2.0 target
+        path = _write(tmp_path, "BENCH_msbfs_engine.json", doc)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.obs.benchguard", "check", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "[FAIL]" in proc.stdout

@@ -88,7 +88,6 @@ HOT_PATH_PREFIXES = (
     "src/repro/core/",
     "src/repro/graph/engine.py",
     "src/repro/graph/traversal.py",
-    "src/repro/graph/msbfs.py",
     "src/repro/graph/msengine.py",
     "src/repro/weighted/eccentricity.py",
     "src/repro/directed/eccentricity.py",
