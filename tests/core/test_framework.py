@@ -147,3 +147,38 @@ class TestValidation:
             Graph.from_edges([], num_vertices=1), DegreeSelector()
         ).run()
         assert result.eccentricities.tolist() == [0]
+
+
+DISCONNECTED = {
+    # (edges, num_vertices, traversals BoundECC and OPEX spend)
+    "path-and-edge": ([(0, 1), (1, 2), (2, 3), (4, 5)], 6, 5),
+    "triangle-square-isolated": (
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)],
+        8,
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+def test_disconnected_graph(name):
+    # The bound-and-select baselines resolve each component on its own
+    # (Lemma 3.1 leaves unreached vertices untouched); only the extremes
+    # driver insists on a connected graph.
+    from repro.baselines.boundecc import boundecc_eccentricities
+    from repro.baselines.henderson import opex_eccentricities
+    from repro.core.extremes import radius_and_diameter
+    from repro.core.ifecc import eccentricities_per_component
+    from repro.errors import DisconnectedGraphError
+
+    edges, n, traversals = DISCONNECTED[name]
+    graph = Graph.from_edges(edges, num_vertices=n)
+    truth = eccentricities_per_component(graph).eccentricities
+    for baseline in (boundecc_eccentricities, opex_eccentricities):
+        result = baseline(graph)
+        assert result.exact
+        assert result.num_bfs == traversals
+        np.testing.assert_array_equal(result.eccentricities, truth)
+        np.testing.assert_array_equal(result.upper, truth)
+    with pytest.raises(DisconnectedGraphError):
+        radius_and_diameter(graph)

@@ -23,6 +23,8 @@ from typing import Dict
 
 import pytest
 
+from repro.baselines.boundecc import boundecc_eccentricities
+from repro.baselines.henderson import opex_eccentricities
 from repro.core.extremes import radius_and_diameter
 from repro.core.ifecc import IFECC
 from repro.core.kifecc import approximate_eccentricities
@@ -98,7 +100,21 @@ def capture(graph: Graph) -> Dict[str, object]:
         "center": int(extremes.center_vertex),
         "periphery": int(extremes.peripheral_vertex),
         "num_bfs": counter.bfs_runs,
+        "history": list(counter.history),
     }
+    for key, baseline in (
+        ("boundecc", boundecc_eccentricities),
+        ("opex", opex_eccentricities),
+    ):
+        counter = TraversalCounter()
+        result = baseline(graph, counter=counter)
+        record[key] = {
+            "ecc": result.eccentricities.tolist(),
+            "lower": result.lower.tolist(),
+            "upper": result.upper.tolist(),
+            "num_bfs": result.num_bfs,
+            "history": list(counter.history),
+        }
     return record
 
 
