@@ -2,16 +2,11 @@
 
 The weighted engine replaces BFS with Dijkstra and keeps the full IFECC
 structure (FFO + Lemma 3.3): orders-of-magnitude wins over its naive
-oracle.  For digraphs we compare two designs:
-
-* ``directed_eccentricities`` — BoundECC-style bound propagation, two
-  traversals per source.  On handle-rich graphs, where bound selection
-  is per-vertex-stuck by construction, it can reach wall-time *parity*
-  with the naive sweep;
-* ``directed_ifecc_eccentricities`` — the IFECC scheme carried over
-  (forward FFO of a reference + backward-BFS probes + the directed tail
-  cap), one traversal per probe.  It restores the orders-of-magnitude
-  win, mirroring the paper's undirected IFECC-vs-BoundECC story.
+oracle.  ``directed_ifecc_eccentricities`` carries the IFECC scheme over
+to digraphs (forward FFO of a reference + backward-BFS probes + the
+directed tail cap), one traversal per probe, and keeps the same win over
+the naive directed sweep.  The radius/diameter rows run the extremes
+driver over the Dijkstra and the forward/backward-BFS oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.directed.eccentricity import (
-    directed_eccentricities,
     directed_ifecc_eccentricities,
     naive_directed_eccentricities,
 )
@@ -72,19 +66,12 @@ def test_directed(benchmark, name):
         base = graph_for(name)
         dg = DirectedGraph.from_undirected(base)
         watch = Stopwatch()
-        bound = directed_eccentricities(dg)
-        t_bound = watch.elapsed()
-        watch = Stopwatch()
         ifecc = directed_ifecc_eccentricities(dg)
         t_ifecc = watch.elapsed()
         watch = Stopwatch()
         truth = naive_directed_eccentricities(dg)
         t_naive = watch.elapsed()
-        np.testing.assert_array_equal(bound.eccentricities, truth)
         np.testing.assert_array_equal(ifecc.eccentricities, truth)
-        _rows[("directed-bound", name)] = (
-            t_bound, t_naive, bound.num_bfs, dg.num_vertices
-        )
         return t_ifecc, t_naive, ifecc.num_bfs, dg.num_vertices
 
     _rows[("directed-ifecc", name)] = benchmark.pedantic(
@@ -147,13 +134,7 @@ def test_zz_report_and_shape(benchmark):
             # full IFECC machinery: strict, large wins
             assert t_fast < t_naive / 5, (setting, name)
             assert bfs < n / 10, (setting, name)
-        elif setting in ("wtd-extrem", "dir-extrem"):
+        else:
             # extremes early-stop: certifying two numbers must cost far
             # fewer traversals than the naive full sweep
             assert bfs < n / 10, (setting, name)
-        else:
-            # directed bound propagation: fewer sources than the naive
-            # sweep, but wall time may reach parity on adversarial
-            # handle graphs (each source costs two traversals)
-            assert bfs / 2 < n, (setting, name)
-            assert t_fast < 1.3 * t_naive, (setting, name)

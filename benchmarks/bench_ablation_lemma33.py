@@ -1,10 +1,11 @@
 """Ablation — where does IFECC's efficiency come from?
 
 IFECC = (FFO source order) + (Lemma 3.3 territory upper-bound cap).
-Plugging the FFO order into the plain BFS-framework keeps the order but
-drops the cap (only Lemma 3.1 updates apply).  The gap between the two
-isolates the cap's contribution; the comparison against the
-Takes–Kosters alternating selector isolates the order's contribution.
+Plugging the FFO order into the plain BFS-framework loop
+(:func:`repro.core.framework.ffo_order`) keeps the order but drops the
+cap (only Lemma 3.1 updates apply).  The gap between the two isolates
+the cap's contribution; the comparison against the Takes–Kosters
+alternating rule isolates the order's contribution.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.framework import (
-    AlternatingBoundSelector,
-    BFSFramework,
-    FFOSelector,
+    ffo_order,
+    framework_eccentricities,
+    takes_kosters,
 )
 from repro.core.ifecc import compute_eccentricities
 
@@ -30,8 +31,12 @@ def test_variants(benchmark, name):
     def run():
         graph = graph_for(name)
         full = compute_eccentricities(graph)  # order + cap
-        order_only = BFSFramework(graph, FFOSelector()).run()
-        alternating = BFSFramework(graph, AlternatingBoundSelector()).run()
+        order_only = framework_eccentricities(
+            graph, ffo_order(graph), "FFO-only"
+        )
+        alternating = framework_eccentricities(
+            graph, takes_kosters(graph.degrees), "TK-select"
+        )
         assert full.exact and order_only.exact and alternating.exact
         return full.num_bfs, order_only.num_bfs, alternating.num_bfs
 

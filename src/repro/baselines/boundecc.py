@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.framework import AlternatingBoundSelector, BFSFramework
+from repro.core.framework import framework_eccentricities, takes_kosters
 from repro.core.result import EccentricityResult
 from repro.graph.csr import Graph
 from repro.graph.traversal import TraversalCounter
@@ -37,7 +37,6 @@ def boundecc_eccentricities(
     paper's testbed translated to a BFS budget); a capped run returns
     ``exact=False`` with the current lower bounds as estimates.
     """
-    framework = BFSFramework(
-        graph, AlternatingBoundSelector(), counter=counter
+    return framework_eccentricities(
+        graph, takes_kosters(graph.degrees), "BoundECC", max_bfs, counter
     )
-    return framework.run(max_bfs=max_bfs, algorithm="BoundECC")

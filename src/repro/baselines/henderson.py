@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.framework import BFSFramework, LargestGapSelector
+from repro.core.framework import framework_eccentricities, largest_gap
 from repro.core.result import EccentricityResult
 from repro.graph.csr import Graph
 from repro.graph.traversal import TraversalCounter
@@ -25,5 +25,6 @@ def opex_eccentricities(
     counter: Optional[TraversalCounter] = None,
 ) -> EccentricityResult:
     """Exact ED with Henderson's largest-gap selection rule."""
-    framework = BFSFramework(graph, LargestGapSelector(), counter=counter)
-    return framework.run(max_bfs=max_bfs, algorithm="OPEX")
+    return framework_eccentricities(
+        graph, largest_gap, "OPEX", max_bfs, counter
+    )

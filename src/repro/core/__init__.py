@@ -27,10 +27,12 @@ Module map — how the metric-generic solver core fits together:
     Radius/diameter-only early termination, generic over oracles.
 ``reference``
     Reference-selection strategies (degree / random / center).
-``framework`` / ``probes`` / ``stratify`` / ``result``
-    The Section 3 BFS-framework with pluggable selectors, probe-number
-    analysis, the F1/F2 stratification theory of Section 5, and the
-    shared result dataclasses.
+``framework``
+    The Section 3.1 BFS-framework: one pick → probe → Lemma 3.1 loop
+    over an oracle, driven by BoundECC, OPEX and the extremes driver.
+``probes`` / ``stratify`` / ``result``
+    Probe-number analysis, the F1/F2 stratification theory of
+    Section 5, and the shared result dataclasses.
 
 High-level entry points:
 
@@ -52,12 +54,11 @@ from repro.core.ffo import (
     farthest_first_order,
 )
 from repro.core.framework import (
-    AlternatingBoundSelector,
-    BFSFramework,
-    DegreeSelector,
-    FFOSelector,
-    LargestGapSelector,
-    RandomSelector,
+    bound_and_select,
+    ffo_order,
+    framework_eccentricities,
+    largest_gap,
+    takes_kosters,
 )
 from repro.core.ifecc import (
     IFECC,
@@ -86,12 +87,11 @@ __all__ = [
     "compute_ffo",
     "compute_ffos",
     "farthest_first_order",
-    "BFSFramework",
-    "AlternatingBoundSelector",
-    "DegreeSelector",
-    "FFOSelector",
-    "LargestGapSelector",
-    "RandomSelector",
+    "bound_and_select",
+    "framework_eccentricities",
+    "largest_gap",
+    "takes_kosters",
+    "ffo_order",
     "IFECC",
     "compute_eccentricities",
     "eccentricities_per_component",

@@ -212,11 +212,12 @@ class BoundState:
         symmetric metrics it equals ``dist(t, v)`` and the second lower
         bound ``ecc(v) >= ecc(t) - dist(t, v)`` uses the same vector;
         directed callers pass the forward-distance vector ``dist(t, .)``
-        as ``dist_from_t``.  Unreachable entries are left untouched.
+        as ``dist_from_t`` (passing ``dist_to_t`` itself is the symmetric
+        case).  Unreachable entries are left untouched.
         """
         reachable = ~unreached_mask(dist_to_t)
         dist = dist_to_t.astype(self._dtype)
-        if dist_from_t is None:
+        if dist_from_t is None or dist_from_t is dist_to_t:
             lower_candidate = lemma31_lower(dist, ecc_t)
         else:
             lower_candidate = np.maximum(

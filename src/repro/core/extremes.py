@@ -28,14 +28,14 @@ Section 7.5 case study.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.bounds import BoundState
 from repro.core.ffo import farthest_first_order
+from repro.core.framework import bound_and_select
 from repro.core.oracles import BFSOracle, DistanceOracle
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
@@ -74,20 +74,6 @@ class ExtremesResult:
     elapsed_seconds: float
 
 
-def _certify_state(
-    bounds: BoundState, exact_ecc: "Dict[int, float]"
-) -> "Tuple[bool, bool]":
-    """Current certification status: (diameter_done, radius_done)."""
-    dia_lb = bounds.lower.max().item()
-    dia_ub = bounds.upper.max().item()
-    rad_lb = bounds.lower.min().item()
-    dia_done = bool(bounds.bounds_met(dia_lb, dia_ub))
-    rad_done = bool(exact_ecc) and bool(
-        bounds.bounds_met(rad_lb, min(exact_ecc.values()))
-    )
-    return dia_done, rad_done
-
-
 def oracle_radius_and_diameter(
     oracle: DistanceOracle,
     counter: Optional[TraversalCounter] = None,
@@ -102,9 +88,11 @@ def oracle_radius_and_diameter(
     * *center probe* — the unresolved vertex of smallest lower bound
       (its exact eccentricity is the best radius candidate).
 
-    Every probe is a :meth:`DistanceOracle.source_probe` — the full
-    Lemma 3.1 package, so asymmetric metrics pay a forward + backward
-    pair per probed vertex.
+    The probes run on :func:`repro.core.framework.bound_and_select`,
+    stopped as soon as both certificates hold.  Every probe is a
+    :meth:`DistanceOracle.source_probe` — the full Lemma 3.1 package,
+    so asymmetric metrics pay a forward + backward pair per probed
+    vertex.
     """
     n = oracle.num_vertices
     if n == 0:
@@ -113,9 +101,7 @@ def oracle_radius_and_diameter(
     watch = Stopwatch()
 
     reference = int(oracle.select_references("degree", 1, 0)[0])
-    ecc_z, dist_from, dist_into = oracle.source_probe(
-        reference, counter=counter
-    )
+    _, dist_from, dist_into = oracle.source_probe(reference, counter=counter)
     if bool(np.any(unreached_mask(dist_from))) or (
         dist_into is not dist_from
         and bool(np.any(unreached_mask(dist_into)))
@@ -124,66 +110,62 @@ def oracle_radius_and_diameter(
     ffo = farthest_first_order(dist_from, reference)
     bounds = BoundState(n, dtype=oracle.dtype, tolerance=oracle.tolerance)
     bounds.set_exact(reference, ffo.eccentricity)
-    if dist_into is dist_from:
-        bounds.apply_lemma31(dist_into, ffo.eccentricity)
-    else:
-        bounds.apply_lemma31(
-            dist_into, ffo.eccentricity, dist_from_t=dist_from
-        )
-    exact_ecc: Dict[int, float] = {reference: ffo.eccentricity}
+    bounds.apply_lemma31(dist_into, ffo.eccentricity, dist_from_t=dist_from)
 
     ffo_cursor = 0
     pick_periphery = True
-    while True:
-        dia_done, rad_done = _certify_state(bounds, exact_ecc)
-        if dia_done and rad_done:
-            break
-        unresolved = np.flatnonzero(~bounds.resolved_mask())
-        if len(unresolved) == 0:
-            break
-        if pick_periphery and not dia_done:
-            # Prefer the FFO front (far vertices realise the diameter);
-            # fall back to the largest upper bound.
-            source = None
-            while ffo_cursor < len(ffo.order):
-                candidate = int(ffo.order[ffo_cursor])
-                ffo_cursor += 1
-                if not bool(
-                    bounds.bounds_met(
-                        bounds.lower[candidate], bounds.upper[candidate]
-                    )
-                ):
-                    source = candidate
-                    break
-            if source is None:
-                source = int(
-                    unresolved[np.argmax(bounds.upper[unresolved])]
-                )
-        else:
-            source = int(unresolved[np.argmin(bounds.lower[unresolved])])
-        pick_periphery = not pick_periphery
+    dia_done = False
 
-        ecc_s, dist_from_s, dist_into_s = oracle.source_probe(
-            source, counter=counter
+    def certified(bounds: BoundState, exact_ecc: Dict[int, float]) -> bool:
+        nonlocal dia_done
+        dia_done = bool(
+            bounds.bounds_met(
+                bounds.lower.max().item(), bounds.upper.max().item()
+            )
         )
-        bounds.set_exact(source, ecc_s)
-        if dist_into_s is dist_from_s:
-            bounds.apply_lemma31(dist_into_s, ecc_s)
-        else:
-            bounds.apply_lemma31(dist_into_s, ecc_s, dist_from_t=dist_from_s)
-        exact_ecc[source] = ecc_s
+        return dia_done and bool(
+            bounds.bounds_met(
+                bounds.lower.min().item(), min(exact_ecc.values())
+            )
+        )
+
+    def pick(bounds: BoundState, unresolved: np.ndarray) -> int:
+        nonlocal ffo_cursor, pick_periphery
+        periphery = pick_periphery and not dia_done
+        pick_periphery = not pick_periphery
+        if not periphery:
+            return int(unresolved[np.argmin(bounds.lower[unresolved])])
+        # Prefer the FFO front (far vertices realise the diameter);
+        # fall back to the largest upper bound.
+        while ffo_cursor < len(ffo.order):
+            candidate = int(ffo.order[ffo_cursor])
+            ffo_cursor += 1
+            if not bool(
+                bounds.bounds_met(
+                    bounds.lower[candidate], bounds.upper[candidate]
+                )
+            ):
+                return candidate
+        return int(unresolved[np.argmax(bounds.upper[unresolved])])
+
+    exact_ecc = bound_and_select(
+        oracle,
+        bounds,
+        pick,
+        counter,
+        probed={reference: ffo.eccentricity},
+        stop=certified,
+    )
 
     dia = bounds.lower.max().item()
     rad_vertex = min(exact_ecc, key=exact_ecc.get)  # type: ignore[arg-type]
-    dia_vertex = int(np.argmax(bounds.lower))
-    elapsed = watch.elapsed()
     return ExtremesResult(
         radius=exact_ecc[rad_vertex],
         diameter=dia,
         center_vertex=int(rad_vertex),
-        peripheral_vertex=dia_vertex,
+        peripheral_vertex=int(np.argmax(bounds.lower)),
         num_bfs=counter.bfs_runs,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=watch.elapsed(),
     )
 
 

@@ -1,218 +1,181 @@
-"""The abstract BFS-framework (Section 3.1).
+"""The BFS-framework loop (Section 3.1), over any distance oracle.
 
-Every exact or approximate ED algorithm the paper surveys fits the same
-loop:
+Every bound-based ED algorithm the paper surveys fits the same loop:
 
 1. initialise ``ecc_lower = 0``, ``ecc_upper = +inf`` for all vertices;
-2. pick source vertices ``S`` — collectively, or one at a time by a
-   priority rule;
-3. BFS from each source ``t``; the BFS yields ``ecc(t)`` exactly and
-   Lemma 3.1 tightens every other vertex's bounds; stop when all bounds
-   have met (exact) or the budget runs out (approximate).
+2. pick an unresolved source ``t`` by a priority rule;
+3. probe ``t`` (:meth:`repro.core.oracles.DistanceOracle.source_probe`):
+   the traversal yields ``ecc(t)`` exactly and Lemma 3.1 tightens every
+   other vertex's bounds; repeat until all bounds have met (exact), a
+   caller's stop predicate holds, or the budget runs out.
 
-:class:`BFSFramework` implements the loop; a :class:`SourceSelector`
-supplies step 2.  The classic heuristics from the literature ship here:
+:func:`bound_and_select` is that loop.  A pick rule is a plain function
+``(bounds, unresolved) -> vertex``; the rules with callers ship here:
 
-* :class:`LargestGapSelector` — Henderson's OPEX rule (largest
-  upper-lower gap first);
-* :class:`AlternatingBoundSelector` — Takes & Kosters' rule (alternate
-  between the unresolved vertex of smallest lower bound and of largest
-  upper bound, degree as tie-break) — this instance *is* the BoundECC
-  baseline;
-* :class:`RandomSelector` — uniformly random unresolved vertex;
-* :class:`DegreeSelector` — highest-degree unresolved vertex first.
+* :func:`largest_gap` — Henderson's OPEX rule (largest upper-lower gap);
+* :func:`takes_kosters` — Takes & Kosters' rule (alternate between the
+  unresolved vertex of smallest lower bound and of largest upper bound,
+  degree as tie-break), the BoundECC baseline;
+* :func:`ffo_order` — IFECC's probe order without the Lemma 3.3 tail cap,
+  the A2 ablation's "FFO only" variant.
 
-IFECC is the discovery that the right priority order is the reference
-node's FFO; it is implemented natively in :mod:`repro.core.ifecc` (its
-Lemma 3.3 territory cap does not fit the per-vertex selector interface),
-but :class:`FFOSelector` is provided to demonstrate conformance: plugging
-it into this framework yields the same BFS sequence as IFECC-1 without
-the tail cap.
+The radius/diameter driver (:mod:`repro.core.extremes`) runs the same
+loop with its own rule and a certification stop.  IFECC itself
+(Algorithm 2, :class:`repro.core.solver.EccentricitySolver`) is not a
+per-vertex rule: it sweeps territories in FFO order under the Lemma 3.3
+cap and takes probes from lane batches.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.core.bounds import BoundState
 from repro.core.ffo import compute_ffo
+from repro.core.oracles import BFSOracle, DistanceOracle
 from repro.core.result import EccentricityResult
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
-from repro.graph.traversal import TraversalCounter, eccentricity_and_distances
+from repro.graph.traversal import TraversalCounter
 from repro.obs.trace import Stopwatch
 
 __all__ = [
-    "SourceSelector",
-    "LargestGapSelector",
-    "AlternatingBoundSelector",
-    "RandomSelector",
-    "DegreeSelector",
-    "FFOSelector",
-    "BFSFramework",
+    "PickRule",
+    "bound_and_select",
+    "framework_eccentricities",
+    "largest_gap",
+    "takes_kosters",
+    "ffo_order",
 ]
 
+#: Step 2 of the framework: the next source among the ``unresolved``
+#: vertex ids (never empty).
+PickRule = Callable[[BoundState, np.ndarray], int]
 
-class SourceSelector(Protocol):
-    """Strategy interface for step 2 of the BFS-framework."""
-
-    def select(self, graph: Graph, bounds: BoundState) -> Optional[int]:
-        """Return the next BFS source, or ``None`` when done.
-
-        Implementations must return an *unresolved* vertex; returning
-        ``None`` with unresolved vertices remaining aborts the run as
-        non-exact.
-        """
-        ...  # pragma: no cover
+#: A caller's early stop, given the bounds and the exact eccentricity
+#: of every source probed so far.
+StopRule = Callable[[BoundState, Dict[int, float]], bool]
 
 
-def _unresolved(bounds: BoundState) -> np.ndarray:
-    return np.flatnonzero(bounds.lower != bounds.upper)
+def bound_and_select(
+    oracle: DistanceOracle,
+    bounds: BoundState,
+    pick: PickRule,
+    counter: TraversalCounter,
+    probed: Optional[Dict[int, float]] = None,
+    stop: Optional[StopRule] = None,
+    max_bfs: Optional[int] = None,
+) -> Dict[int, float]:
+    """Pick, probe and tighten until the bounds meet, ``stop`` holds or
+    ``counter`` has spent ``max_bfs`` traversals.
+
+    Returns ``probed`` — the exact eccentricity of every probed source,
+    in probe order — extended in place (a caller seeds it with probes
+    it made itself, e.g. a reference).
+
+    :mutates bounds: every probe pins its source and applies Lemma 3.1.
+    """
+    probed = {} if probed is None else probed
+    while stop is None or not stop(bounds, probed):
+        unresolved = np.flatnonzero(~bounds.resolved_mask())
+        if len(unresolved) == 0 or (
+            max_bfs is not None and counter.bfs_runs >= max_bfs
+        ):
+            break
+        source = pick(bounds, unresolved)
+        ecc, dist_from, dist_into = oracle.source_probe(
+            source, counter=counter
+        )
+        bounds.set_exact(source, ecc)
+        bounds.apply_lemma31(dist_into, ecc, dist_from_t=dist_from)
+        probed[source] = ecc
+    return probed
 
 
-class LargestGapSelector:
+def framework_eccentricities(
+    graph: Graph,
+    pick: PickRule,
+    algorithm: str,
+    max_bfs: Optional[int] = None,
+    counter: Optional[TraversalCounter] = None,
+) -> EccentricityResult:
+    """ED of ``graph`` by :func:`bound_and_select` over BFS probes.
+
+    Each component resolves on its own (Lemma 3.1 leaves unreached
+    vertices untouched).  A run cut by ``max_bfs`` returns
+    ``exact=False`` with the lower bounds as estimates.
+    """
+    if graph.num_vertices == 0:
+        raise InvalidParameterError("graph must have at least one vertex")
+    counter = counter if counter is not None else TraversalCounter()
+    watch = Stopwatch()
+    bounds = BoundState(graph.num_vertices)
+    bound_and_select(BFSOracle(graph), bounds, pick, counter, max_bfs=max_bfs)
+    return EccentricityResult(
+        eccentricities=bounds.lower.copy(),
+        lower=bounds.lower.copy(),
+        upper=bounds.upper.copy(),
+        exact=bounds.all_resolved(),
+        algorithm=algorithm,
+        num_bfs=counter.bfs_runs,
+        elapsed_seconds=watch.elapsed(),
+        counter=counter,
+    )
+
+
+def largest_gap(bounds: BoundState, unresolved: np.ndarray) -> int:
     """Henderson's rule: the vertex with the largest bound gap."""
-
-    def select(self, graph: Graph, bounds: BoundState) -> Optional[int]:
-        candidates = _unresolved(bounds)
-        if len(candidates) == 0:
-            return None
-        gaps = bounds.gap()[candidates]
-        return int(candidates[np.argmax(gaps)])
+    return int(unresolved[np.argmax(bounds.gap()[unresolved])])
 
 
-class AlternatingBoundSelector:
+def takes_kosters(degrees: np.ndarray) -> PickRule:
     """Takes & Kosters' rule (the BoundECC strategy).
 
     Alternates between the unresolved vertex with the smallest lower
-    bound (candidate graph-center, whose BFS pulls upper bounds down) and
-    the one with the largest upper bound (candidate periphery, whose BFS
-    pushes lower bounds up).  Ties are broken by larger degree, then by
-    smaller id, as in the reference implementation.
+    bound (candidate center, whose probe pulls upper bounds down) and
+    the one with the largest upper bound (candidate periphery, whose
+    probe pushes lower bounds up), starting with the former.  Ties are
+    broken by larger degree, then by smaller id, as in the reference
+    implementation.
     """
+    small_lower = True
 
-    def __init__(self) -> None:
-        self._pick_small_lower = True
-
-    def select(self, graph: Graph, bounds: BoundState) -> Optional[int]:
-        candidates = _unresolved(bounds)
-        if len(candidates) == 0:
-            return None
-        degrees = graph.degrees[candidates]
-        if self._pick_small_lower:
-            key = bounds.lower[candidates].astype(np.int64)
-            ranking = np.lexsort((candidates, -degrees, key))
+    def pick(bounds: BoundState, unresolved: np.ndarray) -> int:
+        nonlocal small_lower
+        if small_lower:
+            key = bounds.lower[unresolved].astype(np.int64)
         else:
-            key = -bounds.upper[candidates].astype(np.int64)
-            ranking = np.lexsort((candidates, -degrees, key))
-        self._pick_small_lower = not self._pick_small_lower
-        return int(candidates[ranking[0]])
+            key = -bounds.upper[unresolved].astype(np.int64)
+        small_lower = not small_lower
+        ranking = np.lexsort((unresolved, -degrees[unresolved], key))
+        return int(unresolved[ranking[0]])
+
+    return pick
 
 
-class RandomSelector:
-    """Uniformly random unresolved vertex (the sampling baselines)."""
+def ffo_order(graph: Graph) -> PickRule:
+    """IFECC's probe order as a pick rule, without the Lemma 3.3 cap.
 
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def select(self, graph: Graph, bounds: BoundState) -> Optional[int]:
-        candidates = _unresolved(bounds)
-        if len(candidates) == 0:
-            return None
-        return int(candidates[self._rng.integers(0, len(candidates))])
-
-
-class DegreeSelector:
-    """Highest-degree unresolved vertex first."""
-
-    def select(self, graph: Graph, bounds: BoundState) -> Optional[int]:
-        candidates = _unresolved(bounds)
-        if len(candidates) == 0:
-            return None
-        degrees = graph.degrees[candidates]
-        ranking = np.lexsort((candidates, -degrees))
-        return int(candidates[ranking[0]])
-
-
-class FFOSelector:
-    """IFECC's priority order expressed as a framework selector.
-
-    Walks the FFO of the highest-degree vertex front-to-back, skipping
-    already-resolved vertices; falls back to any unresolved vertex once
-    the order is exhausted (cannot happen on connected graphs, where the
-    order covers V).
+    The highest-degree vertex ``z`` first, then the FFO of ``z``
+    front-to-back, skipping resolved vertices; once the order is spent
+    (only on disconnected graphs) the smallest unresolved id.  The BFS
+    that builds the order is not counted: the framework probes ``z``
+    first anyway.
     """
+    z = graph.max_degree_vertex()
+    order = compute_ffo(graph, z).order
+    order = np.concatenate(([z], order[order != z])).astype(np.int64)
+    cursor = 0
 
-    def __init__(self) -> None:
-        self._order: Optional[np.ndarray] = None
-        self._cursor = 0
-
-    def select(self, graph: Graph, bounds: BoundState) -> Optional[int]:
-        if self._order is None:
-            z = graph.max_degree_vertex()
-            ffo = compute_ffo(graph, z)
-            # The reference BFS itself is performed by the framework when
-            # it selects z; put z first, then the farthest-first order.
-            self._order = np.concatenate(
-                ([z], ffo.order[ffo.order != z])
-            ).astype(np.int64)
-        while self._cursor < len(self._order):
-            v = int(self._order[self._cursor])
-            self._cursor += 1
+    def pick(bounds: BoundState, unresolved: np.ndarray) -> int:
+        nonlocal cursor
+        while cursor < len(order):
+            v = int(order[cursor])
+            cursor += 1
             if bounds.lower[v] != bounds.upper[v]:
                 return v
-        remaining = _unresolved(bounds)
-        return int(remaining[0]) if len(remaining) else None
+        return int(unresolved[0])
 
-
-class BFSFramework:
-    """Generic driver for bound-based ED computation (Section 3.1)."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        selector: SourceSelector,
-        counter: Optional[TraversalCounter] = None,
-    ) -> None:
-        if graph.num_vertices == 0:
-            raise InvalidParameterError("graph must have at least one vertex")
-        self.graph = graph
-        self.selector = selector
-        self.counter = counter if counter is not None else TraversalCounter()
-        self.bounds = BoundState(graph.num_vertices)
-
-    def run(
-        self,
-        max_bfs: Optional[int] = None,
-        algorithm: str = "BFS-framework",
-    ) -> EccentricityResult:
-        """Iterate select-BFS-update until resolved or out of budget."""
-        watch = Stopwatch()
-        exact = True
-        while not self.bounds.all_resolved():
-            if max_bfs is not None and self.counter.bfs_runs >= max_bfs:
-                exact = False
-                break
-            source = self.selector.select(self.graph, self.bounds)
-            if source is None:
-                exact = self.bounds.all_resolved()
-                break
-            ecc_s, dist_s = eccentricity_and_distances(
-                self.graph, source, counter=self.counter
-            )
-            self.bounds.set_exact(source, ecc_s)
-            self.bounds.apply_lemma31(dist_s, ecc_s)
-        elapsed = watch.elapsed()
-        ecc = self.bounds.lower.copy()
-        return EccentricityResult(
-            eccentricities=ecc,
-            lower=self.bounds.lower.copy(),
-            upper=self.bounds.upper.copy(),
-            exact=exact and self.bounds.all_resolved(),
-            algorithm=algorithm,
-            num_bfs=self.counter.bfs_runs,
-            elapsed_seconds=elapsed,
-            counter=self.counter,
-        )
+    return pick

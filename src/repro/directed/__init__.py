@@ -1,13 +1,13 @@
 """Directed-graph extension: forward eccentricities, radius and diameter
-of strongly connected digraphs via bound propagation (after Akiba,
-Iwata & Kawata 2015, the paper's reference [2]).
+of strongly connected digraphs.
 
-The directed IFECC variant runs on the shared metric-generic solver
-(see DESIGN.md §5) through :class:`DirectedBFSOracle`'s
-reverse-distance hook."""
+Directed IFECC runs on the shared metric-generic solver (see DESIGN.md
+§5) through :class:`DirectedBFSOracle`'s reverse-distance hook; the
+radius/diameter driver runs the BFS-framework loop with forward +
+backward probe pairs (after Akiba, Iwata & Kawata 2015, the paper's
+reference [2])."""
 
 from repro.directed.eccentricity import (
-    directed_eccentricities,
     directed_ifecc_eccentricities,
     directed_radius_and_diameter,
     directed_solver,
@@ -27,7 +27,6 @@ __all__ = [
     "forward_bfs",
     "backward_bfs",
     "is_strongly_connected",
-    "directed_eccentricities",
     "directed_ifecc_eccentricities",
     "directed_radius_and_diameter",
     "directed_solver",

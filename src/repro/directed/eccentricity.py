@@ -10,15 +10,13 @@ Lemma 3.1 — for a processed source ``t`` with known ``ecc(t)``:
 * ``ecc(v) >= ecc(t) - dist(t, v)``          (needs ``dist(t, v)``,
   from the *forward* BFS), and ``ecc(v) >= dist(v, t)``.
 
-Both algorithms here run on the shared metric-generic machinery:
+Both run on the shared metric-generic machinery over
+:class:`repro.directed.traversal.DirectedBFSOracle`:
 :func:`directed_ifecc_eccentricities` instantiates
-:class:`repro.core.solver.EccentricitySolver` over
-:class:`repro.directed.traversal.DirectedBFSOracle` (each sweep probe is
-ONE backward BFS; the Lemma 3.3 tail cap closes parity-stuck vertices
-wholesale), while :func:`directed_eccentricities` keeps the two-BFS
-per-source bound-propagation scheme of Akiba, Iwata & Kawata (2015) as
-the comparison baseline, now on :class:`repro.core.bounds.BoundState`
-with the directed reverse-distance hook.
+:class:`repro.core.solver.EccentricitySolver` (each sweep probe is ONE
+backward BFS; the Lemma 3.3 tail cap closes parity-stuck vertices
+wholesale), and :func:`directed_radius_and_diameter` runs the extremes
+driver, whose probes are forward + backward pairs.
 """
 
 from __future__ import annotations
@@ -27,19 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.bounds import BoundState
 from repro.core.extremes import ExtremesResult, oracle_radius_and_diameter
 from repro.core.result import EccentricityResult
 from repro.core.solver import EccentricitySolver
 from repro.directed.graph import DirectedGraph
 from repro.directed.traversal import DirectedBFSOracle
-from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.traversal import TraversalCounter
-from repro.obs.trace import Stopwatch
-from repro.sentinels import UNREACHED
 
 __all__ = [
-    "directed_eccentricities",
     "directed_ifecc_eccentricities",
     "naive_directed_eccentricities",
     "directed_radius_and_diameter",
@@ -61,62 +54,6 @@ def naive_directed_eccentricities(
     """
     oracle = DirectedBFSOracle(graph, backend=backend, workers=workers)
     return oracle.ecc_all(counter=counter)
-
-
-def directed_eccentricities(
-    graph: DirectedGraph,
-    counter: Optional[TraversalCounter] = None,
-) -> EccentricityResult:
-    """Exact forward eccentricities with bound propagation.
-
-    Sources are chosen by alternating the largest-upper-bound vertex
-    (periphery probe) with the smallest-lower-bound vertex (center
-    probe), each costing a forward + backward BFS pair.  Bound
-    maintenance runs on :class:`BoundState` with the directed Lemma 3.1
-    (the ``dist_from_t`` hook).
-    """
-    n = graph.num_vertices
-    if n == 0:
-        raise InvalidParameterError("graph must have at least one vertex")
-    counter = counter if counter is not None else TraversalCounter()
-    watch = Stopwatch()
-    oracle = DirectedBFSOracle(graph)
-
-    bounds = BoundState(n)
-    pick_upper = True
-    while True:
-        unresolved = np.flatnonzero(~bounds.resolved_mask())
-        if len(unresolved) == 0:
-            break
-        if pick_upper:
-            source = int(unresolved[np.argmax(bounds.upper[unresolved])])
-        else:
-            source = int(unresolved[np.argmin(bounds.lower[unresolved])])
-        pick_upper = not pick_upper
-
-        ecc_probe, fwd, bwd = oracle.source_probe(source, counter=counter)
-        if np.any(fwd == UNREACHED) and n > 1:
-            raise DisconnectedGraphError(
-                2, "directed graph is not strongly connected"
-            )
-        ecc_s = int(ecc_probe)
-        # ecc(v) >= max(dist(v, t), ecc(t) - dist(t, v));
-        # ecc(v) <= dist(v, t) + ecc(t).
-        bounds.apply_lemma31(bwd, ecc_s, dist_from_t=fwd)
-        bounds.set_exact(source, ecc_s)
-
-    elapsed = watch.elapsed()
-    ecc = bounds.lower.astype(np.int32)
-    return EccentricityResult(
-        eccentricities=ecc,
-        lower=ecc.copy(),
-        upper=ecc.copy(),
-        exact=True,
-        algorithm="DirectedECC",
-        num_bfs=counter.bfs_runs,
-        elapsed_seconds=elapsed,
-        counter=counter,
-    )
 
 
 def directed_solver(
@@ -157,10 +94,10 @@ def directed_ifecc_eccentricities(
       ``dist(z, u) <= tail``, so
       ``ecc_f(v) <= max(lb(v), dist(v, z) + tail)``.
 
-    Each probe costs ONE traversal (the bound-propagation variant
-    :func:`directed_eccentricities` pays two per source), and the tail
-    cap closes the parity-stuck vertices wholesale — the same reason
-    IFECC beats BoundECC on undirected graphs.
+    Each probe costs ONE traversal (a bound-propagation probe pays a
+    forward + backward pair), and the tail cap closes the parity-stuck
+    vertices wholesale — the same reason IFECC beats BoundECC on
+    undirected graphs.
     """
     return directed_solver(graph, counter=counter).run(
         algorithm="DirectedIFECC"

@@ -7,8 +7,8 @@ extends the library accordingly.
 
 A :class:`DirectedGraph` stores both the forward adjacency (out-edges)
 and the reverse adjacency (in-edges) as CSR arrays, so both forward and
-backward BFS are cheap — the directed bound rules need one of each per
-source (see :mod:`repro.directed.eccentricity`).
+backward BFS are cheap — directed IFECC's reference and the extremes
+driver's probes need one of each (see :mod:`repro.directed.eccentricity`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ totals, same anytime snapshot stream, same kIFECC estimates, same
 extremes certificates.
 
 ``tests/data/golden_ifecc.json`` was captured from the seed
-implementation (commit 060a72f) on a fixed generator corpus.  These
+implementation (commit 060a72f) on a fixed generator corpus.  The
+BoundECC/OPEX entries and the extremes ``history`` were added later,
+captured before BoundECC, OPEX and the extremes driver moved onto the
+shared bound-and-select loop of :mod:`repro.core.framework`.  These
 tests replay the corpus through the current implementation and demand an
 exact match.  If an intentional algorithmic change ever breaks this,
 regenerate the golden file with ``python -m tests.core.test_solver_equivalence``

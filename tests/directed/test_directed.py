@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.directed.eccentricity import (
-    directed_eccentricities,
+    directed_ifecc_eccentricities,
     directed_radius_and_diameter,
     directed_solver,
     naive_directed_eccentricities,
@@ -108,15 +108,16 @@ class TestTraversal:
 
 class TestDirectedEccentricities:
     def test_cycle(self):
-        result = directed_eccentricities(directed_cycle(7))
+        result = directed_ifecc_eccentricities(directed_cycle(7))
         # every vertex's farthest is its predecessor: distance 6
         assert np.all(result.eccentricities == 6)
 
     def test_matches_oracle_on_random_digraphs(self):
+        # Sparser than TestDirectedIFECC's corpus: long directed detours.
         for seed in range(6):
-            g = random_strongly_connected(40, 60, seed)
+            g = random_strongly_connected(60, 25, seed)
             truth = naive_directed_eccentricities(g)
-            result = directed_eccentricities(g)
+            result = directed_ifecc_eccentricities(g)
             np.testing.assert_array_equal(result.eccentricities, truth)
 
     def test_undirected_lift_matches_undirected(self):
@@ -124,29 +125,23 @@ class TestDirectedEccentricities:
 
         base = random_connected_graph(40, 30, seed=3)
         lifted = DirectedGraph.from_undirected(base)
-        result = directed_eccentricities(lifted)
+        result = directed_ifecc_eccentricities(lifted)
         np.testing.assert_array_equal(
             result.eccentricities, exact_eccentricities(base)
         )
 
-    def test_fewer_sources_than_naive(self):
-        g = random_strongly_connected(150, 400, seed=5)
-        result = directed_eccentricities(g)
-        # Each processed source costs 2 BFS (forward + backward); the
-        # number of *sources* must undercut the naive n.
-        assert result.num_bfs / 2 < g.num_vertices
-
     def test_efficient_on_small_world_structure(self, social_graph):
         # On a core-periphery graph the bounds close fast, directed or
-        # not: far fewer traversals than 2n.
+        # not: far fewer traversals than n.
         lifted = DirectedGraph.from_undirected(social_graph)
-        result = directed_eccentricities(lifted)
+        result = directed_ifecc_eccentricities(lifted)
         assert result.num_bfs < social_graph.num_vertices
 
     def test_not_strongly_connected_rejected(self):
-        g = DirectedGraph.from_arcs([(0, 1), (1, 2)])
+        # Every vertex has an out-arc, yet {2, 3} cannot reach {0, 1}.
+        g = DirectedGraph.from_arcs([(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
         with pytest.raises(DisconnectedGraphError):
-            directed_eccentricities(g)
+            directed_ifecc_eccentricities(g)
 
     def test_asymmetric_eccentricities(self):
         # a cycle with a chord: forward ecc differs from what the
@@ -155,15 +150,13 @@ class TestDirectedEccentricities:
             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         )
         truth = naive_directed_eccentricities(g)
-        result = directed_eccentricities(g)
+        result = directed_ifecc_eccentricities(g)
         np.testing.assert_array_equal(result.eccentricities, truth)
         assert truth[0] != truth[1] or truth[2] != truth[3]
 
 
 class TestDirectedIFECC:
     def test_matches_oracle_on_random_digraphs(self):
-        from repro.directed.eccentricity import directed_ifecc_eccentricities
-
         for seed in range(6):
             g = random_strongly_connected(40, 60, seed)
             truth = naive_directed_eccentricities(g)
@@ -171,13 +164,10 @@ class TestDirectedIFECC:
             np.testing.assert_array_equal(result.eccentricities, truth)
 
     def test_cycle(self):
-        from repro.directed.eccentricity import directed_ifecc_eccentricities
-
         result = directed_ifecc_eccentricities(directed_cycle(9))
         assert np.all(result.eccentricities == 8)
 
     def test_undirected_lift_matches(self):
-        from repro.directed.eccentricity import directed_ifecc_eccentricities
         from repro.graph.properties import exact_eccentricities
 
         base = random_connected_graph(50, 40, seed=8)
@@ -188,28 +178,12 @@ class TestDirectedIFECC:
             result.eccentricities, exact_eccentricities(base)
         )
 
-    def test_beats_bound_propagation_on_handles(self, social_graph):
-        from repro.directed.eccentricity import directed_ifecc_eccentricities
-
-        lifted = DirectedGraph.from_undirected(social_graph)
-        ifecc = directed_ifecc_eccentricities(lifted)
-        bound = directed_eccentricities(lifted)
-        np.testing.assert_array_equal(
-            ifecc.eccentricities, bound.eccentricities
-        )
-        assert ifecc.num_bfs < bound.num_bfs
-
     def test_not_strongly_connected_rejected(self):
-        from repro.directed.eccentricity import directed_ifecc_eccentricities
-        from repro.errors import DisconnectedGraphError
-
         g = DirectedGraph.from_arcs([(0, 1), (1, 2)])
         with pytest.raises(DisconnectedGraphError):
             directed_ifecc_eccentricities(g)
 
     def test_single_vertex(self):
-        from repro.directed.eccentricity import directed_ifecc_eccentricities
-
         g = DirectedGraph.from_arcs([], num_vertices=1)
         assert directed_ifecc_eccentricities(g).eccentricities.tolist() == [0]
 
@@ -218,7 +192,6 @@ class TestDirectedTelemetry:
     def test_traced_run_counts_each_traversal_once(self):
         import io
 
-        from repro.directed.eccentricity import directed_ifecc_eccentricities
         from repro.obs.progress import ProgressMonitor
         from repro.obs.record import RunRecord
         from repro.obs.trace import MemorySink, tracing
@@ -277,9 +250,9 @@ class TestDirectedExtremes:
     def test_early_stop_beats_full_sweep(self):
         g = random_strongly_connected(150, 400, seed=5)
         extremes = directed_radius_and_diameter(g)
-        full = directed_eccentricities(g)
-        # Each directed probe costs a forward + backward pair; the
-        # extremes run must still undercut the full eccentricity solve.
+        full = directed_ifecc_eccentricities(g)
+        # Each directed extremes probe costs a forward + backward pair;
+        # the run must still undercut directed IFECC's full solve.
         assert extremes.num_bfs < full.num_bfs
 
     def test_not_strongly_connected_rejected(self):

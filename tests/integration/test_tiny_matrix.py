@@ -112,11 +112,11 @@ class TestTinyMatrix:
         )
 
     def test_directed_lift(self, tiny):
-        from repro.directed.eccentricity import directed_eccentricities
+        from repro.directed.eccentricity import directed_ifecc_eccentricities
         from repro.directed.graph import DirectedGraph
 
         graph, truth = tiny
-        result = directed_eccentricities(
+        result = directed_ifecc_eccentricities(
             DirectedGraph.from_undirected(graph)
         )
         np.testing.assert_array_equal(result.eccentricities, truth)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.extremes import radius_and_diameter
 from repro.directed.eccentricity import (
-    directed_eccentricities,
+    directed_ifecc_eccentricities,
+    directed_radius_and_diameter,
     naive_directed_eccentricities,
 )
 from repro.directed.graph import DirectedGraph
@@ -107,9 +108,14 @@ class TestDirectedProperties:
     @given(strongly_connected_digraphs())
     @settings(max_examples=20, deadline=None)
     def test_directed_matches_oracle(self, g):
+        # The directed extremes driver: the framework loop over
+        # forward + backward probe pairs.
         truth = naive_directed_eccentricities(g)
-        result = directed_eccentricities(g)
-        np.testing.assert_array_equal(result.eccentricities, truth)
+        extremes = directed_radius_and_diameter(g)
+        assert extremes.radius == truth.min()
+        assert extremes.diameter == truth.max()
+        assert truth[extremes.center_vertex] == truth.min()
+        assert truth[extremes.peripheral_vertex] == truth.max()
 
     @given(strongly_connected_digraphs())
     @settings(max_examples=20, deadline=None)
@@ -150,10 +156,6 @@ class TestDirectedIFECCProperties:
     @given(strongly_connected_digraphs())
     @settings(max_examples=20, deadline=None)
     def test_directed_ifecc_matches_oracle(self, g):
-        from repro.directed.eccentricity import (
-            directed_ifecc_eccentricities,
-        )
-
         truth = naive_directed_eccentricities(g)
         result = directed_ifecc_eccentricities(g)
         np.testing.assert_array_equal(result.eccentricities, truth)
