@@ -1,6 +1,6 @@
 # Convenience targets for the IFECC reproduction.
 
-.PHONY: install test test-sanitized tier-guard bench bench-smoke bench-e2e-smoke bench-parallel bench-msbfs bench-store bench-guard obs-overhead examples results clean lint typecheck check
+.PHONY: install test test-sanitized tier-guard bench bench-smoke bench-e2e-smoke bench-pairs bench-parallel bench-msbfs bench-store bench-guard obs-overhead examples results clean lint typecheck check
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -61,6 +61,17 @@ bench-smoke:
 # at smoke size, traced and untraced, with the seed-0 digests checked.
 bench-e2e-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
+
+# Paired A/B of the end-to-end benchmark: BASE (a git ref, checked out
+# as a temporary worktree) against the working tree, PAIRS alternating
+# pairs per workload; prints each side's median and quartiles and the
+# change's wins.  E.g. `make bench-pairs BASE=HEAD~1 WORKLOADS="ed-powerlaw batch-ecc"`.
+BASE ?= HEAD
+PAIRS ?= 10
+SEED ?= 0
+WORKLOADS ?= ed-powerlaw ed-web-large anytime-mix batch-ecc
+bench-pairs:
+	python tools/bench_pairs.py --base $(BASE) --pairs $(PAIRS) --seed $(SEED) $(foreach w,$(WORKLOADS),--workload $(w))
 
 # Backend shootout only, at full scale (powerlaw-50k, sampled sources).
 # Honest on constrained hosts: the JSON records effective_cpus.

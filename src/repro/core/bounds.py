@@ -47,10 +47,17 @@ directed reachability alike (Dragan et al.'s certificate view).  A
 Bound arrays are updated with whole-array numpy operations only, and the
 core invariant ``lower <= upper (+ tolerance)`` is re-checked on every
 update.
+
+Along an FFO sweep both updates are monotone — Lemma 3.1 lowers are a
+running max of the probe rows, Lemma 3.3 uppers a running min of the
+tail caps — so :meth:`BoundState.apply_sweep_block` applies a whole
+batch of probe rows at once, with the result of applying them one by
+one.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -58,10 +65,44 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.sentinels import INFINITE_ECC, infinity_for, unreached_mask
 
-__all__ = ["INFINITE_ECC", "BoundState", "lemma31_lower", "lemma31_upper"]
+__all__ = [
+    "INFINITE_ECC",
+    "BoundState",
+    "SweepBlock",
+    "lemma31_lower",
+    "lemma31_upper",
+]
 
 #: Numeric scalar accepted wherever an eccentricity value is expected.
 Numeric = Union[int, float]
+
+
+@dataclass(frozen=True)
+class SweepBlock:
+    """What :meth:`BoundState.apply_sweep_block` applied.
+
+    Attributes
+    ----------
+    used:
+        Rows applied: up to the row after which every column has
+        resolved, or all of them.
+    unresolved:
+        The members of the block's ``subset`` still unresolved.
+    closing_row:
+        Per column, the row that resolved it (its closing probe), or
+        ``-1`` while it is unresolved.
+    resolved:
+        Per applied row, :meth:`BoundState.num_resolved` after it.
+    gap_mass:
+        Per applied row, the capped gap mass after it (see
+        :meth:`BoundState.apply_sweep_block`).
+    """
+
+    used: int
+    unresolved: np.ndarray
+    closing_row: np.ndarray
+    resolved: np.ndarray
+    gap_mass: np.ndarray
 
 
 def lemma31_lower(dist_to_t: np.ndarray, ecc_t: Numeric) -> np.ndarray:
@@ -360,6 +401,188 @@ class BoundState:
                 "Lemma 3.3 update produced lower > upper",
             )
             self.upper[subset] = new_upper
+
+    def apply_sweep_block(
+        self,
+        subset: np.ndarray,
+        rows: np.ndarray,
+        dist_to_z: np.ndarray,
+        tails: np.ndarray,
+        pin_rows: np.ndarray,
+        pin_vertices: np.ndarray,
+        pin_values: np.ndarray,
+        gap_cap: float,
+    ) -> SweepBlock:
+        """Apply consecutive FFO sweep probes as one block (Alg. 2, 10-18).
+
+        ``subset`` holds strictly increasing unresolved vertex ids (the
+        columns), ``rows[i, j]`` is ``dist(subset[j], s_i)`` for the
+        ``i``-th probe ``s_i``, ``dist_to_z`` is ``dist(subset, z)`` and
+        ``tails[i]`` the Lemma 3.3 tail radius once ``s_i`` is probed.
+        Probe rows that determined an eccentricity pin it:
+        ``set_exact(pin_vertices[t], pin_values[t])`` just before row
+        ``pin_rows[t]`` (non-decreasing).  The result equals applying
+        the rows one at a time — pins, :meth:`raise_lower_subset`,
+        :meth:`apply_lemma33_tail`, then dropping the resolved members
+        — until no member is left, with the same consistency checks.
+
+        Both updates are monotone, so the block has a closed form: the
+        lowers are ``maximum.accumulate`` of ``[lower; rows]`` and the
+        uppers ``minimum.accumulate`` of ``[upper; max(lower_i,
+        dist_to_z + tails[i])]`` down the rows.  A column resolves at
+        its first met row, or at its own pin if that comes no later,
+        and keeps the values of that row; every other pin is a point
+        write.  ``gap_mass`` sums ``min(upper - lower, gap_cap)`` over
+        all vertices, from the block start plus per-row deltas (exact
+        for integer bounds; float sums may differ in the last bits).
+
+        :mutates rows: overwritten with the running lower bounds (it
+            must have the bounds' dtype).
+        """
+        dtype = self._dtype
+        tol = self.tolerance
+        k, width = rows.shape
+        if rows.dtype != dtype:
+            raise InvalidParameterError(
+                f"sweep block rows must be {dtype}, not {rows.dtype}"
+            )
+        pin_rows = np.asarray(pin_rows, dtype=np.int64)
+        pin_vertices = np.asarray(pin_vertices, dtype=np.int64)
+        pin_values = np.asarray(pin_values).astype(dtype)
+        if k == 0 or width == 0:
+            nothing = np.empty(0, dtype=np.int64)
+            return SweepBlock(
+                0, subset, np.full(width, -1), nothing, nothing.astype(float)
+            )
+        lower0 = self.lower[subset]
+        upper0 = self.upper[subset]
+        base_resolved = self.num_resolved()
+        base_gap = float(np.minimum(self.gap(), gap_cap).sum())
+
+        # Pins on a column: a probe that is itself unresolved.  Its row
+        # holds its own distance (0) before the scan overwrites it.
+        pos = np.minimum(np.searchsorted(subset, pin_vertices), width - 1)
+        col_pins = np.flatnonzero(subset[pos] == pin_vertices)
+        pin_cols = pos[col_pins]
+        self_dist = rows[pin_rows[col_pins], pin_cols]
+
+        # Lemma 3.1 lowers, then Lemma 3.3 uppers, as running extrema
+        # down the rows.  (A row loop streams contiguous rows; a
+        # ufunc.accumulate along axis 0 strides and is slower.)
+        rows[0] = np.maximum(rows[0], lower0)
+        for i in range(1, k):
+            np.maximum(rows[i], rows[i - 1], out=rows[i])
+        low = rows
+        up = np.add.outer(
+            np.asarray(tails).astype(dtype), dist_to_z.astype(dtype)
+        )
+        np.maximum(up, low, out=up)
+        np.minimum(up[0], upper0, out=up[0])
+        for i in range(1, k):
+            np.minimum(up[i], up[i - 1], out=up[i])
+        met = np.asarray(self.bounds_met(low, up))
+        # upper - lower never grows down the rows, so a column stays met
+        # from its first met row on (k: never within the block).
+        closing = k - np.add.reduce(met, axis=0, dtype=np.int32)
+        wins = pin_rows[col_pins] <= closing[pin_cols]
+        win_cols = pin_cols[wins]
+        win_rows = pin_rows[col_pins[wins]]
+        win_values = pin_values[col_pins[wins]]
+        closing[win_cols] = win_rows
+        used = int(min(closing.max() + 1, k))
+
+        # Each column keeps its values at its closing row (or the last
+        # applied one); a column pinned there takes its pin instead,
+        # after set_exact's window check against the row before.
+        cols = np.arange(width)
+        last = np.minimum(closing, used - 1)
+        last[win_cols] -= 1
+        final_low = low[last, cols]
+        final_up = up[last, cols]
+        first = win_rows == 0
+        self._check_pins(
+            subset[win_cols],
+            win_values,
+            np.where(first, lower0[win_cols], final_low[win_cols]),
+            np.where(first, upper0[win_cols], final_up[win_cols]),
+        )
+        final_low[win_cols] = np.maximum(win_values, self_dist[wins])
+        final_up[win_cols] = win_values
+        # A row with lower > upper + tolerance also meets, and lower -
+        # upper never shrinks down the rows, so a column can first break
+        # the invariant only at its closing row: checking the kept
+        # values checks every row the column took.
+        self._check_consistent(
+            bool(np.all(final_low <= final_up + tol)),
+            "Lemma 3.1/3.3 block update produced lower > upper: "
+            "inconsistent distances",
+        )
+
+        # Per-row gap mass of the columns: a column counts its scan gap
+        # while unmet, then its kept gap from its closing row on; a
+        # pinned column's scan rows from its pin on do not count.
+        gaps = up[:used] - low[:used]
+        # Every gap is at most the infinity sentinel, so the capped gaps
+        # stay in the bounds' dtype (an integer metric's cap is integral).
+        cap = np.asarray(min(gap_cap, self.infinity)).astype(dtype)
+        np.minimum(gaps, cap, out=gaps)
+        np.multiply(gaps, ~met[:used], out=gaps)
+        col_gap = gaps.sum(axis=1).astype(np.float64)
+        col_gap -= np.multiply(
+            gaps[:, win_cols], np.arange(used)[:, None] >= win_rows
+        ).sum(axis=1)
+        closed = closing < used
+        col_gap += np.cumsum(
+            np.bincount(
+                closing[closed],
+                weights=np.minimum(final_up - final_low, gap_cap)[closed],
+                minlength=used,
+            )
+        )
+        col_gap -= float(np.minimum(upper0 - lower0, gap_cap).sum())
+        self.lower[subset] = final_low
+        self.upper[subset] = final_up
+
+        # Every other applied pin is a point write, in row order.
+        point = pin_rows < used
+        point[col_pins[wins]] = False
+        pv = pin_vertices[point]
+        p_rows = pin_rows[point]
+        p_values = pin_values[point]
+        self._check_pins(pv, p_values, self.lower[pv], self.upper[pv])
+        was_met = np.asarray(self.bounds_met(self.lower[pv], self.upper[pv]))
+        point_gap = np.minimum(self.upper[pv] - self.lower[pv], gap_cap)
+        self.lower[pv] = p_values
+        self.upper[pv] = p_values
+
+        newly = np.bincount(closing[closed], minlength=used)
+        newly += np.bincount(p_rows[~was_met], minlength=used)
+        point_delta = np.bincount(p_rows, weights=point_gap, minlength=used)
+        return SweepBlock(
+            used=used,
+            unresolved=subset[~closed],
+            closing_row=np.where(closed, closing, -1),
+            resolved=base_resolved + np.cumsum(newly),
+            gap_mass=base_gap + col_gap - np.cumsum(point_delta),
+        )
+
+    def _check_pins(
+        self,
+        vertices: np.ndarray,
+        values: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+    ) -> None:
+        """:meth:`set_exact`'s window check over arrays, in order."""
+        tol = self.tolerance
+        outside = ~((lower - tol <= values) & (values <= upper + tol))
+        if np.any(outside):
+            bad = int(np.argmax(outside))
+            self._check_consistent(
+                False,
+                f"exact ecc {values[bad]} outside current bounds of "
+                f"vertex {vertices[bad]}",
+            )
 
     @staticmethod
     def _check_consistent(condition: bool, message: str) -> None:

@@ -248,7 +248,7 @@ class BFSOracle:
         ``(len(sources), len(targets))`` matrix).  The counter is
         credited with the sweep's work and one pending lane per source;
         the caller consumes or discards them
-        (:meth:`repro.counters.TraversalCounter.consume_lane`).
+        (:meth:`repro.counters.TraversalCounter.consume_lanes`).
 
         :dtype eccs: int32
         :dtype cols: int32

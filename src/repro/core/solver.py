@@ -18,10 +18,11 @@ it once, parameterised over a :class:`repro.core.oracles.DistanceOracle`:
    probe yields exact reverse distances, so Lemma 3.1 raises lower
    bounds and Lemma 3.3 caps upper bounds for the territory, until
    every territory member's bounds meet (lines 10-18).  :meth:`run`
-   may sweep a territory's later probes together as MS-BFS lanes
-   (see :meth:`EccentricitySolver._sweep_territory`); it applies their
-   rows in the same order, so results, traversal counts and snapshots
-   are unchanged.
+   may sweep a territory's later probes together as MS-BFS lanes and
+   apply each lane batch as one block: Lemma 3.1 lowers are a running
+   max and Lemma 3.3 uppers a running min down the batch's rows (see
+   :meth:`EccentricitySolver._sweep_territory`), so results, traversal
+   counts, snapshots and probe spans equal one traversal per probe.
 
 Because the loop is shared, every capability built on it — the anytime
 :meth:`EccentricitySolver.steps` protocol, kIFECC-style budgeting
@@ -38,16 +39,18 @@ directed instantiations are value-identical to their pre-unification
 ancestors within the oracle's documented tolerance.
 
 Space stays ``O(m + n)`` (Theorem 4.5): the graph, the bound arrays,
-the ``r`` reference distance vectors, and at most one lane batch of
+the ``r`` reference distance vectors, at most one lane batch of
 ``64 * |unresolved|`` distance cells — a batch records only the
 territory's unresolved members (whole rows when ``memoize_distances``
-is on, since memoised rows must be complete).
+is on, since memoised rows must be complete) — and a constant number
+of ``(k, |unresolved|)`` scan matrices while a batch of ``k`` rows is
+applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -131,8 +134,7 @@ class EccentricitySolver:
         self.memoize_distances = memoize_distances
         self.counter = counter if counter is not None else TraversalCounter()
         self._tracer = tracer
-        # Scratch for the traced-probe gap-mass reduction; see
-        # _finish_probe_span.
+        # Scratch for the traced-probe gap-mass reduction; see _gap_mass.
         self._gap_buf: Optional[np.ndarray] = None
         self.bounds = BoundState(
             oracle.num_vertices,
@@ -188,7 +190,9 @@ class EccentricitySolver:
             )
             snap = self._snapshot(z)
             if tracer.enabled:
-                self._finish_probe_span(tracer, span, ffo.eccentricity, snap)
+                self._finish_probe_span(
+                    tracer, span, ffo.eccentricity, snap, self._gap_mass()
+                )
             yield snap
 
         # Closest reference per vertex (by forward distance); ties go to
@@ -250,41 +254,49 @@ class EccentricitySolver:
     ) -> Iterator[ProgressSnapshot]:
         """Probe ``L^z`` front to back until the territory resolves.
 
-        With ``batched`` set and an oracle that offers ``sweep_batch``,
-        the next fresh probes are swept together as MS-BFS lanes
-        (:func:`repro.graph.msengine.plan_sweep_width` picks how many).
-        Lemmas 3.1 and 3.3 only need each probe's exact distance row,
-        and the probes of the FFO prefix are known before they run, so
-        applying the lane rows one by one, in FFO order, yields the
-        bounds, counts and snapshots of one traversal per probe; only
-        the rows past the stopping rank go unused.  A probe's row is
-        read only on the still-unresolved members (Lemma 3.3 reads the
-        reference's vector), and those only shrink, so a batch records
-        just the members unresolved when it starts.
+        Without ``batched`` every probe is one traversal, applied on its
+        own.  With ``batched`` set and an oracle that offers
+        ``sweep_batch``, the next fresh probes are swept together as
+        MS-BFS lanes (:func:`repro.graph.msengine.plan_sweep_width`
+        picks how many) and applied as one block
+        (:meth:`_sweep_block`).  Lemmas 3.1 and 3.3 only need each
+        probe's exact distance row, the probes of the FFO prefix are
+        known before they run, and both updates are monotone, so the
+        block's running max/min yields the bounds, counts, snapshots
+        and spans of one traversal per probe; only the rows past the
+        stopping rank go unused.  A probe's row is read only on the
+        still-unresolved members (Lemma 3.3 reads the reference's
+        vector), so a batch records just the members unresolved when it
+        starts.
         """
         bounds = self.bounds
         tracer = self._active_tracer()
         ffo = territory.ffo
         dist_into_z = territory.dist_into
         unresolved = bounds.unresolved_subset(territory.members)
-        if len(unresolved) == 0:
-            return
         sweep_batch = (
             getattr(self.oracle, "sweep_batch", None) if batched else None
         )
-        # The current lane batch: rows [lane, len) serve the next fresh
-        # probes, in FFO order; their columns are the vertices
-        # `lane_targets`, a sorted superset of `unresolved`.
-        lane_eccs = lane_rows = lane_targets = np.empty(0, dtype=np.int32)
-        lane = 0
         consumed = 0
-        for rank, source in enumerate(ffo.order):
-            source = int(source)
+        rank = 0
+        while len(unresolved) and rank < len(ffo.order):
+            source = int(ffo.order[rank])
             if source == territory.reference:
+                rank += 1
+                continue
+            width = (
+                plan_sweep_width(consumed)
+                if sweep_batch is not None and source not in self._known
+                else 0
+            )
+            if width:
+                probes = self._next_probes(territory, rank, width)
+                unresolved, rank = yield from self._sweep_block(
+                    territory, rank, probes, unresolved, sweep_batch
+                )
+                consumed += len(probes)
                 continue
             tail_radius = ffo.distance_of_rank(rank + 1)
-            # Column of each unresolved member in `dist_s`.
-            columns = unresolved
             if source in self._known:
                 # Replay the retained distance vector instead of
                 # re-running the traversal.  Lemma 3.3 stays sound
@@ -302,49 +314,16 @@ class EccentricitySolver:
                 )
             else:
                 span = (
-                    tracer.span(
-                        "solver.probe",
-                        probe="sweep",
-                        source=source,
-                        territory=territory.reference,
-                        ffo_rank=rank,
-                        metric=self.oracle.metric_name,
-                        oracle=getattr(
-                            self.oracle, "trace_kind", self.oracle.metric_name
-                        ),
-                    )
+                    self._sweep_span(tracer, territory, source, rank)
                     if tracer.enabled
                     else None
                 )
-                if lane == len(lane_rows) and sweep_batch is not None:
-                    width = plan_sweep_width(consumed)
-                    if width:
-                        # Memoised rows must be whole.
-                        lane_targets = (
-                            np.arange(self.oracle.num_vertices)
-                            if self.memoize_distances
-                            else unresolved
-                        )
-                        # The sweep runs inside this probe's span.
-                        lane_eccs, lane_rows = sweep_batch(
-                            self._next_probes(territory, rank, width),
-                            lane_targets,
-                            counter=self.counter,
-                        )
-                        lane = 0
-                if lane < len(lane_rows):
-                    ecc_s, dist_s = int(lane_eccs[lane]), lane_rows[lane]
-                    columns = np.searchsorted(lane_targets, unresolved)
-                    lane += 1
-                    self.counter.consume_lane()
-                else:
-                    # The vector may alias the oracle's pooled
-                    # workspace; it is consumed before the next
-                    # traversal and only the memoised copy outlives
-                    # this iteration.
-                    ecc_s, dist_s = self.oracle.sweep_probe(
-                        source, counter=self.counter
-                    )
+                # The vector may alias the oracle's pooled workspace; it
+                # is consumed before the next traversal and only the
+                # memoised copy outlives this iteration.
+                ecc_s, dist_s = self.oracle.sweep_probe(
+                    source, counter=self.counter
+                )
                 consumed += 1
                 if ecc_s is not None:
                     # The probe determined ecc(source) exactly, even if
@@ -359,7 +338,7 @@ class EccentricitySolver:
                     )
                 fresh_probe = True
             # Lemma 3.1 (lower) for the territory...
-            bounds.raise_lower_subset(unresolved, dist_s[columns])
+            bounds.raise_lower_subset(unresolved, dist_s[unresolved])
             # ... and Lemma 3.3's shrinking tail cap (upper).
             bounds.apply_lemma33_tail(
                 dist_into_z, tail_radius, subset=unresolved
@@ -367,12 +346,113 @@ class EccentricitySolver:
             if fresh_probe:
                 snap = self._snapshot(source)
                 if span is not None:
-                    self._finish_probe_span(tracer, span, ecc_s, snap)
+                    self._finish_probe_span(
+                        tracer, span, ecc_s, snap, self._gap_mass()
+                    )
                 yield snap
             unresolved = bounds.unresolved_subset(unresolved)
-            if len(unresolved) == 0:
-                break
+            rank += 1
         self.counter.discard_lanes()
+
+    def _sweep_block(
+        self,
+        territory: Territory,
+        rank: int,
+        probes: List[int],
+        unresolved: np.ndarray,
+        sweep_batch: Any,
+    ) -> Generator[ProgressSnapshot, None, Tuple[np.ndarray, int]]:
+        """Sweep ``probes`` as lanes and apply them as one block.
+
+        The block's rows are the FFO ranks from ``rank`` through the last
+        probe's, but the reference: the lanes' rows, and the retained
+        rows of the sources in between, which it replays.  Its columns
+        are the territory's ``unresolved`` members;
+        :meth:`BoundState.apply_sweep_block` applies it and stops at the
+        row that resolves the last of them.  Snapshots, probe spans,
+        replay events, memoised rows and consumed lanes follow for each
+        applied row, in FFO order.  Returns the members still
+        unresolved and the rank after the block.
+        """
+        tracer = self._active_tracer()
+        oracle = self.oracle
+        ffo = territory.ffo
+        ranks: List[int] = []
+        sources: List[int] = []
+        for at in range(rank, len(ffo.order)):
+            source = int(ffo.order[at])
+            if source != territory.reference:
+                ranks.append(at)
+                sources.append(source)
+                if source == probes[-1]:
+                    break
+        fresh = np.array([s not in self._known for s in sources])
+        lanes = np.flatnonzero(fresh)
+        span = self._sweep_span(tracer, territory, probes[0], rank)
+        # The sweep runs inside the first probe's span; memoised rows
+        # must be whole.
+        eccs, cols = sweep_batch(
+            probes,
+            np.arange(oracle.num_vertices)
+            if self.memoize_distances
+            else unresolved,
+            counter=self.counter,
+        )
+        if len(lanes) == len(sources) and not self.memoize_distances:
+            block = cols
+        else:
+            block = np.empty((len(sources), len(unresolved)), cols.dtype)
+            block[lanes] = (
+                cols[:, unresolved] if self.memoize_distances else cols
+            )
+            for row in np.flatnonzero(~fresh).tolist():
+                block[row] = self._known[sources[row]][1][unresolved]
+        tails = [ffo.distance_of_rank(at + 1) for at in ranks]
+        scan = self.bounds.apply_sweep_block(
+            unresolved,
+            block,
+            territory.dist_into[unresolved],
+            np.asarray(tails),
+            lanes,
+            np.asarray(probes),
+            eccs,
+            oracle.gap_cap(),
+        )
+        used = int(np.searchsorted(lanes, scan.used))
+        runs = self.counter.bfs_runs
+        self.counter.consume_lanes(used)
+        if self.memoize_distances:
+            for lane in range(used):
+                self._known[probes[lane]] = (
+                    int(eccs[lane]),
+                    sanitize.assert_owned(cols[lane].copy()),
+                )
+        lane = 0
+        for row in range(scan.used):
+            if not fresh[row]:
+                tracer.event(
+                    "solver.replay",
+                    source=sources[row],
+                    territory=territory.reference,
+                    ffo_rank=ranks[row],
+                )
+                continue
+            if lane:
+                span = self._sweep_span(
+                    tracer, territory, sources[row], ranks[row]
+                )
+            lane += 1
+            snap = ProgressSnapshot(
+                bfs_runs=runs + lane,
+                source=sources[row],
+                resolved=int(scan.resolved[row]),
+                num_vertices=oracle.num_vertices,
+            )
+            self._finish_probe_span(
+                tracer, span, eccs[lane - 1], snap, float(scan.gap_mass[row])
+            )
+            yield snap
+        return scan.unresolved, ranks[-1] + 1
 
     def _next_probes(
         self, territory: Territory, rank: int, width: int
@@ -390,6 +470,20 @@ class EccentricitySolver:
                     break
         return probes
 
+    def _sweep_span(
+        self, tracer: Tracer, territory: Territory, source: int, rank: int
+    ) -> Any:
+        """Open the ``solver.probe`` span of the sweep probe at ``rank``."""
+        return tracer.span(
+            "solver.probe",
+            probe="sweep",
+            source=source,
+            territory=territory.reference,
+            ffo_rank=rank,
+            metric=self.oracle.metric_name,
+            oracle=getattr(self.oracle, "trace_kind", self.oracle.metric_name),
+        )
+
     def _active_tracer(self) -> Tracer:
         return self._tracer if self._tracer is not None else get_tracer()
 
@@ -399,16 +493,14 @@ class EccentricitySolver:
         span: Any,
         ecc_value: Optional[float],
         snap: ProgressSnapshot,
+        gap_mass: float,
     ) -> None:
         """Attach post-traversal facts to a probe span and close it.
 
-        Only called when tracing is enabled; the gauges mirror the
-        event stream so metric consumers see convergence without
-        replaying events.  ``gap`` is the remaining bound-gap mass —
-        per-vertex ``upper - lower`` capped at the oracle's finite
-        eccentricity bound (untouched vertices carry an infinity
-        sentinel) and summed — the certificate-size signal the live
-        progress monitor plots.
+        The gauges mirror the event stream so metric consumers see
+        convergence without replaying events.  ``gap_mass`` is the
+        remaining bound-gap mass (:meth:`_gap_mass`), the
+        certificate-size signal the live progress monitor plots.
         """
         remaining = snap.num_vertices - snap.resolved
         if ecc_value is None:
@@ -419,17 +511,6 @@ class EccentricitySolver:
                 if float(ecc_value).is_integer()
                 else float(ecc_value)
             )
-        buf = self._gap_buf
-        if buf is None or len(buf) != snap.num_vertices:
-            buf = self._gap_buf = np.empty(snap.num_vertices, np.float64)
-        # In-place fused equivalent of
-        # ``np.minimum(self.bounds.gap(), self.oracle.gap_cap()).sum()``
-        # — this runs once per traced traversal, and the temporaries the
-        # spelled-out form allocates are the single largest slice of the
-        # capture overhead budget enforced by bench_obs_overhead.
-        np.subtract(self.bounds.upper, self.bounds.lower, out=buf)
-        np.minimum(buf, self.oracle.gap_cap(), out=buf)
-        gap_mass = float(buf.sum())
         gap_out = int(gap_mass) if gap_mass.is_integer() else gap_mass
         span.set(
             ecc=ecc_out,
@@ -438,8 +519,27 @@ class EccentricitySolver:
             remaining=remaining,
             gap=gap_out,
         ).finish()
-        tracer.metrics.gauge("solver.unresolved").set(remaining)
-        tracer.metrics.gauge("solver.gap_mass").set(gap_mass)
+        if tracer.enabled:
+            tracer.metrics.gauge("solver.unresolved").set(remaining)
+            tracer.metrics.gauge("solver.gap_mass").set(gap_mass)
+
+    def _gap_mass(self) -> float:
+        """Per-vertex ``upper - lower`` capped at the oracle's finite
+        eccentricity bound (untouched vertices carry an infinity
+        sentinel), summed.
+        """
+        n = self.oracle.num_vertices
+        buf = self._gap_buf
+        if buf is None or len(buf) != n:
+            buf = self._gap_buf = np.empty(n, np.float64)
+        # In-place fused equivalent of
+        # ``np.minimum(self.bounds.gap(), self.oracle.gap_cap()).sum()``
+        # — this runs once per traced traversal, and the temporaries the
+        # spelled-out form allocates are the single largest slice of the
+        # capture overhead budget enforced by bench_obs_overhead.
+        np.subtract(self.bounds.upper, self.bounds.lower, out=buf)
+        np.minimum(buf, self.oracle.gap_cap(), out=buf)
+        return float(buf.sum())
 
     def _snapshot(self, source: int) -> ProgressSnapshot:
         return ProgressSnapshot(
@@ -458,11 +558,11 @@ class EccentricitySolver:
     def run(self, algorithm: Optional[str] = None) -> EccentricityResult:
         """Run to completion and return the exact ED (Algorithm 2).
 
-        Sweep probes may run as MS-BFS lane batches (see
-        :meth:`_sweep_territory`); the result, the counter's runs and
-        history, and the probe spans equal those of exhausting
-        :meth:`steps`.  The counter's work totals also include the
-        unused lanes, which ``lanes_discarded`` counts.
+        Sweep probes may run as MS-BFS lane batches, each applied as
+        one block (see :meth:`_sweep_territory`); the result, the
+        counter's runs and history, and the probe spans equal those of
+        exhausting :meth:`steps`.  The counter's work totals also
+        include the unused lanes, which ``lanes_discarded`` counts.
         """
         tracer = self._active_tracer()
         watch = Stopwatch()

@@ -13,7 +13,8 @@ Batched FFO probing (:meth:`repro.core.solver.EccentricitySolver.run`)
 sweeps a territory's next probes as MS-BFS lanes before Algorithm 2
 knows how many of them it needs.  The counter keeps the algorithm's
 accounting regardless: a swept lane becomes a run only when the solver
-consumes its row (:meth:`TraversalCounter.consume_lane`), while the
+consumes its row (:meth:`TraversalCounter.consume_lane`, or
+:meth:`TraversalCounter.consume_lanes` for a block of rows), while the
 work counters credit the whole sweep and ``lanes_discarded`` counts
 the lanes that were swept but never consumed.
 """
@@ -107,6 +108,13 @@ class TraversalCounter:
         """Count the oldest pending swept lane as one traversal run."""
         self.bfs_runs += 1
         self.history.append(self._pending.popleft())
+
+    def consume_lanes(self, count: int) -> None:
+        """Count the ``count`` oldest pending swept lanes as runs, in order."""
+        if count > len(self._pending):
+            raise IndexError("consume_lanes: fewer pending lanes than count")
+        self.bfs_runs += count
+        self.history.extend(self._pending.popleft() for _ in range(count))
 
     def discard_lanes(self) -> None:
         """Count every pending swept lane as discarded."""

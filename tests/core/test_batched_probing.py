@@ -1,9 +1,10 @@
 """Batched FFO probing: ``run()`` equals one traversal per probe.
 
 :meth:`EccentricitySolver.run` takes a territory's later sweep probes
-from MS-BFS lane batches, while :meth:`EccentricitySolver.steps` runs one
-traversal per probe.  Both apply the same rows in the same FFO order, so
-the eccentricities, bounds, traversal counts, counter history and the
+from MS-BFS lane batches and applies each batch as one block, while
+:meth:`EccentricitySolver.steps` runs and applies one traversal per
+probe.  Both apply the same rows in the same FFO order, so the
+eccentricities, bounds, traversal counts, counter history and the
 per-probe snapshots (the ``solver.probe`` spans) must be identical; only
 the work counters differ, by the lanes swept past the stopping rank.
 """
@@ -24,6 +25,7 @@ from repro.counters import TraversalCounter
 from repro.datasets.loader import load_dataset
 from repro.directed.eccentricity import directed_solver
 from repro.directed.graph import DirectedGraph
+from repro.errors import InvalidParameterError
 from repro.graph import msengine
 from repro.graph.csr import Graph
 from repro.graph.generators import barabasi_albert
@@ -258,3 +260,84 @@ def test_sweep_batch_matches_sweep_probe(ba2k: Graph) -> None:
     counter.discard_lanes()
     assert counter.history == ["bfs:5"]
     assert (counter.bfs_runs, counter.lanes_discarded) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "refs, memo, want",
+    [
+        (1, False, (602, 57231, 528357, 1282000, 0, 39)),
+        (1, True, (602, 57231, 528357, 1282000, 0, 39)),
+        (3, False, (738, 98885, 892084, 1606000, 0, 65)),
+        (3, True, (700, 108246, 818552, 1574000, 0, 87)),
+    ],
+)
+def test_run_work_counters_pinned(
+    ba2k: Graph, refs: int, memo: bool, want: Tuple[int, ...]
+) -> None:
+    """``run()``'s work on BA-2k, pinned before its rows became blocks.
+
+    The swept and discarded lanes, and so every work counter, depend
+    only on which sources each lane batch holds; these values show the
+    batches are the ones the row-by-row application swept.
+    """
+    counter = TraversalCounter()
+    EccentricitySolver(
+        BFSOracle(ba2k),
+        num_references=refs,
+        memoize_distances=memo,
+        counter=counter,
+    ).run()
+    assert _work(counter) == want
+
+
+class CorruptingOracle(ForwardingOracle):
+    """Hands back one probe's eccentricity or distances corrupted.
+
+    ``sweep_probe`` and ``sweep_batch`` corrupt the same source the same
+    way, so ``steps()`` and ``run()`` see identical inputs.
+    """
+
+    def __init__(self, oracle: BFSOracle, source: int, field: str) -> None:
+        super().__init__(oracle)
+        self._source = source
+        self._field = field
+
+    def _corrupt(self, ecc: int, dist: np.ndarray) -> Tuple[int, np.ndarray]:
+        if self._field == "ecc":
+            return ecc + 10**6, dist
+        return ecc, dist + 10**6
+
+    def sweep_probe(self, source: int, counter: Any = None) -> Tuple[int, np.ndarray]:
+        ecc, dist = self._oracle.sweep_probe(source, counter=counter)
+        if source == self._source:
+            return self._corrupt(ecc, dist.copy())
+        return ecc, dist
+
+    def sweep_batch(
+        self, sources: List[int], targets: Any, counter: Any = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        eccs, cols = self._oracle.sweep_batch(sources, targets, counter=counter)
+        if self._source in sources:
+            lane = list(sources).index(self._source)
+            eccs[lane], cols[lane] = self._corrupt(int(eccs[lane]), cols[lane])
+        return eccs, cols
+
+
+@pytest.mark.parametrize("field", ["ecc", "dist"])
+@pytest.mark.parametrize("probe", [8, 30])
+def test_corrupted_lane_row_raises_like_steps(ba2k: Graph, field: str, probe: int) -> None:
+    """A lane row outside the current bounds fails ``run()`` as it fails
+    ``steps()`` when ``sweep_probe`` returns it: the first and a middle
+    row of a lane batch."""
+    clean = TraversalCounter()
+    EccentricitySolver(BFSOracle(ba2k), counter=clean).run()
+    # History: the reference, then the sweep probes in order; the first
+    # 8 run alone, so sweep probe 8 opens the first lane batch.
+    source = int(clean.history[1 + probe].split(":")[1])
+    with pytest.raises(InvalidParameterError):
+        for _ in EccentricitySolver(
+            CorruptingOracle(BFSOracle(ba2k), source, field)
+        ).steps():
+            pass
+    with pytest.raises(InvalidParameterError):
+        EccentricitySolver(CorruptingOracle(BFSOracle(ba2k), source, field)).run()

@@ -196,6 +196,31 @@ class TestTraversalCounter:
         bfs_distances(path_graph(3), 2, counter=counter)
         assert counter.history == ["bfs:2"]
 
+    def test_consume_lanes_equals_consume_lane_calls(self):
+        labels = [f"bfs:{s}" for s in (4, 1, 7, 2, 9)]
+        one, bulk = TraversalCounter(), TraversalCounter()
+        for counter in (one, bulk):
+            counter.record_sweep(10, 20, 30, labels)
+        for _ in range(3):
+            one.consume_lane()
+        bulk.consume_lanes(3)
+        bulk.consume_lanes(0)
+        assert (bulk.bfs_runs, bulk.history) == (one.bfs_runs, one.history)
+        assert bulk.history == labels[:3]
+        one.consume_lane()
+        bulk.consume_lanes(1)
+        assert (bulk.bfs_runs, bulk.history) == (one.bfs_runs, one.history)
+        one.discard_lanes()
+        bulk.discard_lanes()
+        assert bulk == one and bulk.lanes_discarded == 1
+
+    def test_consume_lanes_past_the_pending_lanes_raises(self):
+        counter = TraversalCounter()
+        counter.record_sweep(1, 1, 1, ["bfs:0"])
+        with pytest.raises(IndexError):
+            counter.consume_lanes(2)
+        assert (counter.bfs_runs, counter.history) == (0, [])
+
 
 class TestAllPairs:
     def test_yields_every_vertex(self):
