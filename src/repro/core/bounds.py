@@ -58,7 +58,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -95,14 +95,15 @@ class SweepBlock:
         Per applied row, :meth:`BoundState.num_resolved` after it.
     gap_mass:
         Per applied row, the capped gap mass after it (see
-        :meth:`BoundState.apply_sweep_block`).
+        :meth:`BoundState.apply_sweep_block`), or ``None`` when the
+        caller passed no cap.
     """
 
     used: int
     unresolved: np.ndarray
     closing_row: np.ndarray
     resolved: np.ndarray
-    gap_mass: np.ndarray
+    gap_mass: Optional[np.ndarray]
 
 
 def lemma31_lower(dist_to_t: np.ndarray, ecc_t: Numeric) -> np.ndarray:
@@ -141,7 +142,9 @@ class BoundState:
     than silently producing a wrong eccentricity.
     """
 
-    __slots__ = ("lower", "upper", "tolerance", "infinity", "_dtype")
+    __slots__ = (
+        "lower", "upper", "tolerance", "infinity", "_dtype", "_gap_buf"
+    )
 
     def __init__(
         self,
@@ -161,6 +164,8 @@ class BoundState:
         )
         self.lower = np.zeros(num_vertices, dtype=self._dtype)
         self.upper = np.full(num_vertices, self.infinity, dtype=self._dtype)
+        # Scratch for capped_gap_mass, allocated on first use.
+        self._gap_buf: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -215,6 +220,17 @@ class BoundState:
             )
         return self.upper.astype(np.int64) - self.lower.astype(np.int64)
 
+    def capped_gap_mass(self, cap: float) -> float:
+        """``np.minimum(self.gap(), cap).sum()``, fused in place: it runs
+        once per traced probe, where that form's temporaries are the
+        largest slice of the tracing overhead budget."""
+        buf = self._gap_buf
+        if buf is None:
+            buf = self._gap_buf = np.empty(len(self.lower), np.float64)
+        np.subtract(self.upper, self.lower, out=buf)
+        np.minimum(buf, cap, out=buf)
+        return float(buf.sum())
+
     def eccentricities(self) -> np.ndarray:
         """The exact eccentricities; requires all bounds resolved."""
         if not self.all_resolved():
@@ -228,14 +244,13 @@ class BoundState:
     # ------------------------------------------------------------------
     def set_exact(self, vertex: int, value: Numeric) -> None:
         """Pin one vertex's eccentricity (e.g. after its own traversal)."""
-        self._check_consistent(
-            bool(
-                self.lower[vertex] - self.tolerance
-                <= value
-                <= self.upper[vertex] + self.tolerance
-            ),
-            f"exact ecc {value} outside current bounds of vertex {vertex}",
-        )
+        tol = self.tolerance
+        # Python scalars: this runs once per probe.
+        lower, upper = self.lower.item(vertex), self.upper.item(vertex)
+        if not lower - tol <= value <= upper + tol:
+            raise InvalidParameterError(
+                f"exact ecc {value} outside current bounds of vertex {vertex}"
+            )
         self.lower[vertex] = value
         self.upper[vertex] = value
 
@@ -337,28 +352,6 @@ class BoundState:
         self.lower[subset] = new_lower
         self.upper[subset] = new_upper
 
-    def raise_lower_subset(
-        self,
-        subset: np.ndarray,
-        dist_subset: np.ndarray,
-    ) -> None:
-        """Raise ``lower[subset]`` to ``dist_subset`` (Lemma 3.1, lower only).
-
-        The subset counterpart of :meth:`apply_lower_only`, used by the
-        FFO sweep where only the territory's unresolved members need the
-        update (Algorithm 2 line 14).
-
-        :dtype new_lower: int32
-        """
-        new_lower = np.maximum(
-            self.lower[subset], dist_subset.astype(self._dtype)
-        )
-        self._check_consistent(
-            bool(np.all(new_lower <= self.upper[subset] + self.tolerance)),
-            "lower-only subset update produced lower > upper",
-        )
-        self.lower[subset] = new_lower
-
     def apply_lemma33_tail(
         self,
         dist_to_z: np.ndarray,
@@ -407,11 +400,11 @@ class BoundState:
         subset: np.ndarray,
         rows: np.ndarray,
         dist_to_z: np.ndarray,
-        tails: np.ndarray,
-        pin_rows: np.ndarray,
-        pin_vertices: np.ndarray,
-        pin_values: np.ndarray,
-        gap_cap: float,
+        tails: "np.typing.ArrayLike",
+        pin_rows: "np.typing.ArrayLike",
+        pin_vertices: "np.typing.ArrayLike",
+        pin_values: "np.typing.ArrayLike",
+        gap_cap: Optional[float] = None,
     ) -> SweepBlock:
         """Apply consecutive FFO sweep probes as one block (Alg. 2, 10-18).
 
@@ -421,8 +414,9 @@ class BoundState:
         ``tails[i]`` the Lemma 3.3 tail radius once ``s_i`` is probed.
         Probe rows that determined an eccentricity pin it:
         ``set_exact(pin_vertices[t], pin_values[t])`` just before row
-        ``pin_rows[t]`` (non-decreasing).  The result equals applying
-        the rows one at a time — pins, :meth:`raise_lower_subset`,
+        ``pin_rows[t]`` (non-decreasing; ``tails`` and the pins may be
+        sequences).  The result equals applying the rows one at a time
+        — pins, ``lower[subset] = max(lower[subset], row)``,
         :meth:`apply_lemma33_tail`, then dropping the resolved members
         — until no member is left, with the same consistency checks.
 
@@ -432,12 +426,17 @@ class BoundState:
         dist_to_z + tails[i])]`` down the rows.  A column resolves at
         its first met row, or at its own pin if that comes no later,
         and keeps the values of that row; every other pin is a point
-        write.  ``gap_mass`` sums ``min(upper - lower, gap_cap)`` over
-        all vertices, from the block start plus per-row deltas (exact
-        for integer bounds; float sums may differ in the last bits).
+        write.  A one-row block (a single probe or replayed row) takes
+        the short form of the same update: pins, then ``max(lower,
+        row)``, then ``min(upper, max(lower', dist_to_z + tail))``.
+        ``gap_mass`` sums ``min(upper - lower, gap_cap)`` over all
+        vertices after each row; it is computed only when ``gap_cap`` is
+        given.  One row sums it afresh; more rows add per-row deltas to
+        the block start (exact for integer bounds; float sums may differ
+        in the last bits).
 
-        :mutates rows: overwritten with the running lower bounds (it
-            must have the bounds' dtype).
+        :mutates rows: may be overwritten with the running lower bounds
+            (it must have the bounds' dtype).
         """
         dtype = self._dtype
         tol = self.tolerance
@@ -446,18 +445,26 @@ class BoundState:
             raise InvalidParameterError(
                 f"sweep block rows must be {dtype}, not {rows.dtype}"
             )
+        if k == 0 or width == 0:
+            nothing = np.empty(0, dtype=np.int64)
+            gaps = None if gap_cap is None else nothing.astype(float)
+            return SweepBlock(0, subset, np.full(width, -1), nothing, gaps)
+        if k == 1:
+            return self._apply_sweep_row(
+                subset,
+                rows[0],
+                dist_to_z,
+                tails[0],
+                zip(pin_rows, pin_vertices, pin_values),
+                gap_cap,
+            )
         pin_rows = np.asarray(pin_rows, dtype=np.int64)
         pin_vertices = np.asarray(pin_vertices, dtype=np.int64)
         pin_values = np.asarray(pin_values).astype(dtype)
-        if k == 0 or width == 0:
-            nothing = np.empty(0, dtype=np.int64)
-            return SweepBlock(
-                0, subset, np.full(width, -1), nothing, nothing.astype(float)
-            )
         lower0 = self.lower[subset]
         upper0 = self.upper[subset]
         base_resolved = self.num_resolved()
-        base_gap = float(np.minimum(self.gap(), gap_cap).sum())
+        base_gap = 0.0 if gap_cap is None else self.capped_gap_mass(gap_cap)
 
         # Pins on a column: a probe that is itself unresolved.  Its row
         # holds its own distance (0) before the scan overwrites it.
@@ -518,28 +525,7 @@ class BoundState:
             "inconsistent distances",
         )
 
-        # Per-row gap mass of the columns: a column counts its scan gap
-        # while unmet, then its kept gap from its closing row on; a
-        # pinned column's scan rows from its pin on do not count.
-        gaps = up[:used] - low[:used]
-        # Every gap is at most the infinity sentinel, so the capped gaps
-        # stay in the bounds' dtype (an integer metric's cap is integral).
-        cap = np.asarray(min(gap_cap, self.infinity)).astype(dtype)
-        np.minimum(gaps, cap, out=gaps)
-        np.multiply(gaps, ~met[:used], out=gaps)
-        col_gap = gaps.sum(axis=1).astype(np.float64)
-        col_gap -= np.multiply(
-            gaps[:, win_cols], np.arange(used)[:, None] >= win_rows
-        ).sum(axis=1)
         closed = closing < used
-        col_gap += np.cumsum(
-            np.bincount(
-                closing[closed],
-                weights=np.minimum(final_up - final_low, gap_cap)[closed],
-                minlength=used,
-            )
-        )
-        col_gap -= float(np.minimum(upper0 - lower0, gap_cap).sum())
         self.lower[subset] = final_low
         self.upper[subset] = final_up
 
@@ -549,22 +535,87 @@ class BoundState:
         pv = pin_vertices[point]
         p_rows = pin_rows[point]
         p_values = pin_values[point]
-        self._check_pins(pv, p_values, self.lower[pv], self.upper[pv])
-        was_met = np.asarray(self.bounds_met(self.lower[pv], self.upper[pv]))
-        point_gap = np.minimum(self.upper[pv] - self.lower[pv], gap_cap)
+        p_lower = self.lower[pv]
+        p_upper = self.upper[pv]
+        self._check_pins(pv, p_values, p_lower, p_upper)
+        was_met = np.asarray(self.bounds_met(p_lower, p_upper))
         self.lower[pv] = p_values
         self.upper[pv] = p_values
 
         newly = np.bincount(closing[closed], minlength=used)
         newly += np.bincount(p_rows[~was_met], minlength=used)
-        point_delta = np.bincount(p_rows, weights=point_gap, minlength=used)
+        gap_mass = None
+        if gap_cap is not None:
+            # Per-row gap mass of the columns: a column counts its scan
+            # gap while unmet, then its kept gap from its closing row on;
+            # a pinned column's scan rows from its pin on do not count.
+            gaps = up[:used] - low[:used]
+            # Every gap is at most the infinity sentinel, so the capped
+            # gaps stay in the bounds' dtype (an integer metric's cap is
+            # integral).
+            cap = np.asarray(min(gap_cap, self.infinity)).astype(dtype)
+            np.minimum(gaps, cap, out=gaps)
+            np.multiply(gaps, ~met[:used], out=gaps)
+            col_gap = gaps.sum(axis=1).astype(np.float64)
+            col_gap -= np.multiply(
+                gaps[:, win_cols], np.arange(used)[:, None] >= win_rows
+            ).sum(axis=1)
+            col_gap += np.cumsum(
+                np.bincount(
+                    closing[closed],
+                    weights=np.minimum(final_up - final_low, gap_cap)[closed],
+                    minlength=used,
+                )
+            )
+            col_gap -= float(np.minimum(upper0 - lower0, gap_cap).sum())
+            point_delta = np.bincount(
+                p_rows,
+                weights=np.minimum(p_upper - p_lower, gap_cap),
+                minlength=used,
+            )
+            gap_mass = base_gap + col_gap - np.cumsum(point_delta)
         return SweepBlock(
             used=used,
             unresolved=subset[~closed],
             closing_row=np.where(closed, closing, -1),
             resolved=base_resolved + np.cumsum(newly),
-            gap_mass=base_gap + col_gap - np.cumsum(point_delta),
+            gap_mass=gap_mass,
         )
+
+    def _apply_sweep_row(
+        self,
+        subset: np.ndarray,
+        row: np.ndarray,
+        dist_to_z: np.ndarray,
+        tail: Numeric,
+        pins: Iterable[Tuple[int, int, Numeric]],
+        gap_cap: Optional[float],
+    ) -> SweepBlock:
+        """:meth:`apply_sweep_block` of a one-row block, as one probe."""
+        for at, vertex, value in pins:
+            if at == 0:
+                self.set_exact(int(vertex), self._dtype.type(value))
+        lower = np.maximum(self.lower[subset], row)
+        upper = self.upper[subset]
+        # Lemma 3.3 caps upper at max(lower, ...) >= lower, so only the
+        # Lemma 3.1 raise can break the invariant.
+        self._check_consistent(
+            bool(np.all(lower <= upper + self.tolerance)),
+            "Lemma 3.1/3.3 block update produced lower > upper: "
+            "inconsistent distances",
+        )
+        cap = np.add(dist_to_z, tail, dtype=self._dtype)
+        np.maximum(cap, lower, out=cap)
+        np.minimum(cap, upper, out=upper)
+        self.lower[subset] = lower
+        self.upper[subset] = upper
+        met = np.asarray(self.bounds_met(lower, upper))
+        gaps = None
+        if gap_cap is not None:
+            gaps = np.array([self.capped_gap_mass(gap_cap)])
+        resolved = np.array([self.num_resolved()])
+        closing = np.where(met, 0, -1)
+        return SweepBlock(1, subset[~met], closing, resolved, gaps)
 
     def _check_pins(
         self,

@@ -43,11 +43,13 @@ An oracle may also offer ``sweep_batch(sources, targets, counter) ->
 (eccs, cols)``: the sweep probes of many sources at once, as one MS-BFS
 lane sweep that records each probe's distances to ``targets`` only
 (:class:`BFSOracle` does; the weighted and directed oracles do not).
-:meth:`repro.core.solver.EccentricitySolver.run` then takes its next FFO
-probes from lane batches, planned by
+:meth:`repro.core.solver.EccentricitySolver.run` (and ``run_budgeted``)
+then takes its next FFO probes from lane batches, planned by
 :func:`repro.graph.msengine.plan_sweep_width`, with the territory's
 unresolved members as targets (Lemma 3.1 reads nothing else), and
-applies the rows one by one, in FFO order.
+applies each batch as one block
+(:meth:`repro.core.bounds.BoundState.apply_sweep_block`), in FFO order;
+an oracle without it gives one ``sweep_probe`` row per block.
 """
 
 from __future__ import annotations

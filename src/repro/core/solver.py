@@ -17,26 +17,29 @@ it once, parameterised over a :class:`repro.core.oracles.DistanceOracle`:
 4. for each ``z``, *sweep probes* walk ``L^z`` front-to-back; each
    probe yields exact reverse distances, so Lemma 3.1 raises lower
    bounds and Lemma 3.3 caps upper bounds for the territory, until
-   every territory member's bounds meet (lines 10-18).  :meth:`run`
-   may sweep a territory's later probes together as MS-BFS lanes and
-   apply each lane batch as one block: Lemma 3.1 lowers are a running
-   max and Lemma 3.3 uppers a running min down the batch's rows (see
+   every territory member's bounds meet (lines 10-18).  Every step
+   applies one block of FFO rows: a replayed row, one probe, or — in
+   :meth:`run` and :meth:`run_budgeted` — a territory's later probes
+   swept together as MS-BFS lanes.  Lemma 3.1 lowers are a running max
+   and Lemma 3.3 uppers a running min down a block's rows (see
    :meth:`EccentricitySolver._sweep_territory`), so results, traversal
    counts, snapshots and probe spans equal one traversal per probe.
 
 Because the loop is shared, every capability built on it — the anytime
 :meth:`EccentricitySolver.steps` protocol, kIFECC-style budgeting
-(:meth:`run_budgeted`), extremes early-stop
+(:meth:`run_budgeted`, :meth:`run`'s driver with lane batches capped by
+the budget left), extremes early-stop
 (:func:`repro.core.extremes.oracle_radius_and_diameter`) and the
 convergence instrumentation of :mod:`repro.analysis.convergence` —
 works identically for unweighted, weighted, and directed inputs.
 
 The unweighted instantiation (:class:`repro.core.ifecc.IFECC`) is
 bit-identical to the historical implementation: same traversal
-sequence, same counters, same snapshots, same results (for ``run()``,
-the work counters also include the lanes it discarded).  Weighted and
-directed instantiations are value-identical to their pre-unification
-ancestors within the oracle's documented tolerance.
+sequence, same counters, same snapshots, same results (for ``run()``
+and ``run_budgeted()``, the work counters also include the lanes they
+discarded).  Weighted and directed instantiations are value-identical
+to their pre-unification ancestors within the oracle's documented
+tolerance.
 
 Space stays ``O(m + n)`` (Theorem 4.5): the graph, the bound arrays,
 the ``r`` reference distance vectors, at most one lane batch of
@@ -49,8 +52,18 @@ applied.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -134,8 +147,6 @@ class EccentricitySolver:
         self.memoize_distances = memoize_distances
         self.counter = counter if counter is not None else TraversalCounter()
         self._tracer = tracer
-        # Scratch for the traced-probe gap-mass reduction; see _gap_mass.
-        self._gap_buf: Optional[np.ndarray] = None
         self.bounds = BoundState(
             oracle.num_vertices,
             dtype=oracle.dtype,
@@ -145,10 +156,10 @@ class EccentricitySolver:
             strategy, self.num_references, seed
         )
         self._territories: List[Territory] = []
-        # source id -> (ecc-or-None, dist(., source)) for probes whose
-        # result is retained: always the references, plus every probe
-        # when memoize_distances is on.
-        self._known: Dict[int, Tuple[Optional[float], np.ndarray]] = {}
+        # source id -> dist(., source) for probes whose row is retained:
+        # always the references, plus every probe when memoize_distances
+        # is on.
+        self._known: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Phase 1: reference probes + territory assignment (Alg. 2, 1-9)
@@ -184,14 +195,12 @@ class EccentricitySolver:
             # Memoising relies on source_probe's caller-owned contract;
             # under REPRO_SANITIZE=1 a pooled loan slipping in raises
             # here, at the retention site, not at some later stale read.
-            self._known[z] = (
-                ffo.eccentricity,
-                sanitize.assert_owned(dist_into),
-            )
+            self._known[z] = sanitize.assert_owned(dist_into)
             snap = self._snapshot(z)
             if tracer.enabled:
+                gap = self.bounds.capped_gap_mass(oracle.gap_cap())
                 self._finish_probe_span(
-                    tracer, span, ffo.eccentricity, snap, self._gap_mass()
+                    tracer, span, ffo.eccentricity, snap, gap
                 )
             yield snap
 
@@ -240,43 +249,40 @@ class EccentricitySolver:
         Exhausting the iterator completes the exact computation; stopping
         early leaves valid (possibly unresolved) bounds in
         :attr:`bounds` — that is the anytime mode kIFECC builds on, now
-        available for every metric.
+        available for every metric.  Every sweep probe is its own
+        traversal: the contract is per traversal, so no lanes are swept
+        ahead.
         """
-        yield from self._steps(batched=False)
+        yield from self._steps(lambda consumed: 1)
 
-    def _steps(self, batched: bool) -> Iterator[ProgressSnapshot]:
+    def _steps(self, plan: Callable[[int], int]) -> Iterator[ProgressSnapshot]:
         yield from self._initialise()
         for territory in self._territories:
-            yield from self._sweep_territory(territory, batched)
+            yield from self._sweep_territory(territory, plan)
 
     def _sweep_territory(
-        self, territory: Territory, batched: bool
+        self, territory: Territory, plan: Callable[[int], int]
     ) -> Iterator[ProgressSnapshot]:
         """Probe ``L^z`` front to back until the territory resolves.
 
-        Without ``batched`` every probe is one traversal, applied on its
-        own.  With ``batched`` set and an oracle that offers
-        ``sweep_batch``, the next fresh probes are swept together as
-        MS-BFS lanes (:func:`repro.graph.msengine.plan_sweep_width`
-        picks how many) and applied as one block
-        (:meth:`_sweep_block`).  Lemmas 3.1 and 3.3 only need each
-        probe's exact distance row, the probes of the FFO prefix are
-        known before they run, and both updates are monotone, so the
-        block's running max/min yields the bounds, counts, snapshots
-        and spans of one traversal per probe; only the rows past the
-        stopping rank go unused.  A probe's row is read only on the
-        still-unresolved members (Lemma 3.3 reads the reference's
-        vector), so a batch records just the members unresolved when it
-        starts.
+        Each step applies one block of FFO rows (:meth:`_sweep_block`):
+        the replayed row of a retained source, or the next
+        ``plan(consumed)`` fresh probes, where ``consumed`` counts the
+        territory's probes so far.  One probe is one ``sweep_probe``
+        traversal; more are swept together as MS-BFS lanes when the
+        oracle offers ``sweep_batch`` (else one probe is taken).
+        Lemmas 3.1 and 3.3 only need each probe's exact distance row,
+        the probes of the FFO prefix are known before they run, and both
+        updates are monotone, so a block's running max/min yields the
+        bounds, counts, snapshots and spans of one traversal per probe;
+        only the rows past the stopping rank go unused.  A probe's row
+        is read only on the still-unresolved members (Lemma 3.3 reads
+        the reference's vector), so a batch records just the members
+        unresolved when it starts.
         """
-        bounds = self.bounds
-        tracer = self._active_tracer()
         ffo = territory.ffo
-        dist_into_z = territory.dist_into
-        unresolved = bounds.unresolved_subset(territory.members)
-        sweep_batch = (
-            getattr(self.oracle, "sweep_batch", None) if batched else None
-        )
+        unresolved = self.bounds.unresolved_subset(territory.members)
+        sweep_batch = getattr(self.oracle, "sweep_batch", None)
         consumed = 0
         rank = 0
         while len(unresolved) and rank < len(ffo.order):
@@ -284,148 +290,110 @@ class EccentricitySolver:
             if source == territory.reference:
                 rank += 1
                 continue
-            width = (
-                plan_sweep_width(consumed)
-                if sweep_batch is not None and source not in self._known
-                else 0
-            )
-            if width:
-                probes = self._next_probes(territory, rank, width)
-                unresolved, rank = yield from self._sweep_block(
-                    territory, rank, probes, unresolved, sweep_batch
-                )
-                consumed += len(probes)
-                continue
-            tail_radius = ffo.distance_of_rank(rank + 1)
             if source in self._known:
-                # Replay the retained distance vector instead of
-                # re-running the traversal.  Lemma 3.3 stays sound
-                # because the replayed Lemma 3.1 update makes `source` a
-                # probed node of this territory, exactly as a fresh
-                # traversal would.
-                ecc_s, dist_s = self._known[source]
-                fresh_probe = False
-                span = None
-                tracer.event(
-                    "solver.replay",
-                    source=source,
-                    territory=territory.reference,
-                    ffo_rank=rank,
-                )
+                width = 0
             else:
-                span = (
-                    self._sweep_span(tracer, territory, source, rank)
-                    if tracer.enabled
-                    else None
-                )
-                # The vector may alias the oracle's pooled workspace; it
-                # is consumed before the next traversal and only the
-                # memoised copy outlives this iteration.
-                ecc_s, dist_s = self.oracle.sweep_probe(
-                    source, counter=self.counter
-                )
-                consumed += 1
-                if ecc_s is not None:
-                    # The probe determined ecc(source) exactly, even if
-                    # `source` belongs to another territory.  (The
-                    # directed oracle's backward BFS yields no forward
-                    # eccentricity; its probes skip this step.)
-                    bounds.set_exact(source, ecc_s)
-                if self.memoize_distances:
-                    self._known[source] = (
-                        ecc_s,
-                        sanitize.assert_owned(dist_s.copy()),
-                    )
-                fresh_probe = True
-            # Lemma 3.1 (lower) for the territory...
-            bounds.raise_lower_subset(unresolved, dist_s[unresolved])
-            # ... and Lemma 3.3's shrinking tail cap (upper).
-            bounds.apply_lemma33_tail(
-                dist_into_z, tail_radius, subset=unresolved
+                width = plan(consumed) if sweep_batch is not None else 1
+            unresolved, rank = yield from self._sweep_block(
+                territory, rank, width, unresolved, sweep_batch
             )
-            if fresh_probe:
-                snap = self._snapshot(source)
-                if span is not None:
-                    self._finish_probe_span(
-                        tracer, span, ecc_s, snap, self._gap_mass()
-                    )
-                yield snap
-            unresolved = bounds.unresolved_subset(unresolved)
-            rank += 1
+            # Fewer than `width` probes only when L^z ran out.
+            consumed += width
         self.counter.discard_lanes()
 
     def _sweep_block(
         self,
         territory: Territory,
         rank: int,
-        probes: List[int],
+        width: int,
         unresolved: np.ndarray,
         sweep_batch: Any,
     ) -> Generator[ProgressSnapshot, None, Tuple[np.ndarray, int]]:
-        """Sweep ``probes`` as lanes and apply them as one block.
+        """Apply the FFO rows from ``rank`` on as one block.
 
-        The block's rows are the FFO ranks from ``rank`` through the last
-        probe's, but the reference: the lanes' rows, and the retained
-        rows of the sources in between, which it replays.  Its columns
-        are the territory's ``unresolved`` members;
+        With ``width`` 0 the block is the replayed row at ``rank``.
+        Otherwise its rows are the FFO ranks from ``rank`` on, but the
+        reference, through the ``width``-th fresh probe: the probes'
+        rows — one ``sweep_probe`` traversal, or one ``sweep_batch``
+        lane sweep for several — and the retained rows of the sources in
+        between, which it replays.  Replaying a retained row keeps Lemma
+        3.3 sound: it makes the source a probed node of this territory,
+        exactly as a fresh traversal would.  The block's columns are the
+        territory's ``unresolved`` members;
         :meth:`BoundState.apply_sweep_block` applies it and stops at the
         row that resolves the last of them.  Snapshots, probe spans,
         replay events, memoised rows and consumed lanes follow for each
-        applied row, in FFO order.  Returns the members still
-        unresolved and the rank after the block.
+        applied row, in FFO order.  Returns the members still unresolved
+        and the rank after the block.
         """
         tracer = self._active_tracer()
+        traced = tracer.enabled
         oracle = self.oracle
+        counter = self.counter
         ffo = territory.ffo
         ranks: List[int] = []
         sources: List[int] = []
+        fresh: List[bool] = []
+        probes: List[int] = []
         for at in range(rank, len(ffo.order)):
             source = int(ffo.order[at])
-            if source != territory.reference:
-                ranks.append(at)
-                sources.append(source)
-                if source == probes[-1]:
-                    break
-        fresh = np.array([s not in self._known for s in sources])
-        lanes = np.flatnonzero(fresh)
-        span = self._sweep_span(tracer, territory, probes[0], rank)
-        # The sweep runs inside the first probe's span; memoised rows
-        # must be whole.
-        eccs, cols = sweep_batch(
-            probes,
-            np.arange(oracle.num_vertices)
-            if self.memoize_distances
-            else unresolved,
-            counter=self.counter,
+            if source == territory.reference:
+                continue
+            ranks.append(at)
+            sources.append(source)
+            fresh.append(source not in self._known)
+            if fresh[-1]:
+                probes.append(source)
+            if len(probes) == width:
+                break
+        lanes = [row for row, is_fresh in enumerate(fresh) if is_fresh]
+        # The traversal runs inside the first probe's span; memoised
+        # rows must be whole.
+        span = (
+            self._sweep_span(tracer, territory, probes[0], rank)
+            if traced and probes
+            else None
         )
-        if len(lanes) == len(sources) and not self.memoize_distances:
+        runs = counter.bfs_runs
+        whole = self.memoize_distances
+        targets = np.arange(oracle.num_vertices) if whole else unresolved
+        eccs: Any = []
+        if len(probes) > 1:
+            eccs, cols = sweep_batch(probes, targets, counter=counter)
+        elif probes:
+            # The row may alias the oracle's pooled workspace: gather it
+            # now.  The directed oracle's backward BFS yields no
+            # eccentricity, so its rows pin nothing.
+            ecc, dist = oracle.sweep_probe(probes[0], counter=counter)
+            cols = dist[targets][None]
+            eccs = [] if ecc is None else [ecc]
+        dtype = self.bounds.dtype
+        if len(lanes) == len(sources) and not whole and cols.dtype == dtype:
             block = cols
         else:
-            block = np.empty((len(sources), len(unresolved)), cols.dtype)
-            block[lanes] = (
-                cols[:, unresolved] if self.memoize_distances else cols
-            )
-            for row in np.flatnonzero(~fresh).tolist():
-                block[row] = self._known[sources[row]][1][unresolved]
-        tails = [ffo.distance_of_rank(at + 1) for at in ranks]
+            block = np.empty((len(sources), len(unresolved)), dtype)
+            if probes:
+                block[lanes] = cols[:, unresolved] if whole else cols
+            for row, source in enumerate(sources):
+                if not fresh[row]:
+                    block[row] = self._known[source][unresolved]
         scan = self.bounds.apply_sweep_block(
             unresolved,
             block,
             territory.dist_into[unresolved],
-            np.asarray(tails),
-            lanes,
-            np.asarray(probes),
+            [ffo.distance_of_rank(at + 1) for at in ranks],
+            lanes[: len(eccs)],
+            probes[: len(eccs)],
             eccs,
-            oracle.gap_cap(),
+            oracle.gap_cap() if traced else None,
         )
-        used = int(np.searchsorted(lanes, scan.used))
-        runs = self.counter.bfs_runs
-        self.counter.consume_lanes(used)
+        used = bisect.bisect_left(lanes, scan.used)
+        if len(probes) > 1:
+            counter.consume_lanes(used)
         if self.memoize_distances:
             for lane in range(used):
-                self._known[probes[lane]] = (
-                    int(eccs[lane]),
-                    sanitize.assert_owned(cols[lane].copy()),
+                self._known[probes[lane]] = sanitize.assert_owned(
+                    cols[lane].copy()
                 )
         lane = 0
         for row in range(scan.used):
@@ -437,10 +405,6 @@ class EccentricitySolver:
                     ffo_rank=ranks[row],
                 )
                 continue
-            if lane:
-                span = self._sweep_span(
-                    tracer, territory, sources[row], ranks[row]
-                )
             lane += 1
             snap = ProgressSnapshot(
                 bfs_runs=runs + lane,
@@ -448,27 +412,20 @@ class EccentricitySolver:
                 resolved=int(scan.resolved[row]),
                 num_vertices=oracle.num_vertices,
             )
-            self._finish_probe_span(
-                tracer, span, eccs[lane - 1], snap, float(scan.gap_mass[row])
-            )
+            if traced:
+                if lane > 1:
+                    span = self._sweep_span(
+                        tracer, territory, sources[row], ranks[row]
+                    )
+                self._finish_probe_span(
+                    tracer,
+                    span,
+                    eccs[lane - 1] if len(eccs) else None,
+                    snap,
+                    float(scan.gap_mass[row]),
+                )
             yield snap
         return scan.unresolved, ranks[-1] + 1
-
-    def _next_probes(
-        self, territory: Territory, rank: int, width: int
-    ) -> List[int]:
-        """Up to ``width`` sources the sweep would probe next, from
-        ``rank`` on: it skips only the reference and the sources whose
-        rows it replays.
-        """
-        probes: List[int] = []
-        for source in territory.ffo.order[rank:]:
-            source = int(source)
-            if source != territory.reference and source not in self._known:
-                probes.append(source)
-                if len(probes) == width:
-                    break
-        return probes
 
     def _sweep_span(
         self, tracer: Tracer, territory: Territory, source: int, rank: int
@@ -495,12 +452,13 @@ class EccentricitySolver:
         snap: ProgressSnapshot,
         gap_mass: float,
     ) -> None:
-        """Attach post-traversal facts to a probe span and close it.
+        """Attach post-traversal facts to a probe span and close it
+        (enabled tracers only).
 
         The gauges mirror the event stream so metric consumers see
         convergence without replaying events.  ``gap_mass`` is the
-        remaining bound-gap mass (:meth:`_gap_mass`), the
-        certificate-size signal the live progress monitor plots.
+        remaining bound-gap mass (:meth:`BoundState.capped_gap_mass`),
+        the certificate-size signal the live progress monitor plots.
         """
         remaining = snap.num_vertices - snap.resolved
         if ecc_value is None:
@@ -519,27 +477,8 @@ class EccentricitySolver:
             remaining=remaining,
             gap=gap_out,
         ).finish()
-        if tracer.enabled:
-            tracer.metrics.gauge("solver.unresolved").set(remaining)
-            tracer.metrics.gauge("solver.gap_mass").set(gap_mass)
-
-    def _gap_mass(self) -> float:
-        """Per-vertex ``upper - lower`` capped at the oracle's finite
-        eccentricity bound (untouched vertices carry an infinity
-        sentinel), summed.
-        """
-        n = self.oracle.num_vertices
-        buf = self._gap_buf
-        if buf is None or len(buf) != n:
-            buf = self._gap_buf = np.empty(n, np.float64)
-        # In-place fused equivalent of
-        # ``np.minimum(self.bounds.gap(), self.oracle.gap_cap()).sum()``
-        # — this runs once per traced traversal, and the temporaries the
-        # spelled-out form allocates are the single largest slice of the
-        # capture overhead budget enforced by bench_obs_overhead.
-        np.subtract(self.bounds.upper, self.bounds.lower, out=buf)
-        np.minimum(buf, self.oracle.gap_cap(), out=buf)
-        return float(buf.sum())
+        tracer.metrics.gauge("solver.unresolved").set(remaining)
+        tracer.metrics.gauge("solver.gap_mass").set(gap_mass)
 
     def _snapshot(self, source: int) -> ProgressSnapshot:
         return ProgressSnapshot(
@@ -564,80 +503,72 @@ class EccentricitySolver:
         exhausting :meth:`steps`.  The counter's work totals also
         include the unused lanes, which ``lanes_discarded`` counts.
         """
-        tracer = self._active_tracer()
-        watch = Stopwatch()
-        with tracer.span(
-            "solver.run",
-            algorithm=(
-                algorithm if algorithm is not None else self._algorithm_tag()
-            ),
-            metric=self.oracle.metric_name,
-        ) as run_span:
-            for _ in self._steps(batched=True):
-                pass
-            run_span.set(traversals=self.counter.bfs_runs)
-            if self.counter.lanes_discarded:
-                run_span.set(lanes_discarded=self.counter.lanes_discarded)
-        elapsed = watch.elapsed()
-        if tracer.enabled:
-            tracer.metrics.ingest_traversal_counter(self.counter)
-        return EccentricityResult(
-            eccentricities=self.bounds.eccentricities(),
-            lower=self.bounds.lower.copy(),
-            upper=self.bounds.upper.copy(),
-            exact=True,
-            algorithm=(
-                algorithm if algorithm is not None else self._algorithm_tag()
-            ),
-            num_bfs=self.counter.bfs_runs,
-            elapsed_seconds=elapsed,
-            reference_nodes=self.references.copy(),
-            counter=self.counter,
-        )
+        return self._drive(None, algorithm)
 
     def run_budgeted(
         self, max_bfs: int, algorithm: Optional[str] = None
     ) -> EccentricityResult:
         """Stop after ``max_bfs`` total traversals; lower bounds become
         the estimate (the anytime by-product of Section 1,
-        contribution 5)."""
+        contribution 5).
+
+        It runs :meth:`run`'s loop, whose lane batches never hold more
+        probes than the budget has left, so it stops where :meth:`steps`
+        stopped at the first snapshot of ``max_bfs`` traversals would,
+        with the same bounds, traversal count and history.
+        """
         if max_bfs < 0:
             raise InvalidParameterError("max_bfs must be non-negative")
+        return self._drive(max_bfs, algorithm)
+
+    def _drive(
+        self, max_bfs: Optional[int], algorithm: Optional[str]
+    ) -> EccentricityResult:
+        """The one driver: :meth:`run` (no budget) or :meth:`run_budgeted`."""
+        counter = self.counter
+        if algorithm is None:
+            algorithm = self._algorithm_tag()
+            if max_bfs is not None:
+                algorithm += f"(budget={max_bfs})"
+        limit = float("inf") if max_bfs is None else max_bfs
+
+        def plan(consumed: int) -> int:
+            left = limit - counter.bfs_runs
+            return int(max(1, min(plan_sweep_width(consumed), left)))
+
+        budget = {} if max_bfs is None else {"budget": max_bfs}
         tracer = self._active_tracer()
         watch = Stopwatch()
-        exact = True
         with tracer.span(
             "solver.run",
-            algorithm=(
-                algorithm
-                if algorithm is not None
-                else f"{self._algorithm_tag()}(budget={max_bfs})"
-            ),
+            algorithm=algorithm,
             metric=self.oracle.metric_name,
-            budget=max_bfs,
+            **budget,
         ) as run_span:
-            for snapshot in self.steps():
-                if snapshot.bfs_runs >= max_bfs:
-                    exact = self.bounds.all_resolved()
+            for snapshot in self._steps(plan):
+                if snapshot.bfs_runs >= limit:
                     break
-            else:
-                exact = True
-            run_span.set(traversals=self.counter.bfs_runs, exact=exact)
+            exact = self.bounds.all_resolved()
+            run_span.set(traversals=counter.bfs_runs)
+            if counter.lanes_discarded:
+                run_span.set(lanes_discarded=counter.lanes_discarded)
+            if max_bfs is not None:
+                run_span.set(exact=exact)
         elapsed = watch.elapsed()
         if tracer.enabled:
-            tracer.metrics.ingest_traversal_counter(self.counter)
+            tracer.metrics.ingest_traversal_counter(counter)
         return EccentricityResult(
-            eccentricities=self.bounds.lower.copy(),
+            eccentricities=(
+                self.bounds.eccentricities()
+                if max_bfs is None
+                else self.bounds.lower.copy()
+            ),
             lower=self.bounds.lower.copy(),
             upper=self.bounds.upper.copy(),
             exact=exact,
-            algorithm=(
-                algorithm
-                if algorithm is not None
-                else f"{self._algorithm_tag()}(budget={max_bfs})"
-            ),
-            num_bfs=self.counter.bfs_runs,
+            algorithm=algorithm,
+            num_bfs=counter.bfs_runs,
             elapsed_seconds=elapsed,
             reference_nodes=self.references.copy(),
-            counter=self.counter,
+            counter=counter,
         )

@@ -13,8 +13,7 @@ Batched FFO probing (:meth:`repro.core.solver.EccentricitySolver.run`)
 sweeps a territory's next probes as MS-BFS lanes before Algorithm 2
 knows how many of them it needs.  The counter keeps the algorithm's
 accounting regardless: a swept lane becomes a run only when the solver
-consumes its row (:meth:`TraversalCounter.consume_lane`, or
-:meth:`TraversalCounter.consume_lanes` for a block of rows), while the
+consumes its row (:meth:`TraversalCounter.consume_lanes`), while the
 work counters credit the whole sweep and ``lanes_discarded`` counts
 the lanes that were swept but never consumed.
 """
@@ -96,18 +95,13 @@ class TraversalCounter:
         """Record the work of one batched probe sweep, one label per lane.
 
         No run is counted yet: each lane becomes one when its row is
-        consumed (:meth:`consume_lane`, in ``labels`` order) or is
+        consumed (:meth:`consume_lanes`, in ``labels`` order) or is
         counted in ``lanes_discarded`` (:meth:`discard_lanes`).
         """
         self.edges_scanned += edges
         self.edges_inspected += inspected
         self.vertices_visited += vertices
         self._pending.extend(labels)
-
-    def consume_lane(self) -> None:
-        """Count the oldest pending swept lane as one traversal run."""
-        self.bfs_runs += 1
-        self.history.append(self._pending.popleft())
 
     def consume_lanes(self, count: int) -> None:
         """Count the ``count`` oldest pending swept lanes as runs, in order."""

@@ -174,15 +174,15 @@ def plan_sweep_width(consumed: int) -> int:
     """Lanes for the next batch of a territory's FFO probe sweep.
 
     ``consumed`` is how many sweep probes the territory has consumed so
-    far.  Returns ``0`` for one single-source probe: the first
-    ``_SERIAL_BATCH_LIMIT`` probes of every territory run alone, so a
-    sweep that ends within them pays no unused lanes.  After that each
-    batch holds as many lanes as the territory has consumed (8, 16, 32,
-    then 64 at most), so a territory's unused lanes are fewer than the
-    probes it used.
+    far.  Returns ``1`` (one single-source probe) for the first
+    ``_SERIAL_BATCH_LIMIT`` probes of every territory, so a sweep that
+    ends within them pays no unused lanes.  After that each batch holds
+    as many lanes as the territory has consumed (8, 16, 32, then 64 at
+    most), so a territory's unused lanes are fewer than the probes it
+    used.
     """
     if consumed < _SERIAL_BATCH_LIMIT:
-        return 0
+        return 1
     return min(consumed, _SWEEP_MAX_LANES)
 
 

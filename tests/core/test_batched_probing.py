@@ -2,11 +2,13 @@
 
 :meth:`EccentricitySolver.run` takes a territory's later sweep probes
 from MS-BFS lane batches and applies each batch as one block, while
-:meth:`EccentricitySolver.steps` runs and applies one traversal per
-probe.  Both apply the same rows in the same FFO order, so the
-eccentricities, bounds, traversal counts, counter history and the
-per-probe snapshots (the ``solver.probe`` spans) must be identical; only
-the work counters differ, by the lanes swept past the stopping rank.
+:meth:`EccentricitySolver.steps` takes one traversal per block.  Both
+apply the same rows in the same FFO order, so the eccentricities,
+bounds, traversal counts, counter history and the per-probe snapshots
+(the ``solver.probe`` spans) must be identical; only the work counters
+differ, by the lanes swept past the stopping rank.  ``run_budgeted(b)``
+runs ``run()``'s loop with lane batches capped by the budget left, so it
+equals ``steps()`` stopped at its first snapshot of ``b`` traversals.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from repro.graph import msengine
 from repro.graph.csr import Graph
 from repro.graph.generators import barabasi_albert
 from repro.obs.trace import MemorySink, deterministic_view, tracing
-from repro.weighted.eccentricity import weighted_solver
+from repro.weighted.eccentricity import (
+    approximate_weighted_eccentricities,
+    weighted_solver,
+)
 from repro.weighted.graph import WeightedGraph
 
 from core.test_solver_equivalence import build_corpus
@@ -239,7 +244,7 @@ def test_weighted_and_directed_runs_never_batch() -> None:
 class TestPlanSweepWidth:
     def test_serial_prefix_then_doubling_to_one_word(self) -> None:
         widths = [msengine.plan_sweep_width(c) for c in (0, 7, 8, 16, 32, 64, 500)]
-        assert widths == [0, 0, 8, 16, 32, 64, 64]
+        assert widths == [1, 1, 8, 16, 32, 64, 64]
 
 
 def test_sweep_batch_matches_sweep_probe(ba2k: Graph) -> None:
@@ -256,7 +261,7 @@ def test_sweep_batch_matches_sweep_probe(ba2k: Graph) -> None:
         # Lanes turn into runs only once consumed; the work counters
         # credit the whole sweep, whatever it recorded.
         assert counter.bfs_runs == 0 and counter.vertices_visited == 4 * 2000
-    counter.consume_lane()
+    counter.consume_lanes(1)
     counter.discard_lanes()
     assert counter.history == ["bfs:5"]
     assert (counter.bfs_runs, counter.lanes_discarded) == (1, 3)
@@ -288,6 +293,98 @@ def test_run_work_counters_pinned(
         counter=counter,
     ).run()
     assert _work(counter) == want
+
+
+#: Budgets inside the serial prefix, at and past lane-batch boundaries
+#: (8 + 1 = 9 traversals end the prefix, 17 the first 8-lane batch), and
+#: unlimited.
+_BUDGETS = (0, 1, 8, 9, 17, 40, 10**6)
+
+
+def _stepped_to(solver: EccentricitySolver, budget: int) -> Dict[str, Any]:
+    """What ``steps()`` leaves when stopped at ``budget`` traversals."""
+    for snapshot in solver.steps():
+        if snapshot.bfs_runs >= budget:
+            break
+    return _budget_view(solver, solver.bounds.all_resolved())
+
+
+def _budget_view(solver: EccentricitySolver, exact: bool) -> Dict[str, Any]:
+    return {
+        "lower": solver.bounds.lower.tolist(),
+        "upper": solver.bounds.upper.tolist(),
+        "exact": exact,
+        "num_bfs": solver.counter.bfs_runs,
+        "history": list(solver.counter.history),
+    }
+
+
+def _assert_budgeted_equals_steps(make_solver: Any) -> None:
+    for budget in _BUDGETS:
+        want = _stepped_to(make_solver(), budget)
+        solver = make_solver()
+        result = solver.run_budgeted(budget)
+        got = _budget_view(solver, result.exact)
+        assert got == want, budget
+        assert result.lower.tolist() == want["lower"]
+        assert result.upper.tolist() == want["upper"]
+        assert result.num_bfs == want["num_bfs"]
+
+
+@pytest.mark.parametrize("refs", [1, 3])
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("name", sorted(build_corpus()))
+def test_corpus_run_budgeted_equals_steps_stopped(
+    name: str, refs: int, memo: bool
+) -> None:
+    graph = build_corpus()[name]
+    _assert_budgeted_equals_steps(
+        lambda: EccentricitySolver(
+            BFSOracle(graph), num_references=refs, memoize_distances=memo
+        )
+    )
+
+
+@pytest.mark.parametrize("refs", [1, 3])
+@pytest.mark.parametrize("memo", [False, True])
+def test_ba2k_run_budgeted_equals_steps_stopped(
+    ba2k: Graph, refs: int, memo: bool
+) -> None:
+    _assert_budgeted_equals_steps(
+        lambda: EccentricitySolver(
+            BFSOracle(ba2k), num_references=refs, memoize_distances=memo
+        )
+    )
+
+
+def test_budgeted_run_takes_lane_batches_within_budget(ba2k: Graph) -> None:
+    sink = MemorySink()
+    with tracing(sink):
+        result = EccentricitySolver(BFSOracle(ba2k)).run_budgeted(40)
+    events = deterministic_view(sink.events)
+    sweeps = [e["num_sources"] for e in events if e["name"] == "msbfs.run"]
+    # 1 reference + 8 single probes, then batches of 8 and 16 lanes; the
+    # last batch holds only the 7 probes the budget has left.
+    assert sweeps == [8, 16, 7]
+    assert result.num_bfs == 40 and result.counter.lanes_discarded == 0
+    (run_span,) = [e for e in events if e["name"] == "solver.run"]
+    assert (run_span["budget"], run_span["exact"]) == (40, False)
+
+
+def test_weighted_kifecc_equals_steps_stopped() -> None:
+    base = random_connected_graph(300, 150, seed=3)
+    rng = np.random.default_rng(4)
+    weighted = WeightedGraph.from_edges(
+        [(u, v, float(rng.integers(1, 8))) for u, v in base.edges()],
+        num_vertices=base.num_vertices,
+    )
+    _assert_budgeted_equals_steps(lambda: weighted_solver(weighted))
+    for k in (0, 8, 16, 10**6):
+        result = approximate_weighted_eccentricities(weighted, k)
+        want = _stepped_to(weighted_solver(weighted), k + 1)
+        assert result.lower.tolist() == want["lower"]
+        assert result.eccentricities.tolist() == want["lower"]
+        assert (result.num_bfs, result.exact) == (want["num_bfs"], want["exact"])
 
 
 class CorruptingOracle(ForwardingOracle):
@@ -326,9 +423,9 @@ class CorruptingOracle(ForwardingOracle):
 @pytest.mark.parametrize("field", ["ecc", "dist"])
 @pytest.mark.parametrize("probe", [8, 30])
 def test_corrupted_lane_row_raises_like_steps(ba2k: Graph, field: str, probe: int) -> None:
-    """A lane row outside the current bounds fails ``run()`` as it fails
-    ``steps()`` when ``sweep_probe`` returns it: the first and a middle
-    row of a lane batch."""
+    """A lane row outside the current bounds fails ``run()`` and
+    ``run_budgeted()`` as it fails ``steps()`` when ``sweep_probe``
+    returns it: the first and a middle row of a lane batch."""
     clean = TraversalCounter()
     EccentricitySolver(BFSOracle(ba2k), counter=clean).run()
     # History: the reference, then the sweep probes in order; the first
@@ -341,3 +438,9 @@ def test_corrupted_lane_row_raises_like_steps(ba2k: Graph, field: str, probe: in
             pass
     with pytest.raises(InvalidParameterError):
         EccentricitySolver(CorruptingOracle(BFSOracle(ba2k), source, field)).run()
+    # A budget that ends on the corrupted probe still applies its row.
+    for budget in (2 + probe, 10**6):
+        with pytest.raises(InvalidParameterError):
+            EccentricitySolver(
+                CorruptingOracle(BFSOracle(ba2k), source, field)
+            ).run_budgeted(budget)

@@ -1,12 +1,16 @@
 """``BoundState.apply_sweep_block`` equals applying its rows one by one.
 
 The reference applies each row as one FFO probe does: its pins
-(``set_exact``), ``raise_lower_subset``, ``apply_lemma33_tail``, then
+(``set_exact``), the row as a lower-only update on the remaining columns
+(``apply_lower_only``), ``apply_lemma33_tail``, then
 ``unresolved_subset``, stopping once no column is left.  Both must agree
 on the bounds, the rows used, the closing row of every column, the
 per-row resolved counts and gap masses, and on raising
 ``InvalidParameterError``.  Float inputs are multiples of 1/4, so every
-sum is exact and float results are compared bit for bit too.
+sum is exact and float results are compared bit for bit too.  One-row
+blocks (one probe with or without its pin, or one replayed row) are the
+single steps of ``EccentricitySolver.steps()``; without a gap cap the
+block computes no gap mass.
 """
 
 from __future__ import annotations
@@ -44,10 +48,9 @@ class Block:
     def state(self) -> BoundState:
         n = len(self.lower)
         state = BoundState(n, dtype=self.dtype, tolerance=self.tolerance)
-        everyone = np.arange(n)
-        state.raise_lower_subset(everyone, self.lower)
+        state.apply_lower_only(self.lower)
         # A zero tail caps each upper bound at max(lower, upper) = upper.
-        state.apply_lemma33_tail(self.upper, 0, subset=everyone)
+        state.apply_lemma33_tail(self.upper, 0)
         assert state.lower.tolist() == self.lower.tolist()
         assert state.upper.tolist() == self.upper.tolist()
         return state
@@ -66,8 +69,10 @@ def one_by_one(block: Block) -> Tuple[BoundState, Dict[str, Any]]:
         for at, vertex, value in block.pins:
             if at == i:
                 state.set_exact(vertex, value)
-        cols = np.searchsorted(block.subset, current)
-        state.raise_lower_subset(current, row[cols])
+        # Zero elsewhere: lower bounds are non-negative.
+        raised = np.zeros(len(block.lower), block.dtype)
+        raised[current] = row[np.searchsorted(block.subset, current)]
+        state.apply_lower_only(raised)
         state.apply_lemma33_tail(block.dist_to_z, block.tails[i], subset=current)
         resolved.append(state.num_resolved())
         gaps.append(float(np.minimum(state.gap(), block.gap_cap).sum()))
@@ -83,8 +88,9 @@ def one_by_one(block: Block) -> Tuple[BoundState, Dict[str, Any]]:
     }
 
 
-def as_block(block: Block) -> Tuple[BoundState, Dict[str, Any]]:
-    """Apply ``block`` through ``apply_sweep_block``."""
+def as_block(block: Block, gap: bool = True) -> Tuple[BoundState, Dict[str, Any]]:
+    """Apply ``block`` through ``apply_sweep_block`` (with no gap cap
+    unless ``gap``)."""
     state = block.state()
     pins = np.array(block.pins, dtype=np.float64).reshape(-1, 3)
     scan = state.apply_sweep_block(
@@ -95,43 +101,50 @@ def as_block(block: Block) -> Tuple[BoundState, Dict[str, Any]]:
         pins[:, 0].astype(np.int64),
         pins[:, 1].astype(np.int64),
         pins[:, 2].astype(block.dtype),
-        block.gap_cap,
+        block.gap_cap if gap else None,
     )
     return state, {
         "used": scan.used,
         "unresolved": scan.unresolved.tolist(),
         "closing_row": scan.closing_row.tolist(),
         "resolved": scan.resolved.tolist(),
-        "gap_mass": scan.gap_mass.tolist(),
+        "gap_mass": None if scan.gap_mass is None else scan.gap_mass.tolist(),
     }
 
 
-def assert_same(block: Block) -> Optional[Dict[str, Any]]:
+def assert_same(block: Block, gap: bool = True) -> Optional[Dict[str, Any]]:
     """Both paths agree; returns the outcome (None when both raised)."""
     try:
         want_state, want = one_by_one(block)
     except InvalidParameterError:
         with pytest.raises(InvalidParameterError):
-            as_block(block)
+            as_block(block, gap)
         return None
-    got_state, got = as_block(block)
+    got_state, got = as_block(block, gap)
+    if not gap:
+        want["gap_mass"] = None
     assert got == want
     assert got_state.lower.tolist() == want_state.lower.tolist()
     assert got_state.upper.tolist() == want_state.upper.tolist()
     return got
 
 
-def random_block(seed: int, floating: bool, corrupt: bool) -> Block:
+def random_block(
+    seed: int, floating: bool, corrupt: bool, one_row: Optional[str] = None
+) -> Block:
     """Monotone FFO-like inputs: rows below a hidden truth, shrinking tails.
 
     With ``corrupt`` set, one row entry or one pin may leave the truth's
-    window, so the checks get exercised as well.
+    window, so the checks get exercised as well.  ``one_row`` makes a
+    one-row block: a probe that pins its eccentricity (``"pin"``), a
+    probe that determines none, as a directed backward BFS (``"no
+    pin"``), or a retained row replayed (``"replay"``).
     """
     rng = np.random.default_rng(seed)
     scale = 4 if floating else 1
     dtype = np.float64 if floating else np.int32
     n = int(rng.integers(2, 14))
-    k = int(rng.integers(1, 9))
+    k = int(rng.integers(1, 9)) if one_row is None else 1
 
     def draw(low: Any, high: Any) -> Any:
         return rng.integers(low * scale, high * scale + 1) / scale
@@ -149,9 +162,11 @@ def random_block(seed: int, floating: bool, corrupt: bool) -> Block:
     pins: List[Pin] = []
     probes = rng.choice(n, size=min(n, k), replace=False)
     for i, vertex in enumerate(probes.tolist()):
-        if rng.random() < 0.3:
+        replayed = rng.random() < 0.3 if one_row is None else one_row == "replay"
+        if replayed:
             continue  # a replayed row: no pin
-        pins.append((i, vertex, float(truth[vertex])))
+        if one_row != "no pin":
+            pins.append((i, vertex, float(truth[vertex])))
         if vertex in subset:
             rows[i, np.searchsorted(subset, vertex)] = 0
     if corrupt and rng.random() < 0.5:
@@ -173,14 +188,18 @@ def random_block(seed: int, floating: bool, corrupt: bool) -> Block:
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     floating=st.booleans(),
     corrupt=st.booleans(),
+    one_row=st.sampled_from([None, None, None, "pin", "no pin", "replay"]),
+    gap=st.booleans(),
 )
-def test_block_equals_rows_one_by_one(seed: int, floating: bool, corrupt: bool) -> None:
-    assert_same(random_block(seed, floating, corrupt))
+def test_block_equals_rows_one_by_one(
+    seed: int, floating: bool, corrupt: bool, one_row: Optional[str], gap: bool
+) -> None:
+    assert_same(random_block(seed, floating, corrupt, one_row), gap)
 
 
 def test_random_blocks_cover_every_outcome() -> None:
@@ -210,6 +229,24 @@ def test_random_blocks_cover_every_outcome() -> None:
         "first row",
         "pinned column",
     }
+    # One-row blocks: each kind raises, resolves some column and leaves
+    # some unresolved; a probe's pin may land on a column.
+    for one_row in ("pin", "no pin", "replay"):
+        seen = set()
+        for seed in range(200):
+            block = random_block(seed, seed % 3 == 0, seed % 4 == 0, one_row)
+            out = assert_same(block, gap=seed % 2 == 0)
+            if out is None:
+                seen.add("raises")
+                continue
+            if len(out["unresolved"]) < len(block.subset):
+                seen.add("resolves")
+            if out["unresolved"]:
+                seen.add("unresolved")
+            if any(v in block.subset for _, v, _ in block.pins):
+                seen.add("pinned column")
+        want = {"raises", "resolves", "unresolved"}
+        assert seen >= (want | {"pinned column"} if one_row == "pin" else want)
 
 
 def _example(dtype: Any = np.int32, tolerance: float = 0.0) -> Block:

@@ -197,17 +197,18 @@ class TestTraversalCounter:
         assert counter.history == ["bfs:2"]
 
     def test_consume_lanes_equals_consume_lane_calls(self):
+        """Consuming k lanes at once equals k one-lane calls."""
         labels = [f"bfs:{s}" for s in (4, 1, 7, 2, 9)]
         one, bulk = TraversalCounter(), TraversalCounter()
         for counter in (one, bulk):
             counter.record_sweep(10, 20, 30, labels)
         for _ in range(3):
-            one.consume_lane()
+            one.consume_lanes(1)
         bulk.consume_lanes(3)
         bulk.consume_lanes(0)
         assert (bulk.bfs_runs, bulk.history) == (one.bfs_runs, one.history)
         assert bulk.history == labels[:3]
-        one.consume_lane()
+        one.consume_lanes(1)
         bulk.consume_lanes(1)
         assert (bulk.bfs_runs, bulk.history) == (one.bfs_runs, one.history)
         one.discard_lanes()

@@ -1,13 +1,16 @@
 """``tools/bench_pairs.py``: pair order, statistics and verdicts.
 
 The benchmark itself is replaced by a fake runner, so these tests run no
-workload and create no git worktree.
+workload.  The ``--base`` worktree is tested on a throwaway two-commit
+repository, never on this checkout.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -112,3 +115,38 @@ def test_unknown_workload_is_rejected(tmp_path: Path) -> None:
     argv = ["--base-dir", str(tmp_path), "--workload", "no-such-workload"]
     assert bench_pairs.main(argv, runner=runner) == 2
     assert runner.calls == []
+
+
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+        cwd=repo,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_worktree_checks_out_the_base_ref_and_removes_it(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    for text in ("old\n", "new\n"):
+        (repo / "f.txt").write_text(text, encoding="utf-8")
+        _git(repo, "add", "f.txt")
+        _git(repo, "commit", "-q", "-m", text.strip())
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    with bench_pairs.worktree("HEAD~1") as base:
+        assert (base / "f.txt").read_text(encoding="utf-8") == "old\n"
+        assert str(base) in _git(repo, "worktree", "list")
+    assert not base.exists()
+    assert str(base) not in _git(repo, "worktree", "list")
+    assert (repo / "f.txt").read_text(encoding="utf-8") == "new\n"
+
+    with pytest.raises(subprocess.CalledProcessError):
+        with bench_pairs.worktree("no-such-ref"):
+            pass  # pragma: no cover - never entered
