@@ -12,6 +12,15 @@ per-level direction decisions and edges-inspected counts, so Figure
 record of one traced IFECC run on the power-law graph — so every perf
 PR carries a replayable probe-by-probe account, not just aggregates.
 
+Two more rows ride along on the same graphs.  The *weighted* row runs
+the Δ-stepping Dijkstra (:func:`repro.weighted.dijkstra.dijkstra_distances`)
+with seeded integer weights 1–7 and records ms per run, ns per scanned
+arc and ``edges_inspected / edges_scanned`` (the in-bucket re-scans);
+each distance vector is checked against its shortest-path certificate.
+The *directed* row runs the forward and backward engines of a seeded
+orientation of the graph (:func:`repro.graph.engine.engine_for`) and
+checks them against the seed kernel over the out- and in-CSR.
+
 The *backend shootout* section additionally races the full-ED
 eccentricity sweep across backends — seed kernel, in-process hybrid
 engine, and the shared-memory process backend at several worker counts
@@ -37,12 +46,15 @@ import argparse
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.counters import TraversalCounter
+from repro.directed.graph import DirectedGraph
 from repro.graph.csr import Graph
-from repro.graph.engine import BFSEngine
+from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.generators import (
     barabasi_albert,
     grid_graph,
@@ -51,6 +63,8 @@ from repro.graph.generators import (
 )
 from repro.graph.traversal import UNREACHED
 from repro.obs.trace import Stopwatch
+from repro.weighted.dijkstra import dijkstra_distances
+from repro.weighted.graph import WeightedGraph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_bfs_engine.json"
@@ -206,6 +220,131 @@ def bench_graph(
     }
 
 
+def weighted_from(graph: Graph, seed: int = 0) -> WeightedGraph:
+    """``graph`` with seeded integer weights 1..7, one per edge (both
+    arcs of an edge agree)."""
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    dst = graph.indices.astype(np.int64)
+    key = np.minimum(src, dst) * n + np.maximum(src, dst)
+    edges, edge_of_arc = np.unique(key, return_inverse=True)
+    weights = np.random.default_rng(seed).integers(1, 8, size=edges.size)
+    return WeightedGraph(
+        graph.indptr, graph.indices, weights[edge_of_arc].astype(np.float64)
+    )
+
+
+def oriented_from(graph: Graph, seed: int = 0) -> DirectedGraph:
+    """Each edge ``u < v`` as the arc ``u -> v``, plus ``v -> u`` for a
+    seeded half of the edges."""
+    src = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
+    )
+    dst = graph.indices.astype(np.int64)
+    up = src < dst
+    src, dst = src[up], dst[up]
+    back = np.random.default_rng(seed).random(src.size) < 0.5
+    arcs = zip(
+        np.concatenate([src, dst[back]]).tolist(),
+        np.concatenate([dst, src[back]]).tolist(),
+    )
+    return DirectedGraph.from_arcs(arcs, num_vertices=graph.num_vertices)
+
+
+def check_shortest_paths(
+    graph: WeightedGraph, source: int, dist: np.ndarray
+) -> bool:
+    """``dist`` is the shortest-path vector from ``source``.
+
+    With positive weights it is the one vector that is 0 at the source
+    and, everywhere else, the minimum over in-arcs of ``dist[u] + w``.
+    """
+    src = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
+    )
+    best = np.full(graph.num_vertices, np.inf)
+    np.minimum.at(best, graph.indices, dist[src] + graph.weights)
+    best[source] = 0.0
+    return bool(np.array_equal(best, dist))
+
+
+def bench_weighted(
+    name: str, graph: Graph, num_sources: int, repeats: int
+) -> Dict[str, object]:
+    """Time the Δ-stepping Dijkstra on ``graph`` with weights 1..7."""
+    wgraph = weighted_from(graph)
+    sources = pick_sources(graph, num_sources)
+    counter = TraversalCounter()
+    for s in sources:
+        if not check_shortest_paths(
+            wgraph, s, dijkstra_distances(wgraph, s, counter=counter)
+        ):
+            raise AssertionError(
+                f"Dijkstra distances fail their certificate on {name}, "
+                f"source {s}"
+            )
+    seconds = _time_total(
+        lambda s: dijkstra_distances(wgraph, s), sources, repeats
+    )
+    return {
+        "name": name,
+        "weights": "integer 1-7",
+        "sources": sources,
+        "repeats": repeats,
+        "seconds": seconds,
+        "ms_per_run": 1e3 * seconds / len(sources),
+        "ns_per_arc": 1e9 * seconds / max(counter.edges_scanned, 1),
+        "edges_scanned": counter.edges_scanned,
+        "edges_inspected": counter.edges_inspected,
+        "inspected_per_scanned": counter.edges_inspected
+        / max(counter.edges_scanned, 1),
+        "relaxations": counter.relaxations,
+        "certified": True,
+    }
+
+
+def bench_directed(
+    name: str, graph: Graph, num_sources: int, repeats: int
+) -> Dict[str, object]:
+    """Time the forward and backward engines of an orientation of
+    ``graph``, each checked against the seed kernel on its CSR."""
+    dg = oriented_from(graph)
+    sources = pick_sources(graph, num_sources)
+    entry: Dict[str, object] = {
+        "name": name,
+        "num_arcs": dg.num_arcs,
+        "sources": sources,
+        "repeats": repeats,
+    }
+    views = {"forward": dg.forward_view(), "backward": dg.backward_view()}
+    for side, (indptr, indices) in views.items():
+        engine = engine_for(dg, backward=side == "backward")
+        csr = SimpleNamespace(
+            indptr=indptr, indices=indices, num_vertices=dg.num_vertices
+        )
+        scanned = inspected = 0
+        for s in sources:
+            if not np.array_equal(engine.run(s), seed_bfs_distances(csr, s)):  # type: ignore[arg-type]
+                raise AssertionError(
+                    f"{side} engine disagrees with the seed kernel on "
+                    f"{name}, source {s}"
+                )
+            scanned += engine.last_stats.edges_scanned
+            inspected += engine.last_stats.edges_inspected
+        seconds = _time_total(engine.run, sources, repeats)
+        entry[side] = {
+            "seconds": seconds,
+            "ms_per_run": 1e3 * seconds / len(sources),
+            # Per inspected arc: bottom-up levels inspect arcs they
+            # never scan, so scanned counts can be near zero.
+            "ns_per_arc": 1e9 * seconds / max(inspected, 1),
+            "edges_scanned": scanned,
+            "edges_inspected": inspected,
+            "bit_identical": True,
+        }
+    return entry
+
+
 def run_suite(
     smoke: bool,
     num_sources: int,
@@ -217,6 +356,8 @@ def run_suite(
 
     graphs = suite_graphs(smoke)
     results = []
+    weighted: List[Dict[str, object]] = []
+    directed: List[Dict[str, object]] = []
     for name, (family, graph) in graphs.items():
         print(
             f"[bench_bfs_engine] {name}: n={graph.num_vertices} "
@@ -229,6 +370,20 @@ def run_suite(
             "{speedup_hybrid_vs_seed:.2f}x)".format(**entry)  # type: ignore[str-format]
         )
         results.append(entry)
+        weighted.append(bench_weighted(name, graph, num_sources, repeats))
+        print(
+            "  weighted {ms_per_run:.3f} ms/run  {ns_per_arc:.0f} ns/arc  "
+            "inspected/scanned {inspected_per_scanned:.3f}".format(
+                **weighted[-1]
+            )
+        )
+        directed.append(bench_directed(name, graph, num_sources, repeats))
+        print(
+            "  directed fwd {:.3f} ms/run  bwd {:.3f} ms/run".format(
+                directed[-1]["forward"]["ms_per_run"],  # type: ignore[index]
+                directed[-1]["backward"]["ms_per_run"],  # type: ignore[index]
+            )
+        )
     powerlaw = next(r for r in results if r["family"] == "random power-law")
     report: Dict[str, object] = {
         "schema": "bench_bfs_engine/v1",
@@ -237,6 +392,8 @@ def run_suite(
         "beta": BETA,
         "target_speedup": TARGET_SPEEDUP,
         "graphs": results,
+        "weighted": weighted,
+        "directed": directed,
         "aggregate": {
             "seed_seconds": sum(r["seed_seconds"] for r in results),  # type: ignore[misc]
             "topdown_seconds": sum(r["topdown_seconds"] for r in results),  # type: ignore[misc]
@@ -426,6 +583,13 @@ def test_engine_beats_seed_kernel(benchmark) -> None:  # type: ignore[no-untyped
     # Bottom-up levels inspect edges they never scan.
     for r in graphs["powerlaw-4k"]["runs"]:
         assert r["edges_inspected"] >= r["edges_scanned"]
+    # The weighted and directed rows cover every suite graph, checked.
+    assert [w["name"] for w in report["weighted"]] == list(graphs)
+    for w in report["weighted"]:
+        assert w["certified"] and w["inspected_per_scanned"] >= 1.0
+    assert [d["name"] for d in report["directed"]] == list(graphs)
+    for d in report["directed"]:
+        assert d["forward"]["bit_identical"] and d["backward"]["bit_identical"]
     assert DEFAULT_OUT.exists()
     # The run-record artifact rides along and round-trips.
     assert DEFAULT_TRACE_OUT.exists()

@@ -6,8 +6,8 @@ case study (Section 7.5).  With the weighted and directed extensions
 riding the same solver core, the cost unit generalises from "BFS runs"
 to *traversal runs* — one Dijkstra or one backward BFS counts exactly
 like one BFS, and each back-end additionally reports its own fine-
-grained work (arcs expanded, arcs inspected bottom-up, Dijkstra edge
-relaxations) so cross-metric comparisons stay honest.
+grained work (arcs expanded, arcs inspected bottom-up or re-scanned,
+Dijkstra edge relaxations) so cross-metric comparisons stay honest.
 
 Batched FFO probing (:meth:`repro.core.solver.EccentricitySolver.run`)
 sweeps a territory's next probes as MS-BFS lanes before Algorithm 2
@@ -38,14 +38,19 @@ class TraversalCounter:
     ran alone or as one lane of a batched sweep.
 
     ``edges_scanned`` counts arcs expanded by the classic frontier
-    metric; ``edges_inspected`` additionally includes the arcs that
-    bottom-up levels of the direction-optimizing BFS engine examined
-    while probing unvisited vertices — edges that are inspected but
-    never "scanned".  For a purely top-down traversal the two are
-    equal.  ``relaxations`` counts successful Dijkstra edge relaxations
-    (distance improvements); it stays 0 for unweighted traversals.
-    These work counters, and ``vertices_visited``, credit every lane a
-    sweep ran, consumed or not.
+    metric: the arcs of each visited (for Dijkstra, settled) vertex,
+    counted once.  ``edges_inspected`` additionally includes the arcs
+    that bottom-up levels of the direction-optimizing BFS engine
+    examined while probing unvisited vertices — edges that are
+    inspected but never "scanned" — and the arcs the Δ-stepping
+    Dijkstra re-scanned when a vertex improved again inside its
+    bucket.  For a purely top-down traversal the two are equal.
+    ``vertices_visited`` counts the vertices a traversal reached.
+    ``relaxations`` counts improving Dijkstra candidates (arcs whose
+    candidate distance beat the target's tentative one when
+    gathered); it stays 0 for unweighted traversals.  These work
+    counters, and ``vertices_visited``, credit every lane a sweep ran,
+    consumed or not.
 
     ``lanes_discarded`` counts lanes of batched probe sweeps whose rows
     the solver never consumed (their territory resolved first).
@@ -78,8 +83,9 @@ class TraversalCounter:
         """Record one completed traversal.
 
         ``inspected`` defaults to ``edges`` (a traversal that never ran
-        bottom-up inspects exactly what it scans); ``relaxations`` is
-        the Dijkstra improvement count (0 for BFS).
+        bottom-up or re-scanned a vertex inspects exactly what it
+        scans); ``relaxations`` is the Dijkstra improving-candidate
+        count (0 for BFS).
         """
         self.bfs_runs += 1
         self.edges_scanned += edges

@@ -69,8 +69,9 @@ def one_by_one(block: Block) -> Tuple[BoundState, Dict[str, Any]]:
         for at, vertex, value in block.pins:
             if at == i:
                 state.set_exact(vertex, value)
-        # Zero elsewhere: lower bounds are non-negative.
-        raised = np.zeros(len(block.lower), block.dtype)
+        # The current lower bounds elsewhere, so the update leaves them
+        # alone even after a corrupted pin set one below zero.
+        raised = state.lower.copy()
         raised[current] = row[np.searchsorted(block.subset, current)]
         state.apply_lower_only(raised)
         state.apply_lemma33_tail(block.dist_to_z, block.tails[i], subset=current)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from repro.counters import TraversalCounter
 from repro.errors import (
     DisconnectedGraphError,
     GraphConstructionError,
@@ -20,7 +21,7 @@ from repro.weighted.eccentricity import (
     weighted_solver,
 )
 from repro.weighted.graph import WeightedGraph
-from helpers import random_connected_graph
+from helpers import heap_dijkstra, random_connected_graph
 
 
 def random_weighted_graph(n, extra, seed, max_weight=9):
@@ -31,6 +32,30 @@ def random_weighted_graph(n, extra, seed, max_weight=9):
         for u, v in base.edges()
     ]
     return WeightedGraph.from_edges(triples, num_vertices=n)
+
+
+def uniform_weighted_graph(n, extra, seed, zero_frac=0.0):
+    """U(0,1) weights, a ``zero_frac`` share of them set to zero."""
+    base = random_connected_graph(n, extra, seed)
+    rng = np.random.default_rng(seed + 1)
+    edges = list(base.edges())
+    weights = rng.random(len(edges))
+    weights[rng.random(len(edges)) < zero_frac] = 0.0
+    return WeightedGraph.from_edges(
+        [(u, v, w) for (u, v), w in zip(edges, weights)], num_vertices=n
+    )
+
+
+def assert_matches_heap(graph, source):
+    """Distances bit-identical to the heap reference, same counters."""
+    counter = TraversalCounter()
+    got = dijkstra_distances(graph, source, counter=counter)
+    want, edges_scanned, visited = heap_dijkstra(graph, source)
+    np.testing.assert_array_equal(got, want)
+    assert counter.edges_scanned == edges_scanned
+    assert counter.vertices_visited == visited
+    assert counter.edges_inspected >= counter.edges_scanned
+    return counter
 
 
 def scipy_weighted_distances(graph: WeightedGraph, source: int):
@@ -104,10 +129,92 @@ class TestDijkstra:
         for seed in range(5):
             g = random_weighted_graph(40, 30, seed)
             for source in (0, 20, 39):
-                np.testing.assert_allclose(
+                # Integer weights: every sum is exact, so equal bit for bit.
+                np.testing.assert_array_equal(
                     dijkstra_distances(g, source),
                     scipy_weighted_distances(g, source),
                 )
+
+    def test_zero_weight_edges_match_heap(self):
+        for seed in range(4):
+            g = uniform_weighted_graph(50, 60, seed, zero_frac=0.4)
+            assert_matches_heap(g, seed)
+        # Every weight zero: Δ = 0, one bucket holds the whole component.
+        zeros = WeightedGraph.from_unweighted(cycle_graph(6), weight=0.0)
+        counter = assert_matches_heap(zeros, 2)
+        np.testing.assert_array_equal(dijkstra_distances(zeros, 2), np.zeros(6))
+        assert counter.vertices_visited == 6
+
+    def test_disconnected_matches_heap(self):
+        g = WeightedGraph.from_edges(
+            [(0, 1, 0.3), (1, 2, 0.7), (3, 4, 2.5), (4, 5, 0.1)],
+            num_vertices=7,
+        )
+        for source in range(7):
+            counter = assert_matches_heap(g, source)
+            assert counter.vertices_visited == np.isfinite(
+                dijkstra_distances(g, source)
+            ).sum()
+
+    def test_edgeless_graphs(self):
+        # Empty ``weights`` (``.max()`` would raise): one vertex, or more.
+        for n, source in ((1, 0), (4, 1)):
+            g = WeightedGraph.from_edges([], num_vertices=n)
+            want = np.full(n, np.inf)
+            want[source] = 0.0
+            np.testing.assert_array_equal(dijkstra_distances(g, source), want)
+            counter = assert_matches_heap(g, source)
+            assert (counter.edges_scanned, counter.vertices_visited) == (0, 1)
+
+    def test_hub_source_matches_heap(self):
+        # A star with U(0,1) spokes plus random chords: the hub's one
+        # bucket reaches every vertex in one gather.
+        rng = np.random.default_rng(3)
+        n = 200
+        triples = [(0, v, rng.random()) for v in range(1, n)]
+        triples += [
+            (int(u), int(v), rng.random())
+            for u, v in rng.integers(1, n, size=(150, 2))
+            if u != v
+        ]
+        g = WeightedGraph.from_edges(triples, num_vertices=n)
+        assert_matches_heap(g, 0)
+        assert_matches_heap(g, 17)
+
+    def test_shortcut_forces_rerelaxation(self):
+        # A long path of tiny weights and one heavy shortcut 0 -- k: the
+        # first bucket reaches k over the shortcut, then improves it
+        # along the path, so k's arcs are inspected twice.
+        k = 40
+        triples = [(v, v + 1, 0.01) for v in range(k)]
+        triples += [(0, k, 1.0), (k, k + 1, 1.0)]
+        g = WeightedGraph.from_edges(triples)
+        counter = assert_matches_heap(g, 0)
+        assert counter.edges_inspected > counter.edges_scanned
+        assert dijkstra_distances(g, 0)[k] < 1.0
+
+    def test_non_finite_weights_match_heap(self):
+        # An inf arc never improves a distance, nor does a NaN arc; a
+        # NaN also makes Δ NaN, so one bucket takes every open vertex.
+        for bad in (np.inf, np.nan):
+            g = WeightedGraph.from_edges(
+                [(0, 1, 1.0), (1, 2, bad), (2, 3, 0.5), (0, 3, 4.0)]
+            )
+            assert_matches_heap(g, 0)
+            assert_matches_heap(g, 2)
+
+    def test_random_graphs_match_heap(self):
+        # Integer weights 1..9 on even seeds, U(0,1) weights on odd ones.
+        for seed in range(10):
+            g = (uniform_weighted_graph if seed % 2 else random_weighted_graph)(
+                70, 90, seed
+            )
+            for source in (0, 35, 69):
+                counter = assert_matches_heap(g, source)
+                assert counter.bfs_runs == 1
+                assert counter.history == [f"dijkstra:{source}"]
+                # Each vertex but the source is reached by >= 1 improvement.
+                assert counter.relaxations >= counter.vertices_visited - 1
 
     def test_unit_weights_match_bfs(self):
         from repro.graph.traversal import bfs_distances
