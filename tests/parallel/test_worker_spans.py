@@ -122,6 +122,14 @@ class TestWorkerSpanMerge:
         assert serial_counters, "serial run produced no counters"
         for name, value in serial_counters.items():
             assert process_counters.get(name) == value, name
+        serial_histograms = {
+            name: data
+            for name, data in serial_metrics.items()
+            if data["type"] == "histogram"
+        }
+        assert serial_histograms, "serial run produced no histograms"
+        for name, data in serial_histograms.items():
+            assert process_metrics.get(name) == data, name
 
     def test_eccentricities_match_serial(self, graph, traced_process_run):
         result, _record, _metrics = traced_process_run
