@@ -62,7 +62,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.traversal import UNREACHED
-from repro.obs.trace import Stopwatch
+from repro.obs.trace import MemorySink, Stopwatch, tracing
 from repro.weighted.dijkstra import dijkstra_distances
 from repro.weighted.graph import WeightedGraph
 
@@ -180,24 +180,28 @@ def bench_graph(
 
     # Correctness audit + per-run direction/edge accounting (untimed).
     runs: List[Dict[str, object]] = []
+    # Each run's record is its bfs.run event.
+    sink = MemorySink()
     for s in sources:
         expected = seed_bfs_distances(graph, s)
-        got = hybrid.run(s, mode="hybrid")
+        sink.clear()
+        with tracing(sink):
+            got = hybrid.run(s, mode="hybrid")
         if not np.array_equal(expected, got):
             raise AssertionError(
                 f"hybrid BFS disagrees with seed kernel on {name}, "
                 f"source {s}"
             )
-        stats = hybrid.last_stats
+        (run,) = sink.events
         runs.append(
             {
                 "source": s,
-                "eccentricity": hybrid.last_ecc,
-                "levels": stats.levels,
-                "directions": list(stats.directions),
-                "frontier_sizes": list(stats.frontier_sizes),
-                "edges_scanned": stats.edges_scanned,
-                "edges_inspected": stats.edges_inspected,
+                "eccentricity": run["ecc"],
+                "levels": run["levels"],
+                "directions": run["directions"],
+                "frontier_sizes": run["frontier_sizes"],
+                "edges_scanned": run["edges_scanned"],
+                "edges_inspected": run["edges_inspected"],
             }
         )
 
@@ -322,15 +326,16 @@ def bench_directed(
         csr = SimpleNamespace(
             indptr=indptr, indices=indices, num_vertices=dg.num_vertices
         )
-        scanned = inspected = 0
+        counter = TraversalCounter()
         for s in sources:
-            if not np.array_equal(engine.run(s), seed_bfs_distances(csr, s)):  # type: ignore[arg-type]
+            got = engine.run(s, counter=counter)
+            if not np.array_equal(got, seed_bfs_distances(csr, s)):  # type: ignore[arg-type]
                 raise AssertionError(
                     f"{side} engine disagrees with the seed kernel on "
                     f"{name}, source {s}"
                 )
-            scanned += engine.last_stats.edges_scanned
-            inspected += engine.last_stats.edges_inspected
+        scanned = counter.edges_scanned
+        inspected = counter.edges_inspected
         seconds = _time_total(engine.run, sources, repeats)
         entry[side] = {
             "seconds": seconds,

@@ -255,17 +255,9 @@ class BFSOracle:
         :dtype eccs: int32
         :dtype cols: int32
         """
-        lanes = msengine_for(self.graph)
-        eccs, cols = lanes.column_batch(sources, targets)
-        if counter is not None:
-            stats = lanes.last_stats
-            counter.record_sweep(
-                stats.edges_scanned,
-                stats.vertices_visited,
-                stats.edges_inspected,
-                [f"bfs:{int(s)}" for s in sources],
-            )
-        return eccs, cols
+        return msengine_for(self.graph).column_batch(
+            sources, targets, counter=counter
+        )
 
     def disconnected_error(self) -> DisconnectedGraphError:
         from repro.graph.components import split_components

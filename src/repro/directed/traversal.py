@@ -35,37 +35,17 @@ __all__ = [
 ]
 
 
-def _owned_run(
-    graph: DirectedGraph,
-    source: int,
-    counter: Optional[TraversalCounter],
-    backward: bool,
-) -> np.ndarray:
-    """One engine run, copied out of the pooled buffer and credited to
-    ``counter`` under a ``fwd:``/``bwd:`` history label.
-
-    :dtype dist: int32
-    """
-    engine = engine_for(graph, backward)
-    dist = np.array(engine.run(source))
-    if counter is not None:
-        stats = engine.last_stats
-        counter.record(
-            stats.edges_scanned,
-            1 + sum(stats.frontier_sizes),
-            label=f"{'bwd' if backward else 'fwd'}:{source}",
-            inspected=stats.edges_inspected,
-        )
-    return dist
-
-
 def forward_bfs(
     graph: DirectedGraph,
     source: int,
     counter: Optional[TraversalCounter] = None,
 ) -> np.ndarray:
-    """Distances ``dist(source, v)`` along arc directions."""
-    return _owned_run(graph, source, counter, backward=False)
+    """Distances ``dist(source, v)`` along arc directions.
+
+    A copy of the forward engine's pooled buffer; ``counter`` is
+    credited with one run labelled ``fwd:<source>``.
+    """
+    return np.array(engine_for(graph).run(source, counter=counter))
 
 
 def backward_bfs(
@@ -73,8 +53,13 @@ def backward_bfs(
     source: int,
     counter: Optional[TraversalCounter] = None,
 ) -> np.ndarray:
-    """Distances ``dist(v, source)`` — i.e. along *reversed* arcs."""
-    return _owned_run(graph, source, counter, backward=True)
+    """Distances ``dist(v, source)`` — i.e. along *reversed* arcs.
+
+    A copy of the backward engine's pooled buffer; ``counter`` is
+    credited with one run labelled ``bwd:<source>``.
+    """
+    engine = engine_for(graph, backward=True)
+    return np.array(engine.run(source, counter=counter))
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:

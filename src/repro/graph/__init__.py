@@ -6,7 +6,7 @@ algorithm in :mod:`repro.core` and :mod:`repro.baselines` builds on.
 """
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.engine import BFSEngine, BFSRunStats, engine_for
+from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.components import (
     connected_components,
     is_connected,
@@ -16,7 +16,6 @@ from repro.graph.components import (
 from repro.graph.csr import Graph
 from repro.graph.msengine import (
     MSBFSEngine,
-    MSBFSRunStats,
     batch_distance_rows,
     msengine_for,
     plan_lane_width,
@@ -36,10 +35,8 @@ __all__ = [
     "GraphBuilder",
     "TraversalCounter",
     "BFSEngine",
-    "BFSRunStats",
     "engine_for",
     "MSBFSEngine",
-    "MSBFSRunStats",
     "batch_distance_rows",
     "msengine_for",
     "plan_lane_width",

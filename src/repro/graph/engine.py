@@ -49,10 +49,13 @@ Direction choice changes *speed only, never answers*: a vertex first
 reached at level ``d`` is assigned distance ``d`` in either direction,
 so distance vectors (and everything derived from them — FFOs, bounds,
 territories, ``IFECC.run()`` output) are bit-identical to the seed
-kernel.  Per-level decisions and the edges inspected by bottom-up
-levels (which are never "scanned" in the top-down sense) are recorded
-in :class:`BFSRunStats` and surface through
-``TraversalCounter.edges_inspected`` so cost accounting stays honest.
+kernel.  The edges inspected by bottom-up levels (which are never
+"scanned" in the top-down sense) are credited to
+``TraversalCounter.edges_inspected`` so cost accounting stays honest,
+and each run's per-level decisions and frontier sizes go into its one
+``bfs.run`` trace event — the run's only record, which the tracer's
+metrics registry folds in (:meth:`repro.obs.metrics.MetricsRegistry.\
+fold_event`).
 
 Use :func:`engine_for` to obtain the per-graph cached engine; the cache
 is keyed weakly so dropping the last reference to a graph frees its
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,7 +84,6 @@ __all__ = [
     "BETA",
     "UNREACHED",
     "BFSEngine",
-    "BFSRunStats",
     "csr_pair",
     "engine_for",
     "gather_csr_arcs",
@@ -105,26 +106,6 @@ CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: candidate set is at least ``n / _MASK_DEDUPE_DIVISOR`` entries, else
 #: the ``O(f log f)`` sort is cheaper (thin frontiers, deep graphs).
 _MASK_DEDUPE_DIVISOR = 16
-
-
-@dataclass
-class BFSRunStats:
-    """Audit trail of one engine run (Figure 8-style accounting).
-
-    ``directions[i]`` is ``"td"`` or ``"bu"`` for level ``i + 1``;
-    ``frontier_sizes[i]`` the number of vertices first reached at that
-    level.  ``edges_scanned`` counts arcs expanded by top-down levels
-    (the seed kernel's cost metric); ``edges_inspected`` additionally
-    counts the arcs bottom-up levels examined while probing unvisited
-    vertices, so hybrid runs remain comparable with top-down ones.
-    """
-
-    source: int = -1
-    levels: int = 0
-    edges_scanned: int = 0
-    edges_inspected: int = 0
-    directions: List[str] = field(default_factory=list)
-    frontier_sizes: List[int] = field(default_factory=list)
 
 
 def gather_csr_arcs(
@@ -197,8 +178,8 @@ bfs_distances` wrapper) must copy.
         "alpha",
         "beta",
         "last_ecc",
-        "last_stats",
         "num_arcs",
+        "_label",
         "_n",
         "_out",
         "_in",
@@ -229,6 +210,10 @@ bfs_distances` wrapper) must copy.
         self._out, self._in = csr_pair(graph, backward)
         #: Arcs of the graph (an undirected edge is two).
         self.num_arcs = int(len(self._out[1]))
+        # History label of a run: an undirected graph's pair is one CSR.
+        self._label = (
+            "bfs" if self._out is self._in else "bwd" if backward else "fwd"
+        )
         # Pooled workspaces, sized once per graph (reprolint R1 makes the
         # CSR immutable, so these can never go stale).
         #
@@ -245,8 +230,6 @@ bfs_distances` wrapper) must copy.
         self._guard = sanitize.guard_if_enabled("BFSEngine")
         #: Eccentricity (max finite distance) of the last :meth:`run`.
         self.last_ecc: int = 0
-        #: Per-level audit of the last :meth:`run`.
-        self.last_stats: BFSRunStats = BFSRunStats()
 
     # ------------------------------------------------------------------
     # Single-source BFS
@@ -264,7 +247,9 @@ bfs_distances` wrapper) must copy.
         ``"top-down"`` or ``"bottom-up"`` (forced, for benchmarks and
         equivalence tests).  Returns the pooled ``int32`` distance
         vector — copy before the next call if you keep it.  Sets
-        :attr:`last_ecc` and :attr:`last_stats`.
+        :attr:`last_ecc`.  ``counter`` is credited with one run
+        labelled ``bfs:<source>`` (``fwd:``/``bwd:`` on a directed
+        graph), and a live tracer receives one ``bfs.run`` event.
 
         Under ``REPRO_SANITIZE=1`` the returned vector is a read-only
         :class:`repro.sanitize.GuardedArray` loan that raises on use
@@ -298,7 +283,11 @@ bfs_distances` wrapper) must copy.
         dist = self._dist
         dist.fill(UNREACHED)
         dist[source] = 0
-        stats = BFSRunStats(source=source)
+        # The run's record: arc totals and, per level, the direction
+        # and the number of vertices first reached.
+        scanned = inspected = 0
+        directions: List[str] = []
+        frontier_sizes: List[int] = []
         frontier = np.asarray([source], dtype=np.int64)
         out_deg, in_deg = self._out[2], self._in[2]
         symmetric = out_deg is in_deg
@@ -338,12 +327,11 @@ bfs_distances` wrapper) must copy.
                 cand = unvisited[in_deg[unvisited] > 0]
             if direction == "td":
                 fresh, arcs = self._top_down_level(frontier)
-                stats.edges_scanned += arcs
-                stats.edges_inspected += arcs
+                scanned += arcs
             else:
                 assert cand is not None
                 fresh, arcs, cand = self._bottom_up_level(frontier, cand)
-                stats.edges_inspected += arcs
+            inspected += arcs
             if fresh is None or len(fresh) == 0:
                 break
             level += 1
@@ -354,37 +342,34 @@ bfs_distances` wrapper) must copy.
             m_unvisited -= (
                 m_frontier if symmetric else int(in_deg[fresh].sum())
             )
-            stats.directions.append(direction)
-            stats.frontier_sizes.append(len(fresh))
+            directions.append(direction)
+            frontier_sizes.append(len(fresh))
             frontier = fresh.astype(np.int64, copy=False)
-        stats.levels = level
         self.last_ecc = level
-        self.last_stats = stats
         if counter is not None:
             counter.record(
-                stats.edges_scanned,
+                scanned,
                 visited,
-                label=f"bfs:{source}",
-                inspected=stats.edges_inspected,
+                label=f"{self._label}:{source}",
+                inspected=inspected,
             )
         tracer = get_tracer()
         if tracer.enabled:
-            # One event per run, assembled from the already-collected
-            # stats — per-level emission would put sink calls on the hot
-            # path; this keeps the disabled cost at one branch per BFS.
+            # One event per run, assembled from the collected record —
+            # per-level emission would put sink calls on the hot path;
+            # this keeps the disabled cost at one branch per BFS.
             tracer.event(
                 "bfs.run",
                 source=source,
                 mode=mode,
-                levels=stats.levels,
-                ecc=self.last_ecc,
+                levels=level,
+                ecc=level,
                 visited=visited,
-                edges_scanned=stats.edges_scanned,
-                edges_inspected=stats.edges_inspected,
-                directions=list(stats.directions),
-                frontier_sizes=[int(f) for f in stats.frontier_sizes],
+                edges_scanned=scanned,
+                edges_inspected=inspected,
+                directions=directions,
+                frontier_sizes=frontier_sizes,
             )
-            tracer.metrics.ingest_run_stats(stats)
         return dist
 
     def _top_down_level(

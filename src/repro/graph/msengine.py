@@ -73,7 +73,6 @@ from __future__ import annotations
 import sys
 import threading
 import weakref
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -101,7 +100,6 @@ __all__ = [
     "LANE_WORD_BITS",
     "MAX_LANE_WORDS",
     "MSBFSEngine",
-    "MSBFSRunStats",
     "batch_distance_rows",
     "fill_distance_rows",
     "msengine_for",
@@ -184,34 +182,6 @@ def plan_sweep_width(consumed: int) -> int:
     if consumed < _SERIAL_BATCH_LIMIT:
         return 1
     return min(consumed, _SWEEP_MAX_LANES)
-
-
-@dataclass
-class MSBFSRunStats:
-    """Audit trail of one multi-source sweep (Figure 8-style accounting).
-
-    ``directions[i]`` is ``"td"`` or ``"bu"`` for level ``i + 1``;
-    ``live_lanes[i]`` how many lanes still had a non-empty frontier
-    entering that level (retirement makes this non-increasing);
-    ``frontier_sizes[i]`` the number of vertices holding any fresh lane
-    bit at that level.  ``edges_scanned`` counts arcs expanded top-down
-    (the seed kernel's metric), ``edges_inspected`` additionally counts
-    bottom-up probe arcs, and ``words_touched`` totals the ``uint64``
-    bitmap words read or written — the bandwidth term lane width trades
-    against sweep count.  ``vertices_visited`` counts the (vertex, lane)
-    pairs reached, sources included.
-    """
-
-    num_sources: int = 0
-    lane_words: int = 0
-    levels: int = 0
-    edges_scanned: int = 0
-    edges_inspected: int = 0
-    vertices_visited: int = 0
-    words_touched: int = 0
-    directions: List[str] = field(default_factory=list)
-    live_lanes: List[int] = field(default_factory=list)
-    frontier_sizes: List[int] = field(default_factory=list)
 
 
 class _MSWorkspace:
@@ -316,8 +286,8 @@ class MSBFSEngine:
         "graph",
         "alpha",
         "beta",
-        "last_stats",
         "_n",
+        "_label",
         "_arcs",
         "_out",
         "_in",
@@ -340,10 +310,12 @@ class MSBFSEngine:
         self._n = graph.num_vertices
         self._out, self._in = csr_pair(graph, backward)
         self._arcs = int(len(self._out[1]))
+        # History label of a swept lane, as in BFSEngine.
+        self._label = (
+            "bfs" if self._out is self._in else "bwd" if backward else "fwd"
+        )
         # One pooled workspace per lane-word count actually used.
         self._workspaces: Dict[int, _MSWorkspace] = {}
-        #: Per-level audit of the last :meth:`run_batch`.
-        self.last_stats: MSBFSRunStats = MSBFSRunStats()
 
     def _workspace(self, words: int) -> _MSWorkspace:
         """The pooled bitmap set for ``words`` lane words (lazily built)."""
@@ -416,7 +388,11 @@ class MSBFSEngine:
         ever recorded, so the sweep's scratch grows with
         ``len(sources) * len(targets)`` instead of ``len(sources) * n``.
         The solver's FFO lane batches read nothing else (see
-        :meth:`repro.core.oracles.BFSOracle.sweep_batch`).
+        :meth:`repro.core.oracles.BFSOracle.sweep_batch`), so the
+        counter is credited as for a probe sweep: the sweep's work and
+        one pending lane per source, labelled as single-source runs
+        are, which the caller consumes or discards
+        (:meth:`repro.counters.TraversalCounter.record_sweep`).
 
         :dtype tgt: int64
         :dtype eccs: int32
@@ -433,8 +409,10 @@ class MSBFSEngine:
             raise InvalidParameterError("targets must be strictly increasing")
         if len(tgt) == n:
             # Every vertex, in order: record whole rows directly.
-            return self._sweep(sources, None, None, counter, mode)
-        return self._sweep(sources, tgt, None, counter, mode)
+            return self._sweep(
+                sources, None, None, counter, mode, pending=True
+            )
+        return self._sweep(sources, tgt, None, counter, mode, pending=True)
 
     def _sweep(
         self,
@@ -443,11 +421,14 @@ class MSBFSEngine:
         limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
+        pending: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Validate, pick a workspace, guard-bracket the sweep.
 
         ``targets`` lists the recorded columns (``None``: all of them).
-        Returns ``(eccs, cols)``, both freshly owned; ``cols`` is
+        ``pending`` credits the counter with pending lanes instead of
+        one run per source (see :meth:`column_batch`).  Returns
+        ``(eccs, cols)``, both freshly owned; ``cols`` is
         ``(len(sources), len(targets))``.
 
         :dtype src: int64
@@ -479,10 +460,14 @@ class MSBFSEngine:
         work = self._workspace(words)
         guard = work.guard
         if guard is None:
-            return self._sweep_impl(src, targets, limit, counter, mode, work)
+            return self._sweep_impl(
+                src, targets, limit, counter, mode, pending, work
+            )
         guard.begin_run()
         try:
-            return self._sweep_impl(src, targets, limit, counter, mode, work)
+            return self._sweep_impl(
+                src, targets, limit, counter, mode, pending, work
+            )
         finally:
             guard.end_run()
 
@@ -493,6 +478,7 @@ class MSBFSEngine:
         limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
+        pending: bool,
         work: _MSWorkspace,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The sweep itself (guard bookkeeping handled by the caller).
@@ -526,7 +512,13 @@ class MSBFSEngine:
 
         out_deg, in_deg = self._out[2], self._in[2]
         active = np.unique(src)
-        stats = MSBFSRunStats(num_sources=k, lane_words=words)
+        # The sweep's record: arc and bitmap-word totals and, per level,
+        # the direction, the lanes still live entering it and the
+        # vertices holding a fresh lane bit.
+        scanned = inspected = touched = 0
+        directions: List[str] = []
+        live_lanes: List[int] = []
+        frontier_sizes: List[int] = []
         m_frontier = int(out_deg[active].sum())
         m_unvisited = self._arcs - int(in_deg[active].sum())
         prev_m_frontier = 0
@@ -582,20 +574,19 @@ class MSBFSEngine:
                 newly, new_bits, seen_rows, arcs = self._top_down_level(
                     active, frontier, seen, next_mask
                 )
-                stats.edges_scanned += arcs
-                stats.edges_inspected += arcs
+                scanned += arcs
             else:
                 newly, new_bits, seen_rows, arcs = self._bottom_up_level(
                     frontier, seen, live
                 )
-                stats.edges_inspected += arcs
-            stats.words_touched += (len(active) + arcs) * words
+            inspected += arcs
+            touched += (len(active) + arcs) * words
             if newly is None or new_bits is None or len(newly) == 0:
                 break
             level += 1
-            stats.directions.append(direction)
-            stats.live_lanes.append(num_live)
-            stats.frontier_sizes.append(len(newly))
+            directions.append(direction)
+            live_lanes.append(num_live)
+            frontier_sizes.append(len(newly))
             # First-touch accounting must precede the seen update: a
             # vertex leaves the "unvisited" arc mass the first time any
             # lane reaches it.
@@ -628,35 +619,36 @@ class MSBFSEngine:
             prev_m_frontier = m_frontier
             m_frontier = int(out_deg[newly].sum())
             active = newly
-        stats.levels = level
-        # Every (vertex, lane) pair reached holds one bit of `seen`.
-        stats.vertices_visited = _popcount(seen)
-        self.last_stats = stats
         if counter is not None:
-            counter.record(
-                stats.edges_scanned,
-                stats.vertices_visited,
-                inspected=stats.edges_inspected,
-            )
-            counter.bfs_runs += k - 1  # the sweep stands in for k runs
+            # Every (vertex, lane) pair reached holds one bit of `seen`.
+            visited = _popcount(seen)
+            if pending:
+                counter.record_sweep(
+                    scanned,
+                    visited,
+                    inspected,
+                    [f"{self._label}:{s}" for s in src.tolist()],
+                )
+            else:
+                counter.record(scanned, visited, inspected=inspected)
+                counter.bfs_runs += k - 1  # the sweep stands in for k runs
         tracer = get_tracer()
         if tracer.enabled:
-            # One event per sweep, assembled from the collected stats —
+            # One event per sweep, assembled from the collected record —
             # per-level emission would put sink calls on the hot path.
             tracer.event(
                 "msbfs.run",
                 num_sources=k,
                 lane_words=words,
                 mode=mode,
-                levels=stats.levels,
-                edges_scanned=stats.edges_scanned,
-                edges_inspected=stats.edges_inspected,
-                words_touched=stats.words_touched,
-                directions=list(stats.directions),
-                live_lanes=[int(c) for c in stats.live_lanes],
-                frontier_sizes=[int(f) for f in stats.frontier_sizes],
+                levels=level,
+                edges_scanned=scanned,
+                edges_inspected=inspected,
+                words_touched=touched,
+                directions=directions,
+                live_lanes=live_lanes,
+                frontier_sizes=frontier_sizes,
             )
-            tracer.metrics.ingest_msbfs_stats(stats)
         # Consumers get the source-major convention of the seed kernel.
         return eccs, np.ascontiguousarray(cols_t.T)
 

@@ -8,8 +8,9 @@ The observability layer of the solver stack, in three pieces:
     JSONL file) plus the :class:`~repro.obs.trace.Stopwatch` that
     replaces ad-hoc ``time.perf_counter()`` pairs (reprolint R8).
 :mod:`repro.obs.metrics`
-    Counters, gauges, and fixed-bucket histograms that
-    ``TraversalCounter`` and ``BFSRunStats`` feed into.
+    Counters, gauges, and fixed-bucket histograms, fed by the
+    engines' ``bfs.run``/``msbfs.run`` events as the tracer emits
+    them and by finished ``TraversalCounter`` totals.
 :mod:`repro.obs.record`
     The versioned run-record document (``--trace PATH`` /
     ``repro trace summarize``): graph fingerprint, config, the full

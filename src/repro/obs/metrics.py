@@ -3,12 +3,13 @@
 Where the event stream of :mod:`repro.obs.trace` itemises *what
 happened*, this registry aggregates *how much*: total traversals, arcs
 scanned vs. inspected, the decaying remaining-unresolved gauge, the
-frontier-size distribution.  The two existing accounting structures feed
-it directly — :meth:`MetricsRegistry.ingest_traversal_counter` folds a
-:class:`repro.counters.TraversalCounter` in, and
-:meth:`MetricsRegistry.ingest_run_stats` folds a
-:class:`repro.graph.engine.BFSRunStats` — so Figure 8-style work tables
-and Table 2-style probe curves come out of one
+frontier-size distribution.  Two feeds fill it:
+:meth:`MetricsRegistry.fold_event` folds each engine run's ``bfs.run`` /
+``msbfs.run`` event in as the tracer emits it (so a pool worker's runs,
+replayed into the parent's trace, arrive the same way), and
+:meth:`MetricsRegistry.ingest_traversal_counter` folds a finished
+:class:`repro.counters.TraversalCounter` in — so Figure 8-style work
+tables and Table 2-style probe curves come out of one
 :meth:`MetricsRegistry.snapshot` call.
 
 Instruments are fixed-cost and allocation-free on the hot path: a
@@ -24,8 +25,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.counters import TraversalCounter
-    from repro.graph.engine import BFSRunStats
-    from repro.graph.msengine import MSBFSRunStats
 
 __all__ = [
     "Counter",
@@ -160,14 +159,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # ingest_run_stats runs once per traversal; resolving its six
-        # counters plus the frontier histogram through f-strings every
-        # call is measurable there, so the handle tuple is cached per
-        # prefix (instruments are never removed, so handles stay valid).
-        self._run_stats_handles: Dict[
-            str, Tuple[Counter, Counter, Counter, Counter, Counter, Counter,
-                       Histogram]
-        ] = {}
 
     def counter(self, name: str) -> Counter:
         inst = self._counters.get(name)
@@ -214,110 +205,61 @@ class MetricsRegistry:
             counter.lanes_discarded
         )
 
-    def ingest_run_stats(
-        self, stats: "BFSRunStats", prefix: str = "bfs"
-    ) -> None:
-        """Fold one BFS run's :class:`~repro.graph.engine.BFSRunStats` in."""
-        handles = self._run_stats_handles.get(prefix)
-        if handles is None:
-            handles = self._run_stats_handles[prefix] = (
-                self.counter(f"{prefix}.runs"),
-                self.counter(f"{prefix}.levels"),
-                self.counter(f"{prefix}.edges_scanned"),
-                self.counter(f"{prefix}.edges_inspected"),
-                self.counter(f"{prefix}.levels_bottom_up"),
-                self.counter(f"{prefix}.levels_top_down"),
-                self.histogram(f"{prefix}.frontier_size"),
-            )
-        runs, levels, scanned, inspected, bu, td, frontier = handles
-        runs.inc()
-        levels.inc(stats.levels)
-        scanned.inc(stats.edges_scanned)
-        inspected.inc(stats.edges_inspected)
-        bottom_up = stats.directions.count("bu")
-        bu.inc(bottom_up)
-        td.inc(len(stats.directions) - bottom_up)
-        for size in stats.frontier_sizes:
-            frontier.observe(size)
+    def fold_event(self, event: Dict[str, Any]) -> None:
+        """Fold one engine run's event into the instruments.
 
-    def ingest_msbfs_stats(
-        self, stats: "MSBFSRunStats", prefix: str = "msbfs"
-    ) -> None:
-        """Fold one multi-source sweep's
-        :class:`~repro.graph.msengine.MSBFSRunStats` in.
-
-        ``{prefix}.runs`` counts sweeps, ``{prefix}.sources`` the
-        traversals they stood in for — their ratio is the batching
-        factor the lane engine achieved.
+        Selected by the event's name: a ``bfs.run`` event (one
+        single-source traversal) feeds the ``bfs.*`` instruments, an
+        ``msbfs.run`` event (one multi-source sweep) the ``msbfs.*``
+        ones, and every other event is ignored.  ``msbfs.runs`` counts
+        sweeps and ``msbfs.sources`` the traversals they stood in for —
+        their ratio is the batching factor the lane engine achieved.
+        A field the event lacks counts as zero.
         """
-        self.counter(f"{prefix}.runs").inc()
-        self.counter(f"{prefix}.sources").inc(stats.num_sources)
-        self.counter(f"{prefix}.levels").inc(stats.levels)
-        self.counter(f"{prefix}.edges_scanned").inc(stats.edges_scanned)
-        self.counter(f"{prefix}.edges_inspected").inc(stats.edges_inspected)
-        self.counter(f"{prefix}.words_touched").inc(stats.words_touched)
-        bottom_up = stats.directions.count("bu")
-        self.counter(f"{prefix}.levels_bottom_up").inc(bottom_up)
-        self.counter(f"{prefix}.levels_top_down").inc(
-            len(stats.directions) - bottom_up
+        name = event.get("name")
+        if name == "bfs.run":
+            prefix = "bfs"
+        elif name == "msbfs.run":
+            prefix = "msbfs"
+        else:
+            return
+        directions = event.get("directions", ())
+        bottom_up = directions.count("bu")
+        self.counter(prefix + ".runs").inc()
+        self.counter(prefix + ".levels").inc(event.get("levels", 0))
+        self.counter(prefix + ".edges_scanned").inc(
+            event.get("edges_scanned", 0)
         )
-        live = self.histogram(f"{prefix}.live_lanes")
-        for lanes in stats.live_lanes:
-            live.observe(lanes)
-        frontier = self.histogram(f"{prefix}.frontier_size")
-        for size in stats.frontier_sizes:
+        self.counter(prefix + ".edges_inspected").inc(
+            event.get("edges_inspected", 0)
+        )
+        self.counter(prefix + ".levels_bottom_up").inc(bottom_up)
+        self.counter(prefix + ".levels_top_down").inc(
+            len(directions) - bottom_up
+        )
+        frontier = self.histogram(prefix + ".frontier_size")
+        for size in event.get("frontier_sizes", ()):
             frontier.observe(size)
-        self.histogram(f"{prefix}.lane_width", LANE_WIDTH_BUCKETS).observe(
-            stats.lane_words * 64
+        if prefix == "bfs":
+            return
+        self.counter("msbfs.sources").inc(event.get("num_sources", 0))
+        self.counter("msbfs.words_touched").inc(
+            event.get("words_touched", 0)
+        )
+        live = self.histogram("msbfs.live_lanes")
+        for lanes in event.get("live_lanes", ()):
+            live.observe(lanes)
+        self.histogram("msbfs.lane_width", LANE_WIDTH_BUCKETS).observe(
+            event.get("lane_words", 0) * 64
         )
         switches = sum(
             1
-            for before, after in zip(stats.directions, stats.directions[1:])
+            for before, after in zip(directions, directions[1:])
             if before != after
         )
         self.histogram(
-            f"{prefix}.direction_switches", DIRECTION_SWITCH_BUCKETS
+            "msbfs.direction_switches", DIRECTION_SWITCH_BUCKETS
         ).observe(switches)
-
-    # ---------------------------------------------------------- merge
-    def merge_snapshot(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The cross-process half of worker span propagation: pool workers
-        accumulate per-task metrics into a private registry, ship its
-        snapshot back with the task result, and the parent merges every
-        delta here.  Counters add; gauges replay ``min``/``max``/
-        ``value`` (last write wins, extremes survive); histograms add
-        bucket-for-bucket and refuse a bound mismatch — fixed layouts
-        are the comparability contract, so a mismatch means the two
-        sides disagree about the instrument and silently re-binning
-        would corrupt both.
-        """
-        for name, data in snapshot.items():
-            kind = data.get("type")
-            if kind == "counter":
-                self.counter(name).inc(int(data["value"]))
-            elif kind == "gauge":
-                gauge = self.gauge(name)
-                gauge.set(float(data["min"]))
-                gauge.set(float(data["max"]))
-                gauge.set(float(data["value"]))
-            elif kind == "histogram":
-                bounds = tuple(float(b) for b in data["bounds"])
-                hist = self.histogram(name, bounds)
-                if hist.bounds != bounds:
-                    raise ValueError(
-                        f"histogram {name!r}: incoming bounds {bounds} "
-                        f"do not match existing {hist.bounds}"
-                    )
-                for i, count in enumerate(data["counts"]):
-                    hist.counts[i] += int(count)
-                hist.total += int(data["total"])
-                hist.sum += float(data["sum"])
-            else:
-                raise ValueError(
-                    f"unknown instrument type {kind!r} for {name!r}"
-                )
 
     # ------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, Dict[str, Any]]:

@@ -16,9 +16,12 @@ the solver and engines already emit — no new instrumentation sites:
 ``bfs.run`` / ``msbfs.run`` events
     carry raw traversal work (one run / ``num_sources`` lane
     traversals), so batch algorithms with no probe loop still show a
-    moving rate.  ``parallel.batch`` spans are deliberately *not*
-    counted: their worker-side children are re-emitted individually
-    (see :mod:`repro.parallel.pool`) and would double-count.
+    moving rate.  They count only until a solver span arrives: from
+    then on the solver's own count is shown, because a probe sweep's
+    ``msbfs.run`` also counts lanes the solver discards.
+    ``parallel.batch`` spans are deliberately *not* counted: their
+    worker-side children are re-emitted individually (see
+    :mod:`repro.parallel.pool`) and would double-count.
 ``solver.run`` spans
     closing one finalises the view (a newline instead of the
     carriage-return overwrite).
@@ -53,10 +56,11 @@ class ProgressState:
     """One observation of a run's convergence, as of the latest event.
 
     ``traversals`` is the best available count: the solver's own
-    cumulative counter when probe spans flow, otherwise the sum of
-    engine-level run events.  ``resolved``/``num_vertices``/
-    ``gap_mass`` are ``None``-free only once a probe span has arrived
-    (batch workloads never resolve per-vertex bounds).
+    cumulative counter once a ``solver.probe`` or ``solver.run`` span
+    has arrived, otherwise the sum of engine-level run events.
+    ``resolved``/``num_vertices``/``gap_mass`` are ``None``-free only
+    once a probe span has arrived (batch workloads never resolve
+    per-vertex bounds).
     """
 
     traversals: int = 0
@@ -111,7 +115,8 @@ class ProgressMonitor(Sink):
         self._t_first: Optional[float] = None
         self._t_last_render: Optional[float] = None
         self._engine_traversals = 0
-        self._probe_traversals = 0
+        # None until a solver span arrives; then the solver's count.
+        self._probe_traversals: Optional[int] = None
         self._rendered = False
 
     # ------------------------------------------------------------ sink
@@ -124,11 +129,7 @@ class ProgressMonitor(Sink):
         name = event.get("name")
         finished = False
         if name == "solver.probe":
-            traversals = event.get("traversals")
-            if isinstance(traversals, int):
-                self._probe_traversals = max(
-                    self._probe_traversals, traversals
-                )
+            self._solver_count(event)
             resolved = event.get("resolved")
             remaining = event.get("remaining")
             if isinstance(resolved, int) and isinstance(remaining, int):
@@ -145,15 +146,17 @@ class ProgressMonitor(Sink):
                 sources if isinstance(sources, int) else 1
             )
         elif name == "solver.run" and event.get("kind") == "span":
-            traversals = event.get("traversals")
-            if isinstance(traversals, int):
-                self._probe_traversals = max(
-                    self._probe_traversals, traversals
-                )
+            self._solver_count(event)
             finished = True
         self._advance(now, finished)
 
     # ------------------------------------------------------- internals
+    def _solver_count(self, span: Event) -> None:
+        """Take the solver's cumulative count from a solver span."""
+        traversals = span.get("traversals")
+        count = traversals if isinstance(traversals, int) else 0
+        self._probe_traversals = max(self._probe_traversals or 0, count)
+
     @staticmethod
     def _timestamp(event: Event) -> float:
         t = event.get("t")
@@ -166,8 +169,10 @@ class ProgressMonitor(Sink):
 
     def _advance(self, now: float, finished: bool) -> None:
         state = self.state
-        state.traversals = max(
-            self._probe_traversals, self._engine_traversals
+        state.traversals = (
+            self._engine_traversals
+            if self._probe_traversals is None
+            else self._probe_traversals
         )
         t_first = self._t_first if self._t_first is not None else now
         state.elapsed = max(0.0, now - t_first)

@@ -182,21 +182,39 @@ class RunRecord:
         Tolerates a crashed run: a missing footer leaves result/counters
         empty with the events read so far preserved, and a torn *final*
         line (the process died mid-write) is dropped rather than raised
-        on — corruption anywhere earlier still raises.
+        on.  An unreadable file, or a corrupt line anywhere earlier,
+        raises :class:`InvalidParameterError` naming the path (and the
+        line number).
         """
         header: Optional[Dict[str, Any]] = None
         footer: Dict[str, Any] = {}
         events: List[Event] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        lines = [line for line in lines if line]
-        for index, line in enumerate(lines):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                stripped = [line.strip() for line in handle]
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise InvalidParameterError(
+                f"{path}: cannot read run record ({reason})"
+            ) from exc
+        lines = [
+            (number, line)
+            for number, line in enumerate(stripped, start=1)
+            if line
+        ]
+        for index, (number, line) in enumerate(lines):
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError:
+            except json.JSONDecodeError as exc:
                 if index == len(lines) - 1:
                     break
-                raise
+                raise InvalidParameterError(
+                    f"{path}: line {number} is not valid JSON ({exc.msg})"
+                ) from exc
+            if not isinstance(doc, dict):
+                raise InvalidParameterError(
+                    f"{path}: line {number} is not a JSON object"
+                )
             kind = doc.get("kind")
             if kind == "header":
                 header = doc

@@ -256,9 +256,11 @@ class Tracer:
         Plain bool — the one-branch guard instrumented code reads.
         False exactly when the sink is a :class:`NullSink`.
     metrics:
-        A :class:`repro.obs.metrics.MetricsRegistry` instrumentation may
-        feed alongside the event stream (counters/gauges/histograms
-        aggregate what events itemise).
+        A :class:`repro.obs.metrics.MetricsRegistry` that aggregates
+        what events itemise.  Every event :meth:`event` and
+        :meth:`emit_foreign` emit is folded in
+        (:meth:`~repro.obs.metrics.MetricsRegistry.fold_event`);
+        instrumentation may also feed it directly.
     """
 
     def __init__(
@@ -299,6 +301,7 @@ class Tracer:
         }
         payload.update(attrs)
         self.sink.emit(payload)
+        self.metrics.fold_event(payload)
 
     def span(self, name: str, **attrs: Any) -> Union[Span, _NoopSpan]:
         """Open a span (context manager); no-op when tracing is off."""
@@ -326,7 +329,8 @@ class Tracer:
         roots in the worker (``parent is None`` or a seq the worker
         never shipped) are attached to ``parent`` — the enclosing
         ``parallel.batch`` span.  ``attrs`` (e.g. ``worker=3``) are
-        stamped onto every re-emitted event.
+        stamped onto every re-emitted event, and each one is folded
+        into :attr:`metrics` as if emitted here.
 
         Returns the new seqs, in emission order.
         """
@@ -364,6 +368,7 @@ class Tracer:
             )
             payload.update(attrs)
             self.sink.emit(payload)
+            self.metrics.fold_event(payload)
             new_seqs.append(new_seq)
         return new_seqs
 

@@ -27,16 +27,15 @@ sizes and per-worker timings.
 When the parent's tracer is live, ``traced`` rides along in every
 task: the worker runs it under a private buffering tracer (a
 ``parallel.task`` span wrapping the traversal spans the kernels emit)
-and piggybacks the captured events plus its per-task metrics snapshot
-on the ``done`` reply.  The parent replays them in task order via
+and piggybacks the captured events on the ``done`` reply.  The parent
+replays them in task order via
 :meth:`repro.obs.trace.Tracer.emit_foreign` — seqs remapped into its
 own sequence space, worker-side roots adopted by the owning
-``parallel.batch`` span, every event stamped with ``worker=`` — and
-folds the metric deltas in with
-:meth:`repro.obs.metrics.MetricsRegistry.merge_snapshot`.  A
-``workers=N`` run therefore produces one merged run record with
-correct causal nesting; only task→worker assignment (the ``worker=``
-tag) is scheduling-dependent.
+``parallel.batch`` span, every event stamped with ``worker=`` — which
+folds each replayed engine event into the parent's metrics exactly as
+an in-process run's events are folded.  A ``workers=N`` run therefore
+produces one merged run record with correct causal nesting; only
+task→worker assignment (the ``worker=`` tag) is scheduling-dependent.
 
 Results and counter totals are identical to the in-process backend:
 workers run the very same kernel function on the very same frozen CSR
@@ -154,8 +153,8 @@ def _worker_main(
     # A forked worker inherits the parent's active tracer (and possibly
     # its memory sink); that inherited tracer is replaced outright.
     # When the parent dispatches a traced batch, each task runs under a
-    # private buffering tracer instead, and its events/metrics ride
-    # back on the result channel for the parent to re-emit (see
+    # private buffering tracer instead, and its events ride back on
+    # the result channel for the parent to re-emit (see
     # TraversalPool._emit_task_telemetry).
     from repro.obs.trace import MemorySink, Tracer, set_tracer
 
@@ -175,8 +174,8 @@ def _worker_main(
                 watch = Stopwatch()
                 counter = TraversalCounter()
                 # Traced dispatch: run the task under a private
-                # buffering tracer whose events (and metrics deltas)
-                # ship back with the result, so the parent can re-emit
+                # buffering tracer whose events ship back with the
+                # result, so the parent can re-emit
                 # them under its parallel.batch span.  The disabled
                 # worker tracer is restored before replying.
                 task_sink = MemorySink() if traced else None
@@ -234,11 +233,6 @@ def _worker_main(
                         _counter_totals(counter),
                         watch.elapsed(),
                         task_sink.events if task_sink is not None else None,
-                        (
-                            task_tracer.metrics.snapshot()
-                            if task_tracer is not None
-                            else None
-                        ),
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - reported to parent
@@ -467,14 +461,13 @@ class TraversalPool(BatchBackend):
     ) -> Tuple[
         TraversalCounter,
         Dict[str, float],
-        Dict[int, Tuple[int, Any, Any]],
+        Dict[int, Tuple[int, Any]],
     ]:
         """Collect ``num_tasks`` worker replies; merge counters/timings.
 
         Returns ``(merged_counter, worker_seconds, telemetry)`` where
-        ``telemetry`` maps ``task_id -> (worker_id, events, metrics)``
-        for traced dispatches (``events``/``metrics`` are ``None`` when
-        the task ran untraced).
+        ``telemetry`` maps ``task_id -> (worker_id, events)``
+        (``events`` is ``None`` when the task ran untraced).
 
         Raises :class:`ParallelBackendError` carrying every worker-side
         traceback if any task failed (after draining all replies, so the
@@ -482,22 +475,20 @@ class TraversalPool(BatchBackend):
         """
         failures: List[str] = []
         worker_seconds: Dict[str, float] = {}
-        telemetry: Dict[int, Tuple[int, Any, Any]] = {}
+        telemetry: Dict[int, Tuple[int, Any]] = {}
         merged = TraversalCounter()
         for _ in range(num_tasks):
             message = self._next_message(timeout=3600.0)
             if message[0] == "error":
                 failures.append(f"worker {message[2]}: {message[3]}")
             elif message[0] == "done":
-                _tag, task_id, worker_id, totals, seconds, events, deltas = (
-                    message
-                )
+                _tag, task_id, worker_id, totals, seconds, events = message
                 merged.merge(TraversalCounter(**totals))
                 key = f"w{worker_id}"
                 worker_seconds[key] = (
                     worker_seconds.get(key, 0.0) + seconds
                 )
-                telemetry[int(task_id)] = (int(worker_id), events, deltas)
+                telemetry[int(task_id)] = (int(worker_id), events)
             else:  # pragma: no cover - defensive
                 failures.append(f"unexpected message {message[0]!r}")
         if failures:
@@ -508,9 +499,9 @@ class TraversalPool(BatchBackend):
 
     @staticmethod
     def _emit_task_telemetry(
-        span: Any, telemetry: Dict[int, Tuple[int, Any, Any]]
+        span: Any, telemetry: Dict[int, Tuple[int, Any]]
     ) -> None:
-        """Re-emit worker-buffered spans/metrics under the batch span.
+        """Re-emit worker-buffered events under the batch span.
 
         Tasks replay in ``task_id`` order — the one deterministic order
         a dispatch has (which *worker* served a task is scheduling
@@ -518,19 +509,18 @@ class TraversalPool(BatchBackend):
         re-emitted event).  ``parent`` seqs are remapped into the
         parent tracer's seq space by :meth:`Tracer.emit_foreign`, with
         the owning ``parallel.batch`` span adopting the worker-side
-        roots; metric deltas fold into the parent registry.
+        roots, and the replayed engine events fold into the parent's
+        metrics.
         """
         tracer = get_tracer()
         if not tracer.enabled:
             return
         for task_id in sorted(telemetry):
-            worker_id, events, deltas = telemetry[task_id]
+            worker_id, events = telemetry[task_id]
             if events:
                 tracer.emit_foreign(
                     events, parent=span.seq, worker=worker_id
                 )
-            if deltas:
-                tracer.metrics.merge_snapshot(deltas)
 
     def _run(
         self,

@@ -216,6 +216,23 @@ class TestDirectedTelemetry:
         assert int(table[-1].split()[0]) == result.num_bfs
         assert "batch work:" not in text
 
+    def test_counter_credit_matches_the_engine_events(self):
+        from repro.counters import TraversalCounter
+        from repro.obs.trace import MemorySink, tracing
+
+        g = random_strongly_connected(40, 80, seed=3)
+        counter = TraversalCounter()
+        sink = MemorySink()
+        with tracing(sink):
+            forward_bfs(g, 2, counter=counter)
+            backward_bfs(g, 5, counter=counter)
+        assert counter.history == ["fwd:2", "bwd:5"]
+        runs = [e for e in sink.events if e["name"] == "bfs.run"]
+        assert [e["source"] for e in runs] == [2, 5]
+        for key in ("edges_scanned", "edges_inspected"):
+            assert getattr(counter, key) == sum(e[key] for e in runs)
+        assert counter.vertices_visited == sum(e["visited"] for e in runs)
+
 
 class TestDirectedAnytime:
     def test_steps_snapshots_sandwich_truth(self):

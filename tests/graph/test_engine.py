@@ -27,10 +27,20 @@ from repro.graph.traversal import (
     bfs_distances_bounded,
     multi_source_bfs,
 )
+from repro.obs.trace import MemorySink, tracing
 
 from helpers import random_connected_graph
 
 MODES = ("hybrid", "top-down", "bottom-up")
+
+
+def traced_run(engine, source, **kwargs):
+    """Run ``engine`` once under a tracer; return its ``bfs.run`` event."""
+    sink = MemorySink()
+    with tracing(sink):
+        engine.run(source, **kwargs)
+    (event,) = [e for e in sink.events if e["name"] == "bfs.run"]
+    return event
 
 
 # ----------------------------------------------------------------------
@@ -195,12 +205,11 @@ class TestHybridEquivalence:
     def test_stats_record_directions_and_edges(self):
         graph = star_graph(2000)
         engine = BFSEngine(graph)
-        engine.run(3)  # leaf: level 2 is the dense one
-        stats = engine.last_stats
-        assert stats.levels == 2
-        assert "bu" in stats.directions
-        assert stats.edges_inspected >= stats.edges_scanned
-        assert stats.frontier_sizes == [1, 1998]
+        run = traced_run(engine, 3)  # leaf: level 2 is the dense one
+        assert run["levels"] == 2
+        assert "bu" in run["directions"]
+        assert run["edges_inspected"] >= run["edges_scanned"]
+        assert run["frontier_sizes"] == [1, 1998]
 
     def test_counter_inspected_accounting(self):
         graph = star_graph(500)
@@ -236,7 +245,7 @@ class TestHybridEquivalence:
 
 
 class TestRunStatsInvariants:
-    """BFSRunStats must stay internally consistent on every level mix.
+    """A ``bfs.run`` record must be internally consistent on every level mix.
 
     ``edges_inspected`` counts the top-down arcs *plus* whatever the
     bottom-up levels probed, so it can never fall below
@@ -250,38 +259,34 @@ class TestRunStatsInvariants:
             engine = BFSEngine(graph)
             n = graph.num_vertices
             for source in range(0, n, max(1, n // 4)):
-                engine.run(source, mode=mode)
-                stats = engine.last_stats
-                assert stats.edges_inspected >= stats.edges_scanned, (
+                run = traced_run(engine, source, mode=mode)
+                assert run["edges_inspected"] >= run["edges_scanned"], (
                     f"graph #{i} (n={n}), source {source}, mode {mode}"
                 )
-                assert stats.edges_scanned >= 0
+                assert run["edges_scanned"] >= 0
 
     @pytest.mark.parametrize("mode", MODES)
     def test_per_level_lists_agree(self, mode):
         for i, graph in enumerate(CORPUS):
             engine = BFSEngine(graph)
-            engine.run(0, mode=mode)
-            stats = engine.last_stats
-            assert len(stats.directions) == len(stats.frontier_sizes), (
+            run = traced_run(engine, 0, mode=mode)
+            assert len(run["directions"]) == len(run["frontier_sizes"]), (
                 f"graph #{i}, mode {mode}"
             )
-            assert len(stats.directions) == stats.levels
-            assert all(d in ("td", "bu") for d in stats.directions)
-            assert all(f > 0 for f in stats.frontier_sizes)
+            assert len(run["directions"]) == run["levels"]
+            assert all(d in ("td", "bu") for d in run["directions"])
+            assert all(f > 0 for f in run["frontier_sizes"])
+            assert run["visited"] == 1 + sum(run["frontier_sizes"])
 
     def test_forced_modes_are_pure(self):
         graph = star_graph(1000)
         engine = BFSEngine(graph)
-        engine.run(0, mode="top-down")
-        assert set(engine.last_stats.directions) <= {"td"}
+        run = traced_run(engine, 0, mode="top-down")
+        assert set(run["directions"]) <= {"td"}
         # a pure top-down run inspects exactly what it scans
-        assert (
-            engine.last_stats.edges_inspected
-            == engine.last_stats.edges_scanned
-        )
-        engine.run(0, mode="bottom-up")
-        assert set(engine.last_stats.directions) <= {"bu"}
+        assert run["edges_inspected"] == run["edges_scanned"]
+        run = traced_run(engine, 0, mode="bottom-up")
+        assert set(run["directions"]) <= {"bu"}
 
 
 class TestMultiSourceEquivalence:

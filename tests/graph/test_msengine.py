@@ -139,7 +139,33 @@ def _work(counter):
     )
 
 
+def _traced_sweep(sweep):
+    """Call ``sweep()`` under a tracer; return its ``msbfs.run`` event."""
+    sink = MemorySink()
+    with tracing(sink):
+        sweep()
+    (event,) = [e for e in sink.events if e["name"] == "msbfs.run"]
+    return event
+
+
+def _consumed_columns(engine, src, targets, counter, mode):
+    """A column sweep whose pending lanes are all consumed as runs."""
+    engine.column_batch(src, targets, counter=counter, mode=mode)
+    assert counter.bfs_runs == 0  # credited as pending probe lanes
+    counter.consume_lanes(len(src))
+
+
 class TestColumnBatch:
+    def test_counter_gets_one_pending_lane_per_source(self, graph):
+        counter = TraversalCounter()
+        MSBFSEngine(graph).column_batch([5, 17, 42], [1, 2], counter=counter)
+        assert counter.bfs_runs == 0
+        assert counter.vertices_visited > 0
+        counter.consume_lanes(2)
+        counter.discard_lanes()
+        assert counter.history == ["bfs:5", "bfs:17"]
+        assert (counter.bfs_runs, counter.lanes_discarded) == (2, 1)
+
     @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
     @pytest.mark.parametrize("count", [1, 8, 63, 64, 65, 200, 256])
     def test_columns_and_eccs_match_run_batch(
@@ -214,13 +240,14 @@ class TestColumnBatch:
     def test_counter_credits_are_pinned(self, chunked, mode, work):
         # The credits of the recording sweep these replaced; recording
         # fewer columns and chunking the gathers change none of them.
+        # A column sweep's lanes count as runs once consumed.
         src = np.arange(0, 4096, 41)[:100]
         credited = []
         for call in (
             lambda c: MSBFSEngine(chunked).run_batch(src, counter=c, mode=mode),
             lambda c: MSBFSEngine(chunked).ecc_batch(src, counter=c, mode=mode),
-            lambda c: MSBFSEngine(chunked).column_batch(
-                src, [3, 7], counter=c, mode=mode
+            lambda c: _consumed_columns(
+                MSBFSEngine(chunked), src, [3, 7], c, mode
             ),
         ):
             counter = TraversalCounter()
@@ -230,9 +257,9 @@ class TestColumnBatch:
 
     def test_visited_is_reached_cells(self, graph):
         src = _sources(graph, 70, seed=4)
-        engine = MSBFSEngine(graph)
-        rows = engine.run_batch(src)
-        assert engine.last_stats.vertices_visited == np.count_nonzero(
+        counter = TraversalCounter()
+        rows = MSBFSEngine(graph).run_batch(src, counter=counter)
+        assert counter.vertices_visited == np.count_nonzero(
             rows != UNREACHED
         )
 
@@ -349,25 +376,21 @@ class TestStatsAndObservability:
         # runs while any lane lives; live_lanes must never grow.
         graph = star_graph(500)
         engine = MSBFSEngine(graph)
-        engine.ecc_batch(np.arange(64, dtype=np.int64))
-        stats = engine.last_stats
-        assert stats.num_sources == 64
-        assert stats.lane_words == 1
-        assert stats.levels == len(stats.directions)
-        assert all(
-            a >= b
-            for a, b in zip(stats.live_lanes, stats.live_lanes[1:])
+        run = _traced_sweep(
+            lambda: engine.ecc_batch(np.arange(64, dtype=np.int64))
         )
-        assert stats.live_lanes[0] <= 64
+        assert run["num_sources"] == 64
+        assert run["lane_words"] == 1
+        assert run["levels"] == len(run["directions"])
+        live = run["live_lanes"]
+        assert all(a >= b for a, b in zip(live, live[1:]))
+        assert live[0] <= 64
 
     def test_hybrid_switches_direction_on_dense_graph(self, graph):
         engine = MSBFSEngine(graph)
-        engine.ecc_batch(_sources(graph, 64))
-        assert "bu" in engine.last_stats.directions
-        assert (
-            engine.last_stats.edges_inspected
-            >= engine.last_stats.edges_scanned
-        )
+        run = _traced_sweep(lambda: engine.ecc_batch(_sources(graph, 64)))
+        assert "bu" in run["directions"]
+        assert run["edges_inspected"] >= run["edges_scanned"]
 
     def test_run_event_and_metrics(self, graph):
         sink = MemorySink()

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.counters import TraversalCounter
-from repro.graph.engine import BFSRunStats
-from repro.graph.msengine import MSBFSRunStats
+from repro.obs.trace import MemorySink, Tracer
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
     DIRECTION_SWITCH_BUCKETS,
@@ -83,18 +82,23 @@ class TestRegistry:
 
     def test_ingest_run_stats(self):
         registry = MetricsRegistry()
-        stats = BFSRunStats(
-            source=0,
-            levels=3,
-            edges_scanned=40,
-            edges_inspected=90,
-            directions=["td", "bu", "bu"],
-            frontier_sizes=[4, 100, 2],
+        registry.fold_event(
+            {
+                "kind": "event",
+                "name": "bfs.run",
+                "source": 0,
+                "levels": 3,
+                "edges_scanned": 40,
+                "edges_inspected": 90,
+                "directions": ["td", "bu", "bu"],
+                "frontier_sizes": [4, 100, 2],
+            }
         )
-        registry.ingest_run_stats(stats)
         snap = registry.snapshot()
         assert snap["bfs.runs"]["value"] == 1
         assert snap["bfs.levels"]["value"] == 3
+        assert snap["bfs.edges_scanned"]["value"] == 40
+        assert snap["bfs.edges_inspected"]["value"] == 90
         assert snap["bfs.levels_bottom_up"]["value"] == 2
         assert snap["bfs.levels_top_down"]["value"] == 1
         assert snap["bfs.frontier_size"]["total"] == 3
@@ -112,9 +116,38 @@ class TestRegistry:
         assert keys == ["a", "b"]
         json.dumps(snap)  # must serialise as-is
 
+    def test_fold_ignores_other_events(self):
+        registry = MetricsRegistry()
+        registry.fold_event({"kind": "span", "name": "solver.probe"})
+        registry.fold_event({"kind": "event", "name": "bfs.run_multi"})
+        assert registry.snapshot() == {}
 
-def _msbfs_stats(**overrides):
+    def test_fold_counts_missing_fields_as_zero(self):
+        registry = MetricsRegistry()
+        registry.fold_event({"name": "bfs.run", "source": 5})
+        snap = registry.snapshot()
+        assert snap["bfs.runs"]["value"] == 1
+        assert snap["bfs.levels"]["value"] == 0
+        assert snap["bfs.frontier_size"]["total"] == 0
+
+    def test_tracer_event_folds_into_its_registry(self):
+        tracer = Tracer(MemorySink())
+        tracer.event("bfs.run", levels=2, directions=["td", "td"])
+        tracer.event("solver.note", levels=7)
+        snap = tracer.metrics.snapshot()
+        assert snap["bfs.runs"]["value"] == 1
+        assert snap["bfs.levels"]["value"] == 2
+        assert snap["bfs.levels_top_down"]["value"] == 2
+        # A disabled tracer emits nothing, so it folds nothing.
+        off = Tracer()
+        off.event("bfs.run", levels=2)
+        assert off.metrics.snapshot() == {}
+
+
+def _msbfs_event(**overrides):
     base = dict(
+        kind="event",
+        name="msbfs.run",
         num_sources=64,
         lane_words=1,
         levels=3,
@@ -126,13 +159,13 @@ def _msbfs_stats(**overrides):
         frontier_sizes=[5, 100, 2],
     )
     base.update(overrides)
-    return MSBFSRunStats(**base)
+    return base
 
 
 class TestIngestMSBFS:
     def test_counters_and_direction_split(self):
         registry = MetricsRegistry()
-        registry.ingest_msbfs_stats(_msbfs_stats())
+        registry.fold_event(_msbfs_event())
         snap = registry.snapshot()
         assert snap["msbfs.runs"]["value"] == 1
         assert snap["msbfs.sources"]["value"] == 64
@@ -143,12 +176,12 @@ class TestIngestMSBFS:
     def test_lane_width_bucket_layout_is_stable(self):
         # The bucket edges are a published contract: snapshots taken by
         # different processes (or releases) must stay bucket-for-bucket
-        # comparable, which merge_snapshot enforces by bound equality.
+        # comparable.
         assert LANE_WIDTH_BUCKETS == (64.0, 128.0, 256.0)
         registry = MetricsRegistry()
-        registry.ingest_msbfs_stats(_msbfs_stats(lane_words=1))  # 64 bits
-        registry.ingest_msbfs_stats(_msbfs_stats(lane_words=2))  # 128 bits
-        registry.ingest_msbfs_stats(_msbfs_stats(lane_words=8))  # overflow
+        registry.fold_event(_msbfs_event(lane_words=1))  # 64 bits
+        registry.fold_event(_msbfs_event(lane_words=2))  # 128 bits
+        registry.fold_event(_msbfs_event(lane_words=8))  # overflow
         snap = registry.snapshot()["msbfs.lane_width"]
         assert snap["bounds"] == list(LANE_WIDTH_BUCKETS)
         assert snap["counts"] == [1, 1, 0, 1]
@@ -158,82 +191,30 @@ class TestIngestMSBFS:
         assert DIRECTION_SWITCH_BUCKETS == (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
         registry = MetricsRegistry()
         # td,bu,td -> 2 switches; td,td,td -> 0; td,bu alternating 7x -> 6.
-        registry.ingest_msbfs_stats(_msbfs_stats())
-        registry.ingest_msbfs_stats(
-            _msbfs_stats(directions=["td", "td", "td"])
+        registry.fold_event(_msbfs_event())
+        registry.fold_event(
+            _msbfs_event(directions=["td", "td", "td"])
         )
-        registry.ingest_msbfs_stats(
-            _msbfs_stats(directions=["td", "bu"] * 3 + ["td"])
+        registry.fold_event(
+            _msbfs_event(directions=["td", "bu"] * 3 + ["td"])
         )
         snap = registry.snapshot()["msbfs.direction_switches"]
         assert snap["bounds"] == list(DIRECTION_SWITCH_BUCKETS)
         assert snap["counts"] == [1, 0, 1, 0, 1, 0, 0]
         assert snap["total"] == 3
 
-
-class TestMergeSnapshot:
-    def test_counters_add(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("c").inc(3)
-        b.counter("c").inc(4)
-        b.counter("only_b").inc(1)
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()
-        assert snap["c"]["value"] == 7
-        assert snap["only_b"]["value"] == 1
-
-    def test_gauges_preserve_extremes_and_last_value(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.gauge("g").set(5.0)
-        for value in (-2.0, 11.0, 3.0):
-            b.gauge("g").set(value)
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()["g"]
-        assert snap["min"] == -2.0
-        assert snap["max"] == 11.0
-        assert snap["value"] == 3.0
-
-    def test_histograms_add_bucket_for_bucket(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        for value in (0.5, 100.0):
-            a.histogram("h", [1.0, 10.0]).observe(value)
-        for value in (5.0, 0.1):
-            b.histogram("h", [1.0, 10.0]).observe(value)
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()["h"]
-        assert snap["counts"] == [2, 1, 1]
-        assert snap["total"] == 4
-        assert snap["sum"] == pytest.approx(105.6)
-
-    def test_histogram_bound_mismatch_raises(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("h", [1.0, 10.0]).observe(2.0)
-        b.histogram("h", [1.0, 100.0]).observe(2.0)
-        with pytest.raises(ValueError, match="bounds"):
-            a.merge_snapshot(b.snapshot())
-
-    def test_unknown_instrument_type_raises(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="unknown instrument"):
-            registry.merge_snapshot({"x": {"type": "meter", "value": 1}})
-
     def test_merged_workers_match_single_registry(self):
-        # The cross-process contract: per-worker deltas folded into the
-        # parent must equal one registry that saw every run directly.
-        worker_a = MetricsRegistry()
-        worker_b = MetricsRegistry()
+        # The cross-process contract: worker events replayed into the
+        # parent's tracer must fold to the same metrics as one registry
+        # that saw every run directly.
+        event_a = _msbfs_event(lane_words=2)
+        event_b = _msbfs_event(directions=["td", "td", "bu"])
         combined = MetricsRegistry()
-        stats_a = _msbfs_stats(lane_words=2)
-        stats_b = _msbfs_stats(directions=["td", "td", "bu"])
-        worker_a.ingest_msbfs_stats(stats_a)
-        worker_b.ingest_msbfs_stats(stats_b)
-        combined.ingest_msbfs_stats(stats_a)
-        combined.ingest_msbfs_stats(stats_b)
-        parent = MetricsRegistry()
-        parent.merge_snapshot(worker_a.snapshot())
-        parent.merge_snapshot(worker_b.snapshot())
-        assert parent.snapshot() == combined.snapshot()
+        combined.fold_event(event_a)
+        combined.fold_event(event_b)
+        parent = Tracer(MemorySink())
+        for worker, event in enumerate((event_a, event_b)):
+            parent.emit_foreign(
+                [dict(event, seq=1, parent=None)], worker=worker
+            )
+        assert parent.metrics.snapshot() == combined.snapshot()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 
-from repro.graph.generators import paper_example_graph
+from repro.graph.generators import barabasi_albert, paper_example_graph
 from repro.obs.progress import ProgressMonitor, ProgressState
 from repro.obs.trace import MemorySink, tracing
 
@@ -171,6 +171,26 @@ class TestComposition:
         assert states[-1].resolved == graph.num_vertices
         assert states[-1].fraction_resolved() == 1.0
         assert states[-1].gap_mass == 0.0
+
+    def test_discarded_lanes_are_not_counted_as_traversals(self):
+        # An msbfs.run event counts every lane of the sweep, including
+        # lanes the solver discards; once probe spans flow, only the
+        # solver's own count may show.
+        from repro import IFECC
+        from repro.counters import TraversalCounter
+
+        states = []
+        monitor = ProgressMonitor(
+            stream=io.StringIO(), callback=states.append
+        )
+        counter = TraversalCounter()
+        with tracing(monitor):
+            result = IFECC(
+                barabasi_albert(2000, 4, seed=7), counter=counter
+            ).run()
+        assert counter.lanes_discarded > 0
+        assert states[-1].finished is True
+        assert states[-1].traversals == result.num_bfs
 
 
 class TestProgressState:

@@ -127,8 +127,18 @@ class TestRoundTrip:
         lines[1] = lines[1][: len(lines[1]) // 2]  # tear a middle line
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(InvalidParameterError, match="bad.jsonl: line 2"):
             RunRecord.read_jsonl(str(bad))
+
+    def test_missing_file_raises_typed_error(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="cannot read"):
+            RunRecord.read_jsonl(str(tmp_path / "absent.jsonl"))
+
+    def test_non_object_line_raises(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1, 2]\n{}\n")
+        with pytest.raises(InvalidParameterError, match="line 1"):
+            RunRecord.read_jsonl(str(path))
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"

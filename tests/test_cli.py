@@ -140,6 +140,27 @@ class TestErrors:
         assert main(["ecc", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_trace_summarize_missing_record(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["trace", "summarize", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "absent.jsonl" in err
+
+    def test_trace_summarize_corrupt_record(
+        self, example_file, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "run.jsonl"
+        main(["ecc", example_file, "--trace", str(trace_path)])
+        lines = trace_path.read_text().splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]  # tear a middle line
+        trace_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["trace", "summarize", str(trace_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "run.jsonl: line 3" in err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
