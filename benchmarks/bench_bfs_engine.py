@@ -23,10 +23,14 @@ checks them against the seed kernel over the out- and in-CSR.
 
 The *backend shootout* section additionally races the full-ED
 eccentricity sweep across backends — seed kernel, in-process hybrid
-engine, and the shared-memory process backend at several worker counts
+engine, and the process backend at several worker counts
 (:mod:`repro.parallel`) — and writes ``BENCH_parallel_backend.json``
 with speedup-vs-cores plus the host's ``effective_cpus``, asserting the
 eccentricities are bit-identical across every configuration.
+
+Every artifact lands in the directory of ``--out`` (the repository root
+by default): the report, the run record and, unless ``--parallel-out``
+names another path, the shootout scorecard.
 
 Run standalone::
 
@@ -462,19 +466,12 @@ def run_shootout(
     num_sources: Optional[int],
     repeats: int,
     out_path: Path,
-) -> Optional[Dict[str, object]]:
+) -> Dict[str, object]:
     """Race the ED sweep across backends; write the JSON scorecard.
 
     ``num_sources=None`` sweeps every vertex (the true full ED).
-    Returns ``None`` (and writes nothing) where shared memory is
-    unavailable.
     """
     from repro.parallel.pool import TraversalPool
-    from repro.parallel.shm import shared_memory_available
-
-    if not shared_memory_available():  # pragma: no cover - exotic platform
-        print("[bench_parallel] shared_memory unavailable; skipping shootout")
-        return None
 
     if smoke:
         name, graph = "powerlaw-4k", barabasi_albert(4_000, 4, seed=7)
@@ -608,12 +605,6 @@ def test_engine_beats_seed_kernel(benchmark) -> None:  # type: ignore[no-untyped
 def test_parallel_backend_shootout(benchmark) -> None:  # type: ignore[no-untyped-def]
     """Process backend is bit-identical to the hybrid engine on the
     smoke graph; the scorecard JSON lands at the repo root."""
-    import pytest
-
-    from repro.parallel.shm import shared_memory_available
-
-    if not shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
     report = benchmark.pedantic(
         lambda: run_shootout(
             smoke=True,
@@ -625,7 +616,6 @@ def test_parallel_backend_shootout(benchmark) -> None:  # type: ignore[no-untype
         rounds=1,
         iterations=1,
     )
-    assert report is not None
     assert report["bit_identical"] is True
     assert report["effective_cpus"] >= 1
     assert DEFAULT_PARALLEL_OUT.exists()
@@ -646,7 +636,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out",
         type=Path,
         default=DEFAULT_OUT,
-        help="output JSON path (default: repo-root BENCH_bfs_engine.json)",
+        help="output JSON path (default: repo-root BENCH_bfs_engine.json); "
+        "the other artifacts are written beside it",
     )
     parser.add_argument("--sources", type=int, default=None)
     parser.add_argument("--repeats", type=int, default=3)
@@ -669,8 +660,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--parallel-out",
         type=Path,
-        default=DEFAULT_PARALLEL_OUT,
-        help="shootout JSON path (default: BENCH_parallel_backend.json)",
+        default=None,
+        help="shootout JSON path (default: BENCH_parallel_backend.json "
+        "next to --out)",
     )
     parser.add_argument(
         "--full-ed",
@@ -699,9 +691,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             workers_list,
             shootout_sources,
             args.repeats,
-            args.parallel_out,
+            args.parallel_out
+            or args.out.parent / DEFAULT_PARALLEL_OUT.name,
         )
-        if shootout is not None and not args.smoke:
+        if not args.smoke:
             best = float(shootout["best_speedup_vs_hybrid"])  # type: ignore[arg-type]
             cpus = int(shootout["effective_cpus"])  # type: ignore[arg-type]
             if best < PARALLEL_TARGET_SPEEDUP:

@@ -35,9 +35,9 @@ def naive_eccentricities(
     ``traversal="batch"`` (default) is one :meth:`BFSOracle.ecc_all`
     call, on the batch backend ``backend``/``workers`` choose: the
     in-process bit-parallel MS-BFS lane sweeps (``"numpy"``) or a
-    shared-memory worker pool (``"process"``).  ``"loop"`` keeps the
-    historical one-BFS-per-vertex loop on the in-process engine (the
-    honest quadratic straw man for ablations).  All paths produce the
+    worker pool that inherits the graph (``"process"``).  ``"loop"``
+    keeps the historical one-BFS-per-vertex loop on the in-process
+    engine (the honest quadratic straw man for ablations).  All paths produce the
     same eccentricities bit for bit.
 
     :dtype ecc: int32

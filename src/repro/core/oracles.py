@@ -153,15 +153,15 @@ class BFSOracle:
     retained by FFOs and territories.
 
     ``backend``/``workers`` choose, once, the batch backend behind
-    :meth:`ecc_all` and :meth:`distance_rows`
-    (:func:`repro.graph.batch.make_backend`): ``"numpy"`` (the
-    default) runs batches in this process, ``"process"`` on a
-    :class:`repro.parallel.pool.TraversalPool` of ``workers``
-    processes.  Single probes (``source_probe``/``sweep_probe``) always
-    stay on the in-process engine — one BFS is cheaper than its IPC
-    round-trip — and so do the solver's lane batches
-    (:meth:`sweep_batch`), so the sequential bound-tightening loop is
-    bit-identical under every backend by construction.
+    :meth:`ecc_all` (:func:`repro.graph.batch.make_backend`):
+    ``"numpy"`` (the default) runs batches in this process,
+    ``"process"`` on a :class:`repro.parallel.pool.TraversalPool` of
+    ``workers`` processes.  Single probes
+    (``source_probe``/``sweep_probe``) always stay on the in-process
+    engine — one BFS is cheaper than its IPC round-trip — and so do the
+    solver's lane batches (:meth:`sweep_batch`), so the sequential
+    bound-tightening loop is bit-identical under every backend by
+    construction.
     """
 
     dtype = np.dtype(np.int32)
@@ -197,22 +197,6 @@ class BFSOracle:
         if sources is None:
             sources = np.arange(self.num_vertices, dtype=np.int64)
         return self.backend.ecc_batch(sources, counter=counter)
-
-    def distance_rows(
-        self,
-        sources: Sequence[int],
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """Full distance vectors, one caller-owned row per source.
-
-        Used by reference scans that need every ``dist(z, .)`` — the
-        batched sibling of calling :meth:`source_probe` in a loop, run
-        as bit-parallel lane sweeps on the batch backend (identical
-        rows, one sweep per lane group instead of one BFS per source).
-
-        :dtype rows: int32
-        """
-        return self.backend.distance_rows(sources, counter=counter)
 
     def select_references(
         self, strategy: str, count: int, seed: int

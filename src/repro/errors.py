@@ -105,9 +105,10 @@ class StoreFormatError(ReproError):
 class ParallelBackendError(ReproError, RuntimeError):
     """Raised by the multiprocessing traversal backend (:mod:`repro.parallel`).
 
-    Fires when the process backend cannot deliver a batch: shared memory
-    is unavailable on the platform, a worker process died mid-dispatch,
-    or a worker reported an exception (whose traceback is carried in the
+    Fires when the process backend cannot deliver a batch: the pool is
+    closed, a worker process died mid-dispatch (the message names it;
+    the pool is closed and the next batch builds a fresh one), or a
+    worker reported an exception (whose traceback is carried in the
     message).  Also a :class:`RuntimeError` so generic infrastructure
     guards catch it without importing this module.
     """

@@ -1,79 +1,67 @@
-"""The batch-traversal seam: two primitives behind one backend object.
+"""The batch-traversal seam: one primitive behind one backend object.
 
 Algorithm 2's probes are sequential — each FFO probe depends on the
 bounds the previous one left — so the only traversal work that can fan
-out is a *batch*: the |V|-BFS oracle and the MS-BFS lane sweeps of the
-paper's reference [35].  A backend object exposes exactly two batch
-primitives:
-
-``ecc_batch(sources, counter)``
-    the eccentricity of every source (within its component);
-``distance_rows(sources, counter)``
-    one caller-owned distance row per source.
+out is a *batch* of eccentricities: the |V|-BFS oracle and the MS-BFS
+lane sweeps of the paper's reference [35].  A backend object exposes
+that one primitive, ``ecc_batch(sources, counter)``: the eccentricity
+of every source (within its component).
 
 :func:`make_backend` picks the object once, from a ``backend=`` /
-``workers=`` pair.  :class:`InProcessBackend` runs the graph's kernels
+``workers=`` pair.  :class:`InProcessBackend` runs the graph's engine
 in this process; :class:`repro.parallel.pool.TraversalPool` runs the
-*same* kernels (:func:`batch_kernels`) in worker processes over a
-shared-memory copy of the graph.  Everything else is done once, above
-both, in :class:`BatchBackend`: sources are validated and
+*same* kernel (:meth:`repro.graph.engine.BFSEngine.ecc_batch`) in
+worker processes that inherit the graph.  Everything else is done
+once, above both, in :class:`BatchBackend`: sources are validated and
 de-duplicated, and the lane width is planned over the whole batch.  So
 answers *and* traversal counters do not depend on the backend.
+
+Distance rows are an in-process batch only
+(:meth:`InProcessBackend.distance_rows`, behind
+:func:`repro.graph.msengine.batch_distance_rows`): they go through the
+same validation, de-duplication and lane planning.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
-from repro.graph.engine import engine_for
+from repro.graph.engine import csr_pair, engine_for
 from repro.graph.msengine import fill_distance_rows, plan_lane_width
 
 __all__ = [
     "BACKENDS",
     "BatchBackend",
     "InProcessBackend",
-    "batch_kernels",
     "make_backend",
 ]
 
 #: The backend names :func:`make_backend` accepts.
 BACKENDS = ("numpy", "process")
 
-#: ``kernel(sources, out, counter, width)``: fill ``out[i]`` for
-#: ``sources[i]``, grouping lane sweeps by ``width`` (0 = one
+#: ``run(sources, width, counter)``: a caller-owned result for distinct,
+#: validated sources, grouping lane sweeps by ``width`` (0 = one
 #: single-source traversal per source).
-Kernel = Callable[[np.ndarray, np.ndarray, Optional[TraversalCounter], int], None]
-
-
-def batch_kernels(graph: Any) -> Dict[str, Kernel]:
-    """The graph's kernel for each primitive, keyed by task kind.
-
-    ``"ecc"`` backs :meth:`BatchBackend.ecc_batch` and ``"dist"``
-    :meth:`BatchBackend.distance_rows`.  Both run the planned lane
-    sweeps of :mod:`repro.graph.msengine` (forward, on a directed
-    graph).
-    """
-    return {
-        "ecc": engine_for(graph).ecc_batch,
-        "dist": partial(fill_distance_rows, graph),
-    }
+Run = Callable[[np.ndarray, int, Optional[TraversalCounter]], np.ndarray]
 
 
 class BatchBackend:
     """What every backend shares: validate, de-duplicate, plan, expand.
 
-    Subclasses implement :meth:`_run`, which executes one kernel over
-    distinct, validated sources with the planned lane width.
+    Subclasses implement :meth:`_ecc`, which computes the
+    eccentricities of distinct, validated sources with the planned
+    lane width.
     """
 
     def __init__(self, graph: Any) -> None:
         self.num_vertices = graph.num_vertices
-        self.num_arcs = engine_for(graph).num_arcs
+        # Read off the CSR, not an engine: a pool's parent never builds
+        # one (an engine would keep its graph alive).
+        self.num_arcs = int(len(csr_pair(graph)[0][1]))
 
     def ecc_batch(
         self,
@@ -84,25 +72,13 @@ class BatchBackend:
 
         :dtype ecc: int32
         """
-        return self._planned("ecc", sources, (), counter)
-
-    def distance_rows(
-        self,
-        sources: Sequence[int],
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """One caller-owned distance row per source, in ``sources`` order.
-
-        :dtype rows: int32
-        """
-        return self._planned("dist", sources, (self.num_vertices,), counter)
+        return self._planned(sources, counter, self._ecc)
 
     def _planned(
         self,
-        kind: str,
         sources: Sequence[int],
-        row_shape: Tuple[int, ...],
         counter: Optional[TraversalCounter],
+        run: Run,
     ) -> np.ndarray:
         """Validate, de-duplicate and plan; run; expand duplicates back.
 
@@ -120,43 +96,59 @@ class BatchBackend:
         # as one run, as in the per-source loop.
         distinct = src if len(uniq) == len(src) else uniq
         width = plan_lane_width(n, self.num_arcs, len(distinct))
-        out = self._run(kind, distinct, row_shape, width, counter)
+        out = run(distinct, width, counter)
         if distinct is src:
             return out
         if counter is not None:
             counter.bfs_runs += len(src) - len(uniq)
         return out[inverse]
 
-    def _run(
+    def _ecc(
         self,
-        kind: str,
         src: np.ndarray,
-        row_shape: Tuple[int, ...],
         width: int,
         counter: Optional[TraversalCounter],
     ) -> np.ndarray:
-        """Run the ``kind`` kernel over ``src``; a caller-owned result."""
+        """Eccentricities of ``src``; a caller-owned ``int32`` array."""
         raise NotImplementedError
 
 
 class InProcessBackend(BatchBackend):
-    """The default backend: the graph's kernels run in this process."""
+    """The default backend: the graph's engine runs in this process."""
 
     def __init__(self, graph: Any) -> None:
         super().__init__(graph)
-        self._kernels = batch_kernels(graph)
+        self._graph = graph
+        self._engine = engine_for(graph)
 
-    def _run(
+    def _ecc(
         self,
-        kind: str,
         src: np.ndarray,
-        row_shape: Tuple[int, ...],
         width: int,
         counter: Optional[TraversalCounter],
     ) -> np.ndarray:
-        out = np.empty((len(src),) + row_shape, dtype=np.int32)
-        self._kernels[kind](src, out, counter, width)
-        return out
+        return self._engine.ecc_batch(src, counter=counter, width=width)
+
+    def distance_rows(
+        self,
+        sources: Sequence[int],
+        counter: Optional[TraversalCounter] = None,
+    ) -> np.ndarray:
+        """One caller-owned distance row per source, in ``sources`` order.
+
+        :dtype rows: int32
+        """
+        return self._planned(sources, counter, self._rows)
+
+    def _rows(
+        self,
+        src: np.ndarray,
+        width: int,
+        counter: Optional[TraversalCounter],
+    ) -> np.ndarray:
+        rows = np.empty((len(src), self.num_vertices), dtype=np.int32)
+        fill_distance_rows(self._graph, src, rows, counter, width)
+        return rows
 
 
 def make_backend(

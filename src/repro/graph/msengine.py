@@ -63,7 +63,7 @@ always freshly owned — their shape depends on the batch.
 :func:`plan_lane_width` is the router's policy: given ``n``, ``m`` and
 the batch size it picks a lane width (64/128/256) or serial
 single-source traversal, so every seam (``ecc_batch``,
-``distance_rows``, the baselines) can delegate the
+:func:`batch_distance_rows`, the baselines) can delegate the
 "how" without owning the heuristics.  :func:`plan_sweep_width` is the
 same kind of policy for the solver's batched FFO probes.
 """
@@ -799,7 +799,7 @@ def batch_distance_rows(
 ) -> np.ndarray:
     """Full distance vectors for many sources — the planned batch path.
 
-    The in-process :meth:`repro.graph.batch.BatchBackend.distance_rows`:
+    The in-process :meth:`repro.graph.batch.InProcessBackend.distance_rows`:
     duplicates share one lane (each still credited as one traversal
     run), then :func:`plan_lane_width` picks lane sweeps or the serial
     single-source hybrid engine.  Row ``i`` of the returned (or filled)
@@ -829,7 +829,7 @@ def fill_distance_rows(
 
     ``width`` is the lane width planned over the whole batch (see
     :func:`plan_lane_width`); ``0`` loops the single-source engine.
-    Both batch backends run this kernel (:mod:`repro.graph.batch`),
+    The kernel of :meth:`repro.graph.batch.InProcessBackend.distance_rows`,
     forward on a directed graph.
 
     :mutates out: row ``i`` is overwritten with ``dist(src[i], .)``.

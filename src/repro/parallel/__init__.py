@@ -4,12 +4,12 @@
 :func:`repro.graph.batch.make_backend` selects for
 :class:`repro.core.oracles.BFSOracle`,
 :class:`repro.directed.traversal.DirectedBFSOracle` and the naive
-baselines: the graph's CSR is published once into shared memory
-(:mod:`repro.parallel.shm`), and a persistent per-graph worker pool
-maps it zero-copy (:mod:`repro.parallel.pool`) and runs the two batch
-primitives on the same kernels as the in-process backend.  Single
-probes stay in-process.  Results are bit-identical to the in-process
-backend — parallelism changes speed, never answers.
+baselines: a persistent per-graph worker pool
+(:mod:`repro.parallel.pool`) whose workers inherit the graph by fork
+(or receive a pickled copy under spawn) and return each batch's
+eccentricities on their reply queue.  Single probes stay in-process.
+Results are bit-identical to the in-process backend — parallelism
+changes speed, never answers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.parallel.pool import (
     resolve_workers,
     shutdown_pools,
 )
-from repro.parallel.shm import SharedGraph, shared_memory_available
 
 __all__ = [
     "ProcessBackend",
@@ -29,6 +28,4 @@ __all__ = [
     "pool_for",
     "shutdown_pools",
     "resolve_workers",
-    "SharedGraph",
-    "shared_memory_available",
 ]

@@ -1,32 +1,40 @@
-"""Persistent per-graph worker pool for batched traversal dispatch.
+"""Persistent per-graph worker pool for batched eccentricity dispatch.
 
 This is the engine room of the ``backend="process"`` batch backend
 (:mod:`repro.graph.batch`): a :class:`TraversalPool` owns ``W``
-long-lived worker processes that each attach the shared-memory CSR
-published by :mod:`repro.parallel.shm` and resolve the graph's batch
-kernels (:func:`repro.graph.batch.batch_kernels`) at startup (the
-warm-up), so every subsequent batch pays only task pickling — never
-graph transfer, never workspace allocation.
+long-lived worker processes that each receive the graph as their
+``Process`` argument and build its engine at startup (the warm-up), so
+every subsequent batch pays only task pickling — never graph transfer,
+never workspace allocation.
+
+Graph hand-off
+--------------
+Under fork (preferred where available, :func:`_mp_context`) a worker
+inherits the parent's CSR pages — or the parent's ``.rcsr`` memory
+map — without a copy.  Under spawn the graph is pickled, one copy per
+worker; answers are the same.  ``BaseProcess.start`` drops a process's
+arguments once it has started, so the pool holds no reference to the
+graph and a pool in the weak registry never keeps its graph alive.
 
 Dispatch protocol
 -----------------
-The two batch primitives (:meth:`~repro.graph.batch.BatchBackend.
-ecc_batch` and :meth:`~repro.graph.batch.BatchBackend.distance_rows`)
-validate, de-duplicate and plan the lane width in the parent, as they
-do for the in-process backend.  The pool then splits the sources into
-contiguous chunks aligned to that width, write-targets them into one
-shared *result* segment, and enqueues ``(kind, task_id, sources, out,
-start, width, traced)`` tuples, where ``kind`` is ``"ecc"`` or
-``"dist"``.  Workers fill their slice of the result segment directly — gathering is by construction ordered, the
-parent never reassembles out-of-order pickles — and reply with their
-:class:`repro.counters.TraversalCounter` totals plus wall-clock
-seconds.  The parent merges the totals into the caller's counter and
-emits one ``parallel.batch`` obs span per dispatch carrying chunk
-sizes and per-worker timings.
+The pool serves one primitive,
+:meth:`~repro.graph.batch.BatchBackend.ecc_batch`.  The parent
+validates, de-duplicates and plans the lane width as it does for the
+in-process backend, splits the sources into contiguous chunks aligned
+to that width and enqueues ``(task_id, sources, width, traced)``
+tuples.  Each worker runs the in-process kernel
+(:meth:`repro.graph.engine.BFSEngine.ecc_batch`) on its chunk and
+replies ``done`` with the chunk's ``int32`` eccentricities, its
+:class:`repro.counters.TraversalCounter` totals and its wall-clock
+seconds.  The parent writes each chunk's eccentricities into the result
+at the offset its ``task_id`` names, merges the totals into the
+caller's counter and emits one ``parallel.batch`` obs span per dispatch
+carrying chunk sizes and per-worker timings.
 
 When the parent's tracer is live, ``traced`` rides along in every
 task: the worker runs it under a private buffering tracer (a
-``parallel.task`` span wrapping the traversal spans the kernels emit)
+``parallel.task`` span wrapping the traversal spans the kernel emits)
 and piggybacks the captured events on the ``done`` reply.  The parent
 replays them in task order via
 :meth:`repro.obs.trace.Tracer.emit_foreign` — seqs remapped into its
@@ -38,20 +46,18 @@ produces one merged run record with correct causal nesting; only
 task→worker assignment (the ``worker=`` tag) is scheduling-dependent.
 
 Results and counter totals are identical to the in-process backend:
-workers run the very same kernel function on the very same frozen CSR
-bytes with the same lane groups, and chunking never reorders the
-per-source outputs.
+workers run the very same kernel on the very same CSR bytes with the
+same lane groups, and chunking never reorders the per-source outputs.
 
 Lifecycle
 ---------
 Pools are cached weakly per graph (:func:`pool_for`, mirroring
-``engine_for``) and torn down on four paths: explicit :meth:`close`,
-garbage collection of the pool (a ``weakref.finalize``), interpreter
-exit (``atexit`` → :func:`shutdown_pools`), and parent death (workers
-are daemons; they also translate ``SIGTERM`` into a clean
-``SystemExit`` so their ``finally`` blocks close attached segments).
-Segment names created here are additionally covered by the stdlib
-resource tracker, so even a hard-killed parent leaks no shared memory.
+``engine_for``) and torn down on three paths: explicit :meth:`close`,
+garbage collection of the pool (a ``weakref.finalize``) and
+interpreter exit (``atexit`` → :func:`shutdown_pools`).  Workers are
+daemons, so they also die with the parent.  A worker that dies
+mid-batch turns the dispatch into a :class:`ParallelBackendError`
+naming it and closes the pool; the next batch builds a fresh one.
 
 Single probes never cross the process boundary — one BFS is far
 cheaper than its IPC round-trip — which is why the oracles' probes
@@ -66,16 +72,15 @@ import os
 import signal
 import threading
 import weakref
-from types import FrameType
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, ParallelBackendError
-from repro.graph.batch import BatchBackend, batch_kernels
+from repro.graph.batch import BatchBackend
+from repro.graph.engine import engine_for
 from repro.obs.trace import Stopwatch, get_tracer
-from repro.parallel import shm as shm_mod
 
 __all__ = [
     "ProcessBackend",
@@ -111,7 +116,8 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def _mp_context() -> Any:
-    """Fork where available (cheap, COW pages), spawn elsewhere."""
+    """Fork where available (the graph's pages are inherited), spawn
+    elsewhere (the graph is pickled)."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -129,27 +135,21 @@ def _counter_totals(counter: TraversalCounter) -> Dict[str, int]:
     }
 
 
-def _sigterm_to_exit(signum: int, frame: Optional[FrameType]) -> None:
-    """Worker SIGTERM handler: unwind via ``finally`` blocks, not abort."""
-    raise SystemExit(0)
-
-
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
 def _worker_main(
-    spec: "shm_mod.SharedGraphSpec",
+    graph: Any,
     task_queue: Any,
     result_queue: Any,
     worker_id: int,
 ) -> None:
-    """One worker: attach the shared graph, warm its kernels, serve tasks.
+    """One worker: warm the graph's engine, then serve tasks.
 
     All state is function-local on purpose — a worker is a loop over
     its queues, not a module with shared globals.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, _sigterm_to_exit)
     # A forked worker inherits the parent's active tracer (and possibly
     # its memory sink); that inherited tracer is replaced outright.
     # When the parent dispatches a traced batch, each task runs under a
@@ -159,98 +159,64 @@ def _worker_main(
     from repro.obs.trace import MemorySink, Tracer, set_tracer
 
     set_tracer(Tracer())
-    graph, graph_segment = shm_mod.attach(spec)
-    kernels = batch_kernels(graph)
-    out_segment: Optional[Any] = None
-    out_name = ""
-    try:
-        result_queue.put(("ready", worker_id, os.getpid()))
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            kind, task_id, sources, out_ref, start, width, traced = task
+    ecc_batch = engine_for(graph).ecc_batch
+    result_queue.put(("ready", worker_id, os.getpid()))
+    while True:
+        task = task_queue.get()
+        if task is None:
+            break
+        task_id, sources, width, traced = task
+        try:
+            watch = Stopwatch()
+            counter = TraversalCounter()
+            # Traced dispatch: run the task under a private buffering
+            # tracer whose events ship back with the result, so the
+            # parent can re-emit them under its parallel.batch span.
+            # The disabled worker tracer is restored before replying.
+            task_sink = MemorySink() if traced else None
+            task_tracer = Tracer(task_sink) if task_sink is not None else None
+            prev_tracer = (
+                set_tracer(task_tracer) if task_tracer is not None else None
+            )
+            task_span = (
+                task_tracer.span(
+                    "parallel.task",
+                    kind="ecc",
+                    task=task_id,
+                    num_sources=int(len(sources)),
+                )
+                if task_tracer is not None
+                else None
+            )
             try:
-                watch = Stopwatch()
-                counter = TraversalCounter()
-                # Traced dispatch: run the task under a private
-                # buffering tracer whose events ship back with the
-                # result, so the parent can re-emit
-                # them under its parallel.batch span.  The disabled
-                # worker tracer is restored before replying.
-                task_sink = MemorySink() if traced else None
-                task_tracer = (
-                    Tracer(task_sink) if task_sink is not None else None
+                ecc = ecc_batch(sources, counter=counter, width=width)
+            finally:
+                if task_span is not None:
+                    task_span.finish()
+                if prev_tracer is not None:
+                    set_tracer(prev_tracer)
+            result_queue.put(
+                (
+                    "done",
+                    task_id,
+                    worker_id,
+                    ecc,
+                    _counter_totals(counter),
+                    watch.elapsed(),
+                    task_sink.events if task_sink is not None else None,
                 )
-                prev_tracer = (
-                    set_tracer(task_tracer)
-                    if task_tracer is not None
-                    else None
-                )
-                task_span = (
-                    task_tracer.span(
-                        "parallel.task",
-                        kind=kind,
-                        task=task_id,
-                        num_sources=int(len(sources)),
-                    )
-                    if task_tracer is not None
-                    else None
-                )
-                try:
-                    name, array_spec = out_ref
-                    if name != out_name:
-                        if out_segment is not None:
-                            out_segment.close()
-                        out_segment = (
-                            shm_mod._require_shared_memory().SharedMemory(
-                                name=name
-                            )
-                        )
-                        out_name = name
-                    out = shm_mod.attach_array(out_segment, array_spec)
-                    kernel = kernels.get(kind)
-                    if kernel is None:
-                        raise ParallelBackendError(
-                            f"unknown task kind {kind!r}"
-                        )
-                    kernel(
-                        sources,
-                        out[start: start + len(sources)],
-                        counter,
-                        width,
-                    )
-                finally:
-                    if task_span is not None:
-                        task_span.finish()
-                    if prev_tracer is not None:
-                        set_tracer(prev_tracer)
-                result_queue.put(
-                    (
-                        "done",
-                        task_id,
-                        worker_id,
-                        _counter_totals(counter),
-                        watch.elapsed(),
-                        task_sink.events if task_sink is not None else None,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - reported to parent
-                import traceback
+            )
+        except Exception as exc:  # noqa: BLE001 - reported to parent
+            import traceback
 
-                result_queue.put(
-                    (
-                        "error",
-                        task_id,
-                        worker_id,
-                        f"{type(exc).__name__}: {exc}\n"
-                        + traceback.format_exc(),
-                    )
+            result_queue.put(
+                (
+                    "error",
+                    task_id,
+                    worker_id,
+                    f"{type(exc).__name__}: {exc}\n" + traceback.format_exc(),
                 )
-    finally:
-        if out_segment is not None:
-            out_segment.close()
-        graph_segment.close()
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +230,12 @@ class _PoolResources:
     ``atexit`` all funnel into one idempotent :meth:`release`.
     """
 
-    __slots__ = (
-        "processes",
-        "task_queue",
-        "result_queue",
-        "graph_share",
-        "out_segment",
-        "released",
-    )
+    __slots__ = ("processes", "task_queue", "result_queue", "released")
 
     def __init__(self) -> None:
         self.processes: List[Any] = []
         self.task_queue: Optional[Any] = None
         self.result_queue: Optional[Any] = None
-        self.graph_share: Optional[shm_mod.SharedGraph] = None
-        self.out_segment: Optional[Any] = None
         self.released = False
 
     def release(self) -> None:
@@ -299,16 +256,6 @@ class _PoolResources:
                 proc.join(timeout=5.0)
         if self.result_queue is not None:
             self.result_queue.close()
-        if self.out_segment is not None:
-            self.out_segment.close()
-            try:
-                self.out_segment.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            self.out_segment = None
-        if self.graph_share is not None:
-            self.graph_share.unlink()
-            self.graph_share = None
 
 
 def _release_resources(resources: _PoolResources) -> None:
@@ -316,27 +263,22 @@ def _release_resources(resources: _PoolResources) -> None:
 
 
 class TraversalPool(BatchBackend):
-    """``W`` warm worker processes bound to one shared-memory graph.
+    """``W`` warm worker processes bound to one graph.
 
-    A batch backend: :meth:`ecc_batch` and :meth:`distance_rows` run on
-    the workers.
+    A batch backend: :meth:`ecc_batch` runs on the workers.
 
     Parameters
     ----------
     graph:
-        The (immutable) graph to publish.  The pool does **not** retain
-        a reference — workers hold their own shared-memory views — so a
-        pool in the weak registry never pins its graph alive.
+        The (immutable) graph the workers traverse.  It is handed to
+        each worker as its ``Process`` argument, and the pool keeps no
+        reference to it, so a pool in the weak registry never pins its
+        graph alive.
     workers:
         Process count; ``None`` uses every usable core.
     """
 
     def __init__(self, graph: Any, workers: Optional[int] = None) -> None:
-        if not shm_mod.shared_memory_available():  # pragma: no cover
-            raise ParallelBackendError(
-                "multiprocessing.shared_memory is unavailable; "
-                "use backend='numpy'"
-            )
         super().__init__(graph)
         self.workers = resolve_workers(workers)
         self._resources = _PoolResources()
@@ -344,9 +286,6 @@ class TraversalPool(BatchBackend):
             self, _release_resources, self._resources
         )
         ctx = _mp_context()
-        # Store-backed graphs publish as a file reference (workers map
-        # the .rcsr pages); in-memory graphs copy into a segment.
-        self._resources.graph_share = shm_mod.publish_graph(graph)
         self._resources.task_queue = ctx.SimpleQueue()
         self._resources.result_queue = ctx.Queue()
         try:
@@ -354,7 +293,7 @@ class TraversalPool(BatchBackend):
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        self._resources.graph_share.spec,
+                        graph,
                         self._resources.task_queue,
                         self._resources.result_queue,
                         worker_id,
@@ -376,7 +315,7 @@ class TraversalPool(BatchBackend):
         return self._resources.released
 
     def close(self) -> None:
-        """Shut workers down and release every shared segment (idempotent)."""
+        """Shut the workers down (idempotent)."""
         self._finalizer()
 
     def __enter__(self) -> "TraversalPool":
@@ -440,33 +379,17 @@ class TraversalPool(BatchBackend):
         size = -(-size // align) * align
         return list(range(0, total, size))
 
-    def _ensure_out(self, nbytes: int) -> Any:
-        """The shared result segment, grown geometrically on demand."""
-        out = self._resources.out_segment
-        if out is not None and out.size >= nbytes:
-            return out
-        if out is not None:
-            out.close()
-            try:
-                out.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        grown = max(nbytes, (out.size * 2) if out is not None else nbytes)
-        fresh = shm_mod.create_segment(grown)
-        self._resources.out_segment = fresh
-        return fresh
-
     def _gather(
         self, num_tasks: int
     ) -> Tuple[
         TraversalCounter,
         Dict[str, float],
-        Dict[int, Tuple[int, Any]],
+        Dict[int, Tuple[int, np.ndarray, Any]],
     ]:
         """Collect ``num_tasks`` worker replies; merge counters/timings.
 
-        Returns ``(merged_counter, worker_seconds, telemetry)`` where
-        ``telemetry`` maps ``task_id -> (worker_id, events)``
+        Returns ``(merged_counter, worker_seconds, replies)`` where
+        ``replies`` maps ``task_id -> (worker_id, ecc, events)``
         (``events`` is ``None`` when the task ran untraced).
 
         Raises :class:`ParallelBackendError` carrying every worker-side
@@ -475,31 +398,33 @@ class TraversalPool(BatchBackend):
         """
         failures: List[str] = []
         worker_seconds: Dict[str, float] = {}
-        telemetry: Dict[int, Tuple[int, Any]] = {}
+        replies: Dict[int, Tuple[int, np.ndarray, Any]] = {}
         merged = TraversalCounter()
         for _ in range(num_tasks):
             message = self._next_message(timeout=3600.0)
             if message[0] == "error":
                 failures.append(f"worker {message[2]}: {message[3]}")
             elif message[0] == "done":
-                _tag, task_id, worker_id, totals, seconds, events = message
+                _tag, task_id, worker_id, ecc, totals, seconds, events = (
+                    message
+                )
                 merged.merge(TraversalCounter(**totals))
                 key = f"w{worker_id}"
                 worker_seconds[key] = (
                     worker_seconds.get(key, 0.0) + seconds
                 )
-                telemetry[int(task_id)] = (int(worker_id), events)
+                replies[int(task_id)] = (int(worker_id), ecc, events)
             else:  # pragma: no cover - defensive
                 failures.append(f"unexpected message {message[0]!r}")
         if failures:
             raise ParallelBackendError(
                 "parallel dispatch failed:\n" + "\n".join(failures)
             )
-        return merged, worker_seconds, telemetry
+        return merged, worker_seconds, replies
 
     @staticmethod
     def _emit_task_telemetry(
-        span: Any, telemetry: Dict[int, Tuple[int, Any]]
+        span: Any, replies: Dict[int, Tuple[int, np.ndarray, Any]]
     ) -> None:
         """Re-emit worker-buffered events under the batch span.
 
@@ -515,40 +440,30 @@ class TraversalPool(BatchBackend):
         tracer = get_tracer()
         if not tracer.enabled:
             return
-        for task_id in sorted(telemetry):
-            worker_id, events = telemetry[task_id]
+        for task_id in sorted(replies):
+            worker_id, _ecc, events = replies[task_id]
             if events:
                 tracer.emit_foreign(
                     events, parent=span.seq, worker=worker_id
                 )
 
-    def _run(
+    def _ecc(
         self,
-        kind: str,
         src: np.ndarray,
-        row_shape: Tuple[int, ...],
         width: int,
         counter: Optional[TraversalCounter],
     ) -> np.ndarray:
         """Fan one batch out; return a caller-owned result array.
 
-        ``row_shape`` is the per-source result shape: ``()`` for one
-        eccentricity per source, ``(n,)`` for a distance row.  ``width``
-        is the parent-planned lane width (0 = single-source loop); it
-        both aligns the chunking and rides along in each task so workers
-        group sweeps exactly as the in-process backend.
+        ``width`` is the parent-planned lane width (0 = single-source
+        loop); it both aligns the chunking and rides along in each task
+        so workers group sweeps exactly as the in-process backend.
         """
         if self.closed:
             raise ParallelBackendError("pool is closed")
-        shape = (len(src),) + row_shape
-        result = np.empty(shape, dtype=np.int32)
+        result = np.empty(len(src), dtype=np.int32)
         if len(src) == 0:
             return result
-        out_spec = shm_mod.ArraySpec(
-            key="out", offset=0, shape=shape, dtype="int32"
-        )
-        segment = self._ensure_out(result.nbytes)
-        out_ref = (segment.name, out_spec)
         starts = self._chunk_bounds(len(src), max(1, width))
         chunk = starts[1] if len(starts) > 1 else len(src)
         task_queue = self._resources.task_queue
@@ -556,7 +471,7 @@ class TraversalPool(BatchBackend):
         traced = get_tracer().enabled
         with get_tracer().span(
             "parallel.batch",
-            kind=kind,
+            kind="ecc",
             backend="process",
             workers=self.workers,
             num_sources=int(len(src)),
@@ -564,22 +479,14 @@ class TraversalPool(BatchBackend):
         ) as span:
             for task_id, start in enumerate(starts):
                 task_queue.put(
-                    (
-                        kind,
-                        task_id,
-                        src[start: start + chunk],
-                        out_ref,
-                        start,
-                        width,
-                        traced,
-                    )
+                    (task_id, src[start: start + chunk], width, traced)
                 )
-            merged, worker_seconds, telemetry = self._gather(len(starts))
+            merged, worker_seconds, replies = self._gather(len(starts))
             if counter is not None:
                 counter.merge(merged)
-            view = shm_mod.attach_array(segment, out_spec)
-            result[...] = view
-            self._emit_task_telemetry(span, telemetry)
+            for task_id, start in enumerate(starts):
+                result[start: start + chunk] = replies[task_id][1]
+            self._emit_task_telemetry(span, replies)
             span.set(
                 tasks=len(starts),
                 traversals=merged.bfs_runs,
@@ -605,16 +512,14 @@ class ProcessBackend(BatchBackend):
         self._graph = graph
         self._workers = workers
 
-    def _run(
+    def _ecc(
         self,
-        kind: str,
         src: np.ndarray,
-        row_shape: Tuple[int, ...],
         width: int,
         counter: Optional[TraversalCounter],
     ) -> np.ndarray:
         pool = pool_for(self._graph, workers=self._workers)
-        return pool._run(kind, src, row_shape, width, counter)
+        return pool._ecc(src, width, counter)
 
 
 # ---------------------------------------------------------------------------

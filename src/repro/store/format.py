@@ -85,7 +85,7 @@ PathLike = Union[str, os.PathLike]
 MAGIC = b"\x93RCSR\r\n\x00"
 STORE_VERSION = 1
 HEADER_SIZE = 512
-#: Payload alignment in bytes (matches the shared-memory layout).
+#: Payload alignment in bytes (a cache line).
 ALIGN = 64
 #: Canonical file suffix for store containers.
 SUFFIX = ".rcsr"
@@ -431,8 +431,7 @@ def _check_indptr(info: StoreInfo, key: str, indptr: np.ndarray) -> None:
 
 
 # reprolint R1: this module is on the CSR constructor allowlist — it
-# rebuilds frozen zero-copy graphs over mapped store pages, exactly like
-# the shared-memory attach site in repro.parallel.shm.
+# rebuilds frozen zero-copy graphs over mapped store pages.
 def graph_from_arrays(
     info: StoreInfo, views: Dict[str, np.ndarray]
 ) -> Any:
@@ -501,9 +500,10 @@ def open_store(path: PathLike, verify: bool = False) -> Any:
     open trusts the fingerprint written at save time).
 
     The opened graph is registered with :func:`source_of`, so
-    downstream layers (the process-pool backend) can rediscover the
-    backing file and attach workers to it instead of re-publishing the
-    CSR through shared memory.
+    downstream layers (the CLI's run-record config) can rediscover the
+    backing file.  The process-pool backend needs no such hint: its
+    forked workers inherit the memory map itself and read the same
+    page-cache pages, so no CSR byte is copied.
     """
     info = read_info(path)
     views = map_store_arrays(info)

@@ -38,7 +38,6 @@ from repro.directed.graph import DirectedGraph
 from repro.graph.generators import barabasi_albert
 from repro.obs.trace import MemorySink, deterministic_view, tracing
 from repro.parallel.pool import shutdown_pools
-from repro.parallel.shm import shared_memory_available
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_telemetry.json"
 
@@ -111,8 +110,6 @@ def golden() -> Dict[str, Dict[str, Any]]:
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_telemetry_matches_pinned(name: str, golden) -> None:
-    if name == "naive_process_w2" and not shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
     got = capture(RUNS[name])
     want = golden[name]
     assert got["event_names"] == want["event_names"]

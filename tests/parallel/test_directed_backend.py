@@ -1,10 +1,9 @@
 """Directed process backend ≡ numpy backend, bit for bit.
 
-The engine's contract extended to digraphs: the worker pool publishes
-both CSR directions over shared memory, so the two batch primitives —
-forward eccentricities and forward distance rows — must agree exactly
-with the in-process backend, including counter totals.  Probes stay
-in-process under every backend.
+The engine's contract extended to digraphs: the workers inherit both
+CSR directions, so the batch primitive — forward eccentricities — must
+agree exactly with the in-process backend, including counter totals.
+Probes stay in-process under every backend.
 """
 
 from __future__ import annotations
@@ -18,12 +17,6 @@ from repro.directed.graph import DirectedGraph
 from repro.directed.traversal import DirectedBFSOracle, forward_bfs
 from repro.errors import DisconnectedGraphError
 from repro.parallel.pool import TraversalPool, shutdown_pools
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
 
 _N = 150
 
@@ -65,12 +58,6 @@ class TestPoolDirectedEntryPoints:
             dtype=np.int32,
         )
         assert np.array_equal(pool.ecc_batch(np.arange(_N)), serial)
-
-    def test_forward_distance_rows_match_serial(self, graph, pool):
-        src = [3, 77, 0, 149, 77]
-        rows = pool.distance_rows(src)
-        for i, s in enumerate(src):
-            assert np.array_equal(rows[i], forward_bfs(graph, s))
 
     def test_counter_totals_match_serial(self, graph, pool):
         # Lane sweeps scan other arcs than a per-source loop, as on

@@ -1,16 +1,18 @@
-"""Fault injection: a worker SIGKILLed in the middle of a batch.
+"""Fault injection: a worker SIGKILLed in the middle of ``ecc_batch``.
 
 The pool must turn the death into a typed :class:`ParallelBackendError`
-naming the worker, unlink both shared-memory segments, reap every
-worker, and leave the oracle usable: its next batch runs on a rebuilt
-pool.  The kill is made deterministic by forking the pool while the
-``dist`` kernel is replaced by one that parks the first worker to call
-it, so the test kills a worker that is provably inside a task.
+naming the worker, reap every worker, and leave the oracle usable: its
+next batch runs on a rebuilt pool with the right answers.  The pool
+never touches shared memory on the way (``SharedMemory`` is patched to
+raise).  The kill is made deterministic by forking the pool while the
+engine's ``ecc_batch`` is replaced by one that parks the first worker
+to call it, so the test kills a worker that is provably inside a task.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.shared_memory
 import os
 import signal
 import threading
@@ -21,72 +23,67 @@ import pytest
 
 from repro.core.oracles import BFSOracle
 from repro.errors import ParallelBackendError
-from repro.graph import batch as batch_mod
+from repro.graph.engine import BFSEngine
 from repro.graph.generators import barabasi_albert
 from repro.parallel.pool import pool_for, shutdown_pools
-from repro.parallel.shm import shared_memory_available
 
-pytestmark = [
-    pytest.mark.skipif(
-        not shared_memory_available(),
-        reason="multiprocessing.shared_memory unavailable on this platform",
-    ),
-    pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the injected kernel reaches workers through fork",
-    ),
-]
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the injected kernel reaches workers through fork",
+)
 
 #: Upper bound on every wait in this test.
 _TIMEOUT = 30.0
 
 
-def _park_first_caller(marker, real_kernel):
-    """A ``dist`` kernel whose first caller (across all workers) writes
+def _park_first_caller(marker, real_ecc_batch):
+    """An ``ecc_batch`` whose first caller (across all workers) writes
     its pid to ``marker`` and sleeps; every other call runs normally."""
 
-    def kernel(graph, src, out, counter=None, width=0):
+    def ecc_batch(engine, sources, out=None, counter=None, width=None):
         try:
             fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            return real_kernel(graph, src, out, counter, width)
+            return real_ecc_batch(engine, sources, out, counter, width)
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         time.sleep(_TIMEOUT)
 
-    return kernel
+    return ecc_batch
 
 
-def _segment_exists(name):
-    from multiprocessing import shared_memory
+def _no_shared_memory(*args, **kwargs):
+    raise AssertionError("the pool must not create shared memory")
 
+
+def _reaped(pid):
     try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    segment.close()
-    return True
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def test_worker_killed_mid_batch(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        multiprocessing.shared_memory, "SharedMemory", _no_shared_memory
+    )
     graph = barabasi_albert(2000, 3, seed=3)
     # 100 sources plan 64-lane sweeps: two tasks, one per worker.
     sources = np.arange(100, dtype=np.int64)
-    want = BFSOracle(graph).distance_rows(sources)
+    want = BFSOracle(graph).ecc_all(sources)
 
     marker = tmp_path / "parked.pid"
-    monkeypatch.setattr(
-        batch_mod,
-        "fill_distance_rows",
-        _park_first_caller(str(marker), batch_mod.fill_distance_rows),
-    )
     oracle = BFSOracle(graph, backend="process", workers=2)
-    pool = pool_for(graph, workers=2)  # forks with the parking kernel
-    monkeypatch.undo()
-    resources = pool._resources
-    processes = list(resources.processes)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            BFSEngine,
+            "ecc_batch",
+            _park_first_caller(str(marker), BFSEngine.ecc_batch),
+        )
+        pool = pool_for(graph, workers=2)  # forks with the parking kernel
+    processes = list(pool._resources.processes)
     names = {proc.pid: proc.name for proc in processes}
-    segments = [resources.graph_share.name]
 
     def kill_parked_worker():
         deadline = time.monotonic() + _TIMEOUT
@@ -96,7 +93,6 @@ def test_worker_killed_mid_batch(tmp_path, monkeypatch):
             time.sleep(0.01)
         else:
             return
-        segments.append(resources.out_segment.name)
         killed.append(int(marker.read_text()))
         os.kill(killed[0], signal.SIGKILL)
 
@@ -105,7 +101,7 @@ def test_worker_killed_mid_batch(tmp_path, monkeypatch):
     killer.start()
     try:
         with pytest.raises(ParallelBackendError) as failure:
-            oracle.distance_rows(sources)
+            oracle.ecc_all(sources)
     finally:
         killer.join(timeout=_TIMEOUT)
     assert not killer.is_alive()
@@ -113,18 +109,16 @@ def test_worker_killed_mid_batch(tmp_path, monkeypatch):
 
     assert names[killed[0]] in str(failure.value)
     assert pool.closed
-    assert len(segments) == 2
-    for name in segments:
-        assert not _segment_exists(name)
     for proc in processes:
         proc.join(timeout=_TIMEOUT)
         assert proc.exitcode is not None
+        assert _reaped(proc.pid)
     assert {proc.exitcode for proc in processes if proc.pid == killed[0]} == {
         -signal.SIGKILL
     }
 
     try:
-        assert np.array_equal(oracle.distance_rows(sources), want)
+        assert np.array_equal(oracle.ecc_all(sources), want)
         assert pool_for(graph, workers=2) is not pool
     finally:
         shutdown_pools()

@@ -27,12 +27,6 @@ from repro.errors import InvalidParameterError
 from repro.graph.batch import InProcessBackend, make_backend
 from repro.graph.generators import barabasi_albert
 from repro.parallel import shutdown_pools
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +82,6 @@ class TestBatchedEntryPoints:
             process_oracle.ecc_all(), numpy_oracle.ecc_all()
         )
 
-    def test_distance_rows_match_numpy_backend(self):
-        graph = build_corpus()["ws120"]
-        numpy_oracle = BFSOracle(graph)
-        process_oracle = BFSOracle(graph, backend="process", workers=2)
-        sources = [0, 7, 101]
-        assert np.array_equal(
-            process_oracle.distance_rows(sources),
-            numpy_oracle.distance_rows(sources),
-        )
-
     def test_single_probes_stay_sequential(self):
         # source/sweep probes must not start a pool at all.
         graph = build_corpus()["paper"]
@@ -142,7 +126,7 @@ def _repeated_sources(graph):
     "sources", [_distinct_sources, _repeated_sources],
     ids=["distinct", "repeated"],
 )
-@pytest.mark.parametrize("primitive", ["ecc_batch", "distance_rows"])
+@pytest.mark.parametrize("primitive", ["ecc_batch"])
 def test_counters_independent_of_backend(lane_graph, primitive, sources):
     src = sources(lane_graph)
     results = {}

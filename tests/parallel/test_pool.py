@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -15,21 +17,16 @@ from repro.errors import (
     InvalidVertexError,
     ParallelBackendError,
 )
+from repro.graph.batch import InProcessBackend
 from repro.graph.engine import engine_for
 from repro.graph.generators import barabasi_albert
-from repro.graph.msengine import batch_distance_rows
 from repro.obs.trace import deterministic_view, tracing, MemorySink
+from repro.parallel import pool as pool_mod
 from repro.parallel.pool import (
     TraversalPool,
     pool_for,
     resolve_workers,
     shutdown_pools,
-)
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
 )
 
 
@@ -64,20 +61,6 @@ class TestEquivalence:
         want = engine.ecc_batch(sources)
         assert np.array_equal(pool.ecc_batch(sources), want)
 
-    def test_distance_rows_match_engine(self, graph, pool):
-        sources = [5, 99, 0]
-        engine = engine_for(graph)
-        want = np.stack(
-            [engine.run(s).copy() for s in sources]
-        )
-        assert np.array_equal(pool.distance_rows(sources), want)
-
-    def test_msbfs_rows_match_inprocess(self, graph, pool):
-        # 150 sources plan lane sweeps on both sides.
-        sources = np.arange(150, dtype=np.int64)
-        want = batch_distance_rows(graph, sources)
-        assert np.array_equal(pool.distance_rows(sources), want)
-
     def test_msbfs_eccentricities_match_inprocess(self, graph, pool):
         want = engine_for(graph).ecc_batch(_all(graph))
         assert np.array_equal(pool.ecc_batch(_all(graph)), want)
@@ -95,7 +78,6 @@ class TestEquivalence:
 
     def test_empty_sources(self, pool):
         assert pool.ecc_batch([]).shape == (0,)
-        assert pool.distance_rows([]).shape == (0, pool.num_vertices)
 
 
 class TestValidation:
@@ -103,14 +85,18 @@ class TestValidation:
         with pytest.raises(InvalidVertexError):
             pool.ecc_batch([0, pool.num_vertices])
 
-    def test_unknown_kind_propagates_worker_error(self, pool):
-        with pytest.raises(ParallelBackendError, match="bogus"):
-            pool._run("bogus", np.arange(3, dtype=np.int64), (), 0, None)
+    def test_worker_error_propagates(self, pool):
+        # _ecc skips the parent's validation, so the worker's kernel
+        # is the one to fail; its traceback rides on the error.
+        with pytest.raises(
+            ParallelBackendError, match=r"worker \d+: InvalidVertexError"
+        ):
+            pool._ecc(_out_of_range(pool), 0, None)
 
     def test_pool_survives_worker_error(self, graph, pool):
         # After a failed dispatch the workers are still serving.
         with pytest.raises(ParallelBackendError):
-            pool._run("bogus", np.arange(3, dtype=np.int64), (), 0, None)
+            pool._ecc(_out_of_range(pool), 0, None)
         want = engine_for(graph).ecc_batch(np.asarray([1, 2], dtype=np.int64))
         assert np.array_equal(pool.ecc_batch([1, 2]), want)
 
@@ -165,26 +151,28 @@ class TestLifecycle:
         with pytest.raises(ParallelBackendError, match="closed"):
             pool.ecc_batch([0])
 
-    def test_no_leaked_segments_or_workers_after_gc(self, graph):
-        from multiprocessing import shared_memory
-
+    def test_no_leaked_workers_after_gc(self, graph):
         pool = TraversalPool(graph, workers=2)
-        pool.ecc_batch([0, 1, 2])  # materialise the out segment too
-        resources = pool._resources
-        graph_segment = resources.graph_share.name
-        out_segment = resources.out_segment.name
-        pids = [proc.pid for proc in resources.processes]
-        del pool, resources
+        pool.ecc_batch([0, 1, 2])
+        pids = [proc.pid for proc in pool._resources.processes]
+        del pool
         gc.collect()
-        for name in (graph_segment, out_segment):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if not any(_pid_alive(pid) for pid in pids):
-                break
-            time.sleep(0.05)
-        assert not any(_pid_alive(pid) for pid in pids)
+        _assert_reaped(pids)
+
+    def test_dropped_graph_closes_its_pool(self):
+        # The graph reaches the workers as a Process argument; once the
+        # workers have started, nothing in the parent holds it, so the
+        # weak registry lets go of it and its pool with it.
+        graph = barabasi_albert(200, 3, seed=4)
+        pool = pool_for(graph, workers=2)
+        pool.ecc_batch([0, 1, 2])
+        pids = [proc.pid for proc in pool._resources.processes]
+        graph_ref, pool_ref = weakref.ref(graph), weakref.ref(pool)
+        del graph, pool
+        gc.collect()
+        assert graph_ref() is None
+        assert pool_ref() is None
+        _assert_reaped(pids)
 
     def test_pool_for_caches_per_graph(self, graph):
         first = pool_for(graph, workers=1)
@@ -206,6 +194,48 @@ class TestLifecycle:
         with TraversalPool(graph, workers=1) as pool:
             assert pool.ecc_batch([0]).shape == (1,)
         assert pool.closed
+
+
+class TestSpawn:
+    def test_spawned_workers_match_in_process(self, graph, monkeypatch):
+        # The one path where the graph is pickled rather than inherited.
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(pool_mod, "_mp_context", lambda: spawn)
+        sources = _all(graph)
+        serial = TraversalCounter()
+        want = InProcessBackend(graph).ecc_batch(sources, counter=serial)
+        pooled = TraversalCounter()
+        with TraversalPool(graph, workers=2) as pool:
+            processes = list(pool._resources.processes)
+            got = pool.ecc_batch(sources, counter=pooled)
+        assert {type(proc).__name__ for proc in processes} == {
+            "SpawnProcess"
+        }
+        assert np.array_equal(got, want)
+        assert _totals(pooled) == _totals(serial)
+
+
+def _out_of_range(pool):
+    return np.asarray([pool.num_vertices + 5], dtype=np.int64)
+
+
+def _totals(counter):
+    return (
+        counter.bfs_runs,
+        counter.edges_scanned,
+        counter.edges_inspected,
+        counter.vertices_visited,
+        counter.relaxations,
+    )
+
+
+def _assert_reaped(pids):
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if not any(_pid_alive(pid) for pid in pids):
+            break
+        time.sleep(0.05)
+    assert not any(_pid_alive(pid) for pid in pids)
 
 
 def _pid_alive(pid: int) -> bool:

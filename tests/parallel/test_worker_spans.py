@@ -19,12 +19,6 @@ from repro.graph.generators import barabasi_albert
 from repro.obs.record import RunRecord
 from repro.obs.trace import MemorySink, Tracer, deterministic_view, tracing
 from repro.parallel.pool import shutdown_pools
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
 
 
 @pytest.fixture(scope="module")

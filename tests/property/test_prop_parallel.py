@@ -15,12 +15,6 @@ from hypothesis import strategies as st
 
 from helpers import random_connected_graph
 from repro.parallel.pool import TraversalPool
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
 
 _N = 180
 
@@ -53,17 +47,6 @@ def test_eccentricities_independent_of_worker_count(pools, sources):
     src = np.asarray(sources, dtype=np.int64)
     assert np.array_equal(
         solo.ecc_batch(src), quad.ecc_batch(src)
-    )
-
-
-@settings(max_examples=10, deadline=None)
-@given(sources=st.lists(
-    st.integers(min_value=0, max_value=_N - 1), min_size=1, max_size=8
-))
-def test_distance_rows_independent_of_worker_count(pools, sources):
-    solo, quad = pools
-    assert np.array_equal(
-        solo.distance_rows(sources), quad.distance_rows(sources)
     )
 
 
