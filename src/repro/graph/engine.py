@@ -173,13 +173,13 @@ bfs_distances` wrapper) must copy.
     """
 
     __slots__ = (
-        "graph",
         "backward",
         "alpha",
         "beta",
         "last_ecc",
         "num_arcs",
         "_label",
+        "_graph",
         "_n",
         "_out",
         "_in",
@@ -201,7 +201,9 @@ bfs_distances` wrapper) must copy.
     ) -> None:
         if alpha <= 0 or beta <= 0:
             raise InvalidParameterError("alpha and beta must be positive")
-        self.graph = graph
+        # Weak, so the engine_for cache entry (keyed weakly by the graph)
+        # does not pin its key; the kernels read only the CSR arrays.
+        self._graph = weakref.ref(graph)
         self.backward = backward
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -454,14 +456,19 @@ bfs_distances` wrapper) must copy.
         src = np.ascontiguousarray(sources, dtype=np.int64)
         if out is None:
             out = np.empty(len(src), dtype=np.int32)
-        if width is None:
+        graph = self._graph()
+        if graph is None:
+            # The graph is gone, so is its msengine_for entry: loop this
+            # engine's own CSR (same eccentricities, see above).
+            width = 0
+        elif width is None:
             width = plan_lane_width(self._n, self.num_arcs, len(src))
         if width == 0:
             for i in range(len(src)):
                 self.run(int(src[i]), counter=counter)
                 out[i] = self.last_ecc
             return out
-        ms = msengine_for(self.graph, self.backward)
+        ms = msengine_for(graph, self.backward)
         for start in range(0, len(src), width):
             batch = src[start: start + width]
             # The engine reduces eccentricities straight off its sweep

@@ -28,11 +28,18 @@ Figure 1 exactly.
 
 Every stochastic generator takes an explicit integer seed and is
 reproducible across runs and platforms (numpy ``default_rng``).
+
+No generator hands the builder one edge per call.  Deterministic edges
+(paths, spines, grids, trees) are laid out as whole arrays; where the
+random process is inherently sequential (each draw depends on the graph
+so far), the loop keeps every draw in order and collects its endpoints
+in local buffers that reach the builder once.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import itertools
+from typing import List
 
 import numpy as np
 
@@ -74,19 +81,13 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     _require(0.0 <= p <= 1.0, "p must be in [0, 1]")
     rng = np.random.default_rng(seed)
     builder = GraphBuilder(num_vertices=n)
-    # Sample the upper triangle in blocks to bound memory.
-    block = 1_000_000
-    pairs: List[Tuple[np.ndarray, np.ndarray]] = []
-    total_pairs = n * (n - 1) // 2
-    # Enumerate pairs lazily by row to stay O(n^2) worst case but vectorised.
+    # Sample the upper triangle one row at a time to bound memory.
     for u in range(n - 1):
         count = n - 1 - u
         mask = rng.random(count) < p
         if mask.any():
             vs = np.arange(u + 1, n, dtype=np.int64)[mask]
             builder.add_edge_arrays(np.full(len(vs), u, dtype=np.int64), vs)
-        if total_pairs > block and u % 1024 == 0:
-            pass  # rows are already incremental; nothing to flush
     return builder.build()
 
 
@@ -100,12 +101,12 @@ def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
     _require(attach >= 1, "attach must be >= 1")
     _require(n > attach, "n must exceed attach")
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_vertices=n)
-    urn: List[int] = []  # vertex id repeated once per incident edge endpoint
+    # Vertex id repeated once per incident edge endpoint; each edge adds
+    # its two endpoints in turn, so the urn is also the edge list.
+    urn: List[int] = []
     seed_size = attach + 1
     for u in range(seed_size):
         for v in range(u + 1, seed_size):
-            builder.add_edge(u, v)
             urn.extend((u, v))
     for v in range(seed_size, n):
         targets: set = set()
@@ -113,8 +114,10 @@ def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
             pick = urn[rng.integers(0, len(urn))]
             targets.add(pick)
         for t in targets:
-            builder.add_edge(v, t)
             urn.extend((v, t))
+    ends = np.array(urn, dtype=np.int64)
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edge_arrays(ends[0::2], ends[1::2])
     return builder.build()
 
 
@@ -130,7 +133,8 @@ def watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
     _require(k < n, "k must be < n")
     _require(0.0 <= beta <= 1.0, "beta must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_vertices=n)
+    # One endpoint per (u, offset), rewired or not, in loop order.
+    targets: List[int] = []
     for u in range(n):
         for offset in range(1, k // 2 + 1):
             v = (u + offset) % n
@@ -141,7 +145,12 @@ def watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
                     w = int(rng.integers(0, n))
                     attempts += 1
                 v = w if w != u else v
-            builder.add_edge(u, v)
+            targets.append(v)
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edge_arrays(
+        np.repeat(np.arange(n, dtype=np.int64), k // 2),
+        np.array(targets, dtype=np.int64),
+    )
     return builder.build()
 
 
@@ -163,28 +172,35 @@ def copying_model(
     _require(0.0 <= copy_probability <= 1.0, "copy_probability in [0, 1]")
     _require(n > out_degree + 1, "n must exceed out_degree + 1")
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_vertices=n)
     adjacency: List[List[int]] = [[] for _ in range(n)]
-
-    def link(u: int, v: int) -> None:
-        builder.add_edge(u, v)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
     seed_size = out_degree + 1
     for u in range(seed_size):
         for v in range(u + 1, seed_size):
-            link(u, v)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
     for v in range(seed_size, n):
         prototype = int(rng.integers(0, v))
         proto_links = adjacency[prototype]
+        links = adjacency[v]
         for _ in range(out_degree):
             if proto_links and rng.random() < copy_probability:
                 target = proto_links[rng.integers(0, len(proto_links))]
             else:
                 target = int(rng.integers(0, v))
             if target != v:
-                link(v, target)
+                links.append(target)
+                adjacency[target].append(v)
+    # Each edge sits in both endpoints' lists; the builder folds the pair.
+    degrees = [len(links) for links in adjacency]
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edge_arrays(
+        np.repeat(np.arange(n, dtype=np.int64), degrees),
+        np.fromiter(
+            itertools.chain.from_iterable(adjacency),
+            dtype=np.int64,
+            count=sum(degrees),
+        ),
+    )
     return builder.build()
 
 
@@ -205,23 +221,20 @@ def core_periphery(
     _require(periphery_size >= 0, "periphery_size must be >= 0")
     rng = np.random.default_rng(seed)
     builder = GraphBuilder()
-    # Dense core.
-    for u in range(core_size):
-        for v in range(u + 1, core_size):
-            if rng.random() < core_probability:
-                builder.add_edge(u, v)
+    # Dense core: one uniform double per pair, row by row, which is the
+    # stream of one scalar draw per pair.
+    rows, cols = np.triu_indices(core_size, k=1)
+    kept = rng.random(len(rows)) < core_probability
+    builder.add_edge_arrays(rows[kept], cols[kept])
     # Spanning cycle keeps the core connected regardless of density draw.
-    for u in range(core_size):
-        builder.add_edge(u, (u + 1) % core_size)
-    next_id = core_size
-    for _ in range(periphery_size):
-        anchor = int(rng.integers(0, core_size))
-        length = int(rng.integers(1, 4))
-        prev = anchor
-        for _ in range(length):
-            builder.add_edge(prev, next_id)
-            prev = next_id
-            next_id += 1
+    ring = np.arange(core_size, dtype=np.int64)
+    builder.add_edge_arrays(ring, (ring + 1) % core_size)
+    anchors = np.empty(periphery_size, dtype=np.int64)
+    lengths = np.empty(periphery_size, dtype=np.int64)
+    for i in range(periphery_size):
+        anchors[i] = rng.integers(0, core_size)
+        lengths[i] = rng.integers(1, 4)
+    _hang_paths(builder, anchors, lengths, core_size)
     return builder.build()
 
 
@@ -258,23 +271,16 @@ def attach_periphery(
     _require(max_length >= 1, "max_length must be >= 1")
     _require(num_anchors >= 1, "num_anchors must be >= 1")
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder()
-    src = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
-    )
-    builder.add_edge_arrays(src, graph.indices.astype(np.int64))
+    builder = _copy_edges(graph)
     anchors = np.argsort(graph.degrees, kind="stable")[:num_anchors]
-    next_id = graph.num_vertices
-    for i in range(num_tendrils):
-        j = i % len(anchors)
-        round_number = i // len(anchors)
-        base = max_length - 3 * j - round_number
-        length = max(1, base - int(rng.integers(0, 2)))
-        prev = int(anchors[j])
-        for _ in range(length):
-            builder.add_edge(prev, next_id)
-            prev = next_id
-            next_id += 1
+    jitter = np.array(
+        [rng.integers(0, 2) for _ in range(num_tendrils)], dtype=np.int64
+    )
+    i = np.arange(num_tendrils, dtype=np.int64)
+    j = i % len(anchors)
+    base = max_length - 3 * j - i // len(anchors)
+    lengths = np.maximum(1, base - jitter)
+    _hang_paths(builder, anchors[j], lengths, graph.num_vertices)
     return builder.build()
 
 
@@ -286,6 +292,28 @@ def _copy_edges(graph: Graph) -> GraphBuilder:
     )
     builder.add_edge_arrays(src, graph.indices.astype(np.int64))
     return builder
+
+
+def _hang_paths(
+    builder: GraphBuilder,
+    heads: np.ndarray,
+    lengths: np.ndarray,
+    first_id: int,
+) -> np.ndarray:
+    """Hang path ``i`` of ``lengths[i] >= 1`` new vertices off ``heads[i]``.
+
+    New ids run consecutively from ``first_id``, path by path and along
+    each path away from its head.  Returns each path's last vertex.
+
+    :dtype lengths: int64
+    """
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    new = np.arange(first_id, first_id + int(lengths.sum()), dtype=np.int64)
+    parents = new - 1
+    parents[starts] = heads
+    builder.add_edge_arrays(parents, new)
+    return first_id + ends - 1
 
 
 def attach_handles(
@@ -316,16 +344,14 @@ def attach_handles(
     )
     rng = np.random.default_rng(seed)
     builder = _copy_edges(graph)
-    anchors = np.argsort(graph.degrees, kind="stable")
-    next_id = graph.num_vertices
-    for i in range(num_handles):
-        length = max(3, max_length - (i % 5) - int(rng.integers(0, 2)))
-        prev = int(anchors[2 * i])
-        for _ in range(length):
-            builder.add_edge(prev, next_id)
-            prev = next_id
-            next_id += 1
-        builder.add_edge(prev, int(anchors[2 * i + 1]))
+    anchors = np.argsort(graph.degrees, kind="stable")[: 2 * num_handles]
+    jitter = np.array(
+        [rng.integers(0, 2) for _ in range(num_handles)], dtype=np.int64
+    )
+    i = np.arange(num_handles, dtype=np.int64)
+    lengths = np.maximum(3, max_length - i % 5 - jitter)
+    last = _hang_paths(builder, anchors[0::2], lengths, graph.num_vertices)
+    builder.add_edge_arrays(last, anchors[1::2])
     return builder.build()
 
 
@@ -350,20 +376,16 @@ def attach_deep_trap(
     builder = _copy_edges(graph)
     if anchor is None:
         anchor = int(np.argsort(graph.degrees, kind="stable")[0])
-    next_id = graph.num_vertices
-    prev = anchor
-    spine = []
-    for _ in range(depth):
-        builder.add_edge(prev, next_id)
-        prev = next_id
-        spine.append(next_id)
-        next_id += 1
-    for s in spine[depth // 2:]:
-        prev = s
-        for _ in range(branch_length):
-            builder.add_edge(prev, next_id)
-            prev = next_id
-            next_id += 1
+    first = graph.num_vertices
+    _hang_paths(builder, np.array([anchor]), np.array([depth]), first)
+    if branch_length:
+        spine_lower = np.arange(first + depth // 2, first + depth)
+        _hang_paths(
+            builder,
+            spine_lower,
+            np.full(len(spine_lower), branch_length, dtype=np.int64),
+            first + depth,
+        )
     return builder.build()
 
 
@@ -391,14 +413,10 @@ def attach_branches(
     rng = np.random.default_rng(seed)
     builder = _copy_edges(graph)
     anchors = np.argsort(graph.degrees[:pool], kind="stable")
-    next_id = graph.num_vertices
-    for i in range(count):
-        depth = int(rng.integers(3, max_depth + 1))
-        prev = int(anchors[1 + i])
-        for _ in range(depth):
-            builder.add_edge(prev, next_id)
-            prev = next_id
-            next_id += 1
+    depths = np.array(
+        [rng.integers(3, max_depth + 1) for _ in range(count)], dtype=np.int64
+    )
+    _hang_paths(builder, anchors[1: 1 + count], depths, graph.num_vertices)
     return builder.build()
 
 
@@ -441,13 +459,9 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """2-D grid; vertex ``(r, c)`` has id ``r * cols + c``."""
     _require(rows >= 1 and cols >= 1, "rows and cols must be >= 1")
     builder = GraphBuilder(num_vertices=rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                builder.add_edge(v, v + 1)
-            if r + 1 < rows:
-                builder.add_edge(v, v + cols)
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    builder.add_edge_arrays(ids[:, :-1], ids[:, 1:])  # along each row
+    builder.add_edge_arrays(ids[:-1, :], ids[1:, :])  # down each column
     return builder.build()
 
 
@@ -455,19 +469,11 @@ def balanced_tree(branching: int, height: int) -> Graph:
     """Complete ``branching``-ary tree of the given height (root id 0)."""
     _require(branching >= 1, "branching must be >= 1")
     _require(height >= 0, "height must be >= 0")
-    builder = GraphBuilder()
-    if height == 0:
-        return GraphBuilder(num_vertices=1).build()
-    next_id = 1
-    frontier = [0]
-    for _ in range(height):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(branching):
-                builder.add_edge(parent, next_id)
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
+    # Ids are level order, so child k >= 1 hangs off (k - 1) // branching.
+    n = sum(branching**level for level in range(height + 1))
+    builder = GraphBuilder(num_vertices=n)
+    children = np.arange(1, n, dtype=np.int64)
+    builder.add_edge_arrays((children - 1) // branching, children)
     return builder.build()
 
 

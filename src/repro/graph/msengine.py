@@ -283,7 +283,6 @@ class MSBFSEngine:
     """
 
     __slots__ = (
-        "graph",
         "alpha",
         "beta",
         "_n",
@@ -304,7 +303,8 @@ class MSBFSEngine:
     ) -> None:
         if alpha <= 0 or beta <= 0:
             raise InvalidParameterError("alpha and beta must be positive")
-        self.graph = graph
+        # No reference to the graph itself: the msengine_for cache is
+        # keyed weakly by it, and the sweeps read only the CSR arrays.
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._n = graph.num_vertices

@@ -107,3 +107,93 @@ class TestVectorPath:
         arr = np.array(pairs)
         b2.add_edge_arrays(arr[:, 0], arr[:, 1])
         assert b1.build() == b2.build()
+
+
+def _random_edges(seed, n=40, m=160):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, size=(m, 2))
+
+
+class TestScalarPath:
+    """add_edge buffers scalars; the graph must not depend on the path."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_by_edge_equals_arrays(self, seed):
+        edges = _random_edges(seed)
+        scalar = GraphBuilder()
+        for u, v in edges.tolist():
+            scalar.add_edge(u, v)
+        vector = GraphBuilder()
+        vector.add_edge_arrays(edges[:, 0], edges[:, 1])
+        listed = GraphBuilder()
+        listed.add_edges(edges.tolist())
+        assert scalar.build() == vector.build() == listed.build()
+
+    @pytest.mark.parametrize("num_vertices", [None, 50])
+    def test_mixed_interleaved_calls(self, num_vertices):
+        edges = _random_edges(7)
+        want = GraphBuilder(num_vertices)
+        want.add_edge_arrays(edges[:, 0], edges[:, 1])
+        mixed = GraphBuilder(num_vertices)
+        for start in range(0, len(edges), 20):
+            chunk = edges[start: start + 20]
+            if (start // 20) % 3 == 0:
+                mixed.add_edge_arrays(chunk[:, 0], chunk[:, 1])
+            elif (start // 20) % 3 == 1:
+                mixed.add_edges(chunk.tolist())
+            else:
+                for u, v in chunk.tolist():
+                    mixed.add_edge(u, v)
+        assert mixed.num_pending_edges == len(edges)
+        assert mixed.build() == want.build()
+
+    def test_numpy_integer_scalars(self):
+        b = GraphBuilder(num_vertices=4)
+        b.add_edge(np.int64(0), np.int32(3))
+        b.add_edge(np.uint8(1), np.int16(2))
+        edges = np.array([1, 2, 3])
+        b.add_edge(edges[0], edges[2])
+        g = b.build()
+        assert g.has_edge(0, 3) and g.has_edge(1, 2) and g.has_edge(1, 3)
+        assert g.num_edges == 3
+
+    def test_numpy_scalar_out_of_range_rejected(self):
+        b = GraphBuilder(num_vertices=3)
+        with pytest.raises(GraphConstructionError):
+            b.add_edge(np.int64(1), np.int64(3))
+        with pytest.raises(GraphConstructionError):
+            b.add_edge(np.int64(-2), np.int64(1))
+        assert b.num_pending_edges == 0
+
+    def test_num_pending_edges_counts_scalars(self):
+        b = GraphBuilder()
+        b.add_edge(0, 1)
+        b.add_edge(1, 1)  # self-loop: still a pending record
+        b.add_edge(1, 0)  # duplicate: still a pending record
+        assert b.num_pending_edges == 3
+        b.add_edge_arrays(np.array([2, 3]), np.array([3, 4]))
+        assert b.num_pending_edges == 5
+        b.build()
+        assert b.num_pending_edges == 5
+
+    def test_rejected_edge_is_not_buffered(self):
+        b = GraphBuilder(num_vertices=3)
+        b.add_edge(0, 1)
+        with pytest.raises(GraphConstructionError):
+            b.add_edge(2, 5)
+        assert b.num_pending_edges == 1
+        assert b.build().num_edges == 1
+
+    def test_reuse_after_build(self):
+        b = GraphBuilder()
+        b.add_edge(0, 1)
+        b.add_edge_arrays(np.array([1, 2]), np.array([2, 3]))
+        first = b.build()
+        assert b.build() == first
+        b.add_edge(3, 4)
+        grown = b.build()
+        assert grown.num_edges == first.num_edges + 1
+        assert grown.has_edge(3, 4)
+        fresh = GraphBuilder()
+        fresh.add_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert grown == fresh.build()

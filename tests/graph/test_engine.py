@@ -6,11 +6,15 @@ kernel on every graph, under depth truncation, and across pooled-buffer
 reuse.  The seed kernel is reproduced verbatim here as the oracle.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ifecc import compute_eccentricities
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
@@ -20,6 +24,7 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
+from repro.graph.msengine import msengine_for
 from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
@@ -334,3 +339,46 @@ def test_property_engine_equals_seed(n, num_edges, seed, mode, data):
     expected = seed_bfs_distances(graph, source, limit=limit)
     got = engine.run(source, limit=limit, mode=mode)
     assert np.array_equal(expected, got)
+
+
+def _touch_engine(graph):
+    engine_for(graph).run(0)
+
+
+def _touch_engine_batch(graph):
+    engine_for(graph).ecc_batch(np.arange(5), width=64)
+
+
+def _touch_msengine(graph):
+    msengine_for(graph).ecc_batch(np.arange(5))
+
+
+def _touch_solver(graph):
+    compute_eccentricities(graph)
+
+
+@pytest.mark.parametrize(
+    "touch",
+    [_touch_engine, _touch_engine_batch, _touch_msengine, _touch_solver],
+    ids=["engine_for", "ecc_batch", "msengine_for", "compute_eccentricities"],
+)
+def test_engine_caches_do_not_pin_graphs(touch):
+    """The per-graph engine caches are weak: once its last user drops
+    the graph, the graph (and with it the pooled engines) is freed."""
+    graph = barabasi_albert(200, 2, seed=1)
+    touch(graph)
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
+
+
+def test_engine_outliving_its_graph_still_batches():
+    """An engine kept past its graph serves ecc_batch on its own CSR."""
+    graph = barabasi_albert(200, 2, seed=1)
+    sources = np.arange(20)
+    want = engine_for(graph).ecc_batch(sources, width=64)
+    engine = BFSEngine(graph)
+    del graph
+    gc.collect()
+    assert np.array_equal(engine.ecc_batch(sources, width=64), want)

@@ -206,6 +206,52 @@ class TestHotPathLoops:
         )
         assert len(diags) == 1
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "[g.neighbors(int(v)) for v in keep]",
+            "{v: g.neighbors(v) for v in keep}",
+            "sum(len(g.neighbors(v)) for v in keep)",
+            "[v for v in keep if len(g.neighbors(v)) > 1]",
+            "[u for v in keep for u in g.neighbors(v)]",
+        ],
+    )
+    def test_fires_on_neighbors_in_comprehension(self, expr):
+        diags = run(
+            wrap(
+                "def f(g: object, keep: object) -> object:\n"
+                f"    return {expr}\n"
+            ),
+            path=HOT,
+            select="R4",
+        )
+        assert len(diags) == 1
+        assert "comprehension" in diags[0].message
+
+    def test_silent_on_comprehension_over_neighbors(self):
+        """The first iterable is evaluated once, not per element."""
+        diags = run(
+            wrap(
+                "def f(g: object, v: int) -> object:\n"
+                "    return [u + 1 for u in g.neighbors(v)]\n"
+            ),
+            path=HOT,
+            select="R4",
+        )
+        assert diags == []
+
+    def test_comprehension_in_loop_reported_once(self):
+        diags = run(
+            wrap(
+                "def f(g: object, groups: object) -> None:\n"
+                "    for keep in groups:\n"
+                "        _ = [g.neighbors(v) for v in keep]\n"
+            ),
+            path=HOT,
+            select="R4",
+        )
+        assert len(diags) == 1
+
     def test_silent_on_single_loop(self):
         diags = run(
             wrap(

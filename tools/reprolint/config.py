@@ -78,15 +78,16 @@ ALLOWED_SRC_IMPORT_ROOTS = frozenset({"numpy", "repro"})
 
 #: Modules whose loops dominate the paper's measured runtimes.  Nested
 #: Python-level loops here silently demote "scalable" to "quadratic
-#: interpreter time".
-#: (weighted/dijkstra.py is deliberately absent: binary-heap Dijkstra is
-#: an inherently scalar loop; its cost is the metric's price, not an
-#: accidental de-vectorisation.)
+#: interpreter time".  The builder and the component extraction are on
+#: every generator's and loader's path, so cold set-up counts too.
 HOT_PATH_PREFIXES = (
     "src/repro/core/",
+    "src/repro/graph/builder.py",
+    "src/repro/graph/components.py",
     "src/repro/graph/engine.py",
     "src/repro/graph/traversal.py",
     "src/repro/graph/msengine.py",
+    "src/repro/weighted/dijkstra.py",
     "src/repro/weighted/eccentricity.py",
     "src/repro/directed/eccentricity.py",
     "src/repro/directed/traversal.py",
