@@ -5,20 +5,10 @@ self-loops, or only one direction of each undirected edge), then produces a
 clean, deduplicated, symmetric CSR graph.  The builder is the single choke
 point through which every loader, generator, and test constructs graphs, so
 input hygiene lives here and nowhere else.
-
-Edges arrive on two paths.  :meth:`GraphBuilder.add_edge_arrays` (and
-:meth:`~GraphBuilder.add_edges`) validate a whole chunk with numpy
-reductions; :meth:`~GraphBuilder.add_edge` validates one pair with plain
-integer comparisons and appends it to two ``array("q")`` buffers (8 bytes
-per endpoint), so a per-edge caller pays no numpy call per edge.  Both
-paths raise :class:`GraphConstructionError` at the call, and
-:meth:`~GraphBuilder.build` depends only on the set of edges added, not
-on their order or on which path carried them.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -48,28 +38,17 @@ class GraphBuilder:
         self._sources: List[np.ndarray] = []
         self._targets: List[np.ndarray] = []
         self._count = 0
-        # Endpoints of the add_edge calls, pending until build().
-        self._scalar_sources = array("q")
-        self._scalar_targets = array("q")
 
     @property
     def num_pending_edges(self) -> int:
         """Number of edge records added so far (before dedup)."""
-        return self._count + len(self._scalar_sources)
+        return self._count
 
     def add_edge(self, u: int, v: int) -> None:
         """Add one undirected edge ``{u, v}``."""
-        u = int(u)
-        v = int(v)
-        if u < 0 or v < 0:
-            raise GraphConstructionError("vertex ids must be non-negative")
-        n = self._num_vertices
-        if n is not None and (u >= n or v >= n):
-            raise GraphConstructionError(
-                f"vertex id {max(u, v)} out of fixed range [0, {n})"
-            )
-        self._scalar_sources.append(u)
-        self._scalar_targets.append(v)
+        self.add_edge_arrays(
+            np.asarray([u], dtype=np.int64), np.asarray([v], dtype=np.int64)
+        )
 
     def add_edges(self, edges: Iterable[Tuple[int, int]]) -> None:
         """Add many edges from an iterable of pairs."""
@@ -111,13 +90,12 @@ class GraphBuilder:
         symmetrised.  Neighbor lists come out sorted, which
         :meth:`Graph.has_edge` relies on.
         """
-        # np.array copies, so the buffers stay appendable after build().
-        src = np.concatenate(
-            self._sources + [np.array(self._scalar_sources, dtype=np.int64)]
-        )
-        dst = np.concatenate(
-            self._targets + [np.array(self._scalar_targets, dtype=np.int64)]
-        )
+        if self._sources:
+            src = np.concatenate(self._sources)
+            dst = np.concatenate(self._targets)
+        else:
+            src = np.empty(0, dtype=np.int64)
+            dst = np.empty(0, dtype=np.int64)
 
         n = self._num_vertices
         if n is None:

@@ -15,6 +15,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro.graph.csr import Graph
+from repro.graph.engine import gather_csr_arcs
 from repro.graph.traversal import UNREACHED, bfs_distances
 
 __all__ = [
@@ -136,15 +137,11 @@ def _induced_subgraph(graph: Graph, keep: np.ndarray) -> Graph:
     n = graph.num_vertices
     remap = np.full(n, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep), dtype=np.int64)
-    starts = graph.indptr[keep]
-    src_counts = (graph.indptr[keep + 1] - starts).astype(np.int64)
+    src_counts = (graph.indptr[keep + 1] - graph.indptr[keep]).astype(np.int64)
     new_src = np.repeat(remap[keep], src_counts)
-    # Gather all neighbor slices of kept vertices in one indexing pass:
-    # output slot j reads indices[start + j - offset] of its vertex.
-    offsets = np.cumsum(src_counts) - src_counts
-    arcs = np.arange(int(src_counts.sum()), dtype=np.int64)
-    arcs += np.repeat(starts - offsets, src_counts)
-    new_dst = remap[graph.indices[arcs]]
+    # Gather all neighbor slices of kept vertices in one indexing pass.
+    old_dst, _ = gather_csr_arcs(graph.indptr, graph.indices, keep, src_counts)
+    new_dst = remap[old_dst]
     inside = new_dst != -1  # neighbors outside the component are dropped
     new_src = new_src[inside]
     new_dst = new_dst[inside]

@@ -442,9 +442,11 @@ bfs_distances` wrapper) must copy.
         :class:`repro.graph.msengine.MSBFSEngine`; ``width=0`` loops
         this engine, and ``None`` lets
         :func:`~repro.graph.msengine.plan_lane_width` plan it from the
-        batch size.  Either way the per-source distances — and
-        therefore the eccentricities — are bit-identical, and the
-        counter is credited one traversal per source.  This is the
+        batch size.  An engine that outlives its graph has no
+        :func:`~repro.graph.msengine.msengine_for` entry to sweep, so it
+        ignores ``width`` and loops itself.  Either way the per-source
+        distances — and therefore the eccentricities — are bit-identical,
+        and the counter is credited one traversal per source.  This is the
         ``ecc_batch`` kernel of both batch backends
         (:mod:`repro.graph.batch`).
 

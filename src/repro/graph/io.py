@@ -104,7 +104,10 @@ def read_metis(path: PathLike) -> Graph:
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             line = raw.strip()
-            if not line or line.startswith("%"):
+            if line.startswith("%"):
+                continue
+            # Inside the vertex block a blank line is an isolated vertex.
+            if not line and (header is None or vertex >= header[0]):
                 continue
             if builder is None or header is None:
                 parts = line.split()
@@ -127,13 +130,17 @@ def read_metis(path: PathLike) -> Graph:
                 raise GraphConstructionError(
                     f"{path}: vertex lines exceed declared n={header[0]}"
                 )
-            for token in line.split():
-                neighbor = int(token) - 1  # METIS ids are 1-based
-                if neighbor < 0:
-                    raise GraphConstructionError(
-                        f"vertex line {vertex + 1}: bad neighbor {token}"
-                    )
-                builder.add_edge(vertex, neighbor)
+            # One builder call per vertex line; METIS ids are 1-based.
+            tokens = line.split()
+            neighbors = np.array([int(t) for t in tokens], dtype=np.int64) - 1
+            bad = neighbors[neighbors < 0]
+            if len(bad):
+                raise GraphConstructionError(
+                    f"vertex line {vertex + 1}: bad neighbor {int(bad[0]) + 1}"
+                )
+            builder.add_edge_arrays(
+                np.full(len(neighbors), vertex, dtype=np.int64), neighbors
+            )
             vertex += 1
     if header is None or builder is None:
         raise GraphConstructionError(f"{path}: empty METIS file")

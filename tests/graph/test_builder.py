@@ -115,7 +115,7 @@ def _random_edges(seed, n=40, m=160):
 
 
 class TestScalarPath:
-    """add_edge buffers scalars; the graph must not depend on the path."""
+    """Edges fed one by one, in lists or in arrays build the same graph."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_edge_by_edge_equals_arrays(self, seed):

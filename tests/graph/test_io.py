@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.errors import GraphConstructionError
+from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 from repro.graph.generators import grid_graph
 from repro.graph.io import (
@@ -182,6 +183,24 @@ class TestMetis:
         g = read_metis(path)
         assert g.num_vertices == 4
         assert g.degree(3) == 0
+
+    def test_isolated_middle_vertex_round_trips(self, tmp_path):
+        from repro.graph.io import read_metis, write_metis
+
+        b = GraphBuilder(num_vertices=4)
+        b.add_edges([(0, 2), (2, 3)])
+        g = b.build()
+        path = tmp_path / "g.metis"
+        write_metis(g, path)
+        assert read_metis(path) == g
+
+    def test_bad_neighbor_rejected(self, tmp_path):
+        from repro.graph.io import read_metis
+
+        path = tmp_path / "b.metis"
+        path.write_text("2 1\n2\n1 0\n")
+        with pytest.raises(GraphConstructionError, match="bad neighbor 0"):
+            read_metis(path)
 
     def test_bad_header(self, tmp_path):
         from repro.graph.io import read_metis
