@@ -5,7 +5,7 @@ the |V|-BFS sweep up by the lane width's constant factor, the naive ED
 stays quadratic — IFECC beats it by orders of magnitude because it runs
 a near-constant number of traversals.  This bench quantifies both gaps,
 and — since the MS-BFS engine now backs ``naive_eccentricities`` itself
-via :meth:`repro.graph.engine.BFSEngine.ecc_batch` — also the gap the
+via :func:`repro.graph.batch.ecc_batch` — also the gap the
 batch seam closed: ``naive-loop`` keeps the historical one-BFS-per-
 vertex sweep (``traversal="loop"``, the seed-comparable number), while
 ``naive-batch`` is the same call on shared lane sweeps.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.baselines.naive import naive_eccentricities
 from repro.core.ifecc import compute_eccentricities
-from repro.graph.engine import engine_for
+from repro.graph.batch import ecc_batch
 from repro.obs.trace import Stopwatch
 
 from bench_common import graph_for, record, small_datasets, truth_for
@@ -45,9 +45,7 @@ def test_four_way(benchmark, name):
         np.testing.assert_array_equal(batched.eccentricities, truth)
 
         watch = Stopwatch()
-        bitparallel = engine_for(graph).ecc_batch(
-            np.arange(graph.num_vertices)
-        )
+        bitparallel = ecc_batch(graph, np.arange(graph.num_vertices))
         t_msbfs = watch.elapsed()
         np.testing.assert_array_equal(bitparallel, truth)
 

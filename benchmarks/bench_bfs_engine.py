@@ -471,7 +471,8 @@ def run_shootout(
 
     ``num_sources=None`` sweeps every vertex (the true full ED).
     """
-    from repro.parallel.pool import TraversalPool
+    from repro.graph.batch import ecc_batch
+    from repro.parallel.pool import pool_for
 
     if smoke:
         name, graph = "powerlaw-4k", barabasi_albert(4_000, 4, seed=7)
@@ -484,8 +485,7 @@ def run_shootout(
         f"effective_cpus={_effective_cpus()}"
     )
 
-    engine = BFSEngine(graph)
-    reference = engine.ecc_batch(sources).copy()
+    reference = ecc_batch(graph, sources)
 
     def time_config(run: Callable[[], np.ndarray]) -> Tuple[float, bool]:
         """Best-of-``repeats`` seconds + bit-identity vs. the reference."""
@@ -505,17 +505,20 @@ def run_shootout(
          "bit_identical": seed_ok}
     )
     print(f"  seed kernel      {seed_s:.4f}s")
-    hybrid_s, hybrid_ok = time_config(lambda: engine.ecc_batch(sources))
+    hybrid_s, hybrid_ok = time_config(lambda: ecc_batch(graph, sources))
     configs.append(
         {"config": "hybrid", "workers": 0, "seconds": hybrid_s,
          "bit_identical": hybrid_ok}
     )
     print(f"  hybrid engine    {hybrid_s:.4f}s")
     for workers in workers_list:
-        pool = TraversalPool(graph, workers=workers)
+        def on_pool(batch: np.ndarray) -> np.ndarray:
+            return ecc_batch(graph, batch, backend="process", workers=workers)
+
+        pool = pool_for(graph, workers=workers)
         try:
-            pool.ecc_batch(sources[: min(16, len(sources))])  # warm-up
-            proc_s, proc_ok = time_config(lambda: pool.ecc_batch(sources))
+            on_pool(sources[: min(16, len(sources))])  # warm-up
+            proc_s, proc_ok = time_config(lambda: on_pool(sources))
         finally:
             pool.close()
         configs.append(

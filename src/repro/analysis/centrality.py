@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
-from repro.graph.msengine import batch_distance_rows
+from repro.graph.batch import distance_rows
 from repro.graph.traversal import TraversalCounter
 
 __all__ = [
@@ -63,7 +63,7 @@ def closeness_centrality(
     batch = 64
     for start in range(0, n, batch):
         sources = np.arange(start, min(start + batch, n))
-        dist = batch_distance_rows(graph, sources, counter=counter)
+        dist = distance_rows(graph, sources, counter=counter)
         reachable = dist >= 0
         totals = np.where(reachable, dist, 0).sum(axis=1)
         counts = reachable.sum(axis=1) - 1  # exclude the source itself

@@ -28,7 +28,7 @@ from repro.core.bounds import BoundState
 from repro.core.result import EccentricityResult
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
-from repro.graph.msengine import batch_distance_rows
+from repro.graph.batch import distance_rows
 from repro.graph.traversal import TraversalCounter, multi_source_bfs
 from repro.obs.trace import Stopwatch
 from repro.sentinels import UNREACHED
@@ -74,9 +74,7 @@ def kbfs_eccentricities(
     # Both sampling stages draw their distance rows from shared MS-BFS
     # lane sweeps; bound updates stay in the historical per-source
     # order, so the resulting bounds are bit-identical to the loop.
-    random_rows = batch_distance_rows(
-        graph, random_sources.astype(np.int64), counter=counter
-    )
+    random_rows = distance_rows(graph, random_sources, counter=counter)
     for i, s in enumerate(random_sources):
         dist_s = random_rows[i]
         ecc_s = int(dist_s[dist_s != UNREACHED].max())
@@ -96,9 +94,7 @@ def kbfs_eccentricities(
         score = near_dist.astype(np.int64)
         score[random_sources] = -1  # never re-elect a sampled source
         elected = np.argsort(-score, kind="stable")[:num_elected]
-        elected_rows = batch_distance_rows(
-            graph, elected.astype(np.int64), counter=counter
-        )
+        elected_rows = distance_rows(graph, elected, counter=counter)
         for i, s in enumerate(elected):
             dist_s = elected_rows[i]
             ecc_s = int(dist_s[dist_s != UNREACHED].max())

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
-from repro.graph.engine import engine_for
+from repro.graph.batch import ecc_batch
 from repro.graph.traversal import TraversalCounter
 from repro.obs.trace import Stopwatch
 
@@ -75,9 +75,7 @@ def snap_estimate_diameter(
     watch = Stopwatch()
     # The sample's eccentricities come from shared MS-BFS lane sweeps —
     # identical values, a fraction of the one-BFS-per-source wall time.
-    ecc = engine_for(graph).ecc_batch(
-        sources.astype(np.int64), counter=counter
-    )
+    ecc = ecc_batch(graph, sources, counter=counter)
     best = int(ecc.max()) if len(ecc) else 0
     elapsed = watch.elapsed()
     return SnapDiameterEstimate(

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.graph.batch import distance_rows
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.traversal import TraversalCounter
@@ -134,14 +135,12 @@ def compute_ffos(
 
     Equivalent to ``[compute_ffo(graph, z) for z in sources]`` but the
     traversals share bit-parallel MS-BFS lane sweeps
-    (:func:`repro.graph.msengine.batch_distance_rows`) — the multi-
+    (:func:`repro.graph.batch.distance_rows`) — the multi-
     reference seeding step of Algorithm 2 pays one sweep per lane group
     instead of one BFS per reference.  Each FFO owns its distance row.
     """
-    from repro.graph.msengine import batch_distance_rows
-
     src = np.ascontiguousarray(sources, dtype=np.int64)
-    rows = batch_distance_rows(graph, src, counter=counter)
+    rows = distance_rows(graph, src, counter=counter)
     return [
         farthest_first_order(rows[i], int(src[i]))
         for i in range(len(src))

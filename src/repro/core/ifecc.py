@@ -94,18 +94,14 @@ class IFECC(EccentricitySolver):
         if graph.num_vertices == 0:
             raise InvalidParameterError("graph must have at least one vertex")
         self.graph = graph
-        oracle = BFSOracle(graph)
         super().__init__(
-            oracle,
+            BFSOracle(graph),
             num_references=num_references,
             strategy=strategy,
             seed=seed,
             memoize_distances=memoize_distances,
             counter=counter,
         )
-        # Kept for introspection/back-compat: the shared pooled-workspace
-        # BFS engine behind the oracle.
-        self._engine = oracle.engine
 
 
 def compute_eccentricities(

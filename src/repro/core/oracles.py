@@ -61,9 +61,9 @@ import numpy as np
 from repro.counters import TraversalCounter
 from repro.core.reference import get_strategy
 from repro.errors import DisconnectedGraphError
-from repro.graph.batch import make_backend
+from repro.graph.batch import check_backend, ecc_batch
 from repro.graph.csr import Graph
-from repro.graph.engine import BFSEngine, engine_for
+from repro.graph.engine import engine_for
 from repro.graph.msengine import msengine_for
 
 __all__ = ["DistanceOracle", "BFSOracle"]
@@ -152,11 +152,11 @@ class BFSOracle:
     dominate at scale), while ``source_probe`` copies — its vector is
     retained by FFOs and territories.
 
-    ``backend``/``workers`` choose, once, the batch backend behind
-    :meth:`ecc_all` (:func:`repro.graph.batch.make_backend`):
-    ``"numpy"`` (the default) runs batches in this process,
-    ``"process"`` on a :class:`repro.parallel.pool.TraversalPool` of
-    ``workers`` processes.  Single probes
+    ``backend``/``workers`` choose the batch backend behind
+    :meth:`ecc_all` (:func:`repro.graph.batch.ecc_batch`), checked at
+    construction: ``"numpy"`` (the default) runs batches in this
+    process, ``"process"`` on a :class:`repro.parallel.pool.TraversalPool`
+    of ``workers`` processes.  Single probes
     (``source_probe``/``sweep_probe``) always stay on the in-process
     engine — one BFS is cheaper than its IPC round-trip — and so do the
     solver's lane batches (:meth:`sweep_batch`), so the sequential
@@ -173,14 +173,15 @@ class BFSOracle:
     def __init__(
         self,
         graph: Graph,
-        engine: Optional[BFSEngine] = None,
         backend: str = "numpy",
         workers: Optional[int] = None,
     ) -> None:
+        check_backend(backend, workers)
         self.graph = graph
         self.num_vertices = graph.num_vertices
-        self.engine = engine if engine is not None else engine_for(graph)
-        self.backend = make_backend(graph, backend, workers)
+        self.engine = engine_for(graph)
+        self.backend = backend
+        self.workers = workers
 
     # -- batched entry points ------------------------------------------
     def ecc_all(
@@ -196,7 +197,9 @@ class BFSOracle:
         """
         if sources is None:
             sources = np.arange(self.num_vertices, dtype=np.int64)
-        return self.backend.ecc_batch(sources, counter=counter)
+        return ecc_batch(
+            self.graph, sources, counter, self.backend, self.workers
+        )
 
     def select_references(
         self, strategy: str, count: int, seed: int

@@ -22,7 +22,7 @@ import numpy as np
 from repro import sanitize
 from repro.counters import TraversalCounter
 from repro.errors import DisconnectedGraphError, InvalidParameterError
-from repro.graph.batch import make_backend
+from repro.graph.batch import check_backend, ecc_batch
 from repro.graph.engine import engine_for
 from repro.sentinels import UNREACHED
 from repro.directed.graph import DirectedGraph
@@ -90,7 +90,7 @@ class DirectedBFSOracle:
       skips the ``set_exact`` step for probed sweep sources.
 
     ``backend``/``workers`` choose the batch backend behind
-    :meth:`ecc_all` (:func:`repro.graph.batch.make_backend`); probes
+    :meth:`ecc_all` (:func:`repro.graph.batch.ecc_batch`); probes
     always run in-process, as on :class:`repro.core.oracles.BFSOracle`.
     """
 
@@ -106,9 +106,11 @@ class DirectedBFSOracle:
         backend: str = "numpy",
         workers: Optional[int] = None,
     ) -> None:
+        check_backend(backend, workers)
         self.graph = graph
         self.num_vertices = graph.num_vertices
-        self.backend = make_backend(graph, backend, workers)
+        self.backend = backend
+        self.workers = workers
 
     def ecc_all(
         self,
@@ -128,7 +130,9 @@ class DirectedBFSOracle:
             raise self.disconnected_error()
         if sources is None:
             sources = np.arange(self.num_vertices, dtype=np.int64)
-        return self.backend.ecc_batch(sources, counter=counter)
+        return ecc_batch(
+            self.graph, sources, counter, self.backend, self.workers
+        )
 
     def select_references(
         self, strategy: str, count: int, seed: int

@@ -5,6 +5,7 @@ This package is self-contained (numpy only) and is the foundation every
 algorithm in :mod:`repro.core` and :mod:`repro.baselines` builds on.
 """
 
+from repro.graph.batch import distance_rows as batch_distance_rows
 from repro.graph.builder import GraphBuilder
 from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.components import (
@@ -14,12 +15,7 @@ from repro.graph.components import (
     split_components,
 )
 from repro.graph.csr import Graph
-from repro.graph.msengine import (
-    MSBFSEngine,
-    batch_distance_rows,
-    msengine_for,
-    plan_lane_width,
-)
+from repro.graph.msengine import MSBFSEngine, msengine_for, plan_lane_width
 from repro.graph.paths import bfs_parents, diameter_path, shortest_path
 from repro.graph.traversal import (
     UNREACHED,

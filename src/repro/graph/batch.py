@@ -1,29 +1,34 @@
-"""The batch-traversal seam: one primitive behind one backend object.
+"""The batch-traversal seam: one planner and one lane-group loop.
 
 Algorithm 2's probes are sequential — each FFO probe depends on the
 bounds the previous one left — so the only traversal work that can fan
-out is a *batch* of eccentricities: the |V|-BFS oracle and the MS-BFS
-lane sweeps of the paper's reference [35].  A backend object exposes
-that one primitive, ``ecc_batch(sources, counter)``: the eccentricity
-of every source (within its component).
+out is a *batch* of sources: the |V|-BFS oracle, FFO seeding and the
+sampling baselines, swept as the MS-BFS lanes of the paper's reference
+[35].  This module is the only code that validates such a batch,
+de-duplicates it, plans its lane width and loops its lane groups, for
+both things a batch can return:
 
-:func:`make_backend` picks the object once, from a ``backend=`` /
-``workers=`` pair.  :class:`InProcessBackend` runs the graph's engine
-in this process; :class:`repro.parallel.pool.TraversalPool` runs the
-*same* kernel (:meth:`repro.graph.engine.BFSEngine.ecc_batch`) in
-worker processes that inherit the graph.  Everything else is done
-once, above both, in :class:`BatchBackend`: sources are validated and
-de-duplicated, and the lane width is planned over the whole batch.  So
-answers *and* traversal counters do not depend on the backend.
+* :func:`ecc_batch` — the eccentricity of every source (within its
+  component), in this process or on the graph's worker pool;
+* :func:`distance_rows` — one distance row per source, in this
+  process (``repro.graph.batch_distance_rows``).
 
-Distance rows are an in-process batch only
-(:meth:`InProcessBackend.distance_rows`, behind
-:func:`repro.graph.msengine.batch_distance_rows`): they go through the
-same validation, de-duplication and lane planning.
+Both run through the private planner, which hands distinct, validated
+sources and a lane width (:func:`repro.graph.msengine.plan_lane_width`)
+to :func:`lane_groups`: width 0 loops the graph's single-source engine
+(:func:`repro.graph.engine.engine_for`), any other width sweeps its lane
+engine (:func:`repro.graph.msengine.msengine_for`) one group at a time.
+``backend="process"`` changes only who runs the loop: the parent plans
+as above and :meth:`repro.parallel.pool.TraversalPool.dispatch` hands
+each worker a chunk of whole lane groups, which the worker runs through
+the same :func:`lane_groups`.  So answers *and* traversal counters do
+not depend on the backend.  A directed graph's batches run forward.
 """
 
 from __future__ import annotations
 
+import os
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -31,142 +36,164 @@ import numpy as np
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.engine import csr_pair, engine_for
-from repro.graph.msengine import fill_distance_rows, plan_lane_width
+from repro.graph.msengine import msengine_for, plan_lane_width
 
 __all__ = [
     "BACKENDS",
-    "BatchBackend",
-    "InProcessBackend",
-    "make_backend",
+    "check_backend",
+    "distance_rows",
+    "ecc_batch",
+    "lane_groups",
+    "resolve_workers",
 ]
 
-#: The backend names :func:`make_backend` accepts.
+#: The ``backend=`` names :func:`ecc_batch` accepts.
 BACKENDS = ("numpy", "process")
 
-#: ``run(sources, width, counter)``: a caller-owned result for distinct,
-#: validated sources, grouping lane sweeps by ``width`` (0 = one
-#: single-source traversal per source).
-Run = Callable[[np.ndarray, int, Optional[TraversalCounter]], np.ndarray]
+#: ``run(sources, width, counter)``: the result for distinct, validated
+#: sources, lane groups of ``width`` (0 = one traversal per source).
+_Run = Callable[[np.ndarray, int, Optional[TraversalCounter]], np.ndarray]
 
 
-class BatchBackend:
-    """What every backend shares: validate, de-duplicate, plan, expand.
-
-    Subclasses implement :meth:`_ecc`, which computes the
-    eccentricities of distinct, validated sources with the planned
-    lane width.
-    """
-
-    def __init__(self, graph: Any) -> None:
-        self.num_vertices = graph.num_vertices
-        # Read off the CSR, not an engine: a pool's parent never builds
-        # one (an engine would keep its graph alive).
-        self.num_arcs = int(len(csr_pair(graph)[0][1]))
-
-    def ecc_batch(
-        self,
-        sources: Sequence[int],
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """Eccentricity of every source, in ``sources`` order.
-
-        :dtype ecc: int32
-        """
-        return self._planned(sources, counter, self._ecc)
-
-    def _planned(
-        self,
-        sources: Sequence[int],
-        counter: Optional[TraversalCounter],
-        run: Run,
-    ) -> np.ndarray:
-        """Validate, de-duplicate and plan; run; expand duplicates back.
-
-        :dtype src: int64
-        """
-        n = self.num_vertices
-        src = np.ascontiguousarray(sources, dtype=np.int64)
-        if src.ndim != 1:
-            raise InvalidParameterError("sources must be one-dimensional")
-        if src.size and (src.min() < 0 or src.max() >= n):
-            bad = src[(src < 0) | (src >= n)][0]
-            raise InvalidVertexError(int(bad), n)
-        uniq, inverse = np.unique(src, return_inverse=True)
-        # A repeated source is traversed once; every copy still counts
-        # as one run, as in the per-source loop.
-        distinct = src if len(uniq) == len(src) else uniq
-        width = plan_lane_width(n, self.num_arcs, len(distinct))
-        out = run(distinct, width, counter)
-        if distinct is src:
-            return out
-        if counter is not None:
-            counter.bfs_runs += len(src) - len(uniq)
-        return out[inverse]
-
-    def _ecc(
-        self,
-        src: np.ndarray,
-        width: int,
-        counter: Optional[TraversalCounter],
-    ) -> np.ndarray:
-        """Eccentricities of ``src``; a caller-owned ``int32`` array."""
-        raise NotImplementedError
+def resolve_workers(workers: Optional[int]) -> int:
+    """Normalise a ``workers`` request: ``None`` means all usable cores."""
+    if workers is None:
+        try:
+            available = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux
+            available = os.cpu_count() or 1
+        return max(1, available)
+    if int(workers) < 1:
+        raise InvalidParameterError("workers must be >= 1")
+    return int(workers)
 
 
-class InProcessBackend(BatchBackend):
-    """The default backend: the graph's engine runs in this process."""
-
-    def __init__(self, graph: Any) -> None:
-        super().__init__(graph)
-        self._graph = graph
-        self._engine = engine_for(graph)
-
-    def _ecc(
-        self,
-        src: np.ndarray,
-        width: int,
-        counter: Optional[TraversalCounter],
-    ) -> np.ndarray:
-        return self._engine.ecc_batch(src, counter=counter, width=width)
-
-    def distance_rows(
-        self,
-        sources: Sequence[int],
-        counter: Optional[TraversalCounter] = None,
-    ) -> np.ndarray:
-        """One caller-owned distance row per source, in ``sources`` order.
-
-        :dtype rows: int32
-        """
-        return self._planned(sources, counter, self._rows)
-
-    def _rows(
-        self,
-        src: np.ndarray,
-        width: int,
-        counter: Optional[TraversalCounter],
-    ) -> np.ndarray:
-        rows = np.empty((len(src), self.num_vertices), dtype=np.int32)
-        fill_distance_rows(self._graph, src, rows, counter, width)
-        return rows
-
-
-def make_backend(
-    graph: Any, backend: str = "numpy", workers: Optional[int] = None
-) -> BatchBackend:
-    """The batch backend for ``graph``, chosen once.
-
-    ``"numpy"`` (the default) runs batches in this process;
-    ``"process"`` runs them on the graph's cached worker pool
-    (:func:`repro.parallel.pool.pool_for`, ``workers`` processes, all
-    usable cores when ``None``), created on the first batch.
-    """
+def check_backend(backend: str, workers: Optional[int]) -> None:
+    """Reject an unknown backend name or a worker count below one."""
     if backend not in BACKENDS:
         raise InvalidParameterError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
-    if backend == "process":
-        from repro.parallel.pool import ProcessBackend
+    if workers is not None:
+        resolve_workers(workers)
 
-        return ProcessBackend(graph, workers)
-    return InProcessBackend(graph)
+
+def ecc_batch(
+    graph: Any,
+    sources: Sequence[int],
+    counter: Optional[TraversalCounter] = None,
+    backend: str = "numpy",
+    workers: Optional[int] = None,
+) -> np.ndarray:
+    """Eccentricity of every source, in ``sources`` order.
+
+    ``backend="numpy"`` (the default) runs the lane groups in this
+    process; ``"process"`` runs them on the graph's cached worker pool
+    (:func:`repro.parallel.pool.pool_for`, ``workers`` processes, all
+    usable cores when ``None``), created on the first batch.  Every
+    copy of a repeated source counts as one traversal run.
+
+    :dtype ecc: int32
+    """
+    check_backend(backend, workers)
+    run: _Run = (
+        partial(_on_pool, graph, workers)
+        if backend == "process"
+        else partial(lane_groups, graph)
+    )
+    return _planned(graph, sources, counter, run)
+
+
+def distance_rows(
+    graph: Any,
+    sources: Sequence[int],
+    counter: Optional[TraversalCounter] = None,
+) -> np.ndarray:
+    """One caller-owned distance row per source, in ``sources`` order.
+
+    Row ``i`` of the ``(len(sources), n)`` matrix equals
+    ``bfs_distances(graph, sources[i])`` bit for bit under every lane
+    plan; every copy of a repeated source counts as one traversal run.
+
+    :dtype rows: int32
+    """
+    run = partial(lane_groups, graph, rows=True)
+    return _planned(graph, sources, counter, run)
+
+
+def lane_groups(
+    graph: Any,
+    src: np.ndarray,
+    width: int,
+    counter: Optional[TraversalCounter] = None,
+    rows: bool = False,
+) -> np.ndarray:
+    """Eccentricities (or, with ``rows``, distance rows) of ``src``.
+
+    ``src`` holds distinct, validated sources; ``width`` is the lane
+    width planned over the whole batch.  ``0`` loops the single-source
+    engine, any other width sweeps ``width`` sources at a time on the
+    lane engine.  Each source is credited as one traversal run.  Returns
+    a caller-owned ``int32`` array: ``(len(src),)`` eccentricities, or
+    ``(len(src), n)`` rows.
+    """
+    n = graph.num_vertices
+    out = np.empty((len(src), n) if rows else len(src), dtype=np.int32)
+    if width == 0:
+        engine = engine_for(graph)
+        for i in range(len(src)):
+            dist = engine.run(int(src[i]), counter=counter)
+            if rows:
+                out[i, :] = dist
+            else:
+                out[i] = engine.last_ecc
+        return out
+    ms = msengine_for(graph)
+    sweep = ms.run_batch if rows else ms.ecc_batch
+    for start in range(0, len(src), width):
+        group = src[start: start + width]
+        out[start: start + len(group)] = sweep(group, counter=counter)
+    return out
+
+
+def _on_pool(
+    graph: Any,
+    workers: Optional[int],
+    src: np.ndarray,
+    width: int,
+    counter: Optional[TraversalCounter],
+) -> np.ndarray:
+    """:func:`lane_groups` on the graph's cached worker pool."""
+    from repro.parallel.pool import pool_for
+
+    return pool_for(graph, workers).dispatch(src, width, counter)
+
+
+def _planned(
+    graph: Any,
+    sources: Sequence[int],
+    counter: Optional[TraversalCounter],
+    run: _Run,
+) -> np.ndarray:
+    """Validate, de-duplicate and plan; run; expand duplicates back.
+
+    :dtype src: int64
+    """
+    n = graph.num_vertices
+    src = np.ascontiguousarray(sources, dtype=np.int64)
+    if src.ndim != 1:
+        raise InvalidParameterError("sources must be one-dimensional")
+    if src.size and (src.min() < 0 or src.max() >= n):
+        bad = src[(src < 0) | (src >= n)][0]
+        raise InvalidVertexError(int(bad), n)
+    uniq, inverse = np.unique(src, return_inverse=True)
+    # A repeated source is traversed once; every copy still counts as
+    # one run, as in the per-source loop.
+    distinct = src if len(uniq) == len(src) else uniq
+    num_arcs = len(csr_pair(graph)[0][1])
+    out = run(distinct, plan_lane_width(n, num_arcs, len(distinct)), counter)
+    if distinct is src:
+        return out
+    if counter is not None:
+        counter.bfs_runs += len(src) - len(uniq)
+    return out[inverse]

@@ -54,21 +54,47 @@ class ComponentLabels:
 
 
 def connected_components(graph: Graph) -> ComponentLabels:
-    """Label the connected components of ``graph`` via repeated BFS.
+    """Label the connected components of ``graph`` in ``O(n + m)``.
 
+    Every vertex without an edge is its own component, labelled in
+    bulk; every other component is swept once from its smallest vertex,
+    writing that vertex into one shared array.  Dense ids then follow
+    the order of each component's smallest vertex.
+
+    :dtype root: int64
+    :dtype slot: int64
+    :dtype order: int64
     :dtype labels: int32
     """
     n = graph.num_vertices
-    labels = np.full(n, -1, dtype=np.int32)
-    sizes: List[int] = []
-    for v in range(n):
-        if labels[v] != -1:
+    indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
+    ids = np.arange(n, dtype=np.int64)
+    # root[v]: the smallest vertex of v's component, -1 until reached.
+    root = np.where(degrees == 0, ids, -1)
+    # Scratch for de-duplicating a level's fresh vertices in O(level).
+    slot = np.empty(n, dtype=np.int64)
+    for seed in np.flatnonzero(degrees).tolist():
+        if root[seed] != -1:
             continue
-        dist = bfs_distances(graph, v)
-        members = dist != UNREACHED
-        labels[members] = len(sizes)
-        sizes.append(int(np.count_nonzero(members)))
-    return ComponentLabels(labels=labels, sizes=np.asarray(sizes, dtype=np.int64))
+        root[seed] = seed
+        frontier = ids[seed: seed + 1]
+        while frontier.size:
+            arcs, _starts = gather_csr_arcs(
+                indptr, indices, frontier, degrees[frontier]
+            )
+            fresh = arcs[root[arcs] == -1]
+            # Each distinct vertex keeps the one position that won its
+            # slot, whichever copy that was.
+            order = np.arange(len(fresh), dtype=np.int64)
+            slot[fresh] = order
+            fresh = fresh[slot[fresh] == order]
+            root[fresh] = seed
+            frontier = fresh
+    dense = np.cumsum(root == ids) - 1
+    labels = dense[root].astype(np.int32)
+    # Every dense id labels its own root, so no count is ever missing.
+    sizes = np.bincount(labels).astype(np.int64)
+    return ComponentLabels(labels=labels, sizes=sizes)
 
 
 def is_connected(graph: Graph) -> bool:

@@ -166,20 +166,15 @@ bfs_distances` wrapper) must copy.
     ----------
     graph:
         The immutable graph this engine traverses (see :func:`csr_pair`).
-    alpha, beta:
-        Direction-switching thresholds (see module docstring).
     backward:
         Traverse a directed graph's arcs in reverse (``dist(., s)``).
     """
 
     __slots__ = (
         "backward",
-        "alpha",
-        "beta",
         "last_ecc",
         "num_arcs",
         "_label",
-        "_graph",
         "_n",
         "_out",
         "_in",
@@ -192,21 +187,10 @@ bfs_distances` wrapper) must copy.
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        graph: Any,
-        alpha: float = ALPHA,
-        beta: float = BETA,
-        backward: bool = False,
-    ) -> None:
-        if alpha <= 0 or beta <= 0:
-            raise InvalidParameterError("alpha and beta must be positive")
-        # Weak, so the engine_for cache entry (keyed weakly by the graph)
-        # does not pin its key; the kernels read only the CSR arrays.
-        self._graph = weakref.ref(graph)
+    def __init__(self, graph: Any, backward: bool = False) -> None:
+        # No reference to the graph itself: the engine_for cache is
+        # keyed weakly by it, and the kernels read only the CSR arrays.
         self.backward = backward
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         n = graph.num_vertices
         self._n = n
         self._out, self._in = csr_pair(graph, backward)
@@ -299,8 +283,7 @@ bfs_distances` wrapper) must copy.
         level = 0
         hybrid = mode == "hybrid"
         direction = "bu" if mode == "bottom-up" else "td"
-        alpha = self.alpha
-        n_over_beta = self._n / self.beta
+        n_over_beta = self._n / BETA
         prev_m_frontier = 0
         # Unvisited candidates (in-degree > 0), maintained only while
         # running bottom-up; None means "not materialised".
@@ -318,7 +301,7 @@ bfs_distances` wrapper) must copy.
                 if direction == "td":
                     if (
                         m_frontier > prev_m_frontier
-                        and m_frontier * alpha > m_unvisited
+                        and m_frontier * ALPHA > m_unvisited
                     ):
                         direction = "bu"
                 elif len(frontier) < n_over_beta:
@@ -423,63 +406,6 @@ bfs_distances` wrapper) must copy.
         if len(fresh) == 0:
             return None, len(arc_dst), cand
         return fresh.astype(np.int64, copy=False), len(arc_dst), cand[~found]
-
-    # ------------------------------------------------------------------
-    # Batched eccentricities
-    # ------------------------------------------------------------------
-    def ecc_batch(
-        self,
-        sources: Sequence[int],
-        out: Optional[np.ndarray] = None,
-        counter: Optional["TraversalCounter"] = None,
-        width: Optional[int] = None,
-    ) -> np.ndarray:
-        """Eccentricity of every source, batched through the MS engine.
-
-        ``out[i]`` receives ``ecc(sources[i])`` (within the source's
-        component — the max level reached, matching :attr:`last_ecc`).
-        Sources are swept in lane groups of ``width`` on
-        :class:`repro.graph.msengine.MSBFSEngine`; ``width=0`` loops
-        this engine, and ``None`` lets
-        :func:`~repro.graph.msengine.plan_lane_width` plan it from the
-        batch size.  An engine that outlives its graph has no
-        :func:`~repro.graph.msengine.msengine_for` entry to sweep, so it
-        ignores ``width`` and loops itself.  Either way the per-source
-        distances — and therefore the eccentricities — are bit-identical,
-        and the counter is credited one traversal per source.  This is the
-        ``ecc_batch`` kernel of both batch backends
-        (:mod:`repro.graph.batch`).
-
-        :mutates out: ``out[i]`` is overwritten with ``ecc(sources[i])``.
-        :dtype out: int32
-        """
-        from repro.graph.msengine import msengine_for, plan_lane_width
-
-        src = np.ascontiguousarray(sources, dtype=np.int64)
-        if out is None:
-            out = np.empty(len(src), dtype=np.int32)
-        graph = self._graph()
-        if graph is None:
-            # The graph is gone, so is its msengine_for entry: loop this
-            # engine's own CSR (same eccentricities, see above).
-            width = 0
-        elif width is None:
-            width = plan_lane_width(self._n, self.num_arcs, len(src))
-        if width == 0:
-            for i in range(len(src)):
-                self.run(int(src[i]), counter=counter)
-                out[i] = self.last_ecc
-            return out
-        ms = msengine_for(graph, self.backward)
-        for start in range(0, len(src), width):
-            batch = src[start: start + width]
-            # The engine reduces eccentricities straight off its sweep
-            # buffer (an isolated source maps to 0, matching last_ecc);
-            # no (k, n) distance matrix is materialised here.
-            out[start: start + len(batch)] = ms.ecc_batch(
-                batch, counter=counter
-            )
-        return out
 
     # ------------------------------------------------------------------
     # Multi-source BFS with owner propagation

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -35,6 +36,10 @@ PathLike = Union[str, os.PathLike]
 
 #: Characters that begin a comment line in SNAP/KONECT edge lists.
 _COMMENT_PREFIXES = ("#", "%", "//")
+
+#: Edges parsed per builder call: the parser's scratch stays this size
+#: however long the file is.
+_EDGE_CHUNK = 1 << 16
 
 
 def parse_edge_lines(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
@@ -74,10 +79,25 @@ def read_edge_list(
     builder = GraphBuilder(num_vertices=num_vertices)
     if isinstance(path_or_file, (str, os.PathLike)):
         with open(path_or_file, "r", encoding="utf-8") as handle:
-            builder.add_edges(parse_edge_lines(handle))
+            _add_edge_lines(builder, handle)
     else:
-        builder.add_edges(parse_edge_lines(path_or_file))
+        _add_edge_lines(builder, path_or_file)
     return builder.build()
+
+
+def _add_edge_lines(builder: GraphBuilder, lines: Iterable[str]) -> None:
+    """Feed ``lines`` to ``builder`` as ``int64`` arrays, a chunk at a time.
+
+    :dtype ids: int64
+    """
+    pairs = parse_edge_lines(lines)
+    while True:
+        ids = np.fromiter(
+            chain.from_iterable(islice(pairs, _EDGE_CHUNK)), dtype=np.int64
+        )
+        if len(ids) == 0:
+            return
+        builder.add_edge_arrays(ids[0::2], ids[1::2])
 
 
 def write_edge_list(graph: Graph, path: PathLike, header: str = "") -> None:

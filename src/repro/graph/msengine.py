@@ -31,7 +31,7 @@ The engine reads the same (out-CSR, in-CSR) pair as
 :func:`~repro.graph.engine.csr_pair`), so an undirected graph reads
 one CSR twice and a directed graph gets forward and backward lanes.
 The per-level direction decision reuses the single-source engine's
-``alpha``/``beta`` thresholds, driven by the *aggregate* frontier arc
+``ALPHA``/``BETA`` thresholds, driven by the *aggregate* frontier arc
 mass (out-degrees) across all live lanes against the in-degree mass
 bottom-up would probe; a lane retires early the moment its
 frontier empties (its reachable set saturated), dropping out of the
@@ -60,12 +60,13 @@ Workspaces follow the pooled discipline of the rest of the repository:
 zeroed in place between batches.  Returned distance matrices are
 always freshly owned — their shape depends on the batch.
 
-:func:`plan_lane_width` is the router's policy: given ``n``, ``m`` and
-the batch size it picks a lane width (64/128/256) or serial
-single-source traversal, so every seam (``ecc_batch``,
-:func:`batch_distance_rows`, the baselines) can delegate the
-"how" without owning the heuristics.  :func:`plan_sweep_width` is the
-same kind of policy for the solver's batched FFO probes.
+:func:`plan_lane_width` is the batch seam's policy: given ``n``, ``m``
+and the batch size it picks a lane width (64/128/256) or serial
+single-source traversal.  Its one caller is the planner of
+:mod:`repro.graph.batch`, which also loops the lane groups, so this
+module holds the sweep and no batch loop of its own.
+:func:`plan_sweep_width` is the same kind of policy for the solver's
+batched FFO probes.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
-from repro.graph.csr import Graph
-from repro.graph.engine import ALPHA, BETA, CSR, csr_pair, engine_for
+from repro.graph.engine import ALPHA, BETA, CSR, csr_pair
 from repro.obs.trace import get_tracer
 from repro.sentinels import UNREACHED
 
@@ -100,8 +100,6 @@ __all__ = [
     "LANE_WORD_BITS",
     "MAX_LANE_WORDS",
     "MSBFSEngine",
-    "batch_distance_rows",
-    "fill_distance_rows",
     "msengine_for",
     "plan_lane_width",
     "plan_sweep_width",
@@ -275,16 +273,11 @@ class MSBFSEngine:
     graph:
         The immutable graph this engine traverses (see
         :func:`~repro.graph.engine.csr_pair`).
-    alpha, beta:
-        Direction-switching thresholds, defaulting to the single-source
-        engine's tuned values (see :mod:`repro.graph.engine`).
     backward:
         Traverse a directed graph's arcs in reverse (``dist(., s)``).
     """
 
     __slots__ = (
-        "alpha",
-        "beta",
         "_n",
         "_label",
         "_arcs",
@@ -294,19 +287,9 @@ class MSBFSEngine:
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        graph: Any,
-        alpha: float = ALPHA,
-        beta: float = BETA,
-        backward: bool = False,
-    ) -> None:
-        if alpha <= 0 or beta <= 0:
-            raise InvalidParameterError("alpha and beta must be positive")
+    def __init__(self, graph: Any, backward: bool = False) -> None:
         # No reference to the graph itself: the msengine_for cache is
         # keyed weakly by it, and the sweeps read only the CSR arrays.
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self._n = graph.num_vertices
         self._out, self._in = csr_pair(graph, backward)
         self._arcs = int(len(self._out[1]))
@@ -525,8 +508,7 @@ class MSBFSEngine:
         m_checked = 0
         hybrid = mode == "hybrid"
         direction = "bu" if mode == "bottom-up" else "td"
-        alpha = self.alpha
-        n_over_beta = n / self.beta
+        n_over_beta = n / BETA
         level = 0
         # The frontier rows are exactly the previous level's fresh bits,
         # so the live-lane word is maintained incrementally instead of
@@ -558,13 +540,13 @@ class MSBFSEngine:
                 if direction == "td":
                     if (
                         m_frontier > prev_m_frontier
-                        and m_frontier * alpha > m_unvisited
+                        and m_frontier * ALPHA > m_unvisited
                         and len(active) >= n_over_beta
                         and m_frontier > 2 * m_checked
                     ):
                         unsaturated = (~seen & live).any(axis=1)
                         m_unsaturated = int(in_deg[unsaturated].sum())
-                        if m_frontier * alpha > m_unsaturated:
+                        if m_frontier * ALPHA > m_unsaturated:
                             direction = "bu"
                         else:
                             m_checked = m_frontier
@@ -789,60 +771,3 @@ def msengine_for(graph: Any, backward: bool = False) -> MSBFSEngine:
             engine = MSBFSEngine(graph, backward=backward)
             engines[backward] = engine
     return engine
-
-
-def batch_distance_rows(
-    graph: Graph,
-    sources: Sequence[int],
-    counter: Optional["TraversalCounter"] = None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Full distance vectors for many sources — the planned batch path.
-
-    The in-process :meth:`repro.graph.batch.InProcessBackend.distance_rows`:
-    duplicates share one lane (each still credited as one traversal
-    run), then :func:`plan_lane_width` picks lane sweeps or the serial
-    single-source hybrid engine.  Row ``i`` of the returned (or filled)
-    ``(len(sources), n)`` ``int32`` matrix equals
-    ``bfs_distances(graph, sources[i])`` bit for bit under every plan.
-
-    :mutates out: overwritten with the distance rows when provided.
-    :dtype rows: int32
-    """
-    from repro.graph.batch import InProcessBackend
-
-    rows = InProcessBackend(graph).distance_rows(sources, counter=counter)
-    if out is None:
-        return rows
-    out[...] = rows
-    return out
-
-
-def fill_distance_rows(
-    graph: Any,
-    src: np.ndarray,
-    out: np.ndarray,
-    counter: Optional["TraversalCounter"] = None,
-    width: int = 0,
-) -> None:
-    """Fill ``out`` with one distance row per source, in lane groups.
-
-    ``width`` is the lane width planned over the whole batch (see
-    :func:`plan_lane_width`); ``0`` loops the single-source engine.
-    The kernel of :meth:`repro.graph.batch.InProcessBackend.distance_rows`,
-    forward on a directed graph.
-
-    :mutates out: row ``i`` is overwritten with ``dist(src[i], .)``.
-    """
-    if width == 0:
-        engine = engine_for(graph)
-        for i in range(len(src)):
-            # reprolint: disable=R9 (slice-assign copies the loaned row)
-            out[i, :] = engine.run(int(src[i]), counter=counter)
-        return
-    ms = msengine_for(graph)
-    for start in range(0, len(src), width):
-        batch = src[start: start + width]
-        out[start: start + len(batch)] = ms.run_batch(
-            batch, counter=counter
-        )

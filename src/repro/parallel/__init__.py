@@ -1,21 +1,21 @@
-"""Multiprocessing batch backend behind the oracle seam.
+"""Multiprocessing half of the batch seam.
 
-``repro.parallel`` is the ``backend="process"`` implementation that
-:func:`repro.graph.batch.make_backend` selects for
+``repro.parallel`` runs ``backend="process"`` batches of
+:func:`repro.graph.batch.ecc_batch` — the backend behind
 :class:`repro.core.oracles.BFSOracle`,
 :class:`repro.directed.traversal.DirectedBFSOracle` and the naive
-baselines: a persistent per-graph worker pool
-(:mod:`repro.parallel.pool`) whose workers inherit the graph by fork
-(or receive a pickled copy under spawn) and return each batch's
-eccentricities on their reply queue.  Single probes stay in-process.
-Results are bit-identical to the in-process backend — parallelism
-changes speed, never answers.
+baselines when they are asked for it: a persistent per-graph worker
+pool (:mod:`repro.parallel.pool`) whose workers inherit the graph by
+fork (or receive a pickled copy under spawn), run the planned batch's
+lane groups through :func:`repro.graph.batch.lane_groups` and return
+each chunk's eccentricities on their reply queue.  Single probes stay
+in-process.  Results are bit-identical to the in-process backend —
+parallelism changes speed, never answers.
 """
 
 from __future__ import annotations
 
 from repro.parallel.pool import (
-    ProcessBackend,
     TraversalPool,
     pool_for,
     resolve_workers,
@@ -23,7 +23,6 @@ from repro.parallel.pool import (
 )
 
 __all__ = [
-    "ProcessBackend",
     "TraversalPool",
     "pool_for",
     "shutdown_pools",

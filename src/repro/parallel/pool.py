@@ -1,8 +1,8 @@
 """Persistent per-graph worker pool for batched eccentricity dispatch.
 
-This is the engine room of the ``backend="process"`` batch backend
-(:mod:`repro.graph.batch`): a :class:`TraversalPool` owns ``W``
-long-lived worker processes that each receive the graph as their
+This is the engine room of ``backend="process"``
+(:func:`repro.graph.batch.ecc_batch`): a :class:`TraversalPool` owns
+``W`` long-lived worker processes that each receive the graph as their
 ``Process`` argument and build its engine at startup (the warm-up), so
 every subsequent batch pays only task pickling — never graph transfer,
 never workspace allocation.
@@ -18,14 +18,14 @@ graph and a pool in the weak registry never keeps its graph alive.
 
 Dispatch protocol
 -----------------
-The pool serves one primitive,
-:meth:`~repro.graph.batch.BatchBackend.ecc_batch`.  The parent
-validates, de-duplicates and plans the lane width as it does for the
-in-process backend, splits the sources into contiguous chunks aligned
-to that width and enqueues ``(task_id, sources, width, traced)``
-tuples.  Each worker runs the in-process kernel
-(:meth:`repro.graph.engine.BFSEngine.ecc_batch`) on its chunk and
-replies ``done`` with the chunk's ``int32`` eccentricities, its
+The pool serves one primitive, :meth:`TraversalPool.dispatch`: the
+eccentricities of a batch that :func:`repro.graph.batch.ecc_batch`
+has already validated, de-duplicated and planned, exactly as it does
+in-process.  The parent splits the sources into contiguous chunks
+aligned to the planned lane width and enqueues ``(task_id, sources,
+width, traced)`` tuples.  Each worker runs the in-process lane-group
+loop (:func:`repro.graph.batch.lane_groups`) on its chunk and replies
+``done`` with the chunk's ``int32`` eccentricities, its
 :class:`repro.counters.TraversalCounter` totals and its wall-clock
 seconds.  The parent writes each chunk's eccentricities into the result
 at the offset its ``task_id`` names, merges the totals into the
@@ -46,7 +46,7 @@ produces one merged run record with correct causal nesting; only
 task→worker assignment (the ``worker=`` tag) is scheduling-dependent.
 
 Results and counter totals are identical to the in-process backend:
-workers run the very same kernel on the very same CSR bytes with the
+workers run the very same loop on the very same CSR bytes with the
 same lane groups, and chunking never reorders the per-source outputs.
 
 Lifecycle
@@ -77,13 +77,12 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.counters import TraversalCounter
-from repro.errors import InvalidParameterError, ParallelBackendError
-from repro.graph.batch import BatchBackend
+from repro.errors import ParallelBackendError
+from repro.graph.batch import lane_groups, resolve_workers
 from repro.graph.engine import engine_for
 from repro.obs.trace import Stopwatch, get_tracer
 
 __all__ = [
-    "ProcessBackend",
     "TraversalPool",
     "pool_for",
     "shutdown_pools",
@@ -100,19 +99,6 @@ _POLL_SECONDS = 0.25
 
 #: Seconds to wait for worker startup/ready handshakes.
 _STARTUP_TIMEOUT = 60.0
-
-
-def resolve_workers(workers: Optional[int]) -> int:
-    """Normalise a ``workers`` request: ``None`` means all usable cores."""
-    if workers is None:
-        try:
-            available = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            available = os.cpu_count() or 1
-        return max(1, available)
-    if int(workers) < 1:
-        raise InvalidParameterError("workers must be >= 1")
-    return int(workers)
 
 
 def _mp_context() -> Any:
@@ -159,7 +145,7 @@ def _worker_main(
     from repro.obs.trace import MemorySink, Tracer, set_tracer
 
     set_tracer(Tracer())
-    ecc_batch = engine_for(graph).ecc_batch
+    engine_for(graph)
     result_queue.put(("ready", worker_id, os.getpid()))
     while True:
         task = task_queue.get()
@@ -189,7 +175,7 @@ def _worker_main(
                 else None
             )
             try:
-                ecc = ecc_batch(sources, counter=counter, width=width)
+                ecc = lane_groups(graph, sources, width, counter)
             finally:
                 if task_span is not None:
                     task_span.finish()
@@ -262,10 +248,10 @@ def _release_resources(resources: _PoolResources) -> None:
     resources.release()
 
 
-class TraversalPool(BatchBackend):
+class TraversalPool:
     """``W`` warm worker processes bound to one graph.
 
-    A batch backend: :meth:`ecc_batch` runs on the workers.
+    :meth:`dispatch` runs a planned batch's lane groups on the workers.
 
     Parameters
     ----------
@@ -279,7 +265,6 @@ class TraversalPool(BatchBackend):
     """
 
     def __init__(self, graph: Any, workers: Optional[int] = None) -> None:
-        super().__init__(graph)
         self.workers = resolve_workers(workers)
         self._resources = _PoolResources()
         self._finalizer = weakref.finalize(
@@ -447,17 +432,19 @@ class TraversalPool(BatchBackend):
                     events, parent=span.seq, worker=worker_id
                 )
 
-    def _ecc(
+    def dispatch(
         self,
         src: np.ndarray,
         width: int,
-        counter: Optional[TraversalCounter],
+        counter: Optional[TraversalCounter] = None,
     ) -> np.ndarray:
-        """Fan one batch out; return a caller-owned result array.
+        """Eccentricities of ``src``, fanned out; a caller-owned array.
 
-        ``width`` is the parent-planned lane width (0 = single-source
-        loop); it both aligns the chunking and rides along in each task
-        so workers group sweeps exactly as the in-process backend.
+        ``src`` holds distinct, validated sources and ``width`` is their
+        planned lane width (0 = single-source loop), as
+        :func:`repro.graph.batch.ecc_batch` hands them over.  The width
+        both aligns the chunking and rides along in each task, so
+        workers group sweeps exactly as the in-process loop does.
         """
         if self.closed:
             raise ParallelBackendError("pool is closed")
@@ -495,31 +482,6 @@ class TraversalPool(BatchBackend):
                 worker_seconds=worker_seconds,
             )
         return result
-
-
-class ProcessBackend(BatchBackend):
-    """What ``make_backend(graph, "process")`` returns: batches run on
-    the graph's cached pool.
-
-    The pool is looked up (:func:`pool_for`) on every batch, so it is
-    created on the first one and rebuilt after a worker death or
-    :func:`shutdown_pools` closed it.
-    """
-
-    def __init__(self, graph: Any, workers: Optional[int] = None) -> None:
-        super().__init__(graph)
-        resolve_workers(workers)  # reject a bad count before any batch
-        self._graph = graph
-        self._workers = workers
-
-    def _ecc(
-        self,
-        src: np.ndarray,
-        width: int,
-        counter: Optional[TraversalCounter],
-    ) -> np.ndarray:
-        pool = pool_for(self._graph, workers=self._workers)
-        return pool._ecc(src, width, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.graph.components import (
     largest_connected_component,
     split_components,
 )
+from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 from repro.graph.generators import cycle_graph, path_graph
 from repro.graph.properties import exact_eccentricities
@@ -45,6 +46,51 @@ class TestLabelling:
         g = Graph.from_edges([(0, 1), (2, 3), (3, 4)])
         labelling = connected_components(g)
         assert labelling.sizes[labelling.largest()] == 3
+
+
+    @pytest.mark.parametrize(
+        "n, m, span",
+        [(5000, 3000, 5000), (200, 900, 60)],
+        ids=["scattered", "dense-block"],
+    )
+    def test_many_components_match_scipy(self, n, m, span):
+        # Random edges among the first ``span`` vertices, the rest
+        # isolated.  "scattered": thousands of components of every small
+        # size, interleaved by vertex id.  "dense-block": one level of
+        # the sweep reaches unlabelled vertices over more arcs than the
+        # graph has vertices.
+        scipy_cc = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(0)
+        builder = GraphBuilder(n)
+        builder.add_edge_arrays(
+            rng.integers(0, span, m), rng.integers(0, span, m)
+        )
+        graph = builder.build()
+        adjacency = sparse.csr_matrix(
+            (np.ones(len(graph.indices)), graph.indices, graph.indptr),
+            shape=(n, n),
+        )
+        count, theirs = scipy_cc.connected_components(adjacency, directed=False)
+        # Renumber scipy's ids by each component's smallest vertex: the
+        # order connected_components promises.
+        _ids, first = np.unique(theirs, return_index=True)
+        rank = np.empty(count, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(count)
+        labelling = connected_components(graph)
+        assert labelling.num_components == count > 100
+        assert labelling.labels.dtype == np.int32
+        assert np.array_equal(labelling.labels, rank[theirs])
+        assert np.array_equal(
+            labelling.sizes, np.bincount(rank[theirs], minlength=count)
+        )
+
+    def test_ids_follow_smallest_vertex(self):
+        # Isolated 0, then the component {1, 4}, isolated 2 and 3.
+        graph = Graph.from_edges([(4, 1)], num_vertices=5)
+        labelling = connected_components(graph)
+        assert labelling.labels.tolist() == [0, 1, 2, 3, 1]
+        assert labelling.sizes.tolist() == [1, 2, 1, 1]
 
 
 class TestIsConnected:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.ifecc import compute_eccentricities
 from repro.errors import InvalidParameterError, InvalidVertexError
+from repro.graph.batch import ecc_batch
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.generators import (
@@ -238,8 +239,6 @@ class TestHybridEquivalence:
         with pytest.raises(InvalidParameterError):
             engine.run(0, mode="sideways")
         with pytest.raises(InvalidParameterError):
-            BFSEngine(graph, alpha=0.0)
-        with pytest.raises(InvalidParameterError):
             bfs_distances_bounded(graph, 0, limit=-2)
 
     def test_engine_cache_is_per_graph(self):
@@ -346,7 +345,8 @@ def _touch_engine(graph):
 
 
 def _touch_engine_batch(graph):
-    engine_for(graph).ecc_batch(np.arange(5), width=64)
+    # 64 sources plan one lane sweep: the planner and both engines.
+    ecc_batch(graph, np.arange(64))
 
 
 def _touch_msengine(graph):
@@ -372,13 +372,3 @@ def test_engine_caches_do_not_pin_graphs(touch):
     gc.collect()
     assert ref() is None
 
-
-def test_engine_outliving_its_graph_still_batches():
-    """An engine kept past its graph serves ecc_batch on its own CSR."""
-    graph = barabasi_albert(200, 2, seed=1)
-    sources = np.arange(20)
-    want = engine_for(graph).ecc_batch(sources, width=64)
-    engine = BFSEngine(graph)
-    del graph
-    gc.collect()
-    assert np.array_equal(engine.ecc_batch(sources, width=64), want)

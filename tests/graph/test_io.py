@@ -7,7 +7,7 @@ import pytest
 from repro.errors import GraphConstructionError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
-from repro.graph.generators import grid_graph
+from repro.graph.generators import barabasi_albert, grid_graph
 from repro.graph.io import (
     load_npz,
     parse_edge_lines,
@@ -68,6 +68,22 @@ class TestEdgeListRoundTrip:
         path.write_text("0 1\n")
         g = read_edge_list(path, num_vertices=5)
         assert g.num_vertices == 5
+
+    def test_large_graph_round_trip(self, tmp_path):
+        # 400k edges: the file is read in several parse chunks.
+        g = barabasi_albert(50000, 8)
+        path = tmp_path / "ba.txt"
+        write_edge_list(g, path)
+        assert read_edge_list(path) == g
+
+    def test_bad_line_deep_in_file_names_its_line(self, tmp_path):
+        # Past the first parse chunks, after a comment line.
+        lines = ["# header"] + [f"{i} {i + 1}" for i in range(200_000)]
+        lines.append("17 x")
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphConstructionError, match="line 200002:"):
+            read_edge_list(path)
 
 
 class TestNpzRoundTrip:

@@ -1,5 +1,5 @@
 """Unit tests for the batch entry points of bit-parallel multi-source BFS
-(MS-BFS): ``batch_distance_rows`` and ``BFSEngine.ecc_batch``."""
+(MS-BFS): ``batch_distance_rows`` and ``repro.graph.batch.ecc_batch``."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,15 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.engine import engine_for
-from repro.graph.msengine import batch_distance_rows
+from repro.graph import batch_distance_rows
+from repro.graph.batch import ecc_batch
 from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import TraversalCounter, bfs_distances
 from helpers import random_connected_graph
 
 
 def _eccentricities(g):
-    return engine_for(g).ecc_batch(np.arange(g.num_vertices))
+    return ecc_batch(g, np.arange(g.num_vertices))
 
 
 class TestMultiSourceDistances:

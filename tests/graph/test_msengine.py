@@ -17,8 +17,8 @@ from helpers import random_connected_graph
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.builder import GraphBuilder
+from repro.graph import batch_distance_rows, msengine
 from repro.graph.engine import BFSEngine
-from repro.graph import msengine
 from repro.graph.generators import (
     barabasi_albert,
     paper_example_graph,
@@ -28,7 +28,6 @@ from repro.graph.msengine import (
     LANE_WORD_BITS,
     MAX_LANE_WORDS,
     MSBFSEngine,
-    batch_distance_rows,
     msengine_for,
     plan_lane_width,
 )
@@ -342,12 +341,6 @@ class TestValidation:
         with pytest.raises(InvalidVertexError):
             MSBFSEngine(graph).run_batch([-1])
 
-    def test_bad_alpha_beta(self, graph):
-        with pytest.raises(InvalidParameterError):
-            MSBFSEngine(graph, alpha=0.0)
-        with pytest.raises(InvalidParameterError):
-            MSBFSEngine(graph, beta=-1.0)
-
 
 class TestPlanner:
     def test_small_batches_stay_serial(self):
@@ -427,13 +420,6 @@ class TestBatchDistanceRows:
         src = np.asarray([3, 250], dtype=np.int64)
         rows = batch_distance_rows(graph, src)
         assert np.array_equal(rows, reference_rows[src])
-
-    def test_out_buffer_is_filled_in_place(self, graph, reference_rows):
-        src = _sources(graph, 16, seed=9)
-        out = np.empty((16, graph.num_vertices), dtype=np.int32)
-        got = batch_distance_rows(graph, src, out=out)
-        assert got is out
-        assert np.array_equal(out, reference_rows[src])
 
 
 class TestEngineCache:

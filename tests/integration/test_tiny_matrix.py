@@ -16,7 +16,7 @@ from repro.core.extremes import radius_and_diameter
 from repro.core.ifecc import compute_eccentricities
 from repro.core.stratify import exact_via_f1
 from repro.graph.csr import Graph
-from repro.graph.engine import engine_for
+from repro.graph.batch import ecc_batch
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -90,7 +90,7 @@ class TestTinyMatrix:
     def test_msbfs(self, tiny):
         graph, truth = tiny
         np.testing.assert_array_equal(
-            engine_for(graph).ecc_batch(np.arange(graph.num_vertices)), truth
+            ecc_batch(graph, np.arange(graph.num_vertices)), truth
         )
 
     def test_extremes(self, tiny):

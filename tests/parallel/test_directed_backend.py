@@ -16,7 +16,8 @@ from repro.directed.eccentricity import naive_directed_eccentricities
 from repro.directed.graph import DirectedGraph
 from repro.directed.traversal import DirectedBFSOracle, forward_bfs
 from repro.errors import DisconnectedGraphError
-from repro.parallel.pool import TraversalPool, shutdown_pools
+from repro.graph.batch import ecc_batch
+from repro.parallel.pool import shutdown_pools
 
 _N = 150
 
@@ -38,33 +39,30 @@ def graph():
     return _strongly_connected_graph()
 
 
-@pytest.fixture(scope="module")
-def pool(graph):
-    pool = TraversalPool(graph, workers=2)
-    yield pool
-    pool.close()
-
-
 @pytest.fixture(autouse=True, scope="module")
 def _teardown_module_pools():
     yield
     shutdown_pools()
 
 
+def _pooled(graph, sources, counter=None):
+    return ecc_batch(graph, sources, counter, backend="process", workers=2)
+
+
 class TestPoolDirectedEntryPoints:
-    def test_directed_eccentricities_match_serial(self, graph, pool):
+    def test_directed_eccentricities_match_serial(self, graph):
         serial = np.asarray(
             [int(forward_bfs(graph, v).max()) for v in range(_N)],
             dtype=np.int32,
         )
-        assert np.array_equal(pool.ecc_batch(np.arange(_N)), serial)
+        assert np.array_equal(_pooled(graph, np.arange(_N)), serial)
 
-    def test_counter_totals_match_serial(self, graph, pool):
+    def test_counter_totals_match_serial(self, graph):
         # Lane sweeps scan other arcs than a per-source loop, as on
         # undirected graphs; test_counters_independent_of_backend pins
         # all four counters across backends.
         pooled = TraversalCounter()
-        pool.ecc_batch(np.arange(_N), counter=pooled)
+        _pooled(graph, np.arange(_N), counter=pooled)
         assert pooled.bfs_runs == _N
 
 

@@ -1,12 +1,13 @@
-"""Fault injection: a worker SIGKILLed in the middle of ``ecc_batch``.
+"""Fault injection: a worker SIGKILLed in the middle of a batch.
 
 The pool must turn the death into a typed :class:`ParallelBackendError`
 naming the worker, reap every worker, and leave the oracle usable: its
 next batch runs on a rebuilt pool with the right answers.  The pool
 never touches shared memory on the way (``SharedMemory`` is patched to
 raise).  The kill is made deterministic by forking the pool while the
-engine's ``ecc_batch`` is replaced by one that parks the first worker
-to call it, so the test kills a worker that is provably inside a task.
+workers' lane-group loop (:func:`repro.graph.batch.lane_groups`) is
+replaced by one that parks the first worker to call it, so the test
+kills a worker that is provably inside a task.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import pytest
 
 from repro.core.oracles import BFSOracle
 from repro.errors import ParallelBackendError
-from repro.graph.engine import BFSEngine
 from repro.graph.generators import barabasi_albert
+from repro.parallel import pool as pool_mod
 from repro.parallel.pool import pool_for, shutdown_pools
 
 pytestmark = pytest.mark.skipif(
@@ -36,20 +37,20 @@ pytestmark = pytest.mark.skipif(
 _TIMEOUT = 30.0
 
 
-def _park_first_caller(marker, real_ecc_batch):
-    """An ``ecc_batch`` whose first caller (across all workers) writes
+def _park_first_caller(marker, real_lane_groups):
+    """A ``lane_groups`` whose first caller (across all workers) writes
     its pid to ``marker`` and sleeps; every other call runs normally."""
 
-    def ecc_batch(engine, sources, out=None, counter=None, width=None):
+    def lane_groups(graph, src, width, counter=None, rows=False):
         try:
             fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            return real_ecc_batch(engine, sources, out, counter, width)
+            return real_lane_groups(graph, src, width, counter, rows)
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         time.sleep(_TIMEOUT)
 
-    return ecc_batch
+    return lane_groups
 
 
 def _no_shared_memory(*args, **kwargs):
@@ -77,9 +78,9 @@ def test_worker_killed_mid_batch(tmp_path, monkeypatch):
     oracle = BFSOracle(graph, backend="process", workers=2)
     with monkeypatch.context() as patch:
         patch.setattr(
-            BFSEngine,
-            "ecc_batch",
-            _park_first_caller(str(marker), BFSEngine.ecc_batch),
+            pool_mod,
+            "lane_groups",
+            _park_first_caller(str(marker), pool_mod.lane_groups),
         )
         pool = pool_for(graph, workers=2)  # forks with the parking kernel
     processes = list(pool._resources.processes)

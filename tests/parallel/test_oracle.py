@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from core.test_solver_equivalence import GOLDEN_PATH, build_corpus
+import repro
 from repro.baselines.naive import naive_eccentricities
 from repro.core.oracles import BFSOracle
 from repro.core.solver import EccentricitySolver
@@ -24,7 +29,7 @@ from repro.directed.eccentricity import naive_directed_eccentricities
 from repro.directed.graph import DirectedGraph
 from repro.directed.traversal import DirectedBFSOracle
 from repro.errors import InvalidParameterError
-from repro.graph.batch import InProcessBackend, make_backend
+from repro.graph.batch import distance_rows, ecc_batch
 from repro.graph.generators import barabasi_albert
 from repro.parallel import shutdown_pools
 
@@ -122,30 +127,41 @@ def _repeated_sources(graph):
     return rng.permutation(np.concatenate([distinct, distinct]))
 
 
+def _row_eccentricities(graph, src, counter):
+    # A row's largest distance is its source's eccentricity (unreached
+    # vertices are -1, the source itself 0).
+    return distance_rows(graph, src, counter).max(axis=1)
+
+
+#: The in-process batch entry points, each reduced to eccentricities.
+_IN_PROCESS = {
+    "ecc_batch": ecc_batch,
+    "distance_rows": _row_eccentricities,
+}
+
+
+def _totals(counter):
+    return (
+        counter.bfs_runs,
+        counter.edges_scanned,
+        counter.edges_inspected,
+        counter.vertices_visited,
+    )
+
+
 @pytest.mark.parametrize(
     "sources", [_distinct_sources, _repeated_sources],
     ids=["distinct", "repeated"],
 )
-@pytest.mark.parametrize("primitive", ["ecc_batch"])
+@pytest.mark.parametrize("primitive", sorted(_IN_PROCESS))
 def test_counters_independent_of_backend(lane_graph, primitive, sources):
     src = sources(lane_graph)
-    results = {}
-    for backend in ("numpy", "process"):
-        counter = TraversalCounter()
-        batch = make_backend(lane_graph, backend, workers=2)
-        values = getattr(batch, primitive)(src, counter=counter)
-        results[backend] = (
-            values,
-            (
-                counter.bfs_runs,
-                counter.edges_scanned,
-                counter.edges_inspected,
-                counter.vertices_visited,
-            ),
-        )
-    assert np.array_equal(results["numpy"][0], results["process"][0])
-    assert results["numpy"][1] == results["process"][1]
-    assert results["numpy"][1][0] == len(src)
+    in_process, pooled = TraversalCounter(), TraversalCounter()
+    got = _IN_PROCESS[primitive](lane_graph, src, in_process)
+    want = ecc_batch(lane_graph, src, pooled, backend="process", workers=2)
+    assert np.array_equal(got, want)
+    assert _totals(in_process) == _totals(pooled)
+    assert in_process.bfs_runs == len(src)
 
 
 def _directed_triangle():
@@ -160,8 +176,8 @@ _BACKEND_ENTRY_POINTS = {
     "DirectedBFSOracle": lambda: DirectedBFSOracle(
         _directed_triangle(), backend="proces"
     ),
-    "make_backend": lambda: make_backend(
-        build_corpus()["paper"], backend="proces"
+    "ecc_batch": lambda: ecc_batch(
+        build_corpus()["paper"], [0], backend="proces"
     ),
     "naive_eccentricities": lambda: naive_eccentricities(
         build_corpus()["paper"], backend="proces"
@@ -183,10 +199,19 @@ class TestBackendFlag:
             BFSOracle(build_corpus()["paper"], backend="process", workers=0)
 
     def test_numpy_backend_never_imports_parallel_pool(self):
-        graph = build_corpus()["paper"]
-        oracle = BFSOracle(graph)
-        assert isinstance(oracle.backend, InProcessBackend)
-        assert np.array_equal(
-            oracle.ecc_all([0, 1]),
-            oracle.engine.ecc_batch(np.asarray([0, 1], dtype=np.int64)),
+        # A fresh interpreter: this one has imported the pool already.
+        script = (
+            "import sys\n"
+            "from repro.baselines.naive import naive_eccentricities\n"
+            "from repro.core.oracles import BFSOracle\n"
+            "from repro.graph.generators import paper_example_graph\n"
+            "graph = paper_example_graph()\n"
+            "BFSOracle(graph).ecc_all()\n"
+            "naive_eccentricities(graph)\n"
+            "assert 'repro.parallel.pool' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=120
         )

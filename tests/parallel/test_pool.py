@@ -17,7 +17,7 @@ from repro.errors import (
     InvalidVertexError,
     ParallelBackendError,
 )
-from repro.graph.batch import InProcessBackend
+from repro.graph.batch import ecc_batch
 from repro.graph.engine import engine_for
 from repro.graph.generators import barabasi_albert
 from repro.obs.trace import deterministic_view, tracing, MemorySink
@@ -35,70 +35,76 @@ def graph():
     return barabasi_albert(300, 3, seed=21)
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _teardown_pools():
+    yield
+    shutdown_pools()
+
+
 def _all(graph):
     return np.arange(graph.num_vertices, dtype=np.int64)
 
 
-@pytest.fixture(scope="module")
-def pool(graph):
-    pool = TraversalPool(graph, workers=2)
-    yield pool
-    pool.close()
+def _pooled(graph, sources, counter=None):
+    return ecc_batch(graph, sources, counter, backend="process", workers=2)
 
 
 class TestEquivalence:
-    def test_eccentricities_match_engine(self, graph, pool):
-        want = engine_for(graph).ecc_batch(
-            np.arange(graph.num_vertices, dtype=np.int64)
-        )
-        got = pool.ecc_batch(_all(graph))
-        assert np.array_equal(got, want)
+    def test_eccentricities_match_engine(self, graph):
+        engine = engine_for(graph)
+        want = []
+        for v in range(graph.num_vertices):
+            engine.run(v)
+            want.append(engine.last_ecc)
+        got = _pooled(graph, _all(graph))
+        assert got.tolist() == want
         assert got.dtype == np.int32
 
-    def test_subset_sources_preserve_order(self, graph, pool):
+    def test_subset_sources_preserve_order(self, graph):
         sources = np.asarray([17, 3, 250, 3, 0], dtype=np.int64)
-        engine = engine_for(graph)
-        want = engine.ecc_batch(sources)
-        assert np.array_equal(pool.ecc_batch(sources), want)
+        want = ecc_batch(graph, sources)
+        assert np.array_equal(_pooled(graph, sources), want)
 
-    def test_msbfs_eccentricities_match_inprocess(self, graph, pool):
-        want = engine_for(graph).ecc_batch(_all(graph))
-        assert np.array_equal(pool.ecc_batch(_all(graph)), want)
+    def test_msbfs_eccentricities_match_inprocess(self, graph):
+        want = ecc_batch(graph, _all(graph))
+        assert np.array_equal(_pooled(graph, _all(graph)), want)
 
-    def test_counter_totals_match_serial(self, graph, pool):
+    def test_counter_totals_match_serial(self, graph):
         serial = TraversalCounter()
-        engine_for(graph).ecc_batch(
-            np.arange(graph.num_vertices, dtype=np.int64), counter=serial
-        )
+        ecc_batch(graph, _all(graph), counter=serial)
         merged = TraversalCounter()
-        pool.ecc_batch(_all(graph), counter=merged)
+        _pooled(graph, _all(graph), counter=merged)
         assert merged.bfs_runs == serial.bfs_runs
         assert merged.edges_scanned == serial.edges_scanned
         assert merged.edges_inspected == serial.edges_inspected
 
-    def test_empty_sources(self, pool):
-        assert pool.ecc_batch([]).shape == (0,)
+    def test_empty_sources(self, graph):
+        assert _pooled(graph, []).shape == (0,)
 
 
 class TestValidation:
-    def test_invalid_vertex_raises_in_parent(self, pool):
+    def test_invalid_vertex_raises_in_parent(self, graph):
         with pytest.raises(InvalidVertexError):
-            pool.ecc_batch([0, pool.num_vertices])
+            _pooled(graph, [0, graph.num_vertices])
 
-    def test_worker_error_propagates(self, pool):
-        # _ecc skips the parent's validation, so the worker's kernel
-        # is the one to fail; its traceback rides on the error.
+    def test_worker_error_propagates(self, graph):
+        # dispatch takes a planned batch, so the parent does not
+        # validate it: the worker's loop is the one to fail, and its
+        # traceback rides on the error.
+        pool = pool_for(graph, workers=2)
         with pytest.raises(
             ParallelBackendError, match=r"worker \d+: InvalidVertexError"
         ):
-            pool._ecc(_out_of_range(pool), 0, None)
+            pool.dispatch(_out_of_range(graph), 0)
 
-    def test_pool_survives_worker_error(self, graph, pool):
+    def test_pool_survives_worker_error(self, graph):
         # After a failed dispatch the workers are still serving.
+        pool = pool_for(graph, workers=2)
         with pytest.raises(ParallelBackendError):
-            pool._ecc(_out_of_range(pool), 0, None)
-        want = engine_for(graph).ecc_batch(np.asarray([1, 2], dtype=np.int64))
-        assert np.array_equal(pool.ecc_batch([1, 2]), want)
+            pool.dispatch(_out_of_range(graph), 0)
+        want = ecc_batch(graph, [1, 2])
+        assert np.array_equal(_pooled(graph, [1, 2]), want)
+        assert pool_for(graph, workers=2) is pool
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -108,10 +114,10 @@ class TestValidation:
 
 
 class TestObservability:
-    def test_batch_span_emitted(self, graph, pool):
+    def test_batch_span_emitted(self, graph):
         sink = MemorySink()
         with tracing(sink):
-            pool.ecc_batch([0, 1, 2, 3, 4])
+            _pooled(graph, [0, 1, 2, 3, 4])
         spans = [
             e for e in sink.events if e.get("name") == "parallel.batch"
         ]
@@ -126,12 +132,10 @@ class TestObservability:
         assert span["traversals"] == 5
         assert isinstance(span["worker_seconds"], dict)
 
-    def test_worker_seconds_stripped_from_deterministic_view(
-        self, graph, pool
-    ):
+    def test_worker_seconds_stripped_from_deterministic_view(self, graph):
         sink = MemorySink()
         with tracing(sink):
-            pool.ecc_batch([0, 1])
+            _pooled(graph, [0, 1])
         view = deterministic_view(sink.events)
         for event in view:
             assert "worker_seconds" not in event
@@ -149,11 +153,11 @@ class TestLifecycle:
         pool = TraversalPool(graph, workers=1)
         pool.close()
         with pytest.raises(ParallelBackendError, match="closed"):
-            pool.ecc_batch([0])
+            pool.dispatch(_all(graph)[:1], 0)
 
     def test_no_leaked_workers_after_gc(self, graph):
         pool = TraversalPool(graph, workers=2)
-        pool.ecc_batch([0, 1, 2])
+        pool.dispatch(_all(graph)[:3], 0)
         pids = [proc.pid for proc in pool._resources.processes]
         del pool
         gc.collect()
@@ -165,7 +169,7 @@ class TestLifecycle:
         # weak registry lets go of it and its pool with it.
         graph = barabasi_albert(200, 3, seed=4)
         pool = pool_for(graph, workers=2)
-        pool.ecc_batch([0, 1, 2])
+        _pooled(graph, [0, 1, 2])
         pids = [proc.pid for proc in pool._resources.processes]
         graph_ref, pool_ref = weakref.ref(graph), weakref.ref(pool)
         del graph, pool
@@ -192,7 +196,7 @@ class TestLifecycle:
 
     def test_context_manager(self, graph):
         with TraversalPool(graph, workers=1) as pool:
-            assert pool.ecc_batch([0]).shape == (1,)
+            assert pool.dispatch(_all(graph)[:1], 0).shape == (1,)
         assert pool.closed
 
 
@@ -203,11 +207,14 @@ class TestSpawn:
         monkeypatch.setattr(pool_mod, "_mp_context", lambda: spawn)
         sources = _all(graph)
         serial = TraversalCounter()
-        want = InProcessBackend(graph).ecc_batch(sources, counter=serial)
+        want = ecc_batch(graph, sources, counter=serial)
         pooled = TraversalCounter()
-        with TraversalPool(graph, workers=2) as pool:
-            processes = list(pool._resources.processes)
-            got = pool.ecc_batch(sources, counter=pooled)
+        shutdown_pools()
+        try:
+            processes = list(pool_for(graph, workers=2)._resources.processes)
+            got = _pooled(graph, sources, counter=pooled)
+        finally:
+            shutdown_pools()
         assert {type(proc).__name__ for proc in processes} == {
             "SpawnProcess"
         }
@@ -215,8 +222,8 @@ class TestSpawn:
         assert _totals(pooled) == _totals(serial)
 
 
-def _out_of_range(pool):
-    return np.asarray([pool.num_vertices + 5], dtype=np.int64)
+def _out_of_range(graph):
+    return np.asarray([graph.num_vertices + 5], dtype=np.int64)
 
 
 def _totals(counter):

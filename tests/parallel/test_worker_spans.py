@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.naive import naive_eccentricities
-from repro.graph.engine import engine_for
+from repro.graph.batch import ecc_batch
 from repro.graph.generators import barabasi_albert
 from repro.obs.record import RunRecord
 from repro.obs.trace import MemorySink, Tracer, deterministic_view, tracing
@@ -99,8 +99,8 @@ class TestWorkerSpanMerge:
         _result, _record, process_metrics = traced_process_run
         serial_sink = MemorySink()
         with tracing(serial_sink) as tracer:
-            engine_for(graph).ecc_batch(
-                np.arange(graph.num_vertices, dtype=np.int64)
+            ecc_batch(
+                graph, np.arange(graph.num_vertices, dtype=np.int64)
             )
             serial_metrics = tracer.metrics.snapshot()
         serial_counters = {
@@ -127,8 +127,8 @@ class TestWorkerSpanMerge:
 
     def test_eccentricities_match_serial(self, graph, traced_process_run):
         result, _record, _metrics = traced_process_run
-        want = engine_for(graph).ecc_batch(
-            np.arange(graph.num_vertices, dtype=np.int64)
+        want = ecc_batch(
+            graph, np.arange(graph.num_vertices, dtype=np.int64)
         )
         assert np.array_equal(result.eccentricities, want)
 

@@ -132,7 +132,7 @@ class TestMSBFSProperties:
     @given(small_connected_graphs())
     @settings(max_examples=20, deadline=None)
     def test_msbfs_rows_equal_bfs(self, g):
-        from repro.graph.msengine import batch_distance_rows
+        from repro.graph import batch_distance_rows
 
         sources = list(range(0, g.num_vertices, 3))
         matrix = batch_distance_rows(g, sources)
@@ -144,10 +144,10 @@ class TestMSBFSProperties:
     @given(small_connected_graphs())
     @settings(max_examples=20, deadline=None)
     def test_msbfs_eccentricities_match_oracle(self, g):
-        from repro.graph.engine import engine_for
+        from repro.graph.batch import ecc_batch
 
         np.testing.assert_array_equal(
-            engine_for(g).ecc_batch(np.arange(g.num_vertices)),
+            ecc_batch(g, np.arange(g.num_vertices)),
             exact_eccentricities(g),
         )
 

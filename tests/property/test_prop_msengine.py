@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from helpers import random_connected_graph
 from repro.graph.builder import GraphBuilder
 from repro.graph.engine import BFSEngine
-from repro.graph.msengine import MSBFSEngine, batch_distance_rows
+from repro.graph import batch_distance_rows
+from repro.graph.msengine import MSBFSEngine
 from repro.sentinels import UNREACHED
 
 

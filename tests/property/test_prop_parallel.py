@@ -2,8 +2,10 @@
 
 Chunking policy depends on the worker count, so these properties drive
 the pools with hypothesis-drawn source lists (duplicates, reorderings,
-empty) and demand bitwise-equal outputs — the parallel analogue of the
-engine's "direction changes speed, never answers" contract.
+empty) and demand bitwise-equal outputs and counter totals — the
+parallel analogue of the engine's "direction changes speed, never
+answers" contract.  The in-process ``ecc_batch`` and ``distance_rows``
+entry points are held to the same answers and totals.
 """
 
 from __future__ import annotations
@@ -14,25 +16,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_connected_graph
-from repro.parallel.pool import TraversalPool
+from repro.counters import TraversalCounter
+from repro.graph.batch import distance_rows, ecc_batch
+from repro.parallel.pool import shutdown_pools
 
 _N = 180
 
 
 @pytest.fixture(scope="module")
-def graph():
-    return random_connected_graph(_N, extra_edges=120, seed=77)
-
-
-@pytest.fixture(scope="module")
-def pools(graph):
-    # One persistent pool per worker count — a pool per example would
-    # dominate the property's runtime with process startup.
-    solo = TraversalPool(graph, workers=1)
-    quad = TraversalPool(graph, workers=4)
+def pools():
+    # Two copies of one graph, so each keeps its own cached pool — a
+    # pool per example would dominate the property's runtime with
+    # process startup.
+    solo = random_connected_graph(_N, extra_edges=120, seed=77)
+    quad = random_connected_graph(_N, extra_edges=120, seed=77)
     yield solo, quad
-    solo.close()
-    quad.close()
+    shutdown_pools()
+
+
+def _same_everywhere(pools, sources):
+    """Every entry point, backend and worker count gives the same
+    eccentricities and counter totals."""
+    solo, quad = pools
+    src = np.asarray(sources, dtype=np.int64)
+    runs = {
+        "numpy": lambda c: ecc_batch(solo, src, c),
+        "rows": lambda c: distance_rows(solo, src, c).max(axis=1),
+        "solo": lambda c: ecc_batch(solo, src, c, "process", workers=1),
+        "quad": lambda c: ecc_batch(quad, src, c, "process", workers=4),
+    }
+    results = {}
+    for name, run in runs.items():
+        counter = TraversalCounter()
+        ecc = run(counter).tolist()
+        totals = (
+            counter.bfs_runs,
+            counter.edges_scanned,
+            counter.edges_inspected,
+            counter.vertices_visited,
+        )
+        results[name] = (ecc, totals)
+    want = results.pop("numpy")
+    assert want[1][0] == len(src)
+    for name, got in results.items():
+        assert got == want, name
 
 
 sources_strategy = st.lists(
@@ -43,11 +70,7 @@ sources_strategy = st.lists(
 @settings(max_examples=20, deadline=None)
 @given(sources=sources_strategy)
 def test_eccentricities_independent_of_worker_count(pools, sources):
-    solo, quad = pools
-    src = np.asarray(sources, dtype=np.int64)
-    assert np.array_equal(
-        solo.ecc_batch(src), quad.ecc_batch(src)
-    )
+    _same_everywhere(pools, sources)
 
 
 @settings(max_examples=10, deadline=None)
@@ -56,8 +79,4 @@ def test_eccentricities_independent_of_worker_count(pools, sources):
 ))
 def test_msbfs_independent_of_worker_count(pools, sources):
     # Batches past 8 sources run as MS-BFS lane sweeps.
-    solo, quad = pools
-    src = np.asarray(sources, dtype=np.int64)
-    assert np.array_equal(
-        solo.ecc_batch(src), quad.ecc_batch(src)
-    )
+    _same_everywhere(pools, sources)

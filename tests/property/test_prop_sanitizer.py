@@ -27,7 +27,7 @@ from repro.directed.eccentricity import (
     naive_directed_eccentricities,
 )
 from repro.directed.graph import DirectedGraph
-from repro.graph.engine import engine_for
+from repro.graph.batch import ecc_batch
 from repro.graph.generators import (
     cycle_graph,
     grid_graph,
@@ -75,7 +75,7 @@ class TestArmedCorpus:
         graph = random_connected_graph(90, 70, seed=3)
         truth = exact_eccentricities(graph)
         np.testing.assert_array_equal(
-            engine_for(graph).ecc_batch(np.arange(graph.num_vertices)), truth
+            ecc_batch(graph, np.arange(graph.num_vertices)), truth
         )
 
     def test_weighted_armed(self, sanitizer):

@@ -82,6 +82,7 @@ ALLOWED_SRC_IMPORT_ROOTS = frozenset({"numpy", "repro"})
 #: every generator's and loader's path, so cold set-up counts too.
 HOT_PATH_PREFIXES = (
     "src/repro/core/",
+    "src/repro/graph/batch.py",
     "src/repro/graph/builder.py",
     "src/repro/graph/components.py",
     "src/repro/graph/engine.py",
