@@ -93,13 +93,12 @@ bench-msbfs:
 bench-store:
 	python benchmarks/bench_graph_store.py
 
-# Benchmark regression gate (`python -m repro.obs.benchguard` ==
-# `repro bench check`):
+# Benchmark regression gate (`repro bench check`):
 # parses every committed BENCH_*.json, re-verifies the recorded
 # speedup/bit-identity claims, and exits non-zero on any failure.
 # `repro bench compare fresh.json baseline.json` adds the A/B leg.
 bench-guard:
-	PYTHONPATH=src python -m repro.obs.benchguard check
+	PYTHONPATH=src python -m repro.cli bench check
 
 # Tracing-overhead gate: A/Bs a null-sink IFECC run against a fully
 # captured one (interleaved, min-of-CPU-time) and fails if capture

@@ -4,8 +4,8 @@ The weighted engine replaces BFS with Dijkstra and keeps the full IFECC
 structure (FFO + Lemma 3.3): orders-of-magnitude wins over its naive
 oracle.  ``directed_ifecc_eccentricities`` carries the IFECC scheme over
 to digraphs (forward FFO of a reference + backward-BFS probes + the
-directed tail cap), one traversal per probe, and keeps the same win over
-the naive directed sweep.  The radius/diameter rows run the extremes
+directed tail cap; a territory's later probes sweep as backward MS-BFS
+lanes) and keeps the same win over the naive directed sweep.  The radius/diameter rows run the extremes
 driver over the Dijkstra and the forward/backward-BFS oracles.
 """
 

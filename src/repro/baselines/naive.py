@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.oracles import BFSOracle
 from repro.core.result import EccentricityResult
 from repro.errors import InvalidParameterError
+from repro.graph.batch import lane_groups
 from repro.graph.csr import Graph
 from repro.graph.traversal import TraversalCounter
 from repro.obs.trace import Stopwatch
@@ -37,8 +38,9 @@ def naive_eccentricities(
     in-process bit-parallel MS-BFS lane sweeps (``"numpy"``) or a
     worker pool that inherits the graph (``"process"``).  ``"loop"``
     keeps the historical one-BFS-per-vertex loop on the in-process
-    engine (the honest quadratic straw man for ablations).  All paths produce the
-    same eccentricities bit for bit.
+    engine (the honest quadratic straw man for ablations): the width-0
+    loop of :func:`repro.graph.batch.lane_groups`.  All paths produce
+    the same eccentricities bit for bit.
 
     :dtype ecc: int32
     """
@@ -52,10 +54,8 @@ def naive_eccentricities(
     if traversal == "batch":
         ecc = oracle.ecc_all(counter=counter)
     else:
-        n = graph.num_vertices
-        ecc = np.zeros(n, dtype=np.int32)
-        for v in range(n):
-            ecc[v] = oracle.sweep_probe(v, counter=counter)[0]
+        sources = np.arange(graph.num_vertices, dtype=np.int64)
+        ecc = lane_groups(graph, sources, 0, counter)
     elapsed = watch.elapsed()
     return EccentricityResult(
         eccentricities=ecc,

@@ -34,8 +34,9 @@ Subcommands
     Benchmark regression gate: ``bench check`` re-verifies every
     committed ``BENCH_*.json`` artifact's recorded claims, ``bench
     compare FRESH BASELINE`` gates a fresh ``--smoke`` artifact against
-    a recorded baseline with a configurable tolerance.  Also available
-    uninstalled as ``PYTHONPATH=src python -m repro.obs.benchguard``.
+    a recorded baseline with a configurable tolerance.  Uninstalled:
+    ``PYTHONPATH=src python -m repro.cli bench check`` (``make
+    bench-guard``).
 ``store``
     Manage the binary graph store: ``store build NAME`` materializes a
     dataset stand-in as a mmap-openable ``.rcsr`` container,

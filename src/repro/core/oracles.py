@@ -26,30 +26,27 @@ The two probe flavours mirror how Algorithm 2 consumes traversals:
     for both — one traversal; the directed oracle pays a
     forward + backward pair.
 
-``sweep_probe``
-    The cheap per-probe traversal of the FFO sweep: the reverse
-    distances ``dist(., t)`` plus ``ecc(t)`` *when the traversal
-    happens to yield it* (symmetric metrics: yes; the directed
-    backward BFS: no — it returns ``None`` and the solver simply skips
-    the ``set_exact`` step, exactly as the directed Lemma 3.3 argument
-    requires).
+``sweep_batch``
+    The FFO sweep's probes: for ``sources``, the reverse distances
+    ``dist(targets, s)`` as one caller-owned ``(len(sources),
+    len(targets))`` block, plus each ``ecc(s)`` *when the traversal
+    happens to yield it* (symmetric metrics: yes; the directed backward
+    BFS: no — ``eccs`` is empty and the solver simply skips the
+    ``set_exact`` step, exactly as the directed Lemma 3.3 argument
+    requires).  One source is one traversal, credited as a run; several
+    are the lanes of one MS-BFS sweep (the paper's reference [35]),
+    credited as pending lanes that the solver consumes or discards.
+    The class constant ``sweep_lanes`` caps how many probes one
+    traversal may carry: 64 for the two BFS oracles, 1 for Dijkstra.
 
-Distance vectors returned by ``sweep_probe`` may alias a pooled
-workspace; the solver consumes them before the next traversal and
-copies only when memoising — the same discipline the BFS engine
-established.
-
-An oracle may also offer ``sweep_batch(sources, targets, counter) ->
-(eccs, cols)``: the sweep probes of many sources at once, as one MS-BFS
-lane sweep that records each probe's distances to ``targets`` only
-(:class:`BFSOracle` does; the weighted and directed oracles do not).
-:meth:`repro.core.solver.EccentricitySolver.run` (and ``run_budgeted``)
-then takes its next FFO probes from lane batches, planned by
-:func:`repro.graph.msengine.plan_sweep_width`, with the territory's
-unresolved members as targets (Lemma 3.1 reads nothing else), and
-applies each batch as one block
-(:meth:`repro.core.bounds.BoundState.apply_sweep_block`), in FFO order;
-an oracle without it gives one ``sweep_probe`` row per block.
+:meth:`repro.core.solver.EccentricitySolver.steps` asks for one probe
+per block; :meth:`~repro.core.solver.EccentricitySolver.run` (and
+``run_budgeted``) plan lane batches with
+:func:`repro.graph.msengine.plan_sweep_width`, capped by ``sweep_lanes``
+and the budget left, with the territory's unresolved members as
+targets (Lemma 3.1 reads nothing else), and apply each batch as one
+block (:meth:`repro.core.bounds.BoundState.apply_sweep_block`), in FFO
+order.
 """
 
 from __future__ import annotations
@@ -61,10 +58,10 @@ import numpy as np
 from repro.counters import TraversalCounter
 from repro.core.reference import get_strategy
 from repro.errors import DisconnectedGraphError
-from repro.graph.batch import check_backend, ecc_batch
+from repro.graph.batch import check_backend, ecc_batch, sweep_columns
 from repro.graph.csr import Graph
 from repro.graph.engine import engine_for
-from repro.graph.msengine import msengine_for
+from repro.graph.msengine import LANE_WORD_BITS
 
 __all__ = ["DistanceOracle", "BFSOracle"]
 
@@ -91,6 +88,8 @@ class DistanceOracle(Protocol):
         Traversal-kind tag carried on ``solver.probe`` spans (``"bfs"``,
         ``"dijkstra"``, ``"bfs-directed"``) so trace consumers can tell
         what kind of traversal each span timed.
+    sweep_lanes:
+        How many probes one :meth:`sweep_batch` traversal may carry.
     """
 
     num_vertices: int
@@ -99,6 +98,7 @@ class DistanceOracle(Protocol):
     symmetric: bool
     metric_name: str
     trace_kind: str
+    sweep_lanes: int
 
     def select_references(
         self, strategy: str, count: int, seed: int
@@ -121,15 +121,23 @@ class DistanceOracle(Protocol):
         """
         ...  # pragma: no cover - protocol
 
-    def sweep_probe(
+    def sweep_batch(
         self,
-        source: int,
+        sources: Sequence[int],
+        targets: Sequence[int],
         counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """``(ecc(source) or None, dist(., source))`` — one traversal.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(eccs, cols)``: the sweep probes of ``sources``.
 
-        The distance vector may alias a pooled workspace valid until
-        the next traversal on this oracle.
+        ``targets`` are strictly increasing vertex ids.  ``cols[i, j]``
+        is ``dist(targets[j], sources[i])``, a caller-owned
+        ``(len(sources), len(targets))`` block, and ``eccs[i]`` the
+        eccentricity of ``sources[i]`` (``eccs`` is empty when the
+        probes yield none).  One source is one traversal, credited as a
+        run; several (at most ``sweep_lanes``) are credited with the
+        sweep's work and one pending lane per source, which the caller
+        consumes or discards
+        (:meth:`repro.counters.TraversalCounter.consume_lanes`).
         """
         ...  # pragma: no cover - protocol
 
@@ -146,22 +154,20 @@ class BFSOracle:
     """The unweighted hop-count oracle (the paper's own setting).
 
     Wraps the per-graph cached, pooled-workspace
-    :class:`repro.graph.engine.BFSEngine`: ``sweep_probe`` returns the
-    engine's pooled distance buffer (the FFO-ordered sweep runs one BFS
-    per probed source, all on this graph, so per-run allocation would
-    dominate at scale), while ``source_probe`` copies — its vector is
-    retained by FFOs and territories.
+    :class:`repro.graph.engine.BFSEngine`: ``source_probe`` copies its
+    row, which FFOs and territories retain, and :meth:`sweep_batch`
+    gathers only the targets' columns
+    (:func:`repro.graph.batch.sweep_columns`): one probe runs the
+    hybrid engine, several sweep as up to 64 MS-BFS lanes.
 
     ``backend``/``workers`` choose the batch backend behind
     :meth:`ecc_all` (:func:`repro.graph.batch.ecc_batch`), checked at
     construction: ``"numpy"`` (the default) runs batches in this
     process, ``"process"`` on a :class:`repro.parallel.pool.TraversalPool`
-    of ``workers`` processes.  Single probes
-    (``source_probe``/``sweep_probe``) always stay on the in-process
-    engine — one BFS is cheaper than its IPC round-trip — and so do the
-    solver's lane batches (:meth:`sweep_batch`), so the sequential
-    bound-tightening loop is bit-identical under every backend by
-    construction.
+    of ``workers`` processes.  Probes (``source_probe``/``sweep_batch``)
+    always stay in-process — one BFS is cheaper than its IPC round-trip
+    — so the sequential bound-tightening loop is bit-identical under
+    every backend by construction.
     """
 
     dtype = np.dtype(np.int32)
@@ -169,6 +175,7 @@ class BFSOracle:
     symmetric = True
     metric_name = "IFECC"
     trace_kind = "bfs"
+    sweep_lanes = LANE_WORD_BITS
 
     def __init__(
         self,
@@ -214,37 +221,18 @@ class BFSOracle:
         dist = self.engine.run(source, counter=counter).copy()
         return self.engine.last_ecc, dist, dist
 
-    def sweep_probe(
-        self,
-        source: int,
-        counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        dist = self.engine.run(source, counter=counter)
-        return self.engine.last_ecc, dist
-
     def sweep_batch(
         self,
         sources: Sequence[int],
         targets: Sequence[int],
         counter: Optional[TraversalCounter] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(eccs, cols)``: the sweep probes of ``sources``, one lane sweep.
-
-        ``targets`` are strictly increasing vertex ids.  ``cols[i, j]``
-        is ``dist(targets[j], sources[i])`` and ``eccs[i]`` the
-        eccentricity of ``sources[i]``: what :meth:`sweep_probe` returns
-        for that source, restricted to ``targets`` (a freshly owned
-        ``(len(sources), len(targets))`` matrix).  The counter is
-        credited with the sweep's work and one pending lane per source;
-        the caller consumes or discards them
-        (:meth:`repro.counters.TraversalCounter.consume_lanes`).
+        """One hybrid BFS, or up to 64 MS-BFS lanes (see the protocol).
 
         :dtype eccs: int32
         :dtype cols: int32
         """
-        return msengine_for(self.graph).column_batch(
-            sources, targets, counter=counter
-        )
+        return sweep_columns(self.graph, sources, targets, counter)
 
     def disconnected_error(self) -> DisconnectedGraphError:
         from repro.graph.components import split_components

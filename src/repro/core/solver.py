@@ -18,9 +18,11 @@ it once, parameterised over a :class:`repro.core.oracles.DistanceOracle`:
    probe yields exact reverse distances, so Lemma 3.1 raises lower
    bounds and Lemma 3.3 caps upper bounds for the territory, until
    every territory member's bounds meet (lines 10-18).  Every step
-   applies one block of FFO rows: a replayed row, one probe, or — in
-   :meth:`run` and :meth:`run_budgeted` — a territory's later probes
-   swept together as MS-BFS lanes.  Lemma 3.1 lowers are a running max
+   applies one block of FFO rows: a replayed row, or the rows of one
+   ``oracle.sweep_batch`` call — one probe, or, in :meth:`run` and
+   :meth:`run_budgeted`, up to ``oracle.sweep_lanes`` of a territory's
+   later probes swept together as MS-BFS lanes (backward lanes for
+   the directed oracle).  Lemma 3.1 lowers are a running max
    and Lemma 3.3 uppers a running min down a block's rows (see
    :meth:`EccentricitySolver._sweep_territory`), so results, traversal
    counts, snapshots and probe spans equal one traversal per probe.
@@ -178,7 +180,7 @@ class EccentricitySolver:
                 territory=z,
                 ffo_rank=None,
                 metric=oracle.metric_name,
-                oracle=getattr(oracle, "trace_kind", oracle.metric_name),
+                oracle=oracle.trace_kind,
             )
             ecc_z, dist_from, dist_into = oracle.source_probe(
                 z, counter=self.counter
@@ -268,9 +270,8 @@ class EccentricitySolver:
         Each step applies one block of FFO rows (:meth:`_sweep_block`):
         the replayed row of a retained source, or the next
         ``plan(consumed)`` fresh probes, where ``consumed`` counts the
-        territory's probes so far.  One probe is one ``sweep_probe``
-        traversal; more are swept together as MS-BFS lanes when the
-        oracle offers ``sweep_batch`` (else one probe is taken).
+        territory's probes so far.  One probe is one traversal; more are
+        swept together as the lanes of one ``sweep_batch`` call.
         Lemmas 3.1 and 3.3 only need each probe's exact distance row,
         the probes of the FFO prefix are known before they run, and both
         updates are monotone, so a block's running max/min yields the
@@ -282,7 +283,6 @@ class EccentricitySolver:
         """
         ffo = territory.ffo
         unresolved = self.bounds.unresolved_subset(territory.members)
-        sweep_batch = getattr(self.oracle, "sweep_batch", None)
         consumed = 0
         rank = 0
         while len(unresolved) and rank < len(ffo.order):
@@ -290,12 +290,9 @@ class EccentricitySolver:
             if source == territory.reference:
                 rank += 1
                 continue
-            if source in self._known:
-                width = 0
-            else:
-                width = plan(consumed) if sweep_batch is not None else 1
+            width = 0 if source in self._known else plan(consumed)
             unresolved, rank = yield from self._sweep_block(
-                territory, rank, width, unresolved, sweep_batch
+                territory, rank, width, unresolved
             )
             # Fewer than `width` probes only when L^z ran out.
             consumed += width
@@ -307,19 +304,17 @@ class EccentricitySolver:
         rank: int,
         width: int,
         unresolved: np.ndarray,
-        sweep_batch: Any,
     ) -> Generator[ProgressSnapshot, None, Tuple[np.ndarray, int]]:
         """Apply the FFO rows from ``rank`` on as one block.
 
         With ``width`` 0 the block is the replayed row at ``rank``.
         Otherwise its rows are the FFO ranks from ``rank`` on, but the
         reference, through the ``width``-th fresh probe: the probes'
-        rows — one ``sweep_probe`` traversal, or one ``sweep_batch``
-        lane sweep for several — and the retained rows of the sources in
-        between, which it replays.  Replaying a retained row keeps Lemma
-        3.3 sound: it makes the source a probed node of this territory,
-        exactly as a fresh traversal would.  The block's columns are the
-        territory's ``unresolved`` members;
+        rows, from one ``sweep_batch`` call, and the retained rows of
+        the sources in between, which it replays.  Replaying a retained
+        row keeps Lemma 3.3 sound: it makes the source a probed node of
+        this territory, exactly as a fresh traversal would.  The block's
+        columns are the territory's ``unresolved`` members;
         :meth:`BoundState.apply_sweep_block` applies it and stops at the
         row that resolves the last of them.  Snapshots, probe spans,
         replay events, memoised rows and consumed lanes follow for each
@@ -357,16 +352,11 @@ class EccentricitySolver:
         runs = counter.bfs_runs
         whole = self.memoize_distances
         targets = np.arange(oracle.num_vertices) if whole else unresolved
-        eccs: Any = []
-        if len(probes) > 1:
-            eccs, cols = sweep_batch(probes, targets, counter=counter)
-        elif probes:
-            # The row may alias the oracle's pooled workspace: gather it
-            # now.  The directed oracle's backward BFS yields no
-            # eccentricity, so its rows pin nothing.
-            ecc, dist = oracle.sweep_probe(probes[0], counter=counter)
-            cols = dist[targets][None]
-            eccs = [] if ecc is None else [ecc]
+        # The directed oracle's backward probes yield no eccentricity,
+        # so their rows pin nothing.
+        eccs: Any = ()
+        if probes:
+            eccs, cols = oracle.sweep_batch(probes, targets, counter=counter)
         dtype = self.bounds.dtype
         if len(lanes) == len(sources) and not whole and cols.dtype == dtype:
             block = cols
@@ -438,7 +428,7 @@ class EccentricitySolver:
             territory=territory.reference,
             ffo_rank=rank,
             metric=self.oracle.metric_name,
-            oracle=getattr(self.oracle, "trace_kind", self.oracle.metric_name),
+            oracle=self.oracle.trace_kind,
         )
 
     def _active_tracer(self) -> Tracer:
@@ -497,10 +487,11 @@ class EccentricitySolver:
     def run(self, algorithm: Optional[str] = None) -> EccentricityResult:
         """Run to completion and return the exact ED (Algorithm 2).
 
-        Sweep probes may run as MS-BFS lane batches, each applied as
-        one block (see :meth:`_sweep_territory`); the result, the
-        counter's runs and history, and the probe spans equal those of
-        exhausting :meth:`steps`.  The counter's work totals also
+        Sweep probes may run as lane batches of at most the oracle's
+        ``sweep_lanes``, each applied as one block (see
+        :meth:`_sweep_territory`); the result, the counter's runs and
+        history, and the probe spans equal those of exhausting
+        :meth:`steps`.  The counter's work totals also
         include the unused lanes, which ``lanes_discarded`` counts.
         """
         return self._drive(None, algorithm)
@@ -532,9 +523,11 @@ class EccentricitySolver:
                 algorithm += f"(budget={max_bfs})"
         limit = float("inf") if max_bfs is None else max_bfs
 
+        lanes = self.oracle.sweep_lanes
+
         def plan(consumed: int) -> int:
             left = limit - counter.bfs_runs
-            return int(max(1, min(plan_sweep_width(consumed), left)))
+            return int(max(1, min(plan_sweep_width(consumed), lanes, left)))
 
         budget = {} if max_bfs is None else {"budget": max_bfs}
         tracer = self._active_tracer()

@@ -96,7 +96,12 @@ class TraversalCounter:
             self.history.append(label)
 
     def record_sweep(
-        self, edges: int, vertices: int, inspected: int, labels: Sequence[str]
+        self,
+        edges: int,
+        vertices: int,
+        inspected: int,
+        labels: Sequence[str],
+        relaxations: int = 0,
     ) -> None:
         """Record the work of one batched probe sweep, one label per lane.
 
@@ -107,6 +112,7 @@ class TraversalCounter:
         self.edges_scanned += edges
         self.edges_inspected += inspected
         self.vertices_visited += vertices
+        self.relaxations += relaxations
         self._pending.extend(labels)
 
     def consume_lanes(self, count: int) -> None:

@@ -10,7 +10,8 @@ Also home of :class:`DirectedBFSOracle`, the asymmetric-metric back-end
 of the generic solver: its reverse-distance hook is what lets
 :class:`repro.core.solver.EccentricitySolver` run the paper's Algorithm
 2 on digraphs, where ``dist(v, t) != dist(t, v)`` and a sweep probe is a
-single *backward* BFS that yields no forward eccentricity.
+*backward* BFS (alone, or one lane of a backward MS-BFS sweep) that
+yields no forward eccentricity.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import numpy as np
 from repro import sanitize
 from repro.counters import TraversalCounter
 from repro.errors import DisconnectedGraphError, InvalidParameterError
-from repro.graph.batch import check_backend, ecc_batch
+from repro.graph.batch import check_backend, ecc_batch, sweep_columns
 from repro.graph.engine import engine_for
+from repro.graph.msengine import LANE_WORD_BITS
 from repro.sentinels import UNREACHED
 from repro.directed.graph import DirectedGraph
 
@@ -84,10 +86,11 @@ class DirectedBFSOracle:
     * :meth:`source_probe` pays a forward + backward BFS *pair* (two
       counted traversals) — forward for ``ecc_f`` and the FFO, backward
       for the ``dist(., t)`` vector every bound update needs;
-    * :meth:`sweep_probe` is a single backward BFS and returns ``None``
-      for the eccentricity: ``max_v dist(v, t)`` is the *backward*
-      eccentricity, not the forward one being computed, so the solver
-      skips the ``set_exact`` step for probed sweep sources.
+    * :meth:`sweep_batch` runs backward — one BFS, or up to 64 lanes of
+      the backward MS-BFS engine — and returns no eccentricities:
+      ``max_v dist(v, t)`` is the *backward* eccentricity, not the
+      forward one being computed, so the solver skips the
+      ``set_exact`` step for probed sweep sources.
 
     ``backend``/``workers`` choose the batch backend behind
     :meth:`ecc_all` (:func:`repro.graph.batch.ecc_batch`); probes
@@ -99,6 +102,7 @@ class DirectedBFSOracle:
     symmetric = False
     metric_name = "DirectedIFECC"
     trace_kind = "bfs-directed"
+    sweep_lanes = LANE_WORD_BITS
 
     def __init__(
         self,
@@ -161,16 +165,21 @@ class DirectedBFSOracle:
         ecc = int(fwd.max()) if self.num_vertices else 0
         return ecc, fwd, bwd
 
-    def sweep_probe(
+    def sweep_batch(
         self,
-        source: int,
+        sources: Sequence[int],
+        targets: Sequence[int],
         counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        # This back-end promises owned vectors (each backward BFS
-        # allocates); assert_owned enforces the promise at the boundary.
-        return None, sanitize.assert_owned(
-            backward_bfs(self.graph, source, counter=counter)
-        )
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Backward probes: ``(no eccentricities, dist(targets, sources))``.
+
+        :dtype eccs: int32
+        :dtype cols: int32
+        """
+        cols = sweep_columns(
+            self.graph, sources, targets, counter, backward=True
+        )[1]
+        return np.empty(0, dtype=np.int32), cols
 
     def disconnected_error(self) -> DisconnectedGraphError:
         return DisconnectedGraphError(

@@ -13,6 +13,9 @@ both things a batch can return:
 * :func:`distance_rows` — one distance row per source, in this
   process (``repro.graph.batch_distance_rows``).
 
+The solver plans its own FFO probes; :func:`sweep_columns` sweeps them,
+one source on the single-source engine, several as lanes.
+
 Both run through the private planner, which hands distinct, validated
 sources and a lane width (:func:`repro.graph.msengine.plan_lane_width`)
 to :func:`lane_groups`: width 0 loops the graph's single-source engine
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ __all__ = [
     "ecc_batch",
     "lane_groups",
     "resolve_workers",
+    "sweep_columns",
 ]
 
 #: The ``backend=`` names :func:`ecc_batch` accepts.
@@ -154,6 +158,40 @@ def lane_groups(
         group = src[start: start + width]
         out[start: start + len(group)] = sweep(group, counter=counter)
     return out
+
+
+def sweep_columns(
+    graph: Any,
+    sources: Sequence[int],
+    targets: Sequence[int],
+    counter: Optional[TraversalCounter] = None,
+    backward: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(eccs, cols)``: one traversal from each source, read at ``targets``.
+
+    ``targets`` are strictly increasing vertex ids; ``cols[i, j]`` is
+    the distance of ``targets[j]`` in the traversal from ``sources[i]``
+    (with ``backward``, a directed graph's ``dist(targets[j],
+    sources[i])``) and ``eccs[i]`` that traversal's eccentricity.  One
+    source runs the single-source engine and is credited as one
+    traversal run; several sweep as lanes
+    (:meth:`repro.graph.msengine.MSBFSEngine.column_batch`), credited as
+    pending lanes.  ``cols`` is caller-owned either way.
+
+    :dtype eccs: int32
+    :dtype cols: int32
+    """
+    if len(sources) != 1:
+        return msengine_for(graph, backward).column_batch(
+            sources, targets, counter=counter
+        )
+    engine = engine_for(graph, backward)
+    dist = engine.run(int(sources[0]), counter=counter)
+    # A fresh array: under the sanitizer a gather from the loan is
+    # itself a loan, and the solver writes into the block it gets.
+    cols = np.empty((1, len(targets)), dtype=np.int32)
+    cols[0] = dist[targets]
+    return np.array([engine.last_ecc], dtype=np.int32), cols
 
 
 def _on_pool(

@@ -127,9 +127,6 @@ _SERIAL_BATCH_LIMIT = 8
 _MIN_VERTICES_128 = 2_048
 _MIN_VERTICES_256 = 4_096
 
-#: Widest lane batch of a batched FFO sweep (see :func:`plan_sweep_width`).
-_SWEEP_MAX_LANES = LANE_WORD_BITS
-
 #: Arcs gathered at once by one level of a sweep.  A level's arc
 #: scratch (positions, endpoints, repeated lane words) is bounded by
 #: this many arcs instead of growing with the frontier's arc mass, so
@@ -173,13 +170,13 @@ def plan_sweep_width(consumed: int) -> int:
     far.  Returns ``1`` (one single-source probe) for the first
     ``_SERIAL_BATCH_LIMIT`` probes of every territory, so a sweep that
     ends within them pays no unused lanes.  After that each batch holds
-    as many lanes as the territory has consumed (8, 16, 32, then 64 at
-    most), so a territory's unused lanes are fewer than the probes it
-    used.
+    as many lanes as the territory has consumed (8, 16, 32, ...), so a
+    territory's unused lanes are fewer than the probes it used.  The
+    solver caps the width by its oracle's ``sweep_lanes``.
     """
     if consumed < _SERIAL_BATCH_LIMIT:
         return 1
-    return min(consumed, _SWEEP_MAX_LANES)
+    return consumed
 
 
 class _MSWorkspace:
@@ -371,7 +368,7 @@ class MSBFSEngine:
         ever recorded, so the sweep's scratch grows with
         ``len(sources) * len(targets)`` instead of ``len(sources) * n``.
         The solver's FFO lane batches read nothing else (see
-        :meth:`repro.core.oracles.BFSOracle.sweep_batch`), so the
+        :func:`repro.graph.batch.sweep_columns`), so the
         counter is credited as for a probe sweep: the sweep's work and
         one pending lane per source, labelled as single-source runs
         are, which the caller consumes or discards

@@ -20,8 +20,8 @@ The observability layer of the solver stack, in three pieces:
     callback): an in-process sink rendering resolved count, bound-gap
     mass, traversal rate, and an ETA from the event stream.
 :mod:`repro.obs.benchguard`
-    The benchmark regression gate (``repro bench check`` /
-    ``python -m repro.obs.benchguard check``): parses every committed
+    The benchmark regression gate behind ``repro bench check`` /
+    ``repro bench compare``: parses every committed
     ``BENCH_*.json`` artifact, checks its recorded claims, and
     compares fresh smoke runs against baselines with a tolerance.
 """

@@ -21,16 +21,15 @@ invariant, in two modes:
     metrics gate in the opposite direction).  Metrics present on only
     one side are reported, not silently dropped.
 
-Exposed three ways: ``repro bench check|compare`` on the CLI,
-``PYTHONPATH=src python -m repro.obs.benchguard check|compare`` for
-checkouts without an installed package, and these functions for CI
-scripting.  ``--format github``
-emits workflow-command annotations so failures land on the PR diff.
+Exposed as ``repro bench check|compare`` on the CLI (``PYTHONPATH=src
+python -m repro.cli bench check`` in a checkout without an installed
+package; ``make bench-guard``), and as these functions for CI
+scripting.  ``--format github`` emits workflow-command annotations so
+failures land on the PR diff.
 """
 
 from __future__ import annotations
 
-import argparse
 import glob
 import json
 import os
@@ -47,7 +46,6 @@ __all__ = [
     "extractor_for",
     "format_findings",
     "known_schemas",
-    "main",
 ]
 
 #: Default tolerance for ``compare``: smoke-scale timings are noisy, so
@@ -437,50 +435,3 @@ def run_compare(
     findings = compare_docs(fresh, baseline, tolerance=tolerance)
     print(format_findings(findings, fmt))
     return 1 if any(f.failed for f in findings) else 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.obs.benchguard`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="benchguard",
-        description="Benchmark regression gate over BENCH_*.json artifacts.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_check = sub.add_parser(
-        "check", help="validate every committed artifact's recorded claims"
-    )
-    p_check.add_argument(
-        "artifacts", nargs="*", metavar="PATH",
-        help="artifact paths (default: BENCH_*.json under --root)",
-    )
-    p_check.add_argument(
-        "--root", default=".", help="directory to glob artifacts from"
-    )
-    p_check.add_argument(
-        "--format", choices=("text", "github"), default="text"
-    )
-    p_cmp = sub.add_parser(
-        "compare", help="gate a fresh smoke artifact against a baseline"
-    )
-    p_cmp.add_argument("fresh", help="freshly produced artifact path")
-    p_cmp.add_argument("baseline", help="recorded baseline artifact path")
-    p_cmp.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=f"allowed fractional shortfall (default {DEFAULT_TOLERANCE})",
-    )
-    p_cmp.add_argument(
-        "--format", choices=("text", "github"), default="text"
-    )
-    args = parser.parse_args(argv)
-    if args.command == "check":
-        return run_check(args.artifacts, root=args.root, fmt=args.format)
-    return run_compare(
-        args.fresh,
-        args.baseline,
-        tolerance=args.tolerance,
-        fmt=args.format,
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

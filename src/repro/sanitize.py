@@ -395,10 +395,11 @@ class GuardedArray(np.ndarray):
 def assert_owned(array: np.ndarray) -> np.ndarray:
     """Assert ``array`` is caller-owned (not a live workspace loan).
 
-    The oracle protocol permits ``sweep_probe`` to return pooled loans;
-    back-ends that *promise* fresh arrays (Dijkstra, the directed BFS
-    pair) route their results through this so the promise is enforced,
-    not just documented.  Returns ``array`` unchanged.
+    Every vector the oracle protocol hands the solver is caller-owned:
+    ``source_probe``'s rows are retained by FFOs and territories, and
+    ``sweep_batch`` blocks and memoised rows are written or kept.
+    Producers route such results through this so the promise is
+    enforced, not just documented.  Returns ``array`` unchanged.
     """
     if isinstance(array, GuardedArray) and array._repro_guard is not None:
         borrowed = (

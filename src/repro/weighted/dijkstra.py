@@ -16,7 +16,7 @@ weights.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,16 +146,18 @@ class DijkstraOracle:
     """The non-negative edge-weight oracle (symmetric, ``float64``).
 
     One Dijkstra per probe; the distance metric is symmetric, so a
-    single traversal yields both directions.  Bound comparisons use an
-    absolute ``tolerance`` (default ``1e-9``) because distances are sums
-    of ``float64`` weights; with integer-valued weights the comparisons
-    are exact.
+    single traversal yields both directions.  There is no lane kernel,
+    so one sweep traversal carries one probe (``sweep_lanes = 1``).
+    Bound comparisons use an absolute ``tolerance`` (default ``1e-9``)
+    because distances are sums of ``float64`` weights; with
+    integer-valued weights the comparisons are exact.
     """
 
     dtype = np.dtype(np.float64)
     symmetric = True
     metric_name = "IFECC-weighted"
     trace_kind = "dijkstra"
+    sweep_lanes = 1
 
     def __init__(self, graph: WeightedGraph, tolerance: float = 1e-9) -> None:
         self.graph = graph
@@ -187,18 +189,37 @@ class DijkstraOracle:
         dist = sanitize.assert_owned(dist)
         return ecc, dist, dist
 
-    def sweep_probe(
+    def sweep_batch(
         self,
-        source: int,
+        sources: Sequence[int],
+        targets: Sequence[int],
         counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        # Unlike BFSOracle this back-end promises *owned* vectors (each
-        # Dijkstra allocates its own distance vector); assert_owned
-        # enforces the promise.
-        ecc, dist = weighted_eccentricity_and_distances(
-            self.graph, source, counter=counter
-        )
-        return ecc, sanitize.assert_owned(dist)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One Dijkstra per source, read at ``targets`` (see the protocol);
+        several are credited as pending lanes, as a lane sweep's are.
+
+        :dtype eccs: float64
+        :dtype cols: float64
+        """
+        eccs = np.empty(len(sources), dtype=np.float64)
+        cols = np.empty((len(sources), len(targets)), dtype=np.float64)
+        work = TraversalCounter()
+        for i, source in enumerate(sources):
+            eccs[i], dist = weighted_eccentricity_and_distances(
+                self.graph, int(source), counter=work
+            )
+            cols[i] = dist[targets]
+        if counter is not None and len(sources) == 1:
+            counter.merge(work)
+        elif counter is not None:
+            counter.record_sweep(
+                work.edges_scanned,
+                work.vertices_visited,
+                work.edges_inspected,
+                work.history,
+                work.relaxations,
+            )
+        return eccs, cols
 
     def disconnected_error(self) -> DisconnectedGraphError:
         return DisconnectedGraphError(2, "weighted graph is disconnected")

@@ -25,20 +25,22 @@ from repro.core.oracles import BFSOracle
 from repro.core.solver import EccentricitySolver
 from repro.counters import TraversalCounter
 from repro.datasets.loader import load_dataset
-from repro.directed.eccentricity import directed_solver
-from repro.directed.graph import DirectedGraph
+from repro.directed.traversal import DirectedBFSOracle, backward_bfs
 from repro.errors import InvalidParameterError
 from repro.graph import msengine
 from repro.graph.csr import Graph
 from repro.graph.generators import barabasi_albert
+from repro.graph.traversal import bfs_distances
 from repro.obs.trace import MemorySink, deterministic_view, tracing
 from repro.weighted.eccentricity import (
     approximate_weighted_eccentricities,
     weighted_solver,
 )
+from repro.weighted.dijkstra import DijkstraOracle, dijkstra_distances
 from repro.weighted.graph import WeightedGraph
 
 from core.test_solver_equivalence import build_corpus
+from directed.test_directed import random_strongly_connected
 from helpers import random_connected_graph
 
 #: The snapshot fields a ``solver.probe`` span carries.
@@ -224,47 +226,99 @@ def test_graph_above_2_16_arcs_batches(web: Graph, refs: int, memo: bool) -> Non
     assert swept > from_lanes > 0
 
 
-def test_weighted_and_directed_runs_never_batch() -> None:
-    base = random_connected_graph(300, 150, seed=3)
+def _weighted(base: Graph) -> WeightedGraph:
     rng = np.random.default_rng(4)
-    weighted = WeightedGraph.from_edges(
+    return WeightedGraph.from_edges(
         [(u, v, float(rng.integers(1, 8))) for u, v in base.edges()],
         num_vertices=base.num_vertices,
     )
-    directed = DirectedGraph.from_undirected(base)
-    for make_solver in (
-        lambda c: weighted_solver(weighted, counter=c),
-        lambda c: directed_solver(directed, counter=c),
-    ):
-        stepped, ran = _steps_and_run(make_solver)
-        assert ran == stepped and ran[-1] == 0
-        assert ran[0] > msengine._SERIAL_BATCH_LIMIT
+
+
+@pytest.mark.parametrize("refs, memo", [(1, False), (3, True)])
+def test_directed_runs_take_lanes_weighted_runs_never_batch(
+    refs: int, memo: bool
+) -> None:
+    # Directed run() sweeps backward lanes; its answers, runs, history
+    # and probe spans equal steps()'.
+    directed = random_strongly_connected(300, 600, seed=3)
+    view = _compare(DirectedBFSOracle, directed, refs, memo)
+    swept, from_lanes = _lanes(view["events"])
+    assert swept >= from_lanes > 0
+    assert {label.split(":")[0] for label in view["history"]} == {"fwd", "bwd"}
+    # Dijkstra carries one probe per traversal, so run() takes no lanes
+    # and every counter equals steps()'.
+    weighted = _weighted(random_connected_graph(300, 150, seed=3))
+    stepped, ran = _steps_and_run(
+        lambda c: weighted_solver(weighted, counter=c, memoize_distances=memo)
+    )
+    assert ran == stepped and ran[-1] == 0
+    assert ran[0] > msengine._SERIAL_BATCH_LIMIT
 
 
 class TestPlanSweepWidth:
     def test_serial_prefix_then_doubling_to_one_word(self) -> None:
-        widths = [msengine.plan_sweep_width(c) for c in (0, 7, 8, 16, 32, 64, 500)]
-        assert widths == [1, 1, 8, 16, 32, 64, 64]
+        # The solver caps the plan by its oracle's lanes: one word for
+        # BFS, one probe for Dijkstra.
+        assert BFSOracle.sweep_lanes == DirectedBFSOracle.sweep_lanes == 64
+        assert DijkstraOracle.sweep_lanes == 1
+        consumed = (0, 7, 8, 16, 32, 64, 500)
+        widths = [msengine.plan_sweep_width(c) for c in consumed]
+        assert widths == [1, 1, 8, 16, 32, 64, 500]
+        capped = [min(w, BFSOracle.sweep_lanes) for w in widths]
+        assert capped == [1, 1, 8, 16, 32, 64, 64]
 
 
-def test_sweep_batch_matches_sweep_probe(ba2k: Graph) -> None:
-    oracle = BFSOracle(ba2k)
-    sources = [5, 17, 1999, 0]
-    for targets in ([], [17], [0, 5, 17, 600, 1999], list(range(2000))):
-        counter = TraversalCounter()
-        eccs, cols = oracle.sweep_batch(sources, targets, counter=counter)
-        assert cols.shape == (len(sources), len(targets))
-        for ecc, col, source in zip(eccs, cols, sources):
-            want_ecc, want_row = oracle.sweep_probe(source)
-            assert ecc == want_ecc
-            assert np.array_equal(col, want_row[targets])
-        # Lanes turn into runs only once consumed; the work counters
-        # credit the whole sweep, whatever it recorded.
-        assert counter.bfs_runs == 0 and counter.vertices_visited == 4 * 2000
-    counter.consume_lanes(1)
-    counter.discard_lanes()
-    assert counter.history == ["bfs:5"]
-    assert (counter.bfs_runs, counter.lanes_discarded) == (1, 3)
+def _sweep_case(kind: str) -> Tuple[Any, Any, str]:
+    """``(oracle, traversal(source) -> dist(., source), label)``."""
+    base = random_connected_graph(400, 300, seed=9)
+    if kind == "bfs":
+        return BFSOracle(base), lambda s: bfs_distances(base, s), "bfs"
+    if kind == "directed":
+        digraph = random_strongly_connected(400, 900, seed=9)
+        return (
+            DirectedBFSOracle(digraph),
+            lambda s: backward_bfs(digraph, s),
+            "bwd",
+        )
+    weighted = _weighted(base)
+    return (
+        DijkstraOracle(weighted),
+        lambda s: dijkstra_distances(weighted, s),
+        "dijkstra",
+    )
+
+
+@pytest.mark.parametrize("kind", ["bfs", "directed", "dijkstra"])
+def test_sweep_batch_matches_single_traversals(kind: str) -> None:
+    oracle, traverse, label = _sweep_case(kind)
+    n = oracle.num_vertices
+    for sources in ([17], [5, 17, 399, 0]):
+        for targets in ([], [17], [0, 5, 17, 200, 399], list(range(n))):
+            counter = TraversalCounter()
+            eccs, cols = oracle.sweep_batch(sources, targets, counter=counter)
+            assert cols.shape == (len(sources), len(targets))
+            assert cols.dtype == oracle.dtype
+            # The directed backward BFS yields no forward eccentricity.
+            assert len(eccs) == (0 if kind == "directed" else len(sources))
+            for i, source in enumerate(sources):
+                row = traverse(source)
+                assert np.array_equal(cols[i], row[targets])
+                if len(eccs):
+                    assert eccs[i] == row.max()
+            # Every graph here is (strongly) connected.
+            assert counter.vertices_visited == len(sources) * n
+            if len(sources) == 1:
+                # One source is one traversal, credited as a run.
+                assert counter.bfs_runs == 1
+                assert counter.history == [f"{label}:17"]
+                continue
+            # Lanes turn into runs only once consumed; the work counters
+            # credit the whole sweep, whatever it recorded.
+            assert counter.bfs_runs == 0 and counter.history == []
+            counter.consume_lanes(1)
+            counter.discard_lanes()
+            assert counter.history == [f"{label}:5"]
+            assert (counter.bfs_runs, counter.lanes_discarded) == (1, 3)
 
 
 @pytest.mark.parametrize(
@@ -372,12 +426,7 @@ def test_budgeted_run_takes_lane_batches_within_budget(ba2k: Graph) -> None:
 
 
 def test_weighted_kifecc_equals_steps_stopped() -> None:
-    base = random_connected_graph(300, 150, seed=3)
-    rng = np.random.default_rng(4)
-    weighted = WeightedGraph.from_edges(
-        [(u, v, float(rng.integers(1, 8))) for u, v in base.edges()],
-        num_vertices=base.num_vertices,
-    )
+    weighted = _weighted(random_connected_graph(300, 150, seed=3))
     _assert_budgeted_equals_steps(lambda: weighted_solver(weighted))
     for k in (0, 8, 16, 10**6):
         result = approximate_weighted_eccentricities(weighted, k)
@@ -390,8 +439,9 @@ def test_weighted_kifecc_equals_steps_stopped() -> None:
 class CorruptingOracle(ForwardingOracle):
     """Hands back one probe's eccentricity or distances corrupted.
 
-    ``sweep_probe`` and ``sweep_batch`` corrupt the same source the same
-    way, so ``steps()`` and ``run()`` see identical inputs.
+    ``sweep_batch`` corrupts the source the same way whether it runs
+    alone or as a lane, so ``steps()`` and ``run()`` see identical
+    inputs.
     """
 
     def __init__(self, oracle: BFSOracle, source: int, field: str) -> None:
@@ -403,12 +453,6 @@ class CorruptingOracle(ForwardingOracle):
         if self._field == "ecc":
             return ecc + 10**6, dist
         return ecc, dist + 10**6
-
-    def sweep_probe(self, source: int, counter: Any = None) -> Tuple[int, np.ndarray]:
-        ecc, dist = self._oracle.sweep_probe(source, counter=counter)
-        if source == self._source:
-            return self._corrupt(ecc, dist.copy())
-        return ecc, dist
 
     def sweep_batch(
         self, sources: List[int], targets: Any, counter: Any = None
@@ -424,7 +468,7 @@ class CorruptingOracle(ForwardingOracle):
 @pytest.mark.parametrize("probe", [8, 30])
 def test_corrupted_lane_row_raises_like_steps(ba2k: Graph, field: str, probe: int) -> None:
     """A lane row outside the current bounds fails ``run()`` and
-    ``run_budgeted()`` as it fails ``steps()`` when ``sweep_probe``
+    ``run_budgeted()`` as it fails ``steps()`` when a single probe
     returns it: the first and a middle row of a lane batch."""
     clean = TraversalCounter()
     EccentricitySolver(BFSOracle(ba2k), counter=clean).run()

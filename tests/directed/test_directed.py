@@ -204,17 +204,23 @@ class TestDirectedTelemetry:
         )
         with tracing(monitor):
             result = directed_ifecc_eccentricities(g)
-        # Every forward and backward probe runs on the shared engine,
-        # which emits one bfs.run event per traversal.
+        # Every forward and backward probe runs on the shared engines:
+        # one bfs.run event per single traversal, and the backward lane
+        # sweeps' consumed lanes count one traversal each.
         runs = [e for e in sink.events if e["name"] == "bfs.run"]
-        assert len(runs) == result.num_bfs
+        sweeps = [e for e in sink.events if e["name"] == "msbfs.run"]
+        swept = sum(e["num_sources"] for e in sweeps)
+        consumed = swept - result.counter.lanes_discarded
+        assert sweeps and consumed > 0
+        assert len(runs) + consumed == result.num_bfs
         assert states[-1].finished
         assert states[-1].traversals == result.num_bfs
         text = RunRecord.from_run(result, g, sink.events).summarize()
-        rows = text.split("convergence:")[1].split("\n")[2:]
+        assert "batch work:" in text
+        convergence = text.split("convergence:")[1].split("batch work:")[0]
+        rows = convergence.split("\n")[2:]
         table = [line for line in rows if line.startswith("  ")]
         assert int(table[-1].split()[0]) == result.num_bfs
-        assert "batch work:" not in text
 
     def test_counter_credit_matches_the_engine_events(self):
         from repro.counters import TraversalCounter

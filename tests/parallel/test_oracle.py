@@ -93,9 +93,11 @@ class TestBatchedEntryPoints:
         before = set(multiprocessing.active_children())
         oracle = BFSOracle(graph, backend="process", workers=2)
         ecc, dist, rdist = oracle.source_probe(0)
-        sweep_ecc, _sweep = oracle.sweep_probe(0)
-        assert ecc == sweep_ecc
         assert dist is rdist
+        for sources in ([0], [0, 1, 2]):
+            eccs, cols = oracle.sweep_batch(sources, [0, 1])
+            assert eccs[0] == ecc
+            assert cols[0].tolist() == dist[[0, 1]].tolist()
         assert set(multiprocessing.active_children()) == before
 
     def test_close_then_reuse_rebuilds_pool(self):

@@ -1,4 +1,4 @@
-"""Benchmark regression gate (repro.obs.benchguard)."""
+"""Benchmark regression gate (repro.obs.benchguard, ``repro bench``)."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from repro.obs.benchguard import (
     default_artifacts,
     format_findings,
     known_schemas,
-    main,
 )
+from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -69,7 +69,7 @@ class TestCheckCommittedArtifacts:
         assert findings and not failures, failures
 
     def test_cli_check_exits_zero_on_repo(self, capsys):
-        assert main(["check", "--root", str(REPO_ROOT)]) == 0
+        assert main(["bench", "check", "--root", str(REPO_ROOT)]) == 0
         out = capsys.readouterr().out
         assert "0 failure(s)" in out
 
@@ -170,7 +170,7 @@ class TestCompare:
             tmp_path, "fresh.json", _msbfs_doc(ecc_speedup=1.0)
         )
         base = _write(tmp_path, "base.json", _msbfs_doc(ecc_speedup=3.0))
-        assert main(["compare", fresh, base]) == 1
+        assert main(["bench", "compare", fresh, base]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -199,7 +199,7 @@ class TestModuleEntryPoint:
         path = _write(tmp_path, "BENCH_msbfs_engine.json", doc)
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs.benchguard", "check", path],
+            [sys.executable, "-m", "repro.cli", "bench", "check", path],
             env=env,
             capture_output=True,
             text=True,

@@ -217,14 +217,15 @@ class TestCrossModule:
         assert summary is not None
         assert has_workspace(summary.returns)
 
-    def test_sweep_probe_relays_the_loan(self):
+    def test_sweep_batch_returns_no_workspace(self):
+        # The oracle's rows are caller-owned: its gather copies the loan.
         with repo_cwd():
             index = ProjectIndex()
             summary = index.summary_for_method(
-                "repro.core.oracles.BFSOracle", "sweep_probe"
+                "repro.core.oracles.BFSOracle", "sweep_batch"
             )
         assert summary is not None
-        assert has_workspace(summary.returns)
+        assert not has_workspace(summary.returns)
 
     def test_source_probe_copies_before_returning(self):
         with repo_cwd():

@@ -2,6 +2,7 @@
 silent on the corresponding good example."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from reprolint import lint_source
 
 SRC = "src/repro/example.py"
 HOT = "src/repro/core/example.py"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def codes(diagnostics):
@@ -30,6 +32,19 @@ def wrap(body):
         "import numpy as np\n"
         "__all__ = []\n" + textwrap.dedent(body)
     )
+
+
+def engine_loan(body):
+    """``wrap(body)`` with ``BFSEngine`` imported: ``e.run(s)`` on an
+    ``e: BFSEngine`` returns a loan of the engine's pooled distance
+    buffer, which R9 tracks through the real ``src/`` tree."""
+    return wrap("from repro.graph.engine import BFSEngine\n" + body)
+
+
+@pytest.fixture
+def repo_root(monkeypatch):
+    """The index resolves ``repro.*`` modules relative to the repo root."""
+    monkeypatch.chdir(REPO_ROOT)
 
 
 # ----------------------------------------------------------------- R1
@@ -652,11 +667,12 @@ class TestEngine:
 class TestWorkspaceEscape:
     """R9: pooled workspace buffers must not escape without a copy."""
 
-    def test_protocol_loan_return_flagged(self):
+    def test_protocol_loan_return_flagged(self, repo_root):
+        # A registered producer (BFSEngine.run) lends its pooled buffer.
         diags = run(
-            wrap(
-                "def consume(o) -> np.ndarray:\n"
-                "    ecc, dist = o.sweep_probe(0)\n"
+            engine_loan(
+                "def consume(e: BFSEngine) -> np.ndarray:\n"
+                "    dist = e.run(0)\n"
                 "    return dist\n"
             ),
             select="R9",
@@ -664,11 +680,11 @@ class TestWorkspaceEscape:
         assert len(diags) == 1
         assert "pooled workspace" in diags[0].message
 
-    def test_copy_is_clean(self):
+    def test_copy_is_clean(self, repo_root):
         diags = run(
-            wrap(
-                "def consume(o) -> np.ndarray:\n"
-                "    ecc, dist = o.sweep_probe(0)\n"
+            engine_loan(
+                "def consume(e: BFSEngine) -> np.ndarray:\n"
+                "    dist = e.run(0)\n"
                 "    return dist.copy()\n"
             ),
             select="R9",
@@ -706,36 +722,36 @@ class TestWorkspaceEscape:
         )
         assert diags == []
 
-    def test_module_global_stash_flagged(self):
+    def test_module_global_stash_flagged(self, repo_root):
         diags = run(
-            wrap(
+            engine_loan(
                 "_MEMO = {}\n"
-                "def remember(o, s: int) -> None:\n"
-                "    ecc, dist = o.sweep_probe(s)\n"
+                "def remember(e: BFSEngine, s: int) -> None:\n"
+                "    dist = e.run(s)\n"
                 "    _MEMO[s] = dist\n"
             ),
             select="R9",
         )
         assert len(diags) == 1
 
-    def test_instance_store_flagged(self):
+    def test_instance_store_flagged(self, repo_root):
         diags = run(
-            wrap(
+            engine_loan(
                 "class Cache:\n"
-                "    def grab(self, o) -> None:\n"
-                "        ecc, dist = o.sweep_probe(0)\n"
+                "    def grab(self, e: BFSEngine) -> None:\n"
+                "        dist = e.run(0)\n"
                 "        self.kept = dist\n"
             ),
             select="R9",
         )
         assert len(diags) == 1
 
-    def test_derived_value_is_clean(self):
+    def test_derived_value_is_clean(self, repo_root):
         # Arithmetic allocates a fresh array; only the view is a loan.
         diags = run(
-            wrap(
-                "def consume(o) -> np.ndarray:\n"
-                "    ecc, dist = o.sweep_probe(0)\n"
+            engine_loan(
+                "def consume(e: BFSEngine) -> np.ndarray:\n"
+                "    dist = e.run(0)\n"
                 "    return dist + 1\n"
             ),
             select="R9",
@@ -936,11 +952,11 @@ class TestSuppressionInventory:
         )
         assert diags == []
 
-    def test_strict_rule_needs_justification(self):
+    def test_strict_rule_needs_justification(self, repo_root):
         diags = run(
-            wrap(
-                "def consume(o) -> np.ndarray:\n"
-                "    ecc, dist = o.sweep_probe(0)\n"
+            engine_loan(
+                "def consume(e: BFSEngine) -> np.ndarray:\n"
+                "    dist = e.run(0)\n"
                 "    return dist  # reprolint: disable=R9\n"
             ),
             select="W2",
@@ -948,11 +964,11 @@ class TestSuppressionInventory:
         assert len(diags) == 1
         assert "justification" in diags[0].message
 
-    def test_justified_strict_suppression_clean(self):
+    def test_justified_strict_suppression_clean(self, repo_root):
         diags = run(
-            wrap(
-                "def consume(o) -> np.ndarray:\n"
-                "    ecc, dist = o.sweep_probe(0)\n"
+            engine_loan(
+                "def consume(e: BFSEngine) -> np.ndarray:\n"
+                "    dist = e.run(0)\n"
                 "    return dist"
                 "  # reprolint: disable=R9 (caller consumes immediately)\n"
             ),

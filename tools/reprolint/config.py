@@ -21,7 +21,6 @@ __all__ = [
     "TIMING_EXEMPT_PREFIXES",
     "POOLED_BUFFER_ATTRS",
     "WORKSPACE_PRODUCERS",
-    "PROTOCOL_WORKSPACE_METHODS",
     "WORKSPACE_RULE_EXEMPT",
     "MUTATION_CONTRACT_TYPES",
     "SHARED_STATE",
@@ -137,18 +136,9 @@ WORKSPACE_PRODUCERS = frozenset(
         "repro.graph.engine.BFSEngine._run_impl",
         "repro.graph.engine.BFSEngine.run_multi",
         "repro.graph.engine.BFSEngine._run_multi_impl",
-        "repro.core.oracles.BFSOracle.sweep_probe",
         "repro.sanitize.WorkspaceGuard.loan",
     }
 )
-
-#: ``DistanceOracle`` protocol methods that may return pooled-workspace
-#: views regardless of the concrete receiver; the tuple lists each
-#: returned slot as ``"workspace"`` or ``None``.  Keeps consumers honest
-#: even when the receiver's concrete class cannot be resolved.
-PROTOCOL_WORKSPACE_METHODS = {
-    "sweep_probe": (None, "workspace"),
-}
 
 #: Files exempt from R9: the sanitizer *is* the guard layer and handles
 #: raw pooled buffers by design.

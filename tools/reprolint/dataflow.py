@@ -40,7 +40,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from reprolint.config import (
     POOLED_BUFFER_ATTRS,
-    PROTOCOL_WORKSPACE_METHODS,
     SRC_ROOT,
 )
 
@@ -913,15 +912,6 @@ class FunctionAnalyzer:
                 )
                 return arg_provs[0] if copy_false else EMPTY
             return EMPTY
-        if meth in PROTOCOL_WORKSPACE_METHODS:
-            shape_spec = PROTOCOL_WORKSPACE_METHODS[meth]
-            shaped = [
-                frozenset({("workspace", f"{meth}()")})
-                if slot == "workspace"
-                else EMPTY
-                for slot in shape_spec
-            ]
-            return shaped
         for token in recv:
             if token[0] == "instance":
                 summary = self.index.summary_for_method(token[1], meth)
