@@ -18,9 +18,11 @@ Both batch products are raced — the eccentricity reduction
 (``ecc_batch``, the headline) and the full ``(k, n)`` distance-rows
 product — and every contender's distances are asserted bit-identical to
 the seed kernels before anything is timed.  A width-scaling section
-re-times the hybrid engine at 64/128/256-source batches to audit the
-lane-width planner's multi-word crossover.  Writes machine-readable
-``BENCH_msbfs_engine.json`` at the repository root.
+times 64/128/256-source batches on the power-law graph as 1/2/4 lane
+groups through :func:`repro.graph.batch.lane_groups` against the loop,
+and checks that the planner sweeps every batch 64 lanes at a time.
+Writes machine-readable ``BENCH_msbfs_engine.json`` at the repository
+root.
 
 Run standalone::
 
@@ -42,9 +44,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from bench_bfs_engine import seed_bfs_distances, suite_graphs
+from repro.graph.batch import lane_groups
 from repro.graph.csr import Graph
 from repro.graph.engine import ALPHA, BETA, BFSEngine, gather_csr_arcs
-from repro.graph.msengine import MSBFSEngine, plan_lane_width
+from repro.graph.msengine import LANE_WORD_BITS, MSBFSEngine, plan_lane_width
 from repro.graph.traversal import UNREACHED
 from repro.obs.trace import MemorySink, Stopwatch, tracing
 
@@ -224,7 +227,7 @@ def bench_graph(
         "num_vertices": n,
         "num_edges": graph.num_edges,
         "batch": k,
-        "planned_width": plan_lane_width(n, len(graph.indices), k),
+        "planned_width": plan_lane_width(len(graph.indices), k),
         "repeats": repeats,
         "ecc_seconds": ecc_s,
         "rows_seconds": rows_s,
@@ -240,8 +243,7 @@ def bench_graph(
         else float("inf"),
         "hybrid_stats": {
             "levels": stats["levels"],
-            "directions": stats["directions"],
-            "live_lanes": stats["live_lanes"],
+            "bottom_up_levels": stats["directions"].count("bu"),
             "edges_scanned": stats["edges_scanned"],
             "edges_inspected": stats["edges_inspected"],
             "words_touched": stats["words_touched"],
@@ -252,23 +254,32 @@ def bench_graph(
 def bench_width_scaling(
     graph: Graph, name: str, repeats: int
 ) -> List[Dict[str, object]]:
-    """Hybrid ``ecc_batch`` at one, two, and four lane words."""
-    ms = MSBFSEngine(graph)
+    """Hybrid eccentricity batches of one, two and four lane groups.
+
+    Each batch runs at its planned width through the batch seam's
+    lane-group loop; its eccentricities must equal the loop's.
+    """
     loop = BFSEngine(graph)
     entries: List[Dict[str, object]] = []
     for batch in (64, 128, 256):
         sources = batch_sources(graph, batch)
         if len(sources) < batch:
             continue
-        width = plan_lane_width(
-            graph.num_vertices, len(graph.indices), len(sources)
-        )
-        ms_s = _best_of(lambda: ms.ecc_batch(sources), repeats)
+        width = plan_lane_width(len(graph.indices), len(sources))
+        if not np.array_equal(
+            lane_groups(graph, sources, width), _loop_ecc(loop, sources)
+        ):
+            raise AssertionError(
+                f"lane groups disagree with the loop on {name}, "
+                f"batch {len(sources)}"
+            )
+        ms_s = _best_of(lambda: lane_groups(graph, sources, width), repeats)
         loop_s = _best_of(lambda: _loop_ecc(loop, sources), repeats)
         entries.append(
             {
                 "batch": int(len(sources)),
                 "planned_width": width,
+                "lane_groups": -(-len(sources) // width) if width else 0,
                 "lanes_hybrid_seconds": ms_s,
                 "loop_hybrid_seconds": loop_s,
                 "speedup_vs_loop": loop_s / ms_s if ms_s else float("inf"),
@@ -358,11 +369,13 @@ def test_msbfs_engine_shootout(benchmark) -> None:  # type: ignore[no-untyped-de
             "loop-hybrid",
         }
         assert all(s >= 0 for s in entry["ecc_seconds"].values())
-    # The multi-word planner engages past one lane word on the smoke
-    # power-law graph (n=4k clears the 128-lane threshold; the 256-lane
-    # tier needs n >= 4096, so batch=256 still plans at least two words).
-    widths = {e["batch"]: e["planned_width"] for e in report["width_scaling"]}
-    assert widths.get(128) == 128 and widths.get(256, 0) >= 128
+    # Every batch of the ladder sweeps 64 lanes at a time, as 1/2/4
+    # lane groups; bench_width_scaling raised if any differed from the
+    # loop.
+    ladder = report["width_scaling"]
+    assert [e["batch"] for e in ladder] == [64, 128, 256]
+    assert all(e["planned_width"] == LANE_WORD_BITS for e in ladder)
+    assert [e["lane_groups"] for e in ladder] == [1, 2, 4]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -229,7 +229,7 @@ def _planned(
     # one run, as in the per-source loop.
     distinct = src if len(uniq) == len(src) else uniq
     num_arcs = len(csr_pair(graph)[0][1])
-    out = run(distinct, plan_lane_width(n, num_arcs, len(distinct)), counter)
+    out = run(distinct, plan_lane_width(num_arcs, len(distinct)), counter)
     if distinct is src:
         return out
     if counter is not None:

@@ -15,13 +15,14 @@ Compared to the original level-synchronous kernel in
    are immutable (reprolint R1): a cached engine can never observe a
    mutated CSR.
 
-2. **Mask-based frontier dedupe.**  Top-down levels dedupe the
-   discovered neighbors with a boolean bitmap instead of ``np.unique``'s
-   ``O(f log f)`` sort whenever the candidate set is large; tiny
-   frontiers (deep, thin graphs such as grids and paths, where a full
-   ``O(n)`` bitmap scan per level would dominate) keep the sort.  Both
-   paths produce the identical sorted frontier, so traversal order — and
-   therefore every downstream tie-break — is unchanged.
+2. **Sort-free frontier dedupe.**  Top-down levels dedupe the
+   discovered neighbors with a boolean bitmap whenever the candidate
+   set is large; tiny frontiers (deep, thin graphs such as grids and
+   paths, where a full ``O(n)`` bitmap scan per level would dominate)
+   use a slot write instead (:func:`distinct_ids`, ``O(f)``).  The
+   second leaves the frontier unsorted, which changes nothing: a
+   level's distance writes, degree sums and bitmap marks do not depend
+   on the order of its vertices.
 
 3. **Direction switching.**  On the scale-free, low-diameter graphs the
    paper targets, >90% of edge inspections happen on a few dense middle
@@ -85,6 +86,7 @@ __all__ = [
     "UNREACHED",
     "BFSEngine",
     "csr_pair",
+    "distinct_ids",
     "engine_for",
     "gather_csr_arcs",
 ]
@@ -104,8 +106,24 @@ CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Mask-based dedupe pays an ``O(n)`` bitmap scan; use it only once the
 #: candidate set is at least ``n / _MASK_DEDUPE_DIVISOR`` entries, else
-#: the ``O(f log f)`` sort is cheaper (thin frontiers, deep graphs).
+#: the ``O(f)`` slot write is cheaper (thin frontiers, deep graphs).
 _MASK_DEDUPE_DIVISOR = 16
+
+
+def distinct_ids(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids``, in no particular order.
+
+    Of the positions sharing one id, exactly the one whose write landed
+    last reads itself back, whatever order the writes took.  Costs
+    ``O(len(ids))``, with no sort (``np.unique`` also imports
+    ``numpy.ma`` on its first call in a process).
+
+    :mutates slot: int64 scratch of length n; ``slot[ids]`` is
+        overwritten.
+    """
+    positions = np.arange(len(ids), dtype=np.int64)
+    slot[ids] = positions
+    return ids[slot[ids] == positions]
 
 
 def gather_csr_arcs(
@@ -181,6 +199,7 @@ bfs_distances` wrapper) must copy.
         "_dist",
         "_frontier_mask",
         "_dedupe_mask",
+        "_slot",
         "_owner",
         "_priority",
         "_guard",
@@ -204,11 +223,13 @@ bfs_distances` wrapper) must copy.
         # CSR immutable, so these can never go stale).
         #
         # :dtype dist: int32
+        # :dtype slot: int64
         # :dtype owner: int32
         # :dtype priority: int64
         self._dist = np.empty(n, dtype=np.int32)
         self._frontier_mask = np.zeros(n, dtype=np.bool_)
         self._dedupe_mask = np.zeros(n, dtype=np.bool_)
+        self._slot = np.empty(n, dtype=np.int64)
         self._owner: Optional[np.ndarray] = None  # lazy; multi-source only
         self._priority: Optional[np.ndarray] = None
         # None unless REPRO_SANITIZE is armed at construction time, so
@@ -379,8 +400,8 @@ bfs_distances` wrapper) must copy.
             fresh = np.flatnonzero(mask).astype(np.int64)
             mask[fresh] = False
             return fresh, arcs
-        # Thin level: the sort is cheaper than scanning the bitmap.
-        return np.unique(cand).astype(np.int64), arcs
+        # Thin level: a slot write is cheaper than scanning the bitmap.
+        return distinct_ids(cand, self._slot), arcs
 
     def _bottom_up_level(
         self, frontier: np.ndarray, cand: np.ndarray

@@ -4,8 +4,8 @@ This module marries the repository's two traversal accelerators:
 
 * the **bit-parallel lanes** of Then et al., *The More the Merrier*
   (VLDB 2014, the paper's reference [35]) — up to 64 BFS traversals
-  share one sweep by packing their visited sets into ``uint64`` words,
-  one lane per source; and
+  share one sweep by packing their visited sets into one ``uint64``
+  word per vertex, one lane (bit) per source; and
 * the **direction switching** of Beamer et al. (and of
   :class:`repro.graph.engine.BFSEngine`, PR 2) — dense middle levels
   run *bottom-up*, where unvisited vertices probe the frontier instead
@@ -15,8 +15,7 @@ The combination is the largest remaining single-host speedup for the
 batch phases (naive ED, FFO seeding, sampling baselines, reference
 scans): a 64-source batch costs one hybrid sweep instead of 64.
 
-Level update, generalised to ``W`` lane words per vertex
-(``W * 64`` concurrent sources):
+Level update, on ``(n,)`` ``uint64`` bitmaps:
 
 * **top-down** — gather the out-arcs of every active vertex and OR
   the packed frontier words onto the targets
@@ -55,16 +54,22 @@ arcs, and a column sweep records ``k * len(targets)`` cells, not
 ``k * n``.
 
 Workspaces follow the pooled discipline of the rest of the repository:
-``(n, W)`` ``uint64`` bitmaps are allocated once per ``(graph, W)``
+three ``(n,)`` ``uint64`` bitmaps are allocated once per graph
 (weakly cached; safe because the CSR is immutable, reprolint R1) and
 zeroed in place between batches.  Returned distance matrices are
 always freshly owned — their shape depends on the batch.
 
-:func:`plan_lane_width` is the batch seam's policy: given ``n``, ``m``
-and the batch size it picks a lane width (64/128/256) or serial
-single-source traversal.  Its one caller is the planner of
-:mod:`repro.graph.batch`, which also loops the lane groups, so this
-module holds the sweep and no batch loop of its own.
+A sweep is one lane word wide.  Wider sweeps (two or four words per
+vertex) halve the level loops and CSR gathers but multiply every
+per-vertex word operation, and were measured no faster per source:
+one 128-lane ``ecc_batch`` on a 50k-vertex power-law graph took
+0.123 s against 0.072 s for two 64-lane sweeps, and 512-source
+batches on the web stand-ins ran about twice as fast as 64-lane
+groups as at 256 lanes.  So :func:`plan_lane_width`, the batch seam's
+policy, picks 64 lanes or serial single-source traversal, and a batch
+of more sources is swept as 64-lane groups by
+:func:`repro.graph.batch.lane_groups`; this module holds the sweep and
+no batch loop of its own.
 :func:`plan_sweep_width` is the same kind of policy for the solver's
 batched FFO probes.
 """
@@ -98,34 +103,19 @@ if TYPE_CHECKING:  # runtime import would be circular; annotations only
 
 __all__ = [
     "LANE_WORD_BITS",
-    "MAX_LANE_WORDS",
     "MSBFSEngine",
     "msengine_for",
     "plan_lane_width",
     "plan_sweep_width",
 ]
 
-#: Lanes per workspace word — the machine word width of the bitmaps.
+#: Lanes per sweep — the machine word width of the bitmaps.
 LANE_WORD_BITS = 64
-
-#: Widest supported lane group: 4 words = 256 concurrent sources.
-#: Wider words raise the cost of *every* per-vertex OR; past 4 the
-#: extra batching no longer pays for it on the paper's graph sizes.
-MAX_LANE_WORDS = 4
 
 #: Batches smaller than this run the serial single-source hybrid
 #: engine: a couple of traversals cannot amortise the ``uint64``
 #: word ops a lane sweep pays on every vertex.
 _SERIAL_BATCH_LIMIT = 8
-
-#: Graph-size floors for the wider lane groups.  Multi-word sweeps
-#: halve (or quarter) the number of level loops and CSR gathers but
-#: double (or quadruple) the bitmap traffic, so they only win once the
-#: per-sweep fixed costs dominate — i.e. on graphs big enough that a
-#: gather is expensive but small enough that bitmap bandwidth is not
-#: yet the bottleneck.
-_MIN_VERTICES_128 = 2_048
-_MIN_VERTICES_256 = 4_096
 
 #: Arcs gathered at once by one level of a sweep.  A level's arc
 #: scratch (positions, endpoints, repeated lane words) is bounded by
@@ -140,26 +130,18 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
-def plan_lane_width(
-    num_vertices: int, num_arcs: int, batch_size: int
-) -> int:
+def plan_lane_width(num_arcs: int, batch_size: int) -> int:
     """Lane width (sources per sweep) for a batched traversal phase.
 
     Returns ``0`` when the batch should loop the serial single-source
-    hybrid engine instead, else ``64``, ``128`` or ``256``.  The
-    planner only ever affects *speed*: every width produces
-    bit-identical distances (lanes are independent), so routers may
-    trust it blindly.
+    hybrid engine instead, else ``64``: a larger batch sweeps as
+    64-lane groups.  The planner only ever affects *speed*: both
+    widths produce bit-identical distances (lanes are independent), so
+    routers may trust it blindly.
     """
-    if batch_size < _SERIAL_BATCH_LIMIT:
-        return 0
-    if num_arcs == 0:
+    if batch_size < _SERIAL_BATCH_LIMIT or num_arcs == 0:
         # Edge-free graphs: every BFS is O(1); lane setup would dominate.
         return 0
-    if batch_size >= 256 and num_vertices >= _MIN_VERTICES_256:
-        return 256
-    if batch_size >= 128 and num_vertices >= _MIN_VERTICES_128:
-        return 128
     return LANE_WORD_BITS
 
 
@@ -180,20 +162,19 @@ def plan_sweep_width(consumed: int) -> int:
 
 
 class _MSWorkspace:
-    """Pooled ``(n, words)`` ``uint64`` lane bitmaps for one graph.
+    """Pooled ``(n,)`` ``uint64`` lane bitmaps for one graph.
 
     :dtype seen: uint64
     :dtype frontier: uint64
     :dtype next_mask: uint64
     """
 
-    __slots__ = ("words", "seen", "frontier", "next_mask", "guard", "__weakref__")
+    __slots__ = ("seen", "frontier", "next_mask", "guard", "__weakref__")
 
-    def __init__(self, num_vertices: int, words: int = 1) -> None:
-        self.words = words
-        self.seen = np.zeros((num_vertices, words), dtype=np.uint64)
-        self.frontier = np.zeros((num_vertices, words), dtype=np.uint64)
-        self.next_mask = np.zeros((num_vertices, words), dtype=np.uint64)
+    def __init__(self, num_vertices: int) -> None:
+        self.seen = np.zeros(num_vertices, dtype=np.uint64)
+        self.frontier = np.zeros(num_vertices, dtype=np.uint64)
+        self.next_mask = np.zeros(num_vertices, dtype=np.uint64)
         # None unless REPRO_SANITIZE is armed at construction time.
         self.guard = sanitize.guard_if_enabled("_MSWorkspace")
 
@@ -233,27 +214,25 @@ def _column_positions(
     return hit, pos[hit]
 
 
-def _unpack_lane_bits(word_rows: np.ndarray, num_lanes: int) -> np.ndarray:
-    """Boolean ``(rows, num_lanes)`` view of packed lane words.
+def _unpack_lane_bits(words: np.ndarray, num_lanes: int) -> np.ndarray:
+    """Boolean ``(len(words), num_lanes)`` view of packed lane words.
 
-    ``word_rows`` is a C-contiguous ``(rows, words)`` ``uint64`` matrix;
-    the fast path reinterprets it as bytes and unpacks all lanes in one
+    ``words`` is a C-contiguous ``uint64`` vector; the fast path
+    reinterprets it as 8 bytes per word and unpacks all lanes in one
     ``np.unpackbits`` call.  Big-endian hosts fall back to an explicit
     shift table.
 
-    :dtype word_rows: uint64
+    :dtype words: uint64
     """
     if _LITTLE_ENDIAN:
         bits = np.unpackbits(
-            word_rows.view(np.uint8), axis=1, bitorder="little"
+            words.view(np.uint8).reshape(len(words), 8),
+            axis=1,
+            bitorder="little",
         )
     else:  # pragma: no cover - big-endian hosts only
         shifts = np.arange(LANE_WORD_BITS, dtype=np.uint64)
-        bits = (
-            ((word_rows[:, :, None] >> shifts) & np.uint64(1))
-            .astype(np.uint8)
-            .reshape(len(word_rows), -1)
-        )
+        bits = ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
     return bits[:, :num_lanes].view(np.bool_)
 
 
@@ -261,9 +240,9 @@ class MSBFSEngine:
     """Reusable direction-optimizing MS-BFS kernel for one graph.
 
     One engine per graph (see :func:`msengine_for`) owns the pooled
-    ``(n, words)`` bitmaps for every lane width it has run, plus the
-    CSR views the level kernels index.  :meth:`run_batch` is the unit
-    of work: one sweep serving up to ``MAX_LANE_WORDS * 64`` sources.
+    ``(n,)`` lane bitmaps plus the CSR views the level kernels index.
+    :meth:`run_batch` is the unit of work: one sweep serving up to
+    ``LANE_WORD_BITS`` (64) sources.
 
     Parameters
     ----------
@@ -280,7 +259,7 @@ class MSBFSEngine:
         "_arcs",
         "_out",
         "_in",
-        "_workspaces",
+        "_work",
         "__weakref__",
     )
 
@@ -294,16 +273,7 @@ class MSBFSEngine:
         self._label = (
             "bfs" if self._out is self._in else "bwd" if backward else "fwd"
         )
-        # One pooled workspace per lane-word count actually used.
-        self._workspaces: Dict[int, _MSWorkspace] = {}
-
-    def _workspace(self, words: int) -> _MSWorkspace:
-        """The pooled bitmap set for ``words`` lane words (lazily built)."""
-        work = self._workspaces.get(words)
-        if work is None:
-            work = _MSWorkspace(self._n, words)
-            self._workspaces[words] = work
-        return work
+        self._work = _MSWorkspace(self._n)
 
     # ------------------------------------------------------------------
     # The sweep
@@ -315,7 +285,7 @@ class MSBFSEngine:
         counter: Optional["TraversalCounter"] = None,
         mode: str = "hybrid",
     ) -> np.ndarray:
-        """Distances for up to ``MAX_LANE_WORDS * 64`` sources, one sweep.
+        """Distances for up to ``LANE_WORD_BITS`` sources, one sweep.
 
         Returns a freshly-owned ``(len(sources), n)`` ``int32`` matrix;
         row ``i`` equals the level-synchronous BFS distances from
@@ -403,7 +373,7 @@ class MSBFSEngine:
         mode: str,
         pending: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Validate, pick a workspace, guard-bracket the sweep.
+        """Validate, guard-bracket the sweep.
 
         ``targets`` lists the recorded columns (``None``: all of them).
         ``pending`` credits the counter with pending lanes instead of
@@ -431,13 +401,12 @@ class MSBFSEngine:
                 np.empty(0, dtype=np.int32),
                 np.empty((0, num_cols), dtype=np.int32),
             )
-        words = -(-k // LANE_WORD_BITS)
-        if words > MAX_LANE_WORDS:
+        if k > LANE_WORD_BITS:
             raise InvalidParameterError(
-                f"a lane batch holds at most "
-                f"{MAX_LANE_WORDS * LANE_WORD_BITS} sources, got {k}"
+                f"a lane sweep holds at most {LANE_WORD_BITS} sources, "
+                f"got {k}"
             )
-        work = self._workspace(words)
+        work = self._work
         guard = work.guard
         if guard is None:
             return self._sweep_impl(
@@ -470,7 +439,6 @@ class MSBFSEngine:
         """
         n = self._n
         k = len(src)
-        words = work.words
         # Target-major so per-level recording is contiguous row writes;
         # transposed once at the end.
         num_cols = n if targets is None else len(targets)
@@ -481,17 +449,16 @@ class MSBFSEngine:
         frontier = work.frontier
         next_mask = work.next_mask
         lane_ids = np.arange(k, dtype=np.int64)
-        word_idx = lane_ids // LANE_WORD_BITS
-        lane_bits = np.uint64(1) << (
-            lane_ids % LANE_WORD_BITS
-        ).astype(np.uint64)
-        np.bitwise_or.at(frontier, (src, word_idx), lane_bits)
-        np.bitwise_or.at(seen, (src, word_idx), lane_bits)
+        lane_bits = np.uint64(1) << lane_ids.astype(np.uint64)
+        np.bitwise_or.at(frontier, src, lane_bits)
+        np.bitwise_or.at(seen, src, lane_bits)
         hit, pos = _column_positions(targets, src)
         cols_t[pos, lane_ids if hit is None else lane_ids[hit]] = 0
 
         out_deg, in_deg = self._out[2], self._in[2]
-        active = np.unique(src)
+        # The distinct sources, sorted: np.unique would also import
+        # numpy.ma on its first call in a process.
+        active = np.flatnonzero(frontier)
         # The sweep's record: arc and bitmap-word totals and, per level,
         # the direction, the lanes still live entering it and the
         # vertices holding a fresh lane bit.
@@ -507,10 +474,10 @@ class MSBFSEngine:
         direction = "bu" if mode == "bottom-up" else "td"
         n_over_beta = n / BETA
         level = 0
-        # The frontier rows are exactly the previous level's fresh bits,
+        # The frontier words are exactly the previous level's fresh bits,
         # so the live-lane word is maintained incrementally instead of
         # re-gathering frontier[active] every level.
-        live = np.bitwise_or.reduce(frontier[active], axis=0)
+        live = np.bitwise_or.reduce(frontier[active])
         num_live = k
         while active.size:
             if limit is not None and level >= limit:
@@ -527,7 +494,7 @@ class MSBFSEngine:
                 # whole graph long after the union-untouched mass has
                 # collapsed, which is why the cheap ``m_unvisited``
                 # comparison alone over-fires there.  The exact mass is
-                # an O(n * W) scan, so it only runs once the two cheap
+                # an O(n) scan, so it only runs once the two cheap
                 # tests and the ``n / beta`` frontier-density bar (the
                 # same bar that triggers the return to top-down) pass —
                 # and, after a failed check, not again until the
@@ -541,7 +508,7 @@ class MSBFSEngine:
                         and len(active) >= n_over_beta
                         and m_frontier > 2 * m_checked
                     ):
-                        unsaturated = (~seen & live).any(axis=1)
+                        unsaturated = (~seen & live) != 0
                         m_unsaturated = int(in_deg[unsaturated].sum())
                         if m_frontier * ALPHA > m_unsaturated:
                             direction = "bu"
@@ -559,7 +526,7 @@ class MSBFSEngine:
                     frontier, seen, live
                 )
             inspected += arcs
-            touched += (len(active) + arcs) * words
+            touched += len(active) + arcs
             if newly is None or new_bits is None or len(newly) == 0:
                 break
             level += 1
@@ -570,7 +537,7 @@ class MSBFSEngine:
             # vertex leaves the "unvisited" arc mass the first time any
             # lane reaches it.
             assert seen_rows is not None
-            untouched = ~seen_rows.any(axis=1)
+            untouched = seen_rows == 0
             m_unvisited -= int(in_deg[newly[untouched]].sum())
             np.bitwise_or(seen_rows, new_bits, out=seen_rows)
             seen[newly] = seen_rows
@@ -590,9 +557,9 @@ class MSBFSEngine:
             # clear the old active rows, write the new ones.
             frontier[active] = 0
             frontier[newly] = new_bits
-            live = np.bitwise_or.reduce(new_bits, axis=0)
+            live = np.bitwise_or.reduce(new_bits)
             # A lane's eccentricity is the last level it gained bits at.
-            fresh_lanes = _unpack_lane_bits(live[None, :], k)[0]
+            fresh_lanes = (live & lane_bits) != 0
             eccs[fresh_lanes] = level
             num_live = int(np.count_nonzero(fresh_lanes))
             prev_m_frontier = m_frontier
@@ -618,7 +585,7 @@ class MSBFSEngine:
             tracer.event(
                 "msbfs.run",
                 num_sources=k,
-                lane_words=words,
+                lane_words=1,
                 mode=mode,
                 levels=level,
                 edges_scanned=scanned,
@@ -682,8 +649,8 @@ class MSBFSEngine:
         the targets, one arc chunk at a time.
 
         Returns ``(newly, new_bits, seen_rows, arcs scanned)`` where
-        ``new_bits`` row ``i`` holds the lanes that first reached
-        ``newly[i]`` and ``seen_rows`` the pre-update ``seen`` words of
+        ``new_bits[i]`` holds the lanes that first reached ``newly[i]``
+        and ``seen_rows`` the pre-update ``seen`` words of
         ``newly`` — both fresh copies, never views of the pooled bitmap.
 
         :mutates next_mask: zeroed, then accumulates the OR'd words.
@@ -693,13 +660,13 @@ class MSBFSEngine:
         for lo, hi, arc_dst, _seg, seg_counts in self._arc_chunks(
             self._out, active
         ):
-            arc_masks = np.repeat(frontier[active[lo:hi]], seg_counts, axis=0)
+            arc_masks = np.repeat(frontier[active[lo:hi]], seg_counts)
             np.bitwise_or.at(next_mask, arc_dst, arc_masks)
             arcs += len(arc_dst)
         if arcs == 0:
             return None, None, None, 0
         np.bitwise_and(next_mask, ~seen, out=next_mask)
-        newly = np.flatnonzero(next_mask.any(axis=1))
+        newly = np.flatnonzero(next_mask)
         if len(newly) == 0:
             return None, None, None, arcs
         return newly, next_mask[newly], seen[newly], arcs
@@ -720,24 +687,22 @@ class MSBFSEngine:
         both partial reductions.  Returns ``(newly, new_bits, seen_rows,
         arcs inspected)``, mirroring :meth:`_top_down_level`.
         """
-        cand = np.flatnonzero((~seen & live).any(axis=1))
+        cand = np.flatnonzero(~seen & live)
         cand = cand[self._in[2][cand] > 0]
         if len(cand) == 0:
             return None, None, None, 0
-        reduced = np.zeros((len(cand), seen.shape[1]), dtype=np.uint64)
+        reduced = np.zeros(len(cand), dtype=np.uint64)
         arcs = 0
         for lo, hi, arc_dst, seg_starts, _counts in self._arc_chunks(
             self._in, cand
         ):
             # Candidates have arcs, so every segment is non-empty.
-            part = np.bitwise_or.reduceat(
-                frontier[arc_dst], seg_starts, axis=0
-            )
+            part = np.bitwise_or.reduceat(frontier[arc_dst], seg_starts)
             np.bitwise_or(reduced[lo:hi], part, out=reduced[lo:hi])
             arcs += len(arc_dst)
         seen_cand = seen[cand]
         fresh_bits = reduced & ~seen_cand
-        rows = fresh_bits.any(axis=1)
+        rows = fresh_bits != 0
         newly = cand[rows]
         if len(newly) == 0:
             return None, None, None, arcs
@@ -759,7 +724,7 @@ def msengine_for(graph: Any, backward: bool = False) -> MSBFSEngine:
     ``backward`` selects a directed graph's reverse lanes, as in
     :func:`repro.graph.engine.engine_for`.  Serialized like it too:
     threads racing the first sweep share one engine and one set of
-    pooled bitmaps per lane width.
+    pooled bitmaps.
     """
     with _ENGINES_LOCK:
         engines = _ENGINES.setdefault(graph, {})

@@ -43,9 +43,9 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = tuple(
     float(2**i) for i in range(0, 31, 2)
 )
 
-#: The MS-BFS engine's only legal lane widths (1/2/4 uint64 words).
-#: One bucket per width keeps the ``msbfs.lane_width`` histogram an
-#: exact tally of which plan the width heuristic picked per sweep.
+#: Bucket edges of the ``msbfs.lane_width`` histogram.  Every sweep is
+#: one ``uint64`` word (64 lanes) wide; the 128/256 buckets of the
+#: retired multi-word sweeps stay so snapshots keep one layout.
 LANE_WIDTH_BUCKETS: Tuple[float, ...] = (64.0, 128.0, 256.0)
 
 #: Upper edges for per-sweep top-down/bottom-up direction flips.  A

@@ -444,7 +444,15 @@ def graph_from_arrays(
     ``degrees`` arrays are computed (``O(n)``) because v1 does not store
     them.  Row-pointer monotonicity is always checked — it is the one
     corruption that turns into out-of-bounds slicing inside kernels.
+
+    The graph holds plain ``np.ndarray`` views of the mapped slots, not
+    the ``np.memmap`` objects: the bytes are the same (each view keeps
+    its memmap, and so the mapping, alive), but indexing a memmap runs
+    Python-level ``__getitem__`` and ``__array_finalize__`` on every
+    gather: a 1,000-element gather took 5.1 µs against 2.7 µs on a plain
+    view (2-CPU x86 host).
     """
+    views = {key: view.view(np.ndarray) for key, view in views.items()}
     _check_indptr(info, "indptr", views["indptr"])
     if info.kind == "graph":
         graph = Graph.__new__(Graph)

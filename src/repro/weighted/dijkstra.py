@@ -27,6 +27,7 @@ from repro.errors import (
     InvalidParameterError,
     InvalidVertexError,
 )
+from repro.graph.engine import distinct_ids
 from repro.weighted.graph import WeightedGraph
 
 __all__ = [
@@ -34,19 +35,6 @@ __all__ = [
     "weighted_eccentricity_and_distances",
     "DijkstraOracle",
 ]
-
-
-def _distinct(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """The distinct values of ``ids``, in no particular order.
-
-    Of the positions sharing one id, exactly the one whose write landed
-    last reads itself back, whatever order the writes took.
-
-    :mutates slot: scratch of length n; ``slot[ids]`` is overwritten.
-    """
-    positions = np.arange(len(ids), dtype=np.int64)
-    slot[ids] = positions
-    return ids[slot[ids] == positions]
 
 
 def dijkstra_distances(
@@ -109,14 +97,14 @@ def dijkstra_distances(
             targets, cand = targets[better], cand[better]
             relaxations += len(targets)
             np.minimum.at(dist, targets, cand)
-            changed = _distinct(targets, slot)
+            changed = distinct_ids(targets, slot)
             beyond = dist[changed] > threshold
             front = changed[~beyond]
             later.append(changed[beyond])
         # The bucket is settled; what it left beyond stays open unless
         # a later round pulled it into the bucket.
         pending = np.concatenate(later)
-        open_ = _distinct(pending[dist[pending] > threshold], slot)
+        open_ = distinct_ids(pending[dist[pending] > threshold], slot)
     if counter is not None:
         # Every reached vertex was settled once, its arcs scanned once.
         reached = np.isfinite(dist)

@@ -18,6 +18,7 @@ from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.builder import GraphBuilder
 from repro.graph import batch_distance_rows, msengine
+from repro.graph.batch import ecc_batch
 from repro.graph.engine import BFSEngine
 from repro.graph.generators import (
     barabasi_albert,
@@ -26,12 +27,12 @@ from repro.graph.generators import (
 )
 from repro.graph.msengine import (
     LANE_WORD_BITS,
-    MAX_LANE_WORDS,
     MSBFSEngine,
     msengine_for,
     plan_lane_width,
 )
 from repro.obs.trace import MemorySink, tracing
+from repro.parallel.pool import shutdown_pools
 from repro.sentinels import UNREACHED
 
 
@@ -55,6 +56,14 @@ def _sources(graph, count, seed=0):
     ).astype(np.int64)
 
 
+def _in_groups(sweep, src):
+    """``sweep`` over ``src`` one 64-lane group at a time."""
+    return [
+        sweep(src[start: start + LANE_WORD_BITS])
+        for start in range(0, len(src), LANE_WORD_BITS)
+    ]
+
+
 class TestRunBatch:
     @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
     def test_rows_match_single_source_engine(
@@ -67,12 +76,17 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("count", [1, 7, 64, 65, 128, 129, 256])
     def test_every_lane_width(self, graph, reference_rows, count):
+        # One sweep up to 64 sources; the batch seam sweeps more as
+        # 64-lane groups.
         src = _sources(graph, count, seed=count)
-        rows = MSBFSEngine(graph).run_batch(src)
+        rows = batch_distance_rows(graph, src)
         assert np.array_equal(rows, reference_rows[src])
+        if count <= LANE_WORD_BITS:
+            rows = MSBFSEngine(graph).run_batch(src)
+            assert np.array_equal(rows, reference_rows[src])
 
     def test_limit_truncates_like_the_serial_engine(self, graph):
-        src = _sources(graph, 70, seed=3)
+        src = _sources(graph, 64, seed=3)
         engine = BFSEngine(graph)
         for limit in (0, 1, 2, 5):
             rows = MSBFSEngine(graph).run_batch(src, limit=limit)
@@ -106,7 +120,10 @@ class TestEccBatch:
     @pytest.mark.parametrize("mode", ["hybrid", "top-down"])
     def test_matches_rows_reduction(self, graph, reference_rows, mode):
         src = _sources(graph, 130, seed=5)
-        ecc = MSBFSEngine(graph).ecc_batch(src, mode=mode)
+        engine = MSBFSEngine(graph)
+        ecc = np.concatenate(
+            _in_groups(lambda g: engine.ecc_batch(g, mode=mode), src)
+        )
         expected = reference_rows[src].max(axis=1).astype(np.int32)
         assert np.array_equal(ecc, expected)
 
@@ -174,7 +191,9 @@ class TestColumnBatch:
         rng = np.random.default_rng(count)
         some = np.sort(rng.choice(graph.num_vertices, 37, replace=False))
         engine = MSBFSEngine(graph)
-        ecc = engine.ecc_batch(src, mode=mode)
+        ecc = np.concatenate(
+            _in_groups(lambda g: engine.ecc_batch(g, mode=mode), src)
+        )
         assert np.array_equal(ecc, reference_rows[src].max(axis=1))
         n = graph.num_vertices
         for targets in (
@@ -185,8 +204,13 @@ class TestColumnBatch:
             np.union1d(some, src[:3]),
             np.arange(n),
         ):
-            eccs, cols = engine.column_batch(src, targets, mode=mode)
-            assert cols.dtype == np.int32 and cols.flags.c_contiguous
+            groups = _in_groups(
+                lambda g: engine.column_batch(g, targets, mode=mode), src
+            )
+            for _eccs, cols in groups:
+                assert cols.dtype == np.int32 and cols.flags.c_contiguous
+            eccs = np.concatenate([e for e, _c in groups])
+            cols = np.concatenate([c for _e, c in groups])
             assert cols.shape == (count, len(targets))
             assert np.array_equal(eccs, ecc)
             assert np.array_equal(
@@ -208,7 +232,7 @@ class TestColumnBatch:
 
     @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
     def test_chunked_levels_match_the_serial_engine(self, chunked, mode):
-        src = np.arange(0, 4096, 41)[:100]
+        src = np.arange(0, 4096, 41)[:64]
         targets = np.arange(5, 4096, 97)
         rows = MSBFSEngine(chunked).run_batch(src, mode=mode)
         loop = BFSEngine(chunked)
@@ -231,16 +255,17 @@ class TestColumnBatch:
     @pytest.mark.parametrize(
         "mode, work",
         [
-            ("hybrid", (100, 2230, 201588, 409600)),
-            ("top-down", (100, 244140, 244140, 409600)),
-            ("bottom-up", (100, 0, 281168, 409600)),
+            ("hybrid", (64, 1831, 185913, 262144)),
+            ("top-down", (64, 224355, 224355, 262144)),
+            ("bottom-up", (64, 0, 265892, 262144)),
         ],
     )
     def test_counter_credits_are_pinned(self, chunked, mode, work):
-        # The credits of the recording sweep these replaced; recording
-        # fewer columns and chunking the gathers change none of them.
+        # The credits of the two-dimensional (n, words) bitmap sweep
+        # these replaced, at one word; recording fewer columns, chunking
+        # the gathers and one-dimensional bitmaps change none of them.
         # A column sweep's lanes count as runs once consumed.
-        src = np.arange(0, 4096, 41)[:100]
+        src = np.arange(0, 4096, 41)[:64]
         credited = []
         for call in (
             lambda c: MSBFSEngine(chunked).run_batch(src, counter=c, mode=mode),
@@ -255,7 +280,7 @@ class TestColumnBatch:
         assert credited == [work] * 3
 
     def test_visited_is_reached_cells(self, graph):
-        src = _sources(graph, 70, seed=4)
+        src = _sources(graph, 64, seed=4)
         counter = TraversalCounter()
         rows = MSBFSEngine(graph).run_batch(src, counter=counter)
         assert counter.vertices_visited == np.count_nonzero(
@@ -321,11 +346,16 @@ class TestScratchBound:
 
 class TestValidation:
     def test_too_many_sources(self, graph):
-        limit = MAX_LANE_WORDS * LANE_WORD_BITS
-        with pytest.raises(InvalidParameterError, match=str(limit)):
-            MSBFSEngine(graph).run_batch(
-                np.zeros(limit + 1, dtype=np.int64)
-            )
+        limit = LANE_WORD_BITS
+        assert limit == 64
+        engine = MSBFSEngine(graph)
+        for sweep in (
+            engine.run_batch,
+            engine.ecc_batch,
+            lambda src: engine.column_batch(src, [0]),
+        ):
+            with pytest.raises(InvalidParameterError, match=str(limit)):
+                sweep(np.arange(limit + 1, dtype=np.int64))
 
     def test_bad_mode(self, graph):
         with pytest.raises(InvalidParameterError, match="mode"):
@@ -344,23 +374,29 @@ class TestValidation:
 
 class TestPlanner:
     def test_small_batches_stay_serial(self):
-        assert plan_lane_width(100_000, 400_000, 1) == 0
-        assert plan_lane_width(100_000, 400_000, 7) == 0
+        assert plan_lane_width(400_000, 1) == 0
+        assert plan_lane_width(400_000, 7) == 0
 
     def test_edgeless_graphs_stay_serial(self):
-        assert plan_lane_width(100, 0, 64) == 0
+        assert plan_lane_width(0, 64) == 0
 
     def test_single_word_default(self):
-        assert plan_lane_width(1_000, 4_000, 64) == 64
-        # Wide batches on small graphs still stay at one word.
-        assert plan_lane_width(1_000, 4_000, 256) == 64
+        assert plan_lane_width(4_000, 8) == 64
+        assert plan_lane_width(4_000, 64) == 64
+        assert plan_lane_width(4_000, 256) == 64
 
-    def test_multi_word_thresholds(self):
-        assert plan_lane_width(2_048, 8_192, 128) == 128
-        assert plan_lane_width(4_096, 16_384, 256) == 256
-        # The 256 tier needs both the batch and the vertex floor.
-        assert plan_lane_width(4_000, 16_000, 256) == 128
-        assert plan_lane_width(4_096, 16_384, 255) == 128
+    def test_wide_batches_sweep_one_word(self):
+        # No batch or graph is big enough for a wider sweep: a larger
+        # batch is swept as 64-lane groups.
+        for m in (8_192, 16_384, 200_000, 10**8):
+            for batch in (65, 128, 255, 256, 512, 10**6):
+                assert plan_lane_width(m, batch) == LANE_WORD_BITS
+        widths = {
+            plan_lane_width(m, batch)
+            for m in (0, 1, 7, 400, 16_384, 4 * 10**6)
+            for batch in (0, 1, 7, 8, 64, 65, 256, 4_096)
+        }
+        assert widths == {0, LANE_WORD_BITS}
 
 
 class TestStatsAndObservability:
@@ -386,20 +422,20 @@ class TestStatsAndObservability:
         assert run["edges_inspected"] >= run["edges_scanned"]
 
     def test_run_event_and_metrics(self, graph):
+        # 65 sources sweep as two one-word groups of 64 and 1.
         sink = MemorySink()
         with tracing(sink) as tracer:
-            MSBFSEngine(graph).run_batch(_sources(graph, 65))
+            ecc_batch(graph, _sources(graph, 65))
             snapshot = tracer.metrics.snapshot()
         events = [
             e for e in sink.events if e.get("name") == "msbfs.run"
         ]
-        assert len(events) == 1
-        event = events[0]
-        assert event["num_sources"] == 65
-        assert event["lane_words"] == 2
-        assert event["mode"] == "hybrid"
-        assert event["levels"] == len(event["directions"])
-        assert snapshot["msbfs.runs"]["value"] == 1
+        assert [e["num_sources"] for e in events] == [64, 1]
+        for event in events:
+            assert event["lane_words"] == 1
+            assert event["mode"] == "hybrid"
+            assert event["levels"] == len(event["directions"])
+        assert snapshot["msbfs.runs"]["value"] == 2
         assert snapshot["msbfs.sources"]["value"] == 65
         assert snapshot["msbfs.words_touched"]["value"] > 0
 
@@ -420,6 +456,62 @@ class TestBatchDistanceRows:
         src = np.asarray([3, 250], dtype=np.int64)
         rows = batch_distance_rows(graph, src)
         assert np.array_equal(rows, reference_rows[src])
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """Enough vertices for a 512-source batch of distinct sources."""
+    graph = random_connected_graph(700, extra_edges=900, seed=5)
+    yield graph
+    shutdown_pools()
+
+
+def _totals(counter):
+    return (
+        counter.bfs_runs,
+        counter.edges_scanned,
+        counter.edges_inspected,
+        counter.vertices_visited,
+    )
+
+
+class TestLaneGroups:
+    """A batch of more than 64 sources is swept as 64-lane groups, and
+    equals the looped single-source hybrid engine bit for bit."""
+
+    @pytest.mark.parametrize("count", [65, 128, 200, 512])
+    def test_groups_equal_the_looped_engine(self, wide, count):
+        src = _sources(wide, count, seed=count)
+        loop = BFSEngine(wide)
+        loop_counter = TraversalCounter()
+        want = np.stack(
+            [loop.run(int(s), counter=loop_counter).copy() for s in src]
+        )
+        counters = {}
+        for backend in ("numpy", "process"):
+            counter = TraversalCounter()
+            eccs = ecc_batch(
+                wide, src, counter=counter, backend=backend, workers=2
+            )
+            assert eccs.dtype == np.int32
+            assert np.array_equal(eccs, want.max(axis=1))
+            counters[backend] = _totals(counter)
+        assert counters["numpy"] == counters["process"]
+        counter = TraversalCounter()
+        rows = batch_distance_rows(wide, src, counter=counter)
+        assert np.array_equal(rows, want)
+        assert _totals(counter) == counters["numpy"]
+        # Runs and reached cells match the loop; arc work is the lanes'.
+        assert counters["numpy"][0] == loop_counter.bfs_runs == count
+        assert counters["numpy"][3] == loop_counter.vertices_visited
+
+    def test_one_sweep_event_per_group(self, wide):
+        sink = MemorySink()
+        with tracing(sink):
+            ecc_batch(wide, _sources(wide, 512))
+        events = [e for e in sink.events if e["name"] == "msbfs.run"]
+        assert [e["num_sources"] for e in events] == [64] * 8
+        assert {e["lane_words"] for e in events} == {1}
 
 
 class TestEngineCache:

@@ -132,6 +132,26 @@ class TestObservability:
         assert span["traversals"] == 5
         assert isinstance(span["worker_seconds"], dict)
 
+    def test_wide_batch_feeds_every_worker(self):
+        # A 512-source batch chunks as 64-lane groups, so four workers
+        # get at least one task each instead of two 256-lane chunks.
+        wide = barabasi_albert(4096, 2, seed=4)
+        sources = np.arange(512, dtype=np.int64)
+        sink = MemorySink()
+        try:
+            with tracing(sink):
+                got = ecc_batch(wide, sources, backend="process", workers=4)
+        finally:
+            pool_for(wide, 4).close()
+        assert np.array_equal(got, ecc_batch(wide, sources))
+        (span,) = [
+            e for e in sink.events if e.get("name") == "parallel.batch"
+        ]
+        assert span["workers"] == 4
+        assert span["tasks"] >= 4
+        assert all(size % 64 == 0 for size in span["chunks"])
+        assert sum(span["chunks"]) == 512
+
     def test_worker_seconds_stripped_from_deterministic_view(self, graph):
         sink = MemorySink()
         with tracing(sink):

@@ -84,7 +84,7 @@ def test_lane_engine_matches_reference(graph, backward, mode, data):
         st.lists(
             st.integers(min_value=0, max_value=n - 1),
             min_size=1,
-            max_size=80,
+            max_size=64,
             unique=True,
         )
     )

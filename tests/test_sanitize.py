@@ -325,16 +325,16 @@ class TestEngineWiring:
 
 class TestMsbfsWiring:
     def test_lane_workspace_alias_constructs_guarded(self, sanitizer):
-        # The single-word lane workspace builds the MS engine's pooled
-        # bitmaps and arms their guard.
+        # The lane workspace builds the MS engine's pooled bitmaps and
+        # arms their guard.
         work = _MSWorkspace(chordal_square().num_vertices)
         assert work.guard is not None
-        assert work.seen.shape == (4, 1)
+        assert work.seen.shape == (4,)
 
     def test_armed_batch_guard_reentrancy(self, sanitizer):
         g = chordal_square()
         engine = MSBFSEngine(g)
-        work = engine._workspace(1)
+        work = engine._work
         assert work.guard is not None
         work.guard.begin_run()
         try:
@@ -351,7 +351,7 @@ class TestMsbfsWiring:
         try:
             plain_engine = MSBFSEngine(g)
             plain = plain_engine.run_batch(sources)
-            assert plain_engine._workspace(1).guard is None
+            assert plain_engine._work.guard is None
         finally:
             sanitize.enable()
         np.testing.assert_array_equal(armed, plain)

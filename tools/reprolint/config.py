@@ -119,7 +119,14 @@ TIMING_EXEMPT_PREFIXES = ("src/repro/obs/",)
 #: stored without an explicit ``.copy()``.
 POOLED_BUFFER_ATTRS = {
     "repro.graph.engine.BFSEngine": frozenset(
-        {"_dist", "_frontier_mask", "_dedupe_mask", "_owner", "_priority"}
+        {
+            "_dist",
+            "_frontier_mask",
+            "_dedupe_mask",
+            "_slot",
+            "_owner",
+            "_priority",
+        }
     ),
     "repro.graph.msengine._MSWorkspace": frozenset(
         {"seen", "frontier", "next_mask"}
