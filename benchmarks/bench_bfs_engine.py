@@ -567,12 +567,16 @@ def run_shootout(
 # ----------------------------------------------------------------------
 # pytest entry point (smoke-sized, asserts the shape claims)
 # ----------------------------------------------------------------------
-def test_engine_beats_seed_kernel(benchmark) -> None:  # type: ignore[no-untyped-def]
+def test_engine_beats_seed_kernel(benchmark, tmp_path) -> None:  # type: ignore[no-untyped-def]
     """Hybrid ≡ seed on every suite graph; bottom-up fires on the dense
-    families; the JSON report lands at the repo root."""
+    families; the JSON report and the run record land beside the given
+    output path (a temporary one, so the committed full-size report
+    stays as recorded)."""
+    out_path = tmp_path / DEFAULT_OUT.name
+    trace_path = tmp_path / DEFAULT_TRACE_OUT.name
     report = benchmark.pedantic(
         lambda: run_suite(
-            smoke=True, num_sources=3, repeats=1, out_path=DEFAULT_OUT
+            smoke=True, num_sources=3, repeats=1, out_path=out_path
         ),
         rounds=1,
         iterations=1,
@@ -595,33 +599,37 @@ def test_engine_beats_seed_kernel(benchmark) -> None:  # type: ignore[no-untyped
     assert [d["name"] for d in report["directed"]] == list(graphs)
     for d in report["directed"]:
         assert d["forward"]["bit_identical"] and d["backward"]["bit_identical"]
-    assert DEFAULT_OUT.exists()
+    assert out_path.exists()
+    assert json.loads(out_path.read_text()) == report
     # The run-record artifact rides along and round-trips.
-    assert DEFAULT_TRACE_OUT.exists()
+    assert trace_path.exists()
     from repro.obs.record import RunRecord
 
-    rec = RunRecord.read_jsonl(str(DEFAULT_TRACE_OUT))
+    rec = RunRecord.read_jsonl(str(trace_path))
     assert rec.result["exact"] is True
     assert len(rec.probe_events()) == rec.result["num_traversals"]
 
 
-def test_parallel_backend_shootout(benchmark) -> None:  # type: ignore[no-untyped-def]
+def test_parallel_backend_shootout(benchmark, tmp_path) -> None:  # type: ignore[no-untyped-def]
     """Process backend is bit-identical to the hybrid engine on the
-    smoke graph; the scorecard JSON lands at the repo root."""
+    smoke graph; the scorecard JSON lands at the given (temporary)
+    path, leaving the committed full-size scorecard as recorded."""
+    out_path = tmp_path / DEFAULT_PARALLEL_OUT.name
     report = benchmark.pedantic(
         lambda: run_shootout(
             smoke=True,
             workers_list=[2],
             num_sources=48,
             repeats=1,
-            out_path=DEFAULT_PARALLEL_OUT,
+            out_path=out_path,
         ),
         rounds=1,
         iterations=1,
     )
     assert report["bit_identical"] is True
     assert report["effective_cpus"] >= 1
-    assert DEFAULT_PARALLEL_OUT.exists()
+    assert out_path.exists()
+    assert json.loads(out_path.read_text()) == report
     process_cfgs = [
         c for c in report["configs"] if c["config"].startswith("process")
     ]

@@ -171,15 +171,18 @@ def run_suite(
 # ----------------------------------------------------------------------
 # pytest entry point (smoke-sized, asserts the speedup claim)
 # ----------------------------------------------------------------------
-def test_store_open_beats_parse(benchmark) -> None:  # type: ignore[no-untyped-def]
+def test_store_open_beats_parse(benchmark, tmp_path) -> None:  # type: ignore[no-untyped-def]
     """Store open is >= 10x faster than parse+build even on the
-    smallest stand-in; the JSON report lands at the repo root."""
+    smallest stand-in; the JSON report lands at the given (temporary)
+    path, leaving the committed full-size report as recorded."""
+    out_path = tmp_path / DEFAULT_OUT.name
     report = benchmark.pedantic(
-        lambda: run_suite(smoke=True, repeats=3, out_path=DEFAULT_OUT),
+        lambda: run_suite(smoke=True, repeats=3, out_path=out_path),
         rounds=1,
         iterations=1,
     )
-    assert DEFAULT_OUT.exists()
+    assert out_path.exists()
+    assert json.loads(out_path.read_text()) == report
     assert report["aggregate"]["claim_met"] is True
     for entry in report["datasets"]:
         assert entry["speedup_store_vs_parse"] >= TARGET_SPEEDUP

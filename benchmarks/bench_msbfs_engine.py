@@ -20,7 +20,10 @@ product — and every contender's distances are asserted bit-identical to
 the seed kernels before anything is timed.  A width-scaling section
 times 64/128/256-source batches on the power-law graph as 1/2/4 lane
 groups through :func:`repro.graph.batch.lane_groups` against the loop,
-and checks that the planner sweeps every batch 64 lanes at a time.
+and checks that the planner sweeps every batch 64 lanes at a time.  A
+column-sweep row times one 64-lane sweep on BA-2k (the ``ed-powerlaw``
+graph family) recording 0 / 100 / 1,000 / all target columns, the
+solver's FFO probe product, against the bare ``ecc_batch`` sweep.
 Writes machine-readable ``BENCH_msbfs_engine.json`` at the repository
 root.
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +50,10 @@ from bench_bfs_engine import seed_bfs_distances, suite_graphs
 from repro.graph.batch import lane_groups
 from repro.graph.csr import Graph
 from repro.graph.engine import ALPHA, BETA, BFSEngine, gather_csr_arcs
+from repro.graph.generators import barabasi_albert
 from repro.graph.msengine import LANE_WORD_BITS, MSBFSEngine, plan_lane_width
 from repro.graph.traversal import UNREACHED
+from repro.obs.benchguard import COLUMN_OVERHEAD_LIMIT
 from repro.obs.trace import MemorySink, Stopwatch, tracing
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +70,13 @@ ROWS_TARGET_SPEEDUP = 1.5
 
 #: Headline batch size — one full uint64 lane word.
 BATCH = 64
+
+#: Target columns recorded by the column-sweep row (``None``: every
+#: vertex; 0 is the bare ``ecc_batch`` sweep).
+COLUMN_TARGETS = (0, 100, 1000, None)
+
+#: Repetitions of each column sweep (a sweep takes a few ms).
+COLUMN_REPEATS = 30
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +305,66 @@ def bench_width_scaling(
     return entries
 
 
+def bench_column_sweeps() -> Dict[str, object]:
+    """One 64-lane sweep on BA-2k by number of recorded target columns.
+
+    The graph is ``ed-powerlaw``'s family at any suite size.  Every
+    column sweep is checked against the full distance rows before it
+    is timed; zero targets time the bare ``ecc_batch`` sweep, and
+    ``overhead_vs_ecc`` divides each best-of time by that sweep's.
+    """
+    graph = barabasi_albert(2000, 4, seed=7)
+    n = graph.num_vertices
+    sources = batch_sources(graph, BATCH)
+    engine = MSBFSEngine(graph)
+    rows = engine.run_batch(sources)
+    rng = np.random.default_rng(0)
+    timed: List[Tuple[int, float]] = []
+    for count in COLUMN_TARGETS:
+        targets = (
+            np.arange(n)
+            if count is None
+            else np.sort(rng.choice(n, count, replace=False))
+        )
+        eccs, cols = engine.column_batch(sources, targets)
+        if not (
+            np.array_equal(cols, rows[:, targets])
+            and np.array_equal(eccs, rows.max(axis=1))
+        ):
+            raise AssertionError(
+                f"column sweep of {len(targets)} targets disagrees with "
+                f"the distance rows"
+            )
+        if len(targets):
+            seconds = _best_of(
+                lambda: engine.column_batch(sources, targets), COLUMN_REPEATS
+            )
+        else:
+            seconds = _best_of(lambda: engine.ecc_batch(sources), COLUMN_REPEATS)
+        timed.append((len(targets), seconds))
+    ecc_s = timed[0][1]
+    entries: List[Dict[str, object]] = []
+    for count, seconds in timed:
+        entries.append(
+            {
+                "targets": count,
+                "seconds": seconds,
+                "overhead_vs_ecc": seconds / ecc_s,
+            }
+        )
+        print(
+            f"  column sweep, {count:>4} targets: {seconds * 1e3:.2f} ms "
+            f"({seconds / ecc_s:.2f}x ecc_batch)"
+        )
+    return {
+        "graph": "barabasi_albert(2000, 4, seed=7)",
+        "num_vertices": n,
+        "batch": len(sources),
+        "repeats": COLUMN_REPEATS,
+        "rows": entries,
+    }
+
+
 def run_suite(
     smoke: bool,
     repeats: int,
@@ -324,6 +396,8 @@ def run_suite(
     powerlaw_graph = graphs[str(powerlaw["name"])][1]
     print(f"[bench_msbfs_engine] width scaling on {powerlaw['name']}:")
     scaling = bench_width_scaling(powerlaw_graph, str(powerlaw["name"]), repeats)
+    print("[bench_msbfs_engine] column sweeps on BA-2k:")
+    columns = bench_column_sweeps()
     report: Dict[str, object] = {
         "schema": "bench_msbfs_engine/v1",
         "mode": "smoke" if smoke else "full",
@@ -335,11 +409,15 @@ def run_suite(
         "bit_identical": True,  # bench_graph raises otherwise
         "graphs": results,
         "width_scaling": scaling,
+        "column_sweeps": columns,
         "aggregate": {
             "powerlaw_speedup_ecc_vs_loop": powerlaw["speedup_ecc_vs_loop"],
             "powerlaw_speedup_rows_vs_loop": powerlaw["speedup_rows_vs_loop"],
             "powerlaw_speedup_ecc_vs_seed_msbfs": powerlaw[
                 "speedup_ecc_vs_seed_msbfs"
+            ],
+            "powerlaw_column_overhead_vs_ecc": columns["rows"][-1][  # type: ignore[index]
+                "overhead_vs_ecc"
             ],
         },
     }
@@ -351,16 +429,20 @@ def run_suite(
 # ----------------------------------------------------------------------
 # pytest entry point (smoke-sized, asserts bit-identity + report shape)
 # ----------------------------------------------------------------------
-def test_msbfs_engine_shootout(benchmark) -> None:  # type: ignore[no-untyped-def]
+def test_msbfs_engine_shootout(benchmark, tmp_path) -> None:  # type: ignore[no-untyped-def]
     """Every contender agrees bit for bit on every smoke graph; the
-    report lands at the repo root with all four contenders timed."""
+    report lands at the given (temporary) path with all four
+    contenders timed, leaving the committed full-size report as
+    recorded."""
+    out_path = tmp_path / DEFAULT_OUT.name
     report = benchmark.pedantic(
-        lambda: run_suite(smoke=True, repeats=1, out_path=DEFAULT_OUT),
+        lambda: run_suite(smoke=True, repeats=1, out_path=out_path),
         rounds=1,
         iterations=1,
     )
     assert report["bit_identical"] is True
-    assert DEFAULT_OUT.exists()
+    assert out_path.exists()
+    assert json.loads(out_path.read_text()) == report
     for entry in report["graphs"]:
         assert set(entry["ecc_seconds"]) == {
             "seed-msbfs",
@@ -376,6 +458,14 @@ def test_msbfs_engine_shootout(benchmark) -> None:  # type: ignore[no-untyped-de
     assert [e["batch"] for e in ladder] == [64, 128, 256]
     assert all(e["planned_width"] == LANE_WORD_BITS for e in ladder)
     assert [e["lane_groups"] for e in ladder] == [1, 2, 4]
+    # The column row sweeps BA-2k with 0 / 100 / 1,000 / all targets;
+    # bench_column_sweeps raised if any column differed from the rows.
+    columns = report["column_sweeps"]
+    assert [r["targets"] for r in columns["rows"]] == [0, 100, 1000, 2000]
+    assert columns["rows"][0]["overhead_vs_ecc"] == 1.0
+    assert report["aggregate"]["powerlaw_column_overhead_vs_ecc"] == (
+        columns["rows"][-1]["overhead_vs_ecc"]
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -409,6 +499,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(
                 f"WARNING: hybrid-lane rows speedup {rows_speed:.2f}x below "
                 f"the {ROWS_TARGET_SPEEDUP}x target on the power-law graph"
+            )
+            status = 1
+        overhead = float(agg["powerlaw_column_overhead_vs_ecc"])  # type: ignore[index]
+        if overhead > COLUMN_OVERHEAD_LIMIT:
+            print(
+                f"WARNING: all-column sweep {overhead:.2f}x a bare ecc "
+                f"sweep on BA-2k, above the {COLUMN_OVERHEAD_LIMIT}x limit"
             )
             status = 1
     return status

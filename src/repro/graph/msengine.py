@@ -50,8 +50,14 @@ solver's unresolved vertices.  Eccentricities come for free: a lane's
 is the last level at which it gained fresh bits, and the visited count
 is the popcount of the ``seen`` bitmap.  Each level gathers its arcs
 ``2^16`` at a time, so its arc scratch does not grow with the graph's
-arcs, and a column sweep records ``k * len(targets)`` cells, not
-``k * n``.
+arcs.
+
+Distances are recorded bit-sliced: at level ``L`` the fresh lane words
+of the reached targets are OR-ed into plane ``b`` for every set bit
+``b`` of ``L``, and the planes are decoded into the ``(k,
+len(targets))`` ``int32`` block once, after the sweep.  So a column
+sweep's scratch is about ``ceil(log2(ecc + 1)) * len(targets)`` words
+plus the output block, and no level unpacks a lane.
 
 Workspaces follow the pooled discipline of the rest of the repository:
 three ``(n,)`` ``uint64`` bitmaps are allocated once per graph
@@ -96,7 +102,6 @@ from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.engine import ALPHA, BETA, CSR, csr_pair
 from repro.obs.trace import get_tracer
-from repro.sentinels import UNREACHED
 
 if TYPE_CHECKING:  # runtime import would be circular; annotations only
     from repro.counters import TraversalCounter
@@ -193,29 +198,8 @@ def _popcount(words: np.ndarray) -> int:
     return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum())
 
 
-def _column_positions(
-    targets: Optional[np.ndarray], vertices: np.ndarray
-) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """``(hit, pos)``: which ``vertices`` are recorded, and where.
-
-    ``targets`` lists the recorded vertices in increasing order, or is
-    ``None`` when every vertex is recorded at its own id (then ``hit``
-    is ``None`` and ``pos`` is ``vertices`` itself).  Otherwise
-    ``vertices[hit]`` are the targets among ``vertices`` and ``pos``
-    their rows in the recording.
-
-    :dtype pos: int64
-    """
-    if targets is None:
-        return None, vertices
-    pos = np.searchsorted(targets, vertices)
-    hit = pos < len(targets)
-    hit[hit] = targets[pos[hit]] == vertices[hit]
-    return hit, pos[hit]
-
-
-def _unpack_lane_bits(words: np.ndarray, num_lanes: int) -> np.ndarray:
-    """Boolean ``(len(words), num_lanes)`` view of packed lane words.
+def _unpack_lane_bits(words: np.ndarray) -> np.ndarray:
+    """``(len(words), 64)`` ``uint8`` 0/1 matrix of packed lane words.
 
     ``words`` is a C-contiguous ``uint64`` vector; the fast path
     reinterprets it as 8 bytes per word and unpacks all lanes in one
@@ -225,15 +209,45 @@ def _unpack_lane_bits(words: np.ndarray, num_lanes: int) -> np.ndarray:
     :dtype words: uint64
     """
     if _LITTLE_ENDIAN:
-        bits = np.unpackbits(
+        return np.unpackbits(
             words.view(np.uint8).reshape(len(words), 8),
             axis=1,
             bitorder="little",
         )
     else:  # pragma: no cover - big-endian hosts only
         shifts = np.arange(LANE_WORD_BITS, dtype=np.uint64)
-        bits = ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return bits[:, :num_lanes].view(np.bool_)
+        return ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def _decode_planes(
+    planes: np.ndarray, reached: np.ndarray, k: int
+) -> np.ndarray:
+    """Freshly-owned ``(k, len(reached))`` distances from bit planes.
+
+    Bit ``i`` of ``planes[b, j]`` is bit ``b`` of lane ``i``'s distance
+    to column ``j``, and bit ``i`` of ``reached[j]`` says whether lane
+    ``i`` reached it at all (cells it did not are ``UNREACHED``).  The
+    planes are summed target-major in the narrowest signed dtype that
+    holds every distance and ``-1``, most significant plane first
+    (doubling is a fast add, a shift of small ints is not), then
+    transposed into ``int32`` once.
+
+    :dtype planes: uint64
+    :dtype reached: uint64
+    :dtype cols: int32
+    """
+    acc = np.zeros(
+        (len(reached), LANE_WORD_BITS),
+        dtype=np.min_scalar_type(-(1 << len(planes))),
+    )
+    for plane in planes[::-1]:
+        acc += acc
+        acc |= _unpack_lane_bits(plane).view(np.int8)
+    # Unreached cells hold no plane bit: 0 - 1 is UNREACHED.
+    acc -= _unpack_lane_bits(~reached).view(np.int8)
+    cols = np.empty((k, len(reached)), dtype=np.int32)
+    cols[...] = acc[:, :k].T
+    return cols
 
 
 class MSBFSEngine:
@@ -335,8 +349,9 @@ class MSBFSEngine:
         equals :meth:`ecc_batch` and the freshly-owned
         ``(len(sources), len(targets))`` matrix ``cols`` equals
         ``run_batch(sources)[:, targets]``, but only those columns are
-        ever recorded, so the sweep's scratch grows with
-        ``len(sources) * len(targets)`` instead of ``len(sources) * n``.
+        ever recorded: one ``(n,)`` column map plus about
+        ``ceil(log2(ecc + 1))`` bit planes of ``len(targets)`` words,
+        decoded into ``cols`` once after the sweep.
         The solver's FFO lane batches read nothing else (see
         :func:`repro.graph.batch.sweep_columns`), so the
         counter is credited as for a probe sweep: the sweep's work and
@@ -434,26 +449,30 @@ class MSBFSEngine:
 
         :mutates work: the lane bitmaps are zeroed and rewritten level
             by level; the sweep owns them for its duration.
-        :dtype cols_t: int32
+        :dtype col_of: int64
         :dtype eccs: int32
         """
         n = self._n
         k = len(src)
-        # Target-major so per-level recording is contiguous row writes;
-        # transposed once at the end.
+        # Column j's distances are bit-sliced: plane b holds, per lane,
+        # bit b of the level at which that lane first reached column j.
+        # col_of maps a vertex to its column (-1: not recorded); None
+        # records every vertex at its own id, and an empty target list
+        # records nothing.
         num_cols = n if targets is None else len(targets)
-        cols_t = np.full((num_cols, k), UNREACHED, dtype=np.int32)
+        col_of: Optional[np.ndarray] = None
+        if targets is not None and num_cols:
+            col_of = np.full(n, -1, dtype=np.int64)
+            col_of[targets] = np.arange(num_cols, dtype=np.int64)
+        planes = np.zeros((0, num_cols), dtype=np.uint64)
         eccs = np.zeros(k, dtype=np.int32)
         work.reset()
         seen = work.seen
         frontier = work.frontier
         next_mask = work.next_mask
-        lane_ids = np.arange(k, dtype=np.int64)
-        lane_bits = np.uint64(1) << lane_ids.astype(np.uint64)
+        lane_bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
         np.bitwise_or.at(frontier, src, lane_bits)
         np.bitwise_or.at(seen, src, lane_bits)
-        hit, pos = _column_positions(targets, src)
-        cols_t[pos, lane_ids if hit is None else lane_ids[hit]] = 0
 
         out_deg, in_deg = self._out[2], self._in[2]
         # The distinct sources, sorted: np.unique would also import
@@ -541,18 +560,21 @@ class MSBFSEngine:
             m_unvisited -= int(in_deg[newly[untouched]].sum())
             np.bitwise_or(seen_rows, new_bits, out=seen_rows)
             seen[newly] = seen_rows
-            # Record the level on the target rows only: unpack their
-            # fresh words into a boolean (rows, k) lane matrix and
-            # overwrite exactly those cells.  Fresh bits are & ~seen by
-            # construction, so no cell is ever written twice.
-            hit, pos = _column_positions(targets, newly)
-            if len(pos):
-                bits = _unpack_lane_bits(
-                    new_bits if hit is None else new_bits[hit], k
-                )
-                fresh_rows = cols_t[pos]
-                np.copyto(fresh_rows, np.int32(level), where=bits)
-                cols_t[pos] = fresh_rows
+            # Record the level on the target rows only: OR their fresh
+            # words into the plane of every set bit of the level.  Fresh
+            # bits are & ~seen by construction, so each cell's bits all
+            # come from the one level that first reached it.
+            if num_cols:
+                if col_of is None:
+                    rows, words = newly, new_bits
+                else:
+                    rows = col_of[newly]
+                    hit = rows >= 0
+                    rows, words = rows[hit], new_bits[hit]
+                if level >> len(planes):  # a power of two: one bit more
+                    planes = np.vstack((planes, np.zeros(num_cols, np.uint64)))
+                set_bits = np.flatnonzero(level >> np.arange(len(planes)) & 1)
+                planes[set_bits[:, None], rows] |= words
             # The frontier is exactly the fresh bits of this level:
             # clear the old active rows, write the new ones.
             frontier[active] = 0
@@ -595,8 +617,9 @@ class MSBFSEngine:
                 live_lanes=live_lanes,
                 frontier_sizes=frontier_sizes,
             )
+        reached = seen if targets is None else seen[targets]
         # Consumers get the source-major convention of the seed kernel.
-        return eccs, np.ascontiguousarray(cols_t.T)
+        return eccs, _decode_planes(planes, reached, k)
 
     @staticmethod
     def _arc_chunks(

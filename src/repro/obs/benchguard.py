@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "COLUMN_OVERHEAD_LIMIT",
     "Finding",
     "Headline",
     "check_artifact",
@@ -52,6 +53,12 @@ __all__ = [
 #: a fresh headline may undershoot its baseline by up to this fraction
 #: before the gate calls it a regression.
 DEFAULT_TOLERANCE = 0.5
+
+#: Most a 64-lane MS-BFS sweep recording every target column may cost,
+#: as a multiple of the bare ``ecc_batch`` sweep of the same sources
+#: (``BENCH_msbfs_engine.json``'s BA-2k column row).  Per-level column
+#: recording read 4.4x; bit-sliced recording about 1.6x.
+COLUMN_OVERHEAD_LIMIT = 3.0
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,16 @@ def _extract_msbfs_engine(
                     f"power-law graph (target {target:g}x)",
                 )
             )
+    overhead = aggregate.get("powerlaw_column_overhead_vs_ecc")
+    if overhead is not None:
+        findings.append(
+            _claim(
+                artifact,
+                float(overhead) <= COLUMN_OVERHEAD_LIMIT,
+                f"all-column lane sweep {float(overhead):.2f}x a bare "
+                f"ecc sweep on BA-2k (limit {COLUMN_OVERHEAD_LIMIT:g}x)",
+            )
+        )
     return headlines, findings
 
 

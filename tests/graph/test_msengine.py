@@ -20,8 +20,10 @@ from repro.graph.builder import GraphBuilder
 from repro.graph import batch_distance_rows, msengine
 from repro.graph.batch import ecc_batch
 from repro.graph.engine import BFSEngine
+from repro.directed.graph import DirectedGraph
 from repro.graph.generators import (
     barabasi_albert,
+    grid_graph,
     paper_example_graph,
     star_graph,
 )
@@ -303,6 +305,114 @@ class TestColumnBatch:
             engine.column_batch([0], [0, graph.num_vertices])
         with pytest.raises(InvalidVertexError):
             engine.column_batch([0], [-1, 2])
+
+
+MODES = ("hybrid", "top-down", "bottom-up")
+
+#: Distances at which a sweep gains a bit plane, and the ones before.
+_PLANE_EDGES = (1, 2, 3, 4, 7, 8, 255, 256, 257, 511, 512, 513, 1023, 1024)
+
+
+@pytest.fixture(scope="module")
+def long_path():
+    """A 1,100-vertex path (ids 0..1099), an edge 1100-1101 and an
+    isolated vertex 1102: distances reach 1,099, past 2^8 and 2^9."""
+    builder = GraphBuilder(num_vertices=1103)
+    builder.add_edges((i, i + 1) for i in range(1099))
+    builder.add_edge(1100, 1101)
+    return builder.build()
+
+
+def _looped_rows(graph, src, backward=False, limit=None):
+    engine = BFSEngine(graph, backward=backward)
+    return np.stack(
+        [engine.run(int(s), limit=limit).copy() for s in src]
+    )
+
+
+def _edge_targets(sources, extra=()):
+    """The vertices at every plane edge from each path source, the
+    sources themselves and ``extra``, sorted and in range."""
+    cand = {v for s in sources for d in _PLANE_EDGES for v in (s - d, s + d)}
+    cand.update(sources)
+    cand.update(extra)
+    return np.array(sorted(v for v in cand if 0 <= v < 1100), dtype=np.int64)
+
+
+class TestBitPlaneBoundaries:
+    """Distances are recorded as bit planes; a plane is added at every
+    power of two, so the level sweep is checked where the plane count
+    changes (255 -> 256, 511 -> 512) against looped single-source
+    runs."""
+
+    #: Path sources: both ends, plane edges, the far component and the
+    #: isolated vertex.
+    SOURCES = np.array([0, 1, 256, 511, 600, 1099, 1100, 1102])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_path_columns_cross_plane_edges(self, long_path, mode):
+        src = self.SOURCES
+        rows = _looped_rows(long_path, src)
+        assert rows.max() == 1099
+        edges = np.union1d(_edge_targets(src[:6]), [1100, 1101, 1102])
+        engine = MSBFSEngine(long_path)
+        assert np.array_equal(engine.run_batch(src, mode=mode), rows)
+        n = long_path.num_vertices
+        for targets in ([], [0], edges, np.arange(n)):
+            eccs, cols = engine.column_batch(src, targets, mode=mode)
+            assert cols.shape == (len(src), len(targets))
+            assert cols.dtype == np.int32 and cols.flags.c_contiguous
+            assert np.array_equal(cols, rows[:, np.asarray(targets, int)])
+            assert np.array_equal(eccs, rows.max(axis=1))
+        # Sources read 0 at their own column; the other components'
+        # columns stay UNREACHED.
+        _eccs, cols = engine.column_batch(src, edges, mode=mode)
+        at = {int(v): j for j, v in enumerate(edges)}
+        assert [cols[i, at[int(s)]] for i, s in enumerate(src)] == [0] * 8
+        assert np.all(cols[:6, [at[1100], at[1101], at[1102]]] == UNREACHED)
+        assert np.all(np.delete(cols[7], at[1102]) == UNREACHED)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("limit", [255, 256, 257, 511, 512, 1024])
+    def test_limit_truncates_at_plane_edges(self, long_path, mode, limit):
+        src = self.SOURCES
+        rows = MSBFSEngine(long_path).run_batch(src, limit=limit, mode=mode)
+        assert np.array_equal(rows, _looped_rows(long_path, src, limit=limit))
+        assert rows.max() == limit
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grid_columns_cross_plane_edges(self, mode):
+        # Corner to corner is 2 + 599 = 601 steps.
+        graph = grid_graph(3, 600)
+        n = graph.num_vertices
+        src = np.array([0, 1, 299, 599, 600, 1200, 1500, n - 1])
+        rows = _looped_rows(graph, src)
+        assert rows.max() == 601
+        hits = np.isin(rows, _PLANE_EDGES).any(axis=0)
+        targets = np.union1d(np.flatnonzero(hits), src)
+        engine = MSBFSEngine(graph)
+        assert np.array_equal(engine.run_batch(src, mode=mode), rows)
+        for cols_of in (targets, np.arange(n)):
+            eccs, cols = engine.column_batch(src, cols_of, mode=mode)
+            assert np.array_equal(cols, rows[:, cols_of])
+            assert np.array_equal(eccs, rows.max(axis=1))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_directed_backward_path(self, mode):
+        # Arcs i -> i+1: a backward sweep from s reads dist(v, s) = s - v
+        # for v <= s and nothing past s.
+        graph = DirectedGraph.from_arcs(
+            ((i, i + 1) for i in range(1099)), num_vertices=1100
+        )
+        src = np.array([0, 255, 256, 511, 512, 700, 1099])
+        rows = _looped_rows(graph, src, backward=True)
+        assert rows[-1, 0] == 1099 and rows[0, 1] == UNREACHED
+        engine = MSBFSEngine(graph, backward=True)
+        assert np.array_equal(engine.run_batch(src, mode=mode), rows)
+        targets = _edge_targets(src)
+        eccs, cols = engine.column_batch(src, targets, mode=mode)
+        assert np.array_equal(cols, rows[:, targets])
+        assert np.array_equal(eccs, rows.max(axis=1))
 
 
 class TestScratchBound:

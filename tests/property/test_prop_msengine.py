@@ -20,6 +20,7 @@ from helpers import random_connected_graph
 from repro.graph.builder import GraphBuilder
 from repro.graph.engine import BFSEngine
 from repro.graph import batch_distance_rows
+from repro.graph import msengine
 from repro.graph.msengine import MSBFSEngine
 from repro.sentinels import UNREACHED
 
@@ -164,3 +165,67 @@ def test_column_batch_equals_restricted_rows(gst, mode):
     # the eccentricity within the source's component.
     assert np.array_equal(eccs, rows.max(axis=1))
     assert np.array_equal(engine.ecc_batch(sources, mode=mode), eccs)
+
+
+@st.composite
+def long_graph_sources_targets(draw):
+    """A path of 250-700 vertices with short random chords (distances
+    still cross 255 -> 256, often 511 -> 512), an optional second
+    component, up to 64 distinct sources, a sorted target subset and a
+    level limit that may fall on either side of a power of two."""
+    length = draw(st.integers(min_value=250, max_value=700))
+    island = draw(st.integers(min_value=0, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = length + island
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edges((i, i + 1) for i in range(length - 1))
+    chords = rng.integers(0, length - 3, size=length // 20)
+    spans = rng.integers(2, 4, size=len(chords))
+    builder.add_edge_arrays(chords, chords + spans)
+    builder.add_edges((length + i, length + i + 1) for i in range(island - 1))
+    k = draw(st.integers(min_value=1, max_value=64))
+    sources = rng.permutation(n)[:k]
+    targets = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0)))
+    limit = draw(st.sampled_from([None, 255, 256, 257, 511, 512]))
+    return builder.build(), sources, targets, limit
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    gstl=long_graph_sources_targets(),
+    mode=st.sampled_from(["hybrid", "top-down", "bottom-up"]),
+)
+def test_bit_planes_across_powers_of_two(gstl, mode):
+    graph, sources, targets, limit = gstl
+    engine = MSBFSEngine(graph)
+    rows = engine.run_batch(sources, limit=limit, mode=mode)
+    assert np.array_equal(rows, looped_reference(graph, sources, limit))
+    if limit is None:
+        eccs, cols = engine.column_batch(sources, targets, mode=mode)
+        assert np.array_equal(cols, rows[:, targets])
+        assert np.array_equal(eccs, rows.max(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_planes=st.integers(min_value=0, max_value=20),
+    m=st.integers(min_value=0, max_value=40),
+    k=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_plane_decode_equals_bitwise_sum(num_planes, m, k, seed):
+    # Every accumulator width: int8 up to 7 planes, int16 up to 15,
+    # int32 beyond.  Unreached cells hold no plane bit.
+    rng = np.random.default_rng(seed)
+    reached = rng.integers(0, 2**64, size=m, dtype=np.uint64)
+    planes = rng.integers(0, 2**64, size=(num_planes, m), dtype=np.uint64)
+    planes &= reached
+    lanes = np.arange(k, dtype=np.uint64)[:, None]
+    want = np.zeros((k, m), dtype=np.int64)
+    for b in range(num_planes):
+        want += ((planes[b] >> lanes) & np.uint64(1)).astype(np.int64) << b
+    want[((reached >> lanes) & np.uint64(1)) == 0] = UNREACHED
+    cols = msengine._decode_planes(planes, reached, k)
+    assert cols.dtype == np.int32 and cols.flags.c_contiguous
+    assert np.array_equal(cols, want)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.benchguard import (
+    COLUMN_OVERHEAD_LIMIT,
     DEFAULT_TOLERANCE,
     Finding,
     Headline,
@@ -95,6 +96,16 @@ class TestCheckEdgeCases:
         path = _write(tmp_path, "BENCH_msbfs_engine.json", doc)
         findings = check_artifact(path)
         assert any(f.level == "fail" for f in findings)
+
+    @pytest.mark.parametrize("overhead, failed", [(1.5, False), (4.4, True)])
+    def test_column_overhead_claim(self, tmp_path, overhead, failed):
+        doc = _msbfs_doc()
+        doc["aggregate"]["powerlaw_column_overhead_vs_ecc"] = overhead
+        path = _write(tmp_path, "BENCH_msbfs_engine.json", doc)
+        claims = [f for f in check_artifact(path) if "column" in f.message]
+        assert len(claims) == 1
+        assert claims[0].failed is failed
+        assert f"limit {COLUMN_OVERHEAD_LIMIT:g}x" in claims[0].message
 
     def test_obs_overhead_budget_claim(self, tmp_path):
         doc = {
