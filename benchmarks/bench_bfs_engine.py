@@ -6,8 +6,8 @@ faithful copy of the seed level-synchronous kernel (per-run allocation,
 ``np.unique`` frontier dedupe) and (b) the engine forced top-down, on the
 generator suite (paper example, random power-law, grid, star).  Writes
 machine-readable ``BENCH_bfs_engine.json`` at the repository root with
-per-level direction decisions and edges-inspected counts, so Figure
-8-style runtime claims are auditable.  Alongside it the suite writes
+per-run top-down/bottom-up level counts, direction switches and
+edges-inspected counts, so Figure 8-style runtime claims are auditable.  Alongside it the suite writes
 ``BENCH_trace_ifecc.jsonl`` — a structured :mod:`repro.obs.record` run
 record of one traced IFECC run on the power-law graph — so every perf
 PR carries a replayable probe-by-probe account, not just aggregates.
@@ -154,6 +154,18 @@ def pick_sources(graph: Graph, count: int, seed: int = 0) -> List[int]:
     return sources
 
 
+def direction_counts(directions: Sequence[str]) -> Dict[str, int]:
+    """A run's per-level directions as ``td_levels``/``bu_levels`` and
+    the number of ``switches`` between consecutive levels."""
+    return {
+        "td_levels": sum(1 for d in directions if d == "td"),
+        "bu_levels": sum(1 for d in directions if d == "bu"),
+        "switches": sum(
+            1 for a, b in zip(directions, directions[1:]) if a != b
+        ),
+    }
+
+
 def _time_total(
     kernel: Callable[[int], np.ndarray],
     sources: Sequence[int],
@@ -202,8 +214,7 @@ def bench_graph(
                 "source": s,
                 "eccentricity": run["ecc"],
                 "levels": run["levels"],
-                "directions": run["directions"],
-                "frontier_sizes": run["frontier_sizes"],
+                **direction_counts(run["directions"]),
                 "edges_scanned": run["edges_scanned"],
                 "edges_inspected": run["edges_inspected"],
             }
@@ -583,12 +594,12 @@ def test_engine_beats_seed_kernel(benchmark, tmp_path) -> None:  # type: ignore[
     )
     graphs = {g["name"]: g for g in report["graphs"]}
     # Direction switching engages on the scale-free and star families.
-    powerlaw_dirs = [
-        d for r in graphs["powerlaw-4k"]["runs"] for d in r["directions"]
-    ]
-    star_dirs = [d for r in graphs["star-3k"]["runs"] for d in r["directions"]]
-    assert "bu" in powerlaw_dirs
-    assert "bu" in star_dirs
+    for name in ("powerlaw-4k", "star-3k"):
+        runs = graphs[name]["runs"]
+        assert sum(r["bu_levels"] for r in runs) > 0
+        assert all(
+            r["td_levels"] + r["bu_levels"] == r["levels"] for r in runs
+        )
     # Bottom-up levels inspect edges they never scan.
     for r in graphs["powerlaw-4k"]["runs"]:
         assert r["edges_inspected"] >= r["edges_scanned"]

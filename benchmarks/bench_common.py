@@ -6,8 +6,9 @@ evaluation (Section 7).  The conventions:
 * heavy computations run once (``benchmark.pedantic(rounds=1)``) — these
   are experiment harnesses, not micro-benchmarks;
 * every module prints the same rows/series its paper artifact reports and
-  appends them to ``benchmarks/results/<experiment>.txt`` so the outputs
-  survive the pytest run;
+  appends them to ``<RESULTS_DIR>/<experiment>.txt``: the committed
+  ``benchmarks/results/`` when a bench script runs directly, a temporary
+  directory under pytest (``benchmarks/conftest.py``);
 * every module asserts the *shape* of the paper's finding (who wins, by
   roughly what factor, which curves are monotone) — absolute numbers are
   not comparable because the substrate is a pure-Python simulator on
@@ -105,8 +106,8 @@ _written_this_session = set()
 def record(experiment: str, lines) -> None:
     """Print a result block and write it to the results file.
 
-    The first write of a pytest session truncates the file, so
-    ``benchmarks/results/<experiment>.txt`` always holds the latest run.
+    The first write of a process truncates the file, so
+    ``RESULTS_DIR/<experiment>.txt`` always holds the latest run.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")

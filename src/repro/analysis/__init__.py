@@ -8,11 +8,6 @@ from repro.analysis.centrality import (
     degree_centrality,
     eccentricity_centrality,
 )
-from repro.analysis.convergence import (
-    ConvergenceCurve,
-    ConvergencePoint,
-    track_convergence,
-)
 from repro.analysis.distribution import (
     EccentricityDistribution,
     distribution_from_eccentricities,
@@ -33,7 +28,6 @@ from repro.analysis.stats import (
     RepetitionPoint,
     farthest_set_statistics,
     repetition_curve,
-    repetition_ratio,
 )
 
 __all__ = [
@@ -44,9 +38,6 @@ __all__ = [
     "closeness_centrality",
     "degree_centrality",
     "eccentricity_centrality",
-    "ConvergenceCurve",
-    "ConvergencePoint",
-    "track_convergence",
     "EccentricityDistribution",
     "distribution_from_eccentricities",
     "AlgorithmRow",
@@ -61,5 +52,4 @@ __all__ = [
     "RepetitionPoint",
     "farthest_set_statistics",
     "repetition_curve",
-    "repetition_ratio",
 ]

@@ -1,6 +1,6 @@
 """Statistical analyses from Sections 4.3 and 7.4.
 
-* :func:`repetition_ratio` — Figure 5's measurement: how much the FFO
+* :func:`repetition_curve` — Figure 5's measurement: how much the FFO
   *fronts* of multiple reference nodes overlap.  High overlap means
   multi-reference IFECC repeats BFS work, motivating ``r = 1``.
 * :func:`farthest_set_statistics` — Figure 12's ``|F1|`` / ``|F2|``
@@ -12,17 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.ffo import compute_ffos
 from repro.core.stratify import stratify
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
-from repro.graph.traversal import TraversalCounter
 
 __all__ = [
     "RepetitionPoint",
-    "repetition_ratio",
     "repetition_curve",
     "FarthestSetStats",
     "farthest_set_statistics",
@@ -41,28 +37,6 @@ class RepetitionPoint:
     def ratio(self) -> float:
         """The repetition ratio |∩ D_z| / |∪ D_z|."""
         return self.common / self.union if self.union else 1.0
-
-
-def repetition_ratio(
-    graph: Graph,
-    num: int,
-    num_references: int = 16,
-    counter: Optional[TraversalCounter] = None,
-) -> RepetitionPoint:
-    """Overlap of the first ``num`` FFO nodes across ``num_references``
-    highest-degree references (one Figure 5 data point)."""
-    if num < 1:
-        raise InvalidParameterError("num must be >= 1")
-    references = graph.top_degree_vertices(num_references)
-    if len(references) == 0:
-        raise InvalidParameterError("graph has no vertices")
-    fronts = [
-        set(int(v) for v in ffo.prefix(num))
-        for ffo in compute_ffos(graph, references, counter=counter)
-    ]
-    common = set.intersection(*fronts)
-    union = set.union(*fronts)
-    return RepetitionPoint(num=num, common=len(common), union=len(union))
 
 
 def repetition_curve(

@@ -88,9 +88,7 @@ def kbfs_eccentricities(
         # the nearest random source; the farthest are periphery
         # candidates.  (The sweep is one extra BFS of work; the paper's
         # budget accounting is per-BFS, so we count it.)
-        near_dist, _owner = multi_source_bfs(
-            graph, sources, counter=counter
-        )
+        near_dist = multi_source_bfs(graph, sources, counter=counter)
         score = near_dist.astype(np.int64)
         score[random_sources] = -1  # never re-elect a sampled source
         elected = np.argsort(-score, kind="stable")[:num_elected]

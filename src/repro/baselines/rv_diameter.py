@@ -92,9 +92,7 @@ def rv_estimate_diameter(
         best = max(best, ecc_u)
 
     # The vertex farthest from the whole sample (one multi-source sweep).
-    near_dist, _owner = multi_source_bfs(
-        graph, [int(u) for u in sample], counter=counter
-    )
+    near_dist = multi_source_bfs(graph, sample, counter=counter)
     w = int(np.argmax(near_dist))
     ecc_w, dist_w = eccentricity_and_distances(graph, w, counter=counter)
     best = max(best, ecc_w)

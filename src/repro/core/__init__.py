@@ -72,8 +72,6 @@ from repro.core.result import EccentricityResult, ProgressSnapshot
 from repro.core.solver import EccentricitySolver, Territory
 from repro.core.stratify import (
     Stratification,
-    approximate_via_f2,
-    exact_via_f1,
     stratify,
 )
 
@@ -107,6 +105,4 @@ __all__ = [
     "ProgressSnapshot",
     "Stratification",
     "stratify",
-    "exact_via_f1",
-    "approximate_via_f2",
 ]

@@ -67,15 +67,6 @@ class IFECC(EccentricitySolver):
         ``"random"``, or ``"center"`` — see :mod:`repro.core.reference`.
     seed:
         Seed for stochastic strategies; ignored by ``"degree"``.
-    memoize_distances:
-        Algorithm 2 re-runs a BFS when a vertex sits at the FFO front of
-        several references (the redundancy Section 4.3 quantifies in
-        Figure 5).  With this flag the engine instead caches each BFS
-        source's distance vector and replays it — the "memorize the
-        computed results" trade-off the paper notes costs additional
-        space (``O(#BFS * n)``), so it is off by default.  Distance
-        vectors of the reference nodes themselves are always reused;
-        they are stored anyway.
     counter:
         Optional shared :class:`TraversalCounter` for cost accounting.
     """
@@ -86,7 +77,6 @@ class IFECC(EccentricitySolver):
         num_references: int = 1,
         strategy: str = "degree",
         seed: int = 0,
-        memoize_distances: bool = False,
         counter: Optional[TraversalCounter] = None,
     ) -> None:
         if num_references < 1:
@@ -99,7 +89,6 @@ class IFECC(EccentricitySolver):
             num_references=num_references,
             strategy=strategy,
             seed=seed,
-            memoize_distances=memoize_distances,
             counter=counter,
         )
 

@@ -30,10 +30,9 @@ it once, parameterised over a :class:`repro.core.oracles.DistanceOracle`:
 Because the loop is shared, every capability built on it — the anytime
 :meth:`EccentricitySolver.steps` protocol, kIFECC-style budgeting
 (:meth:`run_budgeted`, :meth:`run`'s driver with lane batches capped by
-the budget left), extremes early-stop
-(:func:`repro.core.extremes.oracle_radius_and_diameter`) and the
-convergence instrumentation of :mod:`repro.analysis.convergence` —
-works identically for unweighted, weighted, and directed inputs.
+the budget left) and extremes early-stop
+(:func:`repro.core.extremes.oracle_radius_and_diameter`) — works
+identically for unweighted, weighted, and directed inputs.
 
 The unweighted instantiation (:class:`repro.core.ifecc.IFECC`) is
 bit-identical to the historical implementation: same traversal
@@ -46,8 +45,7 @@ tolerance.
 Space stays ``O(m + n)`` (Theorem 4.5): the graph, the bound arrays,
 the ``r`` reference distance vectors, at most one lane batch of
 ``64 * |unresolved|`` distance cells — a batch records only the
-territory's unresolved members (whole rows when ``memoize_distances``
-is on, since memoised rows must be complete) — and a constant number
+territory's unresolved members — and a constant number
 of ``(k, |unresolved|)`` scan matrices while a batch of ``k`` rows is
 applied.
 """
@@ -115,10 +113,6 @@ class EccentricitySolver:
         ``"random"`` and ``"center"``).
     seed:
         Seed for stochastic strategies; ignored by ``"degree"``.
-    memoize_distances:
-        Cache each probe's distance vector and replay it when a vertex
-        sits at the FFO front of several references (the Section 4.3
-        space/time trade-off; reference vectors are always retained).
     counter:
         Optional shared :class:`repro.counters.TraversalCounter`.
     tracer:
@@ -134,7 +128,6 @@ class EccentricitySolver:
         num_references: int = 1,
         strategy: str = "degree",
         seed: int = 0,
-        memoize_distances: bool = False,
         counter: Optional[TraversalCounter] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -146,7 +139,6 @@ class EccentricitySolver:
         self.num_references = min(num_references, oracle.num_vertices)
         self.strategy = strategy
         self.seed = seed
-        self.memoize_distances = memoize_distances
         self.counter = counter if counter is not None else TraversalCounter()
         self._tracer = tracer
         self.bounds = BoundState(
@@ -158,9 +150,8 @@ class EccentricitySolver:
             strategy, self.num_references, seed
         )
         self._territories: List[Territory] = []
-        # source id -> dist(., source) for probes whose row is retained:
-        # always the references, plus every probe when memoize_distances
-        # is on.
+        # reference id -> dist(., reference), replayed when a reference
+        # sits in another reference's FFO.
         self._known: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -194,7 +185,7 @@ class EccentricitySolver:
             ffos.append(ffo)
             reverse.append(dist_into)
             self.bounds.set_exact(z, ffo.eccentricity)
-            # Memoising relies on source_probe's caller-owned contract;
+            # Retaining relies on source_probe's caller-owned contract;
             # under REPRO_SANITIZE=1 a pooled loan slipping in raises
             # here, at the retention site, not at some later stale read.
             self._known[z] = sanitize.assert_owned(dist_into)
@@ -311,15 +302,15 @@ class EccentricitySolver:
         Otherwise its rows are the FFO ranks from ``rank`` on, but the
         reference, through the ``width``-th fresh probe: the probes'
         rows, from one ``sweep_batch`` call, and the retained rows of
-        the sources in between, which it replays.  Replaying a retained
-        row keeps Lemma 3.3 sound: it makes the source a probed node of
-        this territory, exactly as a fresh traversal would.  The block's
-        columns are the territory's ``unresolved`` members;
+        the other references in between, which it replays.  Replaying a
+        retained row keeps Lemma 3.3 sound: it makes the source a probed
+        node of this territory, exactly as a fresh traversal would.  The
+        block's columns are the territory's ``unresolved`` members;
         :meth:`BoundState.apply_sweep_block` applies it and stops at the
         row that resolves the last of them.  Snapshots, probe spans,
-        replay events, memoised rows and consumed lanes follow for each
-        applied row, in FFO order.  Returns the members still unresolved
-        and the rank after the block.
+        replay events and consumed lanes follow for each applied row,
+        in FFO order.  Returns the members still unresolved and the rank
+        after the block.
         """
         tracer = self._active_tracer()
         traced = tracer.enabled
@@ -342,28 +333,27 @@ class EccentricitySolver:
             if len(probes) == width:
                 break
         lanes = [row for row, is_fresh in enumerate(fresh) if is_fresh]
-        # The traversal runs inside the first probe's span; memoised
-        # rows must be whole.
+        # The traversal runs inside the first probe's span.
         span = (
             self._sweep_span(tracer, territory, probes[0], rank)
             if traced and probes
             else None
         )
         runs = counter.bfs_runs
-        whole = self.memoize_distances
-        targets = np.arange(oracle.num_vertices) if whole else unresolved
         # The directed oracle's backward probes yield no eccentricity,
         # so their rows pin nothing.
         eccs: Any = ()
         if probes:
-            eccs, cols = oracle.sweep_batch(probes, targets, counter=counter)
+            eccs, cols = oracle.sweep_batch(
+                probes, unresolved, counter=counter
+            )
         dtype = self.bounds.dtype
-        if len(lanes) == len(sources) and not whole and cols.dtype == dtype:
+        if len(lanes) == len(sources) and cols.dtype == dtype:
             block = cols
         else:
             block = np.empty((len(sources), len(unresolved)), dtype)
             if probes:
-                block[lanes] = cols[:, unresolved] if whole else cols
+                block[lanes] = cols
             for row, source in enumerate(sources):
                 if not fresh[row]:
                     block[row] = self._known[source][unresolved]
@@ -380,11 +370,6 @@ class EccentricitySolver:
         used = bisect.bisect_left(lanes, scan.used)
         if len(probes) > 1:
             counter.consume_lanes(used)
-        if self.memoize_distances:
-            for lane in range(used):
-                self._known[probes[lane]] = sanitize.assert_owned(
-                    cols[lane].copy()
-                )
         lane = 0
         for row in range(scan.used):
             if not fresh[row]:

@@ -17,34 +17,29 @@ Theorem 5.6: BFS from every node of ``F2`` yields the exact ``ecc`` inside
 
 with guarantee ``7/12 <= ecc~(v) / ecc(v) <= 3/2``.
 
-This module computes the stratification, implements both theorem-driven
-algorithms (they double as independent oracles for IFECC in the test
-suite), and provides the ``|F1|``/``|F2|`` statistics of Figure 12.
+This module computes the stratification and the ``|F1|``/``|F2|``
+statistics of Figure 12.  The two theorem-driven algorithms are test
+oracles for IFECC (``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.result import EccentricityResult
 from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
-    bfs_distances,
     eccentricity_and_distances,
 )
-from repro.obs.trace import Stopwatch
 
 __all__ = [
     "Stratification",
     "stratify",
-    "exact_via_f1",
-    "approximate_via_f2",
 ]
 
 
@@ -123,103 +118,4 @@ def stratify(
         )
     return Stratification(
         reference=int(reference), distances=dist, eccentricity=ecc
-    )
-
-
-def exact_via_f1(
-    graph: Graph,
-    reference: Optional[int] = None,
-    counter: Optional[TraversalCounter] = None,
-) -> EccentricityResult:
-    """Exact ED by BFS from every node of ``F1`` (Theorem 5.5).
-
-    For ``v`` in ``F1`` the eccentricity comes from ``v``'s own BFS; for
-    ``v`` outside, ``ecc(v) = max_{u in F1} dist(u, v)`` — the theorem
-    guarantees some farthest node of ``v`` lies in ``F1``.
-
-    :dtype ecc: int32
-    """
-    counter = counter if counter is not None else TraversalCounter()
-    watch = Stopwatch()
-    strat = stratify(graph, reference, counter=counter)
-    n = graph.num_vertices
-    ecc = np.zeros(n, dtype=np.int32)
-    f1 = strat.f1
-    in_f1 = np.zeros(n, dtype=bool)
-    in_f1[f1] = True
-    for u in f1:
-        ecc_u, dist_u = eccentricity_and_distances(
-            graph, int(u), counter=counter
-        )
-        ecc[u] = ecc_u
-        outside = ~in_f1
-        ecc[outside] = np.maximum(ecc[outside], dist_u[outside])
-    # The reference itself: covered by max-over-F1 unless F1 is empty
-    # (single-vertex graph or ecc(z) = 0).
-    if len(f1) == 0:
-        ecc[:] = strat.eccentricity
-        ecc[strat.reference] = strat.eccentricity
-    elapsed = watch.elapsed()
-    return EccentricityResult(
-        eccentricities=ecc,
-        lower=ecc.copy(),
-        upper=ecc.copy(),
-        exact=True,
-        algorithm="F1-exact",
-        num_bfs=counter.bfs_runs,
-        elapsed_seconds=elapsed,
-        reference_nodes=np.asarray([strat.reference], dtype=np.int32),
-        counter=counter,
-    )
-
-
-def approximate_via_f2(
-    graph: Graph,
-    reference: Optional[int] = None,
-    counter: Optional[TraversalCounter] = None,
-) -> EccentricityResult:
-    """Approximate ED by BFS from every node of ``F2`` (Theorem 5.6).
-
-    Inside ``F2`` the result is exact; outside, the theorem's estimator
-    ``max(dist_max(v, F2), dist(v, z) + ecc(z) / 4)`` applies, with a
-    guaranteed ratio in ``[7/12, 3/2]``.  The ``ecc(z) / 4`` term keeps
-    the paper's real-valued arithmetic; estimates are rounded down to
-    stay integral (rounding down never violates the lower ratio bound
-    because the other max-term ``dist_max`` is integral).
-    """
-    counter = counter if counter is not None else TraversalCounter()
-    watch = Stopwatch()
-    strat = stratify(graph, reference, counter=counter)
-    n = graph.num_vertices
-    f2 = strat.f2
-    in_f2 = np.zeros(n, dtype=bool)
-    in_f2[f2] = True
-    dist_max_f2 = np.zeros(n, dtype=np.int64)
-    ecc_exact = np.zeros(n, dtype=np.int64)
-    for u in f2:
-        ecc_u, dist_u = eccentricity_and_distances(
-            graph, int(u), counter=counter
-        )
-        ecc_exact[u] = ecc_u
-        dist_max_f2 = np.maximum(dist_max_f2, dist_u)
-    theorem_term = (
-        strat.distances.astype(np.float64) + strat.eccentricity / 4.0
-    )
-    estimate = np.maximum(dist_max_f2.astype(np.float64), theorem_term)
-    ecc = np.floor(estimate).astype(np.int32)
-    ecc[in_f2] = ecc_exact[in_f2]
-    if len(f2) == 0:
-        # ecc(z) = 0: isolated vertex graph.
-        ecc[:] = 0
-    elapsed = watch.elapsed()
-    return EccentricityResult(
-        eccentricities=ecc,
-        lower=np.where(in_f2, ecc, dist_max_f2.astype(np.int32)),
-        upper=ecc.copy(),
-        exact=False,
-        algorithm="F2-approx",
-        num_bfs=counter.bfs_runs,
-        elapsed_seconds=elapsed,
-        reference_nodes=np.asarray([strat.reference], dtype=np.int32),
-        counter=counter,
     )

@@ -59,7 +59,6 @@ def naive_directed_eccentricities(
 def directed_solver(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    memoize_distances: bool = False,
 ) -> EccentricitySolver:
     """An :class:`EccentricitySolver` over the directed BFS oracle.
 
@@ -68,10 +67,7 @@ def directed_solver(
     bounds in ``solver.bounds``.
     """
     return EccentricitySolver(
-        DirectedBFSOracle(graph),
-        num_references=1,
-        memoize_distances=memoize_distances,
-        counter=counter,
+        DirectedBFSOracle(graph), num_references=1, counter=counter
     )
 
 

@@ -127,23 +127,8 @@ class DirectedGraph:
     def num_arcs(self) -> int:
         return len(self._fwd_indices)
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        self._check_vertex(v)
-        return self._fwd_indices[
-            self._fwd_indptr[v]: self._fwd_indptr[v + 1]
-        ]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        self._check_vertex(v)
-        return self._rev_indices[
-            self._rev_indptr[v]: self._rev_indptr[v + 1]
-        ]
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._fwd_indptr)
-
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self._rev_indptr)
 
     def forward_view(self) -> Tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) of the out-adjacency."""

@@ -10,13 +10,12 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.components import (
     connected_components,
-    is_connected,
     largest_connected_component,
     split_components,
 )
 from repro.graph.csr import Graph
 from repro.graph.msengine import MSBFSEngine, msengine_for, plan_lane_width
-from repro.graph.paths import bfs_parents, diameter_path, shortest_path
+from repro.graph.paths import bfs_parents, diameter_path
 from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
@@ -42,10 +41,8 @@ __all__ = [
     "eccentricity_and_distances",
     "multi_source_bfs",
     "bfs_parents",
-    "shortest_path",
     "diameter_path",
     "connected_components",
-    "is_connected",
     "largest_connected_component",
     "split_components",
 ]

@@ -87,8 +87,7 @@ class GraphBuilder:
         """Produce the final :class:`Graph`.
 
         Self-loops are dropped, duplicate edges collapsed, and the adjacency
-        symmetrised.  Neighbor lists come out sorted, which
-        :meth:`Graph.has_edge` relies on.
+        symmetrised.  Neighbor lists come out sorted.
         """
         if self._sources:
             src = np.concatenate(self._sources)

@@ -16,12 +16,10 @@ import numpy as np
 
 from repro.graph.csr import Graph
 from repro.graph.engine import gather_csr_arcs
-from repro.graph.traversal import UNREACHED, bfs_distances
 
 __all__ = [
     "ComponentLabels",
     "connected_components",
-    "is_connected",
     "largest_connected_component",
     "split_components",
     "induced_subgraph",
@@ -95,19 +93,6 @@ def connected_components(graph: Graph) -> ComponentLabels:
     # Every dense id labels its own root, so no count is ever missing.
     sizes = np.bincount(labels).astype(np.int64)
     return ComponentLabels(labels=labels, sizes=sizes)
-
-
-def is_connected(graph: Graph) -> bool:
-    """True when the graph has exactly one connected component.
-
-    The empty graph is considered connected (it has no vertex pair to
-    disconnect); a single vertex is connected.
-    """
-    n = graph.num_vertices
-    if n <= 1:
-        return True
-    dist = bfs_distances(graph, 0)
-    return bool(np.all(dist != UNREACHED))
 
 
 def largest_connected_component(graph: Graph) -> Tuple[Graph, np.ndarray]:

@@ -17,14 +17,13 @@ paper's C++ implementation included) use, keeps the memory footprint at the
 operations.
 
 Instances are created through :class:`repro.graph.builder.GraphBuilder` or
-the convenience constructors :meth:`Graph.from_edges` and
-:meth:`Graph.from_adjacency`; the arrays are marked read-only so a graph can
-be shared freely between algorithms.
+the convenience constructor :meth:`Graph.from_edges`; the arrays are marked
+read-only so a graph can be shared freely between algorithms.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -113,27 +112,6 @@ class Graph:
         builder.add_edges(edges)
         return builder.build()
 
-    @classmethod
-    def from_adjacency(cls, adjacency: Sequence[Sequence[int]]) -> "Graph":
-        """Build a graph from an adjacency list (sequence of neighbor
-        sequences).  The input must already be symmetric.
-
-        :dtype indptr: int64
-        :dtype indices: int32
-        """
-        indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
-        chunks: List[np.ndarray] = []
-        for v, neighbors in enumerate(adjacency):
-            arr = np.asarray(sorted(neighbors), dtype=np.int32)
-            indptr[v + 1] = indptr[v] + len(arr)
-            chunks.append(arr)
-        indices = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
-        )
-        graph = cls(indptr, indices)
-        graph.check_symmetric()
-        return graph
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -171,17 +149,6 @@ class Graph:
         """Read-only view of the neighbors of ``v``."""
         self._check_vertex(v)
         return self._indices[self._indptr[v]: self._indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True when the undirected edge ``{u, v}`` is present."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        # Search the smaller adjacency list; lists are sorted by builder.
-        if self._degrees[u] > self._degrees[v]:
-            u, v = v, u
-        row = self.neighbors(u)
-        pos = int(np.searchsorted(row, v))
-        return pos < len(row) and int(row[pos]) == v
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""

@@ -8,10 +8,10 @@ Compared to the original level-synchronous kernel in
 
 1. **Pooled workspaces.**  A :class:`BFSEngine` is constructed once per
    graph and owns reusable ``int32``/``int64``/``bool`` buffers
-   (distance vector, frontier bitmap, dedupe bitmap, owner/priority
-   scratch).  Algorithms that run thousands of BFSs on one graph (the
-   FFO-ordered IFECC sweep, the naive oracle) stop paying an ``O(n)``
-   allocation per run.  Pooling is safe because :class:`Graph` arrays
+   (distance vector, frontier bitmap, dedupe bitmap, slot scratch).
+   Algorithms that run thousands of BFSs on one graph (the FFO-ordered
+   IFECC sweep, the naive oracle) stop paying an ``O(n)`` allocation
+   per run.  Pooling is safe because :class:`Graph` arrays
    are immutable (reprolint R1): a cached engine can never observe a
    mutated CSR.
 
@@ -67,7 +67,16 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -200,8 +209,6 @@ bfs_distances` wrapper) must copy.
         "_frontier_mask",
         "_dedupe_mask",
         "_slot",
-        "_owner",
-        "_priority",
         "_guard",
         "__weakref__",
     )
@@ -224,39 +231,38 @@ bfs_distances` wrapper) must copy.
         #
         # :dtype dist: int32
         # :dtype slot: int64
-        # :dtype owner: int32
-        # :dtype priority: int64
         self._dist = np.empty(n, dtype=np.int32)
         self._frontier_mask = np.zeros(n, dtype=np.bool_)
         self._dedupe_mask = np.zeros(n, dtype=np.bool_)
         self._slot = np.empty(n, dtype=np.int64)
-        self._owner: Optional[np.ndarray] = None  # lazy; multi-source only
-        self._priority: Optional[np.ndarray] = None
         # None unless REPRO_SANITIZE is armed at construction time, so
         # the production cost of the sanitizer is one `is None` per run.
         self._guard = sanitize.guard_if_enabled("BFSEngine")
         #: Eccentricity (max finite distance) of the last :meth:`run`.
         self.last_ecc: int = 0
 
-    # ------------------------------------------------------------------
-    # Single-source BFS
-    # ------------------------------------------------------------------
     def run(
         self,
-        source: int,
+        source: Union[int, Sequence[int]],
         limit: Optional[int] = None,
         counter: Optional["TraversalCounter"] = None,
         mode: str = "hybrid",
     ) -> np.ndarray:
         """BFS distances from ``source`` into the pooled buffer.
 
-        ``mode`` is ``"hybrid"`` (direction-optimizing, the default),
+        ``source`` is one vertex, or a sequence of vertices for a
+        nearest-source run: all of them start the traversal at level 0,
+        so each vertex gets its distance to the closest source for one
+        BFS worth of work (a duplicate source counts once).  ``mode``
+        is ``"hybrid"`` (direction-optimizing, the default),
         ``"top-down"`` or ``"bottom-up"`` (forced, for benchmarks and
         equivalence tests).  Returns the pooled ``int32`` distance
         vector — copy before the next call if you keep it.  Sets
         :attr:`last_ecc`.  ``counter`` is credited with one run
         labelled ``bfs:<source>`` (``fwd:``/``bwd:`` on a directed
-        graph), and a live tracer receives one ``bfs.run`` event.
+        graph; a nearest-source run is unlabelled), and a live tracer
+        receives one ``bfs.run`` event (``source`` is None for a
+        nearest-source run).
 
         Under ``REPRO_SANITIZE=1`` the returned vector is a read-only
         :class:`repro.sanitize.GuardedArray` loan that raises on use
@@ -274,33 +280,47 @@ bfs_distances` wrapper) must copy.
 
     def _run_impl(
         self,
-        source: int,
+        source: Union[int, Sequence[int]],
         limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
     ) -> np.ndarray:
-        """The traversal itself; returns the raw pooled buffer."""
+        """The traversal itself; returns the raw pooled buffer.
+
+        :dtype frontier: int64
+        """
         if mode not in ("hybrid", "top-down", "bottom-up"):
             raise InvalidParameterError(f"unknown BFS mode: {mode!r}")
         if limit is not None and limit < 0:
             raise InvalidParameterError("limit must be non-negative")
         n = self._n
-        if not 0 <= source < n:
-            raise InvalidVertexError(source, n)
+        origin: Any = source  # the event's `source`
+        if isinstance(source, (int, np.integer)):
+            if not 0 <= source < n:
+                raise InvalidVertexError(source, n)
+            frontier = np.asarray([source], dtype=np.int64)
+            label = f"{self._label}:{source}"
+        else:
+            seeds = np.asarray(source, dtype=np.int64).reshape(-1)
+            bad = seeds[(seeds < 0) | (seeds >= n)]
+            if len(bad):
+                raise InvalidVertexError(int(bad[0]), n)
+            frontier = distinct_ids(seeds, self._slot)
+            origin = None
+            label = ""
         dist = self._dist
         dist.fill(UNREACHED)
-        dist[source] = 0
+        dist[frontier] = 0
         # The run's record: arc totals and, per level, the direction
         # and the number of vertices first reached.
         scanned = inspected = 0
         directions: List[str] = []
         frontier_sizes: List[int] = []
-        frontier = np.asarray([source], dtype=np.int64)
         out_deg, in_deg = self._out[2], self._in[2]
         symmetric = out_deg is in_deg
-        m_frontier = int(out_deg[source])
-        m_unvisited = self.num_arcs - int(in_deg[source])
-        visited = 1
+        m_frontier = int(out_deg[frontier].sum())
+        m_unvisited = self.num_arcs - int(in_deg[frontier].sum())
+        visited = len(frontier)
         level = 0
         hybrid = mode == "hybrid"
         direction = "bu" if mode == "bottom-up" else "td"
@@ -356,7 +376,7 @@ bfs_distances` wrapper) must copy.
             counter.record(
                 scanned,
                 visited,
-                label=f"{self._label}:{source}",
+                label=label,
                 inspected=inspected,
             )
         tracer = get_tracer()
@@ -366,7 +386,7 @@ bfs_distances` wrapper) must copy.
             # this keeps the disabled cost at one branch per BFS.
             tracer.event(
                 "bfs.run",
-                source=source,
+                source=origin,
                 mode=mode,
                 levels=level,
                 ecc=level,
@@ -427,122 +447,6 @@ bfs_distances` wrapper) must copy.
         if len(fresh) == 0:
             return None, len(arc_dst), cand
         return fresh.astype(np.int64, copy=False), len(arc_dst), cand[~found]
-
-    # ------------------------------------------------------------------
-    # Multi-source BFS with owner propagation
-    # ------------------------------------------------------------------
-    def run_multi(
-        self,
-        sources: Sequence[int],
-        counter: Optional["TraversalCounter"] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Nearest-source distances and winning source per vertex.
-
-        Matches :func:`repro.graph.traversal.multi_source_bfs` exactly
-        (ties go to the source earliest in ``sources``).  All regions
-        grow in one shared traversal over the out-arcs — O(m) total,
-        since every arc is expanded at most once — and the
-        ``np.lexsort`` + ``np.unique`` tie-break pair runs only on
-        levels where a vertex was actually discovered twice.
-
-        Returns pooled buffers, valid until the next engine call.
-        Under ``REPRO_SANITIZE=1`` both are read-only guarded loans.
-        """
-        guard = self._guard
-        if guard is None:
-            return self._run_multi_impl(sources, counter)
-        guard.begin_run()
-        try:
-            dist, owner = self._run_multi_impl(sources, counter)
-        finally:
-            guard.end_run()
-        return (
-            guard.loan(dist, "BFSEngine._dist"),
-            guard.loan(owner, "BFSEngine._owner"),
-        )
-
-    def _run_multi_impl(
-        self,
-        sources: Sequence[int],
-        counter: Optional["TraversalCounter"],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The multi-source traversal; returns the raw pooled buffers.
-
-        :dtype src: int64
-        """
-        n = self._n
-        src = np.asarray(list(sources), dtype=np.int64)
-        if src.size and (src.min() < 0 or src.max() >= n):
-            bad = src[(src < 0) | (src >= n)][0]
-            raise InvalidVertexError(int(bad), n)
-        dist = self._dist
-        dist.fill(UNREACHED)
-        if self._owner is None:
-            self._owner = np.empty(n, dtype=np.int32)
-            self._priority = np.empty(n, dtype=np.int64)
-        owner = self._owner
-        priority = self._priority
-        assert priority is not None
-        owner.fill(-1)
-        if len(src) == 0:
-            return dist, owner
-        # priority[s] = first position of s in `sources` (earlier wins).
-        priority.fill(n)
-        np.minimum.at(priority, src, np.arange(len(src), dtype=np.int64))
-        frontier = np.unique(src)
-        dist[frontier] = 0
-        owner[frontier] = frontier
-        single = len(frontier) == 1
-        indptr, indices, degrees = self._out
-        level = 0
-        edges = 0
-        while frontier.size:
-            counts = degrees[frontier]
-            neighbors, _seg = gather_csr_arcs(
-                indptr, indices, frontier, counts
-            )
-            edges += len(neighbors)
-            if len(neighbors) == 0:
-                break
-            unseen = dist[neighbors] == UNREACHED
-            fresh = neighbors[unseen]
-            if len(fresh) == 0:
-                break
-            level += 1
-            if single:
-                # One source: every discovery inherits the same owner.
-                uniq = np.unique(fresh).astype(np.int64)
-                dist[uniq] = level
-                owner[uniq] = owner[frontier[0]]
-            else:
-                owners_expanded = np.repeat(owner[frontier], counts)
-                fresh_owner = owners_expanded[unseen]
-                uniq = np.unique(fresh).astype(np.int64)
-                if len(uniq) == len(fresh):
-                    # No vertex discovered twice ⇒ no ties to break.
-                    dist[fresh] = level
-                    owner[fresh] = fresh_owner
-                else:
-                    # Duplicate discoveries: the owner with the best
-                    # (smallest) source priority wins, as in the seed.
-                    # After the lexsort, the first occurrence of each
-                    # vertex carries the winning owner.
-                    rank = np.lexsort((priority[fresh_owner], fresh))
-                    first_idx = np.searchsorted(fresh[rank], uniq)
-                    dist[uniq] = level
-                    owner[uniq] = fresh_owner[rank[first_idx]]
-            frontier = uniq
-        if counter is not None:
-            counter.record(edges, int(np.count_nonzero(dist != UNREACHED)))
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "bfs.run_multi",
-                num_sources=int(len(src)),
-                levels=level,
-                edges_scanned=edges,
-            )
-        return dist, owner
 
 
 # The engines of each live graph, by direction; the weak key means

@@ -15,9 +15,9 @@ Four families cover the paper's dataset types:
 * internet topology→ preferential attachment with lower density,
 * contact networks → :func:`watts_strogatz` rewired lattices.
 
-:func:`attach_periphery` grafts tree tendrils onto low-degree vertices,
-reproducing the remote periphery that real crawls have and that gives the
-eccentricity distribution its spread (Figure 15 shows 10–15 distinct
+The ``attach_*`` helpers graft handles, deep traps and branches onto a
+core, reproducing the remote periphery that real crawls have and that gives
+the eccentricity distribution its spread (Figure 15 shows 10–15 distinct
 eccentricity values per graph).
 
 Deterministic toys (:func:`path_graph`, :func:`cycle_graph`,
@@ -48,12 +48,9 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 
 __all__ = [
-    "erdos_renyi",
     "barabasi_albert",
     "watts_strogatz",
     "copying_model",
-    "core_periphery",
-    "attach_periphery",
     "attach_handles",
     "attach_deep_trap",
     "attach_branches",
@@ -75,22 +72,6 @@ def _require(condition: bool, message: str) -> None:
 # ----------------------------------------------------------------------
 # Random families
 # ----------------------------------------------------------------------
-def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
-    """G(n, p) random graph (each pair an edge independently with prob p)."""
-    _require(n >= 0, "n must be non-negative")
-    _require(0.0 <= p <= 1.0, "p must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_vertices=n)
-    # Sample the upper triangle one row at a time to bound memory.
-    for u in range(n - 1):
-        count = n - 1 - u
-        mask = rng.random(count) < p
-        if mask.any():
-            vs = np.arange(u + 1, n, dtype=np.int64)[mask]
-            builder.add_edge_arrays(np.full(len(vs), u, dtype=np.int64), vs)
-    return builder.build()
-
-
 def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
     """Preferential-attachment graph (Barabási–Albert).
 
@@ -201,86 +182,6 @@ def copying_model(
             count=sum(degrees),
         ),
     )
-    return builder.build()
-
-
-def core_periphery(
-    core_size: int,
-    periphery_size: int,
-    core_probability: float = 0.3,
-    seed: int = 0,
-) -> Graph:
-    """Explicit core–periphery graph.
-
-    A dense Erdős–Rényi core with sparse periphery vertices each attached
-    to one random core vertex by a path of random length 1–3.  This is the
-    cleanest instance of the structure Section 7.4 appeals to, used by the
-    stratification tests.
-    """
-    _require(core_size >= 2, "core_size must be >= 2")
-    _require(periphery_size >= 0, "periphery_size must be >= 0")
-    rng = np.random.default_rng(seed)
-    builder = GraphBuilder()
-    # Dense core: one uniform double per pair, row by row, which is the
-    # stream of one scalar draw per pair.
-    rows, cols = np.triu_indices(core_size, k=1)
-    kept = rng.random(len(rows)) < core_probability
-    builder.add_edge_arrays(rows[kept], cols[kept])
-    # Spanning cycle keeps the core connected regardless of density draw.
-    ring = np.arange(core_size, dtype=np.int64)
-    builder.add_edge_arrays(ring, (ring + 1) % core_size)
-    anchors = np.empty(periphery_size, dtype=np.int64)
-    lengths = np.empty(periphery_size, dtype=np.int64)
-    for i in range(periphery_size):
-        anchors[i] = rng.integers(0, core_size)
-        lengths[i] = rng.integers(1, 4)
-    _hang_paths(builder, anchors, lengths, core_size)
-    return builder.build()
-
-
-def attach_periphery(
-    graph: Graph,
-    num_tendrils: int,
-    max_length: int,
-    seed: int = 0,
-    num_anchors: int = 4,
-) -> Graph:
-    """Graft tree-like tendrils onto low-degree vertices of ``graph``.
-
-    Real crawls have a thin far periphery (long chains of rarely-linked
-    pages) which dominates the diameter; synthetic preferential-attachment
-    graphs lack it, making every eccentricity nearly equal.  This helper
-    restores the spread.
-
-    The periphery is built to reproduce two structural facts the paper's
-    experiments rest on:
-
-    * **directional diversity** — tendrils hang from ``num_anchors``
-      distinct anchors, so different vertices have different farthest
-      nodes and no single BFS resolves every bound (otherwise BoundECC
-      trivially wins and the Figure 8 ordering inverts);
-    * **tiered depths** — anchor ``j``'s deepest tendril has length
-      ``max_length - 3 j``, so the set of globally deepest vertices is
-      stable with respect to the +-2 distance wobble between different
-      core hubs and anchors: the FFO fronts of all reference nodes
-      coincide (Figure 5) and ``|F2|`` stays tiny (Figure 12).
-
-    ``seed`` only jitters the tendril lengths by one.
-    """
-    _require(num_tendrils >= 0, "num_tendrils must be non-negative")
-    _require(max_length >= 1, "max_length must be >= 1")
-    _require(num_anchors >= 1, "num_anchors must be >= 1")
-    rng = np.random.default_rng(seed)
-    builder = _copy_edges(graph)
-    anchors = np.argsort(graph.degrees, kind="stable")[:num_anchors]
-    jitter = np.array(
-        [rng.integers(0, 2) for _ in range(num_tendrils)], dtype=np.int64
-    )
-    i = np.arange(num_tendrils, dtype=np.int64)
-    j = i % len(anchors)
-    base = max_length - 3 * j - i // len(anchors)
-    lengths = np.maximum(1, base - jitter)
-    _hang_paths(builder, anchors[j], lengths, graph.num_vertices)
     return builder.build()
 
 

@@ -17,7 +17,7 @@ from repro.errors import InvalidVertexError
 from repro.graph.csr import Graph
 from repro.graph.traversal import UNREACHED, TraversalCounter, _expand_frontier
 
-__all__ = ["bfs_parents", "shortest_path", "diameter_path"]
+__all__ = ["bfs_parents", "diameter_path"]
 
 
 def bfs_parents(
@@ -68,27 +68,6 @@ def bfs_parents(
     if counter is not None:
         counter.record(edges, int(np.count_nonzero(dist != UNREACHED)))
     return dist, parent
-
-
-def shortest_path(
-    graph: Graph,
-    source: int,
-    target: int,
-    counter: Optional[TraversalCounter] = None,
-) -> Optional[List[int]]:
-    """One shortest path from ``source`` to ``target`` as a vertex list.
-
-    Returns ``None`` when the two vertices are disconnected.
-    """
-    graph._check_vertex(target)
-    dist, parent = bfs_parents(graph, source, counter=counter)
-    if dist[target] == UNREACHED:
-        return None
-    path = [target]
-    while path[-1] != source:
-        path.append(int(parent[path[-1]]))
-    path.reverse()
-    return path
 
 
 def diameter_path(

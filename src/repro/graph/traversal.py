@@ -17,9 +17,8 @@ The central entry points are:
 :func:`eccentricity`
     the eccentricity of one vertex (max finite BFS distance).
 :func:`multi_source_bfs`
-    distance to the *nearest* of a set of sources, plus which source —
-    used to assign each vertex to its closest reference node
-    (Algorithm 2, line 6).
+    distance to the *nearest* of a set of sources, for one BFS worth of
+    work (kBFS and the Roditty–Williams estimator score vertices by it).
 :class:`TraversalCounter`
     a cost meter shared by the benchmark harness; algorithms report their
     work in "number of BFS runs", the cost unit the paper uses when
@@ -28,7 +27,7 @@ The central entry points are:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "eccentricity",
     "eccentricity_and_distances",
     "multi_source_bfs",
-    "all_pairs_distances",
 ]
 
 
@@ -118,34 +116,14 @@ def multi_source_bfs(
     graph: Graph,
     sources: Sequence[int],
     counter: Optional[TraversalCounter] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest-source distances and the winning source for each vertex.
+) -> np.ndarray:
+    """Distance from every vertex to its closest source.
 
-    Returns ``(dist, owner)`` where ``dist[v]`` is the distance from ``v``
-    to its closest source and ``owner[v]`` that source's id (``-1`` when
-    unreachable).  Ties are broken in favour of the source that appears
-    first in ``sources`` (and for equal waves, the one with the smaller
-    position), which makes reference-territory assignment deterministic.
-
-    This is a single level-synchronous sweep, i.e. one BFS worth of work
-    regardless of ``len(sources)``.
+    ``UNREACHED`` marks vertices no source reaches.  One BFS whose
+    frontier starts with every source, so one BFS worth of work
+    regardless of ``len(sources)``; ``counter`` is credited with one
+    unlabelled run.
 
     :dtype dist: int32
-    :dtype owner: int32
     """
-    engine = engine_for(graph)
-    dist, owner = engine.run_multi(sources, counter=counter)
-    return dist.copy(), owner.copy()
-
-
-def all_pairs_distances(
-    graph: Graph,
-    counter: Optional[TraversalCounter] = None,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(v, distances-from-v)`` for every vertex.
-
-    This is the quadratic-time oracle; use only on small graphs (tests,
-    the naive baseline, and Table 2 reproduction).
-    """
-    for v in range(graph.num_vertices):
-        yield v, bfs_distances(graph, v, counter=counter)
+    return engine_for(graph).run(sources, counter=counter).copy()

@@ -4,8 +4,8 @@ The observability layer of the solver stack, in three pieces:
 
 :mod:`repro.obs.trace`
     Zero-dependency span/event tracer with pluggable sinks (null —
-    the default, one branch on hot paths; in-memory ring buffer;
-    JSONL file) plus the :class:`~repro.obs.trace.Stopwatch` that
+    the default, one branch on hot paths; in-memory ring buffer)
+    plus the :class:`~repro.obs.trace.Stopwatch` that
     replaces ad-hoc ``time.perf_counter()`` pairs (reprolint R8).
 :mod:`repro.obs.metrics`
     Counters, gauges, and fixed-bucket histograms, fed by the
@@ -30,7 +30,6 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.progress import ProgressMonitor, ProgressState
 from repro.obs.record import RECORD_VERSION, RunRecord, graph_fingerprint
 from repro.obs.trace import (
-    JSONLSink,
     MemorySink,
     NullSink,
     Sink,
@@ -54,7 +53,6 @@ __all__ = [
     "RECORD_VERSION",
     "RunRecord",
     "graph_fingerprint",
-    "JSONLSink",
     "MemorySink",
     "NullSink",
     "Sink",

@@ -189,6 +189,15 @@ def _extract_msbfs_engine(
             )
     overhead = aggregate.get("powerlaw_column_overhead_vs_ecc")
     if overhead is not None:
+        # BA-2k runs at the same size in smoke and full mode, so this is
+        # the headline a fresh smoke run shares with a full baseline.
+        headlines.append(
+            Headline(
+                "ba2k:column_overhead_vs_ecc",
+                float(overhead),
+                higher_is_better=False,
+            )
+        )
         findings.append(
             _claim(
                 artifact,

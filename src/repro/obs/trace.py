@@ -35,13 +35,11 @@ signature.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from contextlib import contextmanager
 from types import TracebackType
 from typing import (
-    IO,
     Any,
     Deque,
     Dict,
@@ -59,7 +57,6 @@ __all__ = [
     "Sink",
     "NullSink",
     "MemorySink",
-    "JSONLSink",
     "Span",
     "Tracer",
     "Stopwatch",
@@ -137,41 +134,6 @@ def _jsonable(value: Any) -> Any:
     if item is not None:
         return item()
     raise TypeError(f"event attribute not JSON-serialisable: {value!r}")
-
-
-class JSONLSink(Sink):
-    """Streams events to a file, one JSON object per line.
-
-    Accepts a path (owned: :meth:`close` closes it) or an open text
-    handle (borrowed).  Usable as a context manager.
-    """
-
-    def __init__(self, target: Union[str, IO[str]]) -> None:
-        if isinstance(target, str):
-            self._handle: IO[str] = open(target, "w", encoding="utf-8")
-            self._owns = True
-        else:
-            self._handle = target
-            self._owns = False
-
-    def emit(self, event: Event) -> None:
-        self._handle.write(json.dumps(event, default=_jsonable) + "\n")
-
-    def close(self) -> None:
-        self._handle.flush()
-        if self._owns:
-            self._handle.close()
-
-    def __enter__(self) -> "JSONLSink":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
 
 
 class Span:

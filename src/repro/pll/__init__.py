@@ -2,7 +2,6 @@
 the PLLECC baseline (Akiba et al., SIGMOD 2013)."""
 
 from repro.pll.index import PLLIndex, build_pll_index
-from repro.pll.serialization import load_index, save_index
 from repro.pll.ordering import (
     closeness_sketch_order,
     degree_order,
@@ -13,8 +12,6 @@ from repro.pll.ordering import (
 __all__ = [
     "PLLIndex",
     "build_pll_index",
-    "save_index",
-    "load_index",
     "degree_order",
     "random_order",
     "closeness_sketch_order",

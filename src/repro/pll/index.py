@@ -53,7 +53,7 @@ class PLLIndex:
     """A queryable 2-hop distance index.
 
     Construct with :func:`build_pll_index`; direct instantiation takes
-    already-built label arrays (used by serialization round-trips).
+    already-built label arrays.
     """
 
     def __init__(

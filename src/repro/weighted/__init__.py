@@ -11,7 +11,6 @@ from repro.weighted.dijkstra import (
     weighted_eccentricity_and_distances,
 )
 from repro.weighted.eccentricity import (
-    approximate_weighted_eccentricities,
     naive_weighted_eccentricities,
     weighted_eccentricities,
     weighted_radius_and_diameter,
@@ -26,7 +25,6 @@ __all__ = [
     "weighted_eccentricity_and_distances",
     "weighted_eccentricities",
     "naive_weighted_eccentricities",
-    "approximate_weighted_eccentricities",
     "weighted_radius_and_diameter",
     "weighted_solver",
 ]

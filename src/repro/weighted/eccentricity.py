@@ -11,7 +11,7 @@ this module is a thin instantiation over
 :class:`repro.weighted.dijkstra.DijkstraOracle` — which brings the full
 runtime along for free: the anytime ``steps()`` protocol (build a solver
 with :func:`weighted_solver`), kIFECC-style budgeting
-(:func:`approximate_weighted_eccentricities`) and extremes early-stop
+(``weighted_solver(g).run_budgeted(k + 1)``) and extremes early-stop
 (:func:`weighted_radius_and_diameter`).
 
 Floating-point note: bounds are compared with an absolute tolerance
@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.extremes import ExtremesResult, oracle_radius_and_diameter
 from repro.core.result import EccentricityResult
 from repro.core.solver import EccentricitySolver
-from repro.errors import InvalidParameterError
 from repro.graph.traversal import TraversalCounter
 from repro.weighted.dijkstra import (
     DijkstraOracle,
@@ -39,7 +38,6 @@ from repro.weighted.graph import WeightedGraph
 __all__ = [
     "weighted_eccentricities",
     "naive_weighted_eccentricities",
-    "approximate_weighted_eccentricities",
     "weighted_radius_and_diameter",
     "weighted_solver",
 ]
@@ -65,7 +63,6 @@ def weighted_solver(
     graph: WeightedGraph,
     counter: Optional[TraversalCounter] = None,
     tolerance: float = _TOL,
-    memoize_distances: bool = False,
 ) -> EccentricitySolver:
     """An :class:`EccentricitySolver` over Dijkstra distances.
 
@@ -76,7 +73,6 @@ def weighted_solver(
     return EccentricitySolver(
         DijkstraOracle(graph, tolerance=tolerance),
         num_references=1,
-        memoize_distances=memoize_distances,
         counter=counter,
     )
 
@@ -94,28 +90,6 @@ def weighted_eccentricities(
     """
     solver = weighted_solver(graph, counter=counter, tolerance=tolerance)
     return solver.run(algorithm="IFECC-weighted")
-
-
-def approximate_weighted_eccentricities(
-    graph: WeightedGraph,
-    k: int,
-    counter: Optional[TraversalCounter] = None,
-    tolerance: float = _TOL,
-) -> EccentricityResult:
-    """Weighted kIFECC: stop after ``k`` FFO-front Dijkstra probes.
-
-    The weighted twin of
-    :func:`repro.core.kifecc.approximate_eccentricities` (Algorithm 3)
-    with the paper's lower-bound estimator: the budget is the reference
-    traversal plus ``k`` probes, and the returned estimate is the
-    lower-bound array — monotonically tightening in ``k``.
-    """
-    if k < 0:
-        raise InvalidParameterError("sample size k must be >= 0")
-    solver = weighted_solver(graph, counter=counter, tolerance=tolerance)
-    return solver.run_budgeted(
-        max_bfs=k + 1, algorithm=f"kIFECC-weighted(k={k})"
-    )
 
 
 def weighted_radius_and_diameter(

@@ -109,18 +109,6 @@ class WeightedGraph:
             np.asarray(weights, dtype=np.float64),
         )
 
-    @classmethod
-    def from_unweighted(
-        cls, graph: Graph, weight: float = 1.0
-    ) -> "WeightedGraph":
-        """Lift an unweighted :class:`repro.graph.csr.Graph` (uniform
-        edge weight)."""
-        return cls(
-            graph.indptr.copy(),
-            graph.indices.copy(),
-            np.full(len(graph.indices), float(weight)),
-        )
-
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:

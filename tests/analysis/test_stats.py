@@ -2,22 +2,25 @@
 
 import pytest
 
-from repro.analysis.stats import (
-    farthest_set_statistics,
-    repetition_curve,
-    repetition_ratio,
-)
+from repro.analysis.stats import farthest_set_statistics, repetition_curve
+from repro.core.ffo import compute_ffos
 from repro.errors import InvalidParameterError
-from repro.graph.generators import core_periphery, star_graph
+from repro.graph.generators import star_graph
+
+
+def repetition_point(graph, num, num_references=16):
+    """One Figure 5 point: the curve at a single front size."""
+    (point,) = repetition_curve(graph, nums=(num,), num_references=num_references)
+    return point
 
 
 class TestRepetitionRatio:
     def test_ratio_in_unit_interval(self, social_graph):
-        point = repetition_ratio(social_graph, num=10, num_references=4)
+        point = repetition_point(social_graph, num=10, num_references=4)
         assert 0.0 <= point.ratio <= 1.0
 
     def test_common_subset_of_union(self, social_graph):
-        point = repetition_ratio(social_graph, num=10, num_references=4)
+        point = repetition_point(social_graph, num=10, num_references=4)
         assert point.common <= point.union
 
     def test_high_overlap_behind_deep_trap(self):
@@ -27,17 +30,17 @@ class TestRepetitionRatio:
         from repro.graph.generators import attach_deep_trap, barabasi_albert
 
         g = attach_deep_trap(barabasi_albert(300, 3, seed=5), depth=18)
-        point = repetition_ratio(g, num=10, num_references=4)
+        point = repetition_point(g, num=10, num_references=4)
         assert point.ratio >= 0.9
 
     def test_star_fronts_identical(self):
         # On a star every reference sees the same far leaves.
-        point = repetition_ratio(star_graph(20), num=5, num_references=2)
+        point = repetition_point(star_graph(20), num=5, num_references=2)
         assert point.ratio <= 1.0
 
     def test_num_validation(self, social_graph):
         with pytest.raises(InvalidParameterError):
-            repetition_ratio(social_graph, num=0)
+            repetition_point(social_graph, num=0)
 
 
 class TestRepetitionCurve:
@@ -54,10 +57,15 @@ class TestRepetitionCurve:
             repetition_curve(social_graph, nums=(0,))
 
     def test_matches_pointwise(self, social_graph):
-        curve = repetition_curve(social_graph, nums=(7,), num_references=3)
-        point = repetition_ratio(social_graph, num=7, num_references=3)
-        assert curve[0].common == point.common
-        assert curve[0].union == point.union
+        # Each point is the overlap of the references' FFO fronts.
+        curve = repetition_curve(social_graph, nums=(3, 7), num_references=3)
+        references = social_graph.top_degree_vertices(3)
+        fronts = [
+            set(int(v) for v in ffo.prefix(7))
+            for ffo in compute_ffos(social_graph, references)
+        ]
+        assert curve[1].common == len(set.intersection(*fronts))
+        assert curve[1].union == len(set.union(*fronts))
 
 
 class TestFarthestSetStatistics:

@@ -13,6 +13,8 @@ equals ``steps()`` stopped at its first snapshot of ``b`` traversals.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
 from typing import Any, Dict, List, Tuple
 from unittest import mock
 
@@ -32,10 +34,8 @@ from repro.graph.csr import Graph
 from repro.graph.generators import barabasi_albert
 from repro.graph.traversal import bfs_distances
 from repro.obs.trace import MemorySink, deterministic_view, tracing
-from repro.weighted.eccentricity import (
-    approximate_weighted_eccentricities,
-    weighted_solver,
-)
+from repro.store import open_store, save_store
+from repro.weighted.eccentricity import weighted_solver
 from repro.weighted.dijkstra import DijkstraOracle, dijkstra_distances
 from repro.weighted.graph import WeightedGraph
 
@@ -93,14 +93,27 @@ def _observe(solver: EccentricitySolver, batched: bool) -> Dict[str, Any]:
     return observed
 
 
-def _compare(make_oracle: Any, graph: Any, refs: int, memo: bool) -> Dict[str, Any]:
-    """Assert ``run()`` == ``steps()`` on ``graph``; return the run's view."""
+def _stored(graph: Any) -> Any:
+    """``graph`` re-opened from a ``.rcsr`` store: read-only, memory-mapped
+    CSR arrays, as the end-to-end workloads run on."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.rcsr"
+        save_store(graph, path)
+        return open_store(path)
+
+
+def _compare(
+    make_oracle: Any, graph: Any, refs: int, stored: bool
+) -> Dict[str, Any]:
+    """Assert ``run()`` == ``steps()`` on ``graph`` (or its stored copy);
+    return the run's view."""
+    if stored:
+        graph = _stored(graph)
     views = [
         _observe(
             EccentricitySolver(
                 make_oracle(graph),
                 num_references=refs,
-                memoize_distances=memo,
                 counter=TraversalCounter(),
             ),
             batched,
@@ -127,16 +140,18 @@ def ba2k() -> Graph:
 
 
 @pytest.mark.parametrize("refs", [1, 3])
-@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("stored", [False, True])
 @pytest.mark.parametrize("name", sorted(build_corpus()))
-def test_corpus_run_equals_steps(name: str, refs: int, memo: bool) -> None:
-    _compare(BFSOracle, build_corpus()[name], refs, memo)
+def test_corpus_run_equals_steps(name: str, refs: int, stored: bool) -> None:
+    _compare(BFSOracle, build_corpus()[name], refs, stored)
 
 
 @pytest.mark.parametrize("refs", [1, 3])
-@pytest.mark.parametrize("memo", [False, True])
-def test_ba2k_run_equals_steps_and_batches(ba2k: Graph, refs: int, memo: bool) -> None:
-    view = _compare(BFSOracle, ba2k, refs, memo)
+@pytest.mark.parametrize("stored", [False, True])
+def test_ba2k_run_equals_steps_and_batches(
+    ba2k: Graph, refs: int, stored: bool
+) -> None:
+    view = _compare(BFSOracle, ba2k, refs, stored)
     swept, from_lanes = _lanes(view["events"])
     assert swept > from_lanes > 0
 
@@ -162,15 +177,15 @@ def test_wrapped_and_process_oracles_batch_identically(
     extra=st.integers(min_value=0, max_value=200),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     refs=st.sampled_from([1, 3]),
-    memo=st.booleans(),
+    stored=st.booleans(),
 )
 def test_random_graphs_run_equals_steps(
-    n: int, extra: int, seed: int, refs: int, memo: bool
+    n: int, extra: int, seed: int, refs: int, stored: bool
 ) -> None:
     graph = random_connected_graph(n, extra, seed)
     # Batch from the first probe, so small graphs exercise the lanes.
     with mock.patch.object(msengine, "_SERIAL_BATCH_LIMIT", 1):
-        _compare(BFSOracle, graph, refs, memo)
+        _compare(BFSOracle, graph, refs, stored)
 
 
 def test_lanes_discarded_is_swept_minus_consumed(ba2k: Graph) -> None:
@@ -219,9 +234,11 @@ def web() -> Graph:
 
 
 @pytest.mark.parametrize("refs", [1, 3])
-@pytest.mark.parametrize("memo", [False, True])
-def test_graph_above_2_16_arcs_batches(web: Graph, refs: int, memo: bool) -> None:
-    view = _compare(BFSOracle, web, refs, memo)
+@pytest.mark.parametrize("stored", [False, True])
+def test_graph_above_2_16_arcs_batches(
+    web: Graph, refs: int, stored: bool
+) -> None:
+    view = _compare(BFSOracle, web, refs, stored)
     swept, from_lanes = _lanes(view["events"])
     assert swept > from_lanes > 0
 
@@ -234,22 +251,24 @@ def _weighted(base: Graph) -> WeightedGraph:
     )
 
 
-@pytest.mark.parametrize("refs, memo", [(1, False), (3, True)])
+@pytest.mark.parametrize("refs, stored", [(1, False), (3, True)])
 def test_directed_runs_take_lanes_weighted_runs_never_batch(
-    refs: int, memo: bool
+    refs: int, stored: bool
 ) -> None:
     # Directed run() sweeps backward lanes; its answers, runs, history
     # and probe spans equal steps()'.
     directed = random_strongly_connected(300, 600, seed=3)
-    view = _compare(DirectedBFSOracle, directed, refs, memo)
+    view = _compare(DirectedBFSOracle, directed, refs, stored)
     swept, from_lanes = _lanes(view["events"])
     assert swept >= from_lanes > 0
     assert {label.split(":")[0] for label in view["history"]} == {"fwd", "bwd"}
     # Dijkstra carries one probe per traversal, so run() takes no lanes
     # and every counter equals steps()'.
     weighted = _weighted(random_connected_graph(300, 150, seed=3))
+    if stored:
+        weighted = _stored(weighted)
     stepped, ran = _steps_and_run(
-        lambda c: weighted_solver(weighted, counter=c, memoize_distances=memo)
+        lambda c: weighted_solver(weighted, counter=c)
     )
     assert ran == stepped and ran[-1] == 0
     assert ran[0] > msengine._SERIAL_BATCH_LIMIT
@@ -322,18 +341,19 @@ def test_sweep_batch_matches_single_traversals(kind: str) -> None:
 
 
 @pytest.mark.parametrize(
-    "refs, memo, want",
+    "refs, stored, want",
     [
         (1, False, (602, 57231, 528357, 1282000, 0, 39)),
         (1, True, (602, 57231, 528357, 1282000, 0, 39)),
         (3, False, (738, 98885, 892084, 1606000, 0, 65)),
-        (3, True, (700, 108246, 818552, 1574000, 0, 87)),
+        (3, True, (738, 98885, 892084, 1606000, 0, 65)),
     ],
 )
 def test_run_work_counters_pinned(
-    ba2k: Graph, refs: int, memo: bool, want: Tuple[int, ...]
+    ba2k: Graph, refs: int, stored: bool, want: Tuple[int, ...]
 ) -> None:
-    """``run()``'s work on BA-2k, pinned before its rows became blocks.
+    """``run()``'s work on BA-2k (in memory or store-opened), pinned
+    before its rows became blocks.
 
     The swept and discarded lanes, and so every work counter, depend
     only on which sources each lane batch holds; these values show the
@@ -341,9 +361,8 @@ def test_run_work_counters_pinned(
     """
     counter = TraversalCounter()
     EccentricitySolver(
-        BFSOracle(ba2k),
+        BFSOracle(_stored(ba2k) if stored else ba2k),
         num_references=refs,
-        memoize_distances=memo,
         counter=counter,
     ).run()
     assert _work(counter) == want
@@ -386,28 +405,27 @@ def _assert_budgeted_equals_steps(make_solver: Any) -> None:
 
 
 @pytest.mark.parametrize("refs", [1, 3])
-@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("stored", [False, True])
 @pytest.mark.parametrize("name", sorted(build_corpus()))
 def test_corpus_run_budgeted_equals_steps_stopped(
-    name: str, refs: int, memo: bool
+    name: str, refs: int, stored: bool
 ) -> None:
     graph = build_corpus()[name]
+    if stored:
+        graph = _stored(graph)
     _assert_budgeted_equals_steps(
-        lambda: EccentricitySolver(
-            BFSOracle(graph), num_references=refs, memoize_distances=memo
-        )
+        lambda: EccentricitySolver(BFSOracle(graph), num_references=refs)
     )
 
 
 @pytest.mark.parametrize("refs", [1, 3])
-@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize("stored", [False, True])
 def test_ba2k_run_budgeted_equals_steps_stopped(
-    ba2k: Graph, refs: int, memo: bool
+    ba2k: Graph, refs: int, stored: bool
 ) -> None:
+    graph = _stored(ba2k) if stored else ba2k
     _assert_budgeted_equals_steps(
-        lambda: EccentricitySolver(
-            BFSOracle(ba2k), num_references=refs, memoize_distances=memo
-        )
+        lambda: EccentricitySolver(BFSOracle(graph), num_references=refs)
     )
 
 
@@ -429,7 +447,7 @@ def test_weighted_kifecc_equals_steps_stopped() -> None:
     weighted = _weighted(random_connected_graph(300, 150, seed=3))
     _assert_budgeted_equals_steps(lambda: weighted_solver(weighted))
     for k in (0, 8, 16, 10**6):
-        result = approximate_weighted_eccentricities(weighted, k)
+        result = weighted_solver(weighted).run_budgeted(k + 1)
         want = _stepped_to(weighted_solver(weighted), k + 1)
         assert result.lower.tolist() == want["lower"]
         assert result.eccentricities.tolist() == want["lower"]

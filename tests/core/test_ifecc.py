@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.graph.csr import Graph
 from repro.graph.generators import (
+    balanced_tree,
     complete_graph,
     cycle_graph,
     grid_graph,
@@ -21,6 +22,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.properties import exact_eccentricities
+from repro.obs.trace import MemorySink, tracing
 from helpers import random_connected_graph
 
 
@@ -83,14 +85,24 @@ class TestExactness:
         result = compute_eccentricities(path_graph(2))
         assert result.eccentricities.tolist() == [1, 1]
 
-    def test_memoize_distances_same_answer(self, social_graph, social_truth):
-        plain = IFECC(social_graph, num_references=4).run()
-        memo = IFECC(
-            social_graph, num_references=4, memoize_distances=True
-        ).run()
-        np.testing.assert_array_equal(plain.eccentricities, social_truth)
-        np.testing.assert_array_equal(memo.eccentricities, social_truth)
-        assert memo.num_bfs <= plain.num_bfs
+    def test_reference_rows_replayed(self, social_graph, social_truth):
+        # With r > 1 a reference in another reference's FFO is applied
+        # from its retained row instead of a fresh traversal.
+        result = IFECC(social_graph, num_references=4).run()
+        np.testing.assert_array_equal(result.eccentricities, social_truth)
+        tree = balanced_tree(2, 4)
+        sink = MemorySink()
+        with tracing(sink):
+            result = IFECC(tree, num_references=16).run()
+        np.testing.assert_array_equal(
+            result.eccentricities, exact_eccentricities(tree)
+        )
+        replayed = [
+            e["source"] for e in sink.events if e["name"] == "solver.replay"
+        ]
+        assert replayed
+        assert set(replayed) <= set(result.reference_nodes.tolist())
+        assert len(result.counter.history) == result.num_bfs
 
     def test_alternative_strategies_exact(self, social_graph, social_truth):
         for strategy in ("degree", "random", "center"):

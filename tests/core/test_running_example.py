@@ -10,9 +10,12 @@ import pytest
 
 from repro.core.ffo import compute_ffo
 from repro.core.ifecc import IFECC, compute_eccentricities
+from repro.core.oracles import BFSOracle
+from repro.core.solver import EccentricitySolver
 from repro.core.stratify import stratify
 from repro.graph.properties import exact_eccentricities
-from repro.graph.traversal import bfs_distances, multi_source_bfs
+from repro.graph.traversal import bfs_distances
+from repro.obs.trace import MemorySink, tracing
 
 
 class TestSection2:
@@ -78,16 +81,23 @@ class TestSection3:
 
 class TestSection4:
     def test_example_46_territories(self, example_graph):
-        """V^{v13} = {v1, v2, v3, v8..v12}, V^{v7} = {v4, v5, v6}."""
-        dist, owner = multi_source_bfs(example_graph, [12, 6])
-        v13_territory = sorted(
-            int(v) for v in range(13) if owner[v] == 12 and v != 12
-        )
-        v7_territory = sorted(
-            int(v) for v in range(13) if owner[v] == 6 and v != 6
-        )
-        assert v13_territory == [0, 1, 2, 7, 8, 9, 10, 11]
-        assert v7_territory == [3, 4, 5]
+        """V^{v13} = {v1, v2, v3, v8..v12}, V^{v7} = {v4, v5, v6}: the
+        territories the solver itself assigns (Algorithm 2, line 6)."""
+        solver = EccentricitySolver(BFSOracle(example_graph), num_references=2)
+        sink = MemorySink()
+        with tracing(sink):
+            for _snapshot in solver._initialise():
+                pass
+        territories = {
+            t.reference: t.members.tolist() for t in solver._territories
+        }
+        assert territories == {12: [0, 1, 2, 7, 8, 9, 10, 11], 6: [3, 4, 5]}
+        events = [
+            (e["reference"], e["size"])
+            for e in sink.events
+            if e["name"] == "solver.territory"
+        ]
+        assert events == [(12, 8), (6, 3)]
 
     def test_example_47_figure6_bfs_counts(self, example_graph):
         """Figure 6: one reference node needs 4 + 1 = 5 BFS; Figure 4's

@@ -38,11 +38,12 @@ from repro.graph.generators import (
     attach_handles,
     balanced_tree,
     barabasi_albert,
-    core_periphery,
     grid_graph,
     paper_example_graph,
     watts_strogatz,
 )
+
+from helpers import core_periphery
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_ifecc.json"
 
@@ -70,23 +71,17 @@ def capture(graph: Graph) -> Dict[str, object]:
     """Record every observable of the solver on one graph."""
     record: Dict[str, object] = {}
     for refs in (1, 3):
-        for memo in (False, True):
-            counter = TraversalCounter()
-            engine = IFECC(
-                graph,
-                num_references=refs,
-                memoize_distances=memo,
-                counter=counter,
-            )
-            snapshots = [
-                [s.bfs_runs, s.source, s.resolved] for s in engine.steps()
-            ]
-            record[f"r{refs}_memo{int(memo)}"] = {
-                "ecc": engine.bounds.eccentricities().tolist(),
-                "num_bfs": counter.bfs_runs,
-                "edges_scanned": counter.edges_scanned,
-                "snapshots": snapshots,
-            }
+        counter = TraversalCounter()
+        engine = IFECC(graph, num_references=refs, counter=counter)
+        snapshots = [
+            [s.bfs_runs, s.source, s.resolved] for s in engine.steps()
+        ]
+        record[f"r{refs}_memo0"] = {
+            "ecc": engine.bounds.eccentricities().tolist(),
+            "num_bfs": counter.bfs_runs,
+            "edges_scanned": counter.edges_scanned,
+            "snapshots": snapshots,
+        }
     k_result = approximate_eccentricities(graph, k=5)
     record["kifecc_k5"] = {
         "est": k_result.eccentricities.tolist(),
@@ -121,6 +116,11 @@ def capture(graph: Graph) -> Dict[str, object]:
     return record
 
 
+#: Corpus records of the solver's removed ``memoize_distances=True``
+#: mode.  The corpus file keeps them, byte-unchanged; no run makes them.
+RETIRED_KEYS = ("r1_memo1", "r3_memo1")
+
+
 @pytest.fixture(scope="module")
 def golden() -> Dict[str, Dict[str, object]]:
     with GOLDEN_PATH.open() as handle:
@@ -131,7 +131,7 @@ def golden() -> Dict[str, Dict[str, object]]:
 def test_bit_identical_to_seed(name: str, golden) -> None:
     graph = build_corpus()[name]
     got = capture(graph)
-    want = golden[name]
+    want = {k: v for k, v in golden[name].items() if k not in RETIRED_KEYS}
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], f"{name}/{key} diverged from seed"

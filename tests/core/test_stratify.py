@@ -6,12 +6,9 @@ import pytest
 from repro.core.stratify import stratify
 from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.csr import Graph
-from repro.graph.generators import (
-    core_periphery,
-    cycle_graph,
-    path_graph,
-    star_graph,
-)
+from repro.graph.generators import cycle_graph, path_graph, star_graph
+
+from helpers import core_periphery
 
 
 class TestLayers:

@@ -4,18 +4,22 @@ algorithms, on structured and random graphs."""
 import numpy as np
 import pytest
 
-from repro.core.stratify import approximate_via_f2, exact_via_f1, stratify
+from repro.core.stratify import stratify
 from repro.graph.csr import Graph
 from repro.graph.generators import (
     complete_graph,
-    core_periphery,
     cycle_graph,
     grid_graph,
     path_graph,
     star_graph,
 )
 from repro.graph.properties import exact_eccentricities
-from helpers import random_connected_graph
+from helpers import (
+    approximate_via_f2,
+    core_periphery,
+    exact_via_f1,
+    random_connected_graph,
+)
 
 
 class TestTheorem55:

@@ -6,7 +6,8 @@ import pytest
 from repro.datasets.loader import build_standin, clear_cache, load_dataset
 from repro.datasets.registry import get_spec
 from repro.errors import DatasetNotFoundError
-from repro.graph.components import is_connected
+
+from helpers import is_connected
 
 
 class TestBuildStandin:

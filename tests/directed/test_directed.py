@@ -21,7 +21,7 @@ from repro.errors import (
     InvalidVertexError,
 )
 from repro.graph.generators import cycle_graph
-from helpers import random_connected_graph
+from helpers import in_neighbors, out_neighbors, random_connected_graph
 
 
 def directed_cycle(n):
@@ -47,9 +47,9 @@ class TestDirectedGraph:
 
     def test_direction_matters(self):
         g = DirectedGraph.from_arcs([(0, 1)])
-        assert g.out_neighbors(0).tolist() == [1]
-        assert g.out_neighbors(1).tolist() == []
-        assert g.in_neighbors(1).tolist() == [0]
+        assert out_neighbors(g, 0).tolist() == [1]
+        assert out_neighbors(g, 1).tolist() == []
+        assert in_neighbors(g, 1).tolist() == [0]
 
     def test_duplicates_and_loops_dropped(self):
         g = DirectedGraph.from_arcs([(0, 1), (0, 1), (1, 1)])
@@ -58,7 +58,7 @@ class TestDirectedGraph:
     def test_out_in_degrees(self):
         g = directed_cycle(4)
         assert g.out_degrees().tolist() == [1, 1, 1, 1]
-        assert g.in_degrees().tolist() == [1, 1, 1, 1]
+        assert np.diff(g.backward_view()[0]).tolist() == [1, 1, 1, 1]
 
     def test_from_undirected(self):
         g = DirectedGraph.from_undirected(cycle_graph(5))
@@ -70,7 +70,7 @@ class TestDirectedGraph:
 
     def test_invalid_vertex(self):
         with pytest.raises(InvalidVertexError):
-            directed_cycle(3).out_neighbors(5)
+            out_neighbors(directed_cycle(3), 5)
 
 
 class TestTraversal:

@@ -6,6 +6,8 @@ import pytest
 from repro.errors import GraphConstructionError
 from repro.graph.builder import GraphBuilder
 
+from helpers import has_edge
+
 
 class TestBasicBuild:
     def test_single_edge(self):
@@ -41,7 +43,7 @@ class TestHygiene:
         b.add_edges([(0, 0), (0, 1), (1, 1)])
         g = b.build()
         assert g.num_edges == 1
-        assert not g.has_edge(0, 0)
+        assert not has_edge(g, 0, 0)
 
     def test_duplicates_collapsed(self):
         b = GraphBuilder()
@@ -52,7 +54,7 @@ class TestHygiene:
         b = GraphBuilder()
         b.add_edge(3, 1)  # one direction only
         g = b.build()
-        assert g.has_edge(1, 3) and g.has_edge(3, 1)
+        assert has_edge(g, 1, 3) and has_edge(g, 3, 1)
 
     def test_neighbors_sorted_after_build(self):
         b = GraphBuilder()
@@ -154,7 +156,7 @@ class TestScalarPath:
         edges = np.array([1, 2, 3])
         b.add_edge(edges[0], edges[2])
         g = b.build()
-        assert g.has_edge(0, 3) and g.has_edge(1, 2) and g.has_edge(1, 3)
+        assert has_edge(g, 0, 3) and has_edge(g, 1, 2) and has_edge(g, 1, 3)
         assert g.num_edges == 3
 
     def test_numpy_scalar_out_of_range_rejected(self):
@@ -193,7 +195,7 @@ class TestScalarPath:
         b.add_edge(3, 4)
         grown = b.build()
         assert grown.num_edges == first.num_edges + 1
-        assert grown.has_edge(3, 4)
+        assert has_edge(grown, 3, 4)
         fresh = GraphBuilder()
         fresh.add_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
         assert grown == fresh.build()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph.components import (
     connected_components,
-    is_connected,
     largest_connected_component,
     split_components,
 )
@@ -13,6 +12,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 from repro.graph.generators import cycle_graph, path_graph
 from repro.graph.properties import exact_eccentricities
+
+from helpers import is_connected
 
 
 def two_components() -> Graph:

@@ -8,6 +8,7 @@ reuse.  The seed kernel is reproduced verbatim here as the oracle.
 
 import gc
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.generators import (
     barabasi_albert,
+    grid_graph,
     paper_example_graph,
     path_graph,
     star_graph,
@@ -78,47 +80,22 @@ def seed_bfs_distances(graph, source, limit=None):
     return dist
 
 
-def seed_multi_source_bfs(graph, sources):
-    n = graph.num_vertices
-    src = np.asarray(list(sources), dtype=np.int64)
-    if len(src) == 0:
-        return (
-            np.full(n, UNREACHED, dtype=np.int32),
-            np.full(n, -1, dtype=np.int32),
-        )
-    dist = np.full(n, UNREACHED, dtype=np.int32)
-    owner = np.full(n, -1, dtype=np.int32)
-    priority = np.full(n, n, dtype=np.int64)
-    for pos, s in enumerate(src):
-        if priority[s] == n:
-            priority[s] = pos
+def deque_nearest_source(graph, sources):
+    """Nearest-source distances by a plain FIFO BFS seeded with every
+    source (the test oracle for ``multi_source_bfs``)."""
+    dist = np.full(graph.num_vertices, UNREACHED, dtype=np.int32)
+    queue = deque()
+    for s in sources:
+        if dist[s] == UNREACHED:
             dist[s] = 0
-            owner[s] = s
-    frontier = np.unique(src)
-    indptr, indices = graph.indptr, graph.indices
-    level = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = (indptr[frontier + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            break
-        csum = np.cumsum(counts)
-        offsets = np.repeat(starts - (csum - counts), counts)
-        neighbors = indices[np.arange(total, dtype=np.int64) + offsets]
-        owners_expanded = np.repeat(owner[frontier], counts)
-        unseen = dist[neighbors] == UNREACHED
-        fresh = neighbors[unseen]
-        fresh_owner = owners_expanded[unseen]
-        if len(fresh) == 0:
-            break
-        level += 1
-        rank = np.lexsort((priority[fresh_owner], fresh))
-        uniq, first_idx = np.unique(fresh[rank], return_index=True)
-        dist[uniq] = level
-        owner[uniq] = fresh_owner[rank[first_idx]]
-        frontier = uniq.astype(np.int64)
-    return dist, owner
+            queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u):
+            if dist[v] == UNREACHED:
+                dist[v] = dist[u] + 1
+                queue.append(int(v))
+    return dist
 
 
 def random_graph(n, num_edges, seed):
@@ -293,6 +270,24 @@ class TestRunStatsInvariants:
         assert set(run["directions"]) <= {"bu"}
 
 
+#: Nearest-source cases: (graph, sources), covering deep and shallow
+#: graphs, a disconnected one, and empty and duplicate source lists.
+NEAREST_SOURCE_CASES = {
+    "grid": (lambda: grid_graph(12, 17), [0, 100, 203]),
+    "powerlaw": (lambda: barabasi_albert(3000, 4, seed=3), [5, 77, 2999]),
+    "star": (lambda: star_graph(40), [3, 9]),
+    "disconnected": (
+        lambda: Graph.from_edges([(0, 1), (1, 2), (3, 4), (6, 7)], 9),
+        [1, 6],
+    ),
+    "empty-sources": (lambda: grid_graph(4, 4), []),
+    "duplicate-sources": (
+        lambda: barabasi_albert(500, 3, seed=1),
+        [7, 7, 300, 7, 300],
+    ),
+}
+
+
 class TestMultiSourceEquivalence:
     def test_corpus_matches_seed_kernel(self):
         rng = np.random.default_rng(99)
@@ -301,16 +296,29 @@ class TestMultiSourceEquivalence:
             k = int(rng.integers(1, min(n, 6) + 1))
             sources = [int(rng.integers(0, n)) for _ in range(k)]
             sources += sources[:1]  # exercise duplicate sources
-            exp_dist, exp_owner = seed_multi_source_bfs(graph, sources)
-            got_dist, got_owner = multi_source_bfs(graph, sources)
+            exp_dist = deque_nearest_source(graph, sources)
+            got_dist = multi_source_bfs(graph, sources)
             assert np.array_equal(exp_dist, got_dist), f"graph #{i}"
-            assert np.array_equal(exp_owner, got_owner), f"graph #{i}"
+
+    @pytest.mark.parametrize("case", sorted(NEAREST_SOURCE_CASES))
+    @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
+    def test_matches_deque_oracle(self, case, mode):
+        make, sources = NEAREST_SOURCE_CASES[case]
+        graph = make()
+        counter = TraversalCounter()
+        got = engine_for(graph).run(sources, counter=counter, mode=mode)
+        assert np.array_equal(got, deque_nearest_source(graph, sources))
+        # One unlabelled run, whatever the number of sources.
+        assert (counter.bfs_runs, counter.history) == (1, [])
+        assert np.array_equal(
+            multi_source_bfs(graph, sources),
+            deque_nearest_source(graph, sources),
+        )
 
     def test_empty_sources(self):
         graph = path_graph(5)
-        dist, owner = multi_source_bfs(graph, [])
+        dist = multi_source_bfs(graph, [])
         assert (dist == UNREACHED).all()
-        assert (owner == -1).all()
 
     def test_invalid_source_vectorised_check(self):
         graph = path_graph(5)

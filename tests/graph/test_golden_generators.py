@@ -30,20 +30,19 @@ from repro.graph.generators import (
     attach_branches,
     attach_deep_trap,
     attach_handles,
-    attach_periphery,
     balanced_tree,
     barabasi_albert,
     complete_graph,
     copying_model,
-    core_periphery,
     cycle_graph,
-    erdos_renyi,
     grid_graph,
     paper_example_graph,
     path_graph,
     star_graph,
     watts_strogatz,
 )
+
+from helpers import attach_periphery, core_periphery, erdos_renyi
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_generators.json"
 

@@ -11,16 +11,16 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.paths import bfs_parents, diameter_path, shortest_path
+from repro.graph.paths import bfs_parents, diameter_path
 from repro.graph.traversal import bfs_distances
-from helpers import random_connected_graph
+from helpers import has_edge, random_connected_graph, shortest_path
 
 
 def assert_valid_path(graph, path, source, target):
     assert path[0] == source
     assert path[-1] == target
     for u, v in zip(path, path[1:]):
-        assert graph.has_edge(u, v), (u, v)
+        assert has_edge(graph, u, v), (u, v)
     dist = bfs_distances(graph, source)
     assert len(path) - 1 == dist[target]
 
@@ -48,7 +48,7 @@ class TestBFSParents:
         _dist, parent = bfs_parents(g, 3)
         for v in range(g.num_vertices):
             if v != 3:
-                assert g.has_edge(v, int(parent[v]))
+                assert has_edge(g, v, int(parent[v]))
 
     def test_unreachable_parent_minus_one(self):
         g = Graph.from_edges([(0, 1)], num_vertices=3)

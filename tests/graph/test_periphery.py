@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.graph.components import is_connected
 from repro.graph.generators import (
     attach_branches,
     attach_deep_trap,
@@ -15,6 +14,8 @@ from repro.graph.generators import (
 )
 from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
+
+from helpers import is_connected
 
 
 @pytest.fixture(scope="module")

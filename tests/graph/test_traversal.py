@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from repro.core.oracles import BFSOracle
+from repro.core.solver import EccentricitySolver
 from repro.errors import InvalidVertexError
 from repro.graph.csr import Graph
 from repro.graph.generators import (
@@ -124,37 +126,47 @@ class TestEccentricity:
         assert eccentricity(g, 0) == 1
 
 
+def territories(graph, references):
+    """The solver's territory of each reference (Algorithm 2, line 6)."""
+    solver = EccentricitySolver(
+        BFSOracle(graph), num_references=len(references)
+    )
+    solver.references = np.asarray(references)
+    for _snapshot in solver._initialise():
+        pass
+    return {t.reference: t.members.tolist() for t in solver._territories}
+
+
 class TestMultiSourceBFS:
     def test_single_source_matches_bfs(self):
         g = grid_graph(4, 4)
-        dist, owner = multi_source_bfs(g, [5])
+        dist = multi_source_bfs(g, [5])
         np.testing.assert_array_equal(dist, bfs_distances(g, 5))
-        assert np.all(owner == 5)
 
     def test_nearest_source_distance(self):
         g = path_graph(10)
-        dist, owner = multi_source_bfs(g, [0, 9])
+        dist = multi_source_bfs(g, [0, 9])
         expected = [min(v, 9 - v) for v in range(10)]
         assert dist.tolist() == expected
 
+    # Which source is nearest is the solver's territory assignment; the
+    # nearest-source BFS reports distances only.
     def test_owner_assignment(self):
-        g = path_graph(10)
-        _dist, owner = multi_source_bfs(g, [0, 9])
-        assert owner[1] == 0
-        assert owner[8] == 9
+        owned = territories(path_graph(10), [0, 9])
+        assert 1 in owned[0]
+        assert 8 in owned[9]
 
     def test_tie_goes_to_earlier_source(self):
         g = path_graph(5)
-        _dist, owner = multi_source_bfs(g, [0, 4])
-        assert owner[2] == 0  # equidistant, first source wins
-        _dist, owner = multi_source_bfs(g, [4, 0])
-        assert owner[2] == 4
+        assert 2 in territories(g, [0, 4])[0]  # equidistant: first wins
+        assert 2 in territories(g, [4, 0])[4]
 
     def test_empty_sources(self):
         g = path_graph(3)
-        dist, owner = multi_source_bfs(g, [])
+        counter = TraversalCounter()
+        dist = multi_source_bfs(g, [], counter=counter)
         assert np.all(dist == UNREACHED)
-        assert np.all(owner == -1)
+        assert (counter.bfs_runs, counter.history) == (1, [])
 
     def test_invalid_source(self):
         with pytest.raises(InvalidVertexError):
@@ -163,7 +175,7 @@ class TestMultiSourceBFS:
     def test_matches_min_over_singles(self):
         g = random_connected_graph(50, 30, seed=3)
         sources = [0, 10, 20]
-        dist, _owner = multi_source_bfs(g, sources)
+        dist = multi_source_bfs(g, sources)
         singles = np.stack([bfs_distances(g, s) for s in sources])
         np.testing.assert_array_equal(dist, singles.min(axis=0))
 
@@ -225,7 +237,7 @@ class TestTraversalCounter:
 
 class TestAllPairs:
     def test_yields_every_vertex(self):
-        from repro.graph.traversal import all_pairs_distances
+        from helpers import all_pairs_distances
 
         g = grid_graph(3, 3)
         rows = dict(all_pairs_distances(g))
@@ -234,7 +246,7 @@ class TestAllPairs:
             np.testing.assert_array_equal(dist, bfs_distances(g, v))
 
     def test_counter_counts_n_runs(self):
-        from repro.graph.traversal import all_pairs_distances
+        from helpers import all_pairs_distances
 
         g = path_graph(6)
         counter = TraversalCounter()
@@ -242,7 +254,7 @@ class TestAllPairs:
         assert counter.bfs_runs == 6
 
     def test_lazy_generator(self):
-        from repro.graph.traversal import all_pairs_distances
+        from helpers import all_pairs_distances
 
         g = path_graph(50)
         gen = all_pairs_distances(g)

@@ -1,13 +1,28 @@
-"""Shared graph-building helpers importable from any test module."""
+"""Shared helpers importable from any test module: graph builders and
+inspectors, the generators the golden corpus pins, and the test-only
+oracles (Theorems 5.5/5.6, all-pairs BFS, shortest paths)."""
 
 from __future__ import annotations
 
 import heapq
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.result import EccentricityResult
+from repro.core.stratify import stratify
+from repro.counters import TraversalCounter
+from repro.directed.graph import DirectedGraph
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
+from repro.graph.generators import _copy_edges, _hang_paths, _require
+from repro.graph.paths import bfs_parents
+from repro.graph.traversal import (
+    UNREACHED,
+    bfs_distances,
+    eccentricity_and_distances,
+)
+from repro.weighted.graph import WeightedGraph
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
@@ -55,3 +70,244 @@ def heap_dijkstra(graph, source: int):
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     return dist, edges_scanned, visited
+
+
+# ----------------------------------------------------------------------
+# Graph construction and inspection fixtures
+# ----------------------------------------------------------------------
+def graph_from_adjacency(adjacency: Sequence[Sequence[int]]) -> Graph:
+    """A graph from an adjacency list; the input must be symmetric."""
+    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(row) for row in adjacency])
+    indices = np.asarray(
+        [v for row in adjacency for v in sorted(row)], dtype=np.int32
+    )
+    graph = Graph(indptr, indices)
+    graph.check_symmetric()
+    return graph
+
+
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    """True when the undirected edge ``{u, v}`` is present."""
+    graph._check_vertex(u)
+    graph._check_vertex(v)
+    return bool(np.isin(v, graph.neighbors(u)))
+
+
+def unit_weighted(graph: Graph, weight: float = 1.0) -> WeightedGraph:
+    """``graph`` as a weighted graph with every edge weighing ``weight``."""
+    return WeightedGraph(
+        graph.indptr.copy(),
+        graph.indices.copy(),
+        np.full(len(graph.indices), float(weight)),
+    )
+
+
+def out_neighbors(graph: DirectedGraph, v: int) -> np.ndarray:
+    """Heads of ``v``'s out-arcs."""
+    graph._check_vertex(v)
+    indptr, indices = graph.forward_view()
+    return indices[indptr[v]: indptr[v + 1]]
+
+
+def in_neighbors(graph: DirectedGraph, v: int) -> np.ndarray:
+    """Tails of ``v``'s in-arcs."""
+    graph._check_vertex(v)
+    indptr, indices = graph.backward_view()
+    return indices[indptr[v]: indptr[v + 1]]
+
+
+def is_connected(graph: Graph) -> bool:
+    """True when the graph has one connected component (or no vertex)."""
+    if graph.num_vertices <= 1:
+        return True
+    return bool(np.all(bfs_distances(graph, 0) != UNREACHED))
+
+
+def all_pairs_distances(
+    graph: Graph, counter: Optional[TraversalCounter] = None
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(v, distances-from-v)`` for every vertex (quadratic)."""
+    for v in range(graph.num_vertices):
+        yield v, bfs_distances(graph, v, counter=counter)
+
+
+def shortest_path(
+    graph: Graph,
+    source: int,
+    target: int,
+    counter: Optional[TraversalCounter] = None,
+) -> Optional[List[int]]:
+    """One shortest path from ``source`` to ``target`` (``None`` if none),
+    walked back along :func:`repro.graph.paths.bfs_parents`."""
+    graph._check_vertex(target)
+    dist, parent = bfs_parents(graph, source, counter=counter)
+    if dist[target] == UNREACHED:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(int(parent[path[-1]]))
+    path.reverse()
+    return path
+
+
+# ----------------------------------------------------------------------
+# Generators the tests (and tests/data/golden_generators.json) pin
+# ----------------------------------------------------------------------
+def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
+    """G(n, p) random graph (each pair an edge independently with prob p)."""
+    _require(n >= 0, "n must be non-negative")
+    _require(0.0 <= p <= 1.0, "p must be in [0, 1]")
+    rng = np.random.default_rng(seed)
+    builder = GraphBuilder(num_vertices=n)
+    # Sample the upper triangle one row at a time to bound memory.
+    for u in range(n - 1):
+        count = n - 1 - u
+        mask = rng.random(count) < p
+        if mask.any():
+            vs = np.arange(u + 1, n, dtype=np.int64)[mask]
+            builder.add_edge_arrays(np.full(len(vs), u, dtype=np.int64), vs)
+    return builder.build()
+
+
+def core_periphery(
+    core_size: int,
+    periphery_size: int,
+    core_probability: float = 0.3,
+    seed: int = 0,
+) -> Graph:
+    """A dense Erdős–Rényi core with sparse periphery vertices, each
+    hung off one random core vertex by a path of random length 1–3."""
+    _require(core_size >= 2, "core_size must be >= 2")
+    _require(periphery_size >= 0, "periphery_size must be >= 0")
+    rng = np.random.default_rng(seed)
+    builder = GraphBuilder()
+    # Dense core: one uniform double per pair, row by row.
+    rows, cols = np.triu_indices(core_size, k=1)
+    kept = rng.random(len(rows)) < core_probability
+    builder.add_edge_arrays(rows[kept], cols[kept])
+    # Spanning cycle keeps the core connected regardless of density draw.
+    ring = np.arange(core_size, dtype=np.int64)
+    builder.add_edge_arrays(ring, (ring + 1) % core_size)
+    anchors = np.empty(periphery_size, dtype=np.int64)
+    lengths = np.empty(periphery_size, dtype=np.int64)
+    for i in range(periphery_size):
+        anchors[i] = rng.integers(0, core_size)
+        lengths[i] = rng.integers(1, 4)
+    _hang_paths(builder, anchors, lengths, core_size)
+    return builder.build()
+
+
+def attach_periphery(
+    graph: Graph,
+    num_tendrils: int,
+    max_length: int,
+    seed: int = 0,
+    num_anchors: int = 4,
+) -> Graph:
+    """Graft tendrils onto the ``num_anchors`` lowest-degree vertices:
+    anchor ``j``'s deepest tendril has length ``max_length - 3 j``, and
+    ``seed`` only jitters the lengths by one."""
+    _require(num_tendrils >= 0, "num_tendrils must be non-negative")
+    _require(max_length >= 1, "max_length must be >= 1")
+    _require(num_anchors >= 1, "num_anchors must be >= 1")
+    rng = np.random.default_rng(seed)
+    builder = _copy_edges(graph)
+    anchors = np.argsort(graph.degrees, kind="stable")[:num_anchors]
+    jitter = np.array(
+        [rng.integers(0, 2) for _ in range(num_tendrils)], dtype=np.int64
+    )
+    i = np.arange(num_tendrils, dtype=np.int64)
+    j = i % len(anchors)
+    base = max_length - 3 * j - i // len(anchors)
+    lengths = np.maximum(1, base - jitter)
+    _hang_paths(builder, anchors[j], lengths, graph.num_vertices)
+    return builder.build()
+
+
+# ----------------------------------------------------------------------
+# Section 5 oracles: Theorems 5.5 and 5.6
+# ----------------------------------------------------------------------
+def exact_via_f1(
+    graph: Graph,
+    reference: Optional[int] = None,
+    counter: Optional[TraversalCounter] = None,
+) -> EccentricityResult:
+    """Exact ED by BFS from every node of ``F1`` (Theorem 5.5).
+
+    For ``v`` in ``F1`` the eccentricity comes from ``v``'s own BFS; for
+    ``v`` outside, ``ecc(v) = max_{u in F1} dist(u, v)`` — the theorem
+    guarantees some farthest node of ``v`` lies in ``F1``.
+    """
+    counter = counter if counter is not None else TraversalCounter()
+    strat = stratify(graph, reference, counter=counter)
+    n = graph.num_vertices
+    ecc = np.zeros(n, dtype=np.int32)
+    f1 = strat.f1
+    outside = np.ones(n, dtype=bool)
+    outside[f1] = False
+    for u in f1:
+        ecc_u, dist_u = eccentricity_and_distances(
+            graph, int(u), counter=counter
+        )
+        ecc[u] = ecc_u
+        ecc[outside] = np.maximum(ecc[outside], dist_u[outside])
+    # F1 is empty only when ecc(z) = 0 (a single vertex).
+    if len(f1) == 0:
+        ecc[:] = strat.eccentricity
+    return EccentricityResult(
+        eccentricities=ecc,
+        lower=ecc.copy(),
+        upper=ecc.copy(),
+        exact=True,
+        algorithm="F1-exact",
+        num_bfs=counter.bfs_runs,
+        elapsed_seconds=0.0,
+        reference_nodes=np.asarray([strat.reference], dtype=np.int32),
+        counter=counter,
+    )
+
+
+def approximate_via_f2(
+    graph: Graph,
+    reference: Optional[int] = None,
+    counter: Optional[TraversalCounter] = None,
+) -> EccentricityResult:
+    """Approximate ED by BFS from every node of ``F2`` (Theorem 5.6).
+
+    Exact inside ``F2``; outside, ``max(dist_max(v, F2), dist(v, z) +
+    ecc(z) / 4)`` rounded down, with a ratio in ``[7/12, 3/2]``.
+    """
+    counter = counter if counter is not None else TraversalCounter()
+    strat = stratify(graph, reference, counter=counter)
+    n = graph.num_vertices
+    f2 = strat.f2
+    in_f2 = np.zeros(n, dtype=bool)
+    in_f2[f2] = True
+    dist_max_f2 = np.zeros(n, dtype=np.int64)
+    ecc_exact = np.zeros(n, dtype=np.int64)
+    for u in f2:
+        ecc_u, dist_u = eccentricity_and_distances(
+            graph, int(u), counter=counter
+        )
+        ecc_exact[u] = ecc_u
+        dist_max_f2 = np.maximum(dist_max_f2, dist_u)
+    theorem_term = (
+        strat.distances.astype(np.float64) + strat.eccentricity / 4.0
+    )
+    estimate = np.maximum(dist_max_f2.astype(np.float64), theorem_term)
+    ecc = np.floor(estimate).astype(np.int32)
+    ecc[in_f2] = ecc_exact[in_f2]
+    if len(f2) == 0:
+        ecc[:] = 0  # ecc(z) = 0: a single vertex
+    return EccentricityResult(
+        eccentricities=ecc,
+        lower=np.where(in_f2, ecc, dist_max_f2.astype(np.int32)),
+        upper=ecc.copy(),
+        exact=False,
+        algorithm="F2-approx",
+        num_bfs=counter.bfs_runs,
+        elapsed_seconds=0.0,
+        reference_nodes=np.asarray([strat.reference], dtype=np.int32),
+        counter=counter,
+    )

@@ -11,8 +11,9 @@ from repro.baselines.naive import naive_eccentricities
 from repro.baselines.pllecc import pllecc_eccentricities
 from repro.core.ifecc import compute_eccentricities
 from repro.core.kifecc import approximate_eccentricities
-from repro.core.stratify import exact_via_f1
 from repro.datasets.loader import load_dataset
+
+from helpers import exact_via_f1
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,6 @@ from repro.baselines.naive import naive_eccentricities
 from repro.baselines.pllecc import pllecc_eccentricities
 from repro.core.extremes import radius_and_diameter
 from repro.core.ifecc import compute_eccentricities
-from repro.core.stratify import exact_via_f1
 from repro.graph.csr import Graph
 from repro.graph.batch import ecc_batch
 from repro.graph.generators import (
@@ -23,6 +22,8 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
+
+from helpers import exact_via_f1, unit_weighted
 
 TINY_GRAPHS = {
     "single": Graph.from_edges([], num_vertices=1),
@@ -101,12 +102,9 @@ class TestTinyMatrix:
 
     def test_weighted_unit_lift(self, tiny):
         from repro.weighted.eccentricity import weighted_eccentricities
-        from repro.weighted.graph import WeightedGraph
 
         graph, truth = tiny
-        result = weighted_eccentricities(
-            WeightedGraph.from_unweighted(graph)
-        )
+        result = weighted_eccentricities(unit_weighted(graph))
         np.testing.assert_allclose(
             result.eccentricities, truth.astype(float)
         )

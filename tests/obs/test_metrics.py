@@ -119,7 +119,7 @@ class TestRegistry:
     def test_fold_ignores_other_events(self):
         registry = MetricsRegistry()
         registry.fold_event({"kind": "span", "name": "solver.probe"})
-        registry.fold_event({"kind": "event", "name": "bfs.run_multi"})
+        registry.fold_event({"kind": "event", "name": "solver.territory"})
         assert registry.snapshot() == {}
 
     def test_fold_counts_missing_fields_as_zero(self):

@@ -1,12 +1,8 @@
 """Unit tests for the span/event tracer (repro.obs.trace)."""
 
-import io
-import json
-
 import pytest
 
 from repro.obs.trace import (
-    JSONLSink,
     MemorySink,
     NullSink,
     Stopwatch,
@@ -53,29 +49,6 @@ class TestSinks:
         sink.clear()
         assert len(sink) == 0
         assert sink.dropped == 0
-
-    def test_jsonl_sink_writes_one_object_per_line(self):
-        handle = io.StringIO()
-        sink = JSONLSink(handle)
-        tracer = Tracer(sink)
-        tracer.event("a", value=1)
-        tracer.event("b", value=2)
-        lines = handle.getvalue().strip().split("\n")
-        docs = [json.loads(line) for line in lines]
-        assert [d["name"] for d in docs] == ["a", "b"]
-        assert docs[0]["value"] == 1
-
-    def test_jsonl_sink_coerces_numpy_scalars(self):
-        np = pytest.importorskip("numpy")
-        handle = io.StringIO()
-        Tracer(JSONLSink(handle)).event("a", value=np.int32(7))
-        assert json.loads(handle.getvalue())["value"] == 7
-
-    def test_jsonl_sink_owns_path(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JSONLSink(str(path)) as sink:
-            Tracer(sink).event("a")
-        assert json.loads(path.read_text())["name"] == "a"
 
 
 class TestSpans:

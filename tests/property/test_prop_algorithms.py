@@ -10,10 +10,9 @@ from repro.baselines.kbfs import kbfs_eccentricities
 from repro.baselines.pllecc import pllecc_eccentricities
 from repro.core.ifecc import IFECC, compute_eccentricities
 from repro.core.kifecc import approximate_eccentricities
-from repro.core.stratify import approximate_via_f2, exact_via_f1
 from repro.graph.properties import exact_eccentricities
 
-from helpers import random_connected_graph
+from helpers import approximate_via_f2, exact_via_f1, random_connected_graph
 
 
 @st.composite

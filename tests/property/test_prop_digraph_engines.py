@@ -21,19 +21,21 @@ from repro.directed.graph import DirectedGraph
 from repro.graph.engine import BFSEngine
 from repro.graph.msengine import MSBFSEngine
 
+from helpers import in_neighbors, out_neighbors
+
 MODES = ("hybrid", "top-down", "bottom-up")
 
 
 def reference_bfs(graph, source, backward):
     """``dist(source, .)`` along the arcs (reversed when ``backward``)."""
     n = graph.num_vertices
-    step = graph.in_neighbors if backward else graph.out_neighbors
+    step = in_neighbors if backward else out_neighbors
     dist = np.full(n, -1, dtype=np.int32)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in step(u):
+        for v in step(graph, u):
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(int(v))

@@ -12,7 +12,7 @@ from repro.directed.eccentricity import (
     naive_directed_eccentricities,
 )
 from repro.directed.graph import DirectedGraph
-from repro.graph.paths import bfs_parents, shortest_path
+from repro.graph.paths import bfs_parents
 from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
 from repro.weighted.eccentricity import (
@@ -21,7 +21,7 @@ from repro.weighted.eccentricity import (
 )
 from repro.weighted.graph import WeightedGraph
 
-from helpers import random_connected_graph
+from helpers import has_edge, random_connected_graph, shortest_path
 
 
 @st.composite
@@ -79,7 +79,7 @@ class TestPathProperties:
             path = shortest_path(g, 0, target)
             assert len(path) - 1 == dist[target]
             for u, v in zip(path, path[1:]):
-                assert g.has_edge(u, v)
+                assert has_edge(g, u, v)
 
     @given(small_connected_graphs())
     @settings(max_examples=30, deadline=None)

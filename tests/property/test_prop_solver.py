@@ -101,11 +101,9 @@ class TestBudgetedMonotonicity:
     @given(small_weighted_graphs(), st.integers(min_value=0, max_value=6))
     @settings(max_examples=15, deadline=None)
     def test_weighted_budget_estimate_is_lower_bound(self, g, k):
-        from repro.weighted.eccentricity import (
-            approximate_weighted_eccentricities,
-        )
+        from repro.weighted.eccentricity import weighted_solver
 
         truth = naive_weighted_eccentricities(g)
-        result = approximate_weighted_eccentricities(g, k=k)
+        result = weighted_solver(g).run_budgeted(k + 1)
         assert np.all(result.eccentricities <= truth + _TOL)
         assert result.num_bfs <= k + 1

@@ -11,6 +11,8 @@ from repro.graph.generators import path_graph
 from repro.pll.index import build_pll_index
 from repro.weighted.graph import WeightedGraph
 
+from helpers import graph_from_adjacency
+
 
 class TestDegenerateGraphs:
     def test_pll_on_empty_graph(self):
@@ -30,7 +32,7 @@ class TestDegenerateGraphs:
         assert b.build().num_edges == 2
 
     def test_from_adjacency_unsorted_input(self):
-        g = Graph.from_adjacency([[2, 1], [0], [0]])
+        g = graph_from_adjacency([[2, 1], [0], [0]])
         assert g.neighbors(0).tolist() == [1, 2]
 
     def test_weighted_empty(self):

@@ -278,14 +278,14 @@ class TestEngineWiring:
         engine.run(1)
         assert kept.tolist() == [0, 1, 1, 1]
 
-    def test_run_multi_loans_both_buffers(self, sanitizer):
+    def test_nearest_source_run_loans_dist(self, sanitizer):
         engine = BFSEngine(chordal_square())
-        dist, owner = engine.run_multi([0, 2])
+        dist = engine.run([0, 2])
         assert isinstance(dist, sanitize.GuardedArray)
-        assert isinstance(owner, sanitize.GuardedArray)
+        assert dist.tolist() == [0, 1, 0, 1]
         engine.run(0)
         with pytest.raises(SanitizerError):
-            owner.max()
+            dist.max()
 
     def test_reentrant_run_raises(self, sanitizer):
         engine = BFSEngine(chordal_square())

@@ -169,6 +169,32 @@ class TestCompare:
             f.level == "fail" and "shared" in f.message for f in findings
         )
 
+    @pytest.mark.parametrize(
+        "fresh_overhead, failed", [(2.0, False), (4.0, True)]
+    )
+    def test_column_overhead_gates_across_modes(
+        self, tmp_path, fresh_overhead, failed
+    ):
+        # A smoke run shares only the paper example and the BA-2k column
+        # row with the committed full-mode artifact; the column overhead
+        # gates as a lower-is-better headline.
+        with open(REPO_ROOT / "BENCH_msbfs_engine.json") as handle:
+            committed = json.load(handle)
+        assert committed["mode"] == "full"
+        doc = _msbfs_doc()
+        doc["graphs"][0]["name"] = "paper-example"
+        doc["aggregate"]["powerlaw_column_overhead_vs_ecc"] = fresh_overhead
+        fresh = _write(tmp_path, "fresh.json", doc)
+        base = _write(tmp_path, "base.json", committed)
+        findings = compare_docs(fresh, base, tolerance=0.5)
+        gated = [f for f in findings if ": fresh " in f.message]
+        assert len(gated) == 3
+        (column,) = [
+            f for f in gated if "ba2k:column_overhead_vs_ecc" in f.message
+        ]
+        assert column.failed is failed
+        assert "ceiling" in column.message
+
     def test_tolerance_validation(self, tmp_path):
         fresh = _write(tmp_path, "fresh.json", _msbfs_doc())
         with pytest.raises(ValueError):

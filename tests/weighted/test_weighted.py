@@ -14,14 +14,19 @@ from repro.errors import (
 from repro.graph.generators import cycle_graph, path_graph
 from repro.weighted.dijkstra import dijkstra_distances
 from repro.weighted.eccentricity import (
-    approximate_weighted_eccentricities,
     naive_weighted_eccentricities,
     weighted_eccentricities,
     weighted_radius_and_diameter,
     weighted_solver,
 )
 from repro.weighted.graph import WeightedGraph
-from helpers import heap_dijkstra, random_connected_graph
+from helpers import heap_dijkstra, random_connected_graph, unit_weighted
+
+
+def weighted_kifecc(graph, k):
+    """Weighted kIFECC: the reference traversal plus ``k`` FFO probes,
+    with the lower bounds as the estimate."""
+    return weighted_solver(graph).run_budgeted(k + 1)
 
 
 def random_weighted_graph(n, extra, seed, max_weight=9):
@@ -90,7 +95,7 @@ class TestWeightedGraph:
             WeightedGraph.from_edges([(0, 5, 1.0)], num_vertices=3)
 
     def test_from_unweighted(self):
-        g = WeightedGraph.from_unweighted(cycle_graph(5), weight=2.0)
+        g = unit_weighted(cycle_graph(5), weight=2.0)
         assert g.num_edges == 5
         assert np.all(g.weights == 2.0)
 
@@ -140,7 +145,7 @@ class TestDijkstra:
             g = uniform_weighted_graph(50, 60, seed, zero_frac=0.4)
             assert_matches_heap(g, seed)
         # Every weight zero: Δ = 0, one bucket holds the whole component.
-        zeros = WeightedGraph.from_unweighted(cycle_graph(6), weight=0.0)
+        zeros = unit_weighted(cycle_graph(6), weight=0.0)
         counter = assert_matches_heap(zeros, 2)
         np.testing.assert_array_equal(dijkstra_distances(zeros, 2), np.zeros(6))
         assert counter.vertices_visited == 6
@@ -220,7 +225,7 @@ class TestDijkstra:
         from repro.graph.traversal import bfs_distances
 
         base = random_connected_graph(50, 40, seed=2)
-        g = WeightedGraph.from_unweighted(base)
+        g = unit_weighted(base)
         np.testing.assert_array_equal(
             dijkstra_distances(g, 0).astype(int), bfs_distances(base, 0)
         )
@@ -244,7 +249,7 @@ class TestWeightedIFECC:
         from repro.core.ifecc import compute_eccentricities
 
         base = random_connected_graph(60, 45, seed=4)
-        weighted = weighted_eccentricities(WeightedGraph.from_unweighted(base))
+        weighted = weighted_eccentricities(unit_weighted(base))
         unweighted = compute_eccentricities(base)
         np.testing.assert_allclose(
             weighted.eccentricities,
@@ -287,28 +292,28 @@ class TestWeightedKIFECC:
         g = random_weighted_graph(60, 50, seed=3)
         truth = naive_weighted_eccentricities(g)
         for k in (0, 1, 3, 7):
-            result = approximate_weighted_eccentricities(g, k=k)
+            result = weighted_kifecc(g, k=k)
             assert result.num_bfs <= k + 1
             assert np.all(result.eccentricities <= truth + 1e-9)
 
     def test_exact_at_large_budget(self):
         g = random_weighted_graph(45, 35, seed=6)
         truth = naive_weighted_eccentricities(g)
-        result = approximate_weighted_eccentricities(g, k=g.num_vertices)
+        result = weighted_kifecc(g, k=g.num_vertices)
         assert result.exact
         np.testing.assert_allclose(result.eccentricities, truth)
 
     def test_algorithm_tag(self):
         g = random_weighted_graph(20, 10, seed=0)
-        result = approximate_weighted_eccentricities(g, k=2)
-        assert result.algorithm == "kIFECC-weighted(k=2)"
+        result = weighted_kifecc(g, k=2)
+        assert result.algorithm == "IFECC-weighted-1(budget=3)"
 
     def test_negative_budget_rejected(self):
         from repro.errors import InvalidParameterError
 
         g = random_weighted_graph(10, 5, seed=0)
         with pytest.raises(InvalidParameterError):
-            approximate_weighted_eccentricities(g, k=-1)
+            weighted_solver(g).run_budgeted(-1)
 
 
 class TestWeightedAnytime:

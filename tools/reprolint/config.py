@@ -124,8 +124,6 @@ POOLED_BUFFER_ATTRS = {
             "_frontier_mask",
             "_dedupe_mask",
             "_slot",
-            "_owner",
-            "_priority",
         }
     ),
     "repro.graph.msengine._MSWorkspace": frozenset(
@@ -141,8 +139,6 @@ WORKSPACE_PRODUCERS = frozenset(
     {
         "repro.graph.engine.BFSEngine.run",
         "repro.graph.engine.BFSEngine._run_impl",
-        "repro.graph.engine.BFSEngine.run_multi",
-        "repro.graph.engine.BFSEngine._run_multi_impl",
         "repro.sanitize.WorkspaceGuard.loan",
     }
 )
