@@ -7,6 +7,7 @@ install:
 
 test:
 	pytest tests/
+	PYTHONPATH=src python -m pytest --doctest-modules src/repro -q
 
 # Guard: the weighted and directed suites ride in the default pytest
 # tier (pyproject testpaths = ["tests"]).  Fails if a config change

@@ -130,9 +130,10 @@ class BoundState:
         Absolute comparison slack used by :meth:`bounds_met` and every
         consistency check.  ``0`` (default) gives exact integer
         comparison; float metrics pass e.g. ``1e-9``.
-    infinity:
-        The "+infinity" initial upper bound.  Defaults to the dtype's
-        canonical sentinel (``2**30`` for integers, ``inf`` for floats).
+
+    The "+infinity" initial upper bound, :attr:`infinity`, is the
+    dtype's canonical sentinel (``2**30`` for integers, ``inf`` for
+    floats).
 
     Notes
     -----
@@ -151,7 +152,6 @@ class BoundState:
         num_vertices: int,
         dtype: "np.typing.DTypeLike" = np.int32,
         tolerance: float = 0.0,
-        infinity: Optional[Numeric] = None,
     ) -> None:
         if num_vertices < 0:
             raise InvalidParameterError("num_vertices must be non-negative")
@@ -159,9 +159,7 @@ class BoundState:
             raise InvalidParameterError("tolerance must be non-negative")
         self._dtype = np.dtype(dtype)
         self.tolerance = float(tolerance)
-        self.infinity = (
-            infinity if infinity is not None else infinity_for(self._dtype)
-        )
+        self.infinity = infinity_for(self._dtype)
         self.lower = np.zeros(num_vertices, dtype=self._dtype)
         self.upper = np.full(num_vertices, self.infinity, dtype=self._dtype)
         # Scratch for capped_gap_mass, allocated on first use.

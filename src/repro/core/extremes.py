@@ -34,14 +34,12 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.bounds import BoundState
-from repro.core.ffo import farthest_first_order
 from repro.core.framework import bound_and_select
-from repro.core.oracles import BFSOracle, DistanceOracle
+from repro.core.oracles import BFSOracle, DistanceOracle, _reference_probe
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.traversal import TraversalCounter
 from repro.obs.trace import Stopwatch
-from repro.sentinels import unreached_mask
 
 __all__ = ["ExtremesResult", "radius_and_diameter", "oracle_radius_and_diameter"]
 
@@ -101,16 +99,12 @@ def oracle_radius_and_diameter(
     watch = Stopwatch()
 
     reference = int(oracle.select_references("degree", 1, 0)[0])
-    _, dist_from, dist_into = oracle.source_probe(reference, counter=counter)
-    if bool(np.any(unreached_mask(dist_from))) or (
-        dist_into is not dist_from
-        and bool(np.any(unreached_mask(dist_into)))
-    ):
-        raise oracle.disconnected_error()
-    ffo = farthest_first_order(dist_from, reference)
+    ffo, dist_into = _reference_probe(oracle, reference, counter)
     bounds = BoundState(n, dtype=oracle.dtype, tolerance=oracle.tolerance)
     bounds.set_exact(reference, ffo.eccentricity)
-    bounds.apply_lemma31(dist_into, ffo.eccentricity, dist_from_t=dist_from)
+    bounds.apply_lemma31(
+        dist_into, ffo.eccentricity, dist_from_t=ffo.distances
+    )
 
     ffo_cursor = 0
     pick_periphery = True

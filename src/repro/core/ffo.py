@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.batch import distance_rows
 from repro.graph.csr import Graph
-from repro.graph.engine import BFSEngine, engine_for
+from repro.graph.engine import engine_for
 from repro.graph.traversal import TraversalCounter
 from repro.sentinels import unreached_mask
 
@@ -109,20 +109,13 @@ def compute_ffo(
     graph: Graph,
     source: int,
     counter: Optional[TraversalCounter] = None,
-    engine: Optional[BFSEngine] = None,
 ) -> FarthestFirstOrder:
     """Run one BFS from ``source`` and return its FFO (Algorithm 2, line 4).
 
-    ``engine`` lets callers that run many traversals (IFECC's sweep)
-    reuse one pooled-workspace engine; the FFO retains the distance
-    vector, so it is copied out of the pooled buffer.
-
-    :mutates engine: the run clobbers its pooled distance buffer, so any
-        outstanding loan from a previous ``engine.run`` goes stale.
+    The FFO retains the distance vector, so it is copied out of the
+    engine's pooled buffer.
     """
-    if engine is None:
-        engine = engine_for(graph)
-    distances = engine.run(source, counter=counter).copy()
+    distances = engine_for(graph).run(source, counter=counter).copy()
     return farthest_first_order(distances, source)
 
 

@@ -40,7 +40,6 @@ import numpy as np
 from repro.core.oracles import BFSOracle
 from repro.core.result import EccentricityResult
 from repro.core.solver import EccentricitySolver
-from repro.errors import InvalidParameterError
 from repro.graph.components import split_components
 from repro.graph.csr import Graph
 from repro.graph.traversal import TraversalCounter
@@ -79,10 +78,6 @@ class IFECC(EccentricitySolver):
         seed: int = 0,
         counter: Optional[TraversalCounter] = None,
     ) -> None:
-        if num_references < 1:
-            raise InvalidParameterError("num_references must be >= 1")
-        if graph.num_vertices == 0:
-            raise InvalidParameterError("graph must have at least one vertex")
         self.graph = graph
         super().__init__(
             BFSOracle(graph),

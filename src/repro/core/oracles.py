@@ -56,12 +56,14 @@ from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 import numpy as np
 
 from repro.counters import TraversalCounter
+from repro.core.ffo import FarthestFirstOrder, farthest_first_order
 from repro.core.reference import get_strategy
 from repro.errors import DisconnectedGraphError
 from repro.graph.batch import check_backend, ecc_batch, sweep_columns
 from repro.graph.csr import Graph
 from repro.graph.engine import engine_for
 from repro.graph.msengine import LANE_WORD_BITS
+from repro.sentinels import unreached_mask
 
 __all__ = ["DistanceOracle", "BFSOracle"]
 
@@ -148,6 +150,27 @@ class DistanceOracle(Protocol):
     def gap_cap(self) -> float:
         """A finite bound on any vertex's eccentricity (gap accounting)."""
         ...  # pragma: no cover - protocol
+
+
+def _reference_probe(
+    oracle: DistanceOracle,
+    reference: int,
+    counter: Optional[TraversalCounter],
+) -> Tuple[FarthestFirstOrder, np.ndarray]:
+    """``(FFO of reference, dist(., reference))``: a driver's first probe.
+
+    The solver's reference probes (Algorithm 2, lines 2-4) and the
+    extremes driver's start both need every vertex reached in both
+    directions; otherwise the oracle's :meth:`~DistanceOracle.\
+disconnected_error` is raised.
+    """
+    _, dist_from, dist_into = oracle.source_probe(reference, counter=counter)
+    if bool(np.any(unreached_mask(dist_from))) or (
+        dist_into is not dist_from
+        and bool(np.any(unreached_mask(dist_into)))
+    ):
+        raise oracle.disconnected_error()
+    return farthest_first_order(dist_from, reference), dist_into
 
 
 class BFSOracle:

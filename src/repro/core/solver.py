@@ -69,14 +69,13 @@ import numpy as np
 
 from repro import sanitize
 from repro.core.bounds import BoundState
-from repro.core.ffo import FarthestFirstOrder, farthest_first_order
-from repro.core.oracles import DistanceOracle
+from repro.core.ffo import FarthestFirstOrder
+from repro.core.oracles import DistanceOracle, _reference_probe
 from repro.core.result import EccentricityResult, ProgressSnapshot
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError
 from repro.graph.msengine import plan_sweep_width
 from repro.obs.trace import Stopwatch, Tracer, get_tracer
-from repro.sentinels import unreached_mask
 
 __all__ = ["EccentricitySolver", "Territory"]
 
@@ -115,11 +114,10 @@ class EccentricitySolver:
         Seed for stochastic strategies; ignored by ``"degree"``.
     counter:
         Optional shared :class:`repro.counters.TraversalCounter`.
-    tracer:
-        Optional explicit :class:`repro.obs.trace.Tracer`; by default the
-        process-wide active tracer (:func:`repro.obs.trace.get_tracer`)
-        is consulted at :meth:`steps` time, so ``with tracing(sink):``
-        around a run captures its spans without touching this signature.
+
+    Spans and events go to the process-wide active tracer
+    (:func:`repro.obs.trace.get_tracer`), read when a run starts, so
+    ``with tracing(sink):`` around a run captures them.
     """
 
     def __init__(
@@ -129,7 +127,6 @@ class EccentricitySolver:
         strategy: str = "degree",
         seed: int = 0,
         counter: Optional[TraversalCounter] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if num_references < 1:
             raise InvalidParameterError("num_references must be >= 1")
@@ -140,7 +137,6 @@ class EccentricitySolver:
         self.strategy = strategy
         self.seed = seed
         self.counter = counter if counter is not None else TraversalCounter()
-        self._tracer = tracer
         self.bounds = BoundState(
             oracle.num_vertices,
             dtype=oracle.dtype,
@@ -159,7 +155,7 @@ class EccentricitySolver:
     # ------------------------------------------------------------------
     def _initialise(self) -> Iterator[ProgressSnapshot]:
         oracle = self.oracle
-        tracer = self._active_tracer()
+        tracer = get_tracer()
         ffos: List[FarthestFirstOrder] = []
         reverse: List[np.ndarray] = []
         for z in self.references:
@@ -173,15 +169,7 @@ class EccentricitySolver:
                 metric=oracle.metric_name,
                 oracle=oracle.trace_kind,
             )
-            ecc_z, dist_from, dist_into = oracle.source_probe(
-                z, counter=self.counter
-            )
-            if bool(np.any(unreached_mask(dist_from))) or (
-                dist_into is not dist_from
-                and bool(np.any(unreached_mask(dist_into)))
-            ):
-                raise oracle.disconnected_error()
-            ffo = farthest_first_order(dist_from, z)
+            ffo, dist_into = _reference_probe(oracle, z, self.counter)
             ffos.append(ffo)
             reverse.append(dist_into)
             self.bounds.set_exact(z, ffo.eccentricity)
@@ -312,7 +300,7 @@ class EccentricitySolver:
         in FFO order.  Returns the members still unresolved and the rank
         after the block.
         """
-        tracer = self._active_tracer()
+        tracer = get_tracer()
         traced = tracer.enabled
         oracle = self.oracle
         counter = self.counter
@@ -416,9 +404,6 @@ class EccentricitySolver:
             oracle=self.oracle.trace_kind,
         )
 
-    def _active_tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
-
     def _finish_probe_span(
         self,
         tracer: Tracer,
@@ -515,7 +500,7 @@ class EccentricitySolver:
             return int(max(1, min(plan_sweep_width(consumed), lanes, left)))
 
         budget = {} if max_bfs is None else {"budget": max_bfs}
-        tracer = self._active_tracer()
+        tracer = get_tracer()
         watch = Stopwatch()
         with tracer.span(
             "solver.run",

@@ -22,8 +22,9 @@ import numpy as np
 
 from repro import sanitize
 from repro.counters import TraversalCounter
-from repro.errors import DisconnectedGraphError, InvalidParameterError
+from repro.errors import DisconnectedGraphError
 from repro.graph.batch import check_backend, ecc_batch, sweep_columns
+from repro.graph.csr import _by_degree
 from repro.graph.engine import engine_for
 from repro.graph.msengine import LANE_WORD_BITS
 from repro.sentinels import UNREACHED
@@ -141,15 +142,8 @@ class DirectedBFSOracle:
     def select_references(
         self, strategy: str, count: int, seed: int
     ) -> np.ndarray:
-        # Highest out-degree, ties to the smaller id (stable argsort →
-        # count=1 matches argmax(out_degrees)).
-        if strategy != "degree":
-            raise InvalidParameterError(
-                f"directed solver supports only the 'degree' strategy, "
-                f"got {strategy!r}"
-            )
-        order = np.argsort(-self.graph.out_degrees(), kind="stable")
-        return order[:count].astype(np.int32)
+        # The degree rule only, by out-degree.
+        return _by_degree(self.graph.out_degrees(), count, strategy)
 
     def source_probe(
         self,

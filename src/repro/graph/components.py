@@ -15,7 +15,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.engine import gather_csr_arcs
+from repro.graph.engine import distinct_ids, gather_csr_arcs
 
 __all__ = [
     "ComponentLabels",
@@ -61,7 +61,6 @@ def connected_components(graph: Graph) -> ComponentLabels:
 
     :dtype root: int64
     :dtype slot: int64
-    :dtype order: int64
     :dtype labels: int32
     """
     n = graph.num_vertices
@@ -80,12 +79,7 @@ def connected_components(graph: Graph) -> ComponentLabels:
             arcs, _starts = gather_csr_arcs(
                 indptr, indices, frontier, degrees[frontier]
             )
-            fresh = arcs[root[arcs] == -1]
-            # Each distinct vertex keeps the one position that won its
-            # slot, whichever copy that was.
-            order = np.arange(len(fresh), dtype=np.int64)
-            slot[fresh] = order
-            fresh = fresh[slot[fresh] == order]
+            fresh = distinct_ids(arcs[root[arcs] == -1], slot)
             root[fresh] = seed
             frontier = fresh
     dense = np.cumsum(root == ids) - 1

@@ -28,9 +28,38 @@ from typing import Iterable, Iterator, Tuple
 import numpy as np
 
 from repro import sanitize
-from repro.errors import GraphConstructionError, InvalidVertexError
+from repro.errors import (
+    GraphConstructionError,
+    InvalidParameterError,
+    InvalidVertexError,
+)
 
 __all__ = ["Graph"]
+
+
+def _by_degree(
+    degrees: np.ndarray, count: int, strategy: str = "degree"
+) -> np.ndarray:
+    """The ``count`` vertices of highest ``degrees``, ties to the smaller id.
+
+    The reference rule of Algorithm 1 line 2 and Algorithm 2 line 1,
+    read by :meth:`Graph.top_degree_vertices`, PLL's degree order and
+    the weighted and directed oracles (a directed graph passes its
+    out-degrees).  ``strategy`` is the rule a caller asked for; those
+    oracles offer no other, so anything but ``"degree"`` raises.
+
+    :dtype top: int32
+    """
+    if strategy != "degree":
+        raise InvalidParameterError(
+            f"this graph kind supports only the 'degree' reference "
+            f"strategy, got {strategy!r}"
+        )
+    if count < 0:
+        raise GraphConstructionError("count must be non-negative")
+    # Stable argsort on -degree: equal degrees keep ascending id order.
+    top = np.argsort(-degrees, kind="stable")[:count].astype(np.int32)
+    return top
 
 
 class Graph:
@@ -169,12 +198,7 @@ class Graph:
         This is the reference-node selection rule used by both PLLECC and
         IFECC (Algorithm 1 line 2 / Algorithm 2 line 1).
         """
-        if count < 0:
-            raise GraphConstructionError("count must be non-negative")
-        count = min(count, self.num_vertices)
-        # Sort by (-degree, id): stable argsort on id order with -degree key.
-        order = np.argsort(-self._degrees, kind="stable")
-        return order[:count].astype(np.int32)
+        return _by_degree(self._degrees, count)
 
     # ------------------------------------------------------------------
     # Validation helpers

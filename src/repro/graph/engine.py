@@ -186,8 +186,8 @@ class BFSEngine:
     The engine owns its workspace buffers; :meth:`run` returns the
     *pooled* distance buffer, which stays valid only until the next
     call on the same engine.  Callers that retain distances (FFOs,
-    memoised sweeps, the public :func:`repro.graph.traversal.\
-bfs_distances` wrapper) must copy.
+    the solver's reference rows, the public
+    :func:`repro.graph.traversal.bfs_distances` wrapper) must copy.
 
     Parameters
     ----------
@@ -244,7 +244,6 @@ bfs_distances` wrapper) must copy.
     def run(
         self,
         source: Union[int, Sequence[int]],
-        limit: Optional[int] = None,
         counter: Optional["TraversalCounter"] = None,
         mode: str = "hybrid",
     ) -> np.ndarray:
@@ -270,10 +269,10 @@ bfs_distances` wrapper) must copy.
         """
         guard = self._guard
         if guard is None:
-            return self._run_impl(source, limit, counter, mode)
+            return self._run_impl(source, counter, mode)
         guard.begin_run()
         try:
-            dist = self._run_impl(source, limit, counter, mode)
+            dist = self._run_impl(source, counter, mode)
         finally:
             guard.end_run()
         return guard.loan(dist, "BFSEngine._dist")
@@ -281,7 +280,6 @@ bfs_distances` wrapper) must copy.
     def _run_impl(
         self,
         source: Union[int, Sequence[int]],
-        limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
     ) -> np.ndarray:
@@ -291,8 +289,6 @@ bfs_distances` wrapper) must copy.
         """
         if mode not in ("hybrid", "top-down", "bottom-up"):
             raise InvalidParameterError(f"unknown BFS mode: {mode!r}")
-        if limit is not None and limit < 0:
-            raise InvalidParameterError("limit must be non-negative")
         n = self._n
         origin: Any = source  # the event's `source`
         if isinstance(source, (int, np.integer)):
@@ -330,8 +326,6 @@ bfs_distances` wrapper) must copy.
         # running bottom-up; None means "not materialised".
         cand: Optional[np.ndarray] = None
         while frontier.size:
-            if limit is not None and level >= limit:
-                break
             # Beamer-style per-level decision, inlined (a method call per
             # level is measurable on diameter-hundreds graphs).  Bottom-up
             # is entered only while the frontier's arc mass still grows:

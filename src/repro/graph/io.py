@@ -27,8 +27,6 @@ __all__ = [
     "write_metis",
     "save_npz",
     "load_npz",
-    "save_store",
-    "load_store",
     "parse_edge_lines",
 ]
 
@@ -242,26 +240,3 @@ def load_npz(path: PathLike) -> Graph:
         )
     return Graph(raw_indptr, raw_indices)
 
-
-def save_store(graph: Graph, path: PathLike) -> None:
-    """Save ``graph`` as a ``.rcsr`` binary store container.
-
-    Conversion entry point from the text formats: ``read_edge_list`` /
-    ``read_metis`` / ``load_npz`` produce the graph, this writes the
-    mmap-openable container (see :mod:`repro.store.format`).
-    """
-    from repro.store.format import save_store as _save
-
-    _save(graph, path)
-
-
-def load_store(path: PathLike) -> Graph:
-    """Open a ``.rcsr`` container as a read-only memmap-backed graph.
-
-    O(1) in the graph size — no parse, no copy; the CSR arrays alias
-    the mapped file.  See :func:`repro.store.format.open_store`.
-    """
-    from repro.store.format import open_store as _open
-
-    graph: Graph = _open(path)
-    return graph

@@ -295,7 +295,6 @@ class MSBFSEngine:
     def run_batch(
         self,
         sources: Sequence[int],
-        limit: Optional[int] = None,
         counter: Optional["TraversalCounter"] = None,
         mode: str = "hybrid",
     ) -> np.ndarray:
@@ -303,11 +302,10 @@ class MSBFSEngine:
 
         Returns a freshly-owned ``(len(sources), n)`` ``int32`` matrix;
         row ``i`` equals the level-synchronous BFS distances from
-        ``sources[i]`` (``-1`` marks unreached vertices).  ``limit``
-        truncates every lane after that many levels, matching
-        ``BFSEngine.run(source, limit=...)``.  ``mode`` is ``"hybrid"``
-        (direction-optimizing, the default), ``"top-down"`` or
-        ``"bottom-up"`` (forced, for benchmarks and equivalence tests).
+        ``sources[i]`` (``-1`` marks unreached vertices).  ``mode`` is
+        ``"hybrid"`` (direction-optimizing, the default), ``"top-down"``
+        or ``"bottom-up"`` (forced, for benchmarks and equivalence
+        tests).
 
         The counter is credited with ``len(sources)`` traversal runs —
         the sweep stands in for that many BFSs — and with the sweep's
@@ -316,7 +314,7 @@ class MSBFSEngine:
 
         :dtype dist: int32
         """
-        return self._sweep(sources, None, limit, counter, mode)[1]
+        return self._sweep(sources, None, counter, mode)[1]
 
     def ecc_batch(
         self,
@@ -334,7 +332,7 @@ class MSBFSEngine:
         :dtype ecc: int32
         """
         no_targets = np.empty(0, dtype=np.int64)
-        return self._sweep(sources, no_targets, None, counter, mode)[0]
+        return self._sweep(sources, no_targets, counter, mode)[0]
 
     def column_batch(
         self,
@@ -374,16 +372,13 @@ class MSBFSEngine:
             raise InvalidParameterError("targets must be strictly increasing")
         if len(tgt) == n:
             # Every vertex, in order: record whole rows directly.
-            return self._sweep(
-                sources, None, None, counter, mode, pending=True
-            )
-        return self._sweep(sources, tgt, None, counter, mode, pending=True)
+            return self._sweep(sources, None, counter, mode, pending=True)
+        return self._sweep(sources, tgt, counter, mode, pending=True)
 
     def _sweep(
         self,
         sources: Sequence[int],
         targets: Optional[np.ndarray],
-        limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
         pending: bool = False,
@@ -400,8 +395,6 @@ class MSBFSEngine:
         """
         if mode not in ("hybrid", "top-down", "bottom-up"):
             raise InvalidParameterError(f"unknown MS-BFS mode: {mode!r}")
-        if limit is not None and limit < 0:
-            raise InvalidParameterError("limit must be non-negative")
         n = self._n
         src = np.ascontiguousarray(sources, dtype=np.int64)
         if src.ndim != 1:
@@ -424,14 +417,10 @@ class MSBFSEngine:
         work = self._work
         guard = work.guard
         if guard is None:
-            return self._sweep_impl(
-                src, targets, limit, counter, mode, pending, work
-            )
+            return self._sweep_impl(src, targets, counter, mode, pending, work)
         guard.begin_run()
         try:
-            return self._sweep_impl(
-                src, targets, limit, counter, mode, pending, work
-            )
+            return self._sweep_impl(src, targets, counter, mode, pending, work)
         finally:
             guard.end_run()
 
@@ -439,7 +428,6 @@ class MSBFSEngine:
         self,
         src: np.ndarray,
         targets: Optional[np.ndarray],
-        limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
         pending: bool,
@@ -499,8 +487,6 @@ class MSBFSEngine:
         live = np.bitwise_or.reduce(frontier[active])
         num_live = k
         while active.size:
-            if limit is not None and level >= limit:
-                break
             if hybrid:
                 # The single-source engine's Beamer decision, driven by
                 # the lanes' aggregate arc mass: enter bottom-up only

@@ -2,9 +2,9 @@
 
 Eccentricity analyses often need a *witness path* — e.g. the actual
 diameter path for inspection, or the route from a facility at the
-network center to its worst-served vertex.  This module adds BFS parent
-tracking and path reconstruction without touching the (hot) distance-only
-traversal in :mod:`repro.graph.traversal`.
+network center to its worst-served vertex.  This module derives BFS
+parents and witness paths from the distance rows of the (hot)
+distance-only engine in :mod:`repro.graph.engine`.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidVertexError
 from repro.graph.csr import Graph
-from repro.graph.traversal import UNREACHED, TraversalCounter, _expand_frontier
+from repro.graph.engine import engine_for
+from repro.graph.traversal import TraversalCounter
 
 __all__ = ["bfs_parents", "diameter_path"]
 
@@ -30,43 +30,28 @@ def bfs_parents(
     Returns ``(dist, parent)`` with ``parent[source] == source`` and
     ``parent[v] == -1`` for unreachable ``v``.  Among the multiple
     shortest-path trees, the one with the smallest-id parent per vertex
-    is produced (deterministic).
+    is produced (deterministic).  One engine run gives the distances;
+    a vertex's parents are then exactly its neighbors one level closer,
+    read off the arcs in one vectorised pass.
 
     :dtype dist: int32
     :dtype parent: int64
+    :dtype child: int64
     """
+    dist = engine_for(graph).run(source, counter=counter).copy()
     n = graph.num_vertices
-    if not 0 <= source < n:
-        raise InvalidVertexError(source, n)
-    dist = np.full(n, UNREACHED, dtype=np.int32)
     parent = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
+    # Arc child -> u, grouped by child in CSR order; u is a parent of
+    # child exactly when it sits one level closer to the source.
+    child = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    tree = dist[graph.indices] == dist[child] - 1
+    child = child[tree]
+    if len(child):
+        starts = np.flatnonzero(np.r_[True, child[1:] != child[:-1]])
+        parent[child[starts]] = np.minimum.reduceat(
+            graph.indices[tree], starts
+        )
     parent[source] = source
-    frontier = np.asarray([source], dtype=np.int64)
-    level = 0
-    edges = 0
-    while frontier.size:
-        neighbors = _expand_frontier(graph, frontier)
-        edges += len(neighbors)
-        if len(neighbors) == 0:
-            break
-        indptr = graph.indptr
-        counts = (indptr[frontier + 1] - indptr[frontier]).astype(np.int64)
-        parents_expanded = np.repeat(frontier, counts)
-        unseen = dist[neighbors] == UNREACHED
-        fresh = neighbors[unseen]
-        fresh_parent = parents_expanded[unseen]
-        if len(fresh) == 0:
-            break
-        level += 1
-        # keep the smallest parent id per newly discovered vertex
-        order = np.lexsort((fresh_parent, fresh))
-        uniq, first = np.unique(fresh[order], return_index=True)
-        dist[uniq] = level
-        parent[uniq] = fresh_parent[order[first]]
-        frontier = uniq.astype(np.int64)
-    if counter is not None:
-        counter.record(edges, int(np.count_nonzero(dist != UNREACHED)))
     return dist, parent
 
 

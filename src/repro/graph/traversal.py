@@ -33,26 +33,16 @@ import numpy as np
 
 from repro.counters import TraversalCounter
 from repro.graph.csr import Graph
-from repro.graph.engine import UNREACHED, engine_for, gather_csr_arcs
+from repro.graph.engine import UNREACHED, engine_for
 
 __all__ = [
     "UNREACHED",
     "TraversalCounter",
     "bfs_distances",
-    "bfs_distances_bounded",
     "eccentricity",
     "eccentricity_and_distances",
     "multi_source_bfs",
 ]
-
-
-def _expand_frontier(graph: Graph, frontier: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor ids of all frontier vertices (with duplicates)."""
-    counts = graph.indptr[frontier + 1] - graph.indptr[frontier]
-    neighbors, _seg = gather_csr_arcs(
-        graph.indptr, graph.indices, frontier, counts
-    )
-    return neighbors
 
 
 def bfs_distances(
@@ -64,26 +54,11 @@ def bfs_distances(
 
     Returns an ``int32`` array of length ``n`` with ``UNREACHED`` (-1) for
     vertices in other components.  Runs in ``O(m + n)`` time and space.
-    """
-    return bfs_distances_bounded(graph, source, limit=None, counter=counter)
-
-
-def bfs_distances_bounded(
-    graph: Graph,
-    source: int,
-    limit: Optional[int] = None,
-    counter: Optional[TraversalCounter] = None,
-) -> np.ndarray:
-    """Distances from ``source``, optionally truncated at depth ``limit``.
-
-    Vertices farther than ``limit`` keep distance ``UNREACHED``.  A ``None``
-    limit performs a full BFS.
 
     :dtype dist: int32
     """
-    engine = engine_for(graph)
     # The engine returns its pooled buffer; copy so callers own the result.
-    return engine.run(source, limit=limit, counter=counter).copy()
+    return engine_for(graph).run(source, counter=counter).copy()
 
 
 def eccentricity(

@@ -4,7 +4,7 @@ The observability layer of the solver stack, in three pieces:
 
 :mod:`repro.obs.trace`
     Zero-dependency span/event tracer with pluggable sinks (null —
-    the default, one branch on hot paths; in-memory ring buffer)
+    the default, one branch on hot paths; in-memory list)
     plus the :class:`~repro.obs.trace.Stopwatch` that
     replaces ad-hoc ``time.perf_counter()`` pairs (reprolint R8).
 :mod:`repro.obs.metrics`

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import InvalidParameterError
-from repro.obs.trace import Event, _jsonable, deterministic_view
+from repro.obs.trace import Event, _jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.result import EccentricityResult
@@ -260,10 +260,6 @@ class RunRecord:
     def msbfs_events(self) -> List[Event]:
         """The ``msbfs.run`` lane-sweep events, in stream order."""
         return [e for e in self.events if e.get("name") == MSBFS_EVENT]
-
-    def deterministic_events(self) -> List[Event]:
-        """Events with wall-clock keys stripped (see obs.trace)."""
-        return deterministic_view(self.events)
 
     def summarize(self) -> str:
         """The convergence table a saved record encodes.

@@ -36,12 +36,10 @@ signature.
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import contextmanager
 from types import TracebackType
 from typing import (
     Any,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -101,18 +99,12 @@ class NullSink(Sink):
 
 
 class MemorySink(Sink):
-    """In-memory ring buffer (oldest events dropped past ``capacity``)."""
+    """Keeps every event in memory, in emission order."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self._buffer: Deque[Event] = deque(maxlen=capacity)
-        self.dropped = 0
+    def __init__(self) -> None:
+        self._buffer: List[Event] = []
 
     def emit(self, event: Event) -> None:
-        if (
-            self._buffer.maxlen is not None
-            and len(self._buffer) == self._buffer.maxlen
-        ):
-            self.dropped += 1
         self._buffer.append(event)
 
     @property
@@ -122,7 +114,6 @@ class MemorySink(Sink):
 
     def clear(self) -> None:
         self._buffer.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -218,21 +209,17 @@ class Tracer:
         Plain bool — the one-branch guard instrumented code reads.
         False exactly when the sink is a :class:`NullSink`.
     metrics:
-        A :class:`repro.obs.metrics.MetricsRegistry` that aggregates
-        what events itemise.  Every event :meth:`event` and
+        The tracer's own :class:`repro.obs.metrics.MetricsRegistry`,
+        which aggregates what events itemise.  Every event :meth:`event` and
         :meth:`emit_foreign` emit is folded in
         (:meth:`~repro.obs.metrics.MetricsRegistry.fold_event`);
         instrumentation may also feed it directly.
     """
 
-    def __init__(
-        self,
-        sink: Optional[Sink] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, sink: Optional[Sink] = None) -> None:
         self.sink: Sink = sink if sink is not None else NullSink()
         self.enabled: bool = self.sink.active
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._seq = 0
         self._stack: List[int] = []
 
@@ -400,9 +387,7 @@ def set_tracer(tracer: Tracer) -> Tracer:
 
 
 @contextmanager
-def tracing(
-    sink: Sink, metrics: Optional[MetricsRegistry] = None
-) -> Iterator[Tracer]:
+def tracing(sink: Sink) -> Iterator[Tracer]:
     """Run a block with ``sink`` active; restores the previous tracer.
 
     >>> from repro.obs.trace import MemorySink, tracing
@@ -412,7 +397,7 @@ def tracing(
     >>> [e["name"] for e in sink.events]
     ['example']
     """
-    tracer = Tracer(sink, metrics=metrics)
+    tracer = Tracer(sink)
     previous = set_tracer(tracer)
     try:
         yield tracer

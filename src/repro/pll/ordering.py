@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, _by_degree
 from repro.graph.traversal import bfs_distances
 
 __all__ = ["degree_order", "random_order", "closeness_sketch_order", "get_order"]
@@ -22,7 +22,7 @@ __all__ = ["degree_order", "random_order", "closeness_sketch_order", "get_order"
 
 def degree_order(graph: Graph, seed: int = 0) -> np.ndarray:
     """Vertices by descending degree (ties: ascending id) — the default."""
-    return np.argsort(-graph.degrees, kind="stable").astype(np.int32)
+    return _by_degree(graph.degrees, graph.num_vertices)
 
 
 def random_order(graph: Graph, seed: int = 0) -> np.ndarray:

@@ -22,11 +22,8 @@ import numpy as np
 
 from repro import sanitize
 from repro.counters import TraversalCounter
-from repro.errors import (
-    DisconnectedGraphError,
-    InvalidParameterError,
-    InvalidVertexError,
-)
+from repro.errors import DisconnectedGraphError, InvalidVertexError
+from repro.graph.csr import _by_degree
 from repro.graph.engine import distinct_ids
 from repro.weighted.graph import WeightedGraph
 
@@ -155,16 +152,8 @@ class DijkstraOracle:
     def select_references(
         self, strategy: str, count: int, seed: int
     ) -> np.ndarray:
-        # Weighted graphs support the paper-default degree rule only
-        # (stable argsort: ties to the smaller id, so count=1 matches
-        # max_degree_vertex()).
-        if strategy != "degree":
-            raise InvalidParameterError(
-                f"weighted solver supports only the 'degree' strategy, "
-                f"got {strategy!r}"
-            )
-        order = np.argsort(-self.graph.degrees, kind="stable")
-        return order[:count].astype(np.int32)
+        # The paper-default degree rule only.
+        return _by_degree(self.graph.degrees, count, strategy)
 
     def source_probe(
         self,

@@ -11,6 +11,7 @@ from repro.directed.eccentricity import (
 )
 from repro.directed.graph import DirectedGraph
 from repro.directed.traversal import (
+    DirectedBFSOracle,
     backward_bfs,
     forward_bfs,
     is_strongly_connected,
@@ -282,3 +283,31 @@ class TestDirectedExtremes:
         g = DirectedGraph.from_arcs([(0, 1), (1, 2)])
         with pytest.raises(DisconnectedGraphError):
             directed_radius_and_diameter(g)
+
+
+#: Digraphs whose out-degree reference, vertex 0, misses vertex 3 in one
+#: direction only: 3 reaches 0 but is never reached from it (forward),
+#: or is reached from 0 but never reaches it (backward).
+REFERENCE_MISSES = {
+    "forward": [(0, 1), (0, 2), (1, 0), (2, 0), (3, 0)],
+    "backward": [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)],
+}
+
+
+@pytest.mark.parametrize("direction", sorted(REFERENCE_MISSES))
+@pytest.mark.parametrize(
+    "solve",
+    [directed_ifecc_eccentricities, directed_radius_and_diameter],
+    ids=["solver", "extremes"],
+)
+def test_reference_probe_miss_rejected(solve, direction):
+    """The reference probe's reachability check, shared by the solver
+    and the extremes driver, catches a miss in either direction."""
+    g = DirectedGraph.from_arcs(REFERENCE_MISSES[direction])
+    oracle = DirectedBFSOracle(g)
+    assert oracle.select_references("degree", 1, 0).tolist() == [0]
+    fwd, bwd = forward_bfs(g, 0), backward_bfs(g, 0)
+    assert bool(np.any(fwd < 0)) == (direction == "forward")
+    assert bool(np.any(bwd < 0)) == (direction == "backward")
+    with pytest.raises(DisconnectedGraphError):
+        solve(g)

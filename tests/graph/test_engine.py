@@ -32,7 +32,6 @@ from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
     bfs_distances,
-    bfs_distances_bounded,
     multi_source_bfs,
 )
 from repro.obs.trace import MemorySink, tracing
@@ -54,15 +53,13 @@ def traced_run(engine, source, **kwargs):
 # ----------------------------------------------------------------------
 # Seed-kernel oracles (faithful copies of the pre-engine implementations)
 # ----------------------------------------------------------------------
-def seed_bfs_distances(graph, source, limit=None):
+def seed_bfs_distances(graph, source):
     indptr, indices = graph.indptr, graph.indices
     dist = np.full(graph.num_vertices, UNREACHED, dtype=np.int32)
     dist[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
     level = 0
     while frontier.size:
-        if limit is not None and level >= limit:
-            break
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         total = int(counts.sum())
@@ -148,18 +145,6 @@ class TestHybridEquivalence:
                     f"graph #{i} (n={n}), source {source}, mode {mode}"
                 )
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_limit_truncation_agrees(self, mode):
-        for i, graph in enumerate(CORPUS[::3]):
-            engine = BFSEngine(graph)
-            n = graph.num_vertices
-            for limit in (0, 1, 2, 5):
-                expected = seed_bfs_distances(graph, 0, limit=limit)
-                got = engine.run(0, limit=limit, mode=mode)
-                assert np.array_equal(expected, got), (
-                    f"graph #{3 * i} (n={n}), limit {limit}, mode {mode}"
-                )
-
     def test_buffer_reuse_matches_fresh_engine(self):
         graph = barabasi_albert(400, 3, seed=5)
         shared = BFSEngine(graph)
@@ -212,11 +197,7 @@ class TestHybridEquivalence:
         with pytest.raises(InvalidVertexError):
             engine.run(-1)
         with pytest.raises(InvalidParameterError):
-            engine.run(0, limit=-1)
-        with pytest.raises(InvalidParameterError):
             engine.run(0, mode="sideways")
-        with pytest.raises(InvalidParameterError):
-            bfs_distances_bounded(graph, 0, limit=-2)
 
     def test_engine_cache_is_per_graph(self):
         g1 = path_graph(5)
@@ -338,13 +319,12 @@ class TestMultiSourceEquivalence:
 )
 def test_property_engine_equals_seed(n, num_edges, seed, mode, data):
     """Hypothesis: any random (possibly disconnected) graph, any source,
-    any mode, with and without limit."""
+    any mode."""
     graph = random_graph(n, num_edges, seed)
     source = data.draw(st.integers(min_value=0, max_value=n - 1))
-    limit = data.draw(st.one_of(st.none(), st.integers(0, 8)))
     engine = engine_for(graph)
-    expected = seed_bfs_distances(graph, source, limit=limit)
-    got = engine.run(source, limit=limit, mode=mode)
+    expected = seed_bfs_distances(graph, source)
+    got = engine.run(source, mode=mode)
     assert np.array_equal(expected, got)
 
 

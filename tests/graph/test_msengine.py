@@ -87,16 +87,6 @@ class TestRunBatch:
             rows = MSBFSEngine(graph).run_batch(src)
             assert np.array_equal(rows, reference_rows[src])
 
-    def test_limit_truncates_like_the_serial_engine(self, graph):
-        src = _sources(graph, 64, seed=3)
-        engine = BFSEngine(graph)
-        for limit in (0, 1, 2, 5):
-            rows = MSBFSEngine(graph).run_batch(src, limit=limit)
-            for i, s in enumerate(src):
-                assert np.array_equal(
-                    rows[i], engine.run(int(s), limit=limit)
-                ), (limit, s)
-
     def test_disconnected_vertices_stay_unreached(self):
         builder = GraphBuilder(num_vertices=6)
         builder.add_edge(0, 1)
@@ -323,11 +313,9 @@ def long_path():
     return builder.build()
 
 
-def _looped_rows(graph, src, backward=False, limit=None):
+def _looped_rows(graph, src, backward=False):
     engine = BFSEngine(graph, backward=backward)
-    return np.stack(
-        [engine.run(int(s), limit=limit).copy() for s in src]
-    )
+    return np.stack([engine.run(int(s)).copy() for s in src])
 
 
 def _edge_targets(sources, extra=()):
@@ -373,12 +361,19 @@ class TestBitPlaneBoundaries:
         assert np.all(np.delete(cols[7], at[1102]) == UNREACHED)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("limit", [255, 256, 257, 511, 512, 1024])
-    def test_limit_truncates_at_plane_edges(self, long_path, mode, limit):
-        src = self.SOURCES
-        rows = MSBFSEngine(long_path).run_batch(src, limit=limit, mode=mode)
-        assert np.array_equal(rows, _looped_rows(long_path, src, limit=limit))
-        assert rows.max() == limit
+    @pytest.mark.parametrize("depth", [255, 256, 257, 511, 512, 1024])
+    def test_sweep_ends_at_plane_edges(self, mode, depth):
+        # A path of depth + 1 vertices, an edge and an isolated vertex:
+        # the sweep's last level is `depth`, where a plane was just
+        # added (or is about to be).
+        builder = GraphBuilder(num_vertices=depth + 4)
+        builder.add_edges((i, i + 1) for i in range(depth))
+        builder.add_edge(depth + 1, depth + 2)
+        graph = builder.build()
+        src = np.array([0, 1, depth // 2, depth, depth + 1, depth + 3])
+        rows = MSBFSEngine(graph).run_batch(src, mode=mode)
+        assert np.array_equal(rows, _looped_rows(graph, src))
+        assert rows.max() == depth
 
     @pytest.mark.parametrize("mode", MODES)
     def test_grid_columns_cross_plane_edges(self, mode):
@@ -470,10 +465,6 @@ class TestValidation:
     def test_bad_mode(self, graph):
         with pytest.raises(InvalidParameterError, match="mode"):
             MSBFSEngine(graph).run_batch([0], mode="sideways")
-
-    def test_negative_limit(self, graph):
-        with pytest.raises(InvalidParameterError, match="limit"):
-            MSBFSEngine(graph).run_batch([0], limit=-1)
 
     def test_bad_vertex(self, graph):
         with pytest.raises(InvalidVertexError):

@@ -19,7 +19,6 @@ from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
     bfs_distances,
-    bfs_distances_bounded,
     eccentricity,
     eccentricity_and_distances,
     multi_source_bfs,
@@ -84,25 +83,6 @@ class TestBFSDistances:
     def test_single_vertex(self):
         g = Graph.from_edges([], num_vertices=1)
         assert bfs_distances(g, 0).tolist() == [0]
-
-
-class TestBoundedBFS:
-    def test_limit_truncates(self):
-        g = path_graph(10)
-        dist = bfs_distances_bounded(g, 0, limit=3)
-        assert dist[3] == 3
-        assert dist[4] == UNREACHED
-
-    def test_limit_zero_only_source(self):
-        g = path_graph(4)
-        dist = bfs_distances_bounded(g, 1, limit=0)
-        assert dist.tolist() == [-1, 0, -1, -1]
-
-    def test_no_limit_full(self):
-        g = grid_graph(4, 4)
-        np.testing.assert_array_equal(
-            bfs_distances_bounded(g, 5, limit=None), bfs_distances(g, 5)
-        )
 
 
 class TestEccentricity:
@@ -261,11 +241,3 @@ class TestAllPairs:
         v, dist = next(gen)
         assert v == 0
         assert dist[49] == 49
-
-
-class TestBoundedValidation:
-    def test_negative_limit_rejected(self):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            bfs_distances_bounded(path_graph(4), 0, limit=-1)

@@ -31,24 +31,15 @@ class TestSinks:
         tracer.event("b", x=2)
         assert [e["name"] for e in sink.events] == ["a", "b"]
         assert len(sink) == 2
-        assert sink.dropped == 0
-
-    def test_memory_sink_ring_buffer_drops_oldest(self):
-        sink = MemorySink(capacity=2)
-        tracer = Tracer(sink)
-        for i in range(5):
-            tracer.event(f"e{i}")
-        assert [e["name"] for e in sink.events] == ["e3", "e4"]
-        assert sink.dropped == 3
 
     def test_memory_sink_clear(self):
-        sink = MemorySink(capacity=1)
+        sink = MemorySink()
         tracer = Tracer(sink)
         tracer.event("a")
         tracer.event("b")
         sink.clear()
         assert len(sink) == 0
-        assert sink.dropped == 0
+        assert sink.events == []
 
 
 class TestSpans:

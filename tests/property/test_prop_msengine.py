@@ -3,8 +3,8 @@
 The tentpole equivalence — ``MSBFSEngine`` ≡ looped single-source
 ``BFSEngine`` ≡ the seed-style dense lane reference — driven across
 hypothesis-drawn graphs, batch sizes (up to one full lane word, and
-past it through the batch seam's 64-lane groups), truncation limits,
-and forced directions.  The reference
+past it through the batch seam's 64-lane groups) and forced
+directions.  The reference
 implementation here is deliberately the *dumbest* correct one: a dense
 per-source loop over the plain traversal kernel.
 """
@@ -42,11 +42,9 @@ def graph_and_sources(draw, max_n=48, max_batch=96):
     return random_connected_graph(n, extra_edges=extra, seed=seed), sources
 
 
-def looped_reference(graph, sources, limit=None):
+def looped_reference(graph, sources):
     engine = BFSEngine(graph)
-    return np.stack(
-        [engine.run(int(s), limit=limit).copy() for s in sources]
-    )
+    return np.stack([engine.run(int(s)).copy() for s in sources])
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,15 +65,6 @@ def test_forced_directions_change_nothing(gs, mode):
     forced = MSBFSEngine(graph).run_batch(src, mode=mode)
     hybrid = MSBFSEngine(graph).run_batch(src)
     assert np.array_equal(forced, hybrid)
-
-
-@settings(max_examples=30, deadline=None)
-@given(gs=graph_and_sources(), limit=st.integers(min_value=0, max_value=6))
-def test_truncation_limits_match_serial_engine(gs, limit):
-    graph, sources = gs
-    src = np.unique(np.asarray(sources, dtype=np.int64))
-    rows = MSBFSEngine(graph).run_batch(src, limit=limit)
-    assert np.array_equal(rows, looped_reference(graph, src, limit=limit))
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,8 +160,7 @@ def test_column_batch_equals_restricted_rows(gst, mode):
 def long_graph_sources_targets(draw):
     """A path of 250-700 vertices with short random chords (distances
     still cross 255 -> 256, often 511 -> 512), an optional second
-    component, up to 64 distinct sources, a sorted target subset and a
-    level limit that may fall on either side of a power of two."""
+    component, up to 64 distinct sources and a sorted target subset."""
     length = draw(st.integers(min_value=250, max_value=700))
     island = draw(st.integers(min_value=0, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -187,24 +175,22 @@ def long_graph_sources_targets(draw):
     k = draw(st.integers(min_value=1, max_value=64))
     sources = rng.permutation(n)[:k]
     targets = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0)))
-    limit = draw(st.sampled_from([None, 255, 256, 257, 511, 512]))
-    return builder.build(), sources, targets, limit
+    return builder.build(), sources, targets
 
 
 @settings(max_examples=15, deadline=None)
 @given(
-    gstl=long_graph_sources_targets(),
+    gst=long_graph_sources_targets(),
     mode=st.sampled_from(["hybrid", "top-down", "bottom-up"]),
 )
-def test_bit_planes_across_powers_of_two(gstl, mode):
-    graph, sources, targets, limit = gstl
+def test_bit_planes_across_powers_of_two(gst, mode):
+    graph, sources, targets = gst
     engine = MSBFSEngine(graph)
-    rows = engine.run_batch(sources, limit=limit, mode=mode)
-    assert np.array_equal(rows, looped_reference(graph, sources, limit))
-    if limit is None:
-        eccs, cols = engine.column_batch(sources, targets, mode=mode)
-        assert np.array_equal(cols, rows[:, targets])
-        assert np.array_equal(eccs, rows.max(axis=1))
+    rows = engine.run_batch(sources, mode=mode)
+    assert np.array_equal(rows, looped_reference(graph, sources))
+    eccs, cols = engine.column_batch(sources, targets, mode=mode)
+    assert np.array_equal(cols, rows[:, targets])
+    assert np.array_equal(eccs, rows.max(axis=1))
 
 
 @settings(max_examples=40, deadline=None)

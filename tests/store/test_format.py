@@ -225,15 +225,3 @@ class TestSolverEquivalence:
         assert in_memory.num_bfs == on_store.num_bfs
         assert in_memory.radius == on_store.radius
         assert in_memory.diameter == on_store.diameter
-
-
-class TestIoWrappers:
-    def test_io_save_load_store(self, tmp_path):
-        from repro.graph.io import load_store, save_store as io_save_store
-
-        graph = paper_example_graph()
-        path = tmp_path / "g.rcsr"
-        io_save_store(graph, path)
-        reopened = load_store(path)
-        assert np.array_equal(reopened.indptr, graph.indptr)
-        assert np.array_equal(reopened.indices, graph.indices)

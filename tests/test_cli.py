@@ -260,7 +260,7 @@ class TestStore:
         assert "radius=" in capsys.readouterr().out
 
     def test_ecc_on_rcsr_path(self, tmp_path, capsys):
-        from repro.graph.io import save_store
+        from repro.store import save_store
 
         path = tmp_path / "example.rcsr"
         save_store(paper_example_graph(), path)

@@ -199,14 +199,16 @@ class TestProvenance:
 class TestCrossModule:
     """Summaries propagated through the real ``src/`` tree."""
 
-    def test_compute_ffo_mutates_engine(self):
+    def test_bound_and_select_mutates_bounds(self):
+        # Inferred from the BoundState methods it calls, which live in
+        # another module (repro.core.bounds).
         with repo_cwd():
             index = ProjectIndex()
-            module = index.module("repro.core.ffo")
+            module = index.module("repro.core.framework")
             assert module is not None
-            summary = index.summary(module, "compute_ffo")
+            summary = index.summary(module, "bound_and_select")
         assert summary is not None
-        assert "engine" in summary.mutates
+        assert "bounds" in summary.mutates
 
     def test_engine_run_returns_workspace(self):
         with repo_cwd():
