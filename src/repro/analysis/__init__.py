@@ -1,7 +1,7 @@
 """Analysis utilities: accuracy metrics, ED histograms, F1/F2 and
 FFO-overlap statistics, and memory accounting."""
 
-from repro.analysis.accuracy import AccuracyReport, accuracy, evaluate_estimate
+from repro.analysis.accuracy import accuracy
 from repro.analysis.centrality import (
     betweenness_centrality,
     closeness_centrality,
@@ -32,8 +32,6 @@ from repro.analysis.stats import (
 
 __all__ = [
     "accuracy",
-    "evaluate_estimate",
-    "AccuracyReport",
     "betweenness_centrality",
     "closeness_centrality",
     "degree_centrality",

@@ -4,21 +4,16 @@ The paper's headline metric is
 
     Accuracy = |{v : est(v) == ecc(v)}| / |V| * 100
 
-(exact-match percentage).  This module adds the supporting error
-statistics used in our extended analysis: mean absolute error, maximum
-relative error, and the fraction of vertices within the theoretical
-``[7/12, 3/2]`` band of Theorem 5.6.
+(exact-match percentage).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["AccuracyReport", "accuracy", "evaluate_estimate"]
+__all__ = ["accuracy"]
 
 
 def accuracy(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -30,51 +25,3 @@ def accuracy(estimate: np.ndarray, truth: np.ndarray) -> float:
     if estimate.size == 0:
         return 100.0
     return 100.0 * float(np.count_nonzero(estimate == truth)) / estimate.size
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    """Full error profile of an approximate ED."""
-
-    accuracy_percent: float
-    mean_absolute_error: float
-    max_absolute_error: int
-    max_relative_error: float
-    within_theorem_band: float  # fraction with 7/12 <= est/true <= 3/2
-
-    def __str__(self) -> str:
-        return (
-            f"accuracy={self.accuracy_percent:.1f}% "
-            f"mae={self.mean_absolute_error:.3f} "
-            f"max_abs={self.max_absolute_error} "
-            f"max_rel={self.max_relative_error:.3f} "
-            f"band={100 * self.within_theorem_band:.1f}%"
-        )
-
-
-def evaluate_estimate(estimate: np.ndarray, truth: np.ndarray) -> AccuracyReport:
-    """Compute the full :class:`AccuracyReport` of an estimate."""
-    estimate = np.asarray(estimate, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if estimate.shape != truth.shape:
-        raise InvalidParameterError("estimate/truth shape mismatch")
-    if estimate.size == 0:
-        return AccuracyReport(100.0, 0.0, 0, 0.0, 1.0)
-    error = np.abs(estimate - truth)
-    positive = truth > 0
-    if positive.any():
-        ratio = estimate[positive] / truth[positive]
-        max_rel = float(np.max(np.abs(ratio - 1.0)))
-        in_band = float(
-            np.mean((ratio >= 7.0 / 12.0) & (ratio <= 1.5))
-        )
-    else:
-        max_rel = 0.0
-        in_band = 1.0
-    return AccuracyReport(
-        accuracy_percent=accuracy(estimate, truth),
-        mean_absolute_error=float(error.mean()),
-        max_absolute_error=int(error.max()),
-        max_relative_error=max_rel,
-        within_theorem_band=in_band,
-    )

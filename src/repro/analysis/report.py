@@ -53,7 +53,7 @@ class GraphReport:
     top_degree: List[tuple]      # (vertex, degree centrality)
     top_closeness: Optional[List[tuple]]
 
-    def render(self, width: int = 40) -> str:
+    def render(self) -> str:
         """Human-readable multi-section text report."""
         lines = [
             "=" * 60,
@@ -75,7 +75,7 @@ class GraphReport:
             f"|F1| = {self.f1_size}, |F2| = {self.f2_size}",
             "-" * 60,
             "eccentricity distribution:",
-            self.distribution.ascii_plot(width=width),
+            self.distribution.ascii_plot(width=40),
             "-" * 60,
             "top-degree vertices: "
             + ", ".join(f"{v} ({c:.3f})" for v, c in self.top_degree),

@@ -1,10 +1,7 @@
 """The naive |V|-BFS exact baseline.
 
 One BFS per vertex — the quadratic straw man every other algorithm is
-measured against, and the simplest possible correctness oracle.  Being
-embarrassingly parallel over sources, it is also the first customer of
-the batch backends: ``backend="process"`` fans the full-ED sweep
-across a worker pool (:mod:`repro.parallel`) with bit-identical output.
+measured against, and the simplest possible correctness oracle.
 """
 
 from __future__ import annotations
@@ -27,20 +24,16 @@ __all__ = ["naive_eccentricities"]
 def naive_eccentricities(
     graph: Graph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
     traversal: str = "batch",
 ) -> EccentricityResult:
     """Exact ED with one BFS per vertex (eccentricity within components).
 
     ``traversal="batch"`` (default) is one :meth:`BFSOracle.ecc_all`
-    call, on the batch backend ``backend``/``workers`` choose: the
-    in-process bit-parallel MS-BFS lane sweeps (``"numpy"``) or a
-    worker pool that inherits the graph (``"process"``).  ``"loop"``
-    keeps the historical one-BFS-per-vertex loop on the in-process
-    engine (the honest quadratic straw man for ablations): the width-0
-    loop of :func:`repro.graph.batch.lane_groups`.  All paths produce
-    the same eccentricities bit for bit.
+    call, the bit-parallel MS-BFS lane sweeps.  ``"loop"`` keeps the
+    historical one-BFS-per-vertex loop on the single-source engine (the
+    honest quadratic straw man for ablations): the width-0 loop of
+    :func:`repro.graph.batch.lane_groups`.  Both produce the same
+    eccentricities bit for bit.
 
     :dtype ecc: int32
     """
@@ -50,9 +43,8 @@ def naive_eccentricities(
         )
     counter = counter if counter is not None else TraversalCounter()
     watch = Stopwatch()
-    oracle = BFSOracle(graph, backend=backend, workers=workers)
     if traversal == "batch":
-        ecc = oracle.ecc_all(counter=counter)
+        ecc = BFSOracle(graph).ecc_all(counter=counter)
     else:
         sources = np.arange(graph.num_vertices, dtype=np.int64)
         ecc = lane_groups(graph, sources, 0, counter)

@@ -12,18 +12,20 @@ PLLECC runs in two stages (Algorithm 1):
   probing index distances along its closest reference's FFO, tightening
   Lemma 3.1/3.3 bounds until they meet.
 
-The per-vertex probe loop is exactly the loop :mod:`repro.core.probes`
-instruments to obtain probe numbers.
+The per-vertex probe loop lives in :mod:`repro.core.probes`, which
+replays the same loop with BFS distances to obtain probe numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from repro.core.ffo import compute_ffos
+from repro.core.probes import _probe_vertex
 from repro.core.result import EccentricityResult
 from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.csr import Graph
@@ -70,7 +72,6 @@ def pllecc_eccentricities(
     graph: Graph,
     num_references: int = DEFAULT_REFERENCES,
     index: Optional[PLLIndex] = None,
-    ordering: str = "degree",
     counter: Optional[TraversalCounter] = None,
     time_budget: Optional[float] = None,
 ) -> PLLECCReport:
@@ -100,9 +101,7 @@ def pllecc_eccentricities(
     # ------------------------------------------------------------- PLL
     pll_watch = Stopwatch()
     if index is None:
-        index = build_pll_index(
-            graph, ordering=ordering, time_budget=time_budget
-        )
+        index = build_pll_index(graph, time_budget=time_budget)
         pll_seconds = pll_watch.elapsed()
     else:
         pll_seconds = 0.0
@@ -132,22 +131,10 @@ def pllecc_eccentricities(
     for v in range(n):
         if v in ref_set:
             continue
-        ffo = ffos[int(owner_idx[v])]
-        dist_vz = int(ffo.distances[v])
-        ecc_z = ffo.eccentricity
-        lo = max(dist_vz, ecc_z - dist_vz)
-        hi = dist_vz + ecc_z
-        if lo < hi:
-            for i, node in enumerate(ffo.order):
-                probes += 1
-                d = index.query(v, int(node))
-                lo = max(lo, d)
-                tail = ffo.distance_of_rank(i + 1)
-                hi = min(hi, max(lo, tail + dist_vz))
-                if lo == hi:
-                    break
-        lower[v] = lo
-        upper[v] = hi
+        lower[v], upper[v], count = _probe_vertex(
+            ffos[int(owner_idx[v])], v, partial(index.query, v)
+        )
+        probes += count
     ecc_seconds = ecc_watch.elapsed()
 
     exact = bool(np.all(lower == upper))

@@ -589,7 +589,12 @@ class BoundState:
         pins: Iterable[Tuple[int, int, Numeric]],
         gap_cap: Optional[float],
     ) -> SweepBlock:
-        """:meth:`apply_sweep_block` of a one-row block, as one probe."""
+        """:meth:`apply_sweep_block` of a one-row block, as one probe.
+
+        Kept because the closed form is slower on one row: a kIFECC
+        sweep of one-row blocks took 347 ms without this path, against
+        270 ms with it (EXPERIMENTS.md, "Forks kept").
+        """
         for at, vertex, value in pins:
             if at == 0:
                 self.set_exact(int(vertex), self._dtype.type(value))

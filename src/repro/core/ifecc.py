@@ -118,13 +118,8 @@ def compute_eccentricities(
     return engine.run()
 
 
-def eccentricities_per_component(
-    graph: Graph,
-    num_references: int = 1,
-    strategy: str = "degree",
-    seed: int = 0,
-) -> EccentricityResult:
-    """IFECC on each connected component (paper footnote 2).
+def eccentricities_per_component(graph: Graph) -> EccentricityResult:
+    """IFECC-1 on each connected component (paper footnote 2).
 
     Eccentricities are taken within each vertex's component; isolated
     vertices get eccentricity 0.
@@ -138,13 +133,7 @@ def eccentricities_per_component(
         if subgraph.num_vertices == 1:
             ecc[original_ids] = 0
             continue
-        result = compute_eccentricities(
-            subgraph,
-            num_references=num_references,
-            strategy=strategy,
-            seed=seed,
-            counter=counter,
-        )
+        result = compute_eccentricities(subgraph, counter=counter)
         ecc[original_ids] = result.eccentricities
         num_refs_used.extend(
             int(original_ids[z]) for z in result.reference_nodes
@@ -155,7 +144,7 @@ def eccentricities_per_component(
         lower=ecc.copy(),
         upper=ecc.copy(),
         exact=True,
-        algorithm=f"IFECC-{num_references}(per-component)",
+        algorithm="IFECC-1(per-component)",
         num_bfs=counter.bfs_runs,
         elapsed_seconds=elapsed,
         reference_nodes=np.asarray(num_refs_used, dtype=np.int32),

@@ -51,8 +51,6 @@ def _estimate(
 def approximate_eccentricities(
     graph: Graph,
     k: int,
-    strategy: str = "degree",
-    seed: int = 0,
     estimator: str = "lower",
     counter: Optional[TraversalCounter] = None,
 ) -> EccentricityResult:
@@ -65,10 +63,8 @@ def approximate_eccentricities(
     k:
         Sample size — the number of BFS runs sourced from the front of the
         single reference node's FFO (the reference node's own initial BFS
-        is not counted, matching Algorithm 3's loop bounds).
-    strategy / seed:
-        Reference selection; the paper uses the highest-degree node
-        (Algorithm 3, line 1).
+        is not counted, matching Algorithm 3's loop bounds).  The
+        reference is the highest-degree node (Algorithm 3, line 1).
     estimator:
         What to report for unresolved vertices: ``"lower"`` (the paper's
         Algorithm 3), ``"upper"``, or ``"midpoint"`` (extension variants;
@@ -88,13 +84,7 @@ def approximate_eccentricities(
         raise InvalidParameterError(
             f"unknown estimator {estimator!r}; choose from {_ESTIMATORS}"
         )
-    engine = IFECC(
-        graph,
-        num_references=1,
-        strategy=strategy,
-        seed=seed,
-        counter=counter,
-    )
+    engine = IFECC(graph, num_references=1, counter=counter)
     # Budget = 1 reference BFS + k FFO BFS runs.
     result = engine.run_budgeted(max_bfs=k + 1)
     result.eccentricities = _estimate(
@@ -109,8 +99,6 @@ def kifecc_sweep(
     graph: Graph,
     sample_sizes: Sequence[int],
     truth: Optional[np.ndarray] = None,
-    strategy: str = "degree",
-    seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Run kIFECC for several ``k`` values, reusing one engine.
 
@@ -124,9 +112,7 @@ def kifecc_sweep(
     sizes = sorted(set(int(k) for k in sample_sizes))
     if any(k < 0 for k in sizes):
         raise InvalidParameterError("sample sizes must be >= 0")
-    engine = IFECC(
-        graph, num_references=1, strategy=strategy, seed=seed
-    )
+    engine = IFECC(graph, num_references=1)
     steps = engine.steps()
     out = []
     watch = Stopwatch()

@@ -7,19 +7,21 @@ PLLECC's probing before their bounds closed.  Lemma 4.3 shows the probe
 number is non-increasing along the FFO — which is why only the FFO *front*
 matters and the all-pair index is an overkill.
 
-:func:`probe_numbers` replays PLLECC's probing loop (Algorithm 1, lines
-6–14) with BFS-supplied distances, producing the exact probe numbers of
-Table 2 for any graph small enough to afford |V| BFS runs.
+PLLECC's probing loop (Algorithm 1, lines 6–14) is written once, in
+:func:`_probe_vertex`, which reads distances through a lookup:
+:func:`repro.baselines.pllecc.pllecc_eccentricities` queries its PLL
+index, and :func:`probe_numbers` replays it with BFS-supplied distances,
+producing the exact probe numbers of Table 2 for any graph small enough
+to afford |V| BFS runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bounds import INFINITE_ECC
 from repro.core.ffo import FarthestFirstOrder, compute_ffos
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
@@ -57,6 +59,33 @@ class ProbeProfile:
         return bool(np.all(np.diff(self.counts) <= 0))
 
 
+def _probe_vertex(
+    ffo: FarthestFirstOrder, v: int, distance: Callable[[int], int]
+) -> Tuple[int, int, int]:
+    """Algorithm 1, lines 6–14, for a vertex ``v`` of ``ffo``'s territory.
+
+    Seeds ``v``'s bounds from its reference by Lemma 3.1, then probes
+    the FFO front to back: each node ``u`` raises the lower bound to
+    ``distance(u)`` (= ``dist(v, u)``), and Lemma 3.3 caps the upper
+    bound by the unprobed tail, until the bounds meet.  Returns
+    ``(lower, upper, probes)``; the probed nodes are FFO ranks
+    ``0 .. probes - 1``.
+    """
+    dist_vz = int(ffo.distances[v])
+    ecc_z = int(ffo.eccentricity)
+    lo = max(dist_vz, ecc_z - dist_vz)
+    hi = dist_vz + ecc_z
+    probes = 0
+    for node in ffo.order:
+        if lo == hi:
+            break
+        probes += 1
+        lo = max(lo, int(distance(int(node))))
+        tail = int(ffo.distance_of_rank(probes))
+        hi = min(hi, max(lo, tail + dist_vz))
+    return lo, hi, probes
+
+
 def probe_numbers(
     graph: Graph,
     references: Sequence[int],
@@ -83,19 +112,8 @@ def probe_numbers(
         territory_sizes[z] += 1
         ffo = ffos[z]
         dist_v = bfs_distances(graph, v, counter=counter)
-        # Lemma 3.1 seed from the reference (Algorithm 1, lines 8-9).
-        dist_vz = int(ffo.distances[v])
-        lower = max(dist_vz, ffo.eccentricity - dist_vz)
-        upper = dist_vz + ffo.eccentricity
-        if lower == upper:
-            continue
-        for i, node in enumerate(ffo.order):
-            counts[z][i] += 1
-            lower = max(lower, int(dist_v[node]))
-            tail = ffo.distance_of_rank(i + 1)
-            upper = min(upper, max(lower, tail + dist_vz))
-            if lower == upper:
-                break
+        probes = _probe_vertex(ffo, v, dist_v.__getitem__)[2]
+        counts[z][:probes] += 1
     return [
         ProbeProfile(
             ffo=ffos[z],

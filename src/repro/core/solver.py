@@ -464,11 +464,9 @@ class EccentricitySolver:
         :meth:`steps`.  The counter's work totals also
         include the unused lanes, which ``lanes_discarded`` counts.
         """
-        return self._drive(None, algorithm)
+        return self._drive(None, algorithm or self._algorithm_tag())
 
-    def run_budgeted(
-        self, max_bfs: int, algorithm: Optional[str] = None
-    ) -> EccentricityResult:
+    def run_budgeted(self, max_bfs: int) -> EccentricityResult:
         """Stop after ``max_bfs`` total traversals; lower bounds become
         the estimate (the anytime by-product of Section 1,
         contribution 5).
@@ -480,17 +478,15 @@ class EccentricitySolver:
         """
         if max_bfs < 0:
             raise InvalidParameterError("max_bfs must be non-negative")
-        return self._drive(max_bfs, algorithm)
+        return self._drive(
+            max_bfs, f"{self._algorithm_tag()}(budget={max_bfs})"
+        )
 
     def _drive(
-        self, max_bfs: Optional[int], algorithm: Optional[str]
+        self, max_bfs: Optional[int], algorithm: str
     ) -> EccentricityResult:
         """The one driver: :meth:`run` (no budget) or :meth:`run_budgeted`."""
         counter = self.counter
-        if algorithm is None:
-            algorithm = self._algorithm_tag()
-            if max_bfs is not None:
-                algorithm += f"(budget={max_bfs})"
         limit = float("inf") if max_bfs is None else max_bfs
 
         lanes = self.oracle.sweep_lanes

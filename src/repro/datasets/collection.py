@@ -105,9 +105,9 @@ class GraphCollection:
         graph: Graph = open_store(path)
         return graph
 
-    def info(self, name: str, scale: float = 1.0) -> Optional[StoreInfo]:
-        """Header of the materialized container, or ``None`` if absent."""
-        path = self.path_for(name, scale)
+    def info(self, name: str) -> Optional[StoreInfo]:
+        """Header of the full-size container, or ``None`` if absent."""
+        path = self.path_for(name)
         if not path.exists():
             return None
         return read_info(path)

@@ -43,17 +43,13 @@ __all__ = [
 def naive_directed_eccentricities(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
 ) -> np.ndarray:
     """One forward BFS per vertex — the directed oracle.
 
     Requires strong connectivity (raises otherwise).  One
-    :meth:`DirectedBFSOracle.ecc_all` call: ``backend``/``workers``
-    choose its batch backend, with bit-identical output.
+    :meth:`DirectedBFSOracle.ecc_all` call.
     """
-    oracle = DirectedBFSOracle(graph, backend=backend, workers=workers)
-    return oracle.ecc_all(counter=counter)
+    return DirectedBFSOracle(graph).ecc_all(counter=counter)
 
 
 def directed_solver(

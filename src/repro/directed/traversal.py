@@ -23,7 +23,7 @@ import numpy as np
 from repro import sanitize
 from repro.counters import TraversalCounter
 from repro.errors import DisconnectedGraphError
-from repro.graph.batch import check_backend, ecc_batch, sweep_columns
+from repro.graph.batch import ecc_batch, sweep_columns
 from repro.graph.csr import _by_degree
 from repro.graph.engine import engine_for
 from repro.graph.msengine import LANE_WORD_BITS
@@ -93,9 +93,8 @@ class DirectedBFSOracle:
       forward one being computed, so the solver skips the
       ``set_exact`` step for probed sweep sources.
 
-    ``backend``/``workers`` choose the batch backend behind
-    :meth:`ecc_all` (:func:`repro.graph.batch.ecc_batch`); probes
-    always run in-process, as on :class:`repro.core.oracles.BFSOracle`.
+    :meth:`ecc_all` sweeps its batch in this process
+    (:func:`repro.graph.batch.ecc_batch`), as every probe does.
     """
 
     dtype = np.dtype(np.int32)
@@ -105,17 +104,9 @@ class DirectedBFSOracle:
     trace_kind = "bfs-directed"
     sweep_lanes = LANE_WORD_BITS
 
-    def __init__(
-        self,
-        graph: DirectedGraph,
-        backend: str = "numpy",
-        workers: Optional[int] = None,
-    ) -> None:
-        check_backend(backend, workers)
+    def __init__(self, graph: DirectedGraph) -> None:
         self.graph = graph
         self.num_vertices = graph.num_vertices
-        self.backend = backend
-        self.workers = workers
 
     def ecc_all(
         self,
@@ -124,10 +115,10 @@ class DirectedBFSOracle:
     ) -> np.ndarray:
         """Forward eccentricities for ``sources`` (default: all vertices).
 
-        Runs on the batch backend.  Raises
-        :class:`DisconnectedGraphError` unless the graph is strongly
-        connected — directed eccentricities are only finite there.  The
-        check's two traversals are not credited to ``counter``.
+        Raises :class:`DisconnectedGraphError` unless the graph is
+        strongly connected — directed eccentricities are only finite
+        there.  The check's two traversals are not credited to
+        ``counter``.
 
         :dtype: int32
         """
@@ -135,9 +126,7 @@ class DirectedBFSOracle:
             raise self.disconnected_error()
         if sources is None:
             sources = np.arange(self.num_vertices, dtype=np.int64)
-        return ecc_batch(
-            self.graph, sources, counter, self.backend, self.workers
-        )
+        return ecc_batch(self.graph, sources, counter)
 
     def select_references(
         self, strategy: str, count: int, seed: int

@@ -10,7 +10,7 @@ that splits a graph into its component subgraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "connected_components",
     "largest_connected_component",
     "split_components",
-    "induced_subgraph",
 ]
 
 
@@ -114,26 +113,6 @@ def split_components(graph: Graph) -> List[Tuple[Graph, np.ndarray]]:
         keep = np.flatnonzero(labelling.labels == component)
         out.append((_induced_subgraph(graph, keep), keep))
     return out
-
-
-def induced_subgraph(
-    graph: Graph, vertices: Iterable[int]
-) -> Tuple[Graph, np.ndarray]:
-    """Induced subgraph on an arbitrary vertex subset.
-
-    Vertex ids are remapped to ``[0, len(vertices))`` in the sorted
-    order of the (deduplicated) input; edges with an endpoint outside
-    the subset are dropped.  Returns ``(subgraph, original_ids)`` where
-    ``original_ids[i]`` is the id in ``graph`` of the subgraph's
-    vertex ``i``.
-    """
-    keep = np.unique(np.asarray(list(vertices), dtype=np.int64))
-    if len(keep) and (keep.min() < 0 or keep.max() >= graph.num_vertices):
-        from repro.errors import InvalidVertexError
-
-        bad = int(keep.min() if keep.min() < 0 else keep.max())
-        raise InvalidVertexError(bad, graph.num_vertices)
-    return _induced_subgraph(graph, keep), keep
 
 
 def _induced_subgraph(graph: Graph, keep: np.ndarray) -> Graph:

@@ -119,7 +119,9 @@ LANE_WORD_BITS = 64
 
 #: Batches smaller than this run the serial single-source hybrid
 #: engine: a couple of traversals cannot amortise the ``uint64``
-#: word ops a lane sweep pays on every vertex.
+#: word ops a lane sweep pays on every vertex.  Keep both kernels: a
+#: one-lane sweep costs 3.7-9.3x a single-source run (EXPERIMENTS.md,
+#: "Forks kept").
 _SERIAL_BATCH_LIMIT = 8
 
 #: Arcs gathered at once by one level of a sweep.  A level's arc

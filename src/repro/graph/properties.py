@@ -1,9 +1,9 @@
-"""Whole-graph properties: degrees, eccentricity oracle, radius, diameter.
+"""Whole-graph properties: eccentricity oracle, radius, diameter and a
+Table 3-style summary row.
 
-The functions here are deliberately simple reference implementations used
-as correctness oracles by the test suite and as inputs to the dataset
-registry (Table 3 reports ``n``, ``m``, radius ``r`` and diameter ``d`` for
-each graph).  The *fast* eccentricity computation lives in
+The functions here are deliberately simple reference implementations,
+the correctness oracles of the test suite; nothing else in the library
+imports them.  The *fast* eccentricity computation lives in
 :mod:`repro.core.ifecc`; this module is the ground truth it is checked
 against.
 """
@@ -21,7 +21,6 @@ from repro.graph.csr import Graph
 from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
-    bfs_distances,
     eccentricity_and_distances,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "exact_eccentricities",
     "radius_and_diameter",
     "summarize",
-    "degree_statistics",
 ]
 
 
@@ -102,16 +100,3 @@ def summarize(graph: Graph, eccentricities: Optional[np.ndarray] = None) -> Grap
         average_degree=float(degrees.mean()) if len(degrees) else 0.0,
         num_components=labelling.num_components,
     )
-
-
-def degree_statistics(graph: Graph) -> dict:
-    """Degree distribution summary used by generator calibration tests."""
-    degrees = graph.degrees
-    if len(degrees) == 0:
-        return {"min": 0, "max": 0, "mean": 0.0, "median": 0.0}
-    return {
-        "min": int(degrees.min()),
-        "max": int(degrees.max()),
-        "mean": float(degrees.mean()),
-        "median": float(np.median(degrees)),
-    }

@@ -185,25 +185,22 @@ class MetricsRegistry:
         return inst
 
     # ---------------------------------------------------------- feeds
-    def ingest_traversal_counter(
-        self, counter: "TraversalCounter", prefix: str = "traversal"
-    ) -> None:
-        """Fold a :class:`repro.counters.TraversalCounter` total in.
+    def ingest_traversal_counter(self, counter: "TraversalCounter") -> None:
+        """Fold a :class:`repro.counters.TraversalCounter` total into the
+        ``traversal.*`` instruments.
 
         Call once per finished run (the counter itself is cumulative);
         repeated ingestion double-counts by design, matching
         ``TraversalCounter.merge``.
         """
-        self.counter(f"{prefix}.runs").inc(counter.bfs_runs)
-        self.counter(f"{prefix}.edges_scanned").inc(counter.edges_scanned)
-        self.counter(f"{prefix}.edges_inspected").inc(counter.edges_inspected)
-        self.counter(f"{prefix}.vertices_visited").inc(
+        self.counter("traversal.runs").inc(counter.bfs_runs)
+        self.counter("traversal.edges_scanned").inc(counter.edges_scanned)
+        self.counter("traversal.edges_inspected").inc(counter.edges_inspected)
+        self.counter("traversal.vertices_visited").inc(
             counter.vertices_visited
         )
-        self.counter(f"{prefix}.relaxations").inc(counter.relaxations)
-        self.counter(f"{prefix}.lanes_discarded").inc(
-            counter.lanes_discarded
-        )
+        self.counter("traversal.relaxations").inc(counter.relaxations)
+        self.counter("traversal.lanes_discarded").inc(counter.lanes_discarded)
 
     def fold_event(self, event: Dict[str, Any]) -> None:
         """Fold one engine run's event into the instruments.

@@ -44,7 +44,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Optional
+from typing import IO, Callable, Optional
 
 from repro.obs.trace import Event, Sink
 

@@ -133,21 +133,21 @@ class DijkstraOracle:
     One Dijkstra per probe; the distance metric is symmetric, so a
     single traversal yields both directions.  There is no lane kernel,
     so one sweep traversal carries one probe (``sweep_lanes = 1``).
-    Bound comparisons use an absolute ``tolerance`` (default ``1e-9``)
+    Bound comparisons use an absolute ``tolerance`` of ``1e-9``
     because distances are sums of ``float64`` weights; with
     integer-valued weights the comparisons are exact.
     """
 
     dtype = np.dtype(np.float64)
+    tolerance = 1e-9
     symmetric = True
     metric_name = "IFECC-weighted"
     trace_kind = "dijkstra"
     sweep_lanes = 1
 
-    def __init__(self, graph: WeightedGraph, tolerance: float = 1e-9) -> None:
+    def __init__(self, graph: WeightedGraph) -> None:
         self.graph = graph
         self.num_vertices = graph.num_vertices
-        self.tolerance = float(tolerance)
 
     def select_references(
         self, strategy: str, count: int, seed: int

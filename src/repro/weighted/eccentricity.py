@@ -14,9 +14,9 @@ with :func:`weighted_solver`), kIFECC-style budgeting
 (``weighted_solver(g).run_budgeted(k + 1)``) and extremes early-stop
 (:func:`weighted_radius_and_diameter`).
 
-Floating-point note: bounds are compared with an absolute tolerance
-(default 1e-9) because distances are sums of float64 weights; with
-integer-valued weights the comparisons are exact.
+Floating-point note: bounds are compared with the absolute tolerance
+``DijkstraOracle.tolerance`` (1e-9) because distances are sums of
+float64 weights; with integer-valued weights the comparisons are exact.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "weighted_solver",
 ]
 
-_TOL = 1e-9
-
-
 def naive_weighted_eccentricities(
     graph: WeightedGraph,
     counter: Optional[TraversalCounter] = None,
@@ -62,7 +59,6 @@ def naive_weighted_eccentricities(
 def weighted_solver(
     graph: WeightedGraph,
     counter: Optional[TraversalCounter] = None,
-    tolerance: float = _TOL,
 ) -> EccentricitySolver:
     """An :class:`EccentricitySolver` over Dijkstra distances.
 
@@ -71,7 +67,7 @@ def weighted_solver(
     lower/upper bounds in ``solver.bounds``.
     """
     return EccentricitySolver(
-        DijkstraOracle(graph, tolerance=tolerance),
+        DijkstraOracle(graph),
         num_references=1,
         counter=counter,
     )
@@ -80,7 +76,6 @@ def weighted_solver(
 def weighted_eccentricities(
     graph: WeightedGraph,
     counter: Optional[TraversalCounter] = None,
-    tolerance: float = _TOL,
 ) -> EccentricityResult:
     """Exact weighted ED with the IFECC scheme (Dijkstra traversals).
 
@@ -88,20 +83,20 @@ def weighted_eccentricities(
     Raises :class:`repro.errors.DisconnectedGraphError` on disconnected
     inputs.
     """
-    solver = weighted_solver(graph, counter=counter, tolerance=tolerance)
+    solver = weighted_solver(graph, counter=counter)
     return solver.run(algorithm="IFECC-weighted")
 
 
 def weighted_radius_and_diameter(
     graph: WeightedGraph,
     counter: Optional[TraversalCounter] = None,
-    tolerance: float = _TOL,
 ) -> ExtremesResult:
     """Certified weighted radius and diameter with early termination.
 
     The extremes rules are bound statements, so the generic driver
-    applies unchanged; certification is within ``tolerance``.
+    applies unchanged; certification is within
+    ``DijkstraOracle.tolerance``.
     """
     return oracle_radius_and_diameter(
-        DijkstraOracle(graph, tolerance=tolerance), counter=counter
+        DijkstraOracle(graph), counter=counter
     )

@@ -15,7 +15,6 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.graph.csr import Graph
 from repro import sanitize
 from repro.errors import GraphConstructionError, InvalidVertexError
 

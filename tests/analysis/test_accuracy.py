@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.accuracy import accuracy, evaluate_estimate
+from repro.analysis.accuracy import accuracy
 from repro.errors import InvalidParameterError
 
 
@@ -23,32 +23,3 @@ class TestAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
             accuracy(np.array([1]), np.array([1, 2]))
-
-
-class TestEvaluateEstimate:
-    def test_report_fields(self):
-        report = evaluate_estimate(
-            np.array([2, 3, 4]), np.array([2, 4, 4])
-        )
-        assert report.accuracy_percent == pytest.approx(200 / 3)
-        assert report.mean_absolute_error == pytest.approx(1 / 3)
-        assert report.max_absolute_error == 1
-        assert 0 < report.max_relative_error < 1
-
-    def test_band_fraction(self):
-        # 3/6 = 0.5 is below 7/12, out of band; 6/6 in band.
-        report = evaluate_estimate(np.array([3, 6]), np.array([6, 6]))
-        assert report.within_theorem_band == 0.5
-
-    def test_zero_truth_handled(self):
-        report = evaluate_estimate(np.array([0]), np.array([0]))
-        assert report.accuracy_percent == 100.0
-        assert report.within_theorem_band == 1.0
-
-    def test_str_rendering(self):
-        text = str(evaluate_estimate(np.array([1]), np.array([1])))
-        assert "accuracy=100.0%" in text
-
-    def test_empty(self):
-        report = evaluate_estimate(np.array([]), np.array([]))
-        assert report.accuracy_percent == 100.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.pllecc import pllecc_eccentricities
+from repro.core.probes import probe_numbers
 from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.generators import grid_graph, path_graph
@@ -74,6 +75,21 @@ class TestStages:
     def test_bfs_only_for_references(self, social_graph):
         report = pllecc_eccentricities(social_graph, num_references=4)
         assert report.result.num_bfs == 4
+
+
+class TestProbeCount:
+    @pytest.mark.parametrize("r", [1, 2, 16])
+    @pytest.mark.parametrize("fixture", ["example", "social", "web"])
+    def test_probes_equal_probe_numbers(self, request, fixture, r):
+        # PLLECC's index queries and the BFS replay of probe_numbers run
+        # the same per-vertex loop, so they issue the same probes.
+        graph = request.getfixturevalue(f"{fixture}_graph")
+        report = pllecc_eccentricities(graph, num_references=r)
+        profiles = probe_numbers(graph, graph.top_degree_vertices(r))
+        assert report.probes == sum(int(p.counts.sum()) for p in profiles)
+        # With every vertex a reference (r = 16 on the 13-node example)
+        # nothing is probed.
+        assert (report.probes > 0) == (r < graph.num_vertices)
 
 
 class TestValidation:

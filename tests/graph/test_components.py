@@ -154,52 +154,3 @@ class TestSplitComponents:
     def test_each_part_connected(self):
         parts = split_components(two_components())
         assert all(is_connected(g) for g, _ids in parts)
-
-
-class TestInducedSubgraph:
-    def test_basic(self):
-        from repro.graph.components import induced_subgraph
-
-        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-        sub, ids = induced_subgraph(g, [0, 1, 2])
-        assert ids.tolist() == [0, 1, 2]
-        assert sub.num_edges == 2  # 0-1, 1-2 survive; 2-3, 3-0 dropped
-
-    def test_dedup_and_sort(self):
-        from repro.graph.components import induced_subgraph
-
-        g = cycle_graph(6)
-        sub, ids = induced_subgraph(g, [4, 2, 4, 0])
-        assert ids.tolist() == [0, 2, 4]
-
-    def test_preserves_internal_structure(self):
-        from repro.graph.components import induced_subgraph
-        from repro.graph.generators import complete_graph
-
-        g = complete_graph(6)
-        sub, _ids = induced_subgraph(g, [1, 3, 5])
-        assert sub.num_edges == 3  # the triangle survives
-
-    def test_empty_subset(self):
-        from repro.graph.components import induced_subgraph
-
-        sub, ids = induced_subgraph(cycle_graph(4), [])
-        assert sub.num_vertices == 0
-        assert len(ids) == 0
-
-    def test_out_of_range_rejected(self):
-        from repro.errors import InvalidVertexError
-        from repro.graph.components import induced_subgraph
-
-        with pytest.raises(InvalidVertexError):
-            induced_subgraph(cycle_graph(4), [0, 9])
-
-    def test_distances_preserved_on_closed_subset(self):
-        from repro.graph.components import induced_subgraph
-        from repro.graph.traversal import bfs_distances
-
-        g = Graph.from_edges([(0, 1), (1, 2), (3, 4)])
-        sub, ids = induced_subgraph(g, [0, 1, 2])
-        np.testing.assert_array_equal(
-            bfs_distances(sub, 0), bfs_distances(g, 0)[ids]
-        )

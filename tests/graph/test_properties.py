@@ -12,7 +12,6 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.properties import (
-    degree_statistics,
     exact_eccentricities,
     radius_and_diameter,
     summarize,
@@ -81,14 +80,3 @@ class TestSummarize:
     def test_as_row_contains_stats(self):
         row = summarize(path_graph(4)).as_row("TOY")
         assert "TOY" in row and "r=2" in row and "d=3" in row
-
-
-class TestDegreeStatistics:
-    def test_star(self):
-        stats = degree_statistics(star_graph(5))
-        assert stats["max"] == 4
-        assert stats["min"] == 1
-
-    def test_empty(self):
-        g = Graph.from_edges([], num_vertices=0)
-        assert degree_statistics(g)["max"] == 0

@@ -8,8 +8,8 @@ traversal's record can take:
 * IFECC on a 2k-vertex Barabási–Albert graph — single-source probes,
   MS-BFS lane batches of FFO probes, and lanes swept but discarded;
 * directed IFECC — forward and backward engine runs on a digraph;
-* ``naive_eccentricities(backend="process", workers=2)`` — lane sweeps
-  run in pool workers and replayed into the parent's trace.
+* ``BFSOracle(graph, backend="process", workers=2).ecc_all()`` — lane
+  sweeps run in pool workers and replayed into the parent's trace.
 
 ``tests/data/golden_telemetry.json`` holds, per run, a digest of
 :func:`~repro.obs.trace.deterministic_view` of the events (plus the
@@ -31,8 +31,8 @@ from typing import Any, Callable, Dict
 import numpy as np
 import pytest
 
-from repro.baselines.naive import naive_eccentricities
 from repro.core.ifecc import IFECC
+from repro.core.oracles import BFSOracle
 from repro.directed.eccentricity import directed_ifecc_eccentricities
 from repro.directed.graph import DirectedGraph
 from repro.graph.generators import barabasi_albert
@@ -63,9 +63,8 @@ def _directed_ifecc() -> None:
 
 def _naive_process() -> None:
     try:
-        naive_eccentricities(
-            barabasi_albert(300, 3, seed=21), backend="process", workers=2
-        )
+        graph = barabasi_albert(300, 3, seed=21)
+        BFSOracle(graph, backend="process", workers=2).ecc_all()
     finally:
         shutdown_pools()
 

@@ -14,7 +14,11 @@ import pytest
 from repro.counters import TraversalCounter
 from repro.directed.eccentricity import naive_directed_eccentricities
 from repro.directed.graph import DirectedGraph
-from repro.directed.traversal import DirectedBFSOracle, forward_bfs
+from repro.directed.traversal import (
+    DirectedBFSOracle,
+    backward_bfs,
+    forward_bfs,
+)
 from repro.errors import DisconnectedGraphError
 from repro.graph.batch import ecc_batch
 from repro.parallel.pool import shutdown_pools
@@ -68,37 +72,34 @@ class TestPoolDirectedEntryPoints:
 
 class TestOracleBackend:
     def test_ecc_all_matches_numpy(self, graph):
+        # The oracle's in-process batch equals the pool's.
         numpy_ecc = DirectedBFSOracle(graph).ecc_all()
-        oracle = DirectedBFSOracle(graph, backend="process", workers=2)
-        assert np.array_equal(oracle.ecc_all(), numpy_ecc)
+        assert np.array_equal(_pooled(graph, np.arange(_N)), numpy_ecc)
 
     def test_source_probe_matches_numpy(self, graph):
-        base = DirectedBFSOracle(graph)
-        oracle = DirectedBFSOracle(graph, backend="process", workers=2)
+        # Probes run in-process even once the graph has a live pool.
+        _pooled(graph, [0])
+        oracle = DirectedBFSOracle(graph)
         for source in (0, 9, 148):
-            ecc_n, fwd_n, bwd_n = base.source_probe(source)
-            ecc_p, fwd_p, bwd_p = oracle.source_probe(source)
-            assert ecc_n == ecc_p
-            assert np.array_equal(fwd_n, fwd_p)
-            assert np.array_equal(bwd_n, bwd_p)
+            ecc, fwd, bwd = oracle.source_probe(source)
+            assert ecc == int(forward_bfs(graph, source).max())
+            assert np.array_equal(fwd, forward_bfs(graph, source))
+            assert np.array_equal(bwd, backward_bfs(graph, source))
 
     def test_ecc_all_raises_on_weakly_connected(self):
         # A one-way path is weakly but not strongly connected: the
-        # -1 sentinel from the workers must surface as the same error
-        # the numpy path raises.
+        # oracle refuses it, and the pool's forward sweeps agree with
+        # the in-process ones on it.
         graph = DirectedGraph.from_arcs([(0, 1), (1, 2)], num_vertices=3)
         with pytest.raises(DisconnectedGraphError):
             DirectedBFSOracle(graph).ecc_all()
-        oracle = DirectedBFSOracle(graph, backend="process", workers=1)
-        with pytest.raises(DisconnectedGraphError):
-            oracle.ecc_all()
+        pooled = ecc_batch(graph, [0, 1, 2], backend="process", workers=1)
+        assert np.array_equal(pooled, ecc_batch(graph, [0, 1, 2]))
 
 
 class TestAlgorithmsAcrossBackends:
     def test_naive_matches(self, graph):
         assert np.array_equal(
             naive_directed_eccentricities(graph),
-            naive_directed_eccentricities(
-                graph, backend="process", workers=2
-            ),
+            _pooled(graph, np.arange(_N)),
         )

@@ -21,13 +21,10 @@ import pytest
 
 from core.test_solver_equivalence import GOLDEN_PATH, build_corpus
 import repro
-from repro.baselines.naive import naive_eccentricities
 from repro.core.oracles import BFSOracle
 from repro.core.solver import EccentricitySolver
 from repro.counters import TraversalCounter
-from repro.directed.eccentricity import naive_directed_eccentricities
 from repro.directed.graph import DirectedGraph
-from repro.directed.traversal import DirectedBFSOracle
 from repro.errors import InvalidParameterError
 from repro.graph.batch import distance_rows, ecc_batch
 from repro.graph.generators import barabasi_albert
@@ -166,26 +163,13 @@ def test_counters_independent_of_backend(lane_graph, primitive, sources):
     assert in_process.bfs_runs == len(src)
 
 
-def _directed_triangle():
-    return DirectedGraph.from_arcs([(0, 1), (1, 2), (2, 0)], num_vertices=3)
-
-
-#: Every entry point that still takes ``backend=``.
+#: Every entry point that takes ``backend=``.
 _BACKEND_ENTRY_POINTS = {
     "BFSOracle": lambda: BFSOracle(
         build_corpus()["paper"], backend="proces"
     ),
-    "DirectedBFSOracle": lambda: DirectedBFSOracle(
-        _directed_triangle(), backend="proces"
-    ),
     "ecc_batch": lambda: ecc_batch(
         build_corpus()["paper"], [0], backend="proces"
-    ),
-    "naive_eccentricities": lambda: naive_eccentricities(
-        build_corpus()["paper"], backend="proces"
-    ),
-    "naive_directed_eccentricities": lambda: naive_directed_eccentricities(
-        _directed_triangle(), backend="proces"
     ),
 }
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.naive import naive_eccentricities
+from repro.core.oracles import BFSOracle
+from repro.core.result import EccentricityResult
+from repro.counters import TraversalCounter
 from repro.graph.batch import ecc_batch
 from repro.graph.generators import barabasi_albert
 from repro.obs.record import RunRecord
@@ -31,8 +33,20 @@ def traced_process_run(graph):
     """One traced workers=2 process-backend run, packaged as a record."""
     sink = MemorySink()
     with tracing(sink) as tracer:
-        result = naive_eccentricities(graph, backend="process", workers=2)
+        counter = TraversalCounter()
+        oracle = BFSOracle(graph, backend="process", workers=2)
+        ecc = oracle.ecc_all(counter=counter)
         metrics = tracer.metrics.snapshot()
+    result = EccentricityResult(
+        eccentricities=ecc,
+        lower=ecc,
+        upper=ecc,
+        exact=True,
+        algorithm="Naive",
+        num_bfs=counter.bfs_runs,
+        elapsed_seconds=0.0,
+        counter=counter,
+    )
     record = RunRecord.from_run(
         result,
         graph,

@@ -192,6 +192,84 @@ class TestImportHygiene:
         assert "R3" not in codes(diags)
 
 
+# ---------------------------------------------------------------- R12
+def bare(body):
+    """A fixture module importing nothing but what ``body`` imports."""
+    return '"""Fixture module."""\n__all__ = []\n' + textwrap.dedent(body)
+
+
+class TestUnusedImport:
+    """R12: every import under src/repro/ is read or re-exported."""
+
+    def test_fires_on_unread_import(self):
+        diags = run(bare("import os\n"), select="R12")
+        assert len(diags) == 1
+        assert "'os'" in diags[0].message
+
+    def test_fires_on_each_unread_from_import_name(self):
+        diags = run(
+            bare(
+                "from typing import Any, Optional\n"
+                "def f(x: Optional[int]) -> None:\n"
+                "    return None\n"
+            ),
+            select="R12",
+        )
+        assert ["'Any'" in d.message for d in diags] == [True]
+
+    def test_fires_on_unread_alias_and_function_level_import(self):
+        diags = run(
+            bare(
+                "from repro.graph.csr import Graph as G\n"
+                "def f() -> None:\n"
+                "    import json\n"
+            ),
+            select="R12",
+        )
+        assert sorted(d.line for d in diags) == [3, 5]
+
+    def test_silent_on_reads(self):
+        diags = run(
+            bare(
+                "import os.path\n"
+                "import numpy as np\n"
+                "from repro.graph.csr import Graph\n"
+                "def f(g: Graph) -> str:\n"
+                "    return os.path.join('a', str(np.int32(1)))\n"
+            ),
+            select="R12",
+        )
+        assert diags == []
+
+    def test_string_annotation_counts_as_read(self):
+        diags = run(
+            bare(
+                "from typing import Optional\n"
+                "from repro.counters import TraversalCounter\n"
+                "def f(c: Optional['TraversalCounter'] = None) -> None:\n"
+                "    return None\n"
+            ),
+            select="R12",
+        )
+        assert diags == []
+
+    def test_reexport_in_all_counts_as_read(self):
+        source = (
+            '"""Fixture module."""\n'
+            "from repro.graph.csr import Graph\n"
+            "__all__ = ['Graph']\n"
+        )
+        assert run(source, select="R12") == []
+
+    def test_future_import_exempt(self):
+        diags = run(bare("from __future__ import annotations\n"), select="R12")
+        assert diags == []
+
+    def test_silent_outside_src(self):
+        diags = run(bare("import os\n"), path="tests/test_example.py")
+        assert "R12" not in codes(diags)
+
+
 # ----------------------------------------------------------------- R4
 class TestHotPathLoops:
     def test_fires_on_nested_range_loop(self):

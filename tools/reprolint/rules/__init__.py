@@ -11,6 +11,7 @@ from reprolint.rules import (  # noqa: F401  (registration side effects)
     public_api,
     shared_state,
     typing_gate,
+    unused_import,
     workspace_escape,
 )
 
@@ -25,5 +26,6 @@ __all__ = [
     "public_api",
     "shared_state",
     "typing_gate",
+    "unused_import",
     "workspace_escape",
 ]
