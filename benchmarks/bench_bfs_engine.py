@@ -50,7 +50,6 @@ import argparse
 import json
 import os
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -335,12 +334,10 @@ def bench_directed(
         "sources": sources,
         "repeats": repeats,
     }
-    views = {"forward": dg.forward_view(), "backward": dg.backward_view()}
-    for side, (indptr, indices) in views.items():
+    # A CSR has the indptr / indices / num_vertices the seed kernel reads.
+    views = {"forward": dg.out_csr, "backward": dg.in_csr}
+    for side, csr in views.items():
         engine = engine_for(dg, backward=side == "backward")
-        csr = SimpleNamespace(
-            indptr=indptr, indices=indices, num_vertices=dg.num_vertices
-        )
         counter = TraversalCounter()
         for s in sources:
             got = engine.run(s, counter=counter)

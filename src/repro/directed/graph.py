@@ -5,46 +5,32 @@ The paper restricts itself to undirected graphs, but its related work
 real graphs with the same bound-propagation idea.  This subpackage
 extends the library accordingly.
 
-A :class:`DirectedGraph` stores both the forward adjacency (out-edges)
-and the reverse adjacency (in-edges) as CSR arrays, so both forward and
+A :class:`DirectedGraph` stores the forward adjacency (out-edges) and
+the reverse adjacency (in-edges) as two CSRs, so both forward and
 backward BFS are cheap — directed IFECC's reference and the extremes
 driver's probes need one of each (see :mod:`repro.directed.eccentricity`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from repro import sanitize
 from repro.errors import GraphConstructionError, InvalidVertexError
-from repro.graph.csr import Graph
+from repro.graph.csr import CSR, Graph, edge_columns, vertex_count
 
 __all__ = ["DirectedGraph"]
 
 
-def _build_csr(
-    n: int, src: np.ndarray, dst: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, dst.astype(np.int32)
-
-
 class DirectedGraph:
-    """A directed graph with forward and reverse CSR adjacency."""
+    """A directed graph over an out-CSR and the in-CSR that reverses it.
 
-    __slots__ = (
-        "_fwd_indptr",
-        "_fwd_indices",
-        "_rev_indptr",
-        "_rev_indices",
-        "__weakref__",
-    )
+    The constructor checks both CSRs' arrays and that the in-CSR holds
+    the out-arcs reversed; the other constructors transpose.
+    """
+
+    __slots__ = ("_out", "_in", "__weakref__")
 
     def __init__(
         self,
@@ -53,26 +39,21 @@ class DirectedGraph:
         rev_indptr: np.ndarray,
         rev_indices: np.ndarray,
     ) -> None:
-        self._fwd_indptr = np.ascontiguousarray(fwd_indptr, dtype=np.int64)
-        self._fwd_indices = np.ascontiguousarray(fwd_indices, dtype=np.int32)
-        self._rev_indptr = np.ascontiguousarray(rev_indptr, dtype=np.int64)
-        self._rev_indices = np.ascontiguousarray(rev_indices, dtype=np.int32)
-        if len(self._fwd_indices) != len(self._rev_indices):
+        self._out = CSR(fwd_indptr, fwd_indices)
+        self._in = CSR(rev_indptr, rev_indices)
+        if not self._out.is_reverse_of(self._in):
             raise GraphConstructionError(
-                "forward and reverse arc counts differ"
+                "the in-CSR is not the out-CSR reversed"
             )
-        self._fwd_indptr = sanitize.freeze(
-            self._fwd_indptr, "DirectedGraph.fwd_indptr"
-        )
-        self._fwd_indices = sanitize.freeze(
-            self._fwd_indices, "DirectedGraph.fwd_indices"
-        )
-        self._rev_indptr = sanitize.freeze(
-            self._rev_indptr, "DirectedGraph.rev_indptr"
-        )
-        self._rev_indices = sanitize.freeze(
-            self._rev_indices, "DirectedGraph.rev_indices"
-        )
+
+    @classmethod
+    def _from_pair(cls, out: CSR, in_csr: CSR) -> "DirectedGraph":
+        """The graph over ``out`` and ``in_csr``, trusted to be each
+        other's reverse: built by transposing, or opened from a store,
+        whose verify checks them."""
+        graph = cls.__new__(cls)
+        graph._out, graph._in = out, in_csr
+        return graph
 
     @classmethod
     def from_arcs(
@@ -80,69 +61,39 @@ class DirectedGraph:
         arcs: Iterable[Tuple[int, int]],
         num_vertices: int | None = None,
     ) -> "DirectedGraph":
-        """Build from ``(u, v)`` arcs (u -> v).  Duplicates collapse;
-        self-loops are dropped."""
-        pairs = [(int(u), int(v)) for u, v in arcs]
-        if num_vertices is None:
-            num_vertices = (
-                max((max(u, v) for u, v in pairs), default=-1) + 1
-            )
-        seen = set()
-        clean: List[Tuple[int, int]] = []
-        for u, v in pairs:
-            if u == v or (u, v) in seen:
-                continue
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise GraphConstructionError(
-                    f"arc ({u}, {v}) out of range [0, {num_vertices})"
-                )
-            seen.add((u, v))
-            clean.append((u, v))
-        if clean:
-            arr = np.asarray(clean, dtype=np.int64)
-            src, dst = arr[:, 0], arr[:, 1]
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-        fwd_indptr, fwd_indices = _build_csr(num_vertices, src, dst)
-        rev_indptr, rev_indices = _build_csr(num_vertices, dst, src)
-        return cls(fwd_indptr, fwd_indices, rev_indptr, rev_indices)
+        """Build from ``(u, v)`` arcs (u -> v).  Ids follow the same rule
+        as :class:`~repro.graph.builder.GraphBuilder`; duplicates collapse
+        and self-loops are dropped."""
+        src, dst = edge_columns(arcs, 2)
+        out = CSR.from_arcs(vertex_count(src, dst, num_vertices), src, dst)
+        return cls._from_pair(out, out.transpose())
 
     @classmethod
     def from_undirected(cls, graph: Graph) -> "DirectedGraph":
         """Lift an undirected :class:`repro.graph.csr.Graph` (each edge
         becomes two arcs)."""
-        n = graph.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-        dst = graph.indices.astype(np.int64)
-        fwd_indptr, fwd_indices = _build_csr(n, src, dst)
-        rev_indptr, rev_indices = _build_csr(n, dst, src)
-        return cls(fwd_indptr, fwd_indices, rev_indptr, rev_indices)
+        csr = graph.out_csr
+        out = CSR.from_arcs(csr.num_vertices, csr.arc_sources(), csr.indices)
+        return cls._from_pair(out, out.transpose())
 
     # ------------------------------------------------------------------
     @property
+    def out_csr(self) -> CSR:
+        """The out-adjacency: ``v``'s slice lists the heads of its arcs."""
+        return self._out
+
+    @property
+    def in_csr(self) -> CSR:
+        """The in-adjacency: ``v``'s slice lists the tails of its arcs."""
+        return self._in
+
+    @property
     def num_vertices(self) -> int:
-        return len(self._fwd_indptr) - 1
+        return self._out.num_vertices
 
     @property
     def num_arcs(self) -> int:
-        return len(self._fwd_indices)
-
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self._fwd_indptr)
-
-    def forward_view(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the out-adjacency."""
-        return self._fwd_indptr, self._fwd_indices
-
-    def backward_view(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the in-adjacency."""
-        return self._rev_indptr, self._rev_indices
-
-    def csr_pair(
-        self,
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-        """(out-CSR, in-CSR): the pair a forward BFS engine reads."""
-        return self.forward_view(), self.backward_view()
+        return self._out.num_arcs
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.num_vertices:

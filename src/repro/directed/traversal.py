@@ -132,7 +132,7 @@ class DirectedBFSOracle:
         self, strategy: str, count: int, seed: int
     ) -> np.ndarray:
         # The degree rule only, by out-degree.
-        return _by_degree(self.graph.out_degrees(), count, strategy)
+        return _by_degree(self.graph.out_csr.degrees, count, strategy)
 
     def source_probe(
         self,

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
-from repro.graph.engine import csr_pair, engine_for
+from repro.graph.engine import engine_for
 from repro.graph.msengine import msengine_for, plan_lane_width
 
 __all__ = [
@@ -228,7 +228,7 @@ def _planned(
     # A repeated source is traversed once; every copy still counts as
     # one run, as in the per-source loop.
     distinct = src if len(uniq) == len(src) else uniq
-    num_arcs = len(csr_pair(graph)[0][1])
+    num_arcs = graph.out_csr.num_arcs
     out = run(distinct, plan_lane_width(num_arcs, len(distinct)), counter)
     if distinct is src:
         return out

@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.graph.csr import Graph
+from repro.graph.csr import CSR, Graph
 from repro.graph.engine import distinct_ids, gather_csr_arcs
 
 __all__ = [
@@ -118,19 +118,14 @@ def split_components(graph: Graph) -> List[Tuple[Graph, np.ndarray]]:
 def _induced_subgraph(graph: Graph, keep: np.ndarray) -> Graph:
     """Induced subgraph on vertex set ``keep`` with ids remapped to
     ``[0, len(keep))`` preserving the order of ``keep``."""
-    n = graph.num_vertices
-    remap = np.full(n, -1, dtype=np.int64)
+    remap = np.full(graph.num_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep), dtype=np.int64)
-    src_counts = (graph.indptr[keep + 1] - graph.indptr[keep]).astype(np.int64)
-    new_src = np.repeat(remap[keep], src_counts)
+    counts = graph.degrees[keep]
+    new_src = np.repeat(remap[keep], counts)
     # Gather all neighbor slices of kept vertices in one indexing pass.
-    old_dst, _ = gather_csr_arcs(graph.indptr, graph.indices, keep, src_counts)
+    old_dst, _ = gather_csr_arcs(graph.indptr, graph.indices, keep, counts)
     new_dst = remap[old_dst]
     inside = new_dst != -1  # neighbors outside the component are dropped
-    new_src = new_src[inside]
-    new_dst = new_dst[inside]
-    counts = np.bincount(new_src, minlength=len(keep))
-    indptr = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.lexsort((new_dst, new_src))
-    return Graph(indptr, new_dst[order].astype(np.int32), validate=False)
+    return Graph.from_csr(
+        CSR.from_arcs(len(keep), new_src[inside], new_dst[inside])
+    )

@@ -11,9 +11,9 @@ Compared to the original level-synchronous kernel in
    (distance vector, frontier bitmap, dedupe bitmap, slot scratch).
    Algorithms that run thousands of BFSs on one graph (the FFO-ordered
    IFECC sweep, the naive oracle) stop paying an ``O(n)`` allocation
-   per run.  Pooling is safe because :class:`Graph` arrays
-   are immutable (reprolint R1): a cached engine can never observe a
-   mutated CSR.
+   per run.  Pooling is safe because a graph's
+   :class:`~repro.graph.csr.CSR` is frozen (reprolint R1): a cached
+   engine can never observe a mutated CSR.
 
 2. **Sort-free frontier dedupe.**  Top-down levels dedupe the
    discovered neighbors with a boolean bitmap whenever the candidate
@@ -38,9 +38,9 @@ Compared to the original level-synchronous kernel in
    in-degrees (a bottom-up level probes the in-arcs of unvisited
    vertices).  Both cost one vectorised gather per level.
 
-An engine reads an **(out-CSR, in-CSR) pair** (:func:`engine_for`).
-An undirected :class:`Graph` passes its one CSR twice, as the same
-arrays, so in- and out-degree coincide; a
+An engine reads an **(out-CSR, in-CSR) pair** (:func:`csr_pair`).
+An undirected graph passes its one CSR twice, as the same object, so
+in- and out-degree coincide; a
 :class:`~repro.directed.graph.DirectedGraph` gets a forward engine
 (out-arcs, in-arcs) for ``dist(s, .)`` and a backward engine (in-arcs,
 out-arcs) for ``dist(., s)``.  One kernel therefore serves both graph
@@ -82,7 +82,7 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
-from repro.graph.csr import Graph
+from repro.graph.csr import CSR
 from repro.obs.trace import get_tracer
 from repro.sentinels import UNREACHED
 
@@ -109,9 +109,6 @@ ALPHA = 4.0
 
 #: Direction heuristic: return top-down when ``|frontier| < n / BETA``.
 BETA = 24.0
-
-#: ``(indptr, indices, degrees)`` of one arc direction.
-CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Mask-based dedupe pays an ``O(n)`` bitmap scan; use it only once the
 #: candidate set is at least ``n / _MASK_DEDUPE_DIVISOR`` entries, else
@@ -165,19 +162,13 @@ def gather_csr_arcs(
 def csr_pair(graph: Any, backward: bool = False) -> Tuple[CSR, CSR]:
     """The ``(out, in)`` CSR pair an engine over ``graph`` reads.
 
-    The only code that knows a graph's kind.  An undirected
-    :class:`Graph` returns its one CSR twice, as the same arrays
-    (``backward`` changes nothing).  A directed graph's forward pair is
-    (out-arcs, in-arcs); ``backward`` swaps them, so the engine
-    computes ``dist(., s)``.
+    Every graph kind exposes ``out_csr`` and ``in_csr``; an undirected
+    graph's are its one CSR, the same object (``backward`` changes
+    nothing).  ``backward`` swaps a directed graph's pair, so the
+    engine computes ``dist(., s)``.
     """
-    if isinstance(graph, Graph):
-        csr = (graph.indptr, graph.indices, graph.degrees)
-        return csr, csr
-    (fwd_ptr, fwd_idx), (rev_ptr, rev_idx) = graph.csr_pair()
-    fwd = (fwd_ptr, fwd_idx, np.diff(fwd_ptr))
-    rev = (rev_ptr, rev_idx, np.diff(rev_ptr))
-    return (rev, fwd) if backward else (fwd, rev)
+    out, in_csr = graph.out_csr, graph.in_csr
+    return (in_csr, out) if backward else (out, in_csr)
 
 
 class BFSEngine:
@@ -221,7 +212,7 @@ class BFSEngine:
         self._n = n
         self._out, self._in = csr_pair(graph, backward)
         #: Arcs of the graph (an undirected edge is two).
-        self.num_arcs = int(len(self._out[1]))
+        self.num_arcs = self._out.num_arcs
         # History label of a run: an undirected graph's pair is one CSR.
         self._label = (
             "bfs" if self._out is self._in else "bwd" if backward else "fwd"
@@ -312,7 +303,7 @@ class BFSEngine:
         scanned = inspected = 0
         directions: List[str] = []
         frontier_sizes: List[int] = []
-        out_deg, in_deg = self._out[2], self._in[2]
+        out_deg, in_deg = self._out.degrees, self._in.degrees
         symmetric = out_deg is in_deg
         m_frontier = int(out_deg[frontier].sum())
         m_unvisited = self.num_arcs - int(in_deg[frontier].sum())
@@ -397,9 +388,9 @@ class BFSEngine:
     ) -> Tuple[Optional[np.ndarray], int]:
         """Expand the frontier's out-arcs; return (new frontier, arcs)."""
         dist = self._dist
-        indptr, indices, degrees = self._out
+        out = self._out
         neighbors, _seg = gather_csr_arcs(
-            indptr, indices, frontier, degrees[frontier]
+            out.indptr, out.indices, frontier, out.degrees[frontier]
         )
         arcs = len(neighbors)
         if arcs == 0:
@@ -428,9 +419,9 @@ class BFSEngine:
             return None, 0, cand
         mask = self._frontier_mask
         mask[frontier] = True
-        indptr, indices, degrees = self._in
+        in_csr = self._in
         arc_dst, seg_starts = gather_csr_arcs(
-            indptr, indices, cand, degrees[cand]
+            in_csr.indptr, in_csr.indices, cand, in_csr.degrees[cand]
         )
         hits = mask[arc_dst]
         # counts > 0 for every candidate, so reduceat segments are

@@ -194,10 +194,11 @@ def save_npz(graph: Graph, path: PathLike) -> None:
 def load_npz(path: PathLike) -> Graph:
     """Load a graph previously written by :func:`save_npz`.
 
-    The archive contents are validated **before** construction — dtype
-    kinds, shapes, a non-negative monotone ``indptr`` with the right
-    endpoints, and ``indices`` bounds — so a corrupt or hand-edited
-    archive fails here with :class:`GraphConstructionError` instead of
+    The archive's arrays go through the same checks as every
+    :class:`~repro.graph.csr.CSR` (dtype kinds, shapes, a monotone
+    ``indptr`` with the right endpoints, ``indices`` bounds), so a
+    corrupt or hand-edited archive fails here with
+    :class:`GraphConstructionError`, naming the file, instead of
     crashing later inside a traversal kernel.
     """
     with np.load(Path(path)) as data:
@@ -207,36 +208,7 @@ def load_npz(path: PathLike) -> Graph:
             )
         raw_indptr = data["indptr"]
         raw_indices = data["indices"]
-    if raw_indptr.ndim != 1 or raw_indices.ndim != 1:
-        raise GraphConstructionError(
-            f"{path}: indptr/indices must be one-dimensional, got shapes "
-            f"{raw_indptr.shape} and {raw_indices.shape}"
-        )
-    for key, array in (("indptr", raw_indptr), ("indices", raw_indices)):
-        if array.dtype.kind not in "iu":
-            raise GraphConstructionError(
-                f"{path}: {key} has non-integer dtype {array.dtype}"
-            )
-    if len(raw_indptr) == 0 or raw_indptr[0] != 0:
-        raise GraphConstructionError(
-            f"{path}: indptr must start at 0"
-        )
-    if int(raw_indptr[-1]) != len(raw_indices):
-        raise GraphConstructionError(
-            f"{path}: indptr ends at {int(raw_indptr[-1])} but indices "
-            f"has {len(raw_indices)} entries"
-        )
-    if len(raw_indptr) > 1 and bool(np.any(np.diff(raw_indptr) < 0)):
-        raise GraphConstructionError(
-            f"{path}: indptr is not monotone non-decreasing"
-        )
-    num_vertices = len(raw_indptr) - 1
-    if len(raw_indices) and (
-        int(raw_indices.min()) < 0
-        or int(raw_indices.max()) >= num_vertices
-    ):
-        raise GraphConstructionError(
-            f"{path}: indices out of range [0, {num_vertices})"
-        )
-    return Graph(raw_indptr, raw_indices)
-
+    try:
+        return Graph(raw_indptr, raw_indices)
+    except GraphConstructionError as exc:
+        raise GraphConstructionError(f"{path}: {exc}") from exc

@@ -100,7 +100,8 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
-from repro.graph.engine import ALPHA, BETA, CSR, csr_pair
+from repro.graph.csr import CSR
+from repro.graph.engine import ALPHA, BETA, csr_pair
 from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # runtime import would be circular; annotations only
@@ -284,7 +285,7 @@ class MSBFSEngine:
         # keyed weakly by it, and the sweeps read only the CSR arrays.
         self._n = graph.num_vertices
         self._out, self._in = csr_pair(graph, backward)
-        self._arcs = int(len(self._out[1]))
+        self._arcs = self._out.num_arcs
         # History label of a swept lane, as in BFSEngine.
         self._label = (
             "bfs" if self._out is self._in else "bwd" if backward else "fwd"
@@ -464,7 +465,7 @@ class MSBFSEngine:
         np.bitwise_or.at(frontier, src, lane_bits)
         np.bitwise_or.at(seen, src, lane_bits)
 
-        out_deg, in_deg = self._out[2], self._in[2]
+        out_deg, in_deg = self._out.degrees, self._in.degrees
         # The distinct sources, sorted: np.unique would also import
         # numpy.ma on its first call in a process.
         active = np.flatnonzero(frontier)
@@ -625,8 +626,7 @@ class MSBFSEngine:
         :dtype csum: int64
         :dtype positions: int64
         """
-        indptr, indices, degrees = csr
-        counts = degrees[vertices]
+        counts = csr.degrees[vertices]
         csum = np.cumsum(counts)
         total = int(csum[-1]) if len(csum) else 0
         for a in range(0, total, _GATHER_CHUNK_ARCS):
@@ -637,7 +637,7 @@ class MSBFSEngine:
             # Owned copies: both are trimmed below, and a gather of the
             # frozen CSR arrays may still be flagged read-only.
             seg_counts = counts[lo:hi].copy()
-            starts = indptr[vertices[lo:hi]].copy()
+            starts = csr.indptr[vertices[lo:hi]].copy()
             head = a - int(csum[lo] - counts[lo])
             starts[0] += head
             seg_counts[0] -= head
@@ -645,7 +645,7 @@ class MSBFSEngine:
             seg_starts = np.cumsum(seg_counts) - seg_counts
             positions = np.repeat(starts - seg_starts, seg_counts)
             positions += np.arange(b - a, dtype=np.int64)
-            yield lo, hi, indices[positions], seg_starts, seg_counts
+            yield lo, hi, csr.indices[positions], seg_starts, seg_counts
 
     def _top_down_level(
         self,
@@ -699,7 +699,7 @@ class MSBFSEngine:
         arcs inspected)``, mirroring :meth:`_top_down_level`.
         """
         cand = np.flatnonzero(~seen & live)
-        cand = cand[self._in[2][cand] > 0]
+        cand = cand[self._in.degrees[cand] > 0]
         if len(cand) == 0:
             return None, None, None, 0
         reduced = np.zeros(len(cand), dtype=np.uint64)

@@ -63,32 +63,22 @@ TASK_SPAN = "parallel.task"
 def graph_fingerprint(graph: Any) -> Dict[str, Any]:
     """Identity of a graph instance: sizes plus a CSR content digest.
 
-    Works on any of the repo's graph flavours (undirected CSR, weighted,
-    directed) by duck-typing the arrays; the digest is a SHA-256 prefix
-    over the adjacency structure, so records can be matched to the exact
-    input even when the file it came from is gone.
+    The digest is a SHA-256 prefix over the ``out_csr`` every graph kind
+    exposes (``indptr``, ``indices``, and ``weights`` when present), so
+    records can be matched to the exact input even when the file it
+    came from is gone.  ``num_edges`` counts arcs for a directed graph
+    (one whose in-CSR is a CSR of its own).
     """
+    out = graph.out_csr
     digest = hashlib.sha256()
-    indptr = getattr(graph, "indptr", None)
-    indices = getattr(graph, "indices", None)
-    if indptr is None or indices is None:
-        # Directed graphs expose the pair through forward_view().
-        forward_view = getattr(graph, "forward_view", None)
-        if forward_view is not None:
-            indptr, indices = forward_view()
-    if indptr is not None and indices is not None:
-        digest.update(indptr.tobytes())
-        digest.update(indices.tobytes())
-    weights = getattr(graph, "weights", None)
-    if weights is not None:
-        digest.update(weights.tobytes())
-    num_edges = getattr(graph, "num_edges", None)
-    if num_edges is None:
-        # Directed graphs count arcs, not undirected edges.
-        num_edges = getattr(graph, "num_arcs", 0)
+    digest.update(out.indptr.tobytes())
+    digest.update(out.indices.tobytes())
+    if out.weights is not None:
+        digest.update(out.weights.tobytes())
+    directed = graph.in_csr is not out
     return {
-        "num_vertices": int(graph.num_vertices),
-        "num_edges": int(num_edges),
+        "num_vertices": out.num_vertices,
+        "num_edges": out.num_arcs if directed else out.num_arcs // 2,
         "digest": digest.hexdigest()[:16],
     }
 

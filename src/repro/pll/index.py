@@ -113,12 +113,6 @@ class PLLIndex:
         )
         return int(total.min())
 
-    def query_many(self, s: int, targets: np.ndarray) -> np.ndarray:
-        """Vectorized ``dist(s, t)`` for many targets (PLLECC's probe loop)."""
-        return np.asarray(
-            [self.query(s, int(t)) for t in targets], dtype=np.int32
-        )
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.num_vertices:
             raise InvalidVertexError(v, self.num_vertices)

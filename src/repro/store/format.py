@@ -32,12 +32,13 @@ and page-aligned enough for the mmap path; the header itself is one
 aligned block).  Unused slots carry dtype code 0.
 
 Opening validates the header structurally — magic, version, kind and
-dtype codes, offsets in bounds and aligned, ``indptr`` monotone
-non-decreasing with the right endpoints — all cheap vectorised reads
-over the mapped pages.  The *content* digest is only recomputed when
-``verify=True`` (or via :func:`verify_store` / ``repro store verify``):
-a full hash is ``O(m)`` and would defeat the constant-time open that is
-the point of the format.
+dtype codes, offsets in bounds and aligned — and hands the mapped
+arrays to :meth:`repro.graph.csr.CSR.trusted`, the store's zero-copy
+path into the one CSR type, which checks each ``indptr`` (``O(n)``).
+The ``O(m)`` checks run only when ``verify=True`` (or via
+:func:`verify_store` / ``repro store verify``): the content digest,
+and for a directed store that the in-CSR reverses the out-CSR, since
+the digest covers only the out-CSR.
 
 Versioning rules: readers reject any file whose ``version`` is newer
 than :data:`STORE_VERSION`; additive changes (new slot, new flag bit)
@@ -57,10 +58,11 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import sanitize
-from repro.errors import StoreFormatError
-from repro.graph.csr import Graph
+from repro.directed.graph import DirectedGraph
+from repro.errors import GraphConstructionError, StoreFormatError
+from repro.graph.csr import CSR, Graph
 from repro.obs.record import graph_fingerprint
+from repro.weighted.graph import WeightedGraph
 
 __all__ = [
     "STORE_VERSION",
@@ -165,38 +167,25 @@ def _pad(nbytes: int) -> int:
     return (nbytes + ALIGN - 1) // ALIGN * ALIGN
 
 
-def _kind_of(graph: Any) -> str:
-    """Duck-typed graph flavour: directed / weighted / plain CSR."""
-    if hasattr(graph, "forward_view"):
-        return "directed"
-    if getattr(graph, "weights", None) is not None:
-        return "weighted"
-    if getattr(graph, "indptr", None) is not None:
-        return "graph"
-    raise StoreFormatError(
-        f"cannot store object of type {type(graph).__name__}; expected "
-        "Graph, WeightedGraph, or DirectedGraph"
-    )
-
-
-def _extract_arrays(graph: Any, kind: str) -> Dict[str, np.ndarray]:
-    """The storable CSR arrays of ``graph``, keyed by slot name."""
-    if kind == "graph":
-        return {"indptr": graph.indptr, "indices": graph.indices}
-    if kind == "weighted":
-        return {
-            "indptr": graph.indptr,
-            "indices": graph.indices,
-            "weights": graph.weights,
-        }
-    fwd_indptr, fwd_indices = graph.forward_view()
-    rev_indptr, rev_indices = graph.backward_view()
-    return {
-        "indptr": fwd_indptr,
-        "indices": fwd_indices,
-        "rev_indptr": rev_indptr,
-        "rev_indices": rev_indices,
-    }
+def _slot_arrays(graph: Any) -> Tuple[str, Dict[str, np.ndarray]]:
+    """The kind of ``graph`` and its storable CSR arrays by slot name,
+    read off the ``out_csr`` / ``in_csr`` pair every graph kind exposes:
+    a separate in-CSR makes it directed, weights make it weighted."""
+    try:
+        out, in_csr = graph.out_csr, graph.in_csr
+    except AttributeError as exc:
+        raise StoreFormatError(
+            f"cannot store object of type {type(graph).__name__}; "
+            "expected Graph, WeightedGraph, or DirectedGraph"
+        ) from exc
+    arrays = {"indptr": out.indptr, "indices": out.indices}
+    if in_csr is not out:
+        arrays.update(rev_indptr=in_csr.indptr, rev_indices=in_csr.indices)
+        return "directed", arrays
+    if out.weights is not None:
+        arrays["weights"] = out.weights
+        return "weighted", arrays
+    return "graph", arrays
 
 
 def save_store(graph: Any, path: PathLike) -> StoreInfo:
@@ -207,23 +196,15 @@ def save_store(graph: Any, path: PathLike) -> StoreInfo:
     same-directory temporary file followed by an atomic rename, so a
     crashed save never leaves a half-written container behind.
     """
-    kind = _kind_of(graph)
-    arrays = _extract_arrays(graph, kind)
+    kind, arrays = _slot_arrays(graph)
     slots: Dict[str, StoreArray] = {}
     offset = HEADER_SIZE
     for key in _SLOT_KEYS:
         if key not in arrays:
             continue
-        array = np.ascontiguousarray(np.asarray(arrays[key]))
-        expected = _SLOT_DTYPES[key]
-        if array.dtype.name != expected:
-            raise StoreFormatError(
-                f"{key} must be {expected}, got {array.dtype.name}"
-            )
-        slots[key] = StoreArray(
-            key=key, dtype=expected, offset=offset, length=len(array)
-        )
-        arrays[key] = array
+        # A CSR's arrays carry the canonical slot dtypes already.
+        array = arrays[key]
+        slots[key] = StoreArray(key, _SLOT_DTYPES[key], offset, len(array))
         offset += _pad(array.nbytes)
 
     digest = graph_fingerprint(graph)["digest"]
@@ -415,35 +396,18 @@ def map_store_arrays(info: StoreInfo) -> Dict[str, np.ndarray]:
     return views
 
 
-def _check_indptr(info: StoreInfo, key: str, indptr: np.ndarray) -> None:
-    """Monotonicity + endpoint checks on a mapped row-pointer array."""
-    if len(indptr) == 0 or indptr[0] != 0:
-        raise StoreFormatError(f"{info.path}: {key} must start at 0")
-    if indptr[-1] != info.num_entries:
-        raise StoreFormatError(
-            f"{info.path}: {key} ends at {int(indptr[-1])}, header "
-            f"declares {info.num_entries} entries"
-        )
-    if len(indptr) > 1 and bool(np.any(np.diff(indptr) < 0)):
-        raise StoreFormatError(
-            f"{info.path}: {key} is not monotone non-decreasing"
-        )
-
-
-# reprolint R1: this module is on the CSR constructor allowlist — it
-# rebuilds frozen zero-copy graphs over mapped store pages.
 def graph_from_arrays(
     info: StoreInfo, views: Dict[str, np.ndarray]
 ) -> Any:
     """Assemble a graph over ``views`` without copying the CSR arrays.
 
-    Bypasses the flavour constructors (the arrays were validated when
-    the store was written; re-validating on every open would be
-    ``O(m)``) and freezes the mapped views in place, so the result obeys
-    the same CSR-immutability discipline as a built graph.  Derived
-    ``degrees`` arrays are computed (``O(n)``) because v1 does not store
-    them.  Row-pointer monotonicity is always checked — it is the one
-    corruption that turns into out-of-bounds slicing inside kernels.
+    Each CSR comes from :meth:`repro.graph.csr.CSR.trusted`, which
+    freezes the mapped views in place and checks only their row
+    pointers (``O(n)``): the arrays were checked when the store was
+    written, and re-checking them on every open would be ``O(m)``.  A
+    directed store's in-CSR is trusted to reverse its out-CSR the same
+    way; :func:`verify_store` checks both.  Derived ``degrees`` arrays
+    are computed (``O(n)``) because v1 does not store them.
 
     The graph holds plain ``np.ndarray`` views of the mapped slots, not
     the ``np.memmap`` objects: the bytes are the same (each view keeps
@@ -453,49 +417,38 @@ def graph_from_arrays(
     view (2-CPU x86 host).
     """
     views = {key: view.view(np.ndarray) for key, view in views.items()}
-    _check_indptr(info, "indptr", views["indptr"])
-    if info.kind == "graph":
-        graph = Graph.__new__(Graph)
-        graph._indptr = sanitize.freeze(views["indptr"], "Graph.indptr")
-        graph._indices = sanitize.freeze(views["indices"], "Graph.indices")
-        graph._degrees = sanitize.freeze(
-            np.diff(views["indptr"]), "Graph.degrees"
+    try:
+        out = CSR.trusted(
+            views["indptr"], views["indices"], views.get("weights")
         )
-        return graph
-    if info.kind == "weighted":
-        from repro.weighted.graph import WeightedGraph
+        if info.kind == "graph":
+            return Graph.from_csr(out)
+        if info.kind == "weighted":
+            return WeightedGraph.from_csr(out)
+        in_csr = CSR.trusted(views["rev_indptr"], views["rev_indices"])
+        return DirectedGraph._from_pair(out, in_csr)
+    except GraphConstructionError as exc:
+        raise StoreFormatError(f"{info.path}: {exc}") from exc
 
-        weighted = WeightedGraph.__new__(WeightedGraph)
-        weighted._indptr = sanitize.freeze(
-            views["indptr"], "WeightedGraph.indptr"
-        )
-        weighted._indices = sanitize.freeze(
-            views["indices"], "WeightedGraph.indices"
-        )
-        weighted._weights = sanitize.freeze(
-            views["weights"], "WeightedGraph.weights"
-        )
-        weighted._degrees = sanitize.freeze(
-            np.diff(views["indptr"]), "WeightedGraph.degrees"
-        )
-        return weighted
-    from repro.directed.graph import DirectedGraph
 
-    _check_indptr(info, "rev_indptr", views["rev_indptr"])
-    directed = DirectedGraph.__new__(DirectedGraph)
-    directed._fwd_indptr = sanitize.freeze(
-        views["indptr"], "DirectedGraph.fwd_indptr"
-    )
-    directed._fwd_indices = sanitize.freeze(
-        views["indices"], "DirectedGraph.fwd_indices"
-    )
-    directed._rev_indptr = sanitize.freeze(
-        views["rev_indptr"], "DirectedGraph.rev_indptr"
-    )
-    directed._rev_indices = sanitize.freeze(
-        views["rev_indices"], "DirectedGraph.rev_indices"
-    )
-    return directed
+def _verify(info: StoreInfo, graph: Any) -> None:
+    """The ``O(m)`` checks: the content digest, and that a directed
+    store's in-CSR reverses its out-CSR (the digest covers only the
+    out-CSR, and v1 keeps it that way)."""
+    actual = graph_fingerprint(graph)["digest"]
+    if actual != info.digest:
+        raise StoreFormatError(
+            f"{info.path}: content fingerprint mismatch "
+            f"(header {info.digest}, payload {actual}); the store "
+            "file is corrupt or was tampered with"
+        )
+    if info.kind == "directed" and not graph.out_csr.is_reverse_of(
+        graph.in_csr
+    ):
+        raise StoreFormatError(
+            f"{info.path}: rev_indptr/rev_indices are not the reverse of "
+            "indptr/indices; the store file is corrupt"
+        )
 
 
 def open_store(path: PathLike, verify: bool = False) -> Any:
@@ -503,9 +456,9 @@ def open_store(path: PathLike, verify: bool = False) -> Any:
 
     The CSR arrays alias the mapped file — no copy is made (asserted by
     the test suite via ``np.shares_memory``).  ``verify=True``
-    additionally recomputes the content digest over the mapped arrays
-    and compares it with the header fingerprint (``O(m)``; the default
-    open trusts the fingerprint written at save time).
+    additionally runs :func:`verify_store`'s checks over the mapped
+    arrays (``O(m)``; the default open trusts the fingerprint written
+    at save time).
 
     The opened graph is registered with :func:`source_of`, so
     downstream layers (the CLI's run-record config) can rediscover the
@@ -514,35 +467,22 @@ def open_store(path: PathLike, verify: bool = False) -> Any:
     page-cache pages, so no CSR byte is copied.
     """
     info = read_info(path)
-    views = map_store_arrays(info)
-    graph = graph_from_arrays(info, views)
+    graph = graph_from_arrays(info, map_store_arrays(info))
     if verify:
-        actual = graph_fingerprint(graph)["digest"]
-        if actual != info.digest:
-            raise StoreFormatError(
-                f"{info.path}: content fingerprint mismatch "
-                f"(header {info.digest}, payload {actual}); the store "
-                "file is corrupt or was tampered with"
-            )
+        _verify(info, graph)
     register_source(graph, info)
     return graph
 
 
 def verify_store(path: PathLike) -> StoreInfo:
-    """Full integrity check: header validation plus digest recompute.
+    """Full integrity check: header validation, digest recompute and,
+    for a directed store, that the in-CSR reverses the out-CSR.
 
     Raises :class:`~repro.errors.StoreFormatError` on any mismatch;
     returns the validated :class:`StoreInfo` on success.
     """
     info = read_info(path)
-    views = map_store_arrays(info)
-    graph = graph_from_arrays(info, views)
-    actual = graph_fingerprint(graph)["digest"]
-    if actual != info.digest:
-        raise StoreFormatError(
-            f"{info.path}: content fingerprint mismatch "
-            f"(header {info.digest}, payload {actual})"
-        )
+    _verify(info, graph_from_arrays(info, map_store_arrays(info)))
     return info
 
 

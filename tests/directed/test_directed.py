@@ -58,8 +58,8 @@ class TestDirectedGraph:
 
     def test_out_in_degrees(self):
         g = directed_cycle(4)
-        assert g.out_degrees().tolist() == [1, 1, 1, 1]
-        assert np.diff(g.backward_view()[0]).tolist() == [1, 1, 1, 1]
+        assert g.out_csr.degrees.tolist() == [1, 1, 1, 1]
+        assert g.in_csr.degrees.tolist() == [1, 1, 1, 1]
 
     def test_from_undirected(self):
         g = DirectedGraph.from_undirected(cycle_graph(5))

@@ -106,15 +106,15 @@ def unit_weighted(graph: Graph, weight: float = 1.0) -> WeightedGraph:
 def out_neighbors(graph: DirectedGraph, v: int) -> np.ndarray:
     """Heads of ``v``'s out-arcs."""
     graph._check_vertex(v)
-    indptr, indices = graph.forward_view()
-    return indices[indptr[v]: indptr[v + 1]]
+    csr = graph.out_csr
+    return csr.indices[csr.indptr[v]: csr.indptr[v + 1]]
 
 
 def in_neighbors(graph: DirectedGraph, v: int) -> np.ndarray:
     """Tails of ``v``'s in-arcs."""
     graph._check_vertex(v)
-    indptr, indices = graph.backward_view()
-    return indices[indptr[v]: indptr[v + 1]]
+    csr = graph.in_csr
+    return csr.indices[csr.indptr[v]: csr.indptr[v + 1]]
 
 
 def is_connected(graph: Graph) -> bool:

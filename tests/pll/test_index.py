@@ -66,14 +66,6 @@ class TestCorrectness:
             s, t = rng.integers(0, web_graph.num_vertices, size=2)
             assert index.query(int(s), int(t)) == index.query(int(t), int(s))
 
-    def test_query_many(self, example_graph):
-        index = build_pll_index(example_graph)
-        dist = bfs_distances(example_graph, 0)
-        targets = np.arange(13)
-        np.testing.assert_array_equal(
-            index.query_many(0, targets), dist
-        )
-
 
 class TestOrderings:
     @pytest.mark.parametrize("ordering", ["degree", "random", "closeness"])

@@ -62,11 +62,17 @@ class TestRoundTrip:
         info = save_store(graph, tmp_path / "d.rcsr")
         assert info.kind == "directed"
         reopened = open_store(info.path)
-        for got, want in zip(
-            reopened.forward_view() + reopened.backward_view(),
-            graph.forward_view() + graph.backward_view(),
+        for got, want in (
+            (reopened.out_csr, graph.out_csr),
+            (reopened.in_csr, graph.in_csr),
         ):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+
+    def test_non_graph_rejected(self, tmp_path):
+        with pytest.raises(StoreFormatError, match="cannot store"):
+            save_store(object(), tmp_path / "x.rcsr")
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
         save_store(paper_example_graph(), tmp_path / "g.rcsr")
@@ -177,6 +183,40 @@ class TestValidation:
             verify_store(info.path)
         with pytest.raises(StoreFormatError, match="fingerprint mismatch"):
             open_store(info.path, verify=True)
+
+    def test_corrupt_reverse_csr_detected_by_verify(self, tmp_path):
+        """The digest covers only the out-CSR, so a directed store's
+        in-CSR is checked against it: one rev_indices entry moved to
+        another in-range vertex passes the O(n) open but fails verify."""
+        from repro.directed.graph import DirectedGraph
+        from repro.directed.traversal import backward_bfs
+
+        graph = DirectedGraph.from_undirected(barabasi_albert(200, 3, seed=1))
+        info = save_store(graph, tmp_path / "d.rcsr")
+        entry = info.array("rev_indices")
+        with open(info.path, "r+b") as handle:
+            handle.seek(entry.offset)
+            value = int.from_bytes(handle.read(4), "little")
+            assert value + 1 < graph.num_vertices
+            handle.seek(entry.offset)
+            handle.write((value + 1).to_bytes(4, "little"))
+        corrupt = open_store(info.path)  # structural checks still pass
+        assert any(
+            not np.array_equal(backward_bfs(corrupt, v), backward_bfs(graph, v))
+            for v in range(graph.num_vertices)
+        )
+        with pytest.raises(StoreFormatError, match="reverse"):
+            verify_store(info.path)
+        with pytest.raises(StoreFormatError, match="reverse"):
+            open_store(info.path, verify=True)
+
+    def test_verify_accepts_intact_directed_store(self, tmp_path):
+        from repro.directed.graph import DirectedGraph
+
+        graph = DirectedGraph.from_arcs([(0, 1), (1, 2), (2, 0), (0, 2)])
+        info = save_store(graph, tmp_path / "d.rcsr")
+        assert verify_store(info.path).digest == info.digest
+        open_store(info.path, verify=True)
 
     def test_verify_store_accepts_intact_file(self, tmp_path):
         info = self._saved(tmp_path)

@@ -239,7 +239,7 @@ class TestFreeze:
 
     def test_armed_csr_write_diagnosed(self, sanitizer):
         g = chordal_square()
-        with pytest.raises(SanitizerError, match="Graph.indices"):
+        with pytest.raises(SanitizerError, match="CSR.indices"):
             g.indices[0] = 5  # reprolint: disable=R1 (asserting the frozen guard traps the write)
         with pytest.raises(SanitizerError, match="immutable"):
             g.indptr[0] = 1  # reprolint: disable=R1 (asserting the frozen guard traps the write)

@@ -80,12 +80,32 @@ class TestCsrImmutable:
         )
         assert diags == []
 
-    def test_silent_in_builder_module(self):
+    def test_silent_in_csr_module(self):
         diags = run(
             wrap("def f(g: object) -> None:\n    g.indptr = None\n"),
-            path="src/repro/graph/builder.py",
+            path="src/repro/graph/csr.py",
         )
         assert "R1" not in codes(diags)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/graph/builder.py",
+            "src/repro/weighted/graph.py",
+            "src/repro/directed/graph.py",
+            "src/repro/store/format.py",
+        ],
+    )
+    def test_fires_in_former_constructor_modules(self, path):
+        """Only repro.graph.csr builds CSR arrays, so a private-slot
+        write anywhere else — the store's open included — is reported."""
+        diags = run(
+            wrap("def f(g: object) -> None:\n    g._indptr = None\n"),
+            path=path,
+            select="R1",
+        )
+        assert len(diags) == 1
+        assert "_indptr" in diags[0].message
 
     def test_setflags_false_is_allowed(self):
         diags = run(

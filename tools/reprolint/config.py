@@ -35,20 +35,12 @@ SRC_PREFIX = "src/repro/"
 #: ``src/repro/x/y.py`` for the cross-module dataflow analysis.
 SRC_ROOT = "src"
 
-#: The only modules allowed to create or (re)mark CSR arrays.  They are
-#: the constructors: everything else must treat ``Graph.indptr`` /
-#: ``Graph.indices`` as frozen (Theorem 4.5's O(m+n) immutable layout).
-CSR_MUTATION_ALLOWLIST = frozenset(
-    {
-        "src/repro/graph/builder.py",
-        "src/repro/graph/csr.py",
-        "src/repro/directed/graph.py",
-        "src/repro/weighted/graph.py",
-        # Rebuilds frozen zero-copy graphs over mmap'd .rcsr store pages
-        # (graph_from_arrays); a constructor in everything but name.
-        "src/repro/store/format.py",
-    }
-)
+#: The only modules allowed to create or (re)mark CSR arrays.  Every
+#: graph kind is built, checked and frozen through ``repro.graph.csr.CSR``
+#: (the store's zero-copy open included, via ``CSR.trusted``), so
+#: everything else must treat ``indptr`` / ``indices`` as frozen
+#: (Theorem 4.5's O(m+n) immutable layout).
+CSR_MUTATION_ALLOWLIST = frozenset({"src/repro/graph/csr.py"})
 
 #: The one module allowed to assign to eccentricity bound arrays; all
 #: other code must go through the BoundState API (Lemma 3.1 / 3.3).

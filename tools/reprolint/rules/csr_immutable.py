@@ -3,8 +3,9 @@
 Theorem 4.5's ``O(m + n)`` accounting assumes one shared, frozen CSR
 structure per graph.  Any code that writes ``graph.indptr`` /
 ``graph.indices`` (or re-enables numpy write access) can corrupt every
-algorithm holding a reference to the same graph.  Only the constructor
-modules in :data:`reprolint.config.CSR_MUTATION_ALLOWLIST` may touch
+algorithm holding a reference to the same graph.  Only the module in
+:data:`reprolint.config.CSR_MUTATION_ALLOWLIST` — ``repro.graph.csr``,
+home of the one ``CSR`` type every graph kind is built from — may touch
 these arrays.
 """
 
@@ -36,8 +37,8 @@ class CsrImmutableRule(Rule):
     rule_id = "R1"
     rule_name = "csr-immutable"
     summary = (
-        "Graph.indptr/indices may only be written by the CSR constructor "
-        "modules; setflags(write=True) is forbidden everywhere else."
+        "CSR indptr/indices may only be written by repro.graph.csr; "
+        "setflags(write=True) is forbidden everywhere else."
     )
     protects = "Theorem 4.5 (shared immutable O(m+n) CSR layout)"
 
@@ -56,8 +57,8 @@ class CsrImmutableRule(Rule):
                             ctx,
                             node,
                             f"write to CSR array attribute "
-                            f"'.{attr.attr}' outside the constructor "
-                            f"modules; Graph adjacency is immutable",
+                            f"'.{attr.attr}' outside repro.graph.csr; "
+                            f"CSR adjacency is immutable",
                         )
             elif isinstance(node, ast.Call):
                 func = node.func
@@ -76,7 +77,7 @@ class CsrImmutableRule(Rule):
                                 ctx,
                                 node,
                                 "setflags(write=...) re-enabling array "
-                                "writes outside the constructor modules",
+                                "writes outside repro.graph.csr",
                             )
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
@@ -84,6 +85,6 @@ class CsrImmutableRule(Rule):
                         yield self.diagnostic(
                             ctx,
                             node,
-                            "deleting a CSR array attribute outside the "
-                            "constructor modules",
+                            "deleting a CSR array attribute outside "
+                            "repro.graph.csr",
                         )
