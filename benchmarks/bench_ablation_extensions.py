@@ -106,8 +106,13 @@ def test_extremes(benchmark, name):
         t_naive = watch.elapsed()
         assert w_ext.radius == pytest.approx(w_truth.min())
         assert w_ext.diameter == pytest.approx(w_truth.max())
+        watch = Stopwatch()
+        d_truth = naive_directed_eccentricities(dg)
+        t_d_naive = watch.elapsed()
+        assert d_ext.radius == d_truth.min()
+        assert d_ext.diameter == d_truth.max()
         _rows[("dir-extrem", name)] = (
-            t_d, t_naive, d_ext.num_bfs, dg.num_vertices
+            t_d, t_d_naive, d_ext.num_bfs, dg.num_vertices
         )
         return t_w, t_naive, w_ext.num_bfs, wg.num_vertices
 

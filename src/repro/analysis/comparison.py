@@ -54,12 +54,6 @@ class ComparisonTable:
                 return row
         raise InvalidParameterError(f"no row named {name!r}")
 
-    def fastest(self) -> AlgorithmRow:
-        finished = [r for r in self.rows if r.finished]
-        if not finished:
-            raise InvalidParameterError("no algorithm finished")
-        return min(finished, key=lambda r: r.seconds)
-
     def render(self) -> str:
         lines = [
             f"graph: n={self.graph_vertices} m={self.graph_edges}",

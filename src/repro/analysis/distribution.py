@@ -55,10 +55,6 @@ class EccentricityDistribution:
         n = self.num_vertices
         return self.diameter_vertex_count() / n if n else 0.0
 
-    def center_vertex_count(self) -> int:
-        """Vertices at the radius — the network center (Section 1)."""
-        return int(self.counts[0]) if len(self.counts) else 0
-
     def as_series(self) -> List[Tuple[int, int]]:
         """``(eccentricity, count)`` pairs for plotting."""
         return list(zip(self.values.tolist(), self.counts.tolist()))

@@ -36,6 +36,24 @@ from repro.sentinels import UNREACHED
 __all__ = ["kbfs_eccentricities"]
 
 
+def _probe(
+    graph: Graph,
+    bounds: BoundState,
+    sources: np.ndarray,
+    counter: TraversalCounter,
+) -> None:
+    """BFS from every source, pin its eccentricity and apply Lemma 3.1.
+
+    The rows come from shared MS-BFS lane sweeps; the bound updates run
+    in source order, as a loop of single BFSs would apply them.
+    """
+    rows = distance_rows(graph, sources, counter=counter)
+    for s, dist_s in zip(sources, rows):
+        ecc_s = int(dist_s[dist_s != UNREACHED].max())
+        bounds.set_exact(int(s), ecc_s)
+        bounds.apply_lemma31(dist_s, dist_s, ecc_s)
+
+
 def kbfs_eccentricities(
     graph: Graph,
     k: int,
@@ -71,15 +89,7 @@ def kbfs_eccentricities(
     num_random = max(1, k // 2)
     random_sources = rng.choice(n, size=num_random, replace=False)
 
-    # Both sampling stages draw their distance rows from shared MS-BFS
-    # lane sweeps; bound updates stay in the historical per-source
-    # order, so the resulting bounds are bit-identical to the loop.
-    random_rows = distance_rows(graph, random_sources, counter=counter)
-    for i, s in enumerate(random_sources):
-        dist_s = random_rows[i]
-        ecc_s = int(dist_s[dist_s != UNREACHED].max())
-        bounds.set_exact(int(s), ecc_s)
-        bounds.apply_lemma31(dist_s, ecc_s)
+    _probe(graph, bounds, random_sources, counter)
 
     num_elected = k - num_random
     sources = list(int(s) for s in random_sources)
@@ -92,13 +102,8 @@ def kbfs_eccentricities(
         score = near_dist.astype(np.int64)
         score[random_sources] = -1  # never re-elect a sampled source
         elected = np.argsort(-score, kind="stable")[:num_elected]
-        elected_rows = distance_rows(graph, elected, counter=counter)
-        for i, s in enumerate(elected):
-            dist_s = elected_rows[i]
-            ecc_s = int(dist_s[dist_s != UNREACHED].max())
-            bounds.set_exact(int(s), ecc_s)
-            bounds.apply_lemma31(dist_s, ecc_s)
-            sources.append(int(s))
+        _probe(graph, bounds, elected, counter)
+        sources.extend(int(s) for s in elected)
 
     elapsed = watch.elapsed()
     return EccentricityResult(

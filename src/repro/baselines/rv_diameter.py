@@ -51,14 +51,6 @@ class RVDiameterEstimate:
     num_bfs: int
     elapsed_seconds: float
 
-    def lower_bound(self) -> int:
-        """The certified lower bound (the estimate itself)."""
-        return self.diameter
-
-    def upper_bound(self) -> int:
-        """The w.h.p. upper bound implied by the 2/3 guarantee."""
-        return int(math.ceil(self.diameter * 3 / 2))
-
 
 def rv_estimate_diameter(
     graph: Graph,

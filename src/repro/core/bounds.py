@@ -41,12 +41,15 @@ directed reachability alike (Dragan et al.'s certificate view).  A
   "have the bounds met?" question goes through the single
   :meth:`BoundState.bounds_met` helper;
 * for *directed* (asymmetric) metrics, ``dist(v, t) != dist(t, v)`` in
-  general, so the Lemma 3.1 update methods accept the reverse-distance
-  vector separately (``dist_from``); symmetric callers omit it.
+  general, so the Lemma 3.1 update takes both vectors (``dist_into``
+  and ``dist_from``); symmetric callers pass the same vector twice.
 
-Bound arrays are updated with whole-array numpy operations only, and the
-core invariant ``lower <= upper (+ tolerance)`` is re-checked on every
-update.
+The bounds have three writers: :meth:`BoundState.set_exact` pins one
+vertex, :meth:`BoundState.apply_lemma31` applies Lemma 3.1 to every
+vertex or to a territory, and :meth:`BoundState.apply_sweep_block`
+applies FFO sweep probes (Lemma 3.1 lowers and the Lemma 3.3 tail cap).
+Each re-checks the core invariant ``lower <= upper (+ tolerance)`` on
+every call, with whole-array numpy operations only.
 
 Along an FFO sweep both updates are monotone — Lemma 3.1 lowers are a
 running max of the probe rows, Lemma 3.3 uppers a running min of the
@@ -69,8 +72,6 @@ __all__ = [
     "INFINITE_ECC",
     "BoundState",
     "SweepBlock",
-    "lemma31_lower",
-    "lemma31_upper",
 ]
 
 #: Numeric scalar accepted wherever an eccentricity value is expected.
@@ -104,16 +105,6 @@ class SweepBlock:
     closing_row: np.ndarray
     resolved: np.ndarray
     gap_mass: Optional[np.ndarray]
-
-
-def lemma31_lower(dist_to_t: np.ndarray, ecc_t: Numeric) -> np.ndarray:
-    """Element-wise Lemma 3.1 lower bound: max(dist, ecc(t) - dist)."""
-    return np.maximum(dist_to_t, ecc_t - dist_to_t)
-
-
-def lemma31_upper(dist_to_t: np.ndarray, ecc_t: Numeric) -> np.ndarray:
-    """Element-wise Lemma 3.1 upper bound: dist + ecc(t)."""
-    return dist_to_t + ecc_t
 
 
 class BoundState:
@@ -254,143 +245,44 @@ class BoundState:
 
     def apply_lemma31(
         self,
-        dist_to_t: np.ndarray,
-        ecc_t: Numeric,
-        dist_from_t: Optional[np.ndarray] = None,
+        dist_into: np.ndarray,
+        dist_from: np.ndarray,
+        ecc: Numeric,
+        subset: Optional[np.ndarray] = None,
     ) -> None:
-        """Tighten all bounds after a traversal of ``t`` (Lemma 3.1).
+        """Tighten bounds after a traversal of ``t`` (Lemma 3.1).
 
-        ``dist_to_t`` holds ``dist(v, t)`` — the distances *into* the
-        source, which drive both the lower bound ``ecc(v) >= dist(v, t)``
-        and the upper bound ``ecc(v) <= dist(v, t) + ecc(t)``.  For
-        symmetric metrics it equals ``dist(t, v)`` and the second lower
-        bound ``ecc(v) >= ecc(t) - dist(t, v)`` uses the same vector;
-        directed callers pass the forward-distance vector ``dist(t, .)``
-        as ``dist_from_t`` (passing ``dist_to_t`` itself is the symmetric
-        case).  Unreachable entries are left untouched.
+        ``dist_into`` holds ``dist(v, t)``, which drives the lower bound
+        ``ecc(v) >= dist(v, t)`` and the upper bound ``ecc(v) <= dist(v,
+        t) + ecc``; ``dist_from`` holds ``dist(t, v)`` for the second
+        lower bound ``ecc(v) >= ecc - dist(t, v)``.  Symmetric metrics
+        pass the same vector twice.  With ``subset``, only those
+        vertices are tightened (the territory seeding of Algorithm 2,
+        lines 8-9); the distances stay full vectors.  Unreachable
+        entries are left untouched, and a raise leaves every bound as
+        it was.
         """
-        reachable = ~unreached_mask(dist_to_t)
-        dist = dist_to_t.astype(self._dtype)
-        if dist_from_t is None or dist_from_t is dist_to_t:
-            lower_candidate = lemma31_lower(dist, ecc_t)
-        else:
-            lower_candidate = np.maximum(
-                dist, ecc_t - dist_from_t.astype(self._dtype)
-            )
-        new_lower = np.maximum(
-            self.lower, np.where(reachable, lower_candidate, 0)
+        dtype = self._dtype
+        lower, upper = self.lower, self.upper
+        if subset is not None:
+            dist_into, dist_from = dist_into[subset], dist_from[subset]
+            lower, upper = lower[subset], upper[subset]
+        reachable = ~unreached_mask(dist_into)
+        dist = dist_into.astype(dtype, copy=False)
+        lower_candidate = np.maximum(
+            dist, ecc - dist_from.astype(dtype, copy=False)
         )
-        new_upper = np.where(
-            reachable,
-            np.minimum(self.upper, lemma31_upper(dist, ecc_t)),
-            self.upper,
-        )
+        new_lower = np.maximum(lower, np.where(reachable, lower_candidate, 0))
+        new_upper = np.where(reachable, np.minimum(upper, dist + ecc), upper)
         self._check_consistent(
             bool(np.all(new_lower <= new_upper + self.tolerance)),
             "Lemma 3.1 update produced lower > upper: inconsistent distances",
         )
-        self.lower = new_lower
-        self.upper = new_upper
-
-    def apply_lower_only(self, dist_to_t: np.ndarray) -> None:
-        """Raise lower bounds to ``dist(v, t)`` when ``ecc(t)`` is unknown.
-
-        Section 3.1 notes this weaker update ("if one only knows
-        dist(v, t)"); kBFS-style estimators rely on it, and it is the
-        *whole* per-probe lower update of the directed sweep (a backward
-        BFS yields ``dist(v, t)`` but not ``ecc(t)``).
-        """
-        reachable = ~unreached_mask(dist_to_t)
-        new_lower = np.maximum(
-            self.lower,
-            np.where(reachable, dist_to_t.astype(self._dtype), 0),
-        )
-        self._check_consistent(
-            bool(np.all(new_lower <= self.upper + self.tolerance)),
-            "lower-only update produced lower > upper",
-        )
-        self.lower = new_lower
-
-    def apply_lemma31_subset(
-        self,
-        subset: np.ndarray,
-        dist_subset: np.ndarray,
-        ecc_t: Numeric,
-        dist_from_subset: Optional[np.ndarray] = None,
-    ) -> None:
-        """Lemma 3.1 tightening restricted to ``subset``.
-
-        ``dist_subset`` holds ``dist(v, t)`` aligned with ``subset`` (the
-        gathered distances, not the full vector).  This is the territory
-        seeding step of Algorithm 2 lines 8-9.  Directed callers pass
-        the gathered forward distances ``dist(t, v)`` as
-        ``dist_from_subset`` for the ``ecc(t) - dist(t, v)`` term;
-        symmetric metrics omit it.
-
-        :dtype dist: int32
-        """
-        dist = dist_subset.astype(self._dtype)
-        if dist_from_subset is None:
-            new_lower = np.maximum(
-                self.lower[subset], lemma31_lower(dist, ecc_t)
-            )
-        else:
-            new_lower = np.maximum(
-                self.lower[subset],
-                np.maximum(
-                    dist, ecc_t - dist_from_subset.astype(self._dtype)
-                ),
-            )
-        new_upper = np.minimum(self.upper[subset], lemma31_upper(dist, ecc_t))
-        self._check_consistent(
-            bool(np.all(new_lower <= new_upper + self.tolerance)),
-            "Lemma 3.1 subset update produced lower > upper: "
-            "inconsistent distances",
-        )
-        self.lower[subset] = new_lower
-        self.upper[subset] = new_upper
-
-    def apply_lemma33_tail(
-        self,
-        dist_to_z: np.ndarray,
-        tail_radius: Numeric,
-        subset: Optional[np.ndarray] = None,
-    ) -> None:
-        """Cap upper bounds by the FFO tail (Lemma 3.3).
-
-        Parameters
-        ----------
-        dist_to_z:
-            Distances *into* the reference node ``z`` (``dist(v, z)``;
-            for symmetric metrics this is the reference's own distance
-            vector).
-        tail_radius:
-            ``dist(v_next, z)`` for the first unprobed node of ``L^z``
-            (0 when the order is exhausted).
-        subset:
-            Optional vertex-id array restricting the update to the
-            territory ``V^z`` of ``z``; other vertices keep their bounds.
-        """
         if subset is None:
-            cap = np.maximum(
-                self.lower, dist_to_z.astype(self._dtype) + tail_radius
-            )
-            new_upper = np.minimum(self.upper, cap)
-            self._check_consistent(
-                bool(np.all(self.lower <= new_upper + self.tolerance)),
-                "Lemma 3.3 update produced lower > upper",
-            )
-            self.upper = new_upper
+            # Rebinding commits a full vector without a copy.
+            self.lower, self.upper = new_lower, new_upper
         else:
-            cap = np.maximum(
-                self.lower[subset],
-                dist_to_z[subset].astype(self._dtype) + tail_radius,
-            )
-            new_upper = np.minimum(self.upper[subset], cap)
-            self._check_consistent(
-                bool(np.all(self.lower[subset] <= new_upper + self.tolerance)),
-                "Lemma 3.3 update produced lower > upper",
-            )
+            self.lower[subset] = new_lower
             self.upper[subset] = new_upper
 
     def apply_sweep_block(
@@ -414,9 +306,11 @@ class BoundState:
         ``set_exact(pin_vertices[t], pin_values[t])`` just before row
         ``pin_rows[t]`` (non-decreasing; ``tails`` and the pins may be
         sequences).  The result equals applying the rows one at a time
-        — pins, ``lower[subset] = max(lower[subset], row)``,
-        :meth:`apply_lemma33_tail`, then dropping the resolved members
-        — until no member is left, with the same consistency checks.
+        — pins, ``lower[subset] = max(lower[subset], row)``, the
+        Lemma 3.3 cap ``upper[subset] = min(upper[subset],
+        max(lower[subset], dist_to_z + tails[i]))``, then dropping the
+        resolved members — until no member is left, with the same
+        consistency checks.
 
         Both updates are monotone, so the block has a closed form: the
         lowers are ``maximum.accumulate`` of ``[lower; rows]`` and the

@@ -102,9 +102,7 @@ def oracle_radius_and_diameter(
     ffo, dist_into = _reference_probe(oracle, reference, counter)
     bounds = BoundState(n, dtype=oracle.dtype, tolerance=oracle.tolerance)
     bounds.set_exact(reference, ffo.eccentricity)
-    bounds.apply_lemma31(
-        dist_into, ffo.eccentricity, dist_from_t=ffo.distances
-    )
+    bounds.apply_lemma31(dist_into, ffo.distances, ffo.eccentricity)
 
     ffo_cursor = 0
     pick_periphery = True

@@ -89,7 +89,7 @@ def bound_and_select(
             source, counter=counter
         )
         bounds.set_exact(source, ecc)
-        bounds.apply_lemma31(dist_into, ecc, dist_from_t=dist_from)
+        bounds.apply_lemma31(dist_into, dist_from, ecc)
         probed[source] = ecc
     return probed
 

@@ -18,7 +18,7 @@ to afford |V| BFS runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +47,6 @@ class ProbeProfile:
     ffo: FarthestFirstOrder
     counts: np.ndarray
     territory_size: int
-
-    def as_table_row(self) -> Dict[int, int]:
-        """Map vertex id -> probe number (Table 2 layout)."""
-        return {
-            int(v): int(c) for v, c in zip(self.ffo.order, self.counts)
-        }
 
     def is_monotone(self) -> bool:
         """Lemma 4.3: probe numbers never increase along the FFO."""

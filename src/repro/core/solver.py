@@ -197,18 +197,10 @@ class EccentricitySolver:
             members = members[~np.isin(members, self.references)]
             dist_into_z = reverse[idx]
             # Lemma 3.1 seed from the territory's own reference
-            # (lines 8-9); asymmetric metrics split the two directions.
-            if dist_into_z is ffo.distances:
-                self.bounds.apply_lemma31_subset(
-                    members, ffo.distances[members], ffo.eccentricity
-                )
-            else:
-                self.bounds.apply_lemma31_subset(
-                    members,
-                    dist_into_z[members],
-                    ffo.eccentricity,
-                    dist_from_subset=ffo.distances[members],
-                )
+            # (lines 8-9).
+            self.bounds.apply_lemma31(
+                dist_into_z, ffo.distances, ffo.eccentricity, subset=members
+            )
             self._territories.append(
                 Territory(
                     reference=z,

@@ -44,13 +44,6 @@ class GraphSummary:
     average_degree: float
     num_components: int
 
-    def as_row(self, name: str = "") -> str:
-        """Render in the layout of the paper's Table 3."""
-        return (
-            f"{name:<10} n={self.num_vertices:<10} m={self.num_edges:<12} "
-            f"r={self.radius:<4} d={self.diameter:<4}"
-        )
-
 
 def exact_eccentricities(
     graph: Graph,

@@ -29,7 +29,9 @@ class TestHistogram:
 
     def test_center_count(self):
         dist = distribution_from_eccentricities(np.array([2, 2, 3]))
-        assert dist.center_vertex_count() == 2
+        # The center: the vertices at the radius, the smallest value.
+        assert dist.values[0] == dist.radius == 2
+        assert dist.counts[0] == 2
 
     def test_mean(self):
         dist = distribution_from_eccentricities(np.array([2, 4]))

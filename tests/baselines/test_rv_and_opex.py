@@ -1,5 +1,7 @@
 """Tests for the Roditty–Williams diameter estimator and OPEX."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ class TestRVDiameter:
     def test_bounds_bracket(self, web_graph, web_truth):
         est = rv_estimate_diameter(web_graph, seed=2)
         true_dia = int(web_truth.max())
-        assert est.lower_bound() <= true_dia <= est.upper_bound()
+        # The estimate is a lower bound; the 2/3 guarantee caps the
+        # diameter at ceil(3/2 * estimate).
+        assert est.diameter <= true_dia <= math.ceil(1.5 * est.diameter)
 
     def test_default_sample_size(self):
         g = random_connected_graph(100, 80, seed=3)

@@ -1,18 +1,46 @@
-"""Unit tests for eccentricity bound maintenance (Lemmas 3.1 / 3.3)."""
+"""Unit tests for eccentricity bound maintenance (Lemmas 3.1 / 3.3).
+
+The Lemma 3.3 tail cap and the lower-only update live in
+``tests/helpers.py`` as the reference oracles of
+``BoundState.apply_sweep_block``; their tests here check the oracles.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.bounds import (
-    INFINITE_ECC,
-    BoundState,
-    lemma31_lower,
-    lemma31_upper,
-)
+from repro.core.bounds import INFINITE_ECC, BoundState
 from repro.errors import InvalidParameterError
 from repro.graph.generators import path_graph
 from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
+from helpers import apply_lemma33_tail, apply_lower_only
+
+
+def all_pairs(n: int, seed: int, directed: bool, weighted: bool) -> np.ndarray:
+    """``D[u, v] = dist(u, v)`` of a random strongly connected graph
+    (a Hamiltonian cycle plus random arcs), by Floyd-Warshall."""
+    rng = np.random.default_rng(seed)
+    arcs = rng.random((n, n)) < 0.25
+    cycle = np.arange(n)
+    arcs[cycle, np.roll(cycle, -1)] = True
+    if not directed:
+        arcs |= arcs.T
+    weights = rng.random((n, n)) + 0.1 if weighted else np.ones((n, n))
+    if not directed:
+        weights = np.minimum(weights, weights.T)
+    dist = np.where(arcs, weights, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
+    return dist if weighted else dist.astype(np.int32)
+
+
+def probe(dist: np.ndarray, t: int, symmetric: bool):
+    """``(dist_into, dist_from, ecc)`` of source ``t``: the arguments of
+    ``apply_lemma31``, one vector twice for a symmetric metric."""
+    dist_from = dist[t].copy()
+    dist_into = dist_from if symmetric else dist[:, t].copy()
+    return dist_into, dist_from, dist_from.max()
 
 
 class TestInitialState:
@@ -34,16 +62,30 @@ class TestInitialState:
             BoundState(-1)
 
 
-class TestLemma31Helpers:
+class TestLemma31Formulas:
     def test_lower_formula(self):
+        # max(dist(v, t), ecc(t) - dist(t, v)), from fresh bounds.
+        state = BoundState(4)
         dist = np.array([0, 1, 2, 3], dtype=np.int32)
-        np.testing.assert_array_equal(
-            lemma31_lower(dist, 3), [3, 2, 2, 3]
-        )
+        state.apply_lemma31(dist, dist, 3)
+        np.testing.assert_array_equal(state.lower, [3, 2, 2, 3])
 
     def test_upper_formula(self):
+        # dist(v, t) + ecc(t), from fresh bounds.
+        state = BoundState(3)
         dist = np.array([0, 1, 2], dtype=np.int32)
-        np.testing.assert_array_equal(lemma31_upper(dist, 4), [4, 5, 6])
+        state.apply_lemma31(dist, dist, 4)
+        np.testing.assert_array_equal(state.upper, [4, 5, 6])
+
+    def test_directed_lower_uses_dist_from(self):
+        # ecc(v) >= dist(v, t) from dist_into; ecc(v) >= ecc(t) - dist(t,
+        # v) from dist_from; the upper bound uses dist_into only.
+        state = BoundState(3)
+        dist_into = np.array([0, 1, 4], dtype=np.int32)
+        dist_from = np.array([0, 3, 1], dtype=np.int32)
+        state.apply_lemma31(dist_into, dist_from, 4)
+        np.testing.assert_array_equal(state.lower, [4, 1, 4])
+        np.testing.assert_array_equal(state.upper, [4, 5, 8])
 
 
 class TestApplyLemma31:
@@ -53,7 +95,7 @@ class TestApplyLemma31:
         state = BoundState(6)
         for t in (0, 3, 5):
             dist = bfs_distances(g, t)
-            state.apply_lemma31(dist, int(truth[t]))
+            state.apply_lemma31(dist, dist, int(truth[t]))
             assert np.all(state.lower <= truth)
             assert np.all(state.upper >= truth)
 
@@ -62,7 +104,8 @@ class TestApplyLemma31:
         truth = exact_eccentricities(g)
         state = BoundState(5)
         for t in range(5):
-            state.apply_lemma31(bfs_distances(g, t), int(truth[t]))
+            dist = bfs_distances(g, t)
+            state.apply_lemma31(dist, dist, int(truth[t]))
             state.set_exact(t, int(truth[t]))
         assert state.all_resolved()
         np.testing.assert_array_equal(state.eccentricities(), truth)
@@ -70,7 +113,10 @@ class TestApplyLemma31:
     def test_unreachable_entries_untouched(self):
         state = BoundState(3)
         dist = np.array([0, 1, -1], dtype=np.int32)
-        state.apply_lemma31(dist, 1)
+        state.apply_lemma31(dist, dist, 1)
+        assert state.upper[2] == INFINITE_ECC
+        assert state.lower[2] == 0
+        state.apply_lemma31(dist, dist, 1, subset=np.array([1, 2]))
         assert state.upper[2] == INFINITE_ECC
         assert state.lower[2] == 0
 
@@ -81,30 +127,79 @@ class TestApplyLemma31:
         prev_lower = state.lower.copy()
         prev_upper = state.upper.copy()
         for t in (2, 0, 4):
-            state.apply_lemma31(bfs_distances(g, t), int(truth[t]))
+            dist = bfs_distances(g, t)
+            state.apply_lemma31(dist, dist, int(truth[t]))
             assert np.all(state.lower >= prev_lower)
             assert np.all(state.upper <= prev_upper)
             prev_lower = state.lower.copy()
             prev_upper = state.upper.copy()
 
     def test_inconsistent_distances_detected(self):
-        state = BoundState(2)
-        state.apply_lemma31(np.array([0, 1], dtype=np.int32), 1)
-        # feeding an absurd ecc for the same source must trip the check
-        with pytest.raises(InvalidParameterError):
-            state.apply_lemma31(np.array([0, 1], dtype=np.int32), 100)
+        # (first probe, inconsistent probe, subset of the second).
+        cases = [
+            # An absurd ecc for the same source.
+            ([0, 1], 1, [0, 1], 100, None),
+            # lower = 5, upper = 10, then a probe with d + ecc = 3.
+            ([5], 5, [1], 2, None),
+            ([5, 0], 5, [1, 0], 2, np.array([0])),
+        ]
+        for first, first_ecc, second, ecc, subset in cases:
+            state = BoundState(len(first))
+            dist = np.array(first, dtype=np.int32)
+            state.apply_lemma31(dist, dist, first_ecc)
+            lower, upper = state.lower.copy(), state.upper.copy()
+            dist = np.array(second, dtype=np.int32)
+            with pytest.raises(InvalidParameterError):
+                state.apply_lemma31(dist, dist, ecc, subset=subset)
+            # Checked before committed: the raise changed nothing.
+            np.testing.assert_array_equal(state.lower, lower)
+            np.testing.assert_array_equal(state.upper, upper)
+
+
+class TestApplyLemma31Subset:
+    """``subset=s`` equals the full-vector update restricted to ``s``."""
+
+    @pytest.mark.parametrize(
+        "directed, weighted",
+        [(False, False), (True, False), (False, True), (True, True)],
+    )
+    def test_equals_full_update_on_subset(self, directed, weighted):
+        n = 12
+        dist = all_pairs(n, seed=7, directed=directed, weighted=weighted)
+        dtype = np.float64 if weighted else np.int32
+        tolerance = 1e-9 if weighted else 0.0
+        truth = dist.max(axis=1)
+        subset = np.array([1, 4, 5, 9, 11])
+        outside = np.setdiff1d(np.arange(n), subset)
+        for first, second in [(0, 3), (6, 2), (10, 10)]:
+            full = BoundState(n, dtype=dtype, tolerance=tolerance)
+            part = BoundState(n, dtype=dtype, tolerance=tolerance)
+            for state in (full, part):
+                state.apply_lemma31(*probe(dist, first, not directed))
+            lower, upper = part.lower.copy(), part.upper.copy()
+            full.apply_lemma31(*probe(dist, second, not directed))
+            part.apply_lemma31(
+                *probe(dist, second, not directed), subset=subset
+            )
+            assert part.lower.dtype == part.upper.dtype == dtype
+            assert part.lower[subset].tolist() == full.lower[subset].tolist()
+            assert part.upper[subset].tolist() == full.upper[subset].tolist()
+            assert part.lower[outside].tolist() == lower[outside].tolist()
+            assert part.upper[outside].tolist() == upper[outside].tolist()
+            assert np.all(full.lower <= truth + tolerance)
+            assert np.all(full.upper >= truth - tolerance)
 
 
 class TestApplyLowerOnly:
     def test_raises_lower(self):
         state = BoundState(3)
-        state.apply_lower_only(np.array([0, 2, 5], dtype=np.int32))
+        apply_lower_only(state, np.array([0, 2, 5], dtype=np.int32))
         assert state.lower.tolist() == [0, 2, 5]
 
     def test_never_decreases(self):
         state = BoundState(2)
-        state.apply_lower_only(np.array([4, 4], dtype=np.int32))
-        state.apply_lower_only(np.array([1, 1], dtype=np.int32))
+        apply_lower_only(state, np.array([4, 4], dtype=np.int32))
+        apply_lower_only(state, np.array([1, 1], dtype=np.int32))
         assert state.lower.tolist() == [4, 4]
 
 
@@ -112,23 +207,22 @@ class TestLemma33Tail:
     def test_caps_upper(self):
         state = BoundState(3)
         dist_z = np.array([0, 1, 2], dtype=np.int32)
-        state.apply_lemma33_tail(dist_z, tail_radius=2)
+        apply_lemma33_tail(state, dist_z, tail_radius=2)
         assert state.upper.tolist() == [2, 3, 4]
 
     def test_never_below_lower(self):
         state = BoundState(2)
-        # reprolint: disable=R2 (forcing internal state for the error path)
-        state.lower = np.array([5, 5], dtype=np.int32)
-        state.apply_lemma33_tail(
-            np.array([0, 0], dtype=np.int32), tail_radius=1
+        apply_lower_only(state, np.array([5, 5], dtype=np.int32))
+        apply_lemma33_tail(
+            state, np.array([0, 0], dtype=np.int32), tail_radius=1
         )
         assert np.all(state.upper >= state.lower)
 
     def test_subset_restriction(self):
         state = BoundState(4)
         dist_z = np.array([0, 1, 2, 3], dtype=np.int32)
-        state.apply_lemma33_tail(
-            dist_z, tail_radius=1, subset=np.array([1, 3])
+        apply_lemma33_tail(
+            state, dist_z, tail_radius=1, subset=np.array([1, 3])
         )
         assert state.upper[0] == INFINITE_ECC
         assert state.upper[2] == INFINITE_ECC

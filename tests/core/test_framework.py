@@ -119,7 +119,8 @@ class TestSelectors:
         g = path_graph(5)
         state = BoundState(5)
         state.set_exact(0, 4)
-        state.apply_lemma31(bfs_distances(g, 0), 4)
+        dist = bfs_distances(g, 0)
+        state.apply_lemma31(dist, dist, 4)
         unresolved = np.flatnonzero(~state.resolved_mask())
         pick = takes_kosters(g.degrees)
         assert pick(state, unresolved) == 2

@@ -59,11 +59,12 @@ class TestProbeSemantics:
         profiles = probe_numbers(path_graph(6), [0])
         assert profiles[0].is_monotone()
 
-    def test_as_table_row(self, example_graph):
+    def test_probe_number_per_vertex(self, example_graph):
+        # Table 2's row: one non-negative probe number per vertex.
         profile = probe_numbers(example_graph, [12])[0]
-        row = profile.as_table_row()
-        assert set(row) == set(range(13)) - set()
-        assert all(v >= 0 for v in row.values())
+        assert sorted(profile.ffo.order.tolist()) == list(range(13))
+        assert len(profile.counts) == 13
+        assert np.all(profile.counts >= 0)
 
     def test_empty_references_rejected(self, example_graph):
         with pytest.raises(InvalidParameterError):

@@ -2,8 +2,9 @@
 
 The reference applies each row as one FFO probe does: its pins
 (``set_exact``), the row as a lower-only update on the remaining columns
-(``apply_lower_only``), ``apply_lemma33_tail``, then
-``unresolved_subset``, stopping once no column is left.  Both must agree
+(``tests.helpers.apply_lower_only``), the Lemma 3.3 tail cap
+(``tests.helpers.apply_lemma33_tail``), then ``unresolved_subset``,
+stopping once no column is left.  Both must agree
 on the bounds, the rows used, the closing row of every column, the
 per-row resolved counts and gap masses, and on raising
 ``InvalidParameterError``.  Float inputs are multiples of 1/4, so every
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import BoundState
 from repro.errors import InvalidParameterError
+from helpers import apply_lemma33_tail, apply_lower_only
 
 #: (row, vertex, value): ``set_exact(vertex, value)`` before ``row``.
 Pin = Tuple[int, int, float]
@@ -48,9 +50,9 @@ class Block:
     def state(self) -> BoundState:
         n = len(self.lower)
         state = BoundState(n, dtype=self.dtype, tolerance=self.tolerance)
-        state.apply_lower_only(self.lower)
+        apply_lower_only(state, self.lower)
         # A zero tail caps each upper bound at max(lower, upper) = upper.
-        state.apply_lemma33_tail(self.upper, 0)
+        apply_lemma33_tail(state, self.upper, 0)
         assert state.lower.tolist() == self.lower.tolist()
         assert state.upper.tolist() == self.upper.tolist()
         return state
@@ -73,8 +75,8 @@ def one_by_one(block: Block) -> Tuple[BoundState, Dict[str, Any]]:
         # alone even after a corrupted pin set one below zero.
         raised = state.lower.copy()
         raised[current] = row[np.searchsorted(block.subset, current)]
-        state.apply_lower_only(raised)
-        state.apply_lemma33_tail(block.dist_to_z, block.tails[i], subset=current)
+        apply_lower_only(state, raised)
+        apply_lemma33_tail(state, block.dist_to_z, block.tails[i], subset=current)
         resolved.append(state.num_resolved())
         gaps.append(float(np.minimum(state.gap(), block.gap_cap).sum()))
         left = state.unresolved_subset(current)

@@ -76,7 +76,3 @@ class TestSummarize:
         ecc = exact_eccentricities(g)
         summary = summarize(g, eccentricities=ecc)
         assert summary.diameter == 3
-
-    def test_as_row_contains_stats(self):
-        row = summarize(path_graph(4)).as_row("TOY")
-        assert "TOY" in row and "r=2" in row and "d=3" in row

@@ -1,6 +1,7 @@
 """Shared helpers importable from any test module: graph builders and
 inspectors, the generators the golden corpus pins, and the test-only
-oracles (Theorems 5.5/5.6, all-pairs BFS, shortest paths)."""
+oracles (Theorems 5.5/5.6, all-pairs BFS, shortest paths, the one-rule
+bound updates)."""
 
 from __future__ import annotations
 
@@ -9,10 +10,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bounds import BoundState
 from repro.core.result import EccentricityResult
 from repro.core.stratify import stratify
 from repro.counters import TraversalCounter
 from repro.directed.graph import DirectedGraph
+from repro.errors import InvalidParameterError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 from repro.graph.generators import _copy_edges, _hang_paths, _require
@@ -22,6 +25,7 @@ from repro.graph.traversal import (
     bfs_distances,
     eccentricity_and_distances,
 )
+from repro.sentinels import unreached_mask
 from repro.weighted.graph import WeightedGraph
 
 
@@ -311,3 +315,42 @@ def approximate_via_f2(
         reference_nodes=np.asarray([strat.reference], dtype=np.int32),
         counter=counter,
     )
+
+
+# ----------------------------------------------------------------------
+# Bound-update oracles: one rule at a time
+# ----------------------------------------------------------------------
+def apply_lower_only(state: BoundState, dist_to_t: np.ndarray) -> None:
+    """Raise ``state``'s lower bounds to ``dist(v, t)`` (Section 3.1's
+    update when ``ecc(t)`` is unknown), checked like a ``BoundState``
+    writer: a raise leaves the bounds untouched."""
+    reachable = ~unreached_mask(dist_to_t)
+    new_lower = np.maximum(
+        state.lower, np.where(reachable, dist_to_t.astype(state.dtype), 0)
+    )
+    if not np.all(new_lower <= state.upper + state.tolerance):
+        raise InvalidParameterError("lower-only update produced lower > upper")
+    # reprolint: disable=R2 (reference oracle for apply_sweep_block)
+    state.lower = new_lower
+
+
+def apply_lemma33_tail(
+    state: BoundState,
+    dist_to_z: np.ndarray,
+    tail_radius: float,
+    subset: Optional[np.ndarray] = None,
+) -> None:
+    """Cap ``state``'s upper bounds by the FFO tail (Lemma 3.3):
+    ``upper = min(upper, max(lower, dist(v, z) + tail_radius))`` on
+    ``subset`` (default: every vertex); a raise leaves the bounds
+    untouched."""
+    vertices = slice(None) if subset is None else subset
+    lower = state.lower[vertices]
+    cap = np.maximum(
+        lower, dist_to_z[vertices].astype(state.dtype) + tail_radius
+    )
+    new_upper = np.minimum(state.upper[vertices], cap)
+    if not np.all(lower <= new_upper + state.tolerance):
+        raise InvalidParameterError("Lemma 3.3 update produced lower > upper")
+    # reprolint: disable=R2 (reference oracle for apply_sweep_block)
+    state.upper[vertices] = new_upper

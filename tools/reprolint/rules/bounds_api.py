@@ -2,8 +2,9 @@
 
 Lemma 3.1 and Lemma 3.3 updates are monotone: lower bounds only rise,
 upper bounds only fall, and ``lower <= upper`` always holds.
-:class:`repro.core.bounds.BoundState` re-checks that invariant on every
-update; raw writes to ``state.lower`` / ``state.upper`` (or to arrays
+:class:`repro.core.bounds.BoundState` re-checks that invariant in each
+of its three writers (``set_exact``, ``apply_lemma31``,
+``apply_sweep_block``); raw writes to ``state.lower`` / ``state.upper`` (or to arrays
 named ``ecc_lower`` / ``ecc_upper``) bypass the check and can turn an
 inconsistent distance vector into a silently wrong eccentricity.
 """
@@ -72,7 +73,6 @@ class BoundsApiRule(Rule):
                     ctx,
                     node,
                     f"direct write to bound array '{described}' outside "
-                    f"BoundState; use set_exact/apply_lemma31/"
-                    f"apply_lower_only/apply_lemma33_tail or a dedicated "
-                    f"BoundState method",
+                    f"BoundState; use one of its three writers, set_exact, "
+                    f"apply_lemma31 or apply_sweep_block",
                 )
