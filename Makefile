@@ -43,8 +43,9 @@ typecheck:
 
 # Everything a PR must pass: tier-1 tests (weighted/directed tier
 # membership included), the sanitized rerun, reprolint, the type gate,
-# and the benchmark regression gate over the committed scorecards.
-check: test test-sanitized tier-guard lint typecheck bench-guard
+# the benchmark regression gate over the committed scorecards, and the
+# end-to-end benchmark smoke run with its seed-0 digests.
+check: test test-sanitized tier-guard lint typecheck bench-guard bench-e2e-smoke
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -10,7 +10,7 @@ the diameter — is why uniform sampling estimates the diameter poorly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class EccentricityDistribution:
     def as_series(self) -> List[Tuple[int, int]]:
         """``(eccentricity, count)`` pairs for plotting."""
         return list(zip(self.values.tolist(), self.counts.tolist()))
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.as_series())
 
     def mean(self) -> float:
         """Average eccentricity."""

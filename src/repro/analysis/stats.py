@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.ffo import compute_ffos
 from repro.core.stratify import stratify
@@ -77,15 +77,6 @@ class FarthestSetStats:
     @property
     def f2_fraction(self) -> float:
         return self.f2_size / self.num_vertices if self.num_vertices else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "n": self.num_vertices,
-            "|F1|": self.f1_size,
-            "|F2|": self.f2_size,
-            "|F1|/n": self.f1_fraction,
-            "|F2|/n": self.f2_fraction,
-        }
 
 
 def farthest_set_statistics(

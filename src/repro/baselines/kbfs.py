@@ -105,15 +105,10 @@ def kbfs_eccentricities(
         _probe(graph, bounds, elected, counter)
         sources.extend(int(s) for s in elected)
 
-    elapsed = watch.elapsed()
-    return EccentricityResult(
-        eccentricities=bounds.lower.copy(),
-        lower=bounds.lower.copy(),
-        upper=bounds.upper.copy(),
-        exact=bounds.all_resolved(),
-        algorithm=f"kBFS(k={k})",
-        num_bfs=counter.bfs_runs,
-        elapsed_seconds=elapsed,
+    return EccentricityResult.from_bounds(
+        bounds,
+        f"kBFS(k={k})",
+        counter,
+        watch.elapsed(),
         reference_nodes=np.asarray(sources, dtype=np.int32),
-        counter=counter,
     )

@@ -233,13 +233,7 @@ class BoundState:
     # ------------------------------------------------------------------
     def set_exact(self, vertex: int, value: Numeric) -> None:
         """Pin one vertex's eccentricity (e.g. after its own traversal)."""
-        tol = self.tolerance
-        # Python scalars: this runs once per probe.
-        lower, upper = self.lower.item(vertex), self.upper.item(vertex)
-        if not lower - tol <= value <= upper + tol:
-            raise InvalidParameterError(
-                f"exact ecc {value} outside current bounds of vertex {vertex}"
-            )
+        self._check_pin(vertex, value)
         self.lower[vertex] = value
         self.upper[vertex] = value
 
@@ -310,7 +304,8 @@ class BoundState:
         Lemma 3.3 cap ``upper[subset] = min(upper[subset],
         max(lower[subset], dist_to_z + tails[i]))``, then dropping the
         resolved members — until no member is left, with the same
-        consistency checks.
+        consistency checks.  Every check runs before the first write, so
+        a raise leaves the bounds untouched.
 
         Both updates are monotone, so the block has a closed form: the
         lowers are ``maximum.accumulate`` of ``[lower; rows]`` and the
@@ -417,11 +412,9 @@ class BoundState:
             "inconsistent distances",
         )
 
-        closed = closing < used
-        self.lower[subset] = final_low
-        self.upper[subset] = final_up
-
-        # Every other applied pin is a point write, in row order.
+        # Every other applied pin is a point write, in row order, checked
+        # against the values its vertex holds once the columns are
+        # written: a column's kept values, else its current bounds.
         point = pin_rows < used
         point[col_pins[wins]] = False
         pv = pin_vertices[point]
@@ -429,8 +422,17 @@ class BoundState:
         p_values = pin_values[point]
         p_lower = self.lower[pv]
         p_upper = self.upper[pv]
+        p_pos = np.minimum(np.searchsorted(subset, pv), width - 1)
+        on_col = subset[p_pos] == pv
+        p_lower[on_col] = final_low[p_pos[on_col]]
+        p_upper[on_col] = final_up[p_pos[on_col]]
         self._check_pins(pv, p_values, p_lower, p_upper)
         was_met = np.asarray(self.bounds_met(p_lower, p_upper))
+
+        # Every check passed: commit.
+        closed = closing < used
+        self.lower[subset] = final_low
+        self.upper[subset] = final_up
         self.lower[pv] = p_values
         self.upper[pv] = p_values
 
@@ -489,11 +491,21 @@ class BoundState:
         sweep of one-row blocks took 347 ms without this path, against
         270 ms with it (EXPERIMENTS.md, "Forks kept").
         """
-        for at, vertex, value in pins:
-            if at == 0:
-                self.set_exact(int(vertex), self._dtype.type(value))
-        lower = np.maximum(self.lower[subset], row)
+        lower = self.lower[subset]
         upper = self.upper[subset]
+        # The row-0 pins, checked now and written with the columns; a
+        # pinned column starts the row from its pin.
+        pinned = [
+            (int(vertex), self._dtype.type(value))
+            for at, vertex, value in pins
+            if at == 0
+        ]
+        for vertex, value in pinned:
+            self._check_pin(vertex, value)
+            j = int(np.searchsorted(subset, vertex))
+            if j < len(subset) and subset[j] == vertex:
+                lower[j] = upper[j] = value
+        np.maximum(lower, row, out=lower)
         # Lemma 3.3 caps upper at max(lower, ...) >= lower, so only the
         # Lemma 3.1 raise can break the invariant.
         self._check_consistent(
@@ -504,6 +516,8 @@ class BoundState:
         cap = np.add(dist_to_z, tail, dtype=self._dtype)
         np.maximum(cap, lower, out=cap)
         np.minimum(cap, upper, out=upper)
+        for vertex, value in pinned:
+            self.lower[vertex] = self.upper[vertex] = value
         self.lower[subset] = lower
         self.upper[subset] = upper
         met = np.asarray(self.bounds_met(lower, upper))
@@ -513,6 +527,16 @@ class BoundState:
         resolved = np.array([self.num_resolved()])
         closing = np.where(met, 0, -1)
         return SweepBlock(1, subset[~met], closing, resolved, gaps)
+
+    def _check_pin(self, vertex: int, value: Numeric) -> None:
+        """Reject pinning ``vertex`` outside its current bounds."""
+        tol = self.tolerance
+        # Python scalars: this runs once per probe.
+        lower, upper = self.lower.item(vertex), self.upper.item(vertex)
+        if not lower - tol <= value <= upper + tol:
+            raise InvalidParameterError(
+                f"exact ecc {value} outside current bounds of vertex {vertex}"
+            )
 
     def _check_pins(
         self,

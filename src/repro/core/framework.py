@@ -113,15 +113,8 @@ def framework_eccentricities(
     watch = Stopwatch()
     bounds = BoundState(graph.num_vertices)
     bound_and_select(BFSOracle(graph), bounds, pick, counter, max_bfs=max_bfs)
-    return EccentricityResult(
-        eccentricities=bounds.lower.copy(),
-        lower=bounds.lower.copy(),
-        upper=bounds.upper.copy(),
-        exact=bounds.all_resolved(),
-        algorithm=algorithm,
-        num_bfs=counter.bfs_runs,
-        elapsed_seconds=watch.elapsed(),
-        counter=counter,
+    return EccentricityResult.from_bounds(
+        bounds, algorithm, counter, watch.elapsed()
     )
 
 

@@ -124,16 +124,12 @@ def kifecc_sweep(
                 next(steps)
             except StopIteration:
                 done = True
-        result = EccentricityResult(
-            eccentricities=engine.bounds.lower.copy(),
-            lower=engine.bounds.lower.copy(),
-            upper=engine.bounds.upper.copy(),
-            exact=engine.bounds.all_resolved(),
-            algorithm=f"kIFECC(k={k})",
-            num_bfs=engine.counter.bfs_runs,
-            elapsed_seconds=watch.elapsed(),
-            reference_nodes=engine.references.copy(),
-            counter=engine.counter,
+        result = EccentricityResult.from_bounds(
+            engine.bounds,
+            f"kIFECC(k={k})",
+            engine.counter,
+            watch.elapsed(),
+            reference_nodes=engine.references,
         )
         entry = {"k": k, "result": result}
         if truth is not None:

@@ -8,11 +8,14 @@ so downstream analysis (accuracy, radius/diameter, plots) is uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.counters import TraversalCounter
+
+if TYPE_CHECKING:  # runtime import would be circular; annotations only
+    from repro.core.bounds import BoundState
 
 __all__ = ["EccentricityResult", "ProgressSnapshot"]
 
@@ -84,6 +87,43 @@ class EccentricityResult:
         default_factory=lambda: np.empty(0, dtype=np.int32)
     )
     counter: Optional[TraversalCounter] = None
+
+    @classmethod
+    def from_bounds(
+        cls,
+        bounds: "BoundState",
+        algorithm: str,
+        counter: TraversalCounter,
+        elapsed_seconds: float,
+        reference_nodes: Optional[np.ndarray] = None,
+        require_exact: bool = False,
+    ) -> "EccentricityResult":
+        """The result a bound-driven run leaves in ``bounds``.
+
+        Estimates are the lower bounds (exact where resolved);
+        ``require_exact`` raises unless every vertex is resolved (see
+        :meth:`repro.core.bounds.BoundState.eccentricities`).  Arrays
+        are copied, so the result does not alias the run's state.
+        """
+        return cls(
+            eccentricities=(
+                bounds.eccentricities()
+                if require_exact
+                else bounds.lower.copy()
+            ),
+            lower=bounds.lower.copy(),
+            upper=bounds.upper.copy(),
+            exact=bounds.all_resolved(),
+            algorithm=algorithm,
+            num_bfs=counter.bfs_runs,
+            elapsed_seconds=elapsed_seconds,
+            reference_nodes=(
+                np.empty(0, dtype=np.int32)
+                if reference_nodes is None
+                else reference_nodes.copy()
+            ),
+            counter=counter,
+        )
 
     @property
     def num_vertices(self) -> int:

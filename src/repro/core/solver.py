@@ -499,27 +499,19 @@ class EccentricitySolver:
             for snapshot in self._steps(plan):
                 if snapshot.bfs_runs >= limit:
                     break
-            exact = self.bounds.all_resolved()
             run_span.set(traversals=counter.bfs_runs)
             if counter.lanes_discarded:
                 run_span.set(lanes_discarded=counter.lanes_discarded)
             if max_bfs is not None:
-                run_span.set(exact=exact)
+                run_span.set(exact=self.bounds.all_resolved())
         elapsed = watch.elapsed()
         if tracer.enabled:
             tracer.metrics.ingest_traversal_counter(counter)
-        return EccentricityResult(
-            eccentricities=(
-                self.bounds.eccentricities()
-                if max_bfs is None
-                else self.bounds.lower.copy()
-            ),
-            lower=self.bounds.lower.copy(),
-            upper=self.bounds.upper.copy(),
-            exact=exact,
-            algorithm=algorithm,
-            num_bfs=counter.bfs_runs,
-            elapsed_seconds=elapsed,
-            reference_nodes=self.references.copy(),
-            counter=counter,
+        return EccentricityResult.from_bounds(
+            self.bounds,
+            algorithm,
+            counter,
+            elapsed,
+            reference_nodes=self.references,
+            require_exact=max_bfs is None,
         )

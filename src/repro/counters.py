@@ -21,8 +21,8 @@ the lanes that were swept but never consumed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Deque, Dict, Optional, Sequence
 
 __all__ = ["TraversalCounter"]
 
@@ -58,6 +58,9 @@ class TraversalCounter:
     ``history`` records one label per traversal (``bfs:4``,
     ``dijkstra:7``, ``bwd:12``, ...) so tests and benchmarks can audit
     exactly which oracle ran what.
+
+    Only these methods write the fields; every reader of the totals
+    (:meth:`merge`, pool replies, run records, metrics) uses :meth:`totals`.
     """
 
     bfs_runs: int = 0
@@ -79,15 +82,18 @@ class TraversalCounter:
         label: str = "",
         inspected: Optional[int] = None,
         relaxations: int = 0,
+        runs: int = 1,
     ) -> None:
-        """Record one completed traversal.
+        """Record ``runs`` completed traversals (one by default).
 
         ``inspected`` defaults to ``edges`` (a traversal that never ran
         bottom-up or re-scanned a vertex inspects exactly what it
         scans); ``relaxations`` is the Dijkstra improving-candidate
-        count (0 for BFS).
+        count (0 for BFS).  ``runs`` credits several traversals with
+        the given work at once: a lane sweep standing in for its
+        sources, or the repeated sources a batch traversed once.
         """
-        self.bfs_runs += 1
+        self.bfs_runs += runs
         self.edges_scanned += edges
         self.edges_inspected += edges if inspected is None else inspected
         self.vertices_visited += vertices
@@ -127,12 +133,16 @@ class TraversalCounter:
         self.lanes_discarded += len(self._pending)
         self._pending.clear()
 
+    def totals(self) -> Dict[str, int]:
+        """The integer fields by name, ``bfs_runs`` first (no history)."""
+        return {name: getattr(self, name) for name in _TOTALS}
+
     def merge(self, other: "TraversalCounter") -> None:
-        """Fold another counter's totals into this one."""
-        self.bfs_runs += other.bfs_runs
-        self.edges_scanned += other.edges_scanned
-        self.edges_inspected += other.edges_inspected
-        self.vertices_visited += other.vertices_visited
-        self.relaxations += other.relaxations
-        self.lanes_discarded += other.lanes_discarded
+        """Fold another counter's totals and history into this one."""
+        for name, value in other.totals().items():
+            setattr(self, name, getattr(self, name) + value)
         self.history.extend(other.history)
+
+
+# The integer fields in declaration order: the one list of the totals.
+_TOTALS = tuple(f.name for f in fields(TraversalCounter) if f.type == "int")

@@ -3,16 +3,15 @@
 :func:`load_dataset` builds (or returns from cache) the synthetic
 stand-in graph for a Table 3 dataset: generate the family core, graft the
 periphery tendrils, extract the largest connected component.  Graphs are
-cached in-process — the benchmark suite touches each dataset many times —
-and optionally on disk as ``.npz``.
+cached in-process — the benchmark suite touches each dataset many times;
+the on-disk cache is the collection's ``.rcsr`` store
+(:mod:`repro.datasets.collection`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.datasets.registry import DatasetSpec, get_spec
 from repro.graph.components import largest_connected_component
@@ -24,7 +23,6 @@ from repro.graph.generators import (
     barabasi_albert,
     copying_model,
 )
-from repro.graph.io import load_npz, save_npz
 
 __all__ = ["load_dataset", "build_standin", "scaled_spec", "clear_cache"]
 
@@ -83,21 +81,13 @@ def build_standin(spec: DatasetSpec) -> Graph:
     return graph
 
 
-def load_dataset(
-    name: str,
-    cache_dir: Optional[str] = None,
-    scale: float = 1.0,
-) -> Graph:
+def load_dataset(name: str, scale: float = 1.0) -> Graph:
     """Load a dataset stand-in by its Table 3 short name.
 
     Parameters
     ----------
     name:
         Registry name (``"DBLP"``, ``"TWIT"``, ...).
-    cache_dir:
-        Optional directory for an ``.npz`` disk cache (defaults to the
-        ``REPRO_CACHE_DIR`` environment variable when set, else
-        in-process caching only).
     scale:
         Stand-in size multiplier (1.0 = the registry recipe); scaled
         variants are cached separately.
@@ -105,20 +95,7 @@ def load_dataset(
     key = name if scale == 1.0 else f"{name}@{scale:g}"
     if key in _CACHE:
         return _CACHE[key]
-    spec = scaled_spec(get_spec(name), scale)
-    cache_dir = cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    disk_path = None
-    if cache_dir:
-        suffix = "" if scale == 1.0 else f"_x{scale:g}"
-        disk_path = Path(cache_dir) / f"{name.lower()}{suffix}_standin.npz"
-        if disk_path.exists():
-            graph = load_npz(disk_path)
-            _CACHE[key] = graph
-            return graph
-    graph = build_standin(spec)
-    if disk_path is not None:
-        disk_path.parent.mkdir(parents=True, exist_ok=True)
-        save_npz(graph, disk_path)
+    graph = build_standin(scaled_spec(get_spec(name), scale))
     _CACHE[key] = graph
     return graph
 

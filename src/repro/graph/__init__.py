@@ -20,7 +20,6 @@ from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
     bfs_distances,
-    eccentricity,
     eccentricity_and_distances,
     multi_source_bfs,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "plan_lane_width",
     "UNREACHED",
     "bfs_distances",
-    "eccentricity",
     "eccentricity_and_distances",
     "multi_source_bfs",
     "bfs_parents",

@@ -37,8 +37,8 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.counters import TraversalCounter
-from repro.errors import InvalidParameterError, InvalidVertexError
-from repro.graph.engine import engine_for
+from repro.errors import InvalidParameterError
+from repro.graph.engine import as_vertex_ids, engine_for
 from repro.graph.msengine import msengine_for, plan_lane_width
 
 __all__ = [
@@ -217,13 +217,7 @@ def _planned(
 
     :dtype src: int64
     """
-    n = graph.num_vertices
-    src = np.ascontiguousarray(sources, dtype=np.int64)
-    if src.ndim != 1:
-        raise InvalidParameterError("sources must be one-dimensional")
-    if src.size and (src.min() < 0 or src.max() >= n):
-        bad = src[(src < 0) | (src >= n)][0]
-        raise InvalidVertexError(int(bad), n)
+    src = as_vertex_ids(sources, graph.num_vertices)
     uniq, inverse = np.unique(src, return_inverse=True)
     # A repeated source is traversed once; every copy still counts as
     # one run, as in the per-source loop.
@@ -233,5 +227,5 @@ def _planned(
     if distinct is src:
         return out
     if counter is not None:
-        counter.bfs_runs += len(src) - len(uniq)
+        counter.record(0, 0, runs=len(src) - len(uniq))
     return out[inverse]

@@ -37,18 +37,6 @@ class GraphBuilder:
         self._num_vertices = num_vertices
         self._sources: List[np.ndarray] = []
         self._targets: List[np.ndarray] = []
-        self._count = 0
-
-    @property
-    def num_pending_edges(self) -> int:
-        """Number of edge records added so far (before dedup)."""
-        return self._count
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Add one undirected edge ``{u, v}``."""
-        self.add_edge_arrays(
-            np.asarray([u], dtype=np.int64), np.asarray([v], dtype=np.int64)
-        )
 
     def add_edges(self, edges: Iterable[Tuple[int, int]]) -> None:
         """Add many edges from an iterable of pairs."""
@@ -64,7 +52,6 @@ class GraphBuilder:
             return
         self._sources.append(sources)
         self._targets.append(targets)
-        self._count += len(sources)
 
     def build(self) -> Graph:
         """Produce the final :class:`Graph`.

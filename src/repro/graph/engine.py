@@ -58,9 +58,10 @@ and each run's per-level decisions and frontier sizes go into its one
 metrics registry folds in (:meth:`repro.obs.metrics.MetricsRegistry.\
 fold_event`).
 
-Use :func:`engine_for` to obtain the per-graph cached engine; the cache
-is keyed weakly so dropping the last reference to a graph frees its
-workspaces.
+This kernel and the lane engine (:mod:`repro.graph.msengine`) share
+one base, :class:`_Kernel`, and one cache of each graph's kernels,
+keyed weakly so dropping a graph frees its workspaces (:func:`engine_for`,
+:func:`~repro.graph.msengine.msengine_for`).
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
+    TypeVar,
     Union,
 )
 
@@ -94,6 +97,7 @@ __all__ = [
     "BETA",
     "UNREACHED",
     "BFSEngine",
+    "as_vertex_ids",
     "csr_pair",
     "distinct_ids",
     "engine_for",
@@ -109,6 +113,10 @@ ALPHA = 4.0
 
 #: Direction heuristic: return top-down when ``|frontier| < n / BETA``.
 BETA = 24.0
+
+#: The direction modes of every kernel: direction-optimizing, or one
+#: direction forced (benchmarks and equivalence tests).
+_MODES = ("hybrid", "top-down", "bottom-up")
 
 #: Mask-based dedupe pays an ``O(n)`` bitmap scan; use it only once the
 #: candidate set is at least ``n / _MASK_DEDUPE_DIVISOR`` entries, else
@@ -171,7 +179,49 @@ def csr_pair(graph: Any, backward: bool = False) -> Tuple[CSR, CSR]:
     return (in_csr, out) if backward else (out, in_csr)
 
 
-class BFSEngine:
+def as_vertex_ids(ids: Any, n: int) -> np.ndarray:
+    """``ids`` as a one-dimensional ``int64`` array of vertices in ``[0, n)``.
+
+    Raises :class:`InvalidParameterError` unless ``ids`` is
+    one-dimensional and :class:`InvalidVertexError` naming the first id
+    out of range.
+
+    :dtype out: int64
+    """
+    out = np.ascontiguousarray(ids, dtype=np.int64)
+    if out.ndim != 1:
+        raise InvalidParameterError("vertex ids must be one-dimensional")
+    if out.size and (out.min() < 0 or out.max() >= n):
+        raise InvalidVertexError(int(out[(out < 0) | (out >= n)][0]), n)
+    return out
+
+
+class _Kernel:
+    """What every BFS kernel reads of one graph: its :func:`csr_pair`,
+    ``n``, :attr:`num_arcs` and a run's history label (``bfs``, or
+    ``fwd``/``bwd`` on a directed graph).  No reference to the graph:
+    the kernel cache is keyed weakly by it."""
+
+    __slots__ = ("num_arcs", "_n", "_out", "_in", "_label", "__weakref__")
+
+    def __init__(self, graph: Any, backward: bool = False) -> None:
+        self._n = graph.num_vertices
+        self._out, self._in = csr_pair(graph, backward)
+        #: Arcs of the graph (an undirected edge is two).
+        self.num_arcs = self._out.num_arcs
+        # An undirected graph's pair is one CSR.
+        self._label = (
+            "bfs" if self._out is self._in else "bwd" if backward else "fwd"
+        )
+
+    @staticmethod
+    def _check_mode(mode: str) -> None:
+        """Reject a direction mode outside :data:`_MODES`."""
+        if mode not in _MODES:
+            raise InvalidParameterError(f"unknown BFS mode: {mode!r}")
+
+
+class BFSEngine(_Kernel):
     """Reusable direction-optimizing BFS kernel for one graph.
 
     The engine owns its workspace buffers; :meth:`run` returns the
@@ -189,34 +239,17 @@ class BFSEngine:
     """
 
     __slots__ = (
-        "backward",
         "last_ecc",
-        "num_arcs",
-        "_label",
-        "_n",
-        "_out",
-        "_in",
         "_dist",
         "_frontier_mask",
         "_dedupe_mask",
         "_slot",
         "_guard",
-        "__weakref__",
     )
 
     def __init__(self, graph: Any, backward: bool = False) -> None:
-        # No reference to the graph itself: the engine_for cache is
-        # keyed weakly by it, and the kernels read only the CSR arrays.
-        self.backward = backward
-        n = graph.num_vertices
-        self._n = n
-        self._out, self._in = csr_pair(graph, backward)
-        #: Arcs of the graph (an undirected edge is two).
-        self.num_arcs = self._out.num_arcs
-        # History label of a run: an undirected graph's pair is one CSR.
-        self._label = (
-            "bfs" if self._out is self._in else "bwd" if backward else "fwd"
-        )
+        super().__init__(graph, backward)
+        n = self._n
         # Pooled workspaces, sized once per graph (reprolint R1 makes the
         # CSR immutable, so these can never go stale).
         #
@@ -278,8 +311,7 @@ class BFSEngine:
 
         :dtype frontier: int64
         """
-        if mode not in ("hybrid", "top-down", "bottom-up"):
-            raise InvalidParameterError(f"unknown BFS mode: {mode!r}")
+        self._check_mode(mode)
         n = self._n
         origin: Any = source  # the event's `source`
         if isinstance(source, (int, np.integer)):
@@ -289,10 +321,7 @@ class BFSEngine:
             label = f"{self._label}:{source}"
         else:
             seeds = np.asarray(source, dtype=np.int64).reshape(-1)
-            bad = seeds[(seeds < 0) | (seeds >= n)]
-            if len(bad):
-                raise InvalidVertexError(int(bad[0]), n)
-            frontier = distinct_ids(seeds, self._slot)
+            frontier = distinct_ids(as_vertex_ids(seeds, n), self._slot)
             origin = None
             label = ""
         dist = self._dist
@@ -434,28 +463,33 @@ class BFSEngine:
         return fresh.astype(np.int64, copy=False), len(arc_dst), cand[~found]
 
 
-# The engines of each live graph, by direction; the weak key means
-# dropping the graph also frees its pooled buffers.  Safe because graph
-# arrays are immutable (R1).
-_ENGINES: "weakref.WeakKeyDictionary[Any, Dict[bool, BFSEngine]]" = (
+# The kernels of each live graph, by (kernel class, direction); the
+# weak key means dropping the graph also frees its pooled buffers.  Safe
+# because graph arrays are immutable (R1).
+_ENGINES: "weakref.WeakKeyDictionary[Any, Dict[Tuple[type, bool], Any]]" = (
     weakref.WeakKeyDictionary()
 )
 _ENGINES_LOCK = threading.Lock()
 
+_K = TypeVar("_K", bound=_Kernel)
 
-def engine_for(graph: Any, backward: bool = False) -> BFSEngine:
-    """The cached :class:`BFSEngine` of ``graph`` (created on first use).
 
-    ``backward`` selects a directed graph's reverse engine
-    (``dist(., s)``).  The get-or-create is serialized so two threads
-    racing on a fresh graph share one engine instead of silently
-    pooling two sets of buffers.  (The engine itself stays single-threaded per graph — the
-    sanitizer's reentrancy check enforces exactly that.)
+def _kernel_for(kind: Type[_K], graph: Any, backward: bool) -> _K:
+    """The cached ``kind`` kernel of ``graph`` (created on first use).
+
+    ``backward`` selects a directed graph's reverse kernel
+    (``dist(., s)``).  The get-or-create is serialized so threads racing
+    on a fresh graph share one kernel (which itself stays
+    single-threaded; the sanitizer's reentrancy check enforces that).
     """
     with _ENGINES_LOCK:
-        engines = _ENGINES.setdefault(graph, {})
-        engine = engines.get(backward)
-        if engine is None:
-            engine = BFSEngine(graph, backward=backward)
-            engines[backward] = engine
-    return engine
+        kernels = _ENGINES.setdefault(graph, {})
+        kernel = kernels.get((kind, backward))
+        if kernel is None:
+            kernel = kernels[(kind, backward)] = kind(graph, backward)
+    return kernel
+
+
+def engine_for(graph: Any, backward: bool = False) -> BFSEngine:
+    """The cached :class:`BFSEngine` of ``graph`` (see :func:`_kernel_for`)."""
+    return _kernel_for(BFSEngine, graph, backward)

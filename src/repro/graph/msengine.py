@@ -83,12 +83,9 @@ batched FFO probes.
 from __future__ import annotations
 
 import sys
-import threading
-import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     Iterator,
     List,
     Optional,
@@ -99,9 +96,15 @@ from typing import (
 import numpy as np
 
 from repro import sanitize
-from repro.errors import InvalidParameterError, InvalidVertexError
+from repro.errors import InvalidParameterError
 from repro.graph.csr import CSR
-from repro.graph.engine import ALPHA, BETA, csr_pair
+from repro.graph.engine import (
+    ALPHA,
+    BETA,
+    _Kernel,
+    _kernel_for,
+    as_vertex_ids,
+)
 from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # runtime import would be circular; annotations only
@@ -253,7 +256,7 @@ def _decode_planes(
     return cols
 
 
-class MSBFSEngine:
+class MSBFSEngine(_Kernel):
     """Reusable direction-optimizing MS-BFS kernel for one graph.
 
     One engine per graph (see :func:`msengine_for`) owns the pooled
@@ -270,26 +273,10 @@ class MSBFSEngine:
         Traverse a directed graph's arcs in reverse (``dist(., s)``).
     """
 
-    __slots__ = (
-        "_n",
-        "_label",
-        "_arcs",
-        "_out",
-        "_in",
-        "_work",
-        "__weakref__",
-    )
+    __slots__ = ("_work",)
 
     def __init__(self, graph: Any, backward: bool = False) -> None:
-        # No reference to the graph itself: the msengine_for cache is
-        # keyed weakly by it, and the sweeps read only the CSR arrays.
-        self._n = graph.num_vertices
-        self._out, self._in = csr_pair(graph, backward)
-        self._arcs = self._out.num_arcs
-        # History label of a swept lane, as in BFSEngine.
-        self._label = (
-            "bfs" if self._out is self._in else "bwd" if backward else "fwd"
-        )
+        super().__init__(graph, backward)
         self._work = _MSWorkspace(self._n)
 
     # ------------------------------------------------------------------
@@ -365,12 +352,7 @@ class MSBFSEngine:
         :dtype cols: int32
         """
         n = self._n
-        tgt = np.ascontiguousarray(targets, dtype=np.int64)
-        if tgt.ndim != 1:
-            raise InvalidParameterError("targets must be one-dimensional")
-        if tgt.size and (tgt[0] < 0 or tgt[-1] >= n):
-            bad = tgt[(tgt < 0) | (tgt >= n)][0]
-            raise InvalidVertexError(int(bad), n)
+        tgt = as_vertex_ids(targets, n)
         if np.any(tgt[1:] <= tgt[:-1]):
             raise InvalidParameterError("targets must be strictly increasing")
         if len(tgt) == n:
@@ -396,15 +378,9 @@ class MSBFSEngine:
 
         :dtype src: int64
         """
-        if mode not in ("hybrid", "top-down", "bottom-up"):
-            raise InvalidParameterError(f"unknown MS-BFS mode: {mode!r}")
+        self._check_mode(mode)
         n = self._n
-        src = np.ascontiguousarray(sources, dtype=np.int64)
-        if src.ndim != 1:
-            raise InvalidParameterError("sources must be one-dimensional")
-        if src.size and (src.min() < 0 or src.max() >= n):
-            bad = src[(src < 0) | (src >= n)][0]
-            raise InvalidVertexError(int(bad), n)
+        src = as_vertex_ids(sources, n)
         k = len(src)
         if k == 0:
             num_cols = n if targets is None else len(targets)
@@ -477,7 +453,7 @@ class MSBFSEngine:
         live_lanes: List[int] = []
         frontier_sizes: List[int] = []
         m_frontier = int(out_deg[active].sum())
-        m_unvisited = self._arcs - int(in_deg[active].sum())
+        m_unvisited = self.num_arcs - int(in_deg[active].sum())
         prev_m_frontier = 0
         m_checked = 0
         hybrid = mode == "hybrid"
@@ -587,8 +563,8 @@ class MSBFSEngine:
                     [f"{self._label}:{s}" for s in src.tolist()],
                 )
             else:
-                counter.record(scanned, visited, inspected=inspected)
-                counter.bfs_runs += k - 1  # the sweep stands in for k runs
+                # The sweep stands in for k runs.
+                counter.record(scanned, visited, inspected=inspected, runs=k)
         tracer = get_tracer()
         if tracer.enabled:
             # One event per sweep, assembled from the collected record —
@@ -720,27 +696,7 @@ class MSBFSEngine:
         return newly, fresh_bits[rows], seen_cand[rows], arcs
 
 
-# The lane engines of each live graph, by direction (mirrors
-# engine_for); the weak key means dropping the graph also frees every
-# lane workspace.
-_ENGINES: "weakref.WeakKeyDictionary[Any, Dict[bool, MSBFSEngine]]" = (
-    weakref.WeakKeyDictionary()
-)
-_ENGINES_LOCK = threading.Lock()
-
-
 def msengine_for(graph: Any, backward: bool = False) -> MSBFSEngine:
-    """The cached :class:`MSBFSEngine` of ``graph`` (created on first use).
-
-    ``backward`` selects a directed graph's reverse lanes, as in
-    :func:`repro.graph.engine.engine_for`.  Serialized like it too:
-    threads racing the first sweep share one engine and one set of
-    pooled bitmaps.
-    """
-    with _ENGINES_LOCK:
-        engines = _ENGINES.setdefault(graph, {})
-        engine = engines.get(backward)
-        if engine is None:
-            engine = MSBFSEngine(graph, backward=backward)
-            engines[backward] = engine
-    return engine
+    """The cached :class:`MSBFSEngine` of ``graph`` (see
+    :func:`repro.graph.engine._kernel_for`)."""
+    return _kernel_for(MSBFSEngine, graph, backward)

@@ -14,8 +14,6 @@ The central entry points are:
 
 :func:`bfs_distances`
     distances from one source to every vertex (``-1`` for unreachable).
-:func:`eccentricity`
-    the eccentricity of one vertex (max finite BFS distance).
 :func:`multi_source_bfs`
     distance to the *nearest* of a set of sources, for one BFS worth of
     work (kBFS and the Roditty–Williams estimator score vertices by it).
@@ -39,7 +37,6 @@ __all__ = [
     "UNREACHED",
     "TraversalCounter",
     "bfs_distances",
-    "eccentricity",
     "eccentricity_and_distances",
     "multi_source_bfs",
 ]
@@ -59,17 +56,6 @@ def bfs_distances(
     """
     # The engine returns its pooled buffer; copy so callers own the result.
     return engine_for(graph).run(source, counter=counter).copy()
-
-
-def eccentricity(
-    graph: Graph,
-    source: int,
-    counter: Optional[TraversalCounter] = None,
-) -> int:
-    """Eccentricity of ``source`` within its connected component."""
-    engine = engine_for(graph)
-    engine.run(source, counter=counter)
-    return engine.last_ecc
 
 
 def eccentricity_and_distances(

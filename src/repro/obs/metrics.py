@@ -193,14 +193,10 @@ class MetricsRegistry:
         repeated ingestion double-counts by design, matching
         ``TraversalCounter.merge``.
         """
-        self.counter("traversal.runs").inc(counter.bfs_runs)
-        self.counter("traversal.edges_scanned").inc(counter.edges_scanned)
-        self.counter("traversal.edges_inspected").inc(counter.edges_inspected)
-        self.counter("traversal.vertices_visited").inc(
-            counter.vertices_visited
-        )
-        self.counter("traversal.relaxations").inc(counter.relaxations)
-        self.counter("traversal.lanes_discarded").inc(counter.lanes_discarded)
+        for name, value in counter.totals().items():
+            # The instrument for `bfs_runs` is `traversal.runs`.
+            suffix = "runs" if name == "bfs_runs" else name
+            self.counter("traversal." + suffix).inc(value)
 
     def fold_event(self, event: Dict[str, Any]) -> None:
         """Fold one engine run's event into the instruments.

@@ -87,13 +87,10 @@ def _counter_dict(counter: Any) -> Dict[str, int]:
     """Totals of a :class:`repro.counters.TraversalCounter` (no history)."""
     if counter is None:
         return {}
+    # Run records spell `bfs_runs` as `traversal_runs`.
     return {
-        "traversal_runs": int(counter.bfs_runs),
-        "edges_scanned": int(counter.edges_scanned),
-        "edges_inspected": int(counter.edges_inspected),
-        "vertices_visited": int(counter.vertices_visited),
-        "relaxations": int(counter.relaxations),
-        "lanes_discarded": int(counter.lanes_discarded),
+        ("traversal_runs" if name == "bfs_runs" else name): int(value)
+        for name, value in counter.totals().items()
     }
 
 

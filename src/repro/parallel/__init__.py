@@ -1,10 +1,9 @@
 """Multiprocessing half of the batch seam.
 
 ``repro.parallel`` runs ``backend="process"`` batches of
-:func:`repro.graph.batch.ecc_batch` — the backend behind
-:class:`repro.core.oracles.BFSOracle`,
-:class:`repro.directed.traversal.DirectedBFSOracle` and the naive
-baselines when they are asked for it: a persistent per-graph worker
+:func:`repro.graph.batch.ecc_batch`, the one entry that takes a
+``backend=`` besides ``BFSOracle(graph, backend=, workers=)``, which
+hands it on: a persistent per-graph worker
 pool (:mod:`repro.parallel.pool`) whose workers inherit the graph by
 fork (or receive a pickled copy under spawn), run the planned batch's
 lane groups through :func:`repro.graph.batch.lane_groups` and return

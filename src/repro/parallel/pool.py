@@ -110,17 +110,6 @@ def _mp_context() -> Any:
     )
 
 
-def _counter_totals(counter: TraversalCounter) -> Dict[str, int]:
-    """The mergeable scalar fields of a worker-side counter."""
-    return {
-        "bfs_runs": counter.bfs_runs,
-        "edges_scanned": counter.edges_scanned,
-        "edges_inspected": counter.edges_inspected,
-        "vertices_visited": counter.vertices_visited,
-        "relaxations": counter.relaxations,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -187,7 +176,7 @@ def _worker_main(
                     task_id,
                     worker_id,
                     ecc,
-                    _counter_totals(counter),
+                    counter.totals(),
                     watch.elapsed(),
                     task_sink.events if task_sink is not None else None,
                 )

@@ -40,7 +40,7 @@ class TestHistogram:
     def test_as_series_and_dict(self):
         dist = distribution_from_eccentricities(np.array([1, 2, 2]))
         assert dist.as_series() == [(1, 1), (2, 2)]
-        assert dist.as_dict() == {1: 1, 2: 2}
+        assert dict(dist.as_series()) == {1: 1, 2: 2}
 
     def test_ascii_plot(self):
         dist = distribution_from_eccentricities(np.array([1, 2, 2]))

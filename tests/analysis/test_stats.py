@@ -85,10 +85,6 @@ class TestFarthestSetStatistics:
         assert stats.f1_fraction < 0.5
         assert stats.f2_fraction < stats.f1_fraction
 
-    def test_as_dict(self, social_graph):
-        d = farthest_set_statistics(social_graph).as_dict()
-        assert set(d) == {"n", "|F1|", "|F2|", "|F1|/n", "|F2|/n"}
-
     def test_explicit_reference(self, example_graph):
         stats = farthest_set_statistics(example_graph, reference=12)
         assert stats.f1_size == 6

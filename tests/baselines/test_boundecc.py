@@ -5,8 +5,7 @@ import pytest
 
 from repro.baselines.boundecc import boundecc_eccentricities
 from repro.graph.generators import complete_graph, grid_graph, path_graph
-from repro.graph.properties import exact_eccentricities
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 
 
 class TestBoundECC:

@@ -8,9 +8,8 @@ from repro.core.probes import probe_numbers
 from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.generators import grid_graph, path_graph
-from repro.graph.properties import exact_eccentricities
 from repro.pll.index import build_pll_index
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 
 
 class TestExactness:

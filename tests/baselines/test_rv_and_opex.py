@@ -10,8 +10,7 @@ from repro.baselines.rv_diameter import rv_estimate_diameter
 from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.generators import cycle_graph, path_graph
-from repro.graph.properties import exact_eccentricities
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 
 
 class TestRVDiameter:

@@ -25,7 +25,8 @@ from repro.graph.generators import (
     paper_example_graph,
     watts_strogatz,
 )
-from repro.graph.properties import exact_eccentricities
+
+from helpers import exact_eccentricities
 
 
 @pytest.fixture

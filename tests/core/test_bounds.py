@@ -11,9 +11,8 @@ import pytest
 from repro.core.bounds import INFINITE_ECC, BoundState
 from repro.errors import InvalidParameterError
 from repro.graph.generators import path_graph
-from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
-from helpers import apply_lemma33_tail, apply_lower_only
+from helpers import apply_lemma33_tail, apply_lower_only, exact_eccentricities
 
 
 def all_pairs(n: int, seed: int, directed: bool, weighted: bool) -> np.ndarray:

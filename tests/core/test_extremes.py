@@ -14,8 +14,7 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.properties import exact_eccentricities
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 
 
 class TestCorrectness:

@@ -21,9 +21,8 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.properties import exact_eccentricities
 from repro.obs.trace import MemorySink, tracing
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 
 
 class TestExactness:
@@ -216,7 +215,7 @@ class TestPerComponent:
     def test_two_components(self):
         g = Graph.from_edges([(0, 1), (1, 2), (3, 4)])
         result = eccentricities_per_component(g)
-        truth = exact_eccentricities(g, require_connected=False)
+        truth = exact_eccentricities(g)
         np.testing.assert_array_equal(result.eccentricities, truth)
         assert result.eccentricities.tolist() == [2, 1, 2, 1, 1]
 

@@ -13,9 +13,10 @@ from repro.core.ifecc import IFECC, compute_eccentricities
 from repro.core.oracles import BFSOracle
 from repro.core.solver import EccentricitySolver
 from repro.core.stratify import stratify
-from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
 from repro.obs.trace import MemorySink, tracing
+
+from helpers import exact_eccentricities
 
 
 class TestSection2:

@@ -7,7 +7,8 @@ The reference applies each row as one FFO probe does: its pins
 stopping once no column is left.  Both must agree
 on the bounds, the rows used, the closing row of every column, the
 per-row resolved counts and gap masses, and on raising
-``InvalidParameterError``.  Float inputs are multiples of 1/4, so every
+``InvalidParameterError``; a block that raises leaves the bounds as
+they were.  Float inputs are multiples of 1/4, so every
 sum is exact and float results are compared bit for bit too.  One-row
 blocks (one probe with or without its pin, or one replayed row) are the
 single steps of ``EccentricitySolver.steps()``; without a gap cap the
@@ -91,10 +92,12 @@ def one_by_one(block: Block) -> Tuple[BoundState, Dict[str, Any]]:
     }
 
 
-def as_block(block: Block, gap: bool = True) -> Tuple[BoundState, Dict[str, Any]]:
+def as_block(
+    block: Block, gap: bool = True, state: Optional[BoundState] = None
+) -> Tuple[BoundState, Dict[str, Any]]:
     """Apply ``block`` through ``apply_sweep_block`` (with no gap cap
-    unless ``gap``)."""
-    state = block.state()
+    unless ``gap``), to ``state`` or to a fresh ``block.state()``."""
+    state = block.state() if state is None else state
     pins = np.array(block.pins, dtype=np.float64).reshape(-1, 3)
     scan = state.apply_sweep_block(
         block.subset,
@@ -116,12 +119,16 @@ def as_block(block: Block, gap: bool = True) -> Tuple[BoundState, Dict[str, Any]
 
 
 def assert_same(block: Block, gap: bool = True) -> Optional[Dict[str, Any]]:
-    """Both paths agree; returns the outcome (None when both raised)."""
+    """Both paths agree; returns the outcome (None when both raised, in
+    which case the block left the bounds as they were)."""
     try:
         want_state, want = one_by_one(block)
     except InvalidParameterError:
+        state = block.state()
         with pytest.raises(InvalidParameterError):
-            as_block(block, gap)
+            as_block(block, gap, state)
+        assert state.lower.tolist() == block.lower.tolist()
+        assert state.upper.tolist() == block.upper.tolist()
         return None
     got_state, got = as_block(block, gap)
     if not gap:
@@ -332,6 +339,46 @@ class TestExamples:
     def test_pin_outside_window_raises(self) -> None:
         block = _example()
         block.pins = [(1, 5, 7)]  # vertex 5's upper bound is 4
+        assert assert_same(block) is None
+
+    @pytest.mark.parametrize(
+        "rows, pins",
+        [
+            # k = 1: a valid column pin, then an inconsistent row.
+            ([[3, 9]], [(0, 1, 3)]),
+            # k = 1: a valid point pin, then an inconsistent row.
+            ([[3, 9]], [(0, 3, 4)]),
+            # k > 1: a valid column pin, an inconsistent second row.
+            ([[2, 2], [3, 9]], [(0, 1, 3)]),
+            # k > 1: column 1 closes on row 0, then a point pin outside
+            # vertex 3's bounds.
+            ([[3, 3], [3, 3]], [(0, 3, 99)]),
+            # k > 1: a pin on column 1 after it closed at 3 is a point
+            # write, checked against the column's kept values.
+            ([[3, 2], [3, 4]], [(1, 1, 4)]),
+        ],
+        ids=[
+            "k1-column-pin",
+            "k1-point-pin",
+            "k2-column-pin",
+            "k2-point-pin",
+            "k2-pin-on-closed-column",
+        ],
+    )
+    def test_raise_changes_nothing(
+        self, rows: List[List[int]], pins: List[Pin]
+    ) -> None:
+        block = Block(
+            dtype=np.int32,
+            tolerance=0.0,
+            lower=np.array([3, 2, 2, 3], dtype=np.int32),
+            upper=np.array([3, 4, 5, 6], dtype=np.int32),
+            subset=np.array([1, 2]),
+            rows=np.array(rows, dtype=np.int32),
+            dist_to_z=np.array([0, 1, 3, 0], dtype=np.int32),
+            tails=np.full(len(rows), 2, dtype=np.int32),
+            pins=pins,
+        )
         assert assert_same(block) is None
 
     def test_empty_block_applies_nothing(self) -> None:

@@ -13,10 +13,10 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.properties import exact_eccentricities
 from helpers import (
     approximate_via_f2,
     core_periphery,
+    exact_eccentricities,
     exact_via_f1,
     random_connected_graph,
 )

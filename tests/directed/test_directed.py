@@ -22,7 +22,12 @@ from repro.errors import (
     InvalidVertexError,
 )
 from repro.graph.generators import cycle_graph
-from helpers import in_neighbors, out_neighbors, random_connected_graph
+from helpers import (
+    exact_eccentricities,
+    in_neighbors,
+    out_neighbors,
+    random_connected_graph,
+)
 
 
 def directed_cycle(n):
@@ -122,8 +127,6 @@ class TestDirectedEccentricities:
             np.testing.assert_array_equal(result.eccentricities, truth)
 
     def test_undirected_lift_matches_undirected(self):
-        from repro.graph.properties import exact_eccentricities
-
         base = random_connected_graph(40, 30, seed=3)
         lifted = DirectedGraph.from_undirected(base)
         result = directed_ifecc_eccentricities(lifted)
@@ -169,8 +172,6 @@ class TestDirectedIFECC:
         assert np.all(result.eccentricities == 8)
 
     def test_undirected_lift_matches(self):
-        from repro.graph.properties import exact_eccentricities
-
         base = random_connected_graph(50, 40, seed=8)
         result = directed_ifecc_eccentricities(
             DirectedGraph.from_undirected(base)

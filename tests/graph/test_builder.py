@@ -12,7 +12,7 @@ from helpers import has_edge
 class TestBasicBuild:
     def test_single_edge(self):
         b = GraphBuilder()
-        b.add_edge(0, 1)
+        b.add_edges([(0, 1)])
         g = b.build()
         assert g.num_vertices == 2
         assert g.num_edges == 1
@@ -20,7 +20,6 @@ class TestBasicBuild:
     def test_add_edges_iterable(self):
         b = GraphBuilder()
         b.add_edges([(0, 1), (1, 2)])
-        assert b.num_pending_edges == 2
         assert b.build().num_edges == 2
 
     def test_add_edges_generator(self):
@@ -33,7 +32,7 @@ class TestBasicBuild:
 
     def test_fixed_num_vertices(self):
         b = GraphBuilder(num_vertices=10)
-        b.add_edge(0, 1)
+        b.add_edges([(0, 1)])
         assert b.build().num_vertices == 10
 
 
@@ -52,7 +51,7 @@ class TestHygiene:
 
     def test_symmetrised(self):
         b = GraphBuilder()
-        b.add_edge(3, 1)  # one direction only
+        b.add_edges([(3, 1)])  # one direction only
         g = b.build()
         assert has_edge(g, 1, 3) and has_edge(g, 3, 1)
 
@@ -66,12 +65,12 @@ class TestValidation:
     def test_negative_vertex_rejected(self):
         b = GraphBuilder()
         with pytest.raises(GraphConstructionError):
-            b.add_edge(-1, 0)
+            b.add_edges([(-1, 0)])
 
     def test_out_of_range_rejected_with_fixed_n(self):
         b = GraphBuilder(num_vertices=3)
         with pytest.raises(GraphConstructionError):
-            b.add_edge(0, 3)
+            b.add_edges([(0, 3)])
 
     def test_negative_num_vertices(self):
         with pytest.raises(GraphConstructionError):
@@ -99,7 +98,7 @@ class TestVectorPath:
     def test_empty_arrays_noop(self):
         b = GraphBuilder()
         b.add_edge_arrays(np.empty(0), np.empty(0))
-        assert b.num_pending_edges == 0
+        assert b.build().num_vertices == 0
 
     def test_matches_scalar_path(self):
         pairs = [(0, 3), (3, 1), (1, 2), (2, 0), (0, 1)]
@@ -124,7 +123,7 @@ class TestScalarPath:
         edges = _random_edges(seed)
         scalar = GraphBuilder()
         for u, v in edges.tolist():
-            scalar.add_edge(u, v)
+            scalar.add_edges([(u, v)])
         vector = GraphBuilder()
         vector.add_edge_arrays(edges[:, 0], edges[:, 1])
         listed = GraphBuilder()
@@ -145,16 +144,15 @@ class TestScalarPath:
                 mixed.add_edges(chunk.tolist())
             else:
                 for u, v in chunk.tolist():
-                    mixed.add_edge(u, v)
-        assert mixed.num_pending_edges == len(edges)
+                    mixed.add_edges([(u, v)])
         assert mixed.build() == want.build()
 
     def test_numpy_integer_scalars(self):
         b = GraphBuilder(num_vertices=4)
-        b.add_edge(np.int64(0), np.int32(3))
-        b.add_edge(np.uint8(1), np.int16(2))
+        b.add_edges([(np.int64(0), np.int32(3))])
+        b.add_edges([(np.uint8(1), np.int16(2))])
         edges = np.array([1, 2, 3])
-        b.add_edge(edges[0], edges[2])
+        b.add_edges([(edges[0], edges[2])])
         g = b.build()
         assert has_edge(g, 0, 3) and has_edge(g, 1, 2) and has_edge(g, 1, 3)
         assert g.num_edges == 3
@@ -162,37 +160,25 @@ class TestScalarPath:
     def test_numpy_scalar_out_of_range_rejected(self):
         b = GraphBuilder(num_vertices=3)
         with pytest.raises(GraphConstructionError):
-            b.add_edge(np.int64(1), np.int64(3))
+            b.add_edges([(np.int64(1), np.int64(3))])
         with pytest.raises(GraphConstructionError):
-            b.add_edge(np.int64(-2), np.int64(1))
-        assert b.num_pending_edges == 0
-
-    def test_num_pending_edges_counts_scalars(self):
-        b = GraphBuilder()
-        b.add_edge(0, 1)
-        b.add_edge(1, 1)  # self-loop: still a pending record
-        b.add_edge(1, 0)  # duplicate: still a pending record
-        assert b.num_pending_edges == 3
-        b.add_edge_arrays(np.array([2, 3]), np.array([3, 4]))
-        assert b.num_pending_edges == 5
-        b.build()
-        assert b.num_pending_edges == 5
+            b.add_edges([(np.int64(-2), np.int64(1))])
+        assert b.build().num_edges == 0
 
     def test_rejected_edge_is_not_buffered(self):
         b = GraphBuilder(num_vertices=3)
-        b.add_edge(0, 1)
+        b.add_edges([(0, 1)])
         with pytest.raises(GraphConstructionError):
-            b.add_edge(2, 5)
-        assert b.num_pending_edges == 1
+            b.add_edges([(2, 5)])
         assert b.build().num_edges == 1
 
     def test_reuse_after_build(self):
         b = GraphBuilder()
-        b.add_edge(0, 1)
+        b.add_edges([(0, 1)])
         b.add_edge_arrays(np.array([1, 2]), np.array([2, 3]))
         first = b.build()
         assert b.build() == first
-        b.add_edge(3, 4)
+        b.add_edges([(3, 4)])
         grown = b.build()
         assert grown.num_edges == first.num_edges + 1
         assert has_edge(grown, 3, 4)

@@ -11,9 +11,8 @@ from repro.graph.components import (
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 from repro.graph.generators import cycle_graph, path_graph
-from repro.graph.properties import exact_eccentricities
 
-from helpers import is_connected
+from helpers import exact_eccentricities, is_connected
 
 
 def two_components() -> Graph:

@@ -14,9 +14,8 @@ from repro.graph.generators import (
 )
 from repro.graph import batch_distance_rows
 from repro.graph.batch import ecc_batch
-from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import TraversalCounter, bfs_distances
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 
 
 def _eccentricities(g):

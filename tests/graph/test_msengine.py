@@ -89,9 +89,8 @@ class TestRunBatch:
 
     def test_disconnected_vertices_stay_unreached(self):
         builder = GraphBuilder(num_vertices=6)
-        builder.add_edge(0, 1)
-        builder.add_edge(1, 2)
-        builder.add_edge(3, 4)  # second component; vertex 5 isolated
+        # Second component 3-4; vertex 5 isolated.
+        builder.add_edges([(0, 1), (1, 2), (3, 4)])
         graph = builder.build()
         rows = MSBFSEngine(graph).run_batch(np.arange(6))
         assert rows[0, 3] == UNREACHED and rows[0, 5] == UNREACHED
@@ -211,9 +210,7 @@ class TestColumnBatch:
 
     def test_disconnected_columns_stay_unreached(self):
         builder = GraphBuilder(num_vertices=6)
-        builder.add_edge(0, 1)
-        builder.add_edge(1, 2)
-        builder.add_edge(3, 4)
+        builder.add_edges([(0, 1), (1, 2), (3, 4)])
         graph = builder.build()
         eccs, cols = MSBFSEngine(graph).column_batch(
             np.arange(6), [2, 4, 5]
@@ -309,7 +306,7 @@ def long_path():
     isolated vertex 1102: distances reach 1,099, past 2^8 and 2^9."""
     builder = GraphBuilder(num_vertices=1103)
     builder.add_edges((i, i + 1) for i in range(1099))
-    builder.add_edge(1100, 1101)
+    builder.add_edges([(1100, 1101)])
     return builder.build()
 
 
@@ -368,7 +365,7 @@ class TestBitPlaneBoundaries:
         # added (or is about to be).
         builder = GraphBuilder(num_vertices=depth + 4)
         builder.add_edges((i, i + 1) for i in range(depth))
-        builder.add_edge(depth + 1, depth + 2)
+        builder.add_edges([(depth + 1, depth + 2)])
         graph = builder.build()
         src = np.array([0, 1, depth // 2, depth, depth + 1, depth + 3])
         rows = MSBFSEngine(graph).run_batch(src, mode=mode)

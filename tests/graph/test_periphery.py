@@ -12,10 +12,9 @@ from repro.graph.generators import (
     barabasi_albert,
     complete_graph,
 )
-from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
 
-from helpers import is_connected
+from helpers import exact_eccentricities, is_connected
 
 
 @pytest.fixture(scope="module")

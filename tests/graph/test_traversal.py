@@ -19,7 +19,6 @@ from repro.graph.traversal import (
     UNREACHED,
     TraversalCounter,
     bfs_distances,
-    eccentricity,
     eccentricity_and_distances,
     multi_source_bfs,
 )
@@ -88,12 +87,12 @@ class TestBFSDistances:
 class TestEccentricity:
     def test_path_ends(self):
         g = path_graph(7)
-        assert eccentricity(g, 0) == 6
-        assert eccentricity(g, 3) == 3
+        assert eccentricity_and_distances(g, 0)[0] == 6
+        assert eccentricity_and_distances(g, 3)[0] == 3
 
     def test_cycle_uniform(self):
         g = cycle_graph(8)
-        assert all(eccentricity(g, v) == 4 for v in range(8))
+        assert all(eccentricity_and_distances(g, v)[0] == 4 for v in range(8))
 
     def test_returns_distances_too(self):
         g = star_graph(4)
@@ -103,7 +102,7 @@ class TestEccentricity:
 
     def test_within_component_only(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
-        assert eccentricity(g, 0) == 1
+        assert eccentricity_and_distances(g, 0)[0] == 1
 
 
 def territories(graph, references):
@@ -182,6 +181,46 @@ class TestTraversalCounter:
         a.merge(b)
         assert a.bfs_runs == 2
         assert a.lanes_discarded == 3
+
+    def test_totals(self):
+        counter = TraversalCounter()
+        counter.record(4, 3, label="bfs:0")
+        counter.record_sweep(4, 5, 6, ["bfs:1"])
+        counter.discard_lanes()
+        # Every integer field, in declaration order; no history.
+        assert list(counter.totals().items()) == [
+            ("bfs_runs", 1),
+            ("edges_scanned", 8),
+            ("edges_inspected", 10),
+            ("vertices_visited", 8),
+            ("relaxations", 0),
+            ("lanes_discarded", 1),
+        ]
+
+    def test_record_runs(self):
+        counter = TraversalCounter()
+        counter.record(5, 7, label="x", inspected=9, relaxations=2, runs=3)
+        counter.record(0, 0, runs=0)
+        assert counter.totals() == {
+            "bfs_runs": 3,
+            "edges_scanned": 5,
+            "edges_inspected": 9,
+            "vertices_visited": 7,
+            "relaxations": 2,
+            "lanes_discarded": 0,
+        }
+        assert counter.history == ["x"]
+
+    def test_merge_adds_every_total(self):
+        a, b = TraversalCounter(), TraversalCounter()
+        a.record(1, 2, label="a", inspected=3, relaxations=4)
+        b.record(10, 20, label="b", inspected=30, relaxations=40, runs=5)
+        b.record_sweep(1, 1, 1, ["c"])
+        b.discard_lanes()
+        want = {k: a.totals()[k] + v for k, v in b.totals().items()}
+        a.merge(b)
+        assert a.totals() == want
+        assert a.history == ["a", "b"]
 
     def test_history_labels(self):
         counter = TraversalCounter()

@@ -1,7 +1,7 @@
 """Shared helpers importable from any test module: graph builders and
 inspectors, the generators the golden corpus pins, and the test-only
-oracles (Theorems 5.5/5.6, all-pairs BFS, shortest paths, the one-rule
-bound updates)."""
+oracles (the |V|-BFS eccentricities, Theorems 5.5/5.6, all-pairs BFS,
+shortest paths, the one-rule bound updates)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.naive import naive_eccentricities
 from repro.core.bounds import BoundState
 from repro.core.result import EccentricityResult
 from repro.core.stratify import stratify
@@ -36,15 +37,20 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
     by unit tests and hypothesis strategies alike.
     """
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_vertices=n)
-    for v in range(1, n):
-        builder.add_edge(v, int(rng.integers(0, v)))
+    edges = [(v, int(rng.integers(0, v))) for v in range(1, n)]
     for _ in range(extra_edges):
         u = int(rng.integers(0, n))
         w = int(rng.integers(0, n))
         if u != w:
-            builder.add_edge(u, w)
+            edges.append((u, w))
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edges(edges)
     return builder.build()
+
+
+def exact_eccentricities(graph: Graph) -> np.ndarray:
+    """The |V|-BFS oracle: one single-source BFS per vertex (per component)."""
+    return naive_eccentricities(graph, traversal="loop").eccentricities
 
 
 def heap_dijkstra(graph, source: int):

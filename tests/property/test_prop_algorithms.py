@@ -10,9 +10,13 @@ from repro.baselines.kbfs import kbfs_eccentricities
 from repro.baselines.pllecc import pllecc_eccentricities
 from repro.core.ifecc import IFECC, compute_eccentricities
 from repro.core.kifecc import approximate_eccentricities
-from repro.graph.properties import exact_eccentricities
 
-from helpers import approximate_via_f2, exact_via_f1, random_connected_graph
+from helpers import (
+    approximate_via_f2,
+    exact_eccentricities,
+    exact_via_f1,
+    random_connected_graph,
+)
 
 
 @st.composite
@@ -118,7 +122,6 @@ class TestDiameterEstimators:
     @settings(max_examples=25, deadline=None)
     def test_rv_estimate_bounds(self, g, seed):
         from repro.baselines.rv_diameter import rv_estimate_diameter
-        from repro.graph.properties import exact_eccentricities
 
         truth = int(exact_eccentricities(g).max())
         est = rv_estimate_diameter(g, seed=seed)
@@ -129,7 +132,6 @@ class TestDiameterEstimators:
     @settings(max_examples=20, deadline=None)
     def test_opex_matches_oracle(self, g):
         from repro.baselines.henderson import opex_eccentricities
-        from repro.graph.properties import exact_eccentricities
 
         np.testing.assert_array_equal(
             opex_eccentricities(g).eccentricities,

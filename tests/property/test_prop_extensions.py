@@ -13,7 +13,6 @@ from repro.directed.eccentricity import (
 )
 from repro.directed.graph import DirectedGraph
 from repro.graph.paths import bfs_parents
-from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
 from repro.weighted.eccentricity import (
     naive_weighted_eccentricities,
@@ -21,7 +20,12 @@ from repro.weighted.eccentricity import (
 )
 from repro.weighted.graph import WeightedGraph
 
-from helpers import has_edge, random_connected_graph, shortest_path
+from helpers import (
+    exact_eccentricities,
+    has_edge,
+    random_connected_graph,
+    shortest_path,
+)
 
 
 @st.composite

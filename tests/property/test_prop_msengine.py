@@ -104,7 +104,7 @@ def test_disconnected_graphs_unreached_lanes(n, num_edges, seed):
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u != v:
-            builder.add_edge(u, v)
+            builder.add_edges([(u, v)])
     graph = builder.build()
     src = np.arange(n, dtype=np.int64)
     rows = MSBFSEngine(graph).run_batch(src)
@@ -124,7 +124,7 @@ def graph_sources_targets(draw):
     for _ in range(num_edges):
         u, v = (int(x) for x in rng.integers(0, n, size=2))
         if u != v:
-            builder.add_edge(u, v)
+            builder.add_edges([(u, v)])
     k = draw(st.integers(min_value=1, max_value=min(n, 64)))
     sources = rng.permutation(n)[:k]
     kind = draw(st.sampled_from(["empty", "single", "all", "random"]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 from repro import sanitize
 from repro.core.ifecc import compute_eccentricities
 from repro.directed.eccentricity import (
@@ -35,7 +35,6 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph.properties import exact_eccentricities
 from repro.weighted.eccentricity import (
     naive_weighted_eccentricities,
     weighted_eccentricities,

@@ -18,14 +18,13 @@ from repro.directed.eccentricity import (
     naive_directed_eccentricities,
 )
 from repro.directed.graph import DirectedGraph
-from repro.graph.properties import exact_eccentricities
 from repro.weighted.eccentricity import (
     naive_weighted_eccentricities,
     weighted_solver,
 )
 from repro.weighted.graph import WeightedGraph
 
-from helpers import random_connected_graph
+from helpers import exact_eccentricities, random_connected_graph
 
 _TOL = 1e-9
 

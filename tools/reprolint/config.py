@@ -152,10 +152,7 @@ MUTATION_CONTRACT_TYPES = frozenset(
 #: must treat these names as private to their accessors.
 SHARED_STATE = {
     "src/repro/graph/engine.py": {
-        "_ENGINES": ("engine_for",),
-    },
-    "src/repro/graph/msengine.py": {
-        "_ENGINES": ("msengine_for",),
+        "_ENGINES": ("_kernel_for",),
     },
     "src/repro/parallel/pool.py": {
         "_POOLS": ("pool_for", "shutdown_pools"),
