@@ -48,14 +48,6 @@ def naive_eccentricities(
     else:
         sources = np.arange(graph.num_vertices, dtype=np.int64)
         ecc = lane_groups(graph, sources, 0, counter)
-    elapsed = watch.elapsed()
-    return EccentricityResult(
-        eccentricities=ecc,
-        lower=ecc.copy(),
-        upper=ecc.copy(),
-        exact=True,
-        algorithm="Naive",
-        num_bfs=counter.bfs_runs,
-        elapsed_seconds=elapsed,
-        counter=counter,
+    return EccentricityResult.from_exact(
+        ecc, "Naive", counter, watch.elapsed()
     )

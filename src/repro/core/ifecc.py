@@ -138,15 +138,10 @@ def eccentricities_per_component(graph: Graph) -> EccentricityResult:
         num_refs_used.extend(
             int(original_ids[z]) for z in result.reference_nodes
         )
-    elapsed = watch.elapsed()
-    return EccentricityResult(
-        eccentricities=ecc,
-        lower=ecc.copy(),
-        upper=ecc.copy(),
-        exact=True,
-        algorithm="IFECC-1(per-component)",
-        num_bfs=counter.bfs_runs,
-        elapsed_seconds=elapsed,
-        reference_nodes=np.asarray(num_refs_used, dtype=np.int32),
-        counter=counter,
+    return EccentricityResult.from_exact(
+        ecc,
+        "IFECC-1(per-component)",
+        counter,
+        watch.elapsed(),
+        np.asarray(num_refs_used, dtype=np.int32),
     )

@@ -125,6 +125,37 @@ class EccentricityResult:
             counter=counter,
         )
 
+    @classmethod
+    def from_exact(
+        cls,
+        ecc: np.ndarray,
+        algorithm: str,
+        counter: TraversalCounter,
+        elapsed_seconds: float,
+        reference_nodes: Optional[np.ndarray] = None,
+    ) -> "EccentricityResult":
+        """The result of a run that computed every eccentricity exactly.
+
+        ``ecc`` becomes the estimates (not copied); both bounds are
+        copies of it.  ``reference_nodes`` is copied as in
+        :meth:`from_bounds`.
+        """
+        return cls(
+            eccentricities=ecc,
+            lower=ecc.copy(),
+            upper=ecc.copy(),
+            exact=True,
+            algorithm=algorithm,
+            num_bfs=counter.bfs_runs,
+            elapsed_seconds=elapsed_seconds,
+            reference_nodes=(
+                np.empty(0, dtype=np.int32)
+                if reference_nodes is None
+                else reference_nodes.copy()
+            ),
+            counter=counter,
+        )
+
     @property
     def num_vertices(self) -> int:
         return len(self.eccentricities)

@@ -24,6 +24,16 @@ Level update, on ``(n,)`` ``uint64`` bitmaps:
 * **bottom-up** — every vertex still missing a live lane OR-reduces
   its in-neighbors' frontier words over its in-CSR slice
   (``np.bitwise_or.reduceat``); fresh bits are ``reduced & ~seen[v]``.
+  A bottom-up level pulls in one of two forms, chosen by its
+  candidates' share of the in-arcs.  A *thin* level gathers just the
+  candidates' arcs by position.  A *dense* level, whose candidates
+  hold at least half of the in-arcs, reads the whole in-CSR in
+  contiguous chunks: one gather of frontier words and one reduction
+  per chunk, with no per-arc position array.  It reads at most twice
+  the arcs the gather would, at about half the cost per level on the
+  web stand-ins (EXPERIMENTS.md, "Forks kept").  Vertices that are no
+  candidate gain no fresh bit, because the frontier holds only live
+  lanes, so both forms give the same words and credit the same arcs.
 
 The engine reads the same (out-CSR, in-CSR) pair as
 :class:`~repro.graph.engine.BFSEngine` (see
@@ -48,9 +58,9 @@ distance rows), :meth:`MSBFSEngine.ecc_batch` none, and
 :meth:`MSBFSEngine.column_batch` a given sorted list of targets — the
 solver's unresolved vertices.  Eccentricities come for free: a lane's
 is the last level at which it gained fresh bits, and the visited count
-is the popcount of the ``seen`` bitmap.  Each level gathers its arcs
-``2^16`` at a time, so its arc scratch does not grow with the graph's
-arcs.
+is the popcount of the ``seen`` bitmap.  Each level reads its arcs
+``2^16`` at a time, in either direction and either pull form, so its
+arc scratch does not grow with the graph's arcs.
 
 Distances are recorded bit-sliced: at level ``L`` the fresh lane words
 of the reached targets are OR-ed into plane ``b`` for every set bit
@@ -62,8 +72,11 @@ plus the output block, and no level unpacks a lane.
 Workspaces follow the pooled discipline of the rest of the repository:
 three ``(n,)`` ``uint64`` bitmaps are allocated once per graph
 (weakly cached; safe because the CSR is immutable, reprolint R1) and
-zeroed in place between batches.  Returned distance matrices are
-always freshly owned — their shape depends on the batch.
+zeroed in place between batches.  The dense pull's chunk plan (the
+vertices with in-arcs, and which of them each chunk holds) is built
+with the engine, at one ``int64`` per vertex with in-arcs.  Returned
+distance matrices are always freshly owned — their shape depends on
+the batch.
 
 A sweep is one lane word wide.  Wider sweeps (two or four words per
 vertex) halve the level loops and CSR gathers but multiply every
@@ -133,6 +146,17 @@ _SERIAL_BATCH_LIMIT = 8
 #: this many arcs instead of growing with the frontier's arc mass, so
 #: large graphs can batch without their peak memory growing with arcs.
 _GATHER_CHUNK_ARCS = 1 << 16
+
+#: A bottom-up level whose candidates hold at least this share of the
+#: graph's in-arcs pulls densely: it reads the whole in-CSR, one chunk
+#: of contiguous arcs at a time, instead of gathering the candidates'
+#: arcs by position.  Such a level reads at most ``1 / share`` times
+#: the arcs the gather would, and no per-arc position array.  The
+#: candidates' arc mass is bimodal on the stand-ins (the median level
+#: holds 99.6%, 80% or 3.2% of the arcs), so the rule splits the dense
+#: middle levels from the thin ones, where a whole scan would read
+#: 30-100x more arcs (EXPERIMENTS.md, "Forks kept").
+_DENSE_PULL_SHARE = 0.5
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -273,11 +297,25 @@ class MSBFSEngine(_Kernel):
         Traverse a directed graph's arcs in reverse (``dist(., s)``).
     """
 
-    __slots__ = ("_work",)
+    __slots__ = ("_work", "_pull_rows", "_pull_chunks")
 
     def __init__(self, graph: Any, backward: bool = False) -> None:
         super().__init__(graph, backward)
         self._work = _MSWorkspace(self._n)
+        # The dense pull's plan: the vertices with in-arcs, ascending,
+        # and per chunk of _GATHER_CHUNK_ARCS in-arcs the slice of them
+        # whose arcs it holds.  Chunk c holds arcs [c * chunk, (c + 1) *
+        # chunk) of the in-CSR; a slice that straddles two chunks is
+        # listed in both.
+        in_csr = self._in
+        rows = np.flatnonzero(in_csr.degrees)
+        starts = in_csr.indptr[rows]
+        chunk_lo = np.arange(0, in_csr.num_arcs, _GATHER_CHUNK_ARCS)
+        chunk_hi = np.minimum(chunk_lo + _GATHER_CHUNK_ARCS, in_csr.num_arcs)
+        first = np.searchsorted(starts, chunk_lo, side="right") - 1
+        last = np.searchsorted(starts, chunk_hi, side="left")
+        self._pull_rows = rows
+        self._pull_chunks = list(zip(first.tolist(), last.tolist()))
 
     # ------------------------------------------------------------------
     # The sweep
@@ -507,7 +545,7 @@ class MSBFSEngine(_Kernel):
                 scanned += arcs
             else:
                 newly, new_bits, seen_rows, arcs = self._bottom_up_level(
-                    frontier, seen, live
+                    frontier, seen, live, next_mask
                 )
             inspected += arcs
             touched += len(active) + arcs
@@ -663,6 +701,7 @@ class MSBFSEngine(_Kernel):
         frontier: np.ndarray,
         seen: np.ndarray,
         live: np.ndarray,
+        next_mask: np.ndarray,
     ) -> Tuple[
         Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
     ]:
@@ -670,30 +709,100 @@ class MSBFSEngine(_Kernel):
 
         A candidate is any vertex with in-arcs that is still missing a
         *live* lane — vertices unseen only by retired lanes are never
-        probed again.  A candidate whose arcs straddle two chunks ORs
-        both partial reductions.  Returns ``(newly, new_bits, seen_rows,
-        arcs inspected)``, mirroring :meth:`_top_down_level`.
+        probed again.  Returns ``(newly, new_bits, seen_rows, arcs
+        inspected)``, mirroring :meth:`_top_down_level`; ``arcs`` is the
+        candidates' in-arc mass in either form.  A level whose
+        candidates hold at least ``_DENSE_PULL_SHARE`` of the in-arcs
+        pulls densely (:meth:`_dense_pull`) and reads at most twice that
+        many arcs; any other gathers the candidates' arcs
+        (:meth:`_gather_pull`).  Both give the same words.
+
+        :mutates next_mask: scratch; holds the candidate words, then
+            (dense pull) the level's fresh words.
         """
-        cand = np.flatnonzero(~seen & live)
-        cand = cand[self._in.degrees[cand] > 0]
+        # Candidates: ~seen & live, computed in the pooled scratch so
+        # that no level allocates an (n,) array.
+        np.bitwise_not(seen, out=next_mask)
+        np.bitwise_and(next_mask, live, out=next_mask)
+        cand = np.flatnonzero(next_mask)
+        degrees = self._in.degrees[cand]
+        cand = cand[degrees > 0]
         if len(cand) == 0:
             return None, None, None, 0
+        arcs = int(degrees.sum())
+        if arcs >= _DENSE_PULL_SHARE * self.num_arcs:
+            pulled = self._dense_pull(frontier, seen, next_mask)
+        else:
+            pulled = self._gather_pull(frontier, seen, cand)
+        newly, new_bits, seen_rows = pulled
+        if len(newly) == 0:
+            return None, None, None, arcs
+        return newly, new_bits, seen_rows, arcs
+
+    def _gather_pull(
+        self,
+        frontier: np.ndarray,
+        seen: np.ndarray,
+        cand: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(newly, new_bits, seen_rows)`` of the candidates ``cand``.
+
+        Gathers the candidates' in-arcs by position, one chunk at a
+        time (:meth:`_arc_chunks`); a candidate whose arcs straddle two
+        chunks ORs both partial reductions.
+        """
         reduced = np.zeros(len(cand), dtype=np.uint64)
-        arcs = 0
         for lo, hi, arc_dst, seg_starts, _counts in self._arc_chunks(
             self._in, cand
         ):
             # Candidates have arcs, so every segment is non-empty.
-            part = np.bitwise_or.reduceat(frontier[arc_dst], seg_starts)
+            part = np.bitwise_or.reduceat(
+                np.take(frontier, arc_dst), seg_starts
+            )
             np.bitwise_or(reduced[lo:hi], part, out=reduced[lo:hi])
-            arcs += len(arc_dst)
         seen_cand = seen[cand]
         fresh_bits = reduced & ~seen_cand
         rows = fresh_bits != 0
-        newly = cand[rows]
-        if len(newly) == 0:
-            return None, None, None, arcs
-        return newly, fresh_bits[rows], seen_cand[rows], arcs
+        return cand[rows], fresh_bits[rows], seen_cand[rows]
+
+    def _dense_pull(
+        self,
+        frontier: np.ndarray,
+        seen: np.ndarray,
+        next_mask: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(newly, new_bits, seen_rows)``, pulling every vertex's
+        in-neighbors' words.
+
+        Reads the in-CSR in contiguous chunks of ``_GATHER_CHUNK_ARCS``
+        arcs: per chunk one gather of the frontier words at its arc
+        endpoints and one ``np.bitwise_or.reduceat`` over the slices of
+        the vertices with in-arcs (a slice straddling two chunks ORs
+        both partial reductions).  The frontier holds only live lanes,
+        so a vertex that is no candidate gains no fresh bit: the result
+        equals the gather's.
+
+        :mutates next_mask: zeroed, then holds every vertex's fresh
+            words (``reduced & ~seen``).
+        """
+        indptr, indices = self._in.indptr, self._in.indices
+        rows = self._pull_rows
+        next_mask.fill(0)
+        for chunk, (first, last) in enumerate(self._pull_chunks):
+            a = chunk * _GATHER_CHUNK_ARCS
+            ids = rows[first:last]
+            offsets = indptr[ids] - a
+            # The first slice may begin in the previous chunk.
+            offsets[0] = 0
+            words = np.take(frontier, indices[a: a + _GATHER_CHUNK_ARCS])
+            part = np.bitwise_or.reduceat(words, offsets)
+            part[0] |= next_mask[ids[0]]
+            next_mask[ids] = part
+        # next & ~seen, in place: (next | seen) ^ seen.
+        np.bitwise_or(next_mask, seen, out=next_mask)
+        np.bitwise_xor(next_mask, seen, out=next_mask)
+        newly = np.flatnonzero(next_mask)
+        return newly, next_mask[newly], seen[newly]
 
 
 def msengine_for(graph: Any, backward: bool = False) -> MSBFSEngine:

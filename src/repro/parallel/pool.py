@@ -26,11 +26,12 @@ aligned to the planned lane width and enqueues ``(task_id, sources,
 width, traced)`` tuples.  Each worker runs the in-process lane-group
 loop (:func:`repro.graph.batch.lane_groups`) on its chunk and replies
 ``done`` with the chunk's ``int32`` eccentricities, its
-:class:`repro.counters.TraversalCounter` totals and its wall-clock
-seconds.  The parent writes each chunk's eccentricities into the result
-at the offset its ``task_id`` names, merges the totals into the
-caller's counter and emits one ``parallel.batch`` obs span per dispatch
-carrying chunk sizes and per-worker timings.
+:class:`repro.counters.TraversalCounter` totals and history, and its
+wall-clock seconds.  The parent writes each chunk's eccentricities into
+the result at the offset its ``task_id`` names, merges the counters
+into the caller's in ``task_id`` order and emits one
+``parallel.batch`` obs span per dispatch carrying chunk sizes and
+per-worker timings.
 
 When the parent's tracer is live, ``traced`` rides along in every
 task: the worker runs it under a private buffering tracer (a
@@ -45,9 +46,10 @@ an in-process run's events are folded.  A ``workers=N`` run therefore
 produces one merged run record with correct causal nesting; only
 task→worker assignment (the ``worker=`` tag) is scheduling-dependent.
 
-Results and counter totals are identical to the in-process backend:
-workers run the very same loop on the very same CSR bytes with the
-same lane groups, and chunking never reorders the per-source outputs.
+Results, counter totals and history are identical to the in-process
+backend: workers run the very same loop on the very same CSR bytes
+with the same lane groups, and chunking never reorders the per-source
+outputs.
 
 Lifecycle
 ---------
@@ -177,6 +179,7 @@ def _worker_main(
                     worker_id,
                     ecc,
                     counter.totals(),
+                    counter.history,
                     watch.elapsed(),
                     task_sink.events if task_sink is not None else None,
                 )
@@ -373,16 +376,25 @@ class TraversalPool:
         failures: List[str] = []
         worker_seconds: Dict[str, float] = {}
         replies: Dict[int, Tuple[int, np.ndarray, Any]] = {}
-        merged = TraversalCounter()
+        counters: Dict[int, TraversalCounter] = {}
         for _ in range(num_tasks):
             message = self._next_message(timeout=3600.0)
             if message[0] == "error":
                 failures.append(f"worker {message[2]}: {message[3]}")
             elif message[0] == "done":
-                _tag, task_id, worker_id, ecc, totals, seconds, events = (
-                    message
+                (
+                    _tag,
+                    task_id,
+                    worker_id,
+                    ecc,
+                    totals,
+                    history,
+                    seconds,
+                    events,
+                ) = message
+                counters[int(task_id)] = TraversalCounter(
+                    **totals, history=history
                 )
-                merged.merge(TraversalCounter(**totals))
                 key = f"w{worker_id}"
                 worker_seconds[key] = (
                     worker_seconds.get(key, 0.0) + seconds
@@ -394,6 +406,11 @@ class TraversalPool:
             raise ParallelBackendError(
                 "parallel dispatch failed:\n" + "\n".join(failures)
             )
+        # Task order is source order: histories merge as the in-process
+        # loop records them, whichever worker answered first.
+        merged = TraversalCounter()
+        for task_id in sorted(counters):
+            merged.merge(counters[task_id])
         return merged, worker_seconds, replies
 
     @staticmethod

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.result import EccentricityResult, ProgressSnapshot
+from repro.counters import TraversalCounter
 
 
 def make_result(ecc, exact=True, algorithm="TEST"):
@@ -51,6 +52,30 @@ class TestEccentricityResult:
 
     def test_repr_marks_approx(self):
         assert "approx" in repr(make_result([1], exact=False))
+
+
+class TestFromExact:
+    def test_bounds_are_copies_of_the_eccentricities(self):
+        ecc = np.array([2, 3, 3], dtype=np.int32)
+        counter = TraversalCounter(bfs_runs=3)
+        refs = np.array([1], dtype=np.int32)
+        result = EccentricityResult.from_exact(ecc, "T", counter, 0.5, refs)
+        assert result.eccentricities is ecc and result.exact
+        for bound in (result.lower, result.upper):
+            assert bound is not ecc and np.array_equal(bound, ecc)
+            assert bound.dtype == np.int32
+        assert result.reference_nodes is not refs
+        assert result.reference_nodes.tolist() == [1]
+        assert (result.num_bfs, result.counter) == (3, counter)
+        assert result.elapsed_seconds == 0.5 and result.algorithm == "T"
+
+    def test_no_references(self):
+        ecc = np.array([1, 1], dtype=np.int32)
+        result = EccentricityResult.from_exact(
+            ecc, "T", TraversalCounter(), 0.0
+        )
+        assert result.reference_nodes.dtype == np.int32
+        assert result.reference_nodes.size == 0
 
 
 class TestProgressSnapshot:

@@ -78,6 +78,26 @@ class TestEquivalence:
         assert merged.edges_scanned == serial.edges_scanned
         assert merged.edges_inspected == serial.edges_inspected
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("count", [3, 7, 70])
+    def test_counter_history_matches_in_process(self, graph, workers, count):
+        # 3 and 7 sources loop the single-source engine, one history
+        # label per source and several tasks per worker; 70 sweep lanes.
+        sources = np.random.default_rng(count).choice(
+            graph.num_vertices, count, replace=False
+        )
+        local = TraversalCounter()
+        want = ecc_batch(graph, sources, counter=local)
+        pooled = TraversalCounter()
+        got = ecc_batch(
+            graph, sources, pooled, backend="process", workers=workers
+        )
+        assert np.array_equal(got, want)
+        assert pooled.totals() == local.totals()
+        assert pooled.history == local.history
+        if count < 8:
+            assert local.history == [f"bfs:{s}" for s in sources]
+
     def test_empty_sources(self, graph):
         assert _pooled(graph, []).shape == (0,)
 
