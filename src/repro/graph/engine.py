@@ -15,14 +15,22 @@ Compared to the original level-synchronous kernel in
    :class:`~repro.graph.csr.CSR` is frozen (reprolint R1): a cached
    engine can never observe a mutated CSR.
 
-2. **Sort-free frontier dedupe.**  Top-down levels dedupe the
-   discovered neighbors with a boolean bitmap whenever the candidate
-   set is large; tiny frontiers (deep, thin graphs such as grids and
-   paths, where a full ``O(n)`` bitmap scan per level would dominate)
-   use a slot write instead (:func:`distinct_ids`, ``O(f)``).  The
-   second leaves the frontier unsorted, which changes nothing: a
-   level's distance writes, degree sums and bitmap marks do not depend
-   on the order of its vertices.
+2. **Thin levels at frontier cost.**  A top-down level is one fused
+   pass over the frontier's arcs: the out-degrees gathered for the
+   direction decision give the arc slices, the positions come from a
+   pooled ``arange`` prefix, and the unreached endpoints are deduped
+   and marked at their distance in place.  A thin level deduplicates
+   with a slot write (:func:`distinct_ids`, ``O(f)``), so it costs a
+   handful of numpy calls and no ``O(n)`` step; a candidate set of at
+   least ``n / 16`` entries dedupes with a bitmap instead, whose
+   ``O(n)`` scan it amortises.  The slot write leaves the frontier
+   unsorted, which changes nothing: a level's distance writes, degree
+   sums and bitmap marks do not depend on the order of its vertices.
+   Both directions read their arcs ``2^16`` at a time
+   (:meth:`_Kernel._arc_chunks`, shared with the lane engine), so a
+   run's scratch is bounded by the chunk, not by its widest level's
+   arcs; each chunk marks its vertices before the next one reads the
+   distances, so no vertex is fresh twice.
 
 3. **Direction switching.**  On the scale-free, low-diameter graphs the
    paper targets, >90% of edge inspections happen on a few dense middle
@@ -72,6 +80,8 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -123,6 +133,43 @@ _MODES = ("hybrid", "top-down", "bottom-up")
 #: the ``O(f)`` slot write is cheaper (thin frontiers, deep graphs).
 _MASK_DEDUPE_DIVISOR = 16
 
+#: Arcs gathered at once by one level of either kernel.  A level's arc
+#: scratch (positions, endpoints, lane words) is bounded by this many
+#: arcs instead of growing with the frontier's arc mass, so large graphs
+#: traverse without their peak memory growing with arcs.
+_GATHER_CHUNK_ARCS = 1 << 16
+
+#: ``0, 1, ..., _GATHER_CHUNK_ARCS - 1``, read-only: every arc gather
+#: and slot write slices its positions from this prefix instead of
+#: building an ``arange`` per level.
+_POSITIONS = np.arange(_GATHER_CHUNK_ARCS, dtype=np.int64)
+_POSITIONS.setflags(write=False)
+
+#: Gathers of more entries than this use ``ndarray.take``; smaller ones
+#: index.  With ``int64`` ids on numpy 2.4, indexing a few entries costs
+#: about 0.3 us against 0.5 us for ``take``; the two meet at about 500
+#: entries, and ``take`` reads 16k ``uint64`` words in 22 us against 30.
+_TAKE_MIN = 512
+
+
+def _positions(count: int) -> np.ndarray:
+    """``0, 1, ..., count - 1`` as ``int64``, from the pooled prefix when
+    it is long enough; callers never write to it (the prefix is
+    read-only).
+
+    :dtype out: int64
+    """
+    if count <= len(_POSITIONS):
+        return _POSITIONS[:count]
+    return np.arange(count, dtype=np.int64)
+
+
+def _take(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``values[ids]``, by whichever gather is cheaper at ``len(ids)``."""
+    if len(ids) > _TAKE_MIN:
+        return values.take(ids)
+    return values[ids]
+
 
 def distinct_ids(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """The distinct values of ``ids``, in no particular order.
@@ -135,9 +182,33 @@ def distinct_ids(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
     :mutates slot: int64 scratch of length n; ``slot[ids]`` is
         overwritten.
     """
-    positions = np.arange(len(ids), dtype=np.int64)
+    positions = _positions(len(ids))
     slot[ids] = positions
-    return ids[slot[ids] == positions]
+    return ids[_take(slot, ids) == positions]
+
+
+def _gather_slices(
+    indices: np.ndarray, starts: np.ndarray, counts: np.ndarray, total: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The arcs of the slices ``indices[starts[i]: starts[i] + counts[i]]``,
+    concatenated, plus each slice's offset in the result; ``total`` is
+    ``counts.sum()``.  The one arc-position rule of the engines.
+
+    The endpoints come back as ``int64``: numpy indexes with them
+    several times per level, and ``int32`` ids cost a conversion on
+    every small gather (1.6 us against 0.3 us for a few entries).
+
+    :dtype seg_starts: int64
+    :dtype positions: int64
+    :dtype arc_dst: int64
+    """
+    seg_starts = counts.cumsum() - counts
+    if total == 0:
+        return np.empty(0, dtype=np.int64), seg_starts
+    # Out of place: a gather of a frozen CSR array may be read-only.
+    positions = (starts - seg_starts).repeat(counts) + _positions(total)
+    arc_dst = _take(indices, positions).astype(np.int64)
+    return arc_dst, seg_starts
 
 
 def gather_csr_arcs(
@@ -153,18 +224,10 @@ def gather_csr_arcs(
     contiguous) and ``seg_starts[i]`` is the offset of vertex ``i``'s
     slice inside ``neighbors``.  ``counts`` must equal
     ``indptr[vertices + 1] - indptr[vertices]``.
-
-    :dtype positions: int64
     """
-    starts = indptr[vertices]
-    csum = np.cumsum(counts)
-    seg_starts = csum - counts
-    total = int(csum[-1]) if len(csum) else 0
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype), seg_starts
-    offsets = np.repeat(starts - seg_starts, counts)
-    positions = np.arange(total, dtype=np.int64) + offsets
-    return indices[positions], seg_starts
+    return _gather_slices(
+        indices, indptr[vertices], counts, int(counts.sum())
+    )
 
 
 def csr_pair(graph: Any, backward: bool = False) -> Tuple[CSR, CSR]:
@@ -202,10 +265,21 @@ class _Kernel:
     ``fwd``/``bwd`` on a directed graph).  No reference to the graph:
     the kernel cache is keyed weakly by it."""
 
-    __slots__ = ("num_arcs", "_n", "_out", "_in", "_label", "__weakref__")
+    __slots__ = (
+        "num_arcs",
+        "_n",
+        "_out",
+        "_in",
+        "_label",
+        "_chunk_arcs",
+        "__weakref__",
+    )
 
     def __init__(self, graph: Any, backward: bool = False) -> None:
         self._n = graph.num_vertices
+        # Read once, so every level of this kernel (and the lane
+        # engine's dense-pull plan) uses one chunk size.
+        self._chunk_arcs = _GATHER_CHUNK_ARCS
         self._out, self._in = csr_pair(graph, backward)
         #: Arcs of the graph (an undirected edge is two).
         self.num_arcs = self._out.num_arcs
@@ -219,6 +293,57 @@ class _Kernel:
         """Reject a direction mode outside :data:`_MODES`."""
         if mode not in _MODES:
             raise InvalidParameterError(f"unknown BFS mode: {mode!r}")
+
+    def _arc_chunks(
+        self, csr: CSR, vertices: np.ndarray, counts: np.ndarray, total: int
+    ) -> Iterable[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The ``csr`` arcs of ``vertices``, ``_GATHER_CHUNK_ARCS`` at once.
+
+        ``counts`` is ``csr.degrees[vertices]`` and ``total`` its sum.
+        Gives ``(lo, hi, arc_dst, seg_starts, seg_counts)`` per chunk:
+        the chunk covers slices of ``vertices[lo:hi]`` (the first and
+        last possibly cut short, every other one whole), ``arc_dst``
+        lists their arc endpoints and vertex ``lo + i``'s slice starts
+        at ``seg_starts[i]`` and holds ``seg_counts[i]`` arcs.  The two
+        end slices are never empty unless ``vertices`` has no arcs at
+        all, which gives no chunk.  Arcs that fit one chunk come back
+        as a one-element tuple, with no generator.
+        """
+        if total == 0:
+            return ()
+        if total <= self._chunk_arcs:
+            arc_dst, seg_starts = _gather_slices(
+                csr.indices, csr.indptr[vertices], counts, total
+            )
+            return ((0, len(vertices), arc_dst, seg_starts, counts),)
+        return _chunked_arcs(csr, vertices, counts, total, self._chunk_arcs)
+
+
+def _chunked_arcs(
+    csr: CSR, vertices: np.ndarray, counts: np.ndarray, total: int, chunk: int
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """:meth:`_Kernel._arc_chunks` of more than one ``chunk`` of arcs.
+
+    :dtype csum: int64
+    """
+    csum = counts.cumsum()
+    for a in range(0, total, chunk):
+        b = min(a + chunk, total)
+        # Vertex lo holds arc a; vertex hi - 1 holds arc b - 1.
+        lo = int(np.searchsorted(csum, a, side="right"))
+        hi = int(np.searchsorted(csum, b, side="left")) + 1
+        # Owned copies: both are trimmed below, and a gather of the
+        # frozen CSR arrays may still be flagged read-only.
+        seg_counts = counts[lo:hi].copy()
+        starts = csr.indptr[vertices[lo:hi]].copy()
+        head = a - int(csum[lo] - counts[lo])
+        starts[0] += head
+        seg_counts[0] -= head
+        seg_counts[-1] -= int(csum[hi - 1]) - b
+        arc_dst, seg_starts = _gather_slices(
+            csr.indices, starts, seg_counts, b - a
+        )
+        yield lo, hi, arc_dst, seg_starts, seg_counts
 
 
 class BFSEngine(_Kernel):
@@ -334,8 +459,13 @@ class BFSEngine(_Kernel):
         frontier_sizes: List[int] = []
         out_deg, in_deg = self._out.degrees, self._in.degrees
         symmetric = out_deg is in_deg
-        m_frontier = int(out_deg[frontier].sum())
-        m_unvisited = self.num_arcs - int(in_deg[frontier].sum())
+        # The frontier's out-degrees, gathered once per level: they give
+        # m_frontier and the next top-down level's arc slices.
+        counts = out_deg[frontier]
+        m_frontier = int(counts.sum())
+        m_unvisited = self.num_arcs - (
+            m_frontier if symmetric else int(in_deg[frontier].sum())
+        )
         visited = len(frontier)
         level = 0
         hybrid = mode == "hybrid"
@@ -362,29 +492,32 @@ class BFSEngine(_Kernel):
                 elif len(frontier) < n_over_beta:
                     direction = "td"
                     cand = None
-            if direction == "bu" and cand is None:
-                unvisited = np.flatnonzero(self._dist == UNREACHED)
-                cand = unvisited[in_deg[unvisited] > 0]
             if direction == "td":
-                fresh, arcs = self._top_down_level(frontier)
+                fresh, arcs = self._top_down_level(
+                    frontier, counts, m_frontier, level + 1
+                )
                 scanned += arcs
             else:
-                assert cand is not None
-                fresh, arcs, cand = self._bottom_up_level(frontier, cand)
+                if cand is None:
+                    unvisited = np.flatnonzero(dist == UNREACHED)
+                    cand = unvisited[in_deg[unvisited] > 0]
+                fresh, arcs, cand = self._bottom_up_level(
+                    frontier, cand, level + 1
+                )
             inspected += arcs
-            if fresh is None or len(fresh) == 0:
+            if fresh is None:
                 break
             level += 1
-            dist[fresh] = level
             visited += len(fresh)
+            counts = out_deg[fresh]
             prev_m_frontier = m_frontier
-            m_frontier = int(out_deg[fresh].sum())
+            m_frontier = int(counts.sum())
             m_unvisited -= (
                 m_frontier if symmetric else int(in_deg[fresh].sum())
             )
             directions.append(direction)
             frontier_sizes.append(len(fresh))
-            frontier = fresh.astype(np.int64, copy=False)
+            frontier = fresh
         self.last_ecc = level
         if counter is not None:
             counter.record(
@@ -413,54 +546,80 @@ class BFSEngine(_Kernel):
         return dist
 
     def _top_down_level(
-        self, frontier: np.ndarray
+        self, frontier: np.ndarray, counts: np.ndarray, arcs: int, level: int
     ) -> Tuple[Optional[np.ndarray], int]:
-        """Expand the frontier's out-arcs; return (new frontier, arcs)."""
-        dist = self._dist
-        out = self._out
-        neighbors, _seg = gather_csr_arcs(
-            out.indptr, out.indices, frontier, out.degrees[frontier]
-        )
-        arcs = len(neighbors)
-        if arcs == 0:
-            return None, 0
-        cand = neighbors[dist[neighbors] == UNREACHED]
-        if len(cand) == 0:
+        """Expand the frontier's out-arcs and mark what they first reach.
+
+        ``counts`` holds the frontier's out-degrees and ``arcs`` their
+        sum.  Returns ``(fresh, arcs)``: the vertices first reached, now
+        at distance ``level`` (None if there are none), and the arcs
+        scanned.  Each chunk of arcs marks its vertices before the next
+        chunk reads ``dist``, so a vertex is fresh in one chunk only.
+        """
+        parts = [
+            self._mark_unreached(arc_dst, level)
+            for _lo, _hi, arc_dst, _seg, _counts in self._arc_chunks(
+                self._out, frontier, counts, arcs
+            )
+        ]
+        if len(parts) > 1:
+            parts = [np.concatenate(parts)]
+        if not parts or len(parts[0]) == 0:
             return None, arcs
+        return parts[0], arcs
+
+    def _mark_unreached(self, targets: np.ndarray, level: int) -> np.ndarray:
+        """The distinct unreached ``targets``, now at distance ``level``.
+
+        A thin candidate set dedupes with a slot write (``O(len)``); one
+        of at least ``n / _MASK_DEDUPE_DIVISOR`` entries with the
+        bitmap, whose ``O(n)`` scan it amortises.
+
+        :dtype fresh: int64
+        """
+        dist = self._dist
+        cand = targets[_take(dist, targets) == UNREACHED]
         if len(cand) * _MASK_DEDUPE_DIVISOR >= self._n:
-            # Dense level: bitmap dedupe, O(len(cand) + n), no sort.
             mask = self._dedupe_mask
             mask[cand] = True
-            fresh = np.flatnonzero(mask).astype(np.int64)
+            fresh = np.flatnonzero(mask)
             mask[fresh] = False
-            return fresh, arcs
-        # Thin level: a slot write is cheaper than scanning the bitmap.
-        return distinct_ids(cand, self._slot), arcs
+        else:
+            fresh = distinct_ids(cand, self._slot)
+        dist[fresh] = level
+        return fresh
 
     def _bottom_up_level(
-        self, frontier: np.ndarray, cand: np.ndarray
+        self, frontier: np.ndarray, cand: np.ndarray, level: int
     ) -> Tuple[Optional[np.ndarray], int, np.ndarray]:
         """Unvisited vertices probe the frontier bitmap over their in-arcs.
 
-        Returns ``(fresh, arcs inspected, surviving candidates)``.
+        Returns ``(fresh, arcs inspected, surviving candidates)``; the
+        fresh vertices (None if there are none) are now at distance
+        ``level``.  The candidates' in-arcs are read one chunk at a
+        time; a candidate whose arcs straddle two chunks ORs both.
         """
         if len(cand) == 0:
             return None, 0, cand
         mask = self._frontier_mask
         mask[frontier] = True
         in_csr = self._in
-        arc_dst, seg_starts = gather_csr_arcs(
-            in_csr.indptr, in_csr.indices, cand, in_csr.degrees[cand]
-        )
-        hits = mask[arc_dst]
-        # counts > 0 for every candidate, so reduceat segments are
-        # non-empty and aligned with `cand`.
-        found = np.logical_or.reduceat(hits, seg_starts)
+        counts = in_csr.degrees[cand]
+        arcs = int(counts.sum())
+        found = np.zeros(len(cand), dtype=np.bool_)
+        for lo, hi, arc_dst, seg_starts, _counts in self._arc_chunks(
+            in_csr, cand, counts, arcs
+        ):
+            # counts > 0 for every candidate, so reduceat segments are
+            # non-empty and aligned with `cand`.
+            hits = np.logical_or.reduceat(_take(mask, arc_dst), seg_starts)
+            found[lo:hi] |= hits
         mask[frontier] = False
         fresh = cand[found]
         if len(fresh) == 0:
-            return None, len(arc_dst), cand
-        return fresh.astype(np.int64, copy=False), len(arc_dst), cand[~found]
+            return None, arcs, cand
+        self._dist[fresh] = level
+        return fresh, arcs, cand[~found]
 
 
 # The kernels of each live graph, by (kernel class, direction); the

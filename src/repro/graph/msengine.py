@@ -20,7 +20,12 @@ Level update, on ``(n,)`` ``uint64`` bitmaps:
 * **top-down** — gather the out-arcs of every active vertex and OR
   the packed frontier words onto the targets
   (``next[v] |= frontier[u]`` for every arc ``u -> v``), then mask
-  with ``~seen``;
+  with ``~seen``.  A level whose arcs fit one gather chunk runs fused,
+  at frontier cost: it ORs the words the sweep already holds for the
+  active vertices (the previous level's fresh bits), dedupes the
+  targets with a slot write into ``next``'s own words, and reads and
+  re-zeroes ``next`` at those targets only — no ``O(n)`` fill, ``~seen``
+  or scan.  A wider level ORs chunk by chunk and scans all n once;
 * **bottom-up** — every vertex still missing a live lane OR-reduces
   its in-neighbors' frontier words over its in-CSR slice
   (``np.bitwise_or.reduceat``); fresh bits are ``reduced & ~seen[v]``.
@@ -57,15 +62,23 @@ records.  :meth:`MSBFSEngine.run_batch` records every vertex (whole
 distance rows), :meth:`MSBFSEngine.ecc_batch` none, and
 :meth:`MSBFSEngine.column_batch` a given sorted list of targets — the
 solver's unresolved vertices.  Eccentricities come for free: a lane's
-is the last level at which it gained fresh bits, and the visited count
-is the popcount of the ``seen`` bitmap.  Each level reads its arcs
-``2^16`` at a time, in either direction and either pull form, so its
-arc scratch does not grow with the graph's arcs.
+is the last level at which it gained fresh bits, so it is the number
+of levels whose live-lane word holds it, counted once after the sweep;
+the visited count is the popcount of the ``seen`` bitmap.  Each level
+reads its arcs ``2^16`` at a time, in either direction and either pull
+form (the chunk rule is :meth:`~repro.graph.engine._Kernel._arc_chunks`,
+shared with the single-source engine), so its arc scratch does not
+grow with the graph's arcs.
+
+The ``next`` bitmap is scratch that is all-zero on entry to every
+level: :meth:`_MSWorkspace.reset` zeroes it once per sweep, and every
+level form (fused or chunked top-down, gathered or dense pull) restores
+it before returning, zeroing only the words it left set.
 
 Distances are recorded bit-sliced: at level ``L`` the fresh lane words
 of the reached targets are OR-ed into plane ``b`` for every set bit
-``b`` of ``L``, and the planes are decoded into the ``(k,
-len(targets))`` ``int32`` block once, after the sweep.  So a column
+``b`` of ``L`` (read off ``bin(L)``), and the planes are decoded into
+the ``(k, len(targets))`` ``int32`` block once, after the sweep.  So a column
 sweep's scratch is about ``ceil(log2(ecc + 1)) * len(targets)`` words
 plus the output block, and no level unpacks a lane.
 
@@ -99,7 +112,6 @@ import sys
 from typing import (
     TYPE_CHECKING,
     Any,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -110,13 +122,13 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import InvalidParameterError
-from repro.graph.csr import CSR
 from repro.graph.engine import (
     ALPHA,
     BETA,
     _Kernel,
     _kernel_for,
     as_vertex_ids,
+    distinct_ids,
 )
 from repro.obs.trace import get_tracer
 
@@ -140,12 +152,6 @@ LANE_WORD_BITS = 64
 #: one-lane sweep costs 3.7-9.3x a single-source run (EXPERIMENTS.md,
 #: "Forks kept").
 _SERIAL_BATCH_LIMIT = 8
-
-#: Arcs gathered at once by one level of a sweep.  A level's arc
-#: scratch (positions, endpoints, repeated lane words) is bounded by
-#: this many arcs instead of growing with the frontier's arc mass, so
-#: large graphs can batch without their peak memory growing with arcs.
-_GATHER_CHUNK_ARCS = 1 << 16
 
 #: A bottom-up level whose candidates hold at least this share of the
 #: graph's in-arcs pulls densely: it reads the whole in-CSR, one chunk
@@ -228,6 +234,17 @@ def _popcount(words: np.ndarray) -> int:
     return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum())
 
 
+def _set_bits(value: int) -> np.ndarray:
+    """The set bits of ``value``, ascending, as an ``(count, 1)`` column
+    of plane indices: read off ``bin(value)``, with no ``(bits,)``
+    arange to shift and scan.
+
+    :dtype bits: int64
+    """
+    bits = [b for b, c in enumerate(reversed(bin(value))) if c == "1"]
+    return np.array(bits, dtype=np.int64)[:, None]
+
+
 def _unpack_lane_bits(words: np.ndarray) -> np.ndarray:
     """``(len(words), 64)`` ``uint8`` 0/1 matrix of packed lane words.
 
@@ -303,19 +320,25 @@ class MSBFSEngine(_Kernel):
         super().__init__(graph, backward)
         self._work = _MSWorkspace(self._n)
         # The dense pull's plan: the vertices with in-arcs, ascending,
-        # and per chunk of _GATHER_CHUNK_ARCS in-arcs the slice of them
-        # whose arcs it holds.  Chunk c holds arcs [c * chunk, (c + 1) *
-        # chunk) of the in-CSR; a slice that straddles two chunks is
-        # listed in both.
+        # and per chunk of _GATHER_CHUNK_ARCS in-arcs its arc range
+        # [lo, hi) of the in-CSR and the slice of them whose arcs it
+        # holds; a slice that straddles two chunks is listed in both.
         in_csr = self._in
         rows = np.flatnonzero(in_csr.degrees)
         starts = in_csr.indptr[rows]
-        chunk_lo = np.arange(0, in_csr.num_arcs, _GATHER_CHUNK_ARCS)
-        chunk_hi = np.minimum(chunk_lo + _GATHER_CHUNK_ARCS, in_csr.num_arcs)
+        chunk_lo = np.arange(0, in_csr.num_arcs, self._chunk_arcs)
+        chunk_hi = np.minimum(chunk_lo + self._chunk_arcs, in_csr.num_arcs)
         first = np.searchsorted(starts, chunk_lo, side="right") - 1
         last = np.searchsorted(starts, chunk_hi, side="left")
         self._pull_rows = rows
-        self._pull_chunks = list(zip(first.tolist(), last.tolist()))
+        self._pull_chunks = list(
+            zip(
+                chunk_lo.tolist(),
+                chunk_hi.tolist(),
+                first.tolist(),
+                last.tolist(),
+            )
+        )
 
     # ------------------------------------------------------------------
     # The sweep
@@ -470,7 +493,6 @@ class MSBFSEngine(_Kernel):
             col_of = np.full(n, -1, dtype=np.int64)
             col_of[targets] = np.arange(num_cols, dtype=np.int64)
         planes = np.zeros((0, num_cols), dtype=np.uint64)
-        eccs = np.zeros(k, dtype=np.int32)
         work.reset()
         seen = work.seen
         frontier = work.frontier
@@ -480,9 +502,18 @@ class MSBFSEngine(_Kernel):
         np.bitwise_or.at(seen, src, lane_bits)
 
         out_deg, in_deg = self._out.degrees, self._in.degrees
+        symmetric = out_deg is in_deg
         # The distinct sources, sorted: np.unique would also import
         # numpy.ma on its first call in a process.
         active = np.flatnonzero(frontier)
+        # The frontier: its vertices, their lane words and out-degrees
+        # (gathered once per level: they give m_frontier and the next
+        # top-down level's arc slices).  The frontier bitmap is written
+        # only when a bottom-up level reads it; `posted` is the vertex
+        # list it holds.
+        words = frontier[active]
+        counts = out_deg[active]
+        posted = active
         # The sweep's record: arc and bitmap-word totals and, per level,
         # the direction, the lanes still live entering it and the
         # vertices holding a fresh lane bit.
@@ -490,7 +521,7 @@ class MSBFSEngine(_Kernel):
         directions: List[str] = []
         live_lanes: List[int] = []
         frontier_sizes: List[int] = []
-        m_frontier = int(out_deg[active].sum())
+        m_frontier = int(counts.sum())
         m_unvisited = self.num_arcs - int(in_deg[active].sum())
         prev_m_frontier = 0
         m_checked = 0
@@ -498,10 +529,11 @@ class MSBFSEngine(_Kernel):
         direction = "bu" if mode == "bottom-up" else "td"
         n_over_beta = n / BETA
         level = 0
-        # The frontier words are exactly the previous level's fresh bits,
-        # so the live-lane word is maintained incrementally instead of
-        # re-gathering frontier[active] every level.
-        live = np.bitwise_or.reduce(frontier[active])
+        # The lanes holding frontier bits: the OR of the frontier words.
+        # A lane is live exactly at the levels up to its eccentricity,
+        # so the per-level words give every eccentricity after the sweep.
+        live = np.bitwise_or.reduce(words)
+        lives: List[int] = []
         num_live = k
         while active.size:
             if hybrid:
@@ -540,56 +572,58 @@ class MSBFSEngine(_Kernel):
                     direction = "td"
             if direction == "td":
                 newly, new_bits, seen_rows, arcs = self._top_down_level(
-                    active, frontier, seen, next_mask
+                    active, words, counts, m_frontier, seen, next_mask
                 )
                 scanned += arcs
             else:
+                if posted is not active:
+                    frontier[posted] = 0
+                    frontier[active] = words
+                    posted = active
                 newly, new_bits, seen_rows, arcs = self._bottom_up_level(
                     frontier, seen, live, next_mask
                 )
             inspected += arcs
             touched += len(active) + arcs
-            if newly is None or new_bits is None or len(newly) == 0:
+            if newly is None or new_bits is None or seen_rows is None:
                 break
             level += 1
             directions.append(direction)
             live_lanes.append(num_live)
             frontier_sizes.append(len(newly))
+            counts = out_deg[newly]
             # First-touch accounting must precede the seen update: a
             # vertex leaves the "unvisited" arc mass the first time any
             # lane reaches it.
-            assert seen_rows is not None
             untouched = seen_rows == 0
-            m_unvisited -= int(in_deg[newly[untouched]].sum())
-            np.bitwise_or(seen_rows, new_bits, out=seen_rows)
-            seen[newly] = seen_rows
+            in_counts = counts if symmetric else in_deg[newly]
+            m_unvisited -= int(in_counts[untouched].sum())
+            seen[newly] = seen_rows | new_bits
             # Record the level on the target rows only: OR their fresh
             # words into the plane of every set bit of the level.  Fresh
             # bits are & ~seen by construction, so each cell's bits all
             # come from the one level that first reached it.
             if num_cols:
                 if col_of is None:
-                    rows, words = newly, new_bits
+                    rows, fresh = newly, new_bits
                 else:
                     rows = col_of[newly]
                     hit = rows >= 0
-                    rows, words = rows[hit], new_bits[hit]
+                    rows, fresh = rows[hit], new_bits[hit]
                 if level >> len(planes):  # a power of two: one bit more
                     planes = np.vstack((planes, np.zeros(num_cols, np.uint64)))
-                set_bits = np.flatnonzero(level >> np.arange(len(planes)) & 1)
-                planes[set_bits[:, None], rows] |= words
-            # The frontier is exactly the fresh bits of this level:
-            # clear the old active rows, write the new ones.
-            frontier[active] = 0
-            frontier[newly] = new_bits
+                planes[_set_bits(level), rows] |= fresh
             live = np.bitwise_or.reduce(new_bits)
-            # A lane's eccentricity is the last level it gained bits at.
-            fresh_lanes = (live & lane_bits) != 0
-            eccs[fresh_lanes] = level
-            num_live = int(np.count_nonzero(fresh_lanes))
+            lives.append(int(live))
+            num_live = bin(lives[-1]).count("1")
             prev_m_frontier = m_frontier
-            m_frontier = int(out_deg[newly].sum())
-            active = newly
+            m_frontier = int(counts.sum())
+            active, words = newly, new_bits
+        # Lane i is live at levels 1..ecc_i and at no later one.
+        eccs = (
+            _unpack_lane_bits(np.array(lives, dtype=np.uint64))
+            .sum(axis=0, dtype=np.int32)[:k]
+        )
         if counter is not None:
             # Every (vertex, lane) pair reached holds one bit of `seen`.
             visited = _popcount(seen)
@@ -624,77 +658,86 @@ class MSBFSEngine(_Kernel):
         # Consumers get the source-major convention of the seed kernel.
         return eccs, _decode_planes(planes, reached, k)
 
-    @staticmethod
-    def _arc_chunks(
-        csr: CSR, vertices: np.ndarray
-    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        """The ``csr`` arcs of ``vertices``, ``_GATHER_CHUNK_ARCS`` at once.
-
-        Yields ``(lo, hi, arc_dst, seg_starts, seg_counts)`` per chunk:
-        the chunk covers slices of ``vertices[lo:hi]`` (the first and
-        last possibly cut short, every other one whole), ``arc_dst`` lists
-        their arc endpoints and vertex ``lo + i``'s slice starts at
-        ``seg_starts[i]`` and holds ``seg_counts[i]`` arcs.  The two end
-        slices are never empty.
-
-        :dtype csum: int64
-        :dtype positions: int64
-        """
-        counts = csr.degrees[vertices]
-        csum = np.cumsum(counts)
-        total = int(csum[-1]) if len(csum) else 0
-        for a in range(0, total, _GATHER_CHUNK_ARCS):
-            b = min(a + _GATHER_CHUNK_ARCS, total)
-            # Vertex lo holds arc a; vertex hi - 1 holds arc b - 1.
-            lo = int(np.searchsorted(csum, a, side="right"))
-            hi = int(np.searchsorted(csum, b, side="left")) + 1
-            # Owned copies: both are trimmed below, and a gather of the
-            # frozen CSR arrays may still be flagged read-only.
-            seg_counts = counts[lo:hi].copy()
-            starts = csr.indptr[vertices[lo:hi]].copy()
-            head = a - int(csum[lo] - counts[lo])
-            starts[0] += head
-            seg_counts[0] -= head
-            seg_counts[-1] -= int(csum[hi - 1]) - b
-            seg_starts = np.cumsum(seg_counts) - seg_counts
-            positions = np.repeat(starts - seg_starts, seg_counts)
-            positions += np.arange(b - a, dtype=np.int64)
-            yield lo, hi, csr.indices[positions], seg_starts, seg_counts
-
     def _top_down_level(
         self,
         active: np.ndarray,
-        frontier: np.ndarray,
+        words: np.ndarray,
+        counts: np.ndarray,
+        arcs: int,
         seen: np.ndarray,
         next_mask: np.ndarray,
     ) -> Tuple[
         Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
     ]:
-        """Expand every active vertex's out-arcs, OR-ing lane words onto
-        the targets, one arc chunk at a time.
+        """OR every active vertex's lane word onto its out-arcs' targets.
 
-        Returns ``(newly, new_bits, seen_rows, arcs scanned)`` where
+        ``words`` are the active vertices' frontier words, ``counts``
+        their out-degrees and ``arcs`` the degrees' sum.  Returns
+        ``(newly, new_bits, seen_rows, arcs scanned)`` where
         ``new_bits[i]`` holds the lanes that first reached ``newly[i]``
-        and ``seen_rows`` the pre-update ``seen`` words of
-        ``newly`` — both fresh copies, never views of the pooled bitmap.
+        and ``seen_rows`` the pre-update ``seen`` words of ``newly`` —
+        both fresh copies, never views of the pooled bitmap; the first
+        three are None if no lane reached a new vertex.
 
-        :mutates next_mask: zeroed, then accumulates the OR'd words.
+        Arcs that fit one gather chunk run fused at frontier cost: the
+        distinct targets come from a slot write into ``next_mask``'s
+        own words, and only they are read and zeroed.  More arcs run
+        chunk by chunk and scan all n words once (:meth:`_spread`).
+
+        :mutates next_mask: scratch, all-zero on entry and on return.
         """
-        next_mask.fill(0)
-        arcs = 0
-        for lo, hi, arc_dst, _seg, seg_counts in self._arc_chunks(
-            self._out, active
-        ):
-            arc_masks = np.repeat(frontier[active[lo:hi]], seg_counts)
-            np.bitwise_or.at(next_mask, arc_dst, arc_masks)
-            arcs += len(arc_dst)
+        if arcs > self._chunk_arcs:
+            return self._spread(active, words, counts, arcs, seen, next_mask)
         if arcs == 0:
             return None, None, None, 0
-        np.bitwise_and(next_mask, ~seen, out=next_mask)
+        ((_lo, _hi, arc_dst, _seg, _counts),) = self._arc_chunks(
+            self._out, active, counts, arcs
+        )
+        targets = distinct_ids(arc_dst, next_mask.view(np.int64))
+        next_mask[targets] = 0
+        np.bitwise_or.at(next_mask, arc_dst, words.repeat(counts))
+        reached = next_mask[targets]
+        next_mask[targets] = 0
+        seen_rows = seen[targets]
+        fresh_bits = reached & ~seen_rows
+        rows = fresh_bits != 0
+        newly = targets[rows]
+        if len(newly) == 0:
+            return None, None, None, arcs
+        return newly, fresh_bits[rows], seen_rows[rows], arcs
+
+    def _spread(
+        self,
+        active: np.ndarray,
+        words: np.ndarray,
+        counts: np.ndarray,
+        arcs: int,
+        seen: np.ndarray,
+        next_mask: np.ndarray,
+    ) -> Tuple[
+        Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
+    ]:
+        """:meth:`_top_down_level` of more than one gather chunk.
+
+        Each chunk ORs its arcs' words into ``next_mask``; the fresh
+        words are then ``next & ~seen``, found with one scan of all n.
+
+        :mutates next_mask: scratch, all-zero on entry and on return.
+        """
+        for lo, hi, arc_dst, _seg, seg_counts in self._arc_chunks(
+            self._out, active, counts, arcs
+        ):
+            arc_words = words[lo:hi].repeat(seg_counts)
+            np.bitwise_or.at(next_mask, arc_dst, arc_words)
+        # next & ~seen, in place: (next | seen) ^ seen.
+        np.bitwise_or(next_mask, seen, out=next_mask)
+        np.bitwise_xor(next_mask, seen, out=next_mask)
         newly = np.flatnonzero(next_mask)
         if len(newly) == 0:
             return None, None, None, arcs
-        return newly, next_mask[newly], seen[newly], arcs
+        new_bits = next_mask[newly]
+        next_mask[newly] = 0
+        return newly, new_bits, seen[newly], arcs
 
     def _bottom_up_level(
         self,
@@ -717,23 +760,25 @@ class MSBFSEngine(_Kernel):
         many arcs; any other gathers the candidates' arcs
         (:meth:`_gather_pull`).  Both give the same words.
 
-        :mutates next_mask: scratch; holds the candidate words, then
-            (dense pull) the level's fresh words.
+        :mutates next_mask: scratch, all-zero on entry and on return;
+            holds the candidate words, then (dense pull) the level's
+            fresh words.
         """
         # Candidates: ~seen & live, computed in the pooled scratch so
         # that no level allocates an (n,) array.
         np.bitwise_not(seen, out=next_mask)
         np.bitwise_and(next_mask, live, out=next_mask)
-        cand = np.flatnonzero(next_mask)
-        degrees = self._in.degrees[cand]
-        cand = cand[degrees > 0]
+        missing = np.flatnonzero(next_mask)
+        next_mask[missing] = 0
+        degrees = self._in.degrees[missing]
+        cand = missing[degrees > 0]
         if len(cand) == 0:
             return None, None, None, 0
         arcs = int(degrees.sum())
         if arcs >= _DENSE_PULL_SHARE * self.num_arcs:
             pulled = self._dense_pull(frontier, seen, next_mask)
         else:
-            pulled = self._gather_pull(frontier, seen, cand)
+            pulled = self._gather_pull(frontier, seen, cand, arcs)
         newly, new_bits, seen_rows = pulled
         if len(newly) == 0:
             return None, None, None, arcs
@@ -744,8 +789,10 @@ class MSBFSEngine(_Kernel):
         frontier: np.ndarray,
         seen: np.ndarray,
         cand: np.ndarray,
+        arcs: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(newly, new_bits, seen_rows)`` of the candidates ``cand``.
+        """``(newly, new_bits, seen_rows)`` of the candidates ``cand``,
+        whose in-arcs number ``arcs``.
 
         Gathers the candidates' in-arcs by position, one chunk at a
         time (:meth:`_arc_chunks`); a candidate whose arcs straddle two
@@ -753,12 +800,10 @@ class MSBFSEngine(_Kernel):
         """
         reduced = np.zeros(len(cand), dtype=np.uint64)
         for lo, hi, arc_dst, seg_starts, _counts in self._arc_chunks(
-            self._in, cand
+            self._in, cand, self._in.degrees[cand], arcs
         ):
             # Candidates have arcs, so every segment is non-empty.
-            part = np.bitwise_or.reduceat(
-                np.take(frontier, arc_dst), seg_starts
-            )
+            part = np.bitwise_or.reduceat(frontier.take(arc_dst), seg_starts)
             np.bitwise_or(reduced[lo:hi], part, out=reduced[lo:hi])
         seen_cand = seen[cand]
         fresh_bits = reduced & ~seen_cand
@@ -782,19 +827,17 @@ class MSBFSEngine(_Kernel):
         so a vertex that is no candidate gains no fresh bit: the result
         equals the gather's.
 
-        :mutates next_mask: zeroed, then holds every vertex's fresh
-            words (``reduced & ~seen``).
+        :mutates next_mask: scratch, all-zero on entry and on return;
+            holds every vertex's reduced words in between.
         """
         indptr, indices = self._in.indptr, self._in.indices
         rows = self._pull_rows
-        next_mask.fill(0)
-        for chunk, (first, last) in enumerate(self._pull_chunks):
-            a = chunk * _GATHER_CHUNK_ARCS
+        for a, b, first, last in self._pull_chunks:
             ids = rows[first:last]
             offsets = indptr[ids] - a
             # The first slice may begin in the previous chunk.
             offsets[0] = 0
-            words = np.take(frontier, indices[a: a + _GATHER_CHUNK_ARCS])
+            words = np.take(frontier, indices[a:b])
             part = np.bitwise_or.reduceat(words, offsets)
             part[0] |= next_mask[ids[0]]
             next_mask[ids] = part
@@ -802,7 +845,9 @@ class MSBFSEngine(_Kernel):
         np.bitwise_or(next_mask, seen, out=next_mask)
         np.bitwise_xor(next_mask, seen, out=next_mask)
         newly = np.flatnonzero(next_mask)
-        return newly, next_mask[newly], seen[newly]
+        new_bits = next_mask[newly]
+        next_mask[newly] = 0
+        return newly, new_bits, seen[newly]
 
 
 def msengine_for(graph: Any, backward: bool = False) -> MSBFSEngine:

@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "COLUMN_OVERHEAD_LIMIT",
     "Finding",
+    "GRID_SPEEDUP_FLOOR",
     "Headline",
     "check_artifact",
     "check_paths",
@@ -59,6 +60,12 @@ DEFAULT_TOLERANCE = 0.5
 #: (``BENCH_msbfs_engine.json``'s BA-2k column row).  Per-level column
 #: recording read 4.4x; bit-sliced recording about 1.6x.
 COLUMN_OVERHEAD_LIMIT = 3.0
+
+#: Least speedup of the hybrid single-source engine over the seed kernel
+#: on the full ladder's grid, where every level is thin and per-level
+#: fixed costs decide (0.83x before top-down levels ran at frontier
+#: cost, 1.30x and 1.57x in two full runs after).
+GRID_SPEEDUP_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,18 @@ def _extract_bfs_engine(
                 f"power-law graph (target {target:g}x)",
             )
         )
+    if doc.get("mode") == "full":
+        for g in doc.get("graphs", []):
+            if g.get("family") == "grid" and "speedup_hybrid_vs_seed" in g:
+                grid = float(g["speedup_hybrid_vs_seed"])
+                findings.append(
+                    _claim(
+                        artifact,
+                        grid >= GRID_SPEEDUP_FLOOR,
+                        f"hybrid engine {grid:.2f}x vs seed on {g['name']} "
+                        f"(floor {GRID_SPEEDUP_FLOOR:g}x)",
+                    )
+                )
     return headlines, findings
 
 

@@ -7,6 +7,7 @@ reuse.  The seed kernel is reproduced verbatim here as the oracle.
 """
 
 import gc
+import tracemalloc
 import weakref
 from collections import deque
 
@@ -19,6 +20,7 @@ from repro.core.ifecc import compute_eccentricities
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.batch import ecc_batch
 from repro.graph.csr import Graph
+from repro.graph import engine as engine_module
 from repro.graph.engine import BFSEngine, engine_for
 from repro.graph.generators import (
     barabasi_albert,
@@ -360,3 +362,32 @@ def test_engine_caches_do_not_pin_graphs(touch):
     gc.collect()
     assert ref() is None
 
+
+
+class TestScratchBound:
+    """A run's scratch is bounded by the gather chunk plus a few
+    length-n arrays, not by the arcs of its widest level."""
+
+    @staticmethod
+    def _peak_bytes(call):
+        call()  # warm: any lazily built state exists before measuring
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_peak_independent_of_arcs(self, mode):
+        graph = barabasi_albert(8192, 32, seed=2)
+        n = graph.num_vertices
+        assert len(graph.indices) >= 1 << 18
+        engine = BFSEngine(graph)
+        # One chunk's arc scratch is at most six 8-byte arrays
+        # (positions and their offsets, endpoints, gathered values,
+        # candidates), plus a few length-n level arrays.
+        bound = 48 * engine_module._GATHER_CHUNK_ARCS + 32 * n
+        peak = self._peak_bytes(lambda: engine.run(0, mode=mode))
+        assert peak < bound, peak

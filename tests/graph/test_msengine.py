@@ -18,6 +18,7 @@ from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.builder import GraphBuilder
 from repro.graph import batch_distance_rows, msengine
+from repro.graph import engine as engine_module
 from repro.graph.batch import ecc_batch
 from repro.graph.engine import BFSEngine
 from repro.directed.graph import DirectedGraph
@@ -133,7 +134,7 @@ class TestEccBatch:
 def chunked():
     """More arcs than one gather chunk: every full level splits."""
     graph = barabasi_albert(4096, 10, seed=3)
-    assert len(graph.indices) > msengine._GATHER_CHUNK_ARCS
+    assert len(graph.indices) > engine_module._GATHER_CHUNK_ARCS
     return graph
 
 
@@ -234,7 +235,7 @@ class TestColumnBatch:
     @pytest.mark.parametrize("mode", ["hybrid", "top-down", "bottom-up"])
     def test_hub_slice_split_across_chunks(self, mode):
         # The hub's arcs alone span several chunks, in both directions.
-        graph = star_graph(3 * msengine._GATHER_CHUNK_ARCS)
+        graph = star_graph(3 * engine_module._GATHER_CHUNK_ARCS)
         src = np.array([0, 1, 2, 5000, graph.num_vertices - 1])
         rows = MSBFSEngine(graph).run_batch(src, mode=mode)
         loop = BFSEngine(graph)
@@ -433,7 +434,7 @@ class TestScratchBound:
         # One chunk's arc scratch is at most six 8-byte arrays (gather
         # positions and their offsets, endpoints, repeated lane words,
         # the reduction), plus a few length-n level arrays.
-        bound = 48 * msengine._GATHER_CHUNK_ARCS + 32 * n
+        bound = 48 * engine_module._GATHER_CHUNK_ARCS + 32 * n
         peaks = {}
         for lanes in (8, 64):
             src = rng.choice(n, lanes, replace=False)

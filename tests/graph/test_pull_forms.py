@@ -17,13 +17,14 @@ import pytest
 
 from repro.counters import TraversalCounter
 from repro.directed.graph import DirectedGraph
+from repro.graph import engine as engine_module
 from repro.graph import msengine
 from repro.graph.builder import GraphBuilder
 from repro.graph.engine import BFSEngine
 from repro.graph.generators import barabasi_albert, star_graph
 from repro.graph.msengine import MSBFSEngine
 
-CHUNK = msengine._GATHER_CHUNK_ARCS
+CHUNK = engine_module._GATHER_CHUNK_ARCS
 
 #: The committed share, every bottom-up level dense, none dense.
 SHARES = (msengine._DENSE_PULL_SHARE, 0.0, 2.0)

@@ -13,6 +13,7 @@ import pytest
 from repro.obs.benchguard import (
     COLUMN_OVERHEAD_LIMIT,
     DEFAULT_TOLERANCE,
+    GRID_SPEEDUP_FLOOR,
     Finding,
     Headline,
     check_artifact,
@@ -51,6 +52,22 @@ def _msbfs_doc(ecc_speedup=3.0, rows_speedup=3.0):
             "powerlaw_speedup_ecc_vs_loop": ecc_speedup,
             "powerlaw_speedup_rows_vs_loop": rows_speedup,
         },
+    }
+
+
+def _bfs_doc(grid_speedup, mode="full"):
+    return {
+        "schema": "bench_bfs_engine/v1",
+        "mode": mode,
+        "target_speedup": 1.5,
+        "graphs": [
+            {
+                "name": "grid-250x200",
+                "family": "grid",
+                "speedup_hybrid_vs_seed": grid_speedup,
+            }
+        ],
+        "aggregate": {"powerlaw_speedup_hybrid_vs_seed": 3.0},
     }
 
 
@@ -106,6 +123,20 @@ class TestCheckEdgeCases:
         assert len(claims) == 1
         assert claims[0].failed is failed
         assert f"limit {COLUMN_OVERHEAD_LIMIT:g}x" in claims[0].message
+
+    @pytest.mark.parametrize("speedup, failed", [(1.3, False), (0.8, True)])
+    def test_grid_speedup_claim(self, tmp_path, speedup, failed):
+        path = _write(tmp_path, "BENCH_bfs_engine.json", _bfs_doc(speedup))
+        claims = [f for f in check_artifact(path) if "grid" in f.message]
+        assert len(claims) == 1
+        assert claims[0].failed is failed
+        assert f"floor {GRID_SPEEDUP_FLOOR:g}x" in claims[0].message
+
+    def test_grid_claim_skips_smoke_ladder(self, tmp_path):
+        # The smoke ladder's grid is too small to gate a per-level cost.
+        doc = _bfs_doc(0.8, mode="smoke")
+        path = _write(tmp_path, "BENCH_bfs_engine.json", doc)
+        assert not [f for f in check_artifact(path) if "grid" in f.message]
 
     def test_obs_overhead_budget_claim(self, tmp_path):
         doc = {
