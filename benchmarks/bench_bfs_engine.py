@@ -7,7 +7,10 @@ faithful copy of the seed level-synchronous kernel (per-run allocation,
 generator suite (paper example, random power-law, grid, star).  Writes
 machine-readable ``BENCH_bfs_engine.json`` at the repository root with
 per-run top-down/bottom-up level counts, direction switches and
-edges-inspected counts, so Figure 8-style runtime claims are auditable.  Alongside it the suite writes
+edges-inspected counts, so Figure 8-style runtime claims are auditable.
+The three kernels take turns within each of :data:`ROUNDS` timing
+rounds, and each row reports every kernel's median round (the rounds
+themselves are kept in ``round_seconds``).  Alongside it the suite writes
 ``BENCH_trace_ifecc.jsonl`` — a structured :mod:`repro.obs.record` run
 record of one traced IFECC run on the power-law graph — so every perf
 PR carries a replayable probe-by-probe account, not just aggregates.
@@ -49,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -84,6 +88,11 @@ TARGET_SPEEDUP = 1.5
 #: is distinguishable from a regression.
 PARALLEL_TARGET_SPEEDUP = 2.0
 PARALLEL_TARGET_WORKERS = 4
+
+#: Timing rounds of the kernel suite.  Each round times every kernel of
+#: a row once, one after the other, and the row reports each kernel's
+#: median round, so a slow spell of a shared host lands on all of them.
+ROUNDS = 5
 
 
 # ----------------------------------------------------------------------
@@ -165,19 +174,20 @@ def direction_counts(directions: Sequence[str]) -> Dict[str, int]:
     }
 
 
-def _time_total(
-    kernel: Callable[[int], np.ndarray],
+def _time_rounds(
+    kernels: Dict[str, Callable[[int], object]],
     sources: Sequence[int],
-    repeats: int,
-) -> float:
-    """Best-of-``repeats`` total seconds to run ``kernel`` on all sources."""
-    best = float("inf")
-    for _ in range(repeats):
-        watch = Stopwatch()
-        for s in sources:
-            kernel(s)
-        best = min(best, watch.elapsed())
-    return best
+) -> Dict[str, List[float]]:
+    """Each kernel's total seconds over all sources in each of
+    :data:`ROUNDS` rounds, the kernels taking turns within a round."""
+    times: Dict[str, List[float]] = {name: [] for name in kernels}
+    for _ in range(ROUNDS):
+        for name, kernel in kernels.items():
+            watch = Stopwatch()
+            for s in sources:
+                kernel(s)
+            times[name].append(watch.elapsed())
+    return times
 
 
 def bench_graph(
@@ -185,7 +195,6 @@ def bench_graph(
     family: str,
     graph: Graph,
     num_sources: int,
-    repeats: int,
 ) -> Dict[str, object]:
     """Time the three kernels on one graph and audit the hybrid runs."""
     sources = pick_sources(graph, num_sources)
@@ -219,16 +228,25 @@ def bench_graph(
             }
         )
 
-    seed_s = _time_total(lambda s: seed_bfs_distances(graph, s), sources, repeats)
-    td_s = _time_total(lambda s: topdown.run(s, mode="top-down"), sources, repeats)
-    hy_s = _time_total(lambda s: hybrid.run(s, mode="hybrid"), sources, repeats)
+    times = _time_rounds(
+        {
+            "seed": lambda s: seed_bfs_distances(graph, s),
+            "topdown": lambda s: topdown.run(s, mode="top-down"),
+            "hybrid": lambda s: hybrid.run(s, mode="hybrid"),
+        },
+        sources,
+    )
+    seed_s, td_s, hy_s = (
+        statistics.median(times[mode]) for mode in ("seed", "topdown", "hybrid")
+    )
     return {
         "name": name,
         "family": family,
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "sources": sources,
-        "repeats": repeats,
+        "rounds": ROUNDS,
+        "round_seconds": times,
         "seed_seconds": seed_s,
         "topdown_seconds": td_s,
         "hybrid_seconds": hy_s,
@@ -287,7 +305,7 @@ def check_shortest_paths(
 
 
 def bench_weighted(
-    name: str, graph: Graph, num_sources: int, repeats: int
+    name: str, graph: Graph, num_sources: int
 ) -> Dict[str, object]:
     """Time the Δ-stepping Dijkstra on ``graph`` with weights 1..7."""
     wgraph = weighted_from(graph)
@@ -301,14 +319,15 @@ def bench_weighted(
                 f"Dijkstra distances fail their certificate on {name}, "
                 f"source {s}"
             )
-    seconds = _time_total(
-        lambda s: dijkstra_distances(wgraph, s), sources, repeats
-    )
+    times = _time_rounds(
+        {"dijkstra": lambda s: dijkstra_distances(wgraph, s)}, sources
+    )["dijkstra"]
+    seconds = statistics.median(times)
     return {
         "name": name,
         "weights": "integer 1-7",
         "sources": sources,
-        "repeats": repeats,
+        "rounds": ROUNDS,
         "seconds": seconds,
         "ms_per_run": 1e3 * seconds / len(sources),
         "ns_per_arc": 1e9 * seconds / max(counter.edges_scanned, 1),
@@ -322,7 +341,7 @@ def bench_weighted(
 
 
 def bench_directed(
-    name: str, graph: Graph, num_sources: int, repeats: int
+    name: str, graph: Graph, num_sources: int
 ) -> Dict[str, object]:
     """Time the forward and backward engines of an orientation of
     ``graph``, each checked against the seed kernel on its CSR."""
@@ -332,7 +351,7 @@ def bench_directed(
         "name": name,
         "num_arcs": dg.num_arcs,
         "sources": sources,
-        "repeats": repeats,
+        "rounds": ROUNDS,
     }
     # A CSR has the indptr / indices / num_vertices the seed kernel reads.
     views = {"forward": dg.out_csr, "backward": dg.in_csr}
@@ -348,7 +367,8 @@ def bench_directed(
                 )
         scanned = counter.edges_scanned
         inspected = counter.edges_inspected
-        seconds = _time_total(engine.run, sources, repeats)
+        times = _time_rounds({side: engine.run}, sources)[side]
+        seconds = statistics.median(times)
         entry[side] = {
             "seconds": seconds,
             "ms_per_run": 1e3 * seconds / len(sources),
@@ -365,7 +385,6 @@ def bench_directed(
 def run_suite(
     smoke: bool,
     num_sources: int,
-    repeats: int,
     out_path: Path,
 ) -> Dict[str, object]:
     """Run every suite graph and write the JSON report."""
@@ -380,21 +399,21 @@ def run_suite(
             f"[bench_bfs_engine] {name}: n={graph.num_vertices} "
             f"m={graph.num_edges} ..."
         )
-        entry = bench_graph(name, family, graph, num_sources, repeats)
+        entry = bench_graph(name, family, graph, num_sources)
         print(
             "  seed {seed_seconds:.4f}s  top-down {topdown_seconds:.4f}s  "
             "hybrid {hybrid_seconds:.4f}s  (hybrid speedup "
             "{speedup_hybrid_vs_seed:.2f}x)".format(**entry)  # type: ignore[str-format]
         )
         results.append(entry)
-        weighted.append(bench_weighted(name, graph, num_sources, repeats))
+        weighted.append(bench_weighted(name, graph, num_sources))
         print(
             "  weighted {ms_per_run:.3f} ms/run  {ns_per_arc:.0f} ns/arc  "
             "inspected/scanned {inspected_per_scanned:.3f}".format(
                 **weighted[-1]
             )
         )
-        directed.append(bench_directed(name, graph, num_sources, repeats))
+        directed.append(bench_directed(name, graph, num_sources))
         print(
             "  directed fwd {:.3f} ms/run  bwd {:.3f} ms/run".format(
                 directed[-1]["forward"]["ms_per_run"],  # type: ignore[index]
@@ -584,7 +603,7 @@ def test_engine_beats_seed_kernel(benchmark, tmp_path) -> None:  # type: ignore[
     trace_path = tmp_path / DEFAULT_TRACE_OUT.name
     report = benchmark.pedantic(
         lambda: run_suite(
-            smoke=True, num_sources=3, repeats=1, out_path=out_path
+            smoke=True, num_sources=3, out_path=out_path
         ),
         rounds=1,
         iterations=1,
@@ -659,7 +678,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "the other artifacts are written beside it",
     )
     parser.add_argument("--sources", type=int, default=None)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=3,
+        help="best-of repeats of each backend-shootout configuration",
+    )
     parser.add_argument(
         "--shootout-only",
         action="store_true",
@@ -692,7 +716,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     num_sources = args.sources if args.sources else (3 if args.smoke else 8)
     status = 0
     if not args.shootout_only:
-        report = run_suite(args.smoke, num_sources, args.repeats, args.out)
+        report = run_suite(args.smoke, num_sources, args.out)
         speedup = report["aggregate"]["powerlaw_speedup_hybrid_vs_seed"]  # type: ignore[index]
         if not args.smoke and speedup < TARGET_SPEEDUP:
             print(

@@ -40,12 +40,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.datasets.collection import GraphCollection
-from repro.graph.io import (
-    load_npz,
-    read_edge_list,
-    save_npz,
-    write_edge_list,
-)
+from repro.errors import GraphConstructionError
+from repro.graph.csr import Graph
+from repro.graph.io import read_edge_list, write_edge_list
 from repro.obs.trace import Stopwatch
 from repro.store.format import open_store
 
@@ -60,6 +57,33 @@ TARGET_SPEEDUP = 10.0
 #: the last one).
 SMOKE_DATASETS = ("DBLP",)
 FULL_DATASETS = ("DBLP", "SKIT", "UKUN")
+
+
+def save_npz(graph: Graph, path: Path) -> None:
+    """Save the CSR arrays in compressed ``.npz`` form."""
+    np.savez_compressed(path, indptr=graph.indptr, indices=graph.indices)
+
+
+def load_npz(path: Path) -> Graph:
+    """Load a graph previously written by :func:`save_npz`.
+
+    The archive's arrays go through the same checks as every
+    :class:`~repro.graph.csr.CSR` (dtype kinds, shapes, a monotone
+    ``indptr`` with the right endpoints, ``indices`` bounds), so a
+    corrupt or hand-edited archive fails here with
+    :class:`GraphConstructionError`, naming the file.
+    """
+    with np.load(path) as data:
+        if "indptr" not in data or "indices" not in data:
+            raise GraphConstructionError(
+                f"{path}: not a graph archive (missing indptr/indices)"
+            )
+        raw_indptr = data["indptr"]
+        raw_indices = data["indices"]
+    try:
+        return Graph(raw_indptr, raw_indices)
+    except GraphConstructionError as exc:
+        raise GraphConstructionError(f"{path}: {exc}") from exc
 
 
 def _best_of(repeats: int, run) -> float:  # type: ignore[no-untyped-def]

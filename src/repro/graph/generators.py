@@ -26,14 +26,31 @@ Deterministic toys (:func:`path_graph`, :func:`cycle_graph`,
 :func:`paper_example_graph` rebuilds the 13-node running example of
 Figure 1 exactly.
 
-Every stochastic generator takes an explicit integer seed and is
-reproducible across runs and platforms (numpy ``default_rng``).
+Every stochastic generator takes an explicit integer seed and builds the
+graph that numpy's ``default_rng(seed)`` would draw, bit for bit, on any
+platform.
 
 No generator hands the builder one edge per call.  Deterministic edges
-(paths, spines, grids, trees) are laid out as whole arrays; where the
-random process is inherently sequential (each draw depends on the graph
-so far), the loop keeps every draw in order and collects its endpoints
-in local buffers that reach the builder once.
+(paths, spines, grids, trees) are laid out as whole arrays; the
+``attach_*`` recipes draw their random lengths in one sized call.  Where
+the random process is inherently sequential (each draw depends on the
+graph so far), the draws are not made one ``Generator`` call at a time:
+:class:`_DrawReplayer` fetches the seed's raw PCG64 words in bounded
+chunks and decodes them in plain Python integers, exactly as numpy's
+``Generator`` does (``tests/data/golden_generators.json`` pins the
+result).  The contract it replays, for the default ``PCG64``:
+
+* a 32-bit draw is the low half of the next word; the high half is
+  buffered and answers the following 32-bit draw;
+* ``random()`` is ``(word >> 11) * 2**-53`` of the next whole word and
+  leaves the buffered half alone;
+* ``integers(0, high)`` for ``high <= 2**32`` is Lemire's method on
+  32-bit draws: ``m = draw * high`` is rejected while its low 32 bits
+  are ``< 2**32 % high``, the answer is ``m >> 32``, and ``high == 1``
+  draws nothing.
+
+The endpoints of every edge collect in local buffers that reach the
+builder once.
 """
 
 from __future__ import annotations
@@ -69,6 +86,62 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidParameterError(message)
 
 
+#: PCG64 words a :class:`_DrawReplayer` fetches per ``random_raw`` call;
+#: a generator holds at most this many undecoded words, however many it
+#: draws.
+_RAW_CHUNK = 4096
+
+#: ``random()``'s scale: a 53-bit integer times this is a double in [0, 1).
+_UNIT = 2.0**-53
+
+
+class _DrawReplayer:
+    """The draws of ``np.random.default_rng(seed)``, decoded in Python.
+
+    ``words`` yields the seed's raw PCG64 words as ``int``, fetched
+    :data:`_RAW_CHUNK` at a time; ``half`` is the buffered high half of
+    the last word a 32-bit draw split (``-1`` when none is).  The
+    methods follow the contract in the module docstring, one call per
+    draw; :func:`barabasi_albert` and :func:`copying_model` inline the
+    same arithmetic on local variables in their loops, and
+    ``tests/graph/test_draw_replay.py`` checks both against numpy.
+    """
+
+    __slots__ = ("words", "half")
+
+    def __init__(self, seed: int) -> None:
+        bits = np.random.default_rng(seed).bit_generator
+        self.words = itertools.chain.from_iterable(
+            bits.random_raw(_RAW_CHUNK).tolist()
+            for _ in itertools.repeat(None)
+        )
+        self.half = -1
+
+    def next_uint32(self) -> int:
+        """The next 32-bit draw: a word's low half, then its high half."""
+        half = self.half
+        if half >= 0:
+            self.half = -1
+            return half
+        word = next(self.words)
+        self.half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """``Generator.random()``: a double in [0, 1) from one whole word."""
+        return (next(self.words) >> 11) * _UNIT
+
+    def integers(self, high: int) -> int:
+        """``Generator.integers(0, high)`` for ``1 <= high <= 2**32``."""
+        if high == 1:
+            return 0
+        while True:
+            m = self.next_uint32() * high
+            low = m & 0xFFFFFFFF
+            if low >= high or low >= 4294967296 % high:
+                return m >> 32
+
+
 # ----------------------------------------------------------------------
 # Random families
 # ----------------------------------------------------------------------
@@ -81,7 +154,7 @@ def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
     """
     _require(attach >= 1, "attach must be >= 1")
     _require(n > attach, "n must exceed attach")
-    rng = np.random.default_rng(seed)
+    words, half = _DrawReplayer(seed).words, -1
     # Vertex id repeated once per incident edge endpoint; each edge adds
     # its two endpoints in turn, so the urn is also the edge list.
     urn: List[int] = []
@@ -91,9 +164,21 @@ def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
             urn.extend((u, v))
     for v in range(seed_size, n):
         targets: set = set()
+        high = len(urn)  # >= 2, and fixed until v's edges join the urn
         while len(targets) < attach:
-            pick = urn[rng.integers(0, len(urn))]
-            targets.add(pick)
+            # integers(0, high), inlined (see _DrawReplayer).
+            while True:
+                if half < 0:
+                    word = next(words)
+                    m = (word & 0xFFFFFFFF) * high
+                    half = word >> 32
+                else:
+                    m = half * high
+                    half = -1
+                low = m & 0xFFFFFFFF
+                if low >= high or low >= 4294967296 % high:
+                    break
+            targets.add(urn[m >> 32])
         for t in targets:
             urn.extend((v, t))
     ends = np.array(urn, dtype=np.int64)
@@ -113,17 +198,17 @@ def watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
     _require(k >= 2 and k % 2 == 0, "k must be even and >= 2")
     _require(k < n, "k must be < n")
     _require(0.0 <= beta <= 1.0, "beta must be in [0, 1]")
-    rng = np.random.default_rng(seed)
+    draws = _DrawReplayer(seed)
     # One endpoint per (u, offset), rewired or not, in loop order.
     targets: List[int] = []
     for u in range(n):
         for offset in range(1, k // 2 + 1):
             v = (u + offset) % n
-            if rng.random() < beta:
-                w = int(rng.integers(0, n))
+            if draws.random() < beta:
+                w = draws.integers(n)
                 attempts = 0
                 while (w == u or w == v) and attempts < 8:
-                    w = int(rng.integers(0, n))
+                    w = draws.integers(n)
                     attempts += 1
                 v = w if w != u else v
             targets.append(v)
@@ -152,22 +237,50 @@ def copying_model(
     _require(out_degree >= 1, "out_degree must be >= 1")
     _require(0.0 <= copy_probability <= 1.0, "copy_probability in [0, 1]")
     _require(n > out_degree + 1, "n must exceed out_degree + 1")
-    rng = np.random.default_rng(seed)
+    words, half = _DrawReplayer(seed).words, -1
     adjacency: List[List[int]] = [[] for _ in range(n)]
     seed_size = out_degree + 1
     for u in range(seed_size):
         for v in range(u + 1, seed_size):
             adjacency[u].append(v)
             adjacency[v].append(u)
+    # integers(0, high) and random() are inlined (see _DrawReplayer).
     for v in range(seed_size, n):
-        prototype = int(rng.integers(0, v))
-        proto_links = adjacency[prototype]
+        while True:  # the prototype: integers(0, v)
+            if half < 0:
+                word = next(words)
+                m = (word & 0xFFFFFFFF) * v
+                half = word >> 32
+            else:
+                m = half * v
+                half = -1
+            low = m & 0xFFFFFFFF
+            if low >= v or low >= 4294967296 % v:
+                break
+        proto_links = adjacency[m >> 32]
         links = adjacency[v]
         for _ in range(out_degree):
-            if proto_links and rng.random() < copy_probability:
-                target = proto_links[rng.integers(0, len(proto_links))]
+            # A copied link indexes the prototype's links as they are
+            # now: they grow when an earlier link of v landed on it.
+            if proto_links and (next(words) >> 11) * _UNIT < copy_probability:
+                high, pool = len(proto_links), proto_links
             else:
-                target = int(rng.integers(0, v))
+                high, pool = v, None
+            pick = 0
+            if high > 1:
+                while True:
+                    if half < 0:
+                        word = next(words)
+                        m = (word & 0xFFFFFFFF) * high
+                        half = word >> 32
+                    else:
+                        m = half * high
+                        half = -1
+                    low = m & 0xFFFFFFFF
+                    if low >= high or low >= 4294967296 % high:
+                        break
+                pick = m >> 32
+            target = pick if pool is None else pool[pick]
             if target != v:
                 links.append(target)
                 adjacency[target].append(v)
@@ -246,9 +359,7 @@ def attach_handles(
     rng = np.random.default_rng(seed)
     builder = _copy_edges(graph)
     anchors = np.argsort(graph.degrees, kind="stable")[: 2 * num_handles]
-    jitter = np.array(
-        [rng.integers(0, 2) for _ in range(num_handles)], dtype=np.int64
-    )
+    jitter = rng.integers(0, 2, size=num_handles)
     i = np.arange(num_handles, dtype=np.int64)
     lengths = np.maximum(3, max_length - i % 5 - jitter)
     last = _hang_paths(builder, anchors[0::2], lengths, graph.num_vertices)
@@ -314,9 +425,7 @@ def attach_branches(
     rng = np.random.default_rng(seed)
     builder = _copy_edges(graph)
     anchors = np.argsort(graph.degrees[:pool], kind="stable")
-    depths = np.array(
-        [rng.integers(3, max_depth + 1) for _ in range(count)], dtype=np.int64
-    )
+    depths = rng.integers(3, max_depth + 1, size=count)
     _hang_paths(builder, anchors[1: 1 + count], depths, graph.num_vertices)
     return builder.build()
 

@@ -1,9 +1,9 @@
-"""Graph serialization: edge-list text files and compact ``.npz`` CSR dumps.
+"""Graph serialization: edge-list and METIS text files.
 
 The paper's datasets ship as edge lists (SNAP / KONECT / LAW formats all
 reduce to "one edge per line, optional comment lines").  We read that
-format, plus a binary ``.npz`` round-trip for caching generated stand-in
-graphs between benchmark runs.
+format and METIS adjacency files; the binary on-disk form of a graph is
+the ``.rcsr`` store (:mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import os
 from itertools import chain, islice
-from pathlib import Path
 from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "write_edge_list",
     "read_metis",
     "write_metis",
-    "save_npz",
-    "load_npz",
     "parse_edge_lines",
 ]
 
@@ -182,33 +179,3 @@ def write_metis(graph: Graph, path: PathLike, comment: str = "") -> None:
             handle.write(
                 " ".join(str(u + 1) for u in graph.neighbors(v)) + "\n"
             )
-
-
-def save_npz(graph: Graph, path: PathLike) -> None:
-    """Save the CSR arrays in compressed ``.npz`` form."""
-    np.savez_compressed(
-        Path(path), indptr=graph.indptr, indices=graph.indices
-    )
-
-
-def load_npz(path: PathLike) -> Graph:
-    """Load a graph previously written by :func:`save_npz`.
-
-    The archive's arrays go through the same checks as every
-    :class:`~repro.graph.csr.CSR` (dtype kinds, shapes, a monotone
-    ``indptr`` with the right endpoints, ``indices`` bounds), so a
-    corrupt or hand-edited archive fails here with
-    :class:`GraphConstructionError`, naming the file, instead of
-    crashing later inside a traversal kernel.
-    """
-    with np.load(Path(path)) as data:
-        if "indptr" not in data or "indices" not in data:
-            raise GraphConstructionError(
-                f"{path}: not a graph archive (missing indptr/indices)"
-            )
-        raw_indptr = data["indptr"]
-        raw_indices = data["indices"]
-    try:
-        return Graph(raw_indptr, raw_indices)
-    except GraphConstructionError as exc:
-        raise GraphConstructionError(f"{path}: {exc}") from exc

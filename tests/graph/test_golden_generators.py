@@ -1,7 +1,8 @@
 """The generators' graphs are pinned bit for bit.
 
 ``tests/data/golden_generators.json`` holds sha256(``indptr`` ‖
-``indices``) of every dataset stand-in at a small scale and of each
+``indices``) of every dataset stand-in at a small scale, of the two web
+stand-ins the end-to-end benchmark runs at its own scale, and of each
 public generator at fixed seeds.  A change to how graphs are built
 (the builder, a generator's draw order, the component extraction) must
 leave every digest unchanged; ``benchmarks/e2e/expected.json`` and the
@@ -50,6 +51,12 @@ GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_generators.json"
 #: to a few seconds while every recipe step still runs).
 STANDIN_SCALE = 0.1
 
+#: The web stand-ins at the scale the end-to-end benchmark's
+#: ``ed-web-large`` and ``batch-ecc`` workloads build them (seed 0 runs
+#: them unrelabelled), so the benchmark's own inputs are pinned too.
+E2E_WEB_GRAPHS = ("TWIT", "UKUN")
+E2E_WEB_SCALE = 0.75
+
 
 def digest(graph: Graph) -> Dict[str, object]:
     """sha256 over the little-endian CSR arrays, with the graph's size."""
@@ -81,6 +88,16 @@ def build_corpus() -> Dict[str, Callable[[], Graph]]:
         )
         for name in dataset_names()
     }
+    corpus.update(
+        {
+            f"standin@{E2E_WEB_SCALE:g}/{name}": (
+                lambda name=name: build_standin(
+                    scaled_spec(get_spec(name), E2E_WEB_SCALE)
+                )
+            )
+            for name in E2E_WEB_GRAPHS
+        }
+    )
     corpus.update(
         {
             "ba/300-3-s1": lambda: barabasi_albert(300, 3, seed=1),

@@ -1,4 +1,9 @@
-"""Unit tests for edge-list and npz graph I/O."""
+"""Unit tests for edge-list, METIS and npz graph I/O.
+
+The ``.npz`` dump is not part of ``repro``: ``save_npz``/``load_npz``
+live in ``benchmarks/bench_graph_store.py``, whose npz rung is their
+only reader, and are tested here.
+"""
 
 import io
 
@@ -8,13 +13,12 @@ from repro.errors import GraphConstructionError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
 from repro.graph.generators import barabasi_albert, grid_graph
-from repro.graph.io import (
-    load_npz,
-    parse_edge_lines,
-    read_edge_list,
-    save_npz,
-    write_edge_list,
-)
+from repro.graph.io import parse_edge_lines, read_edge_list, write_edge_list
+
+from helpers import bench_module
+
+_store_bench = bench_module("bench_graph_store")
+save_npz, load_npz = _store_bench.save_npz, _store_bench.load_npz
 
 
 class TestParseEdgeLines:

@@ -1,11 +1,15 @@
 """Shared helpers importable from any test module: graph builders and
-inspectors, the generators the golden corpus pins, and the test-only
-oracles (the |V|-BFS eccentricities, Theorems 5.5/5.6, all-pairs BFS,
+inspectors, the generators the golden corpus pins, the per-call
+references of the sequential generators, a benchmark-script importer,
+and the test-only oracles (the |V|-BFS eccentricities, Theorems 5.5/5.6, all-pairs BFS,
 shortest paths, the one-rule bound updates)."""
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
+from pathlib import Path
+from types import ModuleType
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +32,17 @@ from repro.graph.traversal import (
 )
 from repro.sentinels import unreached_mask
 from repro.weighted.graph import WeightedGraph
+
+
+def bench_module(name: str) -> ModuleType:
+    """``benchmarks/<name>.py``, imported by path (the benchmark scripts
+    are not a package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
@@ -232,6 +247,83 @@ def attach_periphery(
     base = max_length - 3 * j - i // len(anchors)
     lengths = np.maximum(1, base - jitter)
     _hang_paths(builder, anchors[j], lengths, graph.num_vertices)
+    return builder.build()
+
+
+# ----------------------------------------------------------------------
+# Per-call references of the sequential generators
+# ----------------------------------------------------------------------
+# ``repro.graph.generators`` decodes its draws from bulk PCG64 words;
+# these make the same draws one ``rng`` call at a time, in the same
+# order.  ``rng`` is ``np.random.default_rng(seed)`` (or any object with
+# its ``integers(0, high)`` and ``random()``), so each must build the
+# generator's graph at that seed bit for bit.
+def per_call_barabasi_albert(n: int, attach: int, rng) -> Graph:
+    """``barabasi_albert(n, attach, seed)``, one ``rng`` call per draw."""
+    urn: List[int] = []
+    seed_size = attach + 1
+    for u in range(seed_size):
+        for v in range(u + 1, seed_size):
+            urn.extend((u, v))
+    for v in range(seed_size, n):
+        targets: set = set()
+        while len(targets) < attach:
+            targets.add(urn[rng.integers(0, len(urn))])
+        for t in targets:
+            urn.extend((v, t))
+    ends = np.array(urn, dtype=np.int64)
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edge_arrays(ends[0::2], ends[1::2])
+    return builder.build()
+
+
+def per_call_watts_strogatz(n: int, k: int, beta: float, rng) -> Graph:
+    """``watts_strogatz(n, k, beta, seed)``, one ``rng`` call per draw."""
+    targets: List[int] = []
+    for u in range(n):
+        for offset in range(1, k // 2 + 1):
+            v = (u + offset) % n
+            if rng.random() < beta:
+                w = int(rng.integers(0, n))
+                attempts = 0
+                while (w == u or w == v) and attempts < 8:
+                    w = int(rng.integers(0, n))
+                    attempts += 1
+                v = w if w != u else v
+            targets.append(v)
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edge_arrays(
+        np.repeat(np.arange(n, dtype=np.int64), k // 2),
+        np.array(targets, dtype=np.int64),
+    )
+    return builder.build()
+
+
+def per_call_copying_model(
+    n: int, out_degree: int, copy_probability: float, rng
+) -> Graph:
+    """``copying_model(n, out_degree, copy_probability, seed)``, one
+    ``rng`` call per draw."""
+    adjacency: List[List[int]] = [[] for _ in range(n)]
+    seed_size = out_degree + 1
+    for u in range(seed_size):
+        for v in range(u + 1, seed_size):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    for v in range(seed_size, n):
+        proto_links = adjacency[int(rng.integers(0, v))]
+        for _ in range(out_degree):
+            if proto_links and rng.random() < copy_probability:
+                target = proto_links[rng.integers(0, len(proto_links))]
+            else:
+                target = int(rng.integers(0, v))
+            if target != v:
+                adjacency[v].append(target)
+                adjacency[target].append(v)
+    builder = GraphBuilder(num_vertices=n)
+    builder.add_edges(
+        (u, w) for u, links in enumerate(adjacency) for w in links
+    )
     return builder.build()
 
 

@@ -8,7 +8,9 @@ from repro.analysis.distribution import distribution_from_eccentricities
 from repro.baselines.snap_diameter import snap_estimate_diameter
 from repro.datasets.loader import load_dataset
 from repro.graph.generators import paper_example_graph
-from repro.graph.io import read_edge_list, save_npz, load_npz, write_edge_list
+from repro.graph.io import read_edge_list, write_edge_list
+
+from helpers import bench_module
 
 
 class TestFileToAnswer:
@@ -22,10 +24,11 @@ class TestFileToAnswer:
         assert result.diameter == 5
 
     def test_npz_cache_flow(self, tmp_path):
+        store_bench = bench_module("bench_graph_store")
         graph = load_dataset("DBLP")
         path = tmp_path / "dblp.npz"
-        save_npz(graph, path)
-        loaded = load_npz(path)
+        store_bench.save_npz(graph, path)
+        loaded = store_bench.load_npz(path)
         a = repro.compute_eccentricities(graph)
         b = repro.compute_eccentricities(loaded)
         np.testing.assert_array_equal(a.eccentricities, b.eccentricities)
