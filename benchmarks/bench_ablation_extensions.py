@@ -149,12 +149,20 @@ def test_zz_report_and_shape(benchmark):
         )
     record("ablation_extensions", lines)
 
+    failing = []
     for (setting, name), (t_fast, t_naive, bfs, n) in _rows.items():
         if setting in ("weighted", "directed-ifecc"):
             # full IFECC machinery: strict, large wins
-            assert t_fast < t_naive / 5, (setting, name)
-            assert bfs < n / 10, (setting, name)
-        else:
-            # extremes early-stop: certifying two numbers must cost far
-            # fewer traversals than the naive full sweep
-            assert bfs < n / 10, (setting, name)
+            if not t_fast < t_naive / 5:
+                failing.append(
+                    f"{setting} {name}: {t_naive / t_fast:.1f}x speedup, "
+                    f"not above 5x"
+                )
+        # extremes early-stop: certifying two numbers must cost far
+        # fewer traversals than the naive full sweep (and so must the
+        # full IFECC machinery)
+        if not bfs < n / 10:
+            failing.append(f"{setting} {name}: {bfs} traversals, n = {n}")
+    # Every row is judged before the check fails, so one failure does
+    # not hide another.
+    assert not failing, "; ".join(failing)

@@ -23,7 +23,13 @@ groups through :func:`repro.graph.batch.lane_groups` against the loop,
 and checks that the planner sweeps every batch 64 lanes at a time.  A
 column-sweep row times one 64-lane sweep on BA-2k (the ``ed-powerlaw``
 graph family) recording 0 / 100 / 1,000 / all target columns, the
-solver's FFO probe product, against the bare ``ecc_batch`` sweep.
+solver's FFO probe product, against the bare ``ecc_batch`` sweep.  A
+sweep-width table prices, on every suite graph and on BA-2k, the first
+lane batch of an IFECC-1 territory: column sweeps of 8, 16 and 64 of
+the reference's farthest-first probes over the members Lemma 3.1
+leaves unresolved, in units of one single-source probe over the same
+columns, beside the width :func:`repro.graph.msengine.plan_sweep_width`
+gives that batch.
 Writes machine-readable ``BENCH_msbfs_engine.json`` at the repository
 root.
 
@@ -41,19 +47,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from bench_bfs_engine import seed_bfs_distances, suite_graphs
-from repro.graph.batch import lane_groups
+from repro.core.bounds import BoundState
+from repro.core.ffo import compute_ffo
+from repro.graph.batch import lane_groups, sweep_columns
 from repro.graph.csr import Graph
 from repro.graph.engine import ALPHA, BETA, BFSEngine, gather_csr_arcs
 from repro.graph.generators import barabasi_albert
-from repro.graph.msengine import LANE_WORD_BITS, MSBFSEngine, plan_lane_width
+from repro.graph.msengine import (
+    LANE_WORD_BITS,
+    MSBFSEngine,
+    plan_lane_width,
+    plan_sweep_width,
+)
 from repro.graph.traversal import UNREACHED
-from repro.obs.benchguard import COLUMN_OVERHEAD_LIMIT
+from repro.obs.benchguard import COLUMN_OVERHEAD_LIMIT, extractor_for
 from repro.obs.trace import MemorySink, Stopwatch, tracing
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +91,12 @@ COLUMN_TARGETS = (0, 100, 1000, None)
 
 #: Repetitions of each column sweep (a sweep takes a few ms).
 COLUMN_REPEATS = 30
+
+#: Lane widths the sweep-width table prices.
+SWEEP_WIDTHS = (8, 16, 64)
+
+#: Single-source probes whose median time is the table's cost unit.
+SWEEP_UNIT_PROBES = 8
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +385,77 @@ def bench_column_sweeps() -> Dict[str, object]:
     }
 
 
+def _median_time(run: Callable[[], object], repeats: int) -> float:
+    times = []
+    for _ in range(max(1, repeats)):
+        watch = Stopwatch()
+        run()
+        times.append(watch.elapsed())
+    return statistics.median(times)
+
+
+def bench_sweep_width(name: str, graph: Graph, repeats: int) -> Dict[str, object]:
+    """Price an IFECC-1 territory's first lane batch on ``graph``.
+
+    The reference is the highest-degree vertex, its territory every
+    other vertex, and the batch's columns the members the Lemma 3.1
+    seed leaves unresolved, as in the solver.  The probes are the
+    front of the reference's farthest-first order.  A ``k``-lane column
+    sweep of the first ``k`` probes is priced as a multiple of the
+    median single-source probe of the first ``SWEEP_UNIT_PROBES`` (each
+    through :func:`repro.graph.batch.sweep_columns`, as the BFS oracle
+    runs them), and every lane is checked against that probe's column.
+    ``first_width`` is the batch the solver plans there, capped at one
+    lane word.
+    """
+    n = graph.num_vertices
+    reference = graph.max_degree_vertex()
+    ffo = compute_ffo(graph, reference)
+    bounds = BoundState(n)
+    members = np.flatnonzero(np.arange(n) != reference)
+    bounds.apply_lemma31(
+        ffo.distances, ffo.distances, ffo.eccentricity, subset=members
+    )
+    targets = bounds.unresolved_subset(members)
+    probes = [int(v) for v in ffo.order if v != reference]
+    probes = probes[: max(SWEEP_WIDTHS)]
+    singles = [
+        sweep_columns(graph, [s], targets)[1][0]
+        for s in probes[:SWEEP_UNIT_PROBES]
+    ]
+    for k in SWEEP_WIDTHS:
+        cols = sweep_columns(graph, probes[:k], targets)[1]
+        if not all(np.array_equal(a, b) for a, b in zip(cols, singles)):
+            raise AssertionError(
+                f"{k}-lane column sweep disagrees with single probes on {name}"
+            )
+    unit = statistics.median(
+        _median_time(lambda: sweep_columns(graph, [s], targets), repeats)
+        for s in probes[:SWEEP_UNIT_PROBES]
+    )
+    costs: Dict[str, float] = {}
+    for k in SWEEP_WIDTHS:
+        seconds = _median_time(
+            lambda: sweep_columns(graph, probes[:k], targets), repeats
+        )
+        costs[str(k)] = seconds / unit if unit else float("inf")
+    width = min(plan_sweep_width(0, len(targets)), LANE_WORD_BITS)
+    print(
+        f"  sweep width {name}: |U|={len(targets)} first width {width}, "
+        + " ".join(f"{k} lanes {c:.1f}x" for k, c in costs.items())
+    )
+    return {
+        "graph": name,
+        "num_vertices": n,
+        "num_arcs": int(len(graph.indices)),
+        "unresolved": int(len(targets)),
+        "probes": len(probes),
+        "first_width": width,
+        "single_probe_seconds": unit,
+        "lane_cost_in_single_probes": costs,
+    }
+
+
 def run_suite(
     smoke: bool,
     repeats: int,
@@ -398,6 +489,18 @@ def run_suite(
     scaling = bench_width_scaling(powerlaw_graph, str(powerlaw["name"]), repeats)
     print("[bench_msbfs_engine] column sweeps on BA-2k:")
     columns = bench_column_sweeps()
+    print("[bench_msbfs_engine] first FFO lane batch, in single probes:")
+    width_graphs = {name: graph for name, (_, graph) in graphs.items()}
+    width_graphs["ba2k"] = barabasi_albert(2000, 4, seed=7)
+    sweep_width = {
+        "widths": list(SWEEP_WIDTHS),
+        "unit_probes": SWEEP_UNIT_PROBES,
+        "repeats": repeats,
+        "rows": [
+            bench_sweep_width(name, graph, repeats)
+            for name, graph in width_graphs.items()
+        ],
+    }
     report: Dict[str, object] = {
         "schema": "bench_msbfs_engine/v1",
         "mode": "smoke" if smoke else "full",
@@ -410,6 +513,7 @@ def run_suite(
         "graphs": results,
         "width_scaling": scaling,
         "column_sweeps": columns,
+        "sweep_width": sweep_width,
         "aggregate": {
             "powerlaw_speedup_ecc_vs_loop": powerlaw["speedup_ecc_vs_loop"],
             "powerlaw_speedup_rows_vs_loop": powerlaw["speedup_rows_vs_loop"],
@@ -466,6 +570,22 @@ def test_msbfs_engine_shootout(benchmark, tmp_path) -> None:  # type: ignore[no-
     assert report["aggregate"]["powerlaw_column_overhead_vs_ecc"] == (
         columns["rows"][-1]["overhead_vs_ecc"]
     )
+    # Every graph has a sweep-width row (bench_sweep_width raised if a
+    # lane differed from its single probe); benchguard's claim on it
+    # holds for the smoke run too.
+    widths = report["sweep_width"]
+    assert [r["graph"] for r in widths["rows"]] == [
+        *(g["name"] for g in report["graphs"]),
+        "ba2k",
+    ]
+    for row in widths["rows"]:
+        assert set(row["lane_cost_in_single_probes"]) == {"8", "16", "64"}
+    claims = [
+        f
+        for f in extractor_for(report["schema"])(str(out_path), report)[1]
+        if "sweep-width" in f.message
+    ]
+    assert len(claims) == 1 and not claims[0].failed, claims
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

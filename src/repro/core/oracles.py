@@ -42,8 +42,9 @@ The two probe flavours mirror how Algorithm 2 consumes traversals:
 :meth:`repro.core.solver.EccentricitySolver.steps` asks for one probe
 per block; :meth:`~repro.core.solver.EccentricitySolver.run` (and
 ``run_budgeted``) plan lane batches with
-:func:`repro.graph.msengine.plan_sweep_width`, capped by ``sweep_lanes``
-and the budget left, with the territory's unresolved members as
+:func:`repro.graph.msengine.plan_sweep_width` from the number of the
+territory's unresolved members (the block's columns), capped by
+``sweep_lanes`` and the budget left, with those members as
 targets (Lemma 3.1 reads nothing else), and apply each batch as one
 block (:meth:`repro.core.bounds.BoundState.apply_sweep_block`), in FFO
 order.

@@ -21,9 +21,12 @@ it once, parameterised over a :class:`repro.core.oracles.DistanceOracle`:
    applies one block of FFO rows: a replayed row, or the rows of one
    ``oracle.sweep_batch`` call — one probe, or, in :meth:`run` and
    :meth:`run_budgeted`, up to ``oracle.sweep_lanes`` of a territory's
-   later probes swept together as MS-BFS lanes (backward lanes for
-   the directed oracle).  Lemma 3.1 lowers are a running max
-   and Lemma 3.3 uppers a running min down a block's rows (see
+   next probes swept together as MS-BFS lanes (backward lanes for
+   the directed oracle): as many as fit a block of 2^18 distance
+   cells over the territory's unresolved members when that is at
+   least 8, and never fewer than the doubling rule of
+   :func:`repro.graph.msengine.plan_sweep_width`.  Lemma 3.1 lowers
+   are a running max and Lemma 3.3 uppers a running min down a block's rows (see
    :meth:`EccentricitySolver._sweep_territory`), so results, traversal
    counts, snapshots and probe spans equal one traversal per probe.
 
@@ -45,7 +48,8 @@ tolerance.
 Space stays ``O(m + n)`` (Theorem 4.5): the graph, the bound arrays,
 the ``r`` reference distance vectors, at most one lane batch of
 ``64 * |unresolved|`` distance cells — a batch records only the
-territory's unresolved members — and a constant number
+territory's unresolved members, and is planned to fit ``2^18`` cells
+unless the doubling floor asks for more — and a constant number
 of ``(k, |unresolved|)`` scan matrices while a batch of ``k`` rows is
 applied.
 """
@@ -226,23 +230,27 @@ class EccentricitySolver:
         traversal: the contract is per traversal, so no lanes are swept
         ahead.
         """
-        yield from self._steps(lambda consumed: 1)
+        yield from self._steps(lambda consumed, unresolved: 1)
 
-    def _steps(self, plan: Callable[[int], int]) -> Iterator[ProgressSnapshot]:
+    def _steps(
+        self, plan: Callable[[int, int], int]
+    ) -> Iterator[ProgressSnapshot]:
         yield from self._initialise()
         for territory in self._territories:
             yield from self._sweep_territory(territory, plan)
 
     def _sweep_territory(
-        self, territory: Territory, plan: Callable[[int], int]
+        self, territory: Territory, plan: Callable[[int, int], int]
     ) -> Iterator[ProgressSnapshot]:
         """Probe ``L^z`` front to back until the territory resolves.
 
         Each step applies one block of FFO rows (:meth:`_sweep_block`):
         the replayed row of a retained source, or the next
-        ``plan(consumed)`` fresh probes, where ``consumed`` counts the
-        territory's probes so far.  One probe is one traversal; more are
-        swept together as the lanes of one ``sweep_batch`` call.
+        ``plan(consumed, len(unresolved))`` fresh probes, where
+        ``consumed`` counts the territory's probes so far and
+        ``unresolved`` holds its members still open.  One probe is one
+        traversal; more are swept together as the lanes of one
+        ``sweep_batch`` call.
         Lemmas 3.1 and 3.3 only need each probe's exact distance row,
         the probes of the FFO prefix are known before they run, and both
         updates are monotone, so a block's running max/min yields the
@@ -261,7 +269,11 @@ class EccentricitySolver:
             if source == territory.reference:
                 rank += 1
                 continue
-            width = 0 if source in self._known else plan(consumed)
+            width = (
+                0
+                if source in self._known
+                else plan(consumed, len(unresolved))
+            )
             unresolved, rank = yield from self._sweep_block(
                 territory, rank, width, unresolved
             )
@@ -483,9 +495,10 @@ class EccentricitySolver:
 
         lanes = self.oracle.sweep_lanes
 
-        def plan(consumed: int) -> int:
+        def plan(consumed: int, unresolved: int) -> int:
             left = limit - counter.bfs_runs
-            return int(max(1, min(plan_sweep_width(consumed), lanes, left)))
+            wanted = plan_sweep_width(consumed, unresolved)
+            return int(max(1, min(wanted, lanes, left)))
 
         budget = {} if max_bfs is None else {"budget": max_bfs}
         tracer = get_tracer()

@@ -103,7 +103,8 @@ of more sources is swept as 64-lane groups by
 :func:`repro.graph.batch.lane_groups`; this module holds the sweep and
 no batch loop of its own.
 :func:`plan_sweep_width` is the same kind of policy for the solver's
-batched FFO probes.
+batched FFO probes: it sizes each batch from the distance cells its
+block records.
 """
 
 from __future__ import annotations
@@ -153,6 +154,12 @@ LANE_WORD_BITS = 64
 #: "Forks kept").
 _SERIAL_BATCH_LIMIT = 8
 
+#: Distance cells (lanes x open members) up to which an FFO lane batch
+#: is widened past the doubling rule (:func:`plan_sweep_width`): 64
+#: lanes while a territory has at most 4,096 open members, 8 at 32,768,
+#: and only the doubling rule's width beyond.
+_BLOCK_CELLS = 1 << 18
+
 #: A bottom-up level whose candidates hold at least this share of the
 #: graph's in-arcs pulls densely: it reads the whole in-CSR, one chunk
 #: of contiguous arcs at a time, instead of gathering the candidates'
@@ -186,20 +193,29 @@ def plan_lane_width(num_arcs: int, batch_size: int) -> int:
     return LANE_WORD_BITS
 
 
-def plan_sweep_width(consumed: int) -> int:
+def plan_sweep_width(consumed: int, unresolved: int) -> int:
     """Lanes for the next batch of a territory's FFO probe sweep.
 
     ``consumed`` is how many sweep probes the territory has consumed so
-    far.  Returns ``1`` (one single-source probe) for the first
-    ``_SERIAL_BATCH_LIMIT`` probes of every territory, so a sweep that
-    ends within them pays no unused lanes.  After that each batch holds
-    as many lanes as the territory has consumed (8, 16, 32, ...), so a
-    territory's unused lanes are fewer than the probes it used.  The
-    solver caps the width by its oracle's ``sweep_lanes``.
+    far and ``unresolved`` how many of its members are still open, the
+    columns each lane records.  The floor is the doubling rule: ``1``
+    (one single-source probe) for the first ``_SERIAL_BATCH_LIMIT``
+    probes, then as many lanes as the territory has consumed (8, 16,
+    32, ...), so its unused lanes are fewer than the probes it used.
+    Above the floor, a batch holds as many lanes as fit a block of
+    ``_BLOCK_CELLS`` distance cells, when that is at least
+    ``_SERIAL_BATCH_LIMIT`` lanes: on such a territory a 64-lane sweep
+    costs only 4-7 single-source probes, while a sweep of 2-5 lanes
+    over tens of thousands of columns costs more than its probes run
+    alone (EXPERIMENTS.md, "Sweep width from the block").  From
+    ``_BLOCK_CELLS / _SERIAL_BATCH_LIMIT`` open members on, the floor
+    alone decides, so the block never grows a paper-scale batch.  The
+    solver caps the width by its oracle's ``sweep_lanes`` and by the
+    budget left.
     """
-    if consumed < _SERIAL_BATCH_LIMIT:
-        return 1
-    return consumed
+    floor = 1 if consumed < _SERIAL_BATCH_LIMIT else consumed
+    wide = _BLOCK_CELLS // max(unresolved, 1)
+    return max(floor, wide) if wide >= _SERIAL_BATCH_LIMIT else floor
 
 
 class _MSWorkspace:

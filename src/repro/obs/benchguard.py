@@ -41,6 +41,7 @@ __all__ = [
     "Finding",
     "GRID_SPEEDUP_FLOOR",
     "Headline",
+    "SWEEP_FIRST_WIDTH",
     "check_artifact",
     "check_paths",
     "compare_docs",
@@ -60,6 +61,12 @@ DEFAULT_TOLERANCE = 0.5
 #: (``BENCH_msbfs_engine.json``'s BA-2k column row).  Per-level column
 #: recording read 4.4x; bit-sliced recording about 1.6x.
 COLUMN_OVERHEAD_LIMIT = 3.0
+
+#: Lanes of the first FFO lane batch an IFECC-1 territory on BA-2k
+#: (``BENCH_msbfs_engine.json``'s sweep-width table) must sweep: its
+#: block fits one whole lane word, so the first probe after the
+#: reference opens a full sweep instead of 8 single-source probes.
+SWEEP_FIRST_WIDTH = 64
 
 #: Least speedup of the hybrid single-source engine over the seed kernel
 #: on the full ladder's grid, where every level is thin and per-level
@@ -225,6 +232,20 @@ def _extract_msbfs_engine(
                 f"ecc sweep on BA-2k (limit {COLUMN_OVERHEAD_LIMIT:g}x)",
             )
         )
+    rows = doc.get("sweep_width", {}).get("rows", [])
+    width = next(
+        (r.get("first_width") for r in rows if r.get("graph") == "ba2k"),
+        None,
+    )
+    findings.append(
+        _claim(
+            artifact,
+            width == SWEEP_FIRST_WIDTH,
+            f"sweep-width table: BA-2k's first FFO lane batch is "
+            f"{'missing' if width is None else f'{width} lanes'} "
+            f"(want {SWEEP_FIRST_WIDTH})",
+        )
+    )
     return headlines, findings
 
 

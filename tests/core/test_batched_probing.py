@@ -1,7 +1,7 @@
 """Batched FFO probing: ``run()`` equals one traversal per probe.
 
-:meth:`EccentricitySolver.run` takes a territory's later sweep probes
-from MS-BFS lane batches and applies each batch as one block, while
+:meth:`EccentricitySolver.run` takes a territory's sweep probes from
+MS-BFS lane batches and applies each batch as one block, while
 :meth:`EccentricitySolver.steps` takes one traversal per block.  Both
 apply the same rows in the same FFO order, so the eccentricities,
 bounds, traversal counts, counter history and the per-probe snapshots
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ifecc import compute_eccentricities
 from repro.core.oracles import BFSOracle
 from repro.core.solver import EccentricitySolver
 from repro.counters import TraversalCounter
@@ -41,7 +42,7 @@ from repro.weighted.graph import WeightedGraph
 
 from core.test_solver_equivalence import build_corpus
 from directed.test_directed import random_strongly_connected
-from helpers import random_connected_graph
+from helpers import random_connected_graph, traced_peak_bytes
 
 #: The snapshot fields a ``solver.probe`` span carries.
 _PROBE_KEYS = (
@@ -182,10 +183,8 @@ def test_wrapped_and_process_oracles_batch_identically(
 def test_random_graphs_run_equals_steps(
     n: int, extra: int, seed: int, refs: int, stored: bool
 ) -> None:
-    graph = random_connected_graph(n, extra, seed)
-    # Batch from the first probe, so small graphs exercise the lanes.
-    with mock.patch.object(msengine, "_SERIAL_BATCH_LIMIT", 1):
-        _compare(BFSOracle, graph, refs, stored)
+    # Territories this small sweep 64 lanes from their first probe.
+    _compare(BFSOracle, random_connected_graph(n, extra, seed), refs, stored)
 
 
 def test_lanes_discarded_is_swept_minus_consumed(ba2k: Graph) -> None:
@@ -275,13 +274,35 @@ def test_directed_runs_take_lanes_weighted_runs_never_batch(
 
 
 class TestPlanSweepWidth:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        consumed=st.integers(min_value=0, max_value=5000),
+        unresolved=st.integers(min_value=1, max_value=1 << 22),
+    )
+    def test_block_cap_above_the_doubling_floor(
+        self, consumed: int, unresolved: int
+    ) -> None:
+        width = msengine.plan_sweep_width(consumed, unresolved)
+        floor = 1 if consumed < msengine._SERIAL_BATCH_LIMIT else consumed
+        assert width >= floor
+        # Wider than the floor only while the block fits its cells, and
+        # never by a sweep narrower than a serial batch.
+        if width != floor:
+            assert width * unresolved <= msengine._BLOCK_CELLS
+            assert width >= msengine._SERIAL_BATCH_LIMIT
+        if unresolved <= msengine._BLOCK_CELLS // 64:
+            assert width >= 64
+
     def test_serial_prefix_then_doubling_to_one_word(self) -> None:
         # The solver caps the plan by its oracle's lanes: one word for
         # BFS, one probe for Dijkstra.
         assert BFSOracle.sweep_lanes == DirectedBFSOracle.sweep_lanes == 64
         assert DijkstraOracle.sweep_lanes == 1
+        # At a block's worth of open members the cap adds nothing, so
+        # the doubling floor alone sets the width.
         consumed = (0, 7, 8, 16, 32, 64, 500)
-        widths = [msengine.plan_sweep_width(c) for c in consumed]
+        open_members = msengine._BLOCK_CELLS
+        widths = [msengine.plan_sweep_width(c, open_members) for c in consumed]
         assert widths == [1, 1, 8, 16, 32, 64, 500]
         capped = [min(w, BFSOracle.sweep_lanes) for w in widths]
         assert capped == [1, 1, 8, 16, 32, 64, 64]
@@ -343,21 +364,23 @@ def test_sweep_batch_matches_single_traversals(kind: str) -> None:
 @pytest.mark.parametrize(
     "refs, stored, want",
     [
-        (1, False, (602, 57231, 528357, 1282000, 0, 39)),
-        (1, True, (602, 57231, 528357, 1282000, 0, 39)),
-        (3, False, (738, 98885, 892084, 1606000, 0, 65)),
-        (3, True, (738, 98885, 892084, 1606000, 0, 65)),
+        (1, False, (602, 33319, 427012, 1282000, 0, 39)),
+        (1, True, (602, 33319, 427012, 1282000, 0, 39)),
+        (3, False, (738, 39987, 590268, 1670000, 0, 97)),
+        (3, True, (738, 39987, 590268, 1670000, 0, 97)),
     ],
 )
 def test_run_work_counters_pinned(
     ba2k: Graph, refs: int, stored: bool, want: Tuple[int, ...]
 ) -> None:
     """``run()``'s work on BA-2k (in memory or store-opened), pinned
-    before its rows became blocks.
+    when lane batches took their width from the block
+    (:func:`repro.graph.msengine.plan_sweep_width`).
 
     The swept and discarded lanes, and so every work counter, depend
     only on which sources each lane batch holds; these values show the
-    batches are the ones the row-by-row application swept.
+    batches are the ones that rule plans.  Runs and vertices visited
+    follow from the consumed probes and the lanes swept.
     """
     counter = TraversalCounter()
     EccentricitySolver(
@@ -392,8 +415,10 @@ def _budget_view(solver: EccentricitySolver, exact: bool) -> Dict[str, Any]:
     }
 
 
-def _assert_budgeted_equals_steps(make_solver: Any) -> None:
-    for budget in _BUDGETS:
+def _assert_budgeted_equals_steps(
+    make_solver: Any, budgets: Tuple[int, ...] = _BUDGETS
+) -> None:
+    for budget in budgets:
         want = _stepped_to(make_solver(), budget)
         solver = make_solver()
         result = solver.run_budgeted(budget)
@@ -435,9 +460,9 @@ def test_budgeted_run_takes_lane_batches_within_budget(ba2k: Graph) -> None:
         result = EccentricitySolver(BFSOracle(ba2k)).run_budgeted(40)
     events = deterministic_view(sink.events)
     sweeps = [e["num_sources"] for e in events if e["name"] == "msbfs.run"]
-    # 1 reference + 8 single probes, then batches of 8 and 16 lanes; the
-    # last batch holds only the 7 probes the budget has left.
-    assert sweeps == [8, 16, 7]
+    # BA-2k's territory fits 64 lanes in one block, so after the
+    # reference one batch holds the 39 probes the budget has left.
+    assert sweeps == [39]
     assert result.num_bfs == 40 and result.counter.lanes_discarded == 0
     (run_span,) = [e for e in events if e["name"] == "solver.run"]
     assert (run_span["budget"], run_span["exact"]) == (40, False)
@@ -483,15 +508,16 @@ class CorruptingOracle(ForwardingOracle):
 
 
 @pytest.mark.parametrize("field", ["ecc", "dist"])
-@pytest.mark.parametrize("probe", [8, 30])
+@pytest.mark.parametrize("probe", [0, 8, 30])
 def test_corrupted_lane_row_raises_like_steps(ba2k: Graph, field: str, probe: int) -> None:
     """A lane row outside the current bounds fails ``run()`` and
     ``run_budgeted()`` as it fails ``steps()`` when a single probe
     returns it: the first and a middle row of a lane batch."""
     clean = TraversalCounter()
     EccentricitySolver(BFSOracle(ba2k), counter=clean).run()
-    # History: the reference, then the sweep probes in order; the first
-    # 8 run alone, so sweep probe 8 opens the first lane batch.
+    # History: the reference, then the sweep probes in order; BA-2k's
+    # first lane batch holds sweep probes 0-63, so probes 8 and 30 are
+    # rows inside it.
     source = int(clean.history[1 + probe].split(":")[1])
     with pytest.raises(InvalidParameterError):
         for _ in EccentricitySolver(
@@ -506,3 +532,84 @@ def test_corrupted_lane_row_raises_like_steps(ba2k: Graph, field: str, probe: in
             EccentricitySolver(
                 CorruptingOracle(BFSOracle(ba2k), source, field)
             ).run_budgeted(budget)
+
+
+class BatchSpy(ForwardingOracle):
+    """Records ``(probes asked for, traversals so far)`` per sweep."""
+
+    def __init__(self, oracle: Any) -> None:
+        super().__init__(oracle)
+        self.calls: List[Tuple[int, int]] = []
+
+    def sweep_batch(
+        self, sources: List[int], targets: Any, counter: Any = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        self.calls.append((len(sources), counter.bfs_runs))
+        return self._oracle.sweep_batch(sources, targets, counter=counter)
+
+
+@pytest.mark.parametrize("budget", [2, 9, 40, 65, 200])
+def test_lane_batches_never_exceed_the_budget_left(
+    ba2k: Graph, budget: int
+) -> None:
+    spy = BatchSpy(BFSOracle(ba2k))
+    result = EccentricitySolver(spy).run_budgeted(budget)
+    assert spy.calls
+    for width, runs in spy.calls:
+        assert 1 <= width <= min(budget - runs, BFSOracle.sweep_lanes)
+    assert result.num_bfs <= budget
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=160),
+    extra=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    refs=st.sampled_from([1, 3]),
+    directed=st.booleans(),
+    cells=st.sampled_from([1, 40, 200, 1 << 18]),
+    k=st.integers(min_value=0, max_value=90),
+)
+def test_block_width_run_and_budget_equal_steps(
+    n: int,
+    extra: int,
+    seed: int,
+    refs: int,
+    directed: bool,
+    cells: int,
+    k: int,
+) -> None:
+    """``run()`` equals ``steps()``, and ``run_budgeted(k + 1)`` equals
+    ``steps()`` stopped at ``k + 1`` traversals, whichever side of the
+    block's cell cap a territory is on: with the cap shrunk to 1 or 40
+    cells, these graphs' territories lie above it and the doubling
+    floor plans the widths; at 200 cells only territories of at most
+    25 open members are widened; at the full cap the first batch is as
+    wide as the FFO, the budget and one lane word allow."""
+    if directed:
+        graph: Any = random_strongly_connected(n, extra + n, seed)
+        make_oracle: Any = DirectedBFSOracle
+    else:
+        graph = random_connected_graph(n, extra, seed)
+        make_oracle = BFSOracle
+    with mock.patch.object(msengine, "_BLOCK_CELLS", cells):
+        _compare(make_oracle, graph, refs, False)
+        _assert_budgeted_equals_steps(
+            lambda: EccentricitySolver(
+                make_oracle(graph), num_references=refs
+            ),
+            budgets=(0, k + 1, 10**6),
+        )
+
+
+class TestBlockBound:
+    """The lane block's cell cap keeps a run's scratch near the
+    doubling rule's, not ``64 x |unresolved|`` cells wide."""
+
+    def test_web_standin_peak_under_8_mib(self) -> None:
+        graph = load_dataset("UKUN", scale=0.75)
+        assert graph.num_vertices > msengine._BLOCK_CELLS // 64
+        peak = traced_peak_bytes(lambda: compute_eccentricities(graph))
+        # 64 lanes from the first probe would record (64, |U|) blocks
+        # with |U| near n: about 21 MiB here, against 4-6 MiB capped.
+        assert peak <= 8 << 20, peak

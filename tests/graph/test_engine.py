@@ -7,7 +7,6 @@ reuse.  The seed kernel is reproduced verbatim here as the oracle.
 """
 
 import gc
-import tracemalloc
 import weakref
 from collections import deque
 
@@ -38,7 +37,7 @@ from repro.graph.traversal import (
 )
 from repro.obs.trace import MemorySink, tracing
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, traced_peak_bytes
 
 MODES = ("hybrid", "top-down", "bottom-up")
 
@@ -368,17 +367,6 @@ class TestScratchBound:
     """A run's scratch is bounded by the gather chunk plus a few
     length-n arrays, not by the arcs of its widest level."""
 
-    @staticmethod
-    def _peak_bytes(call):
-        call()  # warm: any lazily built state exists before measuring
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("mode", MODES)
     def test_run_peak_independent_of_arcs(self, mode):
         graph = barabasi_albert(8192, 32, seed=2)
@@ -389,5 +377,5 @@ class TestScratchBound:
         # (positions and their offsets, endpoints, gathered values,
         # candidates), plus a few length-n level arrays.
         bound = 48 * engine_module._GATHER_CHUNK_ARCS + 32 * n
-        peak = self._peak_bytes(lambda: engine.run(0, mode=mode))
+        peak = traced_peak_bytes(lambda: engine.run(0, mode=mode))
         assert peak < bound, peak

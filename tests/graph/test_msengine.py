@@ -8,12 +8,11 @@ kernel in test_engine.py) or the plain traversal reference.
 
 from __future__ import annotations
 
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, traced_peak_bytes
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError, InvalidVertexError
 from repro.graph.builder import GraphBuilder
@@ -413,17 +412,6 @@ class TestScratchBound:
     ``n * k`` or by the graph's arcs; this is what lets graphs of any
     size batch their FFO probes."""
 
-    @staticmethod
-    def _peak_bytes(call):
-        call()  # pooled bitmaps are built on the first sweep
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-
     def test_column_sweep_peak_independent_of_lanes_and_arcs(self):
         graph = barabasi_albert(8192, 32, seed=2)
         n = graph.num_vertices
@@ -439,7 +427,7 @@ class TestScratchBound:
         for lanes in (8, 64):
             src = rng.choice(n, lanes, replace=False)
             for mode in ("hybrid", "top-down", "bottom-up"):
-                peaks[lanes, mode] = self._peak_bytes(
+                peaks[lanes, mode] = traced_peak_bytes(
                     lambda: engine.column_batch(src, targets, mode=mode)
                 )
         assert max(peaks.values()) < bound, peaks

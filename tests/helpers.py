@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import heapq
 import importlib.util
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +33,22 @@ from repro.graph.traversal import (
 )
 from repro.sentinels import unreached_mask
 from repro.weighted.graph import WeightedGraph
+
+
+def traced_peak_bytes(call: Callable[[], Any]) -> int:
+    """Peak bytes ``call()`` allocates above its start, per tracemalloc.
+
+    ``call`` runs once untraced first, so pooled or lazily built state
+    exists before the measured run.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def bench_module(name: str) -> ModuleType:

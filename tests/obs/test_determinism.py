@@ -46,11 +46,16 @@ class TestTraceDeterminism:
         assert live == golden
 
     def test_golden_trace_shape(self):
-        """Sanity-pin the golden file itself: probes, bfs runs, one root."""
+        """Sanity-pin the golden file itself: probes, traversals, one root."""
         with open(GOLDEN, "r", encoding="utf-8") as handle:
             golden = json.load(handle)
         names = [e["name"] for e in golden]
-        assert names.count("solver.probe") == names.count("bfs.run")
+        # Each probe is one traversal: a single-source run or a consumed
+        # lane of a sweep.
+        (run,) = [e for e in golden if e["name"] == "solver.run"]
+        swept = sum(e["num_sources"] for e in golden if e["name"] == "msbfs.run")
+        lanes = swept - run.get("lanes_discarded", 0)
+        assert names.count("solver.probe") == names.count("bfs.run") + lanes
         assert names.count("solver.run") == 1
         roots = [e for e in golden if e["parent"] is None]
         assert [e["name"] for e in roots] == ["solver.run"]

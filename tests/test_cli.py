@@ -355,6 +355,7 @@ class TestBench:
                 }
             ],
             "aggregate": {"powerlaw_speedup_ecc_vs_loop": ecc_speedup},
+            "sweep_width": {"rows": [{"graph": "ba2k", "first_width": 64}]},
         }
         path = tmp_path / name
         path.write_text(json.dumps(doc))

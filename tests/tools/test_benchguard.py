@@ -14,6 +14,7 @@ from repro.obs.benchguard import (
     COLUMN_OVERHEAD_LIMIT,
     DEFAULT_TOLERANCE,
     GRID_SPEEDUP_FLOOR,
+    SWEEP_FIRST_WIDTH,
     Finding,
     Headline,
     check_artifact,
@@ -52,6 +53,7 @@ def _msbfs_doc(ecc_speedup=3.0, rows_speedup=3.0):
             "powerlaw_speedup_ecc_vs_loop": ecc_speedup,
             "powerlaw_speedup_rows_vs_loop": rows_speedup,
         },
+        "sweep_width": {"rows": [{"graph": "ba2k", "first_width": 64}]},
     }
 
 
@@ -123,6 +125,29 @@ class TestCheckEdgeCases:
         assert len(claims) == 1
         assert claims[0].failed is failed
         assert f"limit {COLUMN_OVERHEAD_LIMIT:g}x" in claims[0].message
+
+    @pytest.mark.parametrize(
+        "rows, failed",
+        [
+            ([{"graph": "powerlaw-4k", "first_width": 8},
+              {"graph": "ba2k", "first_width": 64}], False),
+            ([{"graph": "ba2k", "first_width": 1}], True),
+            ([{"graph": "powerlaw-4k", "first_width": 64}], True),
+            (None, True),
+        ],
+        ids=["64-lanes", "serial", "no-ba2k-row", "no-section"],
+    )
+    def test_sweep_width_claim(self, tmp_path, rows, failed):
+        doc = _msbfs_doc()
+        if rows is None:
+            del doc["sweep_width"]
+        else:
+            doc["sweep_width"]["rows"] = rows
+        path = _write(tmp_path, "BENCH_msbfs_engine.json", doc)
+        claims = [f for f in check_artifact(path) if "sweep-width" in f.message]
+        assert len(claims) == 1
+        assert claims[0].failed is failed
+        assert f"want {SWEEP_FIRST_WIDTH}" in claims[0].message
 
     @pytest.mark.parametrize("speedup, failed", [(1.3, False), (0.8, True)])
     def test_grid_speedup_claim(self, tmp_path, speedup, failed):
