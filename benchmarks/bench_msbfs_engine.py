@@ -17,7 +17,10 @@ suite shared with :mod:`bench_bfs_engine`:
 Both batch products are raced — the eccentricity reduction
 (``ecc_batch``, the headline) and the full ``(k, n)`` distance-rows
 product — and every contender's distances are asserted bit-identical to
-the seed kernels before anything is timed.  A width-scaling section
+the seed kernels before anything is timed.  Every timing is the median
+of interleaved rounds: the contenders of a row take turns within each
+round (``--repeats`` rounds; :data:`COLUMN_REPEATS` for the column
+row), so a slow spell of a shared host lands on all of them.  A width-scaling section
 times 64/128/256-source batches on the power-law graph as 1/2/4 lane
 groups through :func:`repro.graph.batch.lane_groups` against the loop,
 and checks that the planner sweeps every batch 64 lanes at a time.  A
@@ -48,8 +51,9 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +93,7 @@ BATCH = 64
 #: vertex; 0 is the bare ``ecc_batch`` sweep).
 COLUMN_TARGETS = (0, 100, 1000, None)
 
-#: Repetitions of each column sweep (a sweep takes a few ms).
+#: Timing rounds of the column row (a sweep takes about a millisecond).
 COLUMN_REPEATS = 30
 
 #: Lane widths the sweep-width table prices.
@@ -182,13 +186,18 @@ def _loop_ecc(engine: BFSEngine, sources: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_of(run: Callable[[], object], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        watch = Stopwatch()
-        run()
-        best = min(best, watch.elapsed())
-    return best
+def _time_rounds(
+    contenders: Dict[str, Callable[[], object]], rounds: int
+) -> Dict[str, float]:
+    """Each contender's median seconds over ``rounds`` rounds, the
+    contenders taking turns within a round."""
+    times: Dict[str, List[float]] = {name: [] for name in contenders}
+    for _ in range(max(1, rounds)):
+        for name, run in contenders.items():
+            watch = Stopwatch()
+            run()
+            times[name].append(watch.elapsed())
+    return {name: statistics.median(t) for name, t in times.items()}
 
 
 def bench_graph(
@@ -236,23 +245,25 @@ def bench_graph(
             raise AssertionError(f"ecc reduction mismatch on {name}")
 
     # --- timed: the eccentricity batch (headline) ...
-    ecc_s = {
-        "seed-msbfs": _best_of(lambda: seed_msbfs_ecc(graph, sources), repeats),
-        "lanes-top-down": _best_of(
-            lambda: ms.ecc_batch(sources, mode="top-down"), repeats
-        ),
-        "lanes-hybrid": _best_of(lambda: ms.ecc_batch(sources), repeats),
-        "loop-hybrid": _best_of(lambda: _loop_ecc(loop, sources), repeats),
-    }
+    ecc_s = _time_rounds(
+        {
+            "seed-msbfs": lambda: seed_msbfs_ecc(graph, sources),
+            "lanes-top-down": lambda: ms.ecc_batch(sources, mode="top-down"),
+            "lanes-hybrid": lambda: ms.ecc_batch(sources),
+            "loop-hybrid": lambda: _loop_ecc(loop, sources),
+        },
+        repeats,
+    )
     # ... and the full (k, n) distance-rows product.
-    rows_s = {
-        "seed-msbfs": _best_of(lambda: seed_msbfs_rows(graph, sources), repeats),
-        "lanes-top-down": _best_of(
-            lambda: ms.run_batch(sources, mode="top-down"), repeats
-        ),
-        "lanes-hybrid": _best_of(lambda: ms.run_batch(sources), repeats),
-        "loop-hybrid": _best_of(lambda: _loop_rows(loop, sources, n), repeats),
-    }
+    rows_s = _time_rounds(
+        {
+            "seed-msbfs": lambda: seed_msbfs_rows(graph, sources),
+            "lanes-top-down": lambda: ms.run_batch(sources, mode="top-down"),
+            "lanes-hybrid": lambda: ms.run_batch(sources),
+            "loop-hybrid": lambda: _loop_rows(loop, sources, n),
+        },
+        repeats,
+    )
     return {
         "name": name,
         "family": family,
@@ -260,7 +271,7 @@ def bench_graph(
         "num_edges": graph.num_edges,
         "batch": k,
         "planned_width": plan_lane_width(len(graph.indices), k),
-        "repeats": repeats,
+        "rounds": repeats,
         "ecc_seconds": ecc_s,
         "rows_seconds": rows_s,
         "speedup_ecc_vs_loop": ecc_s["loop-hybrid"] / ecc_s["lanes-hybrid"]
@@ -305,8 +316,14 @@ def bench_width_scaling(
                 f"lane groups disagree with the loop on {name}, "
                 f"batch {len(sources)}"
             )
-        ms_s = _best_of(lambda: lane_groups(graph, sources, width), repeats)
-        loop_s = _best_of(lambda: _loop_ecc(loop, sources), repeats)
+        timed = _time_rounds(
+            {
+                "lanes": lambda: lane_groups(graph, sources, width),
+                "loop": lambda: _loop_ecc(loop, sources),
+            },
+            repeats,
+        )
+        ms_s, loop_s = timed["lanes"], timed["loop"]
         entries.append(
             {
                 "batch": int(len(sources)),
@@ -331,7 +348,8 @@ def bench_column_sweeps() -> Dict[str, object]:
     The graph is ``ed-powerlaw``'s family at any suite size.  Every
     column sweep is checked against the full distance rows before it
     is timed; zero targets time the bare ``ecc_batch`` sweep, and
-    ``overhead_vs_ecc`` divides each best-of time by that sweep's.
+    ``overhead_vs_ecc`` divides each median time by that sweep's.  The
+    four sweeps take turns within each of ``COLUMN_REPEATS`` rounds.
     """
     graph = barabasi_albert(2000, 4, seed=7)
     n = graph.num_vertices
@@ -339,7 +357,7 @@ def bench_column_sweeps() -> Dict[str, object]:
     engine = MSBFSEngine(graph)
     rows = engine.run_batch(sources)
     rng = np.random.default_rng(0)
-    timed: List[Tuple[int, float]] = []
+    contenders: Dict[str, Callable[[], object]] = {}
     for count in COLUMN_TARGETS:
         targets = (
             np.arange(n)
@@ -355,13 +373,13 @@ def bench_column_sweeps() -> Dict[str, object]:
                 f"column sweep of {len(targets)} targets disagrees with "
                 f"the distance rows"
             )
-        if len(targets):
-            seconds = _best_of(
-                lambda: engine.column_batch(sources, targets), COLUMN_REPEATS
-            )
-        else:
-            seconds = _best_of(lambda: engine.ecc_batch(sources), COLUMN_REPEATS)
-        timed.append((len(targets), seconds))
+        contenders[str(len(targets))] = (
+            partial(engine.column_batch, sources, targets)
+            if len(targets)
+            else partial(engine.ecc_batch, sources)
+        )
+    medians = _time_rounds(contenders, COLUMN_REPEATS)
+    timed = [(int(count), seconds) for count, seconds in medians.items()]
     ecc_s = timed[0][1]
     entries: List[Dict[str, object]] = []
     for count, seconds in timed:
@@ -380,18 +398,9 @@ def bench_column_sweeps() -> Dict[str, object]:
         "graph": "barabasi_albert(2000, 4, seed=7)",
         "num_vertices": n,
         "batch": len(sources),
-        "repeats": COLUMN_REPEATS,
+        "rounds": COLUMN_REPEATS,
         "rows": entries,
     }
-
-
-def _median_time(run: Callable[[], object], repeats: int) -> float:
-    times = []
-    for _ in range(max(1, repeats)):
-        watch = Stopwatch()
-        run()
-        times.append(watch.elapsed())
-    return statistics.median(times)
 
 
 def bench_sweep_width(name: str, graph: Graph, repeats: int) -> Dict[str, object]:
@@ -405,6 +414,8 @@ def bench_sweep_width(name: str, graph: Graph, repeats: int) -> Dict[str, object
     median single-source probe of the first ``SWEEP_UNIT_PROBES`` (each
     through :func:`repro.graph.batch.sweep_columns`, as the BFS oracle
     runs them), and every lane is checked against that probe's column.
+    The single probes and the sweeps take turns within each of
+    ``repeats`` rounds, and each is timed by its median round.
     ``first_width`` is the batch the solver plans there, capped at one
     lane word.
     """
@@ -429,16 +440,22 @@ def bench_sweep_width(name: str, graph: Graph, repeats: int) -> Dict[str, object
             raise AssertionError(
                 f"{k}-lane column sweep disagrees with single probes on {name}"
             )
-    unit = statistics.median(
-        _median_time(lambda: sweep_columns(graph, [s], targets), repeats)
+    contenders: Dict[str, Callable[[], object]] = {
+        f"probe {s}": partial(sweep_columns, graph, [s], targets)
         for s in probes[:SWEEP_UNIT_PROBES]
-    )
-    costs: Dict[str, float] = {}
+    }
     for k in SWEEP_WIDTHS:
-        seconds = _median_time(
-            lambda: sweep_columns(graph, probes[:k], targets), repeats
+        contenders[f"{k} lanes"] = partial(
+            sweep_columns, graph, probes[:k], targets
         )
-        costs[str(k)] = seconds / unit if unit else float("inf")
+    medians = _time_rounds(contenders, repeats)
+    unit = statistics.median(
+        medians[f"probe {s}"] for s in probes[:SWEEP_UNIT_PROBES]
+    )
+    costs = {
+        str(k): medians[f"{k} lanes"] / unit if unit else float("inf")
+        for k in SWEEP_WIDTHS
+    }
     width = min(plan_sweep_width(0, len(targets)), LANE_WORD_BITS)
     print(
         f"  sweep width {name}: |U|={len(targets)} first width {width}, "
@@ -495,7 +512,7 @@ def run_suite(
     sweep_width = {
         "widths": list(SWEEP_WIDTHS),
         "unit_probes": SWEEP_UNIT_PROBES,
-        "repeats": repeats,
+        "rounds": repeats,
         "rows": [
             bench_sweep_width(name, graph, repeats)
             for name, graph in width_graphs.items()
@@ -601,7 +618,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=DEFAULT_OUT,
         help="output JSON path (default: repo-root BENCH_msbfs_engine.json)",
     )
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=7,
+        help="interleaved timing rounds per row (medians are reported)",
+    )
     args = parser.parse_args(argv)
     report = run_suite(args.smoke, args.repeats, args.out)
     status = 0

@@ -29,16 +29,29 @@ Level update, on ``(n,)`` ``uint64`` bitmaps:
 * **bottom-up** — every vertex still missing a live lane OR-reduces
   its in-neighbors' frontier words over its in-CSR slice
   (``np.bitwise_or.reduceat``); fresh bits are ``reduced & ~seen[v]``.
-  A bottom-up level pulls in one of two forms, chosen by its
-  candidates' share of the in-arcs.  A *thin* level gathers just the
-  candidates' arcs by position.  A *dense* level, whose candidates
-  hold at least half of the in-arcs, reads the whole in-CSR in
-  contiguous chunks: one gather of frontier words and one reduction
-  per chunk, with no per-arc position array.  It reads at most twice
-  the arcs the gather would, at about half the cost per level on the
-  web stand-ins (EXPERIMENTS.md, "Forks kept").  Vertices that are no
-  candidate gain no fresh bit, because the frontier holds only live
-  lanes, so both forms give the same words and credit the same arcs.
+  The candidates' words ``~seen & live`` go to a pooled scratch
+  bitmap, and their in-arc mass is one contraction of the in-degrees
+  with ``words != 0``.  A bottom-up level pulls in one of two forms,
+  chosen by that mass's share of the in-arcs.  A *thin* level gathers
+  just the candidates' arcs by position and, like a top-down level,
+  hands on vertex lists.  A *dense* level, whose candidates hold at
+  least half of the in-arcs, reads the whole in-CSR in contiguous
+  chunks: one gather of frontier words and one reduction per chunk,
+  at offsets planned with the engine, written as a slice of the other
+  bitmap (no per-arc position array, per-level offset gather or
+  scatter).  It reads at most twice the arcs the gather would, at
+  about half the cost per level on the web stand-ins (EXPERIMENTS.md,
+  "Forks kept").  Vertices that are no candidate gain no fresh bit,
+  because the frontier holds only live lanes, so both forms give the
+  same words and credit the same arcs.  A dense level stays in
+  bitmaps: it masks the pulled words with the candidates in place,
+  ORs them into ``seen``, takes the next frontier's size and arc mass,
+  the unvisited arc mass and the live lanes from whole-array counts,
+  degree contractions and one OR-reduction, and hands the bitmap on as the
+  next frontier by swapping the two level bitmaps' roles.  Vertex
+  lists come back only when a top-down level (one ``flatnonzero`` of
+  the bitmap) or a thin pull (which reads the bitmap as it is) needs
+  them.
 
 The engine reads the same (out-CSR, in-CSR) pair as
 :class:`~repro.graph.engine.BFSEngine` (see
@@ -70,26 +83,41 @@ form (the chunk rule is :meth:`~repro.graph.engine._Kernel._arc_chunks`,
 shared with the single-source engine), so its arc scratch does not
 grow with the graph's arcs.
 
-The ``next`` bitmap is scratch that is all-zero on entry to every
-level: :meth:`_MSWorkspace.reset` zeroes it once per sweep, and every
-level form (fused or chunked top-down, gathered or dense pull) restores
-it before returning, zeroing only the words it left set.
+The two level bitmaps need no zeroing between levels, only to be
+*clean*: to hold no lane bit outside ``seen``.  A clean word is
+dropped by the ``& ~seen`` (or ``& candidates``) every level form
+applies to what it writes, and a bitmap that held an earlier
+frontier is clean, because every frontier bit is in ``seen``.  So
+:meth:`_MSWorkspace.reset` zeroes the bitmaps once per sweep; the
+fused top-down level zeroes just the words it wrote, a chunked one
+leaves its bitmap all-zero, and a dense pull rewrites every vertex
+with in-arcs (a vertex without kept a clean word, which the mask
+drops).  A bottom-up level reads the frontier bitmap, so that must
+hold exactly the frontier's words: after a dense level it does, and
+from vertex lists the sweep writes it first, zeroing the words it
+last wrote there (all n once, with ``fill(0)``, after a thin pull
+read the resident bitmap).  After every sweep both level bitmaps are
+clean.
 
 Distances are recorded bit-sliced: at level ``L`` the fresh lane words
 of the reached targets are OR-ed into plane ``b`` for every set bit
-``b`` of ``L`` (read off ``bin(L)``), and the planes are decoded into
+``b`` of ``L`` (read off ``bin(L)``) — after a dense level the fresh
+bitmap at the targets, or all of it — and the planes are decoded into
 the ``(k, len(targets))`` ``int32`` block once, after the sweep.  So a column
 sweep's scratch is about ``ceil(log2(ecc + 1)) * len(targets)`` words
 plus the output block, and no level unpacks a lane.
 
 Workspaces follow the pooled discipline of the rest of the repository:
-three ``(n,)`` ``uint64`` bitmaps are allocated once per graph
-(weakly cached; safe because the CSR is immutable, reprolint R1) and
-zeroed in place between batches.  The dense pull's chunk plan (the
-vertices with in-arcs, and which of them each chunk holds) is built
-with the engine, at one ``int64`` per vertex with in-arcs.  Returned
-distance matrices are always freshly owned — their shape depends on
-the batch.
+four ``(n,)`` ``uint64`` word arrays (``seen``, the two level bitmaps
+and the candidates' scratch) are allocated once per graph (weakly
+cached; safe because the CSR is immutable, reprolint R1), and the
+bitmaps are zeroed in place between batches.  The dense pull's chunk
+plan (per chunk its ``reduceat`` offsets, and its vertices as a slice
+or, when vertices without in-arcs fall among them, as ids) is built
+with the engine, at one ``int64`` per vertex with in-arcs (two where
+such ids are kept).
+Returned distance matrices are always freshly owned — their shape
+depends on the batch.
 
 A sweep is one lane word wide.  Wider sweeps (two or four words per
 vertex) halve the level loops and CSR gathers but multiply every
@@ -117,6 +145,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -177,6 +206,15 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 #: needs numpy 2.0).
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
+#: One chunk of the dense pull's plan: ``(a, b, offsets, carry, dest)``
+#: (see :meth:`MSBFSEngine._dense_pull`).
+_PullChunk = Tuple[
+    int, int, np.ndarray, Optional[int], Union[slice, np.ndarray]
+]
+
+#: A list-form level's result: ``(newly, new_bits, seen_rows)``.
+_Fresh = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def plan_lane_width(num_arcs: int, batch_size: int) -> int:
     """Lane width (sources per sweep) for a batched traversal phase.
@@ -219,24 +257,37 @@ def plan_sweep_width(consumed: int, unresolved: int) -> int:
 
 
 class _MSWorkspace:
-    """Pooled ``(n,)`` ``uint64`` lane bitmaps for one graph.
+    """Pooled lane words for one graph.
+
+    A sweep swaps the roles of ``frontier`` and ``next_mask`` (see
+    :class:`MSBFSEngine`); ``scratch`` holds a bottom-up level's
+    candidate words, written before every read.
 
     :dtype seen: uint64
     :dtype frontier: uint64
     :dtype next_mask: uint64
+    :dtype scratch: uint64
     """
 
-    __slots__ = ("seen", "frontier", "next_mask", "guard", "__weakref__")
+    __slots__ = (
+        "seen",
+        "frontier",
+        "next_mask",
+        "scratch",
+        "guard",
+        "__weakref__",
+    )
 
     def __init__(self, num_vertices: int) -> None:
         self.seen = np.zeros(num_vertices, dtype=np.uint64)
         self.frontier = np.zeros(num_vertices, dtype=np.uint64)
         self.next_mask = np.zeros(num_vertices, dtype=np.uint64)
+        self.scratch = np.empty(num_vertices, dtype=np.uint64)
         # None unless REPRO_SANITIZE is armed at construction time.
         self.guard = sanitize.guard_if_enabled("_MSWorkspace")
 
     def reset(self) -> None:
-        """Zero every bitmap in place (start of a new sweep)."""
+        """Zero the bitmaps in place (start of a new sweep)."""
         self.seen.fill(0)
         self.frontier.fill(0)
         self.next_mask.fill(0)
@@ -250,15 +301,21 @@ def _popcount(words: np.ndarray) -> int:
     return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum())
 
 
+def _mass(degrees: np.ndarray, mask: np.ndarray) -> int:
+    """``degrees[mask].sum()``, as one contraction: ``np.einsum`` casts
+    the boolean mask in buffered blocks, where ``np.dot`` would first
+    copy it whole into ``int64`` (1.0 against 2.2 ms at n = 1M)."""
+    return int(np.einsum("i,i->", degrees, mask))
+
+
 def _set_bits(value: int) -> np.ndarray:
-    """The set bits of ``value``, ascending, as an ``(count, 1)`` column
-    of plane indices: read off ``bin(value)``, with no ``(bits,)``
-    arange to shift and scan.
+    """The set bits of ``value``, ascending, as plane indices: read off
+    ``bin(value)``, with no ``(bits,)`` arange to shift and scan.
 
     :dtype bits: int64
     """
     bits = [b for b, c in enumerate(reversed(bin(value))) if c == "1"]
-    return np.array(bits, dtype=np.int64)[:, None]
+    return np.array(bits, dtype=np.int64)
 
 
 def _unpack_lane_bits(words: np.ndarray) -> np.ndarray:
@@ -330,15 +387,17 @@ class MSBFSEngine(_Kernel):
         Traverse a directed graph's arcs in reverse (``dist(., s)``).
     """
 
-    __slots__ = ("_work", "_pull_rows", "_pull_chunks")
+    __slots__ = ("_work", "_pull_chunks")
 
     def __init__(self, graph: Any, backward: bool = False) -> None:
         super().__init__(graph, backward)
         self._work = _MSWorkspace(self._n)
-        # The dense pull's plan: the vertices with in-arcs, ascending,
-        # and per chunk of _GATHER_CHUNK_ARCS in-arcs its arc range
-        # [lo, hi) of the in-CSR and the slice of them whose arcs it
-        # holds; a slice that straddles two chunks is listed in both.
+        # The dense pull's plan, per chunk of _GATHER_CHUNK_ARCS in-arcs:
+        # its arc range [a, b) of the in-CSR, the reduceat offsets of the
+        # slices of the vertices with in-arcs that it holds, the vertex
+        # whose slice began in an earlier chunk (None: none did) and
+        # where the reductions go: a slice when those vertices are a
+        # contiguous id range, else their ids.
         in_csr = self._in
         rows = np.flatnonzero(in_csr.degrees)
         starts = in_csr.indptr[rows]
@@ -346,15 +405,17 @@ class MSBFSEngine(_Kernel):
         chunk_hi = np.minimum(chunk_lo + self._chunk_arcs, in_csr.num_arcs)
         first = np.searchsorted(starts, chunk_lo, side="right") - 1
         last = np.searchsorted(starts, chunk_hi, side="left")
-        self._pull_rows = rows
-        self._pull_chunks = list(
-            zip(
-                chunk_lo.tolist(),
-                chunk_hi.tolist(),
-                first.tolist(),
-                last.tolist(),
-            )
-        )
+        self._pull_chunks: List[_PullChunk] = []
+        for a, b, i, j in zip(
+            chunk_lo.tolist(), chunk_hi.tolist(), first.tolist(), last.tolist()
+        ):
+            ids = rows[i:j]
+            offsets = starts[i:j] - a
+            lo, hi = int(ids[0]), int(ids[-1]) + 1
+            carry = lo if offsets[0] < 0 else None
+            offsets[0] = 0
+            dest = slice(lo, hi) if hi - lo == len(ids) else ids
+            self._pull_chunks.append((a, b, offsets, carry, dest))
 
     # ------------------------------------------------------------------
     # The sweep
@@ -511,8 +572,10 @@ class MSBFSEngine(_Kernel):
         planes = np.zeros((0, num_cols), dtype=np.uint64)
         work.reset()
         seen = work.seen
-        frontier = work.frontier
-        next_mask = work.next_mask
+        # The two level bitmaps trade roles at every dense level: a
+        # bottom-up level reads `frontier` and a level writes `spare`.
+        frontier, spare = work.frontier, work.next_mask
+        scratch = work.scratch
         lane_bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
         np.bitwise_or.at(frontier, src, lane_bits)
         np.bitwise_or.at(seen, src, lane_bits)
@@ -522,14 +585,18 @@ class MSBFSEngine(_Kernel):
         # The distinct sources, sorted: np.unique would also import
         # numpy.ma on its first call in a process.
         active = np.flatnonzero(frontier)
-        # The frontier: its vertices, their lane words and out-degrees
-        # (gathered once per level: they give m_frontier and the next
-        # top-down level's arc slices).  The frontier bitmap is written
-        # only when a bottom-up level reads it; `posted` is the vertex
-        # list it holds.
+        # The frontier is held in one of two forms.  As a list: its
+        # vertices, their lane words and out-degrees (gathered once per
+        # level: they give m_frontier and the next top-down level's arc
+        # slices); the frontier bitmap is written only when a bottom-up
+        # level reads it, and `posted` lists the vertices it may hold
+        # words at (None: any).  Or resident, after a dense level: the
+        # frontier bitmap alone, until a top-down level lists it.
         words = frontier[active]
         counts = out_deg[active]
-        posted = active
+        posted: Optional[np.ndarray] = active
+        resident = False
+        num_active = len(active)
         # The sweep's record: arc and bitmap-word totals and, per level,
         # the direction, the lanes still live entering it and the
         # vertices holding a fresh lane bit.
@@ -551,7 +618,8 @@ class MSBFSEngine(_Kernel):
         live = np.bitwise_or.reduce(words)
         lives: List[int] = []
         num_live = k
-        while active.size:
+        pulled: Union[None, np.ndarray, _Fresh]
+        while num_active:
             if hybrid:
                 # The single-source engine's Beamer decision, driven by
                 # the lanes' aggregate arc mass: enter bottom-up only
@@ -575,66 +643,95 @@ class MSBFSEngine(_Kernel):
                     if (
                         m_frontier > prev_m_frontier
                         and m_frontier * ALPHA > m_unvisited
-                        and len(active) >= n_over_beta
+                        and num_active >= n_over_beta
                         and m_frontier > 2 * m_checked
                     ):
-                        unsaturated = (~seen & live) != 0
-                        m_unsaturated = int(in_deg[unsaturated].sum())
+                        m_unsaturated, _ = self._candidates(
+                            seen, live, scratch
+                        )
                         if m_frontier * ALPHA > m_unsaturated:
                             direction = "bu"
                         else:
                             m_checked = m_frontier
-                elif len(active) < n_over_beta:
+                elif num_active < n_over_beta:
                     direction = "td"
             if direction == "td":
-                newly, new_bits, seen_rows, arcs = self._top_down_level(
-                    active, words, counts, m_frontier, seen, next_mask
+                if resident:
+                    active = np.flatnonzero(frontier)
+                    words = frontier[active]
+                    counts = out_deg[active]
+                    posted, resident = active, False
+                arcs = m_frontier
+                pulled = self._top_down_level(
+                    active, words, counts, arcs, seen, spare
                 )
                 scanned += arcs
             else:
-                if posted is not active:
-                    frontier[posted] = 0
+                if not resident and posted is not active:
+                    if posted is None:
+                        frontier.fill(0)
+                    else:
+                        frontier[posted] = 0
                     frontier[active] = words
                     posted = active
-                newly, new_bits, seen_rows, arcs = self._bottom_up_level(
-                    frontier, seen, live, next_mask
+                pulled, arcs = self._bottom_up_level(
+                    frontier, seen, live, spare, scratch
                 )
             inspected += arcs
-            touched += len(active) + arcs
-            if newly is None or new_bits is None or seen_rows is None:
+            touched += num_active + arcs
+            if pulled is None:
                 break
             level += 1
             directions.append(direction)
             live_lanes.append(num_live)
-            frontier_sizes.append(len(newly))
-            counts = out_deg[newly]
-            # First-touch accounting must precede the seen update: a
-            # vertex leaves the "unvisited" arc mass the first time any
-            # lane reaches it.
-            untouched = seen_rows == 0
-            in_counts = counts if symmetric else in_deg[newly]
-            m_unvisited -= int(in_counts[untouched].sum())
-            seen[newly] = seen_rows | new_bits
+            prev_m_frontier = m_frontier
+            if isinstance(pulled, tuple):
+                newly, new_bits, seen_rows = pulled
+                num_active = len(newly)
+                counts = out_deg[newly]
+                m_frontier = int(counts.sum())
+                # First-touch accounting must precede the seen update: a
+                # vertex leaves the "unvisited" arc mass the first time
+                # any lane reaches it.
+                untouched = seen_rows == 0
+                in_counts = counts if symmetric else in_deg[newly]
+                m_unvisited -= int(in_counts[untouched].sum())
+                seen[newly] = seen_rows | new_bits
+                live = np.bitwise_or.reduce(new_bits)
+                if resident:  # a thin pull read the resident bitmap
+                    posted, resident = None, False
+                active, words = newly, new_bits
+            else:
+                # A dense level left its fresh words in `spare` and
+                # handed over `spare != 0`: they are the next frontier.
+                frontier, spare = spare, frontier
+                resident = True
+                num_active = int(np.count_nonzero(pulled))
+                m_frontier = _mass(out_deg, pulled)
+                np.bitwise_or(seen, frontier, out=seen)
+                m_unvisited = self.num_arcs - _mass(in_deg, seen != 0)
+                live = np.bitwise_or.reduce(frontier)
+            frontier_sizes.append(num_active)
             # Record the level on the target rows only: OR their fresh
             # words into the plane of every set bit of the level.  Fresh
             # bits are & ~seen by construction, so each cell's bits all
             # come from the one level that first reached it.
             if num_cols:
-                if col_of is None:
-                    rows, fresh = newly, new_bits
+                if level >> len(planes):  # a power of two: one bit more
+                    planes = np.vstack((planes, np.zeros(num_cols, np.uint64)))
+                bits = _set_bits(level)
+                if resident:
+                    planes[bits] |= (
+                        frontier if targets is None else frontier[targets]
+                    )
+                elif col_of is None:
+                    planes[bits[:, None], newly] |= new_bits
                 else:
                     rows = col_of[newly]
                     hit = rows >= 0
-                    rows, fresh = rows[hit], new_bits[hit]
-                if level >> len(planes):  # a power of two: one bit more
-                    planes = np.vstack((planes, np.zeros(num_cols, np.uint64)))
-                planes[_set_bits(level), rows] |= fresh
-            live = np.bitwise_or.reduce(new_bits)
+                    planes[bits[:, None], rows[hit]] |= new_bits[hit]
             lives.append(int(live))
             num_live = bin(lives[-1]).count("1")
-            prev_m_frontier = m_frontier
-            m_frontier = int(counts.sum())
-            active, words = newly, new_bits
         # Lane i is live at levels 1..ecc_i and at no later one.
         eccs = (
             _unpack_lane_bits(np.array(lives, dtype=np.uint64))
@@ -682,30 +779,29 @@ class MSBFSEngine(_Kernel):
         arcs: int,
         seen: np.ndarray,
         next_mask: np.ndarray,
-    ) -> Tuple[
-        Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
-    ]:
+    ) -> Optional[_Fresh]:
         """OR every active vertex's lane word onto its out-arcs' targets.
 
         ``words`` are the active vertices' frontier words, ``counts``
-        their out-degrees and ``arcs`` the degrees' sum.  Returns
-        ``(newly, new_bits, seen_rows, arcs scanned)`` where
+        their out-degrees and ``arcs`` the degrees' sum (the arcs the
+        level scans).  Returns ``(newly, new_bits, seen_rows)`` where
         ``new_bits[i]`` holds the lanes that first reached ``newly[i]``
         and ``seen_rows`` the pre-update ``seen`` words of ``newly`` —
-        both fresh copies, never views of the pooled bitmap; the first
-        three are None if no lane reached a new vertex.
+        fresh copies, never views of the pooled bitmaps — or None if no
+        lane reached a new vertex.
 
         Arcs that fit one gather chunk run fused at frontier cost: the
         distinct targets come from a slot write into ``next_mask``'s
         own words, and only they are read and zeroed.  More arcs run
         chunk by chunk and scan all n words once (:meth:`_spread`).
 
-        :mutates next_mask: scratch, all-zero on entry and on return.
+        :mutates next_mask: scratch, clean (no bit outside ``seen``) on
+            entry and on return.
         """
         if arcs > self._chunk_arcs:
             return self._spread(active, words, counts, arcs, seen, next_mask)
         if arcs == 0:
-            return None, None, None, 0
+            return None
         ((_lo, _hi, arc_dst, _seg, _counts),) = self._arc_chunks(
             self._out, active, counts, arcs
         )
@@ -719,8 +815,8 @@ class MSBFSEngine(_Kernel):
         rows = fresh_bits != 0
         newly = targets[rows]
         if len(newly) == 0:
-            return None, None, None, arcs
-        return newly, fresh_bits[rows], seen_rows[rows], arcs
+            return None
+        return newly, fresh_bits[rows], seen_rows[rows]
 
     def _spread(
         self,
@@ -730,15 +826,14 @@ class MSBFSEngine(_Kernel):
         arcs: int,
         seen: np.ndarray,
         next_mask: np.ndarray,
-    ) -> Tuple[
-        Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
-    ]:
+    ) -> Optional[_Fresh]:
         """:meth:`_top_down_level` of more than one gather chunk.
 
         Each chunk ORs its arcs' words into ``next_mask``; the fresh
         words are then ``next & ~seen``, found with one scan of all n.
 
-        :mutates next_mask: scratch, all-zero on entry and on return.
+        :mutates next_mask: scratch, clean on entry and all-zero on
+            return.
         """
         for lo, hi, arc_dst, _seg, seg_counts in self._arc_chunks(
             self._out, active, counts, arcs
@@ -750,55 +845,61 @@ class MSBFSEngine(_Kernel):
         np.bitwise_xor(next_mask, seen, out=next_mask)
         newly = np.flatnonzero(next_mask)
         if len(newly) == 0:
-            return None, None, None, arcs
+            return None
         new_bits = next_mask[newly]
         next_mask[newly] = 0
-        return newly, new_bits, seen[newly], arcs
+        return newly, new_bits, seen[newly]
+
+    def _candidates(
+        self, seen: np.ndarray, live: np.ndarray, scratch: np.ndarray
+    ) -> Tuple[int, np.ndarray]:
+        """``(arcs, missing)``: the vertices still missing a live lane,
+        as an ``(n,)`` mask, and their in-arc mass.
+
+        :mutates scratch: holds the candidate words ``~seen & live``.
+        """
+        np.bitwise_not(seen, out=scratch)
+        np.bitwise_and(scratch, live, out=scratch)
+        missing = scratch != 0
+        return _mass(self._in.degrees, missing), missing
 
     def _bottom_up_level(
         self,
         frontier: np.ndarray,
         seen: np.ndarray,
         live: np.ndarray,
-        next_mask: np.ndarray,
-    ) -> Tuple[
-        Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int
-    ]:
+        spare: np.ndarray,
+        scratch: np.ndarray,
+    ) -> Tuple[Union[None, np.ndarray, _Fresh], int]:
         """Unvisited vertices OR-reduce their in-neighbors' frontier words.
 
         A candidate is any vertex with in-arcs that is still missing a
         *live* lane — vertices unseen only by retired lanes are never
-        probed again.  Returns ``(newly, new_bits, seen_rows, arcs
-        inspected)``, mirroring :meth:`_top_down_level`; ``arcs`` is the
-        candidates' in-arc mass in either form.  A level whose
+        probed again.  ``frontier`` must hold the frontier's words at
+        every vertex.  Returns ``(pulled, arcs)``: ``arcs`` is the
+        candidates' in-arc mass, credited in either form, and
+        ``pulled`` is None if no lane gained a vertex.  A level whose
         candidates hold at least ``_DENSE_PULL_SHARE`` of the in-arcs
-        pulls densely (:meth:`_dense_pull`) and reads at most twice that
-        many arcs; any other gathers the candidates' arcs
-        (:meth:`_gather_pull`).  Both give the same words.
+        pulls densely (:meth:`_dense_pull`, reading at most twice that
+        many arcs) into ``spare``, which then holds the fresh words, and
+        ``pulled`` is their ``spare != 0`` mask; any other gathers the
+        candidates' arcs (:meth:`_gather_pull`) and ``pulled`` lists
+        them as :meth:`_top_down_level` does.  Both give the same words.
 
-        :mutates next_mask: scratch, all-zero on entry and on return;
-            holds the candidate words, then (dense pull) the level's
-            fresh words.
+        :mutates spare: clean on entry; the dense form leaves the fresh
+            words in it, which are clean once ``seen`` takes them.
+        :mutates scratch: the candidate words (:meth:`_candidates`).
         """
-        # Candidates: ~seen & live, computed in the pooled scratch so
-        # that no level allocates an (n,) array.
-        np.bitwise_not(seen, out=next_mask)
-        np.bitwise_and(next_mask, live, out=next_mask)
-        missing = np.flatnonzero(next_mask)
-        next_mask[missing] = 0
-        degrees = self._in.degrees[missing]
-        cand = missing[degrees > 0]
-        if len(cand) == 0:
-            return None, None, None, 0
-        arcs = int(degrees.sum())
+        arcs, missing = self._candidates(seen, live, scratch)
+        if arcs == 0:
+            return None, 0
         if arcs >= _DENSE_PULL_SHARE * self.num_arcs:
-            pulled = self._dense_pull(frontier, seen, next_mask)
-        else:
-            pulled = self._gather_pull(frontier, seen, cand, arcs)
-        newly, new_bits, seen_rows = pulled
-        if len(newly) == 0:
-            return None, None, None, arcs
-        return newly, new_bits, seen_rows, arcs
+            self._dense_pull(frontier, scratch, spare)
+            fresh = spare != 0
+            return (fresh if fresh.any() else None), arcs
+        ids = np.flatnonzero(missing)
+        cand = ids[self._in.degrees[ids] > 0]
+        return self._gather_pull(frontier, seen, cand, arcs), arcs
 
     def _gather_pull(
         self,
@@ -806,9 +907,9 @@ class MSBFSEngine(_Kernel):
         seen: np.ndarray,
         cand: np.ndarray,
         arcs: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Optional[_Fresh]:
         """``(newly, new_bits, seen_rows)`` of the candidates ``cand``,
-        whose in-arcs number ``arcs``.
+        whose in-arcs number ``arcs`` (None: no lane gained a vertex).
 
         Gathers the candidates' in-arcs by position, one chunk at a
         time (:meth:`_arc_chunks`); a candidate whose arcs straddle two
@@ -824,46 +925,37 @@ class MSBFSEngine(_Kernel):
         seen_cand = seen[cand]
         fresh_bits = reduced & ~seen_cand
         rows = fresh_bits != 0
+        if not rows.any():
+            return None
         return cand[rows], fresh_bits[rows], seen_cand[rows]
 
     def _dense_pull(
-        self,
-        frontier: np.ndarray,
-        seen: np.ndarray,
-        next_mask: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(newly, new_bits, seen_rows)``, pulling every vertex's
-        in-neighbors' words.
+        self, frontier: np.ndarray, cand: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Every vertex's fresh words, pulled from its in-neighbors'
+        frontier words, into ``out``; ``cand`` holds the candidate
+        words ``~seen & live``.
 
-        Reads the in-CSR in contiguous chunks of ``_GATHER_CHUNK_ARCS``
-        arcs: per chunk one gather of the frontier words at its arc
-        endpoints and one ``np.bitwise_or.reduceat`` over the slices of
-        the vertices with in-arcs (a slice straddling two chunks ORs
-        both partial reductions).  The frontier holds only live lanes,
-        so a vertex that is no candidate gains no fresh bit: the result
-        equals the gather's.
+        Reads the in-CSR in the contiguous chunks of the plan built with
+        the engine: per chunk one gather of the frontier words at its
+        arc endpoints and one ``np.bitwise_or.reduceat`` at the chunk's
+        precomputed offsets, written as a slice of ``out`` when the
+        chunk's vertices are a contiguous id range; a slice straddling
+        two chunks ORs both partial reductions.  Then ``out &= cand``:
+        the frontier holds only live lanes, so that is ``& ~seen``, and
+        it drops the clean word a vertex with no in-arcs kept.
 
-        :mutates next_mask: scratch, all-zero on entry and on return;
-            holds every vertex's reduced words in between.
+        :mutates out: clean on entry; holds the fresh words on return.
         """
-        indptr, indices = self._in.indptr, self._in.indices
-        rows = self._pull_rows
-        for a, b, first, last in self._pull_chunks:
-            ids = rows[first:last]
-            offsets = indptr[ids] - a
-            # The first slice may begin in the previous chunk.
-            offsets[0] = 0
-            words = np.take(frontier, indices[a:b])
-            part = np.bitwise_or.reduceat(words, offsets)
-            part[0] |= next_mask[ids[0]]
-            next_mask[ids] = part
-        # next & ~seen, in place: (next | seen) ^ seen.
-        np.bitwise_or(next_mask, seen, out=next_mask)
-        np.bitwise_xor(next_mask, seen, out=next_mask)
-        newly = np.flatnonzero(next_mask)
-        new_bits = next_mask[newly]
-        next_mask[newly] = 0
-        return newly, new_bits, seen[newly]
+        indices = self._in.indices
+        for a, b, offsets, carry, dest in self._pull_chunks:
+            part = np.bitwise_or.reduceat(
+                np.take(frontier, indices[a:b]), offsets
+            )
+            if carry is not None:
+                part[0] |= out[carry]
+            out[dest] = part
+        np.bitwise_and(out, cand, out=out)
 
 
 def msengine_for(graph: Any, backward: bool = False) -> MSBFSEngine:

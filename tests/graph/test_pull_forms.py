@@ -3,7 +3,8 @@
 A bottom-up level of :class:`~repro.graph.msengine.MSBFSEngine` either
 gathers its candidates' in-arcs by position (``_gather_pull``) or,
 when the candidates hold at least ``_DENSE_PULL_SHARE`` of the in-arcs,
-reads the whole in-CSR in contiguous chunks (``_dense_pull``).  Each
+reads the whole in-CSR in contiguous chunks (``_dense_pull``) and
+leaves the fresh words in a bitmap, the next level's frontier.  Each
 graph here runs every sweep three ways: with the committed share, with
 every bottom-up level dense (share 0) and with none (share 2).  All
 three must equal looped :meth:`BFSEngine.run` bit for bit and credit
@@ -50,7 +51,7 @@ def pulls(monkeypatch):
         ran.clear()
         out = level(self, *args)
         (form,) = ran or [None]
-        log.append((form, out[3], self.num_arcs))
+        log.append((form, out[1], self.num_arcs))
         return out
 
     monkeypatch.setattr(MSBFSEngine, "_bottom_up_level", logged)
@@ -174,9 +175,20 @@ class TestLevelState:
 
     @staticmethod
     def _level(engine, frontier, seen):
+        """``(newly, new_bits, seen_rows, arcs)`` of one level, in the
+        list form whichever form ran."""
         live = np.bitwise_or.reduce(frontier)
-        next_mask = np.zeros(len(seen), dtype=np.uint64)
-        return engine._bottom_up_level(frontier, seen, live, next_mask)
+        spare = np.zeros(len(seen), dtype=np.uint64)
+        scratch = np.empty(len(seen), dtype=np.uint64)
+        pulled, arcs = engine._bottom_up_level(
+            frontier, seen, live, spare, scratch
+        )
+        if isinstance(pulled, np.ndarray):
+            # Dense: the fresh words stay in `spare`, flagged by `pulled`.
+            assert np.array_equal(pulled, spare != 0)
+            newly = np.flatnonzero(pulled)
+            pulled = newly, spare[newly], seen[newly]
+        return (*pulled, arcs)
 
     @pytest.mark.parametrize(
         "unseen, form", [(1000, "_dense_pull"), (999, "_gather_pull")]

@@ -7,9 +7,11 @@ small graphs through every chunk boundary: one-arc chunks, slices cut
 at both ends and levels that only just fit.  Every run must equal a
 deque BFS and the unpatched run bit for bit: distances,
 eccentricities, counter totals and the ``bfs.run``/``msbfs.run``
-payloads.  The lane engine's ``next_mask`` scratch must be all-zero
-on entry to and on return from every level, whichever form ran, and so
-after every sweep, however it ended.
+payloads.  The lane engine's bitmaps are checked at every level
+(:func:`helpers.watch_lane_levels`): the bitmap a level writes holds no
+bit outside ``seen`` on entry and on return, whichever form ran, a
+bottom-up level reads the exact frontier words, and after every sweep,
+however it ended, both level bitmaps hold no bit outside ``seen``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from helpers import watch_lane_levels
 from repro.counters import TraversalCounter
 from repro.directed.graph import DirectedGraph
 from repro.graph import engine, msengine
@@ -90,24 +93,15 @@ def deque_bfs(graph, source, backward=False):
 
 
 @pytest.fixture
-def zero_scratch(monkeypatch):
-    """Check that ``next_mask`` (every lane level's last argument) is
-    all-zero on entry to and on return from every lane level; counts
-    the levels checked."""
-    checked = []
-    for name in ("_top_down_level", "_bottom_up_level"):
-        level = getattr(MSBFSEngine, name)
+def clean_scratch(monkeypatch):
+    """Check the lane bitmaps at every level of every sweep; the log
+    of each sweep's level forms (see :func:`helpers.watch_lane_levels`)."""
+    return watch_lane_levels(monkeypatch)
 
-        def spy(self, *args, _level=level):
-            next_mask = args[-1]
-            assert not next_mask.any()
-            out = _level(self, *args)
-            assert not next_mask.any()
-            checked.append(out[3])
-            return out
 
-        monkeypatch.setattr(MSBFSEngine, name, spy)
-    return checked
+def _assert_clean(work):
+    """Neither level bitmap holds a bit outside ``seen``."""
+    assert not ((work.frontier | work.next_mask) & ~work.seen).any()
 
 
 def _payload(event):
@@ -144,7 +138,7 @@ def single_runs(graph, backward):
 
 def lane_sweeps(graph, backward):
     """Every lane consumer in every mode: answers, counters, payloads;
-    checks ``next_mask`` is all-zero after each sweep."""
+    checks the level bitmaps are clean after each sweep."""
     eng = MSBFSEngine(graph, backward=backward)
     src = _sources(graph)
     targets = np.arange(0, graph.num_vertices, 5)
@@ -154,13 +148,13 @@ def lane_sweeps(graph, backward):
         sink = MemorySink()
         with tracing(sink):
             rows = eng.run_batch(src, counter=counters[0], mode=mode)
-            assert not eng._work.next_mask.any()
+            _assert_clean(eng._work)
             eccs = eng.ecc_batch(src, counter=counters[1], mode=mode)
-            assert not eng._work.next_mask.any()
+            _assert_clean(eng._work)
             col_eccs, cols = eng.column_batch(
                 src, targets, counter=counters[2], mode=mode
             )
-            assert not eng._work.next_mask.any()
+            _assert_clean(eng._work)
         counters[2].consume_lanes(len(src))
         out.append(
             (
@@ -216,7 +210,7 @@ def test_single_source_chunks(monkeypatch, case, chunk):
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
-def test_lane_chunks(monkeypatch, zero_scratch, case, chunk):
+def test_lane_chunks(monkeypatch, clean_scratch, case, chunk):
     graph, directions = case
     for backward in directions:
         expected = lane_sweeps(graph, backward)
@@ -238,11 +232,12 @@ def test_lane_chunks(monkeypatch, zero_scratch, case, chunk):
 @pytest.mark.parametrize("share", [msengine._DENSE_PULL_SHARE, 0.0, 2.0])
 @pytest.mark.parametrize("mode", MODES)
 def test_next_mask_zero_when_lanes_saturate(
-    monkeypatch, zero_scratch, share, mode
+    monkeypatch, clean_scratch, share, mode
 ):
     # Two cliques joined by one edge: every lane saturates at once, so
     # the sweep's last level expands arcs (or probes candidates) and
-    # finds nothing new, in whichever form it runs.
+    # finds nothing new, in whichever form it runs.  The level bitmaps
+    # are left clean (no bit outside seen); the next sweep zeroes them.
     builder = GraphBuilder()
     for base in (0, 6):
         builder.add_edges(
@@ -256,12 +251,14 @@ def test_next_mask_zero_when_lanes_saturate(
     sink = MemorySink()
     with tracing(sink):
         eccs = eng.ecc_batch(src, mode=mode)
-    assert not eng._work.next_mask.any()
+    _assert_clean(eng._work)
     want = np.stack([deque_bfs(graph, s) for s in src.tolist()])
     assert np.array_equal(eccs, want.max(axis=1))
     (event,) = sink.events
     assert event["levels"] == int(want.max())
     # The last level found nothing: one more than the levels recorded.
-    assert len(zero_scratch) == event["levels"] + 1
+    (forms,) = clean_scratch
+    assert len(forms) == event["levels"] + 1
+    assert forms[-1] == "none"
     assert np.array_equal(eng.run_batch(src, mode=mode), want)
-    assert not eng._work.next_mask.any()
+    _assert_clean(eng._work)

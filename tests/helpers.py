@@ -1,14 +1,16 @@
 """Shared helpers importable from any test module: graph builders and
 inspectors, the generators the golden corpus pins, the per-call
 references of the sequential generators, a benchmark-script importer,
-and the test-only oracles (the |V|-BFS eccentricities, Theorems 5.5/5.6, all-pairs BFS,
-shortest paths, the one-rule bound updates)."""
+the test-only oracles (the |V|-BFS eccentricities, Theorems 5.5/5.6, all-pairs BFS,
+shortest paths, the one-rule bound updates) and a level-by-level
+checker of the MS-BFS engine's lane bitmaps."""
 
 from __future__ import annotations
 
 import heapq
 import importlib.util
 import tracemalloc
+from collections import deque
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
@@ -469,3 +471,107 @@ def apply_lemma33_tail(
         raise InvalidParameterError("Lemma 3.3 update produced lower > upper")
     # reprolint: disable=R2 (reference oracle for apply_sweep_block)
     state.upper[vertices] = new_upper
+
+
+def csr_bfs(csr: Any, source: int) -> np.ndarray:
+    """Distances from ``source`` along ``csr``'s rows, by a plain deque."""
+    dist = np.full(csr.num_vertices, UNREACHED, dtype=np.int32)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist():
+            if dist[v] == UNREACHED:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def lane_words(lanes: np.ndarray) -> np.ndarray:
+    """The ``(n,)`` ``uint64`` words of a ``(k, n)`` boolean lane
+    matrix: bit ``i`` of word ``v`` is ``lanes[i, v]``."""
+    shifts = np.arange(len(lanes), dtype=np.uint64)[:, None]
+    words = lanes.astype(np.uint64) << shifts
+    return np.bitwise_or.reduce(words, axis=0, initial=np.uint64(0))
+
+
+def watch_lane_levels(monkeypatch: Any) -> List[List[str]]:
+    """Check the lane bitmaps of every :class:`MSBFSEngine` sweep, level
+    by level, against each lane's deque BFS; returns the log of every
+    sweep's level forms (``td``, ``dense``, ``thin``, or ``none`` for
+    the level that found no new vertex).
+
+    A bitmap word is *clean* when it holds no bit outside ``seen``.
+    At level ``L`` of a sweep, ``seen`` holds exactly the lanes' bits
+    at distance ``<= L``.  A top-down level is handed exactly the
+    vertices at distance ``L`` and their words; a bottom-up level reads
+    a ``frontier`` bitmap that equals the level-``L`` words at every
+    vertex.  The bitmap a level writes (``next_mask`` top-down, ``spare``
+    bottom-up) is clean on entry and on return, except that a dense
+    pull returns the level-``L + 1`` words in it.  After every sweep,
+    ``seen`` holds every lane's reach and both level bitmaps are clean.
+    """
+    from repro.graph.msengine import MSBFSEngine
+
+    log: List[List[str]] = []
+    state: dict = {}
+    impl = MSBFSEngine._sweep_impl
+    top_down = MSBFSEngine._top_down_level
+    bottom_up = MSBFSEngine._bottom_up_level
+
+    def at(distance: int) -> np.ndarray:
+        return lane_words(state["dist"] == distance)
+
+    def within(distance: int) -> np.ndarray:
+        dist = state["dist"]
+        return lane_words((dist >= 0) & (dist <= distance))
+
+    def clean(words: np.ndarray, seen: np.ndarray) -> bool:
+        return not (words & ~seen).any()
+
+    def sweep(self: Any, src: np.ndarray, *args: Any) -> Any:
+        state["dist"] = np.stack([csr_bfs(self._out, s) for s in src.tolist()])
+        state["level"] = 0
+        log.append([])
+        out = impl(self, src, *args)
+        work = args[-1]
+        assert np.array_equal(work.seen, lane_words(state["dist"] >= 0))
+        assert clean(work.frontier, work.seen)
+        assert clean(work.next_mask, work.seen)
+        return out
+
+    def td(self: Any, active, words, counts, arcs, seen, next_mask):
+        level = state["level"]
+        frontier = at(level)
+        assert np.array_equal(np.sort(active), np.flatnonzero(frontier))
+        assert np.array_equal(words, frontier[active])
+        assert np.array_equal(seen, within(level))
+        assert clean(next_mask, seen)
+        out = top_down(self, active, words, counts, arcs, seen, next_mask)
+        assert clean(next_mask, seen)
+        log[-1].append("none" if out is None else "td")
+        state["level"] = level + 1
+        return out
+
+    def bu(self: Any, frontier, seen, live, spare, scratch):
+        level = state["level"]
+        assert np.array_equal(frontier, at(level))
+        assert np.array_equal(seen, within(level))
+        assert live == np.bitwise_or.reduce(frontier)
+        assert clean(spare, seen)
+        pulled, arcs = bottom_up(self, frontier, seen, live, spare, scratch)
+        if isinstance(pulled, np.ndarray):
+            fresh = at(level + 1)
+            assert np.array_equal(spare, fresh)
+            assert np.array_equal(pulled, fresh != 0)
+            log[-1].append("dense")
+        else:
+            assert clean(spare, seen)
+            log[-1].append("none" if pulled is None else "thin")
+        state["level"] = level + 1
+        return pulled, arcs
+
+    monkeypatch.setattr(MSBFSEngine, "_sweep_impl", sweep)
+    monkeypatch.setattr(MSBFSEngine, "_top_down_level", td)
+    monkeypatch.setattr(MSBFSEngine, "_bottom_up_level", bu)
+    return log

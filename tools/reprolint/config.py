@@ -119,7 +119,7 @@ POOLED_BUFFER_ATTRS = {
         }
     ),
     "repro.graph.msengine._MSWorkspace": frozenset(
-        {"seen", "frontier", "next_mask"}
+        {"seen", "frontier", "next_mask", "scratch"}
     ),
 }
 
