@@ -19,6 +19,14 @@ the cost of actually faulting every mapped page (one full scan), so the
 "open is free, pages stream in on demand" story is auditable rather
 than hidden.
 
+Each dataset also records what building its stand-in costs
+(:func:`repro.datasets.loader.build_standin`): ``build_seconds`` (best
+of ``--repeats``, untraced), ``build_peak_bytes`` (the tracemalloc peak
+of one more build), ``csr_bytes`` (the result's
+:meth:`~repro.graph.csr.Graph.memory_bytes`) and their ratio
+``build_peak_ratio``, which ``repro bench check`` holds at most
+:data:`repro.obs.benchguard.BUILD_PEAK_LIMIT`.
+
 Run standalone::
 
     python benchmarks/bench_graph_store.py           # UKUN (largest stand-in)
@@ -34,15 +42,19 @@ from __future__ import annotations
 import argparse
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.datasets.collection import GraphCollection
+from repro.datasets.loader import build_standin
+from repro.datasets.registry import get_spec
 from repro.errors import GraphConstructionError
 from repro.graph.csr import Graph
 from repro.graph.io import read_edge_list, write_edge_list
+from repro.obs.benchguard import BUILD_PEAK_LIMIT
 from repro.obs.trace import Stopwatch
 from repro.store.format import open_store
 
@@ -93,6 +105,26 @@ def _best_of(repeats: int, run) -> float:  # type: ignore[no-untyped-def]
         run()
         best = min(best, watch.elapsed())
     return best
+
+
+def bench_build(name: str, repeats: int) -> Dict[str, object]:
+    """Time one stand-in build and trace its memory peak."""
+    spec = get_spec(name)
+    build_s = _best_of(repeats, lambda: build_standin(spec))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        graph = build_standin(spec)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    csr_bytes = graph.memory_bytes()
+    return {
+        "build_seconds": build_s,
+        "build_peak_bytes": peak,
+        "csr_bytes": csr_bytes,
+        "build_peak_ratio": peak / csr_bytes,
+    }
 
 
 def bench_dataset(
@@ -146,6 +178,7 @@ def bench_dataset(
             parse_s / store_s if store_s else float("inf")
         ),
         "speedup_store_vs_npz": npz_s / store_s if store_s else float("inf"),
+        **bench_build(name, repeats),
     }
 
 
@@ -167,7 +200,9 @@ def run_suite(
             print(
                 "  parse {parse_seconds:.4f}s  npz {npz_seconds:.4f}s  "
                 "store {store_open_seconds:.6f}s  "
-                "({speedup_store_vs_parse:.0f}x vs parse)".format(**entry)  # type: ignore[str-format]
+                "({speedup_store_vs_parse:.0f}x vs parse)  "
+                "build {build_seconds:.4f}s, peak {build_peak_ratio:.2f}x "
+                "the CSR".format(**entry)  # type: ignore[str-format]
             )
             results.append(entry)
     largest = results[-1]
@@ -175,6 +210,7 @@ def run_suite(
         "schema": "bench_graph_store/v1",
         "mode": "smoke" if smoke else "full",
         "target_speedup": TARGET_SPEEDUP,
+        "build_peak_limit": BUILD_PEAK_LIMIT,
         "datasets": results,
         "aggregate": {
             "largest": largest["name"],
@@ -184,6 +220,10 @@ def run_suite(
             "claim_met": bool(
                 float(largest["speedup_store_vs_parse"])  # type: ignore[arg-type]
                 >= TARGET_SPEEDUP
+            ),
+            "max_build_peak_ratio": max(
+                float(entry["build_peak_ratio"])  # type: ignore[arg-type]
+                for entry in results
             ),
         },
     }
@@ -213,6 +253,7 @@ def test_store_open_beats_parse(benchmark, tmp_path) -> None:  # type: ignore[no
         # npz already skips parsing; beating it too shows the win is
         # the zero-copy mapping, not just the binary encoding.
         assert entry["store_open_seconds"] < entry["npz_seconds"]
+        assert entry["build_peak_ratio"] <= BUILD_PEAK_LIMIT
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -237,14 +278,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     report = run_suite(args.smoke, args.repeats, args.out, args.root)
-    if not bool(report["aggregate"]["claim_met"]):  # type: ignore[index]
-        largest = report["aggregate"]["largest_speedup_store_vs_parse"]  # type: ignore[index]
+    aggregate = report["aggregate"]
+    status = 0
+    if not bool(aggregate["claim_met"]):  # type: ignore[index]
+        largest = aggregate["largest_speedup_store_vs_parse"]  # type: ignore[index]
         print(
             f"WARNING: store-vs-parse speedup {float(largest):.1f}x below "  # type: ignore[arg-type]
             f"the {TARGET_SPEEDUP}x target"
         )
-        return 1
-    return 0
+        status = 1
+    ratio = float(aggregate["max_build_peak_ratio"])  # type: ignore[index]
+    if ratio > BUILD_PEAK_LIMIT:
+        print(
+            f"WARNING: a stand-in build peaks at {ratio:.2f}x its CSR "
+            f"bytes, above the {BUILD_PEAK_LIMIT:g}x limit"
+        )
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -14,11 +14,7 @@ import pytest
 
 from repro.core.ifecc import compute_eccentricities
 from repro.graph.components import largest_connected_component
-from repro.graph.generators import (
-    attach_branches,
-    attach_deep_trap,
-    copying_model,
-)
+from repro.graph.generators import copying_model_edges
 from repro.obs.trace import Stopwatch
 
 from bench_common import record
@@ -28,12 +24,14 @@ _rows = {}
 
 
 def _make_graph(n: int):
-    core = copying_model(n, out_degree=4, copy_probability=0.65, seed=n)
-    trapped = attach_deep_trap(core, depth=24, branch_length=4)
-    graph = attach_branches(
-        trapped, count=n // 50, max_depth=12, seed=n + 1, max_anchor_id=n
+    """A web stand-in of ``n`` core pages: the copying-model core with a
+    deep trap and ``n // 50`` branches grafted on, assembled once."""
+    edges = copying_model_edges(n, out_degree=4, copy_probability=0.65, seed=n)
+    edges.graft_deep_trap(depth=24, branch_length=4)
+    edges.graft_branches(
+        count=n // 50, max_depth=12, seed=n + 1, max_anchor_id=n
     )
-    graph, _ids = largest_connected_component(graph)
+    graph, _ids = largest_connected_component(edges.graph())
     return graph
 
 

@@ -1,8 +1,9 @@
 """Materialise dataset stand-ins from their registry recipes.
 
 :func:`load_dataset` builds (or returns from cache) the synthetic
-stand-in graph for a Table 3 dataset: generate the family core, graft the
-periphery tendrils, extract the largest connected component.  Graphs are
+stand-in graph for a Table 3 dataset: generate the family core's edges,
+graft the periphery tendrils onto them, assemble the CSR once and keep
+the largest connected component.  Graphs are
 cached in-process — the benchmark suite touches each dataset many times;
 the on-disk cache is the collection's ``.rcsr`` store
 (:mod:`repro.datasets.collection`).
@@ -16,13 +17,7 @@ from typing import Dict
 from repro.datasets.registry import DatasetSpec, get_spec
 from repro.graph.components import largest_connected_component
 from repro.graph.csr import Graph
-from repro.graph.generators import (
-    attach_branches,
-    attach_deep_trap,
-    attach_handles,
-    barabasi_albert,
-    copying_model,
-)
+from repro.graph.generators import barabasi_albert_edges, copying_model_edges
 
 __all__ = ["load_dataset", "build_standin", "scaled_spec", "clear_cache"]
 
@@ -47,11 +42,18 @@ def scaled_spec(spec: DatasetSpec, scale: float) -> DatasetSpec:
 
 
 def build_standin(spec: DatasetSpec) -> Graph:
-    """Build the stand-in graph for ``spec`` (no caching)."""
+    """Build the stand-in graph for ``spec`` (no caching).
+
+    One edge list, one assembly: the family core hands over its edges,
+    the periphery is grafted onto them (handles, or the deep trap then
+    the branches, each choosing anchors from degrees kept current by
+    arithmetic), and the CSR is assembled once.  The largest component
+    is extracted only when that graph is disconnected.
+    """
     if spec.family == "ba":
-        core = barabasi_albert(spec.standin_n, spec.attach, seed=spec.seed)
+        edges = barabasi_albert_edges(spec.standin_n, spec.attach, spec.seed)
     elif spec.family == "copy":
-        core = copying_model(
+        edges = copying_model_edges(
             spec.standin_n,
             out_degree=spec.attach,
             copy_probability=0.65,
@@ -60,24 +62,18 @@ def build_standin(spec: DatasetSpec) -> Graph:
     else:  # pragma: no cover - registry enforces the family names
         raise ValueError(f"unknown generator family {spec.family!r}")
     if spec.periphery == "handles":
-        with_periphery = attach_handles(
-            core,
-            num_handles=spec.periphery_size,
-            max_length=spec.periphery_depth,
-            seed=spec.seed + 7,
+        edges.graft_handles(
+            spec.periphery_size, spec.periphery_depth, seed=spec.seed + 7
         )
     else:
-        trapped = attach_deep_trap(
-            core, depth=spec.periphery_depth, branch_length=4
-        )
-        with_periphery = attach_branches(
-            trapped,
-            count=spec.periphery_size,
-            max_depth=max(3, spec.periphery_depth // 2),
+        edges.graft_deep_trap(spec.periphery_depth, branch_length=4)
+        edges.graft_branches(
+            spec.periphery_size,
+            max(3, spec.periphery_depth // 2),
             seed=spec.seed + 7,
             max_anchor_id=spec.standin_n,
         )
-    graph, _ids = largest_connected_component(with_periphery)
+    graph, _ids = largest_connected_component(edges.graph())
     return graph
 
 

@@ -89,10 +89,11 @@ def connected_components(graph: Graph) -> ComponentLabels:
 
 
 def largest_connected_component(graph: Graph) -> Tuple[Graph, np.ndarray]:
-    """Extract the largest component as a new graph.
+    """Extract the largest component.
 
     Returns ``(subgraph, original_ids)`` where ``original_ids[i]`` is the
-    vertex id in ``graph`` of the subgraph's vertex ``i``.
+    vertex id in ``graph`` of the subgraph's vertex ``i``.  A connected
+    ``graph`` is its own largest component and comes back as it is.
     """
     labelling = connected_components(graph)
     target = labelling.largest() if labelling.num_components else 0
@@ -117,7 +118,13 @@ def split_components(graph: Graph) -> List[Tuple[Graph, np.ndarray]]:
 
 def _induced_subgraph(graph: Graph, keep: np.ndarray) -> Graph:
     """Induced subgraph on vertex set ``keep`` with ids remapped to
-    ``[0, len(keep))`` preserving the order of ``keep``."""
+    ``[0, len(keep))`` preserving the order of ``keep``.
+
+    ``keep`` is ascending and distinct, so when it holds every vertex
+    the subgraph is ``graph`` itself, returned without a rebuild.
+    """
+    if len(keep) == graph.num_vertices:
+        return graph
     remap = np.full(graph.num_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep), dtype=np.int64)
     counts = graph.degrees[keep]

@@ -271,15 +271,29 @@ class CSR:
         Self-loops are dropped, duplicate arcs collapse to one (keeping
         the least weight) and every neighbour list comes out sorted.
 
+        Besides its inputs (``int32`` ids are read as they are), the
+        assembly holds one ``int64`` key per arc: it is sorted in place,
+        copied only when a self-loop or a duplicate must go, and turned
+        into the arc heads in place.  The row pointers come from
+        searching the sorted keys, so no per-arc tail array is built.
+
         :dtype key: int64
         :dtype indptr: int64
         :dtype indices: int32
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = np.asarray(src)
+        dst = np.asarray(dst)
+        if src.dtype != np.int32:
+            src = src.astype(np.int64, copy=False)
+        if dst.dtype != np.int32:
+            dst = dst.astype(np.int64, copy=False)
         vertex_count(src, dst, n)
+        key = src.astype(np.int64)
+        key *= n
+        key += dst
         keep = src != dst
-        key = src[keep] * n + dst[keep]
+        if not keep.all():
+            key = key[keep]
         if weights is None:
             key.sort()
         else:
@@ -289,19 +303,19 @@ class CSR:
             key, weights = key[order], weights[order]
         first = np.ones(len(key), dtype=np.bool_)
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        key = key[first]
-        heads = key // max(n, 1)
-        degrees = np.bincount(heads, minlength=n).astype(np.int64, copy=False)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = (key - heads * n).astype(np.int32)
+        if not first.all():
+            key = key[first]
+            if weights is not None:
+                weights = weights[first]
+        width = max(n, 1)
+        indptr = np.searchsorted(
+            key, np.arange(n + 1, dtype=np.int64) * width
+        ).astype(np.int64, copy=False)
+        degrees = np.diff(indptr)
+        np.remainder(key, width, out=key)
+        indices = key.astype(np.int32)
         csr = cls.__new__(cls)
-        csr._freeze(
-            indptr,
-            indices,
-            degrees,
-            None if weights is None else weights[first],
-        )
+        csr._freeze(indptr, indices, degrees, weights)
         return csr
 
     @classmethod

@@ -15,10 +15,14 @@ Four families cover the paper's dataset types:
 * internet topology→ preferential attachment with lower density,
 * contact networks → :func:`watts_strogatz` rewired lattices.
 
-The ``attach_*`` helpers graft handles, deep traps and branches onto a
-core, reproducing the remote periphery that real crawls have and that gives
-the eccentricity distribution its spread (Figure 15 shows 10–15 distinct
-eccentricity values per graph).
+The ``graft_*`` methods of :class:`EdgeList` hang handles, deep traps
+and branches off a core, reproducing the remote periphery that real
+crawls have and that gives the eccentricity distribution its spread
+(Figure 15 shows 10–15 distinct eccentricity values per graph).  A
+stand-in is one edge list — the core's edges (:func:`barabasi_albert_edges`,
+:func:`copying_model_edges`) with its periphery grafted on — assembled
+into CSR once; the ``attach_*`` functions run the same grafts on a
+finished :class:`Graph`.
 
 Deterministic toys (:func:`path_graph`, :func:`cycle_graph`,
 :func:`star_graph`, :func:`complete_graph`, :func:`grid_graph`,
@@ -49,25 +53,29 @@ result).  The contract it replays, for the default ``PCG64``:
   are ``< 2**32 % high``, the answer is ``m >> 32``, and ``high == 1``
   draws nothing.
 
-The endpoints of every edge collect in local buffers that reach the
-builder once.
+The endpoints of every edge collect in typed local buffers that reach
+the CSR assembly once.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List
+from array import array
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.graph.builder import GraphBuilder
-from repro.graph.csr import Graph
+from repro.graph.csr import CSR, Graph, vertex_count
 
 __all__ = [
+    "EdgeList",
     "barabasi_albert",
+    "barabasi_albert_edges",
     "watts_strogatz",
     "copying_model",
+    "copying_model_edges",
     "attach_handles",
     "attach_deep_trap",
     "attach_branches",
@@ -143,20 +151,206 @@ class _DrawReplayer:
 
 
 # ----------------------------------------------------------------------
+# One edge list per graph, assembled once
+# ----------------------------------------------------------------------
+class EdgeList:
+    """An undirected graph under construction: its edges, each held
+    once, and the current degree of every vertex.
+
+    A stand-in is a family core with a periphery grafted on.  The core
+    (:func:`barabasi_albert_edges`, :func:`copying_model_edges`) hands
+    over its edge list; the ``graft_*`` methods hang new paths off it,
+    and :meth:`graph` assembles the CSR once.  An edge list never holds
+    a self-loop or an edge twice, and a graft only ever joins a new
+    vertex to the graph, so :attr:`degrees` stays exact by arithmetic
+    and the grafts choose their anchors with no intermediate
+    :class:`Graph`.  The public ``attach_*`` functions run the same
+    grafts on a copy of a finished graph's edges.
+
+    Edges are ``int32`` chunks, ``_tails[i][j] -- _heads[i][j]``.
+    ``EdgeList(n, tails, heads)`` trusts its caller that the edges
+    ``{tails[j], heads[j]}`` are distinct and free of self-loops (ids
+    are checked); :meth:`of_graph` copies a graph's.
+
+    :dtype degrees: int64
+    """
+
+    __slots__ = ("num_vertices", "degrees", "_tails", "_heads")
+
+    def __init__(
+        self, num_vertices: int, tails: np.ndarray, heads: np.ndarray
+    ) -> None:
+        self.num_vertices = 0
+        self.degrees = np.zeros(0, dtype=np.int64)
+        self._tails: Optional[List[np.ndarray]] = []
+        self._heads: List[np.ndarray] = []
+        self._add(tails, heads, num_vertices)
+
+    @classmethod
+    def of_graph(cls, graph: Graph) -> "EdgeList":
+        """The edges of ``graph`` (each ``u -- v`` once, from ``u < v``)."""
+        tails = graph.out_csr.arc_sources()
+        upper = tails < graph.indices
+        return cls(graph.num_vertices, tails[upper], graph.indices[upper])
+
+    def _add(
+        self, tails: np.ndarray, heads: np.ndarray, added: int = 0
+    ) -> None:
+        """Append ``added`` new vertices and the new edges ``tails[j] --
+        heads[j]``, counting the edges into both ends' degrees."""
+        if self._tails is None:
+            raise InvalidParameterError("edge list already assembled")
+        n = self.num_vertices + added
+        tails = np.ascontiguousarray(tails, dtype=np.int32)
+        heads = np.ascontiguousarray(heads, dtype=np.int32)
+        vertex_count(tails, heads, n)
+        degrees = np.zeros(n, dtype=np.int64)
+        degrees[: self.num_vertices] = self.degrees
+        degrees += np.bincount(tails, minlength=n)
+        degrees += np.bincount(heads, minlength=n)
+        self.num_vertices, self.degrees = n, degrees
+        self._tails.append(tails)
+        self._heads.append(heads)
+
+    def hang_paths(self, heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Hang path ``i`` of ``lengths[i] >= 1`` new vertices off
+        ``heads[i]``.
+
+        New ids run consecutively from :attr:`num_vertices`, path by
+        path and along each path away from its head.  Returns each
+        path's last vertex.
+
+        :dtype lengths: int64
+        """
+        first = self.num_vertices
+        ends = np.cumsum(lengths, dtype=np.int64)
+        starts = ends - lengths
+        added = int(ends[-1]) if len(ends) else 0
+        new = np.arange(first, first + added, dtype=np.int64)
+        parents = new - 1
+        parents[starts] = heads
+        self._add(parents, new, added)
+        return first + ends - 1
+
+    def graft_handles(
+        self, num_handles: int, max_length: int, seed: int = 0
+    ) -> None:
+        """Attach "handles" — long paths whose *both* ends join the graph.
+
+        Each handle ``i`` is a path of ``max_length - (i % 5)`` new
+        vertices connecting two distinct low-degree vertices, forming a
+        long cycle through the core.  Unlike tree tendrils, handles have
+        no cut vertex, so no single BFS source is a perfect upper-bound
+        witness for the vertices inside them: shortest paths can leave
+        through either end, and the two routes disagree by parity.  This
+        is the structure that makes bound-based algorithms like BoundECC
+        pay roughly one BFS per stuck vertex while IFECC's Lemma 3.3 cap
+        closes them wholesale — the separation Figure 8 measures on real
+        small-world graphs.
+
+        ``seed`` jitters each handle's length by one.
+        """
+        _require(num_handles >= 0, "num_handles must be non-negative")
+        _require(max_length >= 3, "max_length must be >= 3")
+        _require(
+            2 * num_handles <= self.num_vertices,
+            "graph too small for this many handles",
+        )
+        rng = np.random.default_rng(seed)
+        anchors = np.argsort(self.degrees, kind="stable")[: 2 * num_handles]
+        jitter = rng.integers(0, 2, size=num_handles)
+        i = np.arange(num_handles, dtype=np.int64)
+        lengths = np.maximum(3, max_length - i % 5 - jitter)
+        last = self.hang_paths(anchors[0::2], lengths)
+        self._add(last, anchors[1::2])
+
+    def graft_deep_trap(
+        self,
+        depth: int,
+        branch_length: int = 3,
+        anchor: int | None = None,
+    ) -> None:
+        """Attach one deep caterpillar subtree (a "crawler trap").
+
+        A spine of ``depth`` new vertices hangs from ``anchor`` (default:
+        the lowest-degree vertex, the smallest id on a tie); every spine
+        vertex on the lower half sprouts a side path of
+        ``branch_length``.  The trap is the unique deepest region of the
+        graph, behind a single cut vertex — exactly the structure that
+        makes the FFO fronts of all reference nodes coincide (Figure 5):
+        from any central hub, the trap's internal ranking is a fixed
+        ordering shifted by a common constant.
+        """
+        _require(depth >= 1, "depth must be >= 1")
+        _require(branch_length >= 0, "branch_length must be >= 0")
+        if anchor is None:
+            anchor = int(np.argmin(self.degrees))
+        first = self.num_vertices
+        self.hang_paths(np.array([anchor]), np.array([depth]))
+        if branch_length:
+            spine_lower = np.arange(first + depth // 2, first + depth)
+            self.hang_paths(
+                spine_lower,
+                np.full(len(spine_lower), branch_length, dtype=np.int64),
+            )
+
+    def graft_branches(
+        self,
+        count: int,
+        max_depth: int,
+        seed: int = 0,
+        max_anchor_id: int | None = None,
+    ) -> None:
+        """Attach ``count`` tendril branches of random depth
+        ``3..max_depth`` at distinct low-degree anchors.
+
+        Scattered branches diversify which vertex is farthest from
+        where, widening the eccentricity distribution (Figure 15)
+        without creating a second globally-deepest region.
+        ``max_anchor_id`` restricts the anchor pool to vertices with
+        smaller ids — used to keep branches off periphery vertices an
+        earlier graft added.  The lowest-degree vertex of the pool gets
+        no branch (after a deep trap, that is usually the trap's own
+        anchor).
+        """
+        _require(count >= 0, "count must be non-negative")
+        _require(max_depth >= 3, "max_depth must be >= 3")
+        pool = self.num_vertices if max_anchor_id is None else max_anchor_id
+        _require(0 < pool <= self.num_vertices, "invalid anchor pool")
+        _require(count < pool, "anchor pool too small for this many branches")
+        rng = np.random.default_rng(seed)
+        anchors = np.argsort(self.degrees[:pool], kind="stable")
+        depths = rng.integers(3, max_depth + 1, size=count)
+        self.hang_paths(anchors[1: 1 + count], depths)
+
+    def graph(self) -> Graph:
+        """Assemble the :class:`Graph`: one :meth:`CSR.from_arcs` over
+        both arcs of every edge.
+
+        The list is spent: its chunks are released before the assembly
+        sorts, and a later graft or :meth:`graph` raises.
+        """
+        tails, heads = self._tails, self._heads
+        if tails is None:
+            raise InvalidParameterError("edge list already assembled")
+        self._tails, self._heads = None, []
+        src = np.concatenate(tails + heads)
+        dst = np.concatenate(heads + tails)
+        del tails, heads
+        return Graph.from_csr(CSR.from_arcs(self.num_vertices, src, dst))
+
+
+# ----------------------------------------------------------------------
 # Random families
 # ----------------------------------------------------------------------
-def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
-    """Preferential-attachment graph (Barabási–Albert).
-
-    Starts from a clique on ``attach + 1`` vertices; each new vertex
-    attaches to ``attach`` existing vertices chosen proportionally to
-    degree (via the standard repeated-endpoint urn trick).
-    """
+def barabasi_albert_edges(n: int, attach: int, seed: int = 0) -> EdgeList:
+    """The edge list of :func:`barabasi_albert`, before assembly."""
     _require(attach >= 1, "attach must be >= 1")
     _require(n > attach, "n must exceed attach")
     words, half = _DrawReplayer(seed).words, -1
     # Vertex id repeated once per incident edge endpoint; each edge adds
-    # its two endpoints in turn, so the urn is also the edge list.
+    # its two endpoints in turn, so the urn is also the edge list (each
+    # edge once: a new vertex draws a set of distinct earlier targets).
     urn: List[int] = []
     seed_size = attach + 1
     for u in range(seed_size):
@@ -181,10 +375,19 @@ def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
             targets.add(urn[m >> 32])
         for t in targets:
             urn.extend((v, t))
-    ends = np.array(urn, dtype=np.int64)
-    builder = GraphBuilder(num_vertices=n)
-    builder.add_edge_arrays(ends[0::2], ends[1::2])
-    return builder.build()
+    ends = np.array(urn, dtype=np.int32)
+    del urn
+    return EdgeList(n, ends[0::2], ends[1::2])
+
+
+def barabasi_albert(n: int, attach: int, seed: int = 0) -> Graph:
+    """Preferential-attachment graph (Barabási–Albert).
+
+    Starts from a clique on ``attach + 1`` vertices; each new vertex
+    attaches to ``attach`` existing vertices chosen proportionally to
+    degree (via the standard repeated-endpoint urn trick).
+    """
+    return barabasi_albert_edges(n, attach, seed).graph()
 
 
 def watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
@@ -220,30 +423,45 @@ def watts_strogatz(n: int, k: int, beta: float, seed: int = 0) -> Graph:
     return builder.build()
 
 
-def copying_model(
+def copying_model_edges(
     n: int,
     out_degree: int = 4,
     copy_probability: float = 0.7,
     seed: int = 0,
-) -> Graph:
-    """Web-graph copying model (Kumar et al. 2000), undirected variant.
+) -> EdgeList:
+    """The edge list of :func:`copying_model`, before assembly.
 
-    Each new page picks a random prototype page and creates ``out_degree``
-    links; each link copies one of the prototype's links with probability
-    ``copy_probability`` and otherwise points to a uniformly random
-    earlier page.  Copying concentrates links on old popular pages,
-    producing the heavy-tailed, densely-cored structure of real web crawls.
+    The copy rule reads a prototype's *link list*: its out-links in
+    draw order, then its in-links in arrival order (a seed-clique
+    vertex's out-links are the other clique vertices, ascending).  A
+    copied link indexes that list as it is at draw time, so it has
+    grown when an earlier link of the new page landed on the prototype.
+    The lists live in typed storage, not in Python lists of ints:
+
+    * ``out[v * d: v * d + out_len[v]]`` (one flat ``array('i')``, ``d =
+      out_degree``) holds ``v``'s out-links; a draw of ``v`` itself is
+      dropped, so a row may be short;
+    * ``ins[v]`` (one growing ``array('i')`` per vertex) holds the pages
+      that linked to ``v``, once per link.
+
+    The in-links are only the out-links reversed, so they are freed
+    first; the edges are then the out-table's rows, sorted in place,
+    with repeated links and the clique's second copies dropped.
     """
     _require(out_degree >= 1, "out_degree must be >= 1")
     _require(0.0 <= copy_probability <= 1.0, "copy_probability in [0, 1]")
     _require(n > out_degree + 1, "n must exceed out_degree + 1")
     words, half = _DrawReplayer(seed).words, -1
-    adjacency: List[List[int]] = [[] for _ in range(n)]
-    seed_size = out_degree + 1
+    d = out_degree
+    seed_size = d + 1
+    out = array("i", bytes(4 * n * d))
+    out_len = array("i", bytes(4 * n))
+    ins = [array("i") for _ in range(n)]
     for u in range(seed_size):
-        for v in range(u + 1, seed_size):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+        out[u * d: u * d + d] = array(
+            "i", [w for w in range(seed_size) if w != u]
+        )
+        out_len[u] = d
     # integers(0, high) and random() are inlined (see _DrawReplayer).
     for v in range(seed_size, n):
         while True:  # the prototype: integers(0, v)
@@ -257,15 +475,15 @@ def copying_model(
             low = m & 0xFFFFFFFF
             if low >= v or low >= 4294967296 % v:
                 break
-        proto_links = adjacency[m >> 32]
-        links = adjacency[v]
-        for _ in range(out_degree):
-            # A copied link indexes the prototype's links as they are
-            # now: they grow when an earlier link of v landed on it.
-            if proto_links and (next(words) >> 11) * _UNIT < copy_probability:
-                high, pool = len(proto_links), proto_links
+        proto = m >> 32
+        proto_row, proto_out, proto_in = proto * d, out_len[proto], ins[proto]
+        row = end = v * d
+        for _ in range(d):
+            links = proto_out + len(proto_in)
+            if links and (next(words) >> 11) * _UNIT < copy_probability:
+                high, copied = links, True
             else:
-                high, pool = v, None
+                high, copied = v, False
             pick = 0
             if high > 1:
                 while True:
@@ -280,54 +498,47 @@ def copying_model(
                     if low >= high or low >= 4294967296 % high:
                         break
                 pick = m >> 32
-            target = pick if pool is None else pool[pick]
+            if not copied:
+                target = pick
+            elif pick < proto_out:
+                target = out[proto_row + pick]
+            else:
+                target = proto_in[pick - proto_out]
             if target != v:
-                links.append(target)
-                adjacency[target].append(v)
-    # Each edge sits in both endpoints' lists; the builder folds the pair.
-    degrees = [len(links) for links in adjacency]
-    builder = GraphBuilder(num_vertices=n)
-    builder.add_edge_arrays(
-        np.repeat(np.arange(n, dtype=np.int64), degrees),
-        np.fromiter(
-            itertools.chain.from_iterable(adjacency),
-            dtype=np.int64,
-            count=sum(degrees),
-        ),
-    )
-    return builder.build()
+                out[end] = target
+                end += 1
+                ins[target].append(v)
+        out_len[v] = end - row
+    del ins
+    table = np.frombuffer(out, dtype=np.int32).reshape(n, d)
+    # Every target is an earlier page, so marking the unused slots with
+    # n and keeping targets below their row's id drops those slots and
+    # keeps each clique edge once, from its larger end.
+    table[np.arange(d) >= np.frombuffer(out_len, dtype=np.int32)[:, None]] = n
+    table.sort(axis=1)
+    keep = table < np.arange(n, dtype=np.int32)[:, None]
+    keep[:, 1:] &= table[:, 1:] != table[:, :-1]  # a repeated link
+    tails = np.repeat(np.arange(n, dtype=np.int32), keep.sum(axis=1))
+    heads = table[keep]
+    del table, out, keep
+    return EdgeList(n, tails, heads)
 
 
-def _copy_edges(graph: Graph) -> GraphBuilder:
-    """A builder pre-loaded with every edge of ``graph``."""
-    builder = GraphBuilder()
-    src = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
-    )
-    builder.add_edge_arrays(src, graph.indices.astype(np.int64))
-    return builder
+def copying_model(
+    n: int,
+    out_degree: int = 4,
+    copy_probability: float = 0.7,
+    seed: int = 0,
+) -> Graph:
+    """Web-graph copying model (Kumar et al. 2000), undirected variant.
 
-
-def _hang_paths(
-    builder: GraphBuilder,
-    heads: np.ndarray,
-    lengths: np.ndarray,
-    first_id: int,
-) -> np.ndarray:
-    """Hang path ``i`` of ``lengths[i] >= 1`` new vertices off ``heads[i]``.
-
-    New ids run consecutively from ``first_id``, path by path and along
-    each path away from its head.  Returns each path's last vertex.
-
-    :dtype lengths: int64
+    Each new page picks a random prototype page and creates ``out_degree``
+    links; each link copies one of the prototype's links with probability
+    ``copy_probability`` and otherwise points to a uniformly random
+    earlier page.  Copying concentrates links on old popular pages,
+    producing the heavy-tailed, densely-cored structure of real web crawls.
     """
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    new = np.arange(first_id, first_id + int(lengths.sum()), dtype=np.int64)
-    parents = new - 1
-    parents[starts] = heads
-    builder.add_edge_arrays(parents, new)
-    return first_id + ends - 1
+    return copying_model_edges(n, out_degree, copy_probability, seed).graph()
 
 
 def attach_handles(
@@ -336,35 +547,10 @@ def attach_handles(
     max_length: int,
     seed: int = 0,
 ) -> Graph:
-    """Attach "handles" — long paths whose *both* ends join the core.
-
-    Each handle ``i`` is a path of ``max_length - (i % 5)`` new vertices
-    connecting two distinct low-degree core vertices, forming a long
-    cycle through the core.  Unlike tree tendrils, handles have no cut
-    vertex, so no single BFS source is a perfect upper-bound witness for
-    the vertices inside them: shortest paths can leave through either
-    end, and the two routes disagree by parity.  This is the structure
-    that makes bound-based algorithms like BoundECC pay roughly one BFS
-    per stuck vertex while IFECC's Lemma 3.3 cap closes them wholesale —
-    the separation Figure 8 measures on real small-world graphs.
-
-    ``seed`` jitters each handle's length by one.
-    """
-    _require(num_handles >= 0, "num_handles must be non-negative")
-    _require(max_length >= 3, "max_length must be >= 3")
-    _require(
-        2 * num_handles <= graph.num_vertices,
-        "graph too small for this many handles",
-    )
-    rng = np.random.default_rng(seed)
-    builder = _copy_edges(graph)
-    anchors = np.argsort(graph.degrees, kind="stable")[: 2 * num_handles]
-    jitter = rng.integers(0, 2, size=num_handles)
-    i = np.arange(num_handles, dtype=np.int64)
-    lengths = np.maximum(3, max_length - i % 5 - jitter)
-    last = _hang_paths(builder, anchors[0::2], lengths, graph.num_vertices)
-    builder.add_edge_arrays(last, anchors[1::2])
-    return builder.build()
+    """``graph`` with handles grafted on (:meth:`EdgeList.graft_handles`)."""
+    edges = EdgeList.of_graph(graph)
+    edges.graft_handles(num_handles, max_length, seed)
+    return edges.graph()
 
 
 def attach_deep_trap(
@@ -373,32 +559,11 @@ def attach_deep_trap(
     branch_length: int = 3,
     anchor: int | None = None,
 ) -> Graph:
-    """Attach one deep caterpillar subtree (a "crawler trap").
-
-    A spine of ``depth`` new vertices hangs from ``anchor`` (default:
-    the lowest-degree vertex); every spine vertex on the lower half
-    sprouts a side path of ``branch_length``.  The trap is the unique
-    deepest region of the graph, behind a single cut vertex — exactly
-    the structure that makes the FFO fronts of all reference nodes
-    coincide (Figure 5): from any central hub, the trap's internal
-    ranking is a fixed ordering shifted by a common constant.
-    """
-    _require(depth >= 1, "depth must be >= 1")
-    _require(branch_length >= 0, "branch_length must be >= 0")
-    builder = _copy_edges(graph)
-    if anchor is None:
-        anchor = int(np.argsort(graph.degrees, kind="stable")[0])
-    first = graph.num_vertices
-    _hang_paths(builder, np.array([anchor]), np.array([depth]), first)
-    if branch_length:
-        spine_lower = np.arange(first + depth // 2, first + depth)
-        _hang_paths(
-            builder,
-            spine_lower,
-            np.full(len(spine_lower), branch_length, dtype=np.int64),
-            first + depth,
-        )
-    return builder.build()
+    """``graph`` with a deep trap grafted on
+    (:meth:`EdgeList.graft_deep_trap`)."""
+    edges = EdgeList.of_graph(graph)
+    edges.graft_deep_trap(depth, branch_length, anchor)
+    return edges.graph()
 
 
 def attach_branches(
@@ -408,26 +573,11 @@ def attach_branches(
     seed: int = 0,
     max_anchor_id: int | None = None,
 ) -> Graph:
-    """Attach ``count`` tendril branches of random depth ``3..max_depth``
-    at distinct low-degree anchors.
-
-    Scattered branches diversify which vertex is farthest from where,
-    widening the eccentricity distribution (Figure 15) without creating
-    a second globally-deepest region.  ``max_anchor_id`` restricts the
-    anchor pool to vertices with smaller ids — used to keep branches off
-    periphery vertices added by an earlier ``attach_*`` call.
-    """
-    _require(count >= 0, "count must be non-negative")
-    _require(max_depth >= 3, "max_depth must be >= 3")
-    pool = graph.num_vertices if max_anchor_id is None else max_anchor_id
-    _require(0 < pool <= graph.num_vertices, "invalid anchor pool")
-    _require(count < pool, "anchor pool too small for this many branches")
-    rng = np.random.default_rng(seed)
-    builder = _copy_edges(graph)
-    anchors = np.argsort(graph.degrees[:pool], kind="stable")
-    depths = rng.integers(3, max_depth + 1, size=count)
-    _hang_paths(builder, anchors[1: 1 + count], depths, graph.num_vertices)
-    return builder.build()
+    """``graph`` with tendril branches grafted on
+    (:meth:`EdgeList.graft_branches`)."""
+    edges = EdgeList.of_graph(graph)
+    edges.graft_branches(count, max_depth, seed, max_anchor_id)
+    return edges.graph()
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "BUILD_PEAK_LIMIT",
     "COLUMN_OVERHEAD_LIMIT",
     "Finding",
     "GRID_SPEEDUP_FLOOR",
@@ -61,6 +62,13 @@ DEFAULT_TOLERANCE = 0.5
 #: (``BENCH_msbfs_engine.json``'s BA-2k column row).  Per-level column
 #: recording read 4.4x; bit-sliced recording about 1.6x.
 COLUMN_OVERHEAD_LIMIT = 3.0
+
+#: Most a dataset stand-in's build may allocate at its tracemalloc
+#: peak, as a multiple of the result's CSR bytes
+#: (``BENCH_graph_store.json``'s ``build_peak_ratio``).  One edge list
+#: assembled once reads about 5x on every stand-in; a CSR rebuilt at each
+#: recipe step over the copying model's Python lists read 17-24x.
+BUILD_PEAK_LIMIT = 8.0
 
 #: Lanes of the first FFO lane batch an IFECC-1 territory on BA-2k
 #: (``BENCH_msbfs_engine.json``'s sweep-width table) must sweep: its
@@ -269,6 +277,33 @@ def _extract_graph_store(
             f"dataset (recorded claim_met)",
         )
     ]
+    for d in doc.get("datasets", []):
+        ratio = d.get("build_peak_ratio")
+        if ratio is None:
+            findings.append(
+                _claim(
+                    artifact,
+                    False,
+                    f"{d['name']}: no build_peak_ratio (stand-in build "
+                    f"peak not recorded)",
+                )
+            )
+            continue
+        headlines.append(
+            Headline(
+                f"{d['name']}:build_peak_ratio",
+                float(ratio),
+                higher_is_better=False,
+            )
+        )
+        findings.append(
+            _claim(
+                artifact,
+                float(ratio) <= BUILD_PEAK_LIMIT,
+                f"{d['name']}: stand-in build peaks at {float(ratio):.2f}x "
+                f"its CSR bytes (limit {BUILD_PEAK_LIMIT:g}x)",
+            )
+        )
     return headlines, findings
 
 

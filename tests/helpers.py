@@ -26,7 +26,7 @@ from repro.directed.graph import DirectedGraph
 from repro.errors import InvalidParameterError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
-from repro.graph.generators import _copy_edges, _hang_paths, _require
+from repro.graph.generators import EdgeList, _require
 from repro.graph.paths import bfs_parents
 from repro.graph.traversal import (
     UNREACHED,
@@ -225,21 +225,20 @@ def core_periphery(
     _require(core_size >= 2, "core_size must be >= 2")
     _require(periphery_size >= 0, "periphery_size must be >= 0")
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder()
     # Dense core: one uniform double per pair, row by row.
     rows, cols = np.triu_indices(core_size, k=1)
     kept = rng.random(len(rows)) < core_probability
-    builder.add_edge_arrays(rows[kept], cols[kept])
-    # Spanning cycle keeps the core connected regardless of density draw.
-    ring = np.arange(core_size, dtype=np.int64)
-    builder.add_edge_arrays(ring, (ring + 1) % core_size)
+    # Spanning cycle keeps the core connected regardless of density
+    # draw: its pairs are (u, u + 1) and (0, core_size - 1).
+    kept |= (cols - rows == 1) | ((rows == 0) & (cols == core_size - 1))
+    edges = EdgeList(core_size, rows[kept], cols[kept])
     anchors = np.empty(periphery_size, dtype=np.int64)
     lengths = np.empty(periphery_size, dtype=np.int64)
     for i in range(periphery_size):
         anchors[i] = rng.integers(0, core_size)
         lengths[i] = rng.integers(1, 4)
-    _hang_paths(builder, anchors, lengths, core_size)
-    return builder.build()
+    edges.hang_paths(anchors, lengths)
+    return edges.graph()
 
 
 def attach_periphery(
@@ -256,8 +255,8 @@ def attach_periphery(
     _require(max_length >= 1, "max_length must be >= 1")
     _require(num_anchors >= 1, "num_anchors must be >= 1")
     rng = np.random.default_rng(seed)
-    builder = _copy_edges(graph)
-    anchors = np.argsort(graph.degrees, kind="stable")[:num_anchors]
+    edges = EdgeList.of_graph(graph)
+    anchors = np.argsort(edges.degrees, kind="stable")[:num_anchors]
     jitter = np.array(
         [rng.integers(0, 2) for _ in range(num_tendrils)], dtype=np.int64
     )
@@ -265,8 +264,8 @@ def attach_periphery(
     j = i % len(anchors)
     base = max_length - 3 * j - i // len(anchors)
     lengths = np.maximum(1, base - jitter)
-    _hang_paths(builder, anchors[j], lengths, graph.num_vertices)
-    return builder.build()
+    edges.hang_paths(anchors[j], lengths)
+    return edges.graph()
 
 
 # ----------------------------------------------------------------------

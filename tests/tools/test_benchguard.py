@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.benchguard import (
+    BUILD_PEAK_LIMIT,
     COLUMN_OVERHEAD_LIMIT,
     DEFAULT_TOLERANCE,
     GRID_SPEEDUP_FLOOR,
@@ -162,6 +163,28 @@ class TestCheckEdgeCases:
         doc = _bfs_doc(0.8, mode="smoke")
         path = _write(tmp_path, "BENCH_bfs_engine.json", doc)
         assert not [f for f in check_artifact(path) if "grid" in f.message]
+
+    @pytest.mark.parametrize(
+        "ratio, failed", [(5.3, False), (24.4, True), (None, True)],
+        ids=["one-assembly", "rebuilt-per-step", "not-recorded"],
+    )
+    def test_build_peak_claim(self, tmp_path, ratio, failed):
+        dataset = {"name": "UKUN", "speedup_store_vs_parse": 1300.0}
+        if ratio is not None:
+            dataset["build_peak_ratio"] = ratio
+        doc = {
+            "schema": "bench_graph_store/v1",
+            "mode": "full",
+            "target_speedup": 10.0,
+            "datasets": [dataset],
+            "aggregate": {"claim_met": True},
+        }
+        path = _write(tmp_path, "BENCH_graph_store.json", doc)
+        claims = [f for f in check_artifact(path) if "build" in f.message]
+        assert len(claims) == 1
+        assert claims[0].failed is failed
+        if ratio is not None:
+            assert f"limit {BUILD_PEAK_LIMIT:g}x" in claims[0].message
 
     def test_obs_overhead_budget_claim(self, tmp_path):
         doc = {
